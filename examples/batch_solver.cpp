@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   args.add_option("pool", "4", "service worker threads");
   args.add_option("slice-conflicts", "2000",
                   "conflicts per time slice (0 = run each job to completion)");
-  args.add_option("deadline-ms", "0",
+  args.add_option("deadline-ms", "0.0",
                   "default per-job wall-clock deadline in ms (0 = none)");
   args.add_option("conflicts", "0",
                   "default per-job total conflict budget (0 = none)");
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
                   "default per-job portfolio escalation (>1 races that many "
                   "diversified workers inside each slice)");
   args.add_option("max-pending", "1024", "bounded admission queue size");
-  args.add_option("watchdog-ms", "0", "per-slice wall-clock watchdog: a "
+  args.add_option("watchdog-ms", "0.0", "per-slice wall-clock watchdog: a "
                   "slice running longer than this is preempted and "
                   "rescheduled (0 = off)");
   args.add_option("slice-retries", "2", "times a job whose slice died (a "

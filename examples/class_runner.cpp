@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
                   "Miters, Fvp_unsat2.0");
   args.add_option("preset", "berkmin", "solver preset (see dimacs_solver)");
   args.add_option("scale", "2", "instance scale");
-  args.add_option("timeout", "10", "per-instance timeout in seconds");
+  args.add_option("timeout", "10.0", "per-instance timeout in seconds");
   args.add_option("seed", "7", "generator seed");
   args.add_option("threads", "1", "portfolio workers per solve");
   args.add_option("pool", "1",

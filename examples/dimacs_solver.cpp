@@ -173,11 +173,12 @@ SolverOptions options_from_args(const ArgParser& args, bool* ok) {
 // Scripted (.icnf) mode: replay an incremental push/add/pop/solve script
 // against one persistent engine, reporting one "s" line per "a" line.
 // --check-incremental validates every SAT model against the formula
-// active at that moment and certifies every UNSAT answer by re-checking
+// active at that moment and certifies every UNSAT answer with one live
+// resumable DratChecker that follows the script: it verifies each step of
 // the accumulated DRAT trace (selectors already elided by the solver)
-// with the lenient incremental checker — adding the failed-assumption
-// core as units for assumption-dependent answers. Exit code follows the
-// last answer (10/20/0); 1 on any error or failed check.
+// once, retires popped groups, and checks the answer's failed-assumption
+// core (¬core must be RUP). Exit code follows the last answer (10/20/0);
+// 1 on any error or failed check.
 int run_scripted(const ArgParser& args, const std::string& path,
                  telemetry::Telemetry* hub,
                  const telemetry::SolverTelemetry* sink,
@@ -224,9 +225,13 @@ int run_scripted(const ArgParser& args, const std::string& path,
   proof::MemoryProofWriter trace_writer;
   if (want_proof) solver.set_proof(&trace_writer);
 
-  // Mirror of the active formula (base + open groups), for checking.
+  // The active formula (base + open groups) for model validation, and the
+  // open groups' handles for the checker.
   std::vector<std::vector<Lit>> active;
   std::vector<std::size_t> marks;
+  std::vector<GroupId> open_groups;
+  proof::DratChecker checker;
+  checker.set_telemetry(sink);
 
   std::size_t solves = 0;
   SolveStatus last = SolveStatus::unknown;
@@ -237,6 +242,12 @@ int run_scripted(const ArgParser& args, const std::string& path,
     switch (op.kind) {
       case icnf::Op::Kind::add_clause:
         active.push_back(op.lits);
+        if (check) {
+          checker.consume(trace_writer.proof());
+          checker.add_original(op.lits, open_groups.empty()
+                                            ? no_group
+                                            : open_groups.back());
+        }
         if (race != nullptr) {
           race->add_clause(op.lits);
         } else {
@@ -248,12 +259,17 @@ int run_scripted(const ArgParser& args, const std::string& path,
         if (race != nullptr) {
           race->push_group();
         } else {
-          solver.push_group();
+          open_groups.push_back(solver.push_group());
         }
         break;
       case icnf::Op::Kind::pop:
         active.resize(marks.back());
         marks.pop_back();
+        if (check) {
+          checker.consume(trace_writer.proof());
+          checker.retire_group(open_groups.back());
+        }
+        if (!open_groups.empty()) open_groups.pop_back();
         if (race != nullptr) {
           race->pop_group();
         } else {
@@ -285,26 +301,13 @@ int run_scripted(const ArgParser& args, const std::string& path,
             failed_check = true;
           }
         }
-        if (last == SolveStatus::unsatisfiable && check && race == nullptr) {
-          Cnf formula;
-          for (const auto& clause : active) formula.add_clause(clause);
-          proof::Proof composed = trace_writer.proof();
-          if (!composed.ends_with_empty()) {
-            for (const Lit a : solver.failed_assumptions()) {
-              formula.add_unit(a);
-            }
-            composed.add({});
-          }
-          proof::DratChecker checker(formula);
-          checker.set_telemetry(sink);
-          proof::CheckOptions copts;
-          copts.allow_unverified_adds = true;
-          const proof::CheckResult result = checker.check(composed, copts);
+        if (last == SolveStatus::unsatisfiable && check) {
           ++proofs_checked;
-          if (!result.valid) {
+          if (!checker.answer_holds(trace_writer.proof(),
+                                    solver.failed_assumptions())) {
             std::cerr << "error: query " << solves
-                      << ": incremental proof failed verification ("
-                      << result.error << ")\n";
+                      << ": incremental proof failed verification (the "
+                         "failed core is not RUP over the checked trace)\n";
             failed_check = true;
           }
         }
@@ -368,7 +371,7 @@ int main(int argc, char** argv) {
                   "portfolio size: run N diversified solvers in parallel with "
                   "learned-clause sharing (1 = the classic sequential solver)");
   args.add_flag("no-share", "portfolio only: disable clause sharing");
-  args.add_option("timeout", "0", "wall-clock budget in seconds (0 = none)");
+  args.add_option("timeout", "0.0", "wall-clock budget in seconds (0 = none)");
   args.add_option("conflicts", "0", "conflict budget (0 = none)");
   args.add_option("restart", "550", "restart interval in conflicts");
   args.add_option("seed", "0", "random tie-breaking seed");

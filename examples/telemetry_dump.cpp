@@ -1,18 +1,23 @@
-// Pretty-prints a Prometheus metrics dump written by dimacs_solver /
-// batch_solver --metrics-out (or any scrape of MetricsSnapshot's text
-// exposition) as aligned tables, in the style of the paper-table bench
-// drivers.
+// Pretty-prints a metrics dump written by dimacs_solver / batch_solver
+// --metrics-out — JSON (MetricsSnapshot::to_json) or Prometheus text
+// exposition (a .prom file, or any scrape of MetricsSnapshot's text
+// exposition) — as aligned tables, in the style of the paper-table bench
+// drivers. The format is detected from the first character.
 //
+//   ./build/examples/telemetry_dump run.json
 //   ./build/examples/telemetry_dump run.prom
 //
-// Exit codes: 0 on success, 1 on unreadable input or a malformed sample
-// line.
+// Exit codes: 0 on success, 1 on unreadable input, malformed JSON or a
+// malformed sample line.
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/cli.h"
@@ -95,28 +100,18 @@ struct Summary {
   double count = 0.0;
 };
 
-}  // namespace
+// Both dump formats, classified the same way.
+struct Metrics {
+  std::map<std::string, double> counters;
+  std::map<std::string, double> gauges;
+  std::map<std::string, Summary> summaries;
+  std::map<std::string, double> phase_seconds;
+  std::map<std::string, double> phase_calls;
+};
 
-int main(int argc, char** argv) {
-  ArgParser args(argc, argv);
-  args.add_flag("help", "show this help");
-  if (!args.parse()) {
-    std::cerr << "error: " << args.error() << "\n";
-    return 1;
-  }
-  if (args.has_flag("help") || args.positional().empty()) {
-    std::cout << args.help(
-        "telemetry_dump — render a Prometheus metrics dump as tables");
-    return args.has_flag("help") ? 0 : 1;
-  }
-
-  const std::string path = args.positional()[0];
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "error: cannot open '" << path << "'\n";
-    return 1;
-  }
-
+// Prometheus text exposition. Returns false after printing an error.
+bool read_prometheus(std::istream& in, const std::string& path,
+                     Metrics* metrics) {
   std::vector<Sample> samples;
   std::string line;
   std::size_t line_number = 0;
@@ -128,7 +123,7 @@ int main(int argc, char** argv) {
     if (!parse_line(line, &sample)) {
       std::cerr << "error: " << path << ":" << line_number
                 << ": malformed sample line\n";
-      return 1;
+      return false;
     }
     samples.push_back(std::move(sample));
   }
@@ -136,22 +131,18 @@ int main(int argc, char** argv) {
   // Classify. Quantile-labeled samples define the summaries; their base
   // name then claims the matching _sum/_count. Phase counters carry a
   // phase label. Everything else: _total = counter, bare = gauge.
-  std::map<std::string, Summary> summaries;
+  auto& summaries = metrics->summaries;
   for (const Sample& s : samples) {
     if (s.label_key == "quantile") {
       summaries[s.name].quantiles[s.label_value] = s.value;
     }
   }
-  std::map<std::string, double> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, double> phase_seconds;
-  std::map<std::string, double> phase_calls;
   for (const Sample& s : samples) {
     if (s.label_key == "quantile") continue;
     if (s.label_key == "phase") {
-      (s.name == "berkmin_phase_seconds_total" ? phase_seconds
-                                               : phase_calls)[s.label_value] =
-          s.value;
+      (s.name == "berkmin_phase_seconds_total" ? metrics->phase_seconds
+                                               : metrics->phase_calls)
+          [s.label_value] = s.value;
       continue;
     }
     if (ends_with(s.name, "_sum") &&
@@ -164,8 +155,152 @@ int main(int argc, char** argv) {
       summaries[s.name.substr(0, s.name.size() - 6)].count = s.value;
       continue;
     }
-    (ends_with(s.name, "_total") ? counters : gauges)[s.name] = s.value;
+    (ends_with(s.name, "_total") ? metrics->counters
+                                 : metrics->gauges)[s.name] = s.value;
   }
+  return true;
+}
+
+// Flattens a JSON document of nested objects with numeric leaves — the
+// shape MetricsSnapshot::to_json writes — into (key path, value) pairs.
+class JsonLeaves {
+ public:
+  using Leaf = std::pair<std::vector<std::string>, double>;
+
+  explicit JsonLeaves(const std::string& text) : text_(text) {}
+
+  bool read(std::vector<Leaf>* out) {
+    std::vector<std::string> path;
+    if (!value(&path, out)) return false;
+    skip_space();
+    return pos_ == text_.size();
+  }
+
+ private:
+  void skip_space() {
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+  bool eat(char c) {
+    skip_space();
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+  bool value(std::vector<std::string>* path, std::vector<Leaf>* out) {
+    if (eat('{')) return object(path, out);
+    skip_space();
+    const char* start = text_.c_str() + pos_;
+    char* end = nullptr;
+    const double v = std::strtod(start, &end);
+    if (end == start) return false;
+    pos_ += static_cast<std::size_t>(end - start);
+    out->emplace_back(*path, v);
+    return true;
+  }
+  bool object(std::vector<std::string>* path, std::vector<Leaf>* out) {
+    if (eat('}')) return true;
+    do {
+      std::string key;
+      if (!string(&key) || !eat(':')) return false;
+      path->push_back(std::move(key));
+      if (!value(path, out)) return false;
+      path->pop_back();
+    } while (eat(','));
+    return eat('}');
+  }
+  bool string(std::string* out) {
+    if (!eat('"')) return false;
+    while (pos_ < text_.size() && text_[pos_] != '"') {
+      char c = text_[pos_++];
+      if (c == '\\') {
+        if (pos_ >= text_.size()) return false;
+        c = text_[pos_++];
+        if (c == 'u') {  // \u00XX: the only escape to_json emits besides \"
+          if (pos_ + 4 > text_.size()) return false;
+          c = static_cast<char>(
+              std::strtol(text_.substr(pos_ + 2, 2).c_str(), nullptr, 16));
+          pos_ += 4;
+        }
+      }
+      out->push_back(c);
+    }
+    return eat('"');
+  }
+
+  const std::string& text_;
+  std::size_t pos_ = 0;
+};
+
+// A MetricsSnapshot::to_json document. Returns false after printing an
+// error.
+bool read_json(const std::string& text, const std::string& path,
+               Metrics* metrics) {
+  std::vector<JsonLeaves::Leaf> leaves;
+  if (!JsonLeaves(text).read(&leaves)) {
+    std::cerr << "error: " << path << ": malformed JSON metrics dump\n";
+    return false;
+  }
+  static const std::map<std::string, std::string> kQuantiles = {
+      {"p50", "0.5"}, {"p90", "0.9"}, {"p99", "0.99"}};
+  for (const auto& [keys, value] : leaves) {
+    const std::string& section = keys.front();
+    if (keys.size() == 2 && section == "counters") {
+      metrics->counters[keys[1]] = value;
+    } else if (keys.size() == 2 && section == "gauges") {
+      metrics->gauges[keys[1]] = value;
+    } else if (keys.size() == 3 && section == "histograms") {
+      Summary& summary = metrics->summaries[keys[1]];
+      if (keys[2] == "sum") summary.sum = value;
+      if (keys[2] == "count") summary.count = value;
+      const auto q = kQuantiles.find(keys[2]);
+      if (q != kQuantiles.end()) summary.quantiles[q->second] = value;
+    } else if (keys.size() == 3 && section == "phases") {
+      if (keys[2] == "ns") metrics->phase_seconds[keys[1]] = value * 1e-9;
+      if (keys[2] == "calls") metrics->phase_calls[keys[1]] = value;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  ArgParser args(argc, argv);
+  args.add_flag("help", "show this help");
+  if (!args.parse()) {
+    std::cerr << "error: " << args.error() << "\n";
+    return 1;
+  }
+  if (args.has_flag("help") || args.positional().empty()) {
+    std::cout << args.help(
+        "telemetry_dump — render a JSON or Prometheus metrics dump as "
+        "tables");
+    return args.has_flag("help") ? 0 : 1;
+  }
+
+  const std::string path = args.positional()[0];
+  std::ifstream in(path);
+  if (!in) {
+    std::cerr << "error: cannot open '" << path << "'\n";
+    return 1;
+  }
+
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  Metrics metrics;
+  const auto first = text.find_first_not_of(" \t\r\n");
+  if (first != std::string::npos && text[first] == '{') {
+    if (!read_json(text, path, &metrics)) return 1;
+  } else {
+    std::istringstream lines(text);
+    if (!read_prometheus(lines, path, &metrics)) return 1;
+  }
+  const auto& [counters, gauges, summaries, phase_seconds, phase_calls] =
+      metrics;
 
   if (!counters.empty()) {
     Table table({"counter", "value"});

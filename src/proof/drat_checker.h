@@ -1,54 +1,69 @@
 // In-tree DRAT proof checking, trimming and UNSAT-core extraction.
 //
-// DratChecker verifies a clausal proof against the original formula
-// without trusting the solver that produced it: it is its own
-// two-watched-literal propagation engine over the original clauses plus
-// the proof's live additions. The check runs in two passes:
+// DratChecker verifies clausal proofs without trusting the solver that
+// produced them: it is its own two-watched-literal propagation engine over
+// the original clauses plus the proof's verified additions. Every addition
+// must be a reverse-unit-propagation (RUP) consequence of the live
+// database: asserting the negation of its literals and propagating to
+// fixpoint must yield a conflict. Deletions take one live copy out of
+// propagation (deletions of clauses that force a root literal are skipped,
+// the standard DRUP convention, which only grows the database and so never
+// weakens a later check). The engine checks strict RUP only — exactly what
+// our CDCL solver emits; RAT steps are rejected, which makes a successful
+// check a stronger statement, not a weaker one.
 //
-//  * forward — every added clause must be a reverse-unit-propagation
-//    (RUP) consequence of the current database: asserting the negation of
-//    its literals and propagating to fixpoint must yield a conflict. The
-//    clauses touched by that conflict's resolution chain are recorded as
-//    the step's antecedents. Deletions remove one live copy (deletions of
-//    clauses that force a root literal are skipped, the standard DRUP
-//    convention, which only grows the database and so never weakens a
-//    later check).
-//  * backward — starting from the antecedents of the empty clause, mark
-//    every addition some marked step depends on. Unmarked additions are
-//    dead weight: trimmed() returns the proof without them, and the
-//    marked original clauses form an unsatisfiable core of the input.
+// One engine serves two uses:
 //
-// The engine checks strict RUP only — exactly what our CDCL solver (and
-// any clause-learning solver that logs deletions) emits. RAT steps are
-// rejected, which makes a successful check a stronger statement, not a
-// weaker one.
+//  * one-shot — DratChecker(cnf).check(proof) consumes the whole trace,
+//    requires the root conflict, then runs a backward pass: starting from
+//    the antecedents of the empty clause it marks every addition some
+//    marked step depends on. trimmed() is the proof without the unmarked
+//    additions, and the marked originals form an unsatisfiable core.
+//  * resumable — one live checker follows an incremental session. Original
+//    clauses arrive tagged with their clause group (add_original), groups
+//    are retired (popped) or parked and revived, consume(trace) verifies
+//    only the steps past its watermark, and answer_holds(core) certifies
+//    one UNSAT answer: the clause ¬core must be RUP over the live database
+//    (for an empty core, the database must already be in root conflict).
+//    Each trace step is verified once per session, so an answer costs the
+//    trace delta since the previous one, not the whole formula and trace.
+//
+// Soundness across groups. Every stored clause records the groups it rests
+// on: an original its own group, a verified addition the union over the
+// clauses and root literals of its RUP derivation. An addition therefore
+// stays valid exactly while every antecedent it recorded is valid; a DRAT
+// deletion takes a clause out of propagation, never out of validity.
+// Retiring or parking a group walks that group's dependents list — cost in
+// proportion to the group plus its dependents, not to the database — and
+// takes them out of propagation; root literals and root conflicts resting
+// on them are undone (one pass over the root trail, at most one entry per
+// variable) and the affected watches re-propagated. Retired clauses
+// release their literals, and each absorbs one later trace deletion of
+// its literals (the solver dropping its own group copy after the pop), so
+// that deletion never takes a live copy of the same clause out of
+// propagation; parked ones re-enter propagation when no group
+// they rest on is parked any more. An addition that is not RUP is dropped:
+// it never fails an answer and never supports a later step. None of this
+// relies on the solver deleting its own group-dependent lemmas. A
+// derivation's groups are as precise as its propagation path: literals the
+// checked clause itself assumes add nothing, but a path through a group's
+// root literal ties the lemma to that group even when the solver derived
+// it without the group — answer_holds() covers that case with a replay.
 #pragma once
 
 #include <cstdint>
-#include <map>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cnf/cnf_formula.h"
 #include "cnf/literal.h"
+#include "core/solver_types.h"
 #include "proof/proof.h"
 #include "telemetry/solver_telemetry.h"
 
 namespace berkmin::proof {
-
-struct CheckOptions {
-  // Incremental (push/pop) traces contain additions whose derivations
-  // depended on clause groups that were popped before the answer being
-  // certified: checked against the *current* formula those steps are not
-  // RUP — and not needed, because every such lemma was deleted at its pop
-  // and nothing live depends on it. With this flag an unverifiable
-  // addition is skipped (never entering the live database, so soundness
-  // is preserved: only RUP-verified clauses can support later steps)
-  // instead of failing the check; skipped steps are counted in
-  // CheckResult::skipped_adds. Validity still requires deriving the empty
-  // clause from verified steps alone.
-  bool allow_unverified_adds = false;
-};
 
 struct CheckResult {
   // True iff every addition verified as RUP and the empty clause was
@@ -65,25 +80,77 @@ struct CheckResult {
   // during the forward pass — the checker's working-set size. Deletions
   // in the trace are what keep this bounded on long multi-worker races.
   std::size_t peak_live_clauses = 0;
-  // Additions that failed RUP and were dropped from the live database
-  // (only under CheckOptions::allow_unverified_adds; otherwise the first
-  // failed addition aborts the check).
-  std::size_t skipped_adds = 0;
   // First failure, as "step <index>: <what>"; empty when valid.
   std::string error;
 };
 
+// Cumulative counters of one checker across every consume() call.
+struct CheckerStats {
+  std::size_t steps_consumed = 0;  // trace steps read past the watermark
+  std::size_t add_checks = 0;      // RUP checks run on trace additions
+  std::size_t checked_adds = 0;    // additions that verified
+  std::size_t dropped_adds = 0;    // additions that did not: never stored
+  std::size_t deletions = 0;
+  std::size_t skipped_deletions = 0;
+  std::size_t peak_live_clauses = 0;
+  // Trace index of the first dropped addition (meaningful when
+  // dropped_adds > 0).
+  std::size_t first_dropped_step = 0;
+  // Full rebuilds answer_holds() fell back to (see there).
+  std::size_t replays = 0;
+};
+
 class DratChecker {
  public:
+  // Resumable use: an empty database fed through add_original().
+  DratChecker() = default;
+  // One-shot use: the database starts as the formula's clauses (in no
+  // group), and derivations are recorded for trimmed() and core().
   explicit DratChecker(const Cnf& cnf);
 
-  // Verifies the whole trace. May be called once per checker instance.
-  CheckResult check(const Proof& proof) { return check(proof, CheckOptions{}); }
-  CheckResult check(const Proof& proof, const CheckOptions& options);
+  // ---- resumable interface ------------------------------------------------
+  // Adds an original clause; `group` is the clause group it belongs to
+  // (no_group: the root formula, never retracted). A clause added to a
+  // parked group stays out of propagation until the group is revived.
+  void add_original(std::span<const Lit> lits, GroupId group = no_group);
+  // Retracts a group for good: its originals and every clause resting on
+  // them become invalid and release their storage.
+  void retire_group(GroupId group);
+  // Parks (false) or revives (true) a group. Parking takes the group's
+  // dependents out of propagation; reviving restores exactly those whose
+  // groups are all active again.
+  void set_group_active(GroupId group, bool active);
+  // Verifies the trace steps past the watermark, then moves the watermark
+  // to the end of `trace`. The trace must be the same growing sequence on
+  // every call. Feed it before each retire/park/revive and each original
+  // added, so every step is checked against the database it was derived
+  // in.
+  void consume(const Proof& trace);
+  std::size_t watermark() const { return watermark_; }
+  // Certifies one UNSAT answer: consumes `trace`, then requires the clause
+  // ¬failed_core to be RUP over the live database (for an empty core, the
+  // database to be in root conflict). Should that fail after a park or
+  // retire invalidated lemmas, the checker replays once — rebuilds from its
+  // live originals and re-verifies the whole trace — and asks again: a
+  // lemma's recorded derivation can rest on a group the solver's own
+  // derivation did not need. Replays are counted in stats().replays.
+  bool answer_holds(const Proof& trace, std::span<const Lit> failed_core);
+  // Whether the live database is in root conflict.
+  bool refuted() const { return !conflicts_.empty(); }
+  // Whether the addition at trace index `step` is in the live database:
+  // verified, not deleted by the trace, and resting only on groups that
+  // are live and active (introspection for tests; linear in the database).
+  bool lemma_live(std::size_t step) const;
+  const CheckerStats& stats() const { return stats_; }
+
+  // ---- one-shot interface -------------------------------------------------
+  // Consumes the whole trace, requires the root conflict, then trims and
+  // extracts the core. May be called once per checker instance.
+  CheckResult check(const Proof& proof);
 
   // Observability: times the forward pass (Phase::verify) and the
   // backward trim/core pass (Phase::trim) and emits check_verify /
-  // check_trim span events. The sink must outlive the check() call.
+  // check_trim span events. The sink must outlive the calls it observes.
   void set_telemetry(const telemetry::SolverTelemetry* sink) {
     telemetry_ = sink;
   }
@@ -106,58 +173,128 @@ class DratChecker {
 
   struct DbClause {
     std::vector<Lit> lits;  // normalized; watched literals in slots 0/1
-    bool active = false;
+    // Sorted ids of every group the clause rests on.
+    std::vector<GroupId> groups;
+    // One-shot only: clause ids whose unit consequences made this
+    // addition RUP (the backward pass follows them).
+    std::vector<std::uint32_t> antecedents;
     // Originals: index into cnf.clauses(); additions: proof step index.
     std::size_t source = 0;
+    // Bumped on every (re)attach; watchers carrying an older epoch are
+    // stale and dropped when visited.
+    std::uint32_t epoch = 0;
+    std::uint32_t parked = 0;  // groups in `groups` that are parked
     bool from_proof = false;
-    // Clause ids whose unit consequences made this addition RUP.
-    std::vector<std::uint32_t> antecedents;
+    bool deleted = false;  // by a trace deletion: out of propagation
+    bool retired = false;  // rests on a retired group: invalid for good
+
+    bool propagating() const { return !retired && parked == 0 && !deleted; }
+  };
+  struct Watch {
+    std::uint32_t id;
+    std::uint32_t epoch;
+  };
+  struct GroupState {
+    bool active = true;
+    // Clauses resting on the group; deleted lemmas and invalid entries
+    // are compacted away whenever the list is walked.
+    std::vector<std::uint32_t> dependents;
+    // Root variables whose assignment may rest on the group.
+    std::vector<Var> root_vars;
+  };
+  // A clause falsified by the root assignment, with the groups that
+  // falsification rests on.
+  struct RootConflict {
+    std::uint32_t clause;
+    std::vector<GroupId> groups;
+  };
+  // What one RUP success rests on.
+  struct Derivation {
+    std::vector<std::uint32_t> antecedents;  // one-shot only
+    std::vector<GroupId> groups;
   };
 
   void ensure_var(Var v);
-  // Stores a normalized clause; returns its id, or invalid_clause for
-  // tautologies (vacuous, never stored).
-  std::uint32_t store(const std::vector<Lit>& normalized, bool from_proof,
-                      std::size_t source);
-  void attach(std::uint32_t id);
+  // Stores a normalized clause and registers it with its groups.
+  std::uint32_t store(std::vector<Lit> normalized, std::vector<GroupId> groups,
+                      bool from_proof, std::size_t source);
+  // Chooses watches under the root assignment, attaches them, and enqueues
+  // or records a conflict when the clause is unit or falsified.
+  void settle(std::uint32_t id);
   Value value(Lit l) const {
     return value_of_literal(assign_[static_cast<std::size_t>(l.var())], l);
   }
   void enqueue(Lit l, std::uint32_t reason);
-  // Propagates from the current head; returns the conflicting clause id
-  // or invalid_clause. On conflict the head is left past the end so a
-  // subsequent undo restores a consistent state.
+  // Propagates from the current head. Inside a RUP check, returns the
+  // first conflicting clause id (or invalid_clause); at the root, records
+  // every falsified clause as a root conflict and keeps going.
   std::uint32_t propagate();
-  void undo_to(std::size_t trail_size);
-  // Collects the ids of every clause in the resolution chain of
-  // `conflict` (or of the root assignment of `start`, when the conflict
-  // is an assumption contradicting a root-true literal).
-  std::vector<std::uint32_t> collect_antecedents(std::uint32_t conflict,
-                                                 Var start = no_var);
-  // Verifies one addition; fills *antecedents on success.
-  bool check_rup(const std::vector<Lit>& clause,
-                 std::vector<std::uint32_t>* antecedents);
+  void undo_rup();
+  void note_root_conflict(std::uint32_t id);
+  // Collects what the conflict on clause `conflict` (or, when invalid, the
+  // root assignment of `start`) rests on.
+  Derivation derive(std::uint32_t conflict, Var start = no_var);
+  // Verifies one clause as RUP; fills *derivation on success.
+  bool check_rup(std::span<const Lit> clause, Derivation* derivation);
+  // Rebuilds from the valid originals and re-verifies all of `trace`.
+  void replay(const Proof& trace);
+  void consume_step(const ProofStep& step, std::size_t index);
+  void delete_copy(const std::vector<Lit>& normalized);
+  // Undoes the root literals and root conflicts resting on `group`, then
+  // re-propagates what they unblocked.
+  void unwind_group(GroupId group);
   void ensure_live_index();
-  void record_empty_derivation(std::vector<std::uint32_t> antecedents);
+  void index_remove(std::uint32_t id);
   void build_trim_and_core(const Proof& proof);
 
+  // Trim/core support: set by the one-shot constructor.
+  bool record_antecedents_ = false;
   std::size_t num_original_clauses_ = 0;
   std::vector<DbClause> clauses_;
-  // Deletion lookup (normalized literals -> live clause ids), built
-  // lazily on the first deletion: deletion-free traces never pay for it,
-  // and the map costs a full literal-vector copy per stored clause.
-  std::map<std::vector<Lit>, std::vector<std::uint32_t>> live_by_lits_;
+  std::unordered_map<GroupId, GroupState> groups_;
+
+  // Deletion lookup (order-independent literal hash -> live clause ids),
+  // built lazily on the first deletion: deletion-free traces never pay
+  // for it. Retired clauses leave it and are counted in retired_copies_;
+  // a trace deletion uses up a retired copy before it looks for a live
+  // one. retired_originals_ counts every original ever retired, which is
+  // what a replay starts retired_copies_ from.
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> live_index_;
+  std::unordered_map<std::uint64_t, std::uint32_t> retired_copies_;
+  std::unordered_map<std::uint64_t, std::uint32_t> retired_originals_;
   bool live_index_built_ = false;
-  std::vector<std::vector<std::uint32_t>> watches_;  // by literal code
-  std::vector<Value> assign_;                        // by variable
+  std::vector<char> lit_mark_;  // by literal code, clause comparison scratch
+
+  std::vector<std::vector<Watch>> watches_;  // by literal code
+  std::vector<Value> assign_;                // by variable
   std::vector<Lit> trail_;
   std::vector<std::uint32_t> reason_;  // by variable; invalid for assumptions
+  // By variable: the groups a root assignment rests on.
+  std::vector<std::vector<GroupId>> root_groups_;
   std::size_t propagate_head_ = 0;
-  std::vector<char> seen_;  // collect_antecedents scratch, by variable
+  // Trail size where the running RUP check's assumptions start; npos at
+  // the root.
+  static constexpr std::size_t at_root = static_cast<std::size_t>(-1);
+  std::size_t rup_start_ = at_root;
+  std::vector<char> seen_;  // derive scratch, by variable
+  // By variable: set during a RUP check for the checked clause's literals
+  // that are already false at the root.
+  std::vector<char> assumed_;
+  std::vector<GroupId> group_scratch_;
 
-  bool derived_empty_ = false;
+  std::vector<RootConflict> conflicts_;
+  // A root conflict resting on no group: the database is refuted for good
+  // and every later step holds.
+  bool refuted_for_good_ = false;
   std::vector<std::uint32_t> empty_antecedents_;
   std::int32_t empty_producer_ = no_producer;
+
+  std::size_t watermark_ = 0;
+  std::size_t live_ = 0;
+  // Whether a park or retire has invalidated a verified addition since the
+  // checker was built (only then can a replay certify more).
+  bool invalidated_lemmas_ = false;
+  CheckerStats stats_;
 
   bool checked_ = false;
   Proof trimmed_;

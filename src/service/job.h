@@ -101,12 +101,16 @@ struct SessionRequest {
   // workers replay every push/pop/add and race each solve.
   int threads = 1;
   // Per-answer proof artifacts. The session accumulates one DRAT trace
-  // (selectors elided) across all its queries; each UNSAT answer is
-  // checked against the formula active at that moment with the lenient
-  // incremental mode (proof::CheckOptions::allow_unverified_adds), adding
-  // the failed-assumption core as units when the answer is assumption-
-  // dependent. `core` is not supported for sessions (the input formula
-  // changes between answers) and is ignored. Proof logging requires
+  // (selectors elided) across all its queries and, with `check`, keeps
+  // one live resumable proof::DratChecker that follows every clause and
+  // group operation: each trace step is verified once, against the
+  // formula it was derived from, and an UNSAT answer holds when the
+  // clause ¬(failed-assumption core) is RUP over the checker's live
+  // database (for an empty core, the database is in root conflict).
+  // Lemmas stay valid only while every group their derivations rested on
+  // is live and active, whatever the solver itself deletes. `core` is not
+  // supported for sessions (the input formula changes between answers)
+  // and is ignored. Proof logging requires
   // threads == 1 for now: certifying per-answer incremental checks over a
   // spliced warm-worker trace needs deterministic portfolio replay, which
   // has not landed yet. open_session still accepts the combo, but every

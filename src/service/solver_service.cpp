@@ -208,6 +208,9 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
     if (request.proof.wanted()) {
       session->proof_writer = std::make_unique<proof::MemoryProofWriter>();
       session->solver->set_proof(session->proof_writer.get());
+      if (request.proof.verify()) {
+        session->checker = std::make_unique<proof::DratChecker>();
+      }
     }
   }
 
@@ -241,6 +244,13 @@ std::shared_ptr<SolverService::Session> SolverService::mutable_session_locked(
   return it->second;
 }
 
+proof::DratChecker* SolverService::synced_checker(Session& session) {
+  if (session.checker != nullptr) {
+    session.checker->consume(session.proof_writer->proof());
+  }
+  return session.checker.get();
+}
+
 std::optional<GroupId> SolverService::session_push(SessionId id) {
   std::shared_ptr<Session> session;
   {
@@ -264,7 +274,7 @@ std::optional<GroupId> SolverService::session_push(SessionId id) {
     session->busy = false;
     return std::nullopt;
   }
-  session->groups.push_back(SessionGroup{group, true});
+  session->groups.push_back(group);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
   emit_control_locked(telemetry::EventKind::session_push, session->id,
@@ -278,23 +288,20 @@ bool SolverService::session_pop(SessionId id, GroupId group) {
     std::lock_guard<std::mutex> lk(lock_);
     session = mutable_session_locked(id);
     if (session == nullptr) return false;
-    const bool live =
-        std::any_of(session->groups.begin(), session->groups.end(),
-                    [group](const SessionGroup& g) { return g.id == group; });
-    if (!live) return false;
+    if (std::ranges::find(session->groups, group) == session->groups.end()) {
+      return false;
+    }
     session->busy = true;
+  }
+  if (proof::DratChecker* checker = synced_checker(*session)) {
+    checker->retire_group(group);
   }
   if (session->solver != nullptr) {
     (void)session->solver->pop_group(group);
   } else {
     (void)session->portfolio->pop_group(group);
   }
-  std::erase_if(session->groups,
-                [group](const SessionGroup& g) { return g.id == group; });
-  // The mirror is group-tagged, so an out-of-order pop removes exactly the
-  // popped group's clauses and leaves every other group's intact.
-  std::erase_if(session->clauses,
-                [group](const MirrorClause& c) { return c.group == group; });
+  std::erase(session->groups, group);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
   emit_control_locked(telemetry::EventKind::session_pop, session->id,
@@ -308,7 +315,7 @@ bool SolverService::session_pop(SessionId id) {
     std::lock_guard<std::mutex> lk(lock_);
     const std::shared_ptr<Session> session = mutable_session_locked(id);
     if (session == nullptr || session->groups.empty()) return false;
-    innermost = session->groups.back().id;
+    innermost = session->groups.back();
   }
   return session_pop(id, innermost);
 }
@@ -322,13 +329,9 @@ bool SolverService::session_add_clause(SessionId id,
     if (session == nullptr) return false;
     session->busy = true;
   }
-  // The formula mirror only feeds the per-answer proof check; without
-  // verification it would be a dead second copy of the whole formula.
-  if (session->request.proof.verify()) {
-    const GroupId group =
-        session->groups.empty() ? no_group : session->groups.back().id;
-    session->clauses.push_back(
-        MirrorClause{{lits.begin(), lits.end()}, group});
+  if (proof::DratChecker* checker = synced_checker(*session)) {
+    checker->add_original(
+        lits, session->groups.empty() ? no_group : session->groups.back());
   }
   if (session->solver != nullptr) {
     (void)session->solver->add_clause(lits);
@@ -347,15 +350,13 @@ bool SolverService::session_add_clause_to(SessionId id, GroupId group,
     std::lock_guard<std::mutex> lk(lock_);
     session = mutable_session_locked(id);
     if (session == nullptr) return false;
-    const bool live =
-        std::any_of(session->groups.begin(), session->groups.end(),
-                    [group](const SessionGroup& g) { return g.id == group; });
-    if (!live) return false;
+    if (std::ranges::find(session->groups, group) == session->groups.end()) {
+      return false;
+    }
     session->busy = true;
   }
-  if (session->request.proof.verify()) {
-    session->clauses.push_back(
-        MirrorClause{{lits.begin(), lits.end()}, group});
+  if (proof::DratChecker* checker = synced_checker(*session)) {
+    checker->add_original(lits, group);
   }
   if (session->solver != nullptr) {
     (void)session->solver->add_clause_to_group(group, lits);
@@ -374,19 +375,18 @@ bool SolverService::session_set_group_active(SessionId id, GroupId group,
     std::lock_guard<std::mutex> lk(lock_);
     session = mutable_session_locked(id);
     if (session == nullptr) return false;
-    const bool live =
-        std::any_of(session->groups.begin(), session->groups.end(),
-                    [group](const SessionGroup& g) { return g.id == group; });
-    if (!live) return false;
+    if (std::ranges::find(session->groups, group) == session->groups.end()) {
+      return false;
+    }
     session->busy = true;
+  }
+  if (proof::DratChecker* checker = synced_checker(*session)) {
+    checker->set_group_active(group, active);
   }
   if (session->solver != nullptr) {
     (void)session->solver->set_group_active(group, active);
   } else {
     (void)session->portfolio->set_group_active(group, active);
-  }
-  for (SessionGroup& g : session->groups) {
-    if (g.id == group) g.active = active;
   }
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
@@ -1038,8 +1038,10 @@ void SolverService::run_session_slice(const std::shared_ptr<Job>& job,
     return;
   }
 
-  // Per-answer certification, outside the lock. The session's trace keeps
-  // accumulating across queries, so it is copied, never taken.
+  // Per-answer certification, outside the lock: the session's live checker
+  // verifies the trace steps logged since its last call, then the answer
+  // itself (¬core RUP over the live database). The accumulated trace is
+  // still delivered as the answer's artifact, so it is copied, not taken.
   proof::Proof trace;
   bool have_trace = false;
   bool proof_checked = false;
@@ -1047,44 +1049,12 @@ void SolverService::run_session_slice(const std::shared_ptr<Job>& job,
   if (status == SolveStatus::unsatisfiable && session.proof_writer != nullptr) {
     trace = session.proof_writer->proof();
     have_trace = true;
-    if (job->request.proof.verify()) {
-      // The checked formula is what the engine saw this solve: root
-      // clauses plus the clauses of groups *active* right now. Popped
-      // groups' clauses are already gone from the mirror; parked groups'
-      // clauses are skipped here (they were satisfied by the parked
-      // selector, so the answer cannot depend on them).
-      const auto group_active = [&session](GroupId g) {
-        if (g == no_group) return true;
-        for (const auto& sg : session.groups) {
-          if (sg.id == g) return sg.active;
-        }
-        return false;
-      };
-      Cnf formula;
-      for (const auto& clause : session.clauses) {
-        if (group_active(clause.group)) formula.add_clause(clause.lits);
-      }
-      bool appended_empty = false;
-      if (!trace.ends_with_empty()) {
-        // Assumption- or group-dependent answer: the certificate is that
-        // the active formula plus the failed core refutes by propagation
-        // over the live database (an empty core means the open groups
-        // alone are responsible). The synthetic empty step is popped back
-        // off before the trace is delivered.
-        for (const Lit a : session.solver->failed_assumptions()) {
-          formula.add_unit(a);
-        }
-        trace.add({});
-        appended_empty = true;
-      }
-      proof::DratChecker checker(formula);
-      checker.set_telemetry(sink);
-      proof::CheckOptions copts;
-      copts.allow_unverified_adds = true;
-      const proof::CheckResult check = checker.check(trace, copts);
+    if (session.checker != nullptr) {
+      session.checker->set_telemetry(sink);
+      proof_valid = session.checker->answer_holds(
+          session.proof_writer->proof(), session.solver->failed_assumptions());
+      session.checker->set_telemetry(nullptr);
       proof_checked = true;
-      proof_valid = check.valid;
-      if (appended_empty) trace.steps.pop_back();
     }
   }
 

@@ -35,6 +35,7 @@
 
 #include "core/solver.h"
 #include "portfolio/portfolio.h"
+#include "proof/drat_checker.h"
 #include "proof/proof_writer.h"
 #include "service/job.h"
 #include "telemetry/telemetry.h"
@@ -173,8 +174,9 @@ class SolverService {
   bool session_add_clause_to(SessionId id, GroupId group,
                              std::span<const Lit> lits);
   // Parks / revives a live group for subsequent solves without retracting
-  // it; per-answer certification drops an inactive group's clauses from
-  // the checked formula, matching what the engine saw.
+  // it; per-answer certification parks the group's clauses (and whatever
+  // rests on them) in the session's checker too, matching what the engine
+  // sees.
   bool session_set_group_active(SessionId id, GroupId group, bool active);
   // Submits one query against the session engine; the result arrives
   // through wait()/the completion callback like any job, carrying
@@ -226,30 +228,19 @@ class SolverService {
   telemetry::MetricsSnapshot metrics_snapshot() const;
 
  private:
-  // One incremental session: the persistent engine plus a mirror of the
-  // *active* formula in external numbering for per-answer proof checking.
-  // Groups retract in any order (session_pop by id), so the mirror tags
-  // every clause with its owning group instead of relying on stack shape:
-  // a pop erases exactly the popped group's clauses, and certification
-  // skips clauses of groups parked inactive at solve time.
-  struct MirrorClause {
-    std::vector<Lit> lits;
-    GroupId group = no_group;  // no_group = root formula, never retracted
-  };
-  struct SessionGroup {
-    GroupId id = no_group;
-    bool active = true;
-  };
+  // One incremental session: the persistent engine plus, when answers are
+  // certified, one live resumable DratChecker fed with every clause and
+  // group operation as it happens (see proof/drat_checker.h).
   struct Session {
     SessionId id = invalid_session;
     SessionRequest request;
     std::unique_ptr<Solver> solver;
     std::unique_ptr<portfolio::PortfolioSolver> portfolio;
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
-    std::vector<MirrorClause> clauses;
-    // Live groups in push order (innermost last) with their active flags;
-    // the session validates handles here before touching the engine.
-    std::vector<SessionGroup> groups;
+    std::unique_ptr<proof::DratChecker> checker;
+    // Live groups in push order (innermost last); the session validates
+    // handles here before touching the engine.
+    std::vector<GroupId> groups;
     bool busy = false;    // a session solve is queued or running
     bool closed = false;
     // Non-empty when the session was opened with a feature combo the
@@ -326,6 +317,11 @@ class SolverService {
                                     std::shared_ptr<Session> session = nullptr);
   // Looks up an open, idle session for a mutation. Must hold lock_.
   std::shared_ptr<Session> mutable_session_locked(SessionId id);
+  // The session's checker, first fed the trace steps logged since its
+  // last call so each is verified against the formula it was derived
+  // from; nullptr without certification. Called before every mutation of
+  // the checked formula.
+  static proof::DratChecker* synced_checker(Session& session);
   // One slice of one session job, running against the persistent engine.
   // `sink` is the calling worker's telemetry sink (nullptr without a hub).
   void run_session_slice(const std::shared_ptr<Job>& job,

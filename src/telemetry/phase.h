@@ -29,6 +29,8 @@ enum class Phase : std::uint8_t {
 };
 
 inline constexpr std::size_t kNumPhases = 8;
+static_assert(kNumPhases == static_cast<std::size_t>(Phase::trim) + 1,
+              "kNumPhases must count every Phase");
 
 const char* to_string(Phase phase);
 

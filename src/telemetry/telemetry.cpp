@@ -10,10 +10,8 @@ namespace berkmin::telemetry {
 
 MetricsSnapshot Telemetry::snapshot() const {
   MetricsSnapshot snap = metrics_.snapshot();
-  constexpr Phase kAll[] = {Phase::bcp,    Phase::analyze,
-                            Phase::decide, Phase::reduce,
-                            Phase::garbage_collect, Phase::verify, Phase::trim};
-  for (Phase phase : kAll) {
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    const auto phase = static_cast<Phase>(i);
     const PhaseAccumulator::Totals totals = phases_.totals(phase);
     if (totals.calls != 0) snap.phases[to_string(phase)] = totals;
   }

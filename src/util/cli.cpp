@@ -4,6 +4,34 @@
 #include <sstream>
 
 namespace berkmin {
+namespace {
+
+// Whether `read` (strtoll or strtod) consumes all of a plain decimal
+// `text`; "abc", "5x", "inf", " 7" and "" never pass.
+template <typename Read>
+bool reads_in_full(const std::string& text, Read read) {
+  if (text.empty() ||
+      text.find_first_not_of("0123456789+-.eE") != std::string::npos) {
+    return false;
+  }
+  char* end = nullptr;
+  read(text.c_str(), &end);
+  return end == text.c_str() + text.size();
+}
+
+bool is_integer(const std::string& text) {
+  return reads_in_full(text, [](const char* s, char** end) {
+    return std::strtoll(s, end, 10);
+  });
+}
+
+bool is_number(const std::string& text) {
+  return reads_in_full(text, [](const char* s, char** end) {
+    return std::strtod(s, end);
+  });
+}
+
+}  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) raw_.emplace_back(argv[i]);
@@ -52,6 +80,22 @@ bool ArgParser::parse() {
         return false;
       }
       values_[name] = raw_[++i];
+    }
+  }
+  // An option registered with a numeric default is numeric, and an integer
+  // default ("4", not "4.0") makes it an integer option: garbage, or a
+  // fraction get_int() would truncate, is a usage error here rather than a
+  // silent 0 or 1 from the getters.
+  for (const auto& [name, value] : values_) {
+    const Spec& spec = specs_.at(name);
+    if (spec.is_flag) continue;
+    if (is_integer(spec.default_value) && !is_integer(value)) {
+      error_ = "option --" + name + " expects an integer, got '" + value + "'";
+      return false;
+    }
+    if (is_number(spec.default_value) && !is_number(value)) {
+      error_ = "option --" + name + " expects a number, got '" + value + "'";
+      return false;
     }
   }
   return true;

@@ -1,7 +1,11 @@
 // Minimal command-line option parsing for examples and bench drivers.
 //
 // Supports "--name value", "--name=value", and boolean "--flag" forms plus
-// positional arguments. Unknown options are reported, not silently ignored.
+// positional arguments. Unknown options are reported, not silently ignored,
+// and so is a non-numeric value for an option registered with a numeric
+// default, or a non-integer one for an integer default (the default
+// documents the option's type: register "0.0", not "0", for an option read
+// with get_double).
 #pragma once
 
 #include <cstdint>
@@ -20,7 +24,9 @@ class ArgParser {
   void add_option(const std::string& name, const std::string& default_value,
                   const std::string& help);
 
-  // Returns false (and fills error()) on unknown or malformed options.
+  // Returns false (and fills error()) on unknown or malformed options,
+  // including a value that is not a number for a numeric option or not an
+  // integer for an integer one.
   bool parse();
 
   bool has_flag(const std::string& name) const;

@@ -13,8 +13,7 @@
 
 #include "cnf/icnf.h"
 #include "core/solver.h"
-#include "proof/drat_checker.h"
-#include "proof/proof_writer.h"
+#include "live_certifier.h"
 #include "reference/dpll.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -209,35 +208,17 @@ struct LiveGroup {
   std::vector<std::vector<Lit>> clauses;
 };
 
-// Certifies the current UNSAT answer against `formula` with the
-// accumulated trace (lenient incremental mode: lemmas whose derivations
-// died with a popped or parked group are skipped, not refuted).
-void certify_unsat(const Solver& solver, Cnf formula,
-                   proof::Proof trace, std::uint64_t seed, int solves) {
-  if (!trace.ends_with_empty()) {
-    for (const Lit a : solver.failed_assumptions()) formula.add_unit(a);
-    trace.add({});
-  }
-  proof::DratChecker checker(formula);
-  proof::CheckOptions options;
-  options.allow_unverified_adds = true;
-  const auto check = checker.check(trace, options);
-  EXPECT_TRUE(check.valid)
-      << "seed " << seed << " solve " << solves << ": " << check.error;
-}
-
 // Random scripts over the *named* group surface: groups pop in random
 // order (not LIFO), clauses land in arbitrary live groups via
 // add_clause_to_group, and groups park/revive through set_group_active.
 // Every answer is checked against a scratch re-solve of the formula
 // active at that moment plus the DPLL oracle; SAT answers validate the
 // model, UNSAT answers validate the failed-assumption core and certify
-// the accumulated DRAT trace.
+// the answer with the script's live resumable checker.
 void run_named_group_script(std::uint64_t seed) {
   Rng rng(seed * 0x2545f4914f6cdd1dull + 99);
-  proof::MemoryProofWriter writer;
   Solver solver;
-  solver.set_proof(&writer);
+  testing::LiveCertifier certifier(solver);
   const int num_vars = 8 + static_cast<int>(seed % 5);
 
   std::vector<std::vector<Lit>> root;
@@ -259,25 +240,25 @@ void run_named_group_script(std::uint64_t seed) {
       auto clause = random_clause(rng, num_vars, 3);
       if (groups.empty()) {
         root.push_back(clause);
-        (void)solver.add_clause(clause);
+        (void)certifier.add_clause(clause);
       } else {
         // Target a *random* live group, not necessarily the innermost.
         auto& g = groups[rng.below(groups.size())];
         ASSERT_TRUE(solver.group_is_live(g.id));
-        (void)solver.add_clause_to_group(g.id, clause);
+        (void)certifier.add_clause_to_group(g.id, clause);
         g.clauses.push_back(clause);
       }
     } else if (pick < 6 && groups.size() < 4) {
       groups.push_back({solver.push_group(), true, {}});
     } else if (pick < 8 && !groups.empty()) {
       const std::size_t at = rng.below(groups.size());  // random order
-      ASSERT_TRUE(solver.pop_group(groups[at].id));
+      ASSERT_TRUE(certifier.pop_group(groups[at].id));
       EXPECT_FALSE(solver.group_is_live(groups[at].id));
       groups.erase(groups.begin() + static_cast<std::ptrdiff_t>(at));
     } else if (pick < 9 && !groups.empty()) {
       auto& g = groups[rng.below(groups.size())];
       g.active = !g.active;
-      ASSERT_TRUE(solver.set_group_active(g.id, g.active));
+      ASSERT_TRUE(certifier.set_group_active(g.id, g.active));
     } else {
       std::vector<Lit> assumptions;
       for (std::uint64_t i = rng.below(3); i > 0; --i) {
@@ -308,6 +289,9 @@ void run_named_group_script(std::uint64_t seed) {
       if (status == SolveStatus::satisfiable) {
         EXPECT_TRUE(formula.is_satisfied_by(solver.model()))
             << "seed " << seed << " solve " << solves;
+        EXPECT_FALSE(certifier.certifies(assumptions))
+            << "seed " << seed << " solve " << solves
+            << ": checker certified a satisfiable assumption set";
         for (const Lit a : assumptions) {
           EXPECT_EQ(value_of_literal(solver.model()[a.var()], a),
                     Value::true_value)
@@ -324,7 +308,9 @@ void run_named_group_script(std::uint64_t seed) {
         }
         EXPECT_FALSE(reference::dpll_solve(with_core).satisfiable)
             << "seed " << seed << " solve " << solves;
-        certify_unsat(solver, formula, writer.proof(), seed, solves);
+        EXPECT_TRUE(certifier.answer_certified())
+            << "seed " << seed << " solve " << solves
+            << ": UNSAT answer not certified";
         if (!solver.ok()) break;  // permanently refuted
       }
     }

@@ -1,10 +1,9 @@
 // Proof composition across push/pop (ISSUE 5): the solver's accumulated
-// DRAT trace — selectors elided, external numbering — is re-checked by the
-// in-tree DratChecker at every UNSAT answer of an incremental run,
-// including answers after pops. The checker input is the formula active
-// at that moment; assumption-dependent answers add the failed core as
-// units and an appended empty clause; the lenient incremental mode skips
-// lemmas whose derivations died with a popped group.
+// DRAT trace — selectors elided, external numbering — certifies every
+// UNSAT answer of an incremental run, including answers after pops. One
+// live resumable DratChecker follows each script (testing::LiveCertifier):
+// it verifies every trace step once, retires popped groups together with
+// every lemma resting on them, and checks each answer's failed core.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -13,6 +12,7 @@
 #include "core/solver.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_ksat.h"
+#include "live_certifier.h"
 #include "proof/drat_checker.h"
 #include "proof/proof_writer.h"
 #include "test_util.h"
@@ -24,37 +24,14 @@ namespace {
 using testing::lits;
 using testing::make_cnf;
 
-Cnf active_formula(const std::vector<std::vector<Lit>>& active, int vars) {
-  Cnf cnf(vars);
-  for (const auto& clause : active) cnf.add_clause(clause);
-  return cnf;
-}
-
-// Certifies the current UNSAT answer of `solver` against `formula` using
-// the accumulated `trace`. Returns the check result.
-proof::CheckResult certify(const Solver& solver, Cnf formula,
-                           proof::Proof trace) {
-  if (!trace.ends_with_empty()) {
-    for (const Lit a : solver.failed_assumptions()) formula.add_unit(a);
-    trace.add({});
-  }
-  proof::DratChecker checker(formula);
-  proof::CheckOptions options;
-  options.allow_unverified_adds = true;
-  return checker.check(trace, options);
-}
-
 TEST(IncrementalProof, GroupUnsatThenPopThenUnsatAgain) {
   // Query 1: UNSAT inside a group. Query 2 (after the pop): UNSAT from a
   // second group. Both answers must certify against their own formula,
   // the second despite the trace containing lemmas of the popped group.
-  proof::MemoryProofWriter writer;
   Solver solver;
-  solver.set_proof(&writer);
+  testing::LiveCertifier certifier(solver);
   const Cnf base = gen::random_ksat(12, 30, 3, 17);
-  solver.load(base);
-  std::vector<std::vector<Lit>> active;
-  for (const auto& clause : base.clauses()) active.push_back(clause);
+  certifier.load(base);
 
   solver.push_group();
   const Cnf hole = gen::pigeonhole(4);
@@ -63,35 +40,26 @@ TEST(IncrementalProof, GroupUnsatThenPopThenUnsatAgain) {
     for (const Lit l : clause) {
       shifted.push_back(Lit(l.var() + base.num_vars(), l.is_negative()));
     }
-    active.push_back(shifted);
-    ASSERT_TRUE(solver.add_clause(shifted));
+    ASSERT_TRUE(certifier.add_clause(shifted));
   }
   ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   ASSERT_TRUE(solver.ok());
-  {
-    const auto check = certify(
-        solver, active_formula(active, solver.num_vars()), writer.proof());
-    EXPECT_TRUE(check.valid) << check.error;
-  }
+  EXPECT_TRUE(certifier.answer_certified());
 
-  solver.pop_group();
-  active.resize(base.num_clauses());
+  certifier.pop_group();
   ASSERT_EQ(solver.solve(), SolveStatus::satisfiable);
+  // The pigeonhole refutation rested on the popped group.
+  EXPECT_FALSE(certifier.certifies({}));
 
   solver.push_group();
   for (const auto& clause :
        {lits({1, 2}), lits({1, -2}), lits({-1, 2}), lits({-1, -2})}) {
-    active.push_back(clause);
-    ASSERT_TRUE(solver.add_clause(clause));
+    ASSERT_TRUE(certifier.add_clause(clause));
   }
   ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   ASSERT_TRUE(solver.ok());
-  {
-    const auto check = certify(
-        solver, active_formula(active, solver.num_vars()), writer.proof());
-    EXPECT_TRUE(check.valid) << check.error;
-  }
-  solver.pop_group();
+  EXPECT_TRUE(certifier.answer_certified());
+  certifier.pop_group();
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
 }
 
@@ -145,14 +113,10 @@ TEST_P(IncrementalProofFuzz, EveryUnsatAnswerCertifies) {
   // certify against the formula active at that moment.
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   Rng rng(seed * 77 + 5);
-  proof::MemoryProofWriter writer;
   Solver solver;
-  solver.set_proof(&writer);
+  testing::LiveCertifier certifier(solver);
 
   const int num_vars = 9 + static_cast<int>(seed % 4);
-  std::vector<std::vector<Lit>> active;
-  std::vector<std::size_t> marks;
-  int unsat_answers = 0;
   for (int op = 0; op < 26; ++op) {
     const std::uint64_t pick = rng.below(10);
     if (pick < 4) {
@@ -166,16 +130,12 @@ TEST_P(IncrementalProofFuzz, EveryUnsatAnswerCertifies) {
                       rng.below(static_cast<std::uint64_t>(num_vars))),
                   rng.coin()));
         }
-        active.push_back(clause);
-        (void)solver.add_clause(clause);
+        (void)certifier.add_clause(clause);
       }
     } else if (pick < 6) {
       solver.push_group();
-      marks.push_back(active.size());
-    } else if (pick < 8 && !marks.empty()) {
-      solver.pop_group();
-      active.resize(marks.back());
-      marks.pop_back();
+    } else if (pick < 8 && solver.num_groups() > 0) {
+      certifier.pop_group();
     } else {
       std::vector<Lit> assumptions;
       for (std::uint64_t i = rng.below(3); i > 0; --i) {
@@ -186,16 +146,16 @@ TEST_P(IncrementalProofFuzz, EveryUnsatAnswerCertifies) {
       }
       const SolveStatus status = solver.solve_with_assumptions(assumptions);
       if (status == SolveStatus::unsatisfiable) {
-        ++unsat_answers;
-        const auto check = certify(
-            solver, active_formula(active, num_vars), writer.proof());
-        ASSERT_TRUE(check.valid)
-            << "seed " << seed << " op " << op << ": " << check.error;
+        ASSERT_TRUE(certifier.answer_certified())
+            << "seed " << seed << " op " << op;
+      } else if (status == SolveStatus::satisfiable) {
+        ASSERT_FALSE(certifier.certifies(assumptions))
+            << "seed " << seed << " op " << op
+            << ": checker certified a satisfiable assumption set";
       }
       if (!solver.ok()) break;  // permanently refuted: script exhausted
     }
   }
-  (void)unsat_answers;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalProofFuzz,

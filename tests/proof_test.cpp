@@ -1,107 +1,139 @@
-// Proof logging and checking: every clause the solver learns must be a
-// RUP consequence of the evolving database, and the full DRAT stream of
-// an UNSAT run must check out, deletions included.
+// Proof logging and checking through the solver: every clause the solver
+// learns must be a RUP consequence of the evolving database — checked
+// online by a resumable proof::DratChecker that consumes the trace between
+// budgeted solve slices — and the DRAT text a solver writes must replay
+// through the checker offline, deletions included.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "core/drat.h"
-#include "core/rup_checker.h"
 #include "core/solver.h"
 #include "gen/parity.h"
 #include "gen/pigeonhole.h"
-#include "gen/random_ksat.h"
+#include "proof/drat_checker.h"
+#include "proof/drat_file.h"
+#include "proof/proof_writer.h"
 #include "test_util.h"
 
 namespace berkmin {
 namespace {
 
+using testing::lits;
 using testing::make_cnf;
+
+// A resumable checker whose database starts as `cnf` (root formula).
+proof::DratChecker live_checker(const Cnf& cnf) {
+  proof::DratChecker checker;
+  for (const auto& clause : cnf.clauses()) checker.add_original(clause);
+  return checker;
+}
 
 TEST(RupChecker, AcceptsUnitPropagationConsequence) {
   // (~1 2)(~2 3): clause (~1 3) is RUP.
-  const Cnf cnf = make_cnf({{-1, 2}, {-2, 3}});
-  RupChecker checker(cnf);
-  EXPECT_TRUE(checker.add_and_check(testing::lits({-1, 3})));
+  proof::DratChecker checker = live_checker(make_cnf({{-1, 2}, {-2, 3}}));
+  proof::Proof trace;
+  trace.add(lits({-1, 3}));
+  checker.consume(trace);
+  EXPECT_EQ(checker.stats().checked_adds, 1u);
+  EXPECT_EQ(checker.stats().dropped_adds, 0u);
+  EXPECT_TRUE(checker.lemma_live(0));
 }
 
 TEST(RupChecker, RejectsNonConsequence) {
-  const Cnf cnf = make_cnf({{-1, 2}, {-2, 3}});
-  RupChecker checker(cnf);
-  EXPECT_FALSE(checker.add_and_check(testing::lits({1, 2})));
+  proof::DratChecker checker = live_checker(make_cnf({{-1, 2}, {-2, 3}}));
+  proof::Proof trace;
+  trace.add(lits({1, 2}));
+  checker.consume(trace);
+  EXPECT_EQ(checker.stats().dropped_adds, 1u);
+  EXPECT_EQ(checker.stats().first_dropped_step, 0u);
+  EXPECT_FALSE(checker.lemma_live(0));
 }
 
 TEST(RupChecker, ChainsThroughAddedClauses) {
-  const Cnf cnf = make_cnf({{1, 2}, {1, -2}, {-1, 3}, {-1, -3}});
-  RupChecker checker(cnf);
-  EXPECT_TRUE(checker.add_and_check(testing::lits({1})));
-  // With unit 1 stored, the empty clause is now derivable.
-  EXPECT_TRUE(checker.add_and_check({}));
-  EXPECT_TRUE(checker.derived_empty());
+  proof::DratChecker checker =
+      live_checker(make_cnf({{1, 2}, {1, -2}, {-1, 3}, {-1, -3}}));
+  proof::Proof trace;
+  trace.add(lits({1}));
+  // With unit 1 stored the database propagates to a root conflict: the
+  // empty clause after it holds without another check.
+  trace.add({});
+  checker.consume(trace);
+  EXPECT_EQ(checker.stats().checked_adds, 1u);
+  EXPECT_EQ(checker.stats().steps_consumed, 2u);
+  EXPECT_TRUE(checker.refuted());
+  EXPECT_TRUE(checker.answer_holds(trace, {}));
 }
 
 TEST(RupChecker, RemoveDeletesOneCopy) {
-  const Cnf cnf = make_cnf({{-1, 2}, {-2, 3}});
-  RupChecker checker(cnf);
-  const std::size_t before = checker.num_clauses();
-  EXPECT_TRUE(checker.remove(testing::lits({-1, 2})));
-  EXPECT_EQ(checker.num_clauses(), before - 1);
-  EXPECT_FALSE(checker.remove(testing::lits({-1, 2})));
+  proof::DratChecker checker = live_checker(make_cnf({{-1, 2}, {-2, 3}}));
+  proof::Proof trace;
+  trace.del(lits({-1, 2}));
+  trace.del(lits({-1, 2}));  // nothing live left to match
+  trace.add(lits({-1, 3}));  // no longer RUP without (~1 2)
+  checker.consume(trace);
+  EXPECT_EQ(checker.stats().deletions, 2u);
+  EXPECT_EQ(checker.stats().skipped_deletions, 1u);
+  EXPECT_EQ(checker.stats().dropped_adds, 1u);
 }
 
 TEST(RupChecker, TautologyIsVacuouslyAccepted) {
-  RupChecker checker(make_cnf({{1, 2}}));
-  EXPECT_TRUE(checker.add_and_check(testing::lits({3, -3})));
+  proof::DratChecker checker = live_checker(make_cnf({{1, 2}}));
+  proof::Proof trace;
+  trace.add(lits({3, -3}));
+  checker.consume(trace);
+  EXPECT_EQ(checker.stats().add_checks, 0u);
+  EXPECT_EQ(checker.stats().dropped_adds, 0u);
 }
 
-// Attaches a RUP-checking pair of callbacks to the solver; every learned
-// clause is verified online against the evolving database.
-class OnlineRupHarness {
- public:
-  explicit OnlineRupHarness(const Cnf& cnf) : checker_(cnf) {}
-
-  void attach(Solver& solver) {
-    solver.set_learn_callback([this](std::span<const Lit> clause) {
-      if (!checker_.add_and_check(clause)) ++failures_;
-    });
-    solver.set_delete_callback([this](std::span<const Lit> clause) {
-      if (!checker_.remove(clause)) ++missing_deletes_;
-    });
-  }
-
-  int failures() const { return failures_; }
-  int missing_deletes() const { return missing_deletes_; }
-
- private:
-  RupChecker checker_;
-  int failures_ = 0;
-  int missing_deletes_ = 0;
+// Solves `cnf` in budgeted slices and feeds the trace to a live checker
+// after every slice, so each learned clause is verified online against
+// the database as it stood when the solver derived it.
+struct OnlineRun {
+  SolveStatus status = SolveStatus::unknown;
+  proof::CheckerStats checked;
+  bool certified = false;
+  SolverStats solver;
 };
 
-TEST(OnlineRup, PigeonholeAllLearnedClausesAreRup) {
-  const Cnf cnf = gen::pigeonhole(4);
-  Solver solver;
-  OnlineRupHarness harness(cnf);
-  harness.attach(solver);
+OnlineRun solve_online(const Cnf& cnf, const SolverOptions& options) {
+  proof::MemoryProofWriter writer;
+  Solver solver(options);
+  solver.set_proof(&writer);
   solver.load(cnf);
-  EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
-  EXPECT_EQ(harness.failures(), 0);
-  EXPECT_EQ(harness.missing_deletes(), 0);
-  EXPECT_GT(solver.stats().learned_clauses, 0u);
+  proof::DratChecker checker = live_checker(cnf);
+  Budget slice;
+  slice.max_conflicts = 50;
+  OnlineRun run;
+  while (run.status == SolveStatus::unknown) {
+    run.status = solver.solve_with_assumptions({}, slice);
+    checker.consume(writer.proof());
+  }
+  run.certified = checker.answer_holds(writer.proof(), {});
+  run.checked = checker.stats();
+  run.solver = solver.stats();
+  return run;
+}
+
+TEST(OnlineRup, PigeonholeAllLearnedClausesAreRup) {
+  const OnlineRun run = solve_online(gen::pigeonhole(4), SolverOptions{});
+  EXPECT_EQ(run.status, SolveStatus::unsatisfiable);
+  EXPECT_EQ(run.checked.dropped_adds, 0u);
+  EXPECT_EQ(run.checked.skipped_deletions, 0u);
+  EXPECT_GT(run.checked.checked_adds, 0u);
+  EXPECT_TRUE(run.certified);
+  EXPECT_GT(run.solver.learned_clauses, 0u);
 }
 
 TEST(OnlineRup, WithAggressiveReductions) {
-  const Cnf cnf = gen::pigeonhole(5);
   SolverOptions options;
   options.restart_interval = 15;  // many reductions: deletions must match
-  Solver solver(options);
-  OnlineRupHarness harness(cnf);
-  harness.attach(solver);
-  solver.load(cnf);
-  EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
-  EXPECT_EQ(harness.failures(), 0);
-  EXPECT_EQ(harness.missing_deletes(), 0);
-  EXPECT_GT(solver.stats().deleted_clauses, 0u);
+  const OnlineRun run = solve_online(gen::pigeonhole(5), options);
+  EXPECT_EQ(run.status, SolveStatus::unsatisfiable);
+  EXPECT_EQ(run.checked.dropped_adds, 0u);
+  EXPECT_GT(run.checked.deletions, 0u);
+  EXPECT_EQ(run.checked.skipped_deletions, 0u);
+  EXPECT_TRUE(run.certified);
+  EXPECT_GT(run.solver.deleted_clauses, 0u);
 }
 
 class OnlineRupConfigs : public ::testing::TestWithParam<int> {};
@@ -117,89 +149,65 @@ TEST_P(OnlineRupConfigs, UnsatParityProofChecks) {
 
   const auto configs = testing::all_paper_configs();
   const SolverOptions& options = configs[GetParam() % configs.size()];
-  Solver solver(options);
-  OnlineRupHarness harness(cnf);
-  harness.attach(solver);
-  solver.load(cnf);
-  EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable) << options.describe();
-  EXPECT_EQ(harness.failures(), 0) << options.describe();
+  const OnlineRun run = solve_online(cnf, options);
+  EXPECT_EQ(run.status, SolveStatus::unsatisfiable) << options.describe();
+  EXPECT_EQ(run.checked.dropped_adds, 0u) << options.describe();
+  EXPECT_TRUE(run.certified) << options.describe();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OnlineRupConfigs, ::testing::Range(0, 12));
 
-TEST(DratWriter, EmitsTextualProof) {
-  std::ostringstream proof;
-  DratWriter writer(proof);
-  Solver solver;
-  writer.attach(solver);
-  solver.load(make_cnf({{1, 2}, {1, -2}, {-1, 3}, {-1, -3}}));
+// Runs `cnf` to completion with a textual DRAT writer attached.
+std::string solve_with_text_proof(const Cnf& cnf, const SolverOptions& options,
+                                  std::uint64_t* deleted = nullptr) {
+  std::ostringstream text;
+  proof::TextDratWriter writer(text);
+  Solver solver(options);
+  solver.set_proof(&writer);
+  solver.load(cnf);
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   EXPECT_GT(writer.num_added(), 0u);
-  const std::string text = proof.str();
+  if (deleted != nullptr) *deleted = writer.num_deleted();
+  return text.str();
+}
+
+TEST(DratWriter, EmitsTextualProof) {
+  const std::string text = solve_with_text_proof(
+      make_cnf({{1, 2}, {1, -2}, {-1, 3}, {-1, -3}}), SolverOptions{});
   EXPECT_NE(text.find(" 0\n"), std::string::npos);
+  // The refutation ends with the empty clause.
+  EXPECT_GE(text.size(), 2u);
+  EXPECT_EQ(text.substr(text.size() - 2), "0\n");
 }
 
 TEST(DratWriter, DeletionLinesPrefixed) {
-  std::ostringstream proof;
-  DratWriter writer(proof);
   SolverOptions options;
   options.restart_interval = 15;
-  Solver solver(options);
-  writer.attach(solver);
-  solver.load(gen::pigeonhole(5));
-  EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
-  if (writer.num_deleted() > 0) {
-    EXPECT_NE(proof.str().find("d "), std::string::npos);
+  std::uint64_t deleted = 0;
+  const std::string text =
+      solve_with_text_proof(gen::pigeonhole(5), options, &deleted);
+  if (deleted > 0) {
+    EXPECT_NE(text.find("d "), std::string::npos);
   }
 }
 
 TEST(DratReplay, FullProofVerifiesOffline) {
-  // Emit a DRAT proof to text, then replay it through a fresh RupChecker
-  // exactly as an external checker would.
+  // Emit a DRAT proof to text, parse it back and verify it with a fresh
+  // checker exactly as an external checker would.
   const Cnf cnf = gen::pigeonhole(4);
-  std::ostringstream proof;
-  DratWriter writer(proof);
   SolverOptions options;
   options.restart_interval = 25;
-  Solver solver(options);
-  writer.attach(solver);
-  solver.load(cnf);
-  ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
-
-  RupChecker checker(cnf);
-  std::istringstream in(proof.str());
-  std::string line;
-  int checked = 0;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string first;
-    ls >> first;
-    const bool is_delete = first == "d";
-    std::vector<Lit> clause;
-    long long value = 0;
-    if (!is_delete) {
-      value = std::stoll(first);
-      if (value != 0) clause.push_back(from_dimacs(static_cast<int>(value)));
-      if (value == 0) {
-        EXPECT_TRUE(checker.add_and_check(clause));
-        ++checked;
-        continue;
-      }
-    }
-    while (ls >> value && value != 0) {
-      clause.push_back(from_dimacs(static_cast<int>(value)));
-    }
-    if (is_delete) {
-      EXPECT_TRUE(checker.remove(clause)) << line;
-    } else {
-      EXPECT_TRUE(checker.add_and_check(clause)) << line;
-      ++checked;
-    }
-  }
-  EXPECT_GT(checked, 0);
-  // The final learned clause cascade ends in a root conflict; deriving
-  // the empty clause explicitly must succeed now.
-  EXPECT_TRUE(checker.add_and_check({}));
+  std::istringstream in(solve_with_text_proof(cnf, options));
+  proof::Proof trace;
+  std::string error;
+  ASSERT_TRUE(proof::read_drat(in, proof::DratFormat::text, &trace, &error))
+      << error;
+  proof::DratChecker checker(cnf);
+  const proof::CheckResult result = checker.check(trace);
+  EXPECT_TRUE(result.valid) << result.error;
+  EXPECT_GT(result.checked_adds, 0u);
+  // Every `d` line names a clause that is live at that point.
+  EXPECT_EQ(result.skipped_deletions, 0u);
 }
 
 }  // namespace

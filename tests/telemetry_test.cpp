@@ -295,6 +295,20 @@ TEST(PhaseAccumulator, AccumulatesPerPhase) {
   EXPECT_EQ(phases.totals(Phase::decide).calls, 0u);
 }
 
+TEST(Telemetry, SnapshotExportsEveryPhase) {
+  Telemetry hub;
+  for (std::size_t i = 0; i < telemetry::kNumPhases; ++i) {
+    hub.phases().add(static_cast<Phase>(i), 10 + i);
+  }
+  const MetricsSnapshot snap = hub.snapshot();
+  ASSERT_EQ(snap.phases.size(), telemetry::kNumPhases);
+  for (std::size_t i = 0; i < telemetry::kNumPhases; ++i) {
+    const char* name = telemetry::to_string(static_cast<Phase>(i));
+    ASSERT_EQ(snap.phases.count(name), 1u) << name;
+    EXPECT_EQ(snap.phases.at(name).ns, 10 + i) << name;
+  }
+}
+
 // ---- end-to-end solver wiring ---------------------------------------------
 
 TEST(SolverTelemetry, SolveFlowsIntoHub) {

@@ -162,6 +162,47 @@ TEST(Cli, RejectsMissingValue) {
   EXPECT_FALSE(parser.parse());
 }
 
+TEST(Cli, RejectsNonNumericValueForNumericOption) {
+  // An integer default makes --scale an integer option: "1e6" and "2.5"
+  // would otherwise reach get_int() as 1 and 2.
+  for (const char* bad : {"abc", "5x", "", "inf", " 7", "1e6", "2.5"}) {
+    const char* argv[] = {"prog", "--scale", bad};
+    ArgParser parser(3, argv);
+    parser.add_option("scale", "2", "instance scale");
+    EXPECT_FALSE(parser.parse()) << "'" << bad << "'";
+    EXPECT_NE(parser.error().find("--scale"), std::string::npos);
+    EXPECT_NE(parser.error().find("expects an integer"), std::string::npos);
+  }
+  for (const char* bad : {"abc", "1.5s", "", "nan"}) {
+    const char* argv[] = {"prog", "--timeout", bad};
+    ArgParser parser(3, argv);
+    parser.add_option("timeout", "10.0", "seconds");
+    EXPECT_FALSE(parser.parse()) << "'" << bad << "'";
+    EXPECT_NE(parser.error().find("expects a number"), std::string::npos);
+  }
+}
+
+TEST(Cli, AcceptsSignedAndFractionalNumbers) {
+  const char* argv[] = {"prog", "--moves=-1", "--rate", "2.5e-1",
+                        "--timeout", "3"};
+  ArgParser parser(6, argv);
+  parser.add_option("moves", "-1", "plan horizon");
+  parser.add_option("rate", "0.05", "a rate");
+  parser.add_option("timeout", "0.0", "seconds");
+  ASSERT_TRUE(parser.parse()) << parser.error();
+  EXPECT_EQ(parser.get_int("moves"), -1);
+  EXPECT_DOUBLE_EQ(parser.get_double("rate"), 0.25);
+  EXPECT_DOUBLE_EQ(parser.get_double("timeout"), 3.0);
+}
+
+TEST(Cli, TextOptionsTakeAnyValue) {
+  const char* argv[] = {"prog", "--preset", "abc"};
+  ArgParser parser(3, argv);
+  parser.add_option("preset", "berkmin", "solver preset");
+  ASSERT_TRUE(parser.parse()) << parser.error();
+  EXPECT_EQ(parser.get_string("preset"), "abc");
+}
+
 TEST(Cli, HelpMentionsOptions) {
   const char* argv[] = {"prog"};
   ArgParser parser(1, argv);
