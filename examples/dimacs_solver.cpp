@@ -170,6 +170,53 @@ SolverOptions options_from_args(const ArgParser& args, bool* ok) {
   return options;
 }
 
+// Builds the engine both modes solve on: one Solver for --threads 1, else
+// a portfolio. Given a proof sink, a solver logs into it and a portfolio
+// splices its workers' traces instead (see spliced_proof). An explicit preset
+// or any tuning flag keeps the tuned configuration on every portfolio
+// worker (only the restart/decay schedule and seeds are jittered);
+// otherwise the default diversified lineup runs. --seed alone stays on
+// the default lineup — it already reseeds it.
+std::unique_ptr<SatEngine> make_engine(const ArgParser& args,
+                                       const SolverOptions& options,
+                                       proof::ProofWriter* proof_sink,
+                                       telemetry::Telemetry* hub,
+                                       const telemetry::SolverTelemetry* sink,
+                                       util::MemoryBudget* mem_budget) {
+  const int threads = static_cast<int>(args.get_int("threads"));
+  if (threads <= 1) {
+    auto solver = std::make_unique<Solver>(options);
+    solver->set_telemetry(sink);
+    solver->set_memory_budget(mem_budget);
+    solver->set_proof(proof_sink);
+    return solver;
+  }
+  portfolio::PortfolioOptions popts;
+  popts.num_threads = threads;
+  popts.share_clauses = !args.has_flag("no-share");
+  popts.base_seed = options.seed;
+  popts.log_proof = proof_sink != nullptr;
+  const bool tuned =
+      args.get_string("preset") != "berkmin" || args.provided("restart") ||
+      args.has_flag("minimize") || args.provided("young-max-len") ||
+      args.provided("young-min-act") || args.provided("old-max-len") ||
+      args.provided("old-act-threshold") || args.provided("decay-interval") ||
+      args.provided("decay-factor");
+  popts.configs =
+      tuned ? portfolio::diversify_around(options, threads, options.seed)
+            : portfolio::diversified_configs(threads, options.seed);
+  // Workers inprocess at restarts like the sequential engine, but never
+  // eliminate variables: an eliminated variable may still occur in a
+  // sibling's exchanged clauses.
+  for (portfolio::WorkerConfig& config : popts.configs) {
+    config.options.inprocess = options.inprocess;
+    config.options.inprocess.var_elim = false;
+  }
+  popts.telemetry = hub;
+  popts.memory_budget = mem_budget;
+  return std::make_unique<portfolio::PortfolioSolver>(popts);
+}
+
 // Scripted (.icnf) mode: replay an incremental push/add/pop/solve script
 // against one persistent engine, reporting one "s" line per "a" line.
 // --check-incremental validates every SAT model against the formula
@@ -209,21 +256,10 @@ int run_scripted(const ArgParser& args, const std::string& path,
     return 1;
   }
 
-  Solver solver(options);
-  solver.set_telemetry(sink);
-  solver.set_memory_budget(mem_budget);
-  std::unique_ptr<portfolio::PortfolioSolver> race;
-  if (threads > 1) {
-    portfolio::PortfolioOptions popts;
-    popts.num_threads = threads;
-    popts.share_clauses = !args.has_flag("no-share");
-    popts.base_seed = options.seed;
-    popts.telemetry = hub;
-    popts.memory_budget = mem_budget;
-    race = std::make_unique<portfolio::PortfolioSolver>(popts);
-  }
   proof::MemoryProofWriter trace_writer;
-  if (want_proof) solver.set_proof(&trace_writer);
+  const std::unique_ptr<SatEngine> engine =
+      make_engine(args, options, want_proof ? &trace_writer : nullptr, hub,
+                  sink, mem_budget);
 
   // The active formula (base + open groups) for model validation, and the
   // open groups' handles for the checker.
@@ -248,19 +284,11 @@ int run_scripted(const ArgParser& args, const std::string& path,
                                             ? no_group
                                             : open_groups.back());
         }
-        if (race != nullptr) {
-          race->add_clause(op.lits);
-        } else {
-          (void)solver.add_clause(op.lits);
-        }
+        (void)engine->add_clause(op.lits);
         break;
       case icnf::Op::Kind::push:
         marks.push_back(active.size());
-        if (race != nullptr) {
-          race->push_group();
-        } else {
-          open_groups.push_back(solver.push_group());
-        }
+        open_groups.push_back(engine->push_group());
         break;
       case icnf::Op::Kind::pop:
         active.resize(marks.back());
@@ -269,24 +297,17 @@ int run_scripted(const ArgParser& args, const std::string& path,
           checker.consume(trace_writer.proof());
           checker.retire_group(open_groups.back());
         }
-        if (!open_groups.empty()) open_groups.pop_back();
-        if (race != nullptr) {
-          race->pop_group();
-        } else {
-          solver.pop_group();
-        }
+        (void)engine->pop_group(open_groups.back());
+        open_groups.pop_back();
         break;
       case icnf::Op::Kind::solve: {
         ++solves;
-        last = race != nullptr
-                   ? race->solve_with_assumptions(op.lits, budget)
-                   : solver.solve_with_assumptions(op.lits, budget);
+        last = engine->solve_with_assumptions(op.lits, budget);
         std::cout << "c query " << solves << "\ns " << to_string(last) << "\n";
         if (last == SolveStatus::satisfiable && check) {
           Cnf formula;
           for (const auto& clause : active) formula.add_clause(clause);
-          const std::vector<Value>& model =
-              race != nullptr ? race->model() : solver.model();
+          const std::vector<Value>& model = engine->model();
           bool valid = formula.is_satisfied_by(model);
           for (const Lit a : op.lits) {
             if (a.var() >= static_cast<Var>(model.size()) ||
@@ -304,7 +325,7 @@ int run_scripted(const ArgParser& args, const std::string& path,
         if (last == SolveStatus::unsatisfiable && check) {
           ++proofs_checked;
           if (!checker.answer_holds(trace_writer.proof(),
-                                    solver.failed_assumptions())) {
+                                    engine->failed_assumptions())) {
             std::cerr << "error: query " << solves
                       << ": incremental proof failed verification (the "
                          "failed core is not RUP over the checked trace)\n";
@@ -328,11 +349,7 @@ int run_scripted(const ArgParser& args, const std::string& path,
     }
   }
   if (args.has_flag("stats")) {
-    const SolverStats& stats =
-        race != nullptr ? race->reports().empty()
-                              ? SolverStats{}
-                              : race->reports().front().stats
-                        : solver.stats();
+    const SolverStats& stats = engine->stats();
     std::cout << "c scripted: " << solves << " queries, groups pushed "
               << stats.groups_pushed << " popped " << stats.groups_popped
               << ", lemmas retained " << stats.pop_retained_learned
@@ -347,6 +364,39 @@ int run_scripted(const ArgParser& args, const std::string& path,
   if (last == SolveStatus::satisfiable) return 10;
   if (last == SolveStatus::unsatisfiable) return 20;
   return 0;
+}
+
+// --stats: the answer's search statistics and, for a portfolio, the race.
+void print_stats(const SatEngine& engine, double elapsed) {
+  const SolverStats& stats = engine.stats();
+  std::cout << "c time " << elapsed << " s\n"
+            << "c decisions " << stats.decisions << " (top-clause "
+            << stats.top_clause_decisions << ", global "
+            << stats.global_decisions << ")\n"
+            << "c conflicts " << stats.conflicts << "\n"
+            << "c propagations " << stats.propagations << "\n"
+            << "c restarts " << stats.restarts << "\n"
+            << "c learned " << stats.learned_clauses << " (units "
+            << stats.learned_units << "), deleted " << stats.deleted_clauses
+            << "\n"
+            << "c database ratio " << stats.db_generated_ratio()
+            << ", peak live ratio " << stats.db_peak_ratio() << "\n";
+  const auto* race = dynamic_cast<const portfolio::PortfolioSolver*>(&engine);
+  if (race == nullptr) return;
+  std::cout << "c winner " << race->winner_name() << " (worker "
+            << race->winner() << " of " << race->reports().size() << ")\n";
+  for (const portfolio::WorkerReport& report : race->reports()) {
+    std::cout << "c worker " << report.name << ": " << to_string(report.status)
+              << " in " << report.seconds << " s, " << report.stats.summary()
+              << "\n";
+  }
+  const portfolio::ExchangeStats& ex = race->exchange_stats();
+  std::cout << "c exchange: " << ex.accepted << " stored ("
+            << ex.rejected_duplicate << " dup, " << ex.rejected_length
+            << " long, " << ex.rejected_glue << " glue, " << ex.rejected_full
+            << " over budget), " << ex.collected
+            << " collected; totals exported " << stats.exported_clauses
+            << ", imported " << stats.imported_clauses << "\n";
 }
 
 void print_skin_histogram(const SolverStats& stats) {
@@ -574,61 +624,65 @@ int main(int argc, char** argv) {
   budget.max_seconds = args.get_double("timeout");
   budget.max_conflicts = static_cast<std::uint64_t>(args.get_int("conflicts"));
 
-  const int threads = static_cast<int>(args.get_int("threads"));
-
   // Proof sinks are created before preprocessing so that the
   // preprocessor's rewrites become the leading steps of the very trace
-  // the solver continues — one proof, checkable against the original
-  // (unpreprocessed) formula. Core extraction needs the whole trace in
-  // memory; plain --drat streams straight to disk as the search runs.
+  // the engine continues — one proof, checkable against the original
+  // (unpreprocessed) formula. A sequential run with plain --drat streams
+  // straight to disk as the search runs; otherwise the trace is buffered
+  // here: a solver logs into the buffer, while portfolio workers splice
+  // their own traces, appended to the buffered preprocessing steps after
+  // the race.
   proof::MemoryProofWriter memory_proof;
   std::ofstream drat_stream;
   std::unique_ptr<proof::ProofWriter> stream_writer;
-  proof::ProofWriter* seq_writer = nullptr;  // single-thread proof sink
-  if (threads <= 1 && want_proof) {
-    if (!core_path.empty()) {
-      seq_writer = &memory_proof;
+  if (args.get_int("threads") <= 1 && !drat_path.empty() && core_path.empty()) {
+    drat_stream.open(drat_path, std::ios::binary);
+    if (!drat_stream) {
+      std::cerr << "error: cannot open '" << drat_path << "' for the proof\n";
+      return 1;
+    }
+    if (drat_format == proof::DratFormat::binary) {
+      stream_writer = std::make_unique<proof::BinaryDratWriter>(drat_stream);
     } else {
-      drat_stream.open(drat_path, std::ios::binary);
-      if (!drat_stream) {
-        std::cerr << "error: cannot open '" << drat_path << "' for the proof\n";
-        return 1;
-      }
-      if (drat_format == proof::DratFormat::binary) {
-        stream_writer = std::make_unique<proof::BinaryDratWriter>(drat_stream);
-      } else {
-        stream_writer = std::make_unique<proof::TextDratWriter>(drat_stream);
-      }
-      seq_writer = stream_writer.get();
+      stream_writer = std::make_unique<proof::TextDratWriter>(drat_stream);
     }
   }
-  // Portfolio runs log preprocessing into a memory buffer whose steps are
-  // prepended to the spliced trace after the race.
-  proof::MemoryProofWriter pre_writer;
+  proof::ProofWriter* proof_sink = nullptr;
+  if (want_proof) {
+    proof_sink = stream_writer != nullptr ? stream_writer.get() : &memory_proof;
+  }
+  // Writes / certifies a buffered UNSAT trace: the buffer, then whatever
+  // the engine spliced. A streamed trace is already on disk, unless the
+  // writer hit a short write and latched the failure: refuse to present
+  // the truncated file as a proof.
+  const auto finish_proof = [&](const Cnf& formula, const SatEngine* engine) {
+    if (stream_writer != nullptr) {
+      if (stream_writer->ok()) return true;
+      std::cerr << "error: DRAT proof incomplete ("
+                << stream_writer->fail_reason() << ")\n";
+      return false;
+    }
+    proof::Proof trace = memory_proof.take_proof();
+    if (engine != nullptr) {
+      proof::Proof spliced = engine->spliced_proof();
+      trace.steps.insert(trace.steps.end(),
+                         std::make_move_iterator(spliced.steps.begin()),
+                         std::make_move_iterator(spliced.steps.end()));
+    }
+    return certify_unsat(formula, trace, drat_path, drat_format, core_path,
+                         sink);
+  };
   // The certification target: proofs are checked against the formula as
   // given, not the preprocessed rewrite the solver saw.
   Cnf original;
   const bool certify_original = args.has_flag("preprocess") && want_proof;
   if (args.has_flag("preprocess")) {
     if (want_proof) original = cnf;
-    proof::ProofWriter* pre_proof =
-        want_proof ? (threads > 1 ? static_cast<proof::ProofWriter*>(&pre_writer)
-                                  : seq_writer)
-                   : nullptr;
-    const PreprocessResult pre = preprocess(cnf, {}, pre_proof);
+    const PreprocessResult pre = preprocess(cnf, {}, proof_sink);
     if (pre.unsat) {
       std::cout << "s UNSATISFIABLE\nc (by preprocessing)\n";
-      // The trace already ends with the empty clause. Streamed proofs are
-      // complete on disk; buffered ones still need certification/writing.
-      if (want_proof && (threads > 1 || !core_path.empty())) {
-        const proof::Proof trace =
-            threads > 1 ? pre_writer.proof() : memory_proof.proof();
-        if (!certify_unsat(original, trace, threads > 1 ? drat_path : "",
-                           drat_format, core_path, sink)) {
-          return 1;
-        }
-      }
-      return 20;
+      // The trace already ends with the empty clause.
+      return want_proof && !finish_proof(original, nullptr) ? 1 : 20;
     }
     std::cout << "c preprocessing: " << pre.removed_subsumed << " subsumed, "
               << pre.strengthened_literals << " literals strengthened, "
@@ -636,158 +690,43 @@ int main(int argc, char** argv) {
     cnf = pre.cnf;
   }
   const Cnf& proof_formula = certify_original ? original : cnf;
-  if (threads > 1) {
-    portfolio::PortfolioOptions popts;
-    popts.num_threads = threads;
-    popts.share_clauses = !args.has_flag("no-share");
-    popts.base_seed = options.seed;
-    popts.log_proof = want_proof;
-    // An explicit preset or any tuning flag keeps the tuned configuration
-    // on every worker (only the restart/decay schedule and seeds are
-    // jittered); otherwise the default diversified lineup runs. --seed
-    // alone stays on the default lineup — it already reseeds it.
-    const bool tuned =
-        args.get_string("preset") != "berkmin" || args.provided("restart") ||
-        args.has_flag("minimize") || args.provided("young-max-len") ||
-        args.provided("young-min-act") || args.provided("old-max-len") ||
-        args.provided("old-act-threshold") || args.provided("decay-interval") ||
-        args.provided("decay-factor");
-    if (tuned) {
-      popts.configs = portfolio::diversify_around(options, threads, options.seed);
-    } else {
-      popts.configs = portfolio::diversified_configs(threads, options.seed);
-    }
-    // Workers inprocess at restarts like the sequential engine, but never
-    // eliminate variables: an eliminated variable may still occur in a
-    // sibling's exchanged clauses.
-    for (portfolio::WorkerConfig& config : popts.configs) {
-      config.options.inprocess = options.inprocess;
-      config.options.inprocess.var_elim = false;
-    }
-    popts.telemetry = hub.get();
-    popts.memory_budget = mem_budget.get();
-    portfolio::PortfolioSolver portfolio(popts);
-    portfolio.load(cnf);
 
-    WallTimer timer;
-    const SolveStatus status = portfolio.solve(budget);
-    const double elapsed = timer.seconds();
-
-    if (status == SolveStatus::satisfiable && args.has_flag("check-model") &&
-        !model_checks_out(cnf, portfolio.model())) {
-      return 1;
-    }
-    std::cout << "s " << to_string(status) << "\n";
-    if (status == SolveStatus::satisfiable) {
-      if (args.has_flag("model")) {
-        std::cout << "v ";
-        for (Var v = 0; v < cnf.num_vars(); ++v) {
-          std::cout << (portfolio.model_value(Lit::positive(v)) ? v + 1 : -(v + 1))
-                    << ' ';
-        }
-        std::cout << "0\n";
-      }
-      if (!cnf.is_satisfied_by(portfolio.model())) {
-        std::cerr << "error: model failed validation (solver bug)\n";
-        return 1;
-      }
-    }
-    if (status == SolveStatus::unsatisfiable && want_proof) {
-      // One trace: preprocessing rewrites first, then the spliced race.
-      proof::Proof trace = pre_writer.proof();
-      proof::Proof spliced = portfolio.spliced_proof();
-      trace.steps.insert(trace.steps.end(),
-                         std::make_move_iterator(spliced.steps.begin()),
-                         std::make_move_iterator(spliced.steps.end()));
-      if (!certify_unsat(proof_formula, trace, drat_path, drat_format,
-                         core_path, sink)) {
-        return 1;
-      }
-    }
-    if (args.has_flag("stats")) {
-      std::cout << "c time " << elapsed << " s, " << threads << " workers\n"
-                << "c winner " << portfolio.winner_name() << " (worker "
-                << portfolio.winner() << ")\n";
-      for (const portfolio::WorkerReport& report : portfolio.reports()) {
-        std::cout << "c worker " << report.name << ": "
-                  << to_string(report.status) << " in " << report.seconds
-                  << " s, " << report.stats.summary() << "\n";
-      }
-      const portfolio::ExchangeStats& ex = portfolio.exchange_stats();
-      std::cout << "c exchange: " << ex.accepted << " stored ("
-                << ex.rejected_duplicate << " dup, " << ex.rejected_length
-                << " long, " << ex.rejected_glue << " glue, "
-                << ex.rejected_full << " over budget), " << ex.collected
-                << " collected; totals exported "
-                << portfolio.clauses_exported() << ", imported "
-                << portfolio.clauses_imported() << "\n";
-    }
-    if (status == SolveStatus::satisfiable) return 10;
-    if (status == SolveStatus::unsatisfiable) return 20;
-    return 0;
-  }
-
-  // Single-shot sequential solving: nothing can mention a variable again
-  // after this solve, so inprocessing may also eliminate variables.
+  // Single-shot solving: nothing can mention a variable again after this
+  // solve, so a sequential engine may also eliminate variables.
   options.inprocess.var_elim = options.inprocess.enabled;
-  Solver solver(options);
-  solver.set_telemetry(sink);
-  solver.set_memory_budget(mem_budget.get());
-  if (seq_writer != nullptr) solver.set_proof(seq_writer);
-
-  solver.load(cnf);
+  const std::unique_ptr<SatEngine> engine =
+      make_engine(args, options, proof_sink, hub.get(), sink, mem_budget.get());
+  engine->load(cnf);
 
   WallTimer timer;
-  const SolveStatus status = solver.solve(budget);
+  const SolveStatus status = engine->solve_with_assumptions({}, budget);
   const double elapsed = timer.seconds();
 
   if (status == SolveStatus::satisfiable && args.has_flag("check-model") &&
-      !model_checks_out(cnf, solver.model())) {
+      !model_checks_out(cnf, engine->model())) {
     return 1;
   }
   std::cout << "s " << to_string(status) << "\n";
-  if (status == SolveStatus::unsatisfiable && !core_path.empty() &&
-      !certify_unsat(proof_formula, memory_proof.proof(), drat_path,
-                     drat_format, core_path, sink)) {
-    return 1;
-  }
-  // A streamed DRAT writer that hit a short write latched the failure;
-  // refuse to present the truncated file as a proof.
-  if (status == SolveStatus::unsatisfiable && stream_writer != nullptr &&
-      !stream_writer->ok()) {
-    std::cerr << "error: DRAT proof incomplete (" << stream_writer->fail_reason()
-              << ")\n";
-    return 1;
-  }
-  if (status == SolveStatus::satisfiable && args.has_flag("model")) {
-    std::cout << "v ";
-    for (Var v = 0; v < cnf.num_vars(); ++v) {
-      std::cout << (solver.model_value(Lit::positive(v)) ? v + 1 : -(v + 1)) << ' ';
+  if (status == SolveStatus::satisfiable) {
+    if (args.has_flag("model")) {
+      std::cout << "v ";
+      for (Var v = 0; v < cnf.num_vars(); ++v) {
+        const bool positive = engine->model()[v] == Value::true_value;
+        std::cout << (positive ? v + 1 : -(v + 1)) << ' ';
+      }
+      std::cout << "0\n";
     }
-    std::cout << "0\n";
+    if (!cnf.is_satisfied_by(engine->model())) {
+      std::cerr << "error: model failed validation (solver bug)\n";
+      return 1;
+    }
   }
-  if (status == SolveStatus::satisfiable &&
-      !cnf.is_satisfied_by(solver.model())) {
-    std::cerr << "error: model failed validation (solver bug)\n";
+  if (status == SolveStatus::unsatisfiable && want_proof &&
+      !finish_proof(proof_formula, engine.get())) {
     return 1;
   }
-
-  if (args.has_flag("stats")) {
-    const SolverStats& stats = solver.stats();
-    std::cout << "c time " << elapsed << " s\n"
-              << "c decisions " << stats.decisions << " (top-clause "
-              << stats.top_clause_decisions << ", global "
-              << stats.global_decisions << ")\n"
-              << "c conflicts " << stats.conflicts << "\n"
-              << "c propagations " << stats.propagations << "\n"
-              << "c restarts " << stats.restarts << "\n"
-              << "c learned " << stats.learned_clauses << " (units "
-              << stats.learned_units << "), deleted " << stats.deleted_clauses
-              << "\n"
-              << "c database ratio " << stats.db_generated_ratio()
-              << ", peak live ratio " << stats.db_peak_ratio() << "\n";
-  }
-  if (args.has_flag("skin")) print_skin_histogram(solver.stats());
+  if (args.has_flag("stats")) print_stats(*engine, elapsed);
+  if (args.has_flag("skin")) print_skin_histogram(engine->stats());
 
   if (status == SolveStatus::satisfiable) return 10;
   if (status == SolveStatus::unsatisfiable) return 20;

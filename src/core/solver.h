@@ -27,6 +27,7 @@
 #include "core/clause_arena.h"
 #include "core/indexed_heap.h"
 #include "core/options.h"
+#include "core/sat_engine.h"
 #include "core/solver_types.h"
 #include "core/watch_pool.h"
 #include "telemetry/solver_telemetry.h"
@@ -45,10 +46,10 @@ class MemoryBudget;
 
 class Inprocessor;
 
-class Solver {
+class Solver final : public SatEngine {
  public:
   explicit Solver(SolverOptions options = SolverOptions::berkmin());
-  ~Solver();
+  ~Solver() override;
 
   // ---- problem construction -------------------------------------------
   // The solver distinguishes *external* variables (the caller's dense
@@ -65,11 +66,11 @@ class Solver {
   // Adds a clause at the root level. Tautologies are dropped; duplicate
   // literals are merged; root-false literals are stripped. Returns false
   // when the formula has become unsatisfiable at the root.
-  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::span<const Lit> lits) override;
   bool add_clause(std::initializer_list<Lit> lits);
 
   // Loads every clause of a CNF (creating variables as needed).
-  bool load(const Cnf& cnf);
+  bool load(const Cnf& cnf) override;
 
   // ---- incremental clause groups (named push/pop) -----------------------
   // MiniSat-style scoped clause groups, implemented with internal selector
@@ -93,10 +94,10 @@ class Solver {
   // DRAT traces (traces are emitted in external numbering). All group
   // calls require decision level 0 — i.e. between solves (a trail segment
   // saved by SolverOptions::save_trail is cancelled first).
-  GroupId push_group();
+  GroupId push_group() override;
   // Retracts the group with handle `id`. Returns false (and does nothing)
   // when the handle does not name a live group.
-  bool pop_group(GroupId id);
+  bool pop_group(GroupId id) override;
   // Convenience LIFO form: retracts the most recently pushed live group.
   void pop_group();
   int num_groups() const { return static_cast<int>(group_selectors_.size()); }
@@ -117,7 +118,7 @@ class Solver {
   // formula is root-unsatisfiable (add_clause's contract) and for a dead
   // handle, which is a refusal: nothing is added (group_is_live(id)
   // distinguishes the two).
-  bool add_clause_to_group(GroupId id, std::span<const Lit> lits);
+  bool add_clause_to_group(GroupId id, std::span<const Lit> lits) override;
 
   // Enables / disables a live group for subsequent solves without
   // retracting it: an inactive group's selector is assumed *true*, so its
@@ -126,7 +127,7 @@ class Solver {
   // active. Does not mutate the clause database, so it composes with
   // trail-saving (the changed selector assumption just ends the shared
   // prefix earlier). Returns false for a dead handle.
-  bool set_group_active(GroupId id, bool active);
+  bool set_group_active(GroupId id, bool active) override;
   bool group_is_active(GroupId id) const {
     const int i = group_index(id);
     return i >= 0 && group_active_[static_cast<std::size_t>(i)] != 0;
@@ -155,9 +156,10 @@ class Solver {
   // be empty when the active groups alone are responsible). A conflict
   // independent of assumptions and groups makes the formula permanently
   // unsatisfiable (ok() false).
-  SolveStatus solve_with_assumptions(std::span<const Lit> assumptions,
-                                     const Budget& budget = Budget::unlimited());
-  const std::vector<Lit>& failed_assumptions() const {
+  SolveStatus solve_with_assumptions(
+      std::span<const Lit> assumptions,
+      const Budget& budget = Budget::unlimited()) override;
+  const std::vector<Lit>& failed_assumptions() const override {
     return failed_assumptions_;
   }
 
@@ -173,7 +175,7 @@ class Solver {
   bool last_unknown_resumable() const { return is_resumable(last_stop_cause_); }
   // Work performed by the most recent solve() call only (deltas of the
   // cumulative stats()), for per-slice accounting.
-  const SliceStats& last_slice() const { return last_slice_; }
+  const SliceStats& last_slice() const override { return last_slice_; }
 
   // ---- external cancellation --------------------------------------------
   // Thread-safe: any thread may ask a running solve() to stop; the search
@@ -181,8 +183,12 @@ class Solver {
   // The request is sticky until clear_stop(), so a stop issued just before
   // solve() still cancels it. A portfolio can additionally broadcast one
   // flag to many solvers through set_external_stop().
-  void request_stop() { stop_requested_.store(true, std::memory_order_relaxed); }
-  void clear_stop() { stop_requested_.store(false, std::memory_order_relaxed); }
+  void request_stop() override {
+    stop_requested_.store(true, std::memory_order_relaxed);
+  }
+  void clear_stop() override {
+    stop_requested_.store(false, std::memory_order_relaxed);
+  }
   void set_external_stop(const std::atomic<bool>* flag) { external_stop_ = flag; }
   bool stop_requested() const {
     return stop_requested_.load(std::memory_order_relaxed) ||
@@ -224,12 +230,12 @@ class Solver {
 
   // Model of the last satisfiable solve, indexed by *external* variable
   // (selector variables are elided).
-  const std::vector<Value>& model() const { return model_; }
+  const std::vector<Value>& model() const override { return model_; }
   bool model_value(Lit l) const {
     return value_of_literal(model_[l.var()], l) == Value::true_value;
   }
 
-  const SolverStats& stats() const { return stats_; }
+  const SolverStats& stats() const override { return stats_; }
   const SolverOptions& options() const { return opts_; }
 
   // ---- resource governor ------------------------------------------------
@@ -259,7 +265,7 @@ class Solver {
   // every instrumentation site costs a single branch. The solver keeps its
   // own publish cursor, so sinks can be swapped per-slice (the service
   // attaches the current worker's sink) without double counting.
-  void set_telemetry(const telemetry::SolverTelemetry* sink) {
+  void set_telemetry(const telemetry::SolverTelemetry* sink) override {
     telemetry_ = sink;
   }
   const telemetry::SolverTelemetry* telemetry() const { return telemetry_; }

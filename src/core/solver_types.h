@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -117,75 +118,52 @@ struct Budget {
   }
 };
 
+// Every monotone SolverStats counter, defined once as X(field). SolverStats
+// declares one std::uint64_t per entry, and telemetry exports each as the
+// hub counter "solver.<field>" (telemetry/solver_telemetry.h), so a counter
+// added here is exported with no further edit. Groups, in order:
+//  * search: decisions, propagations, conflicts, restarts, reductions;
+//  * learning: learned clauses/literals/units, deletions, root-level
+//    strengthenings, and literals removed by minimization;
+//  * inprocessing (src/core/inprocess.*): passes run, root units proven by
+//    failed-literal probing, clauses shortened by vivification, clauses
+//    removed by (self-)subsumption, variables eliminated by bounded
+//    variable elimination;
+//  * decision sources: the top clause (Section 5) or the global heuristic;
+//  * resource governor (util/memory_budget.h) and fault injection:
+//    restarts taken without storing a learned clause whose allocation was
+//    denied, emergency reductions forced by memory pressure, and solves
+//    whose budget the governor gave up on (emergency reductions could not
+//    leave the critical band, so the solve ran to a correct answer);
+//  * portfolio clause sharing (src/portfolio): clauses exported to and
+//    imported from a sharing pool, and imported binaries dropped as
+//    duplicates of a clause already present;
+//  * clause groups (Solver::push_group): pushes, pops, the learned stack
+//    split at each pop into kept (selector-independent) and dropped
+//    lemmas, and pushes served by a recycled selector variable, which
+//    bounds internal variable growth by the peak number of live groups;
+//  * trail-saving (SolverOptions::save_trail): solves that resumed from a
+//    shared assumption prefix, and the implied literals kept across the
+//    solve boundary (each one a propagation the solve skipped).
+#define BERKMIN_SOLVER_COUNTERS(X)                                        \
+  X(decisions) X(propagations) X(conflicts) X(restarts) X(reductions)    \
+  X(learned_clauses) X(learned_literals) X(learned_units)                \
+  X(deleted_clauses) X(strengthened_clauses) X(minimized_literals)       \
+  X(inprocessings) X(probed_units) X(vivified_clauses)                   \
+  X(subsumed_clauses) X(eliminated_vars)                                 \
+  X(top_clause_decisions) X(global_decisions)                            \
+  X(no_learn_restarts) X(pressure_reductions) X(budget_infeasible_solves) \
+  X(exported_clauses) X(imported_clauses) X(duplicate_binaries_skipped)  \
+  X(groups_pushed) X(groups_popped) X(pop_retained_learned)              \
+  X(pop_dropped_learned) X(selectors_recycled)                           \
+  X(trail_saves) X(trail_saved_literals)
+
 // Counters exposed through Solver::stats(). The skin histogram and the
 // database-size counters feed Tables 3, 8 and 9 of the paper directly.
 struct SolverStats {
-  std::uint64_t decisions = 0;
-  std::uint64_t propagations = 0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t reductions = 0;
-
-  std::uint64_t learned_clauses = 0;
-  std::uint64_t learned_literals = 0;
-  std::uint64_t learned_units = 0;
-  std::uint64_t deleted_clauses = 0;
-  std::uint64_t strengthened_clauses = 0;
-  std::uint64_t minimized_literals = 0;
-
-  // Inprocessing (src/core/inprocess.*): passes run, root units proven by
-  // failed-literal probing, clauses shortened by vivification, clauses
-  // removed by (self-)subsumption, and variables eliminated by bounded
-  // variable elimination.
-  std::uint64_t inprocessings = 0;
-  std::uint64_t probed_units = 0;
-  std::uint64_t vivified_clauses = 0;
-  std::uint64_t subsumed_clauses = 0;
-  std::uint64_t eliminated_vars = 0;
-
-  std::uint64_t top_clause_decisions = 0;
-  std::uint64_t global_decisions = 0;
-
-  // Resource governor (util/memory_budget.h) + fault injection: restarts
-  // taken without storing the learned clause because its allocation was
-  // denied (critical memory pressure or an injected alloc fault), and
-  // emergency database reductions forced by memory pressure.
-  // budget_infeasible_solves counts solves whose budget the governor gave
-  // up on: emergency reductions could not pull usage out of the critical
-  // band (limit below the base formula, or charge held externally), so
-  // degradation stopped and the solve ran to a correct answer instead.
-  std::uint64_t no_learn_restarts = 0;
-  std::uint64_t pressure_reductions = 0;
-  std::uint64_t budget_infeasible_solves = 0;
-
-  // Portfolio clause sharing (src/portfolio): clauses this solver exported
-  // to / imported from a sharing pool. Zero outside a portfolio run.
-  std::uint64_t exported_clauses = 0;
-  std::uint64_t imported_clauses = 0;
-  // Imported binary clauses dropped because an identical clause was already
-  // present in the binary watch lists (sibling solvers frequently learn the
-  // same short lemma).
-  std::uint64_t duplicate_binaries_skipped = 0;
-
-  // Incremental clause groups (Solver::push_group / pop_group).
-  // pop_retained_learned / pop_dropped_learned split the learned stack at
-  // each pop into clauses kept (selector-independent derivations) and
-  // clauses collected with the group. selectors_recycled counts push_group
-  // calls served from the free-list of popped selectors instead of a fresh
-  // internal variable — on a long-lived session it bounds internal
-  // variable growth by the peak number of simultaneously live groups.
-  std::uint64_t groups_pushed = 0;
-  std::uint64_t groups_popped = 0;
-  std::uint64_t pop_retained_learned = 0;
-  std::uint64_t pop_dropped_learned = 0;
-  std::uint64_t selectors_recycled = 0;
-
-  // Trail-saving across assumption solves (SolverOptions::save_trail).
-  // trail_saves counts solves that resumed from a non-empty shared
-  // assumption prefix; trail_saved_literals sums the implied literals kept
-  // across the solve boundary (each one a propagation the solve skipped).
-  std::uint64_t trail_saves = 0;
-  std::uint64_t trail_saved_literals = 0;
+#define BERKMIN_DECLARE_COUNTER(field) std::uint64_t field = 0;
+  BERKMIN_SOLVER_COUNTERS(BERKMIN_DECLARE_COUNTER)
+#undef BERKMIN_DECLARE_COUNTER
 
   // Live database tracking (Table 9). initial_clauses is fixed at the first
   // solve() call; max_live_clauses tracks originals + learned still stored.
@@ -242,5 +220,17 @@ struct SolverStats {
 
   std::string summary() const;
 };
+
+// The BERKMIN_SOLVER_COUNTERS list as data, for code that loops over it.
+struct SolverCounter {
+  const char* name;
+  std::uint64_t SolverStats::*field;
+};
+inline constexpr SolverCounter kSolverCounters[] = {
+#define BERKMIN_COUNTER_ENTRY(field) {#field, &SolverStats::field},
+    BERKMIN_SOLVER_COUNTERS(BERKMIN_COUNTER_ENTRY)
+#undef BERKMIN_COUNTER_ENTRY
+};
+inline constexpr std::size_t kNumSolverCounters = std::size(kSolverCounters);
 
 }  // namespace berkmin

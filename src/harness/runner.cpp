@@ -1,5 +1,7 @@
 #include "harness/runner.h"
 
+#include <memory>
+
 #include "portfolio/portfolio.h"
 #include "util/table.h"
 #include "util/timer.h"
@@ -27,49 +29,30 @@ void score_result(RunResult* result, const Instance& instance,
   }
 }
 
-RunResult run_instance_portfolio(const Instance& instance,
-                                 const SolverOptions& options,
-                                 double timeout_seconds, int threads) {
-  RunResult result;
-  result.name = instance.name;
-
-  portfolio::PortfolioOptions popts;
-  popts.num_threads = threads;
-  popts.base_seed = options.seed;
-  popts.configs = portfolio::diversify_around(options, threads, options.seed);
-  portfolio::PortfolioSolver solver(popts);
-  solver.load(instance.cnf);
-
-  WallTimer timer;
-  result.status = solver.solve(Budget::wall_clock(timeout_seconds));
-  result.seconds = timer.seconds();
-  if (solver.winner() >= 0) {
-    result.stats = solver.reports()[solver.winner()].stats;
-  }
-  result.stats.exported_clauses = solver.clauses_exported();
-  result.stats.imported_clauses = solver.clauses_imported();
-  score_result(&result, instance, solver.model());
-  return result;
-}
-
 }  // namespace
 
 RunResult run_instance(const Instance& instance, const SolverOptions& options,
                        double timeout_seconds, int threads) {
+  std::unique_ptr<SatEngine> engine;
   if (threads > 1) {
-    return run_instance_portfolio(instance, options, timeout_seconds, threads);
+    portfolio::PortfolioOptions popts;
+    popts.num_threads = threads;
+    popts.base_seed = options.seed;
+    popts.configs = portfolio::diversify_around(options, threads, options.seed);
+    engine = std::make_unique<portfolio::PortfolioSolver>(popts);
+  } else {
+    engine = std::make_unique<Solver>(options);
   }
+  engine->load(instance.cnf);
+
   RunResult result;
   result.name = instance.name;
-
-  Solver solver(options);
-  solver.load(instance.cnf);
-
   WallTimer timer;
-  result.status = solver.solve(Budget::wall_clock(timeout_seconds));
+  result.status =
+      engine->solve_with_assumptions({}, Budget::wall_clock(timeout_seconds));
   result.seconds = timer.seconds();
-  result.stats = solver.stats();
-  score_result(&result, instance, solver.model());
+  result.stats = engine->stats();
+  score_result(&result, instance, engine->model());
   return result;
 }
 

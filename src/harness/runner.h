@@ -25,8 +25,9 @@ struct RunResult {
 // `threads` > 1 solves through a portfolio whose worker 0 keeps `options`
 // unchanged and whose other workers jitter only the restart/decay schedule
 // and seed (portfolio::diversify_around), so comparisons across options
-// stay meaningful. Clause-sharing totals land in stats.exported_clauses /
-// stats.imported_clauses (summed over workers).
+// stay meaningful. `stats` is the engine's answer stats (SatEngine::stats):
+// for a portfolio the winner's, with the clause-exchange totals summed
+// over workers.
 RunResult run_instance(const Instance& instance, const SolverOptions& options,
                        double timeout_seconds, int threads = 1);
 

@@ -18,9 +18,10 @@ PortfolioSolver::PortfolioSolver(PortfolioOptions options)
   if (opts_.num_threads < 1) opts_.num_threads = 1;
 }
 
-void PortfolioSolver::add_clause(std::span<const Lit> lits) {
+bool PortfolioSolver::add_clause(std::span<const Lit> lits) {
   cnf_.add_clause(lits);
   ops_.push_back(PendingOp{PendingOp::Kind::clause, cnf_.num_clauses() - 1});
+  return true;
 }
 
 bool PortfolioSolver::load(const Cnf& cnf) {
@@ -30,25 +31,13 @@ bool PortfolioSolver::load(const Cnf& cnf) {
 }
 
 GroupId PortfolioSolver::push_group() {
-  GroupId group = no_group;
-  (void)try_push_group(&group);
-  return group;
-}
-
-std::string PortfolioSolver::try_push_group(GroupId* group) {
-  if (group != nullptr) *group = no_group;
-  if (!supports_groups()) {
-    return "incremental clause groups are unsupported on a proof-logging "
-           "portfolio (log_proof is set); use a single-threaded engine for "
-           "proofs of incremental queries";
-  }
+  if (!supports_groups()) return no_group;
   // The id comes from the same monotone counter each worker Solver runs,
   // so replaying this push assigns the identical handle in every worker.
   const GroupId id = next_group_id_++;
   ops_.push_back(PendingOp{PendingOp::Kind::push, 0, id, true});
   live_groups_.push_back(id);
-  if (group != nullptr) *group = id;
-  return {};
+  return id;
 }
 
 bool PortfolioSolver::group_is_live(GroupId id) const {
@@ -266,6 +255,8 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
   winner_name_.clear();
   model_.clear();
   failed_assumptions_.clear();
+  last_slice_ = SliceStats{};
+  stats_ = SolverStats{};
   reports_.assign(static_cast<std::size_t>(n), WorkerReport{});
   for (int i = 0; i < n; ++i) {
     reports_[static_cast<std::size_t>(i)].name =
@@ -341,14 +332,31 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
   // counters are cumulative over the workers' lifetime — warm workers keep
   // growing them call after call. A worker that died in an earlier solve
   // keeps reporting died (its stats snapshot is whatever it had reached).
+  // Every worker still alive ran this call and adds to last_slice_.
   for (int i = 0; i < n; ++i) {
-    reports_[static_cast<std::size_t>(i)].stats =
-        solvers_[static_cast<std::size_t>(i)]->stats();
-    if (dead_[static_cast<std::size_t>(i)]) {
-      reports_[static_cast<std::size_t>(i)].died = true;
-      reports_[static_cast<std::size_t>(i)].error =
-          dead_errors_[static_cast<std::size_t>(i)];
+    const std::size_t w = static_cast<std::size_t>(i);
+    const Solver& solver = *solvers_[w];
+    reports_[w].stats = solver.stats();
+    if (dead_[w]) {
+      reports_[w].died = true;
+      reports_[w].error = dead_errors_[w];
+    } else {
+      last_slice_.conflicts += solver.last_slice().conflicts;
+      last_slice_.decisions += solver.last_slice().decisions;
+      last_slice_.propagations += solver.last_slice().propagations;
+      last_slice_.restarts += solver.last_slice().restarts;
+      last_slice_.learned_clauses += solver.last_slice().learned_clauses;
+      last_slice_.seconds += solver.last_slice().seconds;
     }
+  }
+  if (winner_ >= 0) stats_ = reports_[static_cast<std::size_t>(winner_)].stats;
+  stats_.exported_clauses = stats_.imported_clauses = 0;
+  stats_.duplicate_binaries_skipped = 0;
+  for (const WorkerReport& report : reports_) {
+    stats_.exported_clauses += report.stats.exported_clauses;
+    stats_.imported_clauses += report.stats.imported_clauses;
+    stats_.duplicate_binaries_skipped +=
+        report.stats.duplicate_binaries_skipped;
   }
   exchange_stats_ = exchange_->stats();
   publish_exchange_stats();
@@ -406,22 +414,6 @@ int PortfolioSolver::alive_workers() const {
 
 proof::Proof PortfolioSolver::spliced_proof() const {
   return splicer_ != nullptr ? splicer_->spliced() : proof::Proof{};
-}
-
-std::uint64_t PortfolioSolver::clauses_exported() const {
-  std::uint64_t total = 0;
-  for (const WorkerReport& report : reports_) {
-    total += report.stats.exported_clauses;
-  }
-  return total;
-}
-
-std::uint64_t PortfolioSolver::clauses_imported() const {
-  std::uint64_t total = 0;
-  for (const WorkerReport& report : reports_) {
-    total += report.stats.imported_clauses;
-  }
-  return total;
 }
 
 }  // namespace berkmin::portfolio

@@ -8,8 +8,8 @@
 // at every restart boundary. The first worker to reach a definitive
 // answer wins: one shared atomic stop flag (checked inside every worker's
 // search loop) cancels the rest, and the winner's model or failed-
-// assumption set is returned through the same SolveStatus API the
-// sequential Solver uses.
+// assumption set is returned through the SatEngine interface the
+// sequential Solver implements too.
 //
 // Typical use:
 //   PortfolioSolver portfolio(PortfolioOptions{.num_threads = 4});
@@ -27,6 +27,7 @@
 
 #include "cnf/cnf_formula.h"
 #include "cnf/literal.h"
+#include "core/sat_engine.h"
 #include "core/solver.h"
 #include "portfolio/clause_exchange.h"
 #include "portfolio/diversify.h"
@@ -88,18 +89,19 @@ struct WorkerReport {
   std::string error;
 };
 
-class PortfolioSolver {
+class PortfolioSolver final : public SatEngine {
  public:
   explicit PortfolioSolver(PortfolioOptions options = {});
 
   // ---- problem construction (mirrors Solver) ---------------------------
   Var new_var() { return cnf_.add_var(); }
   int num_vars() const { return cnf_.num_vars(); }
-  void add_clause(std::span<const Lit> lits);
-  void add_clause(std::initializer_list<Lit> lits) {
-    add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  // Always true: the formula is only examined by the workers.
+  bool add_clause(std::span<const Lit> lits) override;
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
   }
-  bool load(const Cnf& cnf);
+  bool load(const Cnf& cnf) override;
 
   // ---- incremental clause groups (mirrors Solver) ------------------------
   // Every group operation is recorded in the portfolio's construction log
@@ -127,19 +129,14 @@ class PortfolioSolver {
   // Contract: push_group() returns the new group's handle (>= 0) on
   // success, or no_group — recording nothing — when groups are
   // unsupported in this configuration (today: exactly when log_proof is
-  // set, i.e. supports_groups() is false). Callers that need the reason
-  // should use try_push_group(), which mirrors the service's
-  // JobOutcome::unsupported idiom: on success it returns the empty string
-  // and writes the handle to *group; on refusal it returns a non-empty
-  // human-readable reason and leaves the portfolio untouched.
-  GroupId push_group();
-  std::string try_push_group(GroupId* group);
+  // set, i.e. supports_groups() is false).
+  GroupId push_group() override;
   // Retracts the named group; false (nothing recorded) for a dead handle.
-  bool pop_group(GroupId id);
+  bool pop_group(GroupId id) override;
   // LIFO convenience: retracts the most recently pushed live group.
   void pop_group();
-  bool set_group_active(GroupId id, bool active);
-  bool add_clause_to_group(GroupId id, std::span<const Lit> lits);
+  bool set_group_active(GroupId id, bool active) override;
+  bool add_clause_to_group(GroupId id, std::span<const Lit> lits) override;
   bool group_is_live(GroupId id) const;
   bool supports_groups() const { return !opts_.log_proof; }
   int num_groups() const { return static_cast<int>(live_groups_.size()); }
@@ -154,24 +151,38 @@ class PortfolioSolver {
   // learned clauses, activities and exchange cursors carry over — repeated
   // assumption queries and budget slices resume instead of restarting.
   SolveStatus solve(const Budget& budget = Budget::unlimited());
-  SolveStatus solve_with_assumptions(std::span<const Lit> assumptions,
-                                     const Budget& budget = Budget::unlimited());
+  SolveStatus solve_with_assumptions(
+      std::span<const Lit> assumptions,
+      const Budget& budget = Budget::unlimited()) override;
 
   // Thread-safe: cancels an in-flight solve (every worker returns unknown
   // at its next search step unless it already finished). Sticky, matching
   // Solver's contract: a request that races the start of solve() still
   // cancels it, and later solves stay cancelled until clear_stop().
-  void request_stop() { user_stop_.store(true, std::memory_order_relaxed); }
-  void clear_stop() { user_stop_.store(false, std::memory_order_relaxed); }
+  void request_stop() override {
+    user_stop_.store(true, std::memory_order_relaxed);
+  }
+  void clear_stop() override {
+    user_stop_.store(false, std::memory_order_relaxed);
+  }
 
   // ---- results (valid after solve) -------------------------------------
-  const std::vector<Value>& model() const { return model_; }
+  const std::vector<Value>& model() const override { return model_; }
   bool model_value(Lit l) const {
     return value_of_literal(model_[l.var()], l) == Value::true_value;
   }
-  const std::vector<Lit>& failed_assumptions() const {
+  const std::vector<Lit>& failed_assumptions() const override {
     return failed_assumptions_;
   }
+  // The sum of the last call's worker slices; a worker that died during
+  // the call contributes nothing. Read after the workers joined.
+  const SliceStats& last_slice() const override { return last_slice_; }
+  // The winner's stats (empty when the last solve answered unknown) with
+  // exported_clauses, imported_clauses and duplicate_binaries_skipped
+  // summed over every worker.
+  const SolverStats& stats() const override { return stats_; }
+  // Workers own their telemetry sinks (PortfolioOptions::telemetry).
+  void set_telemetry(const telemetry::SolverTelemetry*) override {}
 
   // Index/name of the worker whose answer was returned (-1 / "" when the
   // last solve returned unknown).
@@ -184,7 +195,7 @@ class PortfolioSolver {
   // answered unsatisfiable with no failed assumptions; proof::DratChecker
   // verifies it against the loaded formula. Empty when logging is off.
   // Only valid to call while no solve is in flight.
-  proof::Proof spliced_proof() const;
+  proof::Proof spliced_proof() const override;
   bool proof_logging() const { return opts_.log_proof; }
 
   const std::vector<WorkerReport>& reports() const { return reports_; }
@@ -192,8 +203,9 @@ class PortfolioSolver {
   // first solve every configured worker counts as alive.
   int alive_workers() const;
   const ExchangeStats& exchange_stats() const { return exchange_stats_; }
-  std::uint64_t clauses_exported() const;  // sum over workers
-  std::uint64_t clauses_imported() const;
+  // Sums over workers (see stats()).
+  std::uint64_t clauses_exported() const { return stats_.exported_clauses; }
+  std::uint64_t clauses_imported() const { return stats_.imported_clauses; }
 
   const PortfolioOptions& options() const { return opts_; }
 
@@ -273,6 +285,8 @@ class PortfolioSolver {
   std::vector<Value> model_;
   std::vector<Lit> failed_assumptions_;
   std::vector<WorkerReport> reports_;
+  SliceStats last_slice_;
+  SolverStats stats_;
   ExchangeStats exchange_stats_;
 };
 

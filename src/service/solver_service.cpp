@@ -7,8 +7,8 @@
 #include <utility>
 
 #include "cnf/dimacs.h"
-#include "portfolio/diversify.h"
-#include "proof/drat_checker.h"
+#include "core/solver.h"
+#include "portfolio/portfolio.h"
 #include "util/fault.h"
 #include "util/memory_budget.h"
 
@@ -99,16 +99,7 @@ void SolverService::watchdog_loop() {
       // failed: the worker un-latches the sticky stop and re-queues.
       job->watchdog_fired = true;
       ++stats_.watchdog_fires;
-      if (job->solver != nullptr) job->solver->request_stop();
-      if (job->portfolio != nullptr) job->portfolio->request_stop();
-      if (job->session != nullptr) {
-        if (job->session->solver != nullptr) {
-          job->session->solver->request_stop();
-        }
-        if (job->session->portfolio != nullptr) {
-          job->session->portfolio->request_stop();
-        }
-      }
+      if (SatEngine* engine = job->active_engine()) engine->request_stop();
     }
   }
 }
@@ -190,28 +181,12 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
         "(spliced incremental traces need deterministic portfolio replay); "
         "reopen with threads = 1 or without proof options";
   }
-  if (request.threads > 1) {
-    portfolio::PortfolioOptions popts;
-    popts.num_threads = request.threads;
-    popts.base_seed = request.options.seed;
-    popts.configs = portfolio::diversify_around(
-        request.options, request.threads, request.options.seed);
-    // Counters and phases flow to the hub; per-worker rings stay off (ring
-    // names would collide across sessions and jobs).
-    popts.telemetry = opts_.telemetry;
-    popts.trace_workers = false;
-    popts.memory_budget = opts_.memory_budget;
-    session->portfolio = std::make_unique<portfolio::PortfolioSolver>(popts);
-  } else {
-    session->solver = std::make_unique<Solver>(request.options);
-    session->solver->set_memory_budget(opts_.memory_budget);
-    if (request.proof.wanted()) {
-      session->proof_writer = std::make_unique<proof::MemoryProofWriter>();
-      session->solver->set_proof(session->proof_writer.get());
-      if (request.proof.verify()) {
-        session->checker = std::make_unique<proof::DratChecker>();
-      }
-    }
+  session->engine = make_engine(
+      request.options, request.threads,
+      request.proof.wanted() && session->unsupported.empty(),
+      &session->proof_writer);
+  if (session->proof_writer != nullptr && request.proof.verify()) {
+    session->checker = std::make_unique<proof::DratChecker>();
   }
 
   std::lock_guard<std::mutex> lk(lock_);
@@ -244,6 +219,31 @@ std::shared_ptr<SolverService::Session> SolverService::mutable_session_locked(
   return it->second;
 }
 
+std::unique_ptr<SatEngine> SolverService::make_engine(
+    const SolverOptions& options, int threads, bool log_proof,
+    std::unique_ptr<proof::MemoryProofWriter>* writer) const {
+  if (threads > 1) {
+    portfolio::PortfolioOptions popts;
+    popts.num_threads = threads;
+    popts.base_seed = options.seed;
+    popts.log_proof = log_proof;
+    popts.configs = portfolio::diversify_around(options, threads, options.seed);
+    // Counters and phases flow to the hub; per-worker rings stay off (ring
+    // names would collide and interleave across sessions and jobs).
+    popts.telemetry = opts_.telemetry;
+    popts.trace_workers = false;
+    popts.memory_budget = opts_.memory_budget;
+    return std::make_unique<portfolio::PortfolioSolver>(popts);
+  }
+  auto solver = std::make_unique<Solver>(options);
+  solver->set_memory_budget(opts_.memory_budget);
+  if (log_proof) {
+    *writer = std::make_unique<proof::MemoryProofWriter>();
+    solver->set_proof(writer->get());
+  }
+  return solver;
+}
+
 proof::DratChecker* SolverService::synced_checker(Session& session) {
   if (session.checker != nullptr) {
     session.checker->consume(session.proof_writer->proof());
@@ -259,16 +259,9 @@ std::optional<GroupId> SolverService::session_push(SessionId id) {
     if (session == nullptr) return std::nullopt;
     session->busy = true;  // exclude solves while mutating outside the lock
   }
-  GroupId group = no_group;
-  if (session->solver != nullptr) {
-    group = session->solver->push_group();
-  } else {
-    // A proof-logging portfolio refuses groups (service sessions never
-    // build one, but honor the contract anyway); try_push_group reports
-    // the reason, which is kept for the session's structured errors.
-    const std::string refused = session->portfolio->try_push_group(&group);
-    if (!refused.empty()) group = no_group;
-  }
+  // no_group is a refusal (a proof-logging portfolio; service sessions
+  // never build one, but honor the contract anyway).
+  const GroupId group = session->engine->push_group();
   if (group == no_group) {
     std::lock_guard<std::mutex> lk(lock_);
     session->busy = false;
@@ -296,11 +289,7 @@ bool SolverService::session_pop(SessionId id, GroupId group) {
   if (proof::DratChecker* checker = synced_checker(*session)) {
     checker->retire_group(group);
   }
-  if (session->solver != nullptr) {
-    (void)session->solver->pop_group(group);
-  } else {
-    (void)session->portfolio->pop_group(group);
-  }
+  (void)session->engine->pop_group(group);
   std::erase(session->groups, group);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
@@ -333,11 +322,7 @@ bool SolverService::session_add_clause(SessionId id,
     checker->add_original(
         lits, session->groups.empty() ? no_group : session->groups.back());
   }
-  if (session->solver != nullptr) {
-    (void)session->solver->add_clause(lits);
-  } else {
-    session->portfolio->add_clause(lits);
-  }
+  (void)session->engine->add_clause(lits);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
   return true;
@@ -358,11 +343,7 @@ bool SolverService::session_add_clause_to(SessionId id, GroupId group,
   if (proof::DratChecker* checker = synced_checker(*session)) {
     checker->add_original(lits, group);
   }
-  if (session->solver != nullptr) {
-    (void)session->solver->add_clause_to_group(group, lits);
-  } else {
-    (void)session->portfolio->add_clause_to_group(group, lits);
-  }
+  (void)session->engine->add_clause_to_group(group, lits);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
   return true;
@@ -383,11 +364,7 @@ bool SolverService::session_set_group_active(SessionId id, GroupId group,
   if (proof::DratChecker* checker = synced_checker(*session)) {
     checker->set_group_active(group, active);
   }
-  if (session->solver != nullptr) {
-    (void)session->solver->set_group_active(group, active);
-  } else {
-    (void)session->portfolio->set_group_active(group, active);
-  }
+  (void)session->engine->set_group_active(group, active);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
   return true;
@@ -449,19 +426,10 @@ bool SolverService::cancel(JobId id) {
     const std::shared_ptr<Job>& job = it->second;
     job->cancel_requested = true;
     if (job->job_state == JobState::running) {
-      // The worker owns the job: stop its solver mid-slice and let the
+      // The worker owns the job: stop its engine mid-slice and let the
       // worker classify the result (it re-checks cancel_requested under
       // this lock after the slice, so the request cannot be lost).
-      if (job->solver != nullptr) job->solver->request_stop();
-      if (job->portfolio != nullptr) job->portfolio->request_stop();
-      if (job->session != nullptr) {
-        if (job->session->solver != nullptr) {
-          job->session->solver->request_stop();
-        }
-        if (job->session->portfolio != nullptr) {
-          job->session->portfolio->request_stop();
-        }
-      }
+      if (SatEngine* engine = job->active_engine()) engine->request_stop();
       return true;
     }
     notify = finish_locked(job, JobOutcome::cancelled);
@@ -480,16 +448,7 @@ void SolverService::shutdown(Shutdown mode) {
         if (job->finished) continue;
         job->cancel_requested = true;
         if (job->job_state == JobState::running) {
-          if (job->solver != nullptr) job->solver->request_stop();
-          if (job->portfolio != nullptr) job->portfolio->request_stop();
-          if (job->session != nullptr) {
-            if (job->session->solver != nullptr) {
-              job->session->solver->request_stop();
-            }
-            if (job->session->portfolio != nullptr) {
-              job->session->portfolio->request_stop();
-            }
-          }
+          if (SatEngine* engine = job->active_engine()) engine->request_stop();
         } else {
           notifications.push_back(finish_locked(job, JobOutcome::cancelled));
         }
@@ -678,25 +637,35 @@ Budget SolverService::slice_budget(const Job& job) const {
 
 void SolverService::run_slice(const std::shared_ptr<Job>& job,
                               telemetry::SolverTelemetry* sink) {
-  if (job->session != nullptr) {
-    run_session_slice(job, sink);
-    return;
-  }
   const JobLimits& limits = job->request.limits;
+  const JobProofOptions& proof_opts = job->request.proof;
+  Session* session = job->session.get();
 
   // Pre-flight: cancellation or an already-expired deadline ends the job
   // without spending a slice on it.
   if (finish_if_preempted_terminal(job)) return;
 
-  // First slice: materialize the formula and the engine. Parsing and
-  // loading happen outside the lock (they can dwarf a slice); the engine
-  // pointer is published under the lock so cancel() can reach it.
-  if (!job->loaded) {
+  // A session opened with an unsupported feature combo (or poisoned by a
+  // dead slice) answers every solve with a structured error instead of an
+  // uncertified result.
+  if (session != nullptr && !session->unsupported.empty()) {
+    JobResult notify;
+    {
+      std::unique_lock<std::mutex> lk(lock_);
+      job->result.error = session->unsupported;
+      notify = finish_locked(job, JobOutcome::unsupported);
+    }
+    deliver(std::move(notify));
+    return;
+  }
+
+  // A job's first slice materializes the formula and the engine. Parsing
+  // and loading happen outside the lock (they can dwarf a slice); the
+  // engine pointer is published under the lock so cancel() can reach it.
+  if (session == nullptr && job->engine == nullptr) {
     std::string error;
-    std::unique_ptr<Solver> solver;
-    std::unique_ptr<portfolio::PortfolioSolver> portfolio;
+    std::unique_ptr<SatEngine> engine;
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
-    const JobProofOptions& proof_opts = job->request.proof;
     try {
       Cnf parsed;
       const Cnf* formula = &job->request.cnf;
@@ -704,29 +673,9 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
         parsed = dimacs::read_file(job->request.dimacs_path);
         formula = &parsed;
       }
-      if (limits.threads > 1) {
-        portfolio::PortfolioOptions popts;
-        popts.num_threads = limits.threads;
-        popts.base_seed = job->request.options.seed;
-        popts.log_proof = proof_opts.wanted();
-        popts.configs = portfolio::diversify_around(
-            job->request.options, limits.threads, job->request.options.seed);
-        // Hub counters/phases only; per-job worker rings stay off (names
-        // would collide and interleave across concurrent jobs).
-        popts.telemetry = opts_.telemetry;
-        popts.trace_workers = false;
-        popts.memory_budget = opts_.memory_budget;
-        portfolio = std::make_unique<portfolio::PortfolioSolver>(popts);
-        portfolio->load(*formula);
-      } else {
-        solver = std::make_unique<Solver>(job->request.options);
-        solver->set_memory_budget(opts_.memory_budget);
-        if (proof_opts.wanted()) {
-          proof_writer = std::make_unique<proof::MemoryProofWriter>();
-          solver->set_proof(proof_writer.get());
-        }
-        solver->load(*formula);
-      }
+      engine = make_engine(job->request.options, limits.threads,
+                           proof_opts.wanted(), &proof_writer);
+      engine->load(*formula);
       // Checking / core extraction needs the formula after the engine is
       // done with it. The inline request.cnf lives as long as the job, so
       // only a parsed DIMACS copy (which dies with this scope) is kept.
@@ -749,10 +698,8 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
         notify = finish_locked(job, JobOutcome::cancelled);
         terminal = true;
       } else {
-        job->solver = std::move(solver);
-        job->portfolio = std::move(portfolio);
+        job->engine = std::move(engine);
         job->proof_writer = std::move(proof_writer);
-        job->loaded = true;
       }
     }
     if (terminal) {
@@ -760,6 +707,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       return;
     }
   }
+  SatEngine& engine = *job->active_engine();
 
   const Budget budget = slice_budget(*job);
 
@@ -774,29 +722,26 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     if (BERKMIN_FAULT_POINT(util::FaultSite::slice_death)) {
       throw std::runtime_error("injected service slice death");
     }
-    if (job->solver != nullptr) {
-      // The sink is this worker's; detach before the job can migrate to
-      // another worker after a preemption.
-      job->solver->set_telemetry(sink);
-      status =
-          job->solver->solve_with_assumptions(job->request.assumptions, budget);
-      job->solver->set_telemetry(nullptr);
-    } else {
-      status = job->portfolio->solve_with_assumptions(job->request.assumptions,
-                                                      budget);
-    }
+    // The sink is this worker's; detach before the job can migrate to
+    // another worker after a preemption.
+    engine.set_telemetry(sink);
+    status = engine.solve_with_assumptions(job->request.assumptions, budget);
+    engine.set_telemetry(nullptr);
   } catch (const std::exception& ex) {
     slice_error = ex.what();
   }
   const double slice_seconds = slice_timer.seconds();
 
-  // A slice that died leaves the engine mid-search — unrecoverable. The
-  // job itself is not: discard the engine and retry from the formula a
-  // bounded number of times, then fail with a structured error. Either
-  // way the worker thread survives and the queue keeps draining.
+  // A slice that died leaves the engine mid-search — unrecoverable. A job
+  // is not: it discards the engine and retries from the formula a bounded
+  // number of times, then fails with a structured error. A session cannot
+  // retry (rebuilding its engine would silently drop the pushed groups and
+  // learned state): the query fails and the session is poisoned, so later
+  // solves answer unsupported with the same reason. Either way the worker
+  // thread survives and the queue keeps draining.
   if (!slice_error.empty()) {
     JobResult notify;
-    bool terminal = false;
+    bool terminal = true;
     {
       std::unique_lock<std::mutex> lk(lock_);
       ++stats_.slices;
@@ -804,122 +749,102 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       ++job->result.slices;
       job->result.solve_seconds += slice_seconds;
       stats_.solve_seconds += slice_seconds;
-      job->solver.reset();
-      job->portfolio.reset();
-      job->proof_writer.reset();
-      job->proof_formula = Cnf{};
-      job->loaded = false;
-      job->portfolio_seen_conflicts = 0;
-      job->portfolio_seen_decisions = 0;
-      job->portfolio_seen_propagations = 0;
-      job->portfolio_seen_learned = 0;
-      job->watchdog_fired = false;
-      if (job->cancel_requested) {
-        notify = finish_locked(job, JobOutcome::cancelled);
-        terminal = true;
-      } else if (job->fault_retries < opts_.max_slice_retries) {
-        // Re-queue for a rebuild. The consumed slice count feeds the
-        // schedule key, so retries back off behind fresh work naturally.
-        ++job->fault_retries;
-        ++stats_.slice_retries;
-        job->job_state = JobState::preempted;
-        ++job->result.preemptions;
-        ++stats_.preemptions;
-        emit_control_locked(telemetry::EventKind::job_preempted, job->id,
-                            job->result.slices);
-        enqueue_ready_locked(job);
-        work_cv_.notify_one();
-      } else {
-        job->result.error = "slice died: " + slice_error + " (gave up after " +
-                            std::to_string(job->fault_retries) + " retries)";
+      if (session != nullptr) {
+        session->unsupported = "session engine died mid-solve: " +
+                               slice_error + "; close and reopen the session";
+        job->result.error = session->unsupported;
         notify = finish_locked(job, JobOutcome::error);
-        terminal = true;
+      } else {
+        job->engine.reset();
+        job->proof_writer.reset();
+        job->proof_formula = Cnf{};
+        job->watchdog_fired = false;
+        if (job->cancel_requested) {
+          notify = finish_locked(job, JobOutcome::cancelled);
+        } else if (job->fault_retries < opts_.max_slice_retries) {
+          // Re-queue for a rebuild. The consumed slice count feeds the
+          // schedule key, so retries back off behind fresh work naturally.
+          ++job->fault_retries;
+          ++stats_.slice_retries;
+          job->job_state = JobState::preempted;
+          ++job->result.preemptions;
+          ++stats_.preemptions;
+          emit_control_locked(telemetry::EventKind::job_preempted, job->id,
+                              job->result.slices);
+          enqueue_ready_locked(job);
+          work_cv_.notify_one();
+          terminal = false;
+        } else {
+          job->result.error = "slice died: " + slice_error +
+                              " (gave up after " +
+                              std::to_string(job->fault_retries) + " retries)";
+          notify = finish_locked(job, JobOutcome::error);
+        }
       }
     }
     if (terminal) deliver(std::move(notify));
     return;
   }
 
-  // Proof harvest and verification run outside the lock (a check can
-  // dwarf a slice). A trace is deliverable only when it is complete —
-  // UNSAT of the formula itself ends with the empty clause; an
-  // assumption-failure answer does not (its certificate is the
-  // failed-assumption core instead).
-  const JobProofOptions& proof_opts = job->request.proof;
+  // Proof harvest and certification run outside the lock (a check can
+  // dwarf a slice). A session's live checker verifies the trace steps
+  // logged since its last call, then the answer itself (¬core RUP over
+  // the live database); the session's trace keeps growing, so the answer
+  // ships a copy. A job's trace is taken whole, and is deliverable only
+  // when complete — UNSAT of the formula itself ends with the empty
+  // clause; an assumption-failure answer does not (its certificate is the
+  // failed-assumption core instead) — and is checked against the formula.
   proof::Proof trace;
   bool have_trace = false;
   bool proof_checked = false;
   bool proof_valid = false;
   std::vector<std::size_t> unsat_core;
   if (status == SolveStatus::unsatisfiable && proof_opts.wanted()) {
-    // The slice is terminal (unsatisfiable is a definitive answer), so
-    // the writer's buffer can be taken rather than copied.
-    trace = job->proof_writer != nullptr ? job->proof_writer->take_proof()
-                                         : job->portfolio->spliced_proof();
-    have_trace = trace.ends_with_empty();
-    if (have_trace && proof_opts.verify()) {
-      const Cnf& formula = job->request.dimacs_path.empty()
-                               ? job->request.cnf
-                               : job->proof_formula;
-      proof::DratChecker checker(formula);
-      checker.set_telemetry(sink);
-      const proof::CheckResult check = checker.check(trace);
-      proof_checked = true;
-      proof_valid = check.valid;
-      if (check.valid && proof_opts.core) unsat_core = checker.core();
-    } else if (!have_trace) {
-      trace = proof::Proof{};
+    if (session != nullptr) {
+      trace = session->proof_writer->proof();
+      have_trace = true;
+      if (session->checker != nullptr) {
+        session->checker->set_telemetry(sink);
+        proof_valid = session->checker->answer_holds(
+            session->proof_writer->proof(), engine.failed_assumptions());
+        session->checker->set_telemetry(nullptr);
+        proof_checked = true;
+      }
+    } else {
+      trace = job->proof_writer != nullptr ? job->proof_writer->take_proof()
+                                           : engine.spliced_proof();
+      have_trace = trace.ends_with_empty();
+      if (have_trace && proof_opts.verify()) {
+        const Cnf& formula = job->request.dimacs_path.empty()
+                                 ? job->request.cnf
+                                 : job->proof_formula;
+        proof::DratChecker checker(formula);
+        checker.set_telemetry(sink);
+        const proof::CheckResult check = checker.check(trace);
+        proof_checked = true;
+        proof_valid = check.valid;
+        if (check.valid && proof_opts.core) unsat_core = checker.core();
+      } else if (!have_trace) {
+        trace = proof::Proof{};
+      }
     }
   }
 
+  // Copied: finishing the job releases its engine.
+  const SliceStats slice = engine.last_slice();
   JobResult notify;
   bool terminal = false;
-  std::uint64_t slice_conflicts = 0;
   {
     std::unique_lock<std::mutex> lk(lock_);
     ++stats_.slices;
     stats_.solve_seconds += slice_seconds;
     ++job->result.slices;
     job->result.solve_seconds += slice_seconds;
-
-    std::uint64_t conflicts = 0;
-    std::uint64_t decisions = 0;
-    std::uint64_t propagations = 0;
-    std::uint64_t learned = 0;
-    if (job->solver != nullptr) {
-      const SliceStats& slice = job->solver->last_slice();
-      conflicts = slice.conflicts;
-      decisions = slice.decisions;
-      propagations = slice.propagations;
-      learned = slice.learned_clauses;
-    } else {
-      // Portfolio reports are cumulative over its (warm) workers; charge
-      // the delta since the previous slice.
-      std::uint64_t total_conflicts = 0;
-      std::uint64_t total_decisions = 0;
-      std::uint64_t total_propagations = 0;
-      std::uint64_t total_learned = 0;
-      for (const portfolio::WorkerReport& report : job->portfolio->reports()) {
-        total_conflicts += report.stats.conflicts;
-        total_decisions += report.stats.decisions;
-        total_propagations += report.stats.propagations;
-        total_learned += report.stats.learned_clauses;
-      }
-      conflicts = total_conflicts - job->portfolio_seen_conflicts;
-      decisions = total_decisions - job->portfolio_seen_decisions;
-      propagations = total_propagations - job->portfolio_seen_propagations;
-      learned = total_learned - job->portfolio_seen_learned;
-      job->portfolio_seen_conflicts = total_conflicts;
-      job->portfolio_seen_decisions = total_decisions;
-      job->portfolio_seen_propagations = total_propagations;
-      job->portfolio_seen_learned = total_learned;
-    }
-    job->result.conflicts += conflicts;
-    job->result.decisions += decisions;
-    job->result.propagations += propagations;
-    job->result.learned_clauses += learned;
-    stats_.conflicts += conflicts;
-    slice_conflicts = conflicts;
+    job->result.conflicts += slice.conflicts;
+    job->result.decisions += slice.decisions;
+    job->result.propagations += slice.propagations;
+    job->result.learned_clauses += slice.learned_clauses;
+    stats_.conflicts += slice.conflicts;
 
     if (status != SolveStatus::unknown) {
       job->result.status = status;
@@ -944,12 +869,11 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       terminal = true;
     } else {
       // Budget slice expired with the query still open: back into the run
-      // queue with all solver state intact. A watchdog-stopped slice
-      // lands here too — un-latch the sticky stop so the next slice runs.
+      // queue with all engine state intact. A watchdog-stopped slice lands
+      // here too — un-latch the sticky stop so the next slice runs.
       if (job->watchdog_fired) {
         job->watchdog_fired = false;
-        if (job->solver != nullptr) job->solver->clear_stop();
-        if (job->portfolio != nullptr) job->portfolio->clear_stop();
+        engine.clear_stop();
       }
       job->job_state = JobState::preempted;
       ++job->result.preemptions;
@@ -960,190 +884,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       work_cv_.notify_one();
     }
   }
-  note_slice(sink, *job, slice_seconds, slice_conflicts);
-  if (terminal) deliver(std::move(notify));
-}
-
-// One slice of a session solve. Mirrors run_slice, but the engine lives in
-// the session (it survives the job), portfolio work is charged as deltas
-// from the session's cumulative counters, and an UNSAT answer is certified
-// against the formula *currently active* in the session — base plus open
-// groups, with the failed-assumption core added as units when the answer
-// is assumption-dependent — using the lenient incremental check mode.
-void SolverService::run_session_slice(const std::shared_ptr<Job>& job,
-                                      telemetry::SolverTelemetry* sink) {
-  const JobLimits& limits = job->request.limits;
-  Session& session = *job->session;
-
-  if (finish_if_preempted_terminal(job)) return;
-
-  // A session opened with an unsupported feature combo answers every solve
-  // with a structured error instead of an uncertified result.
-  if (!session.unsupported.empty()) {
-    JobResult notify;
-    {
-      std::unique_lock<std::mutex> lk(lock_);
-      job->result.error = session.unsupported;
-      notify = finish_locked(job, JobOutcome::unsupported);
-    }
-    deliver(std::move(notify));
-    return;
-  }
-
-  const Budget budget = slice_budget(*job);
-
-  WallTimer slice_timer;
-  SolveStatus status = SolveStatus::unknown;
-  std::string slice_error;
-  try {
-    BERKMIN_FAULT_STALL(util::FaultSite::worker_stall);
-    if (BERKMIN_FAULT_POINT(util::FaultSite::slice_death)) {
-      throw std::runtime_error("injected service slice death");
-    }
-    if (session.solver != nullptr) {
-      session.solver->set_telemetry(sink);
-      status = session.solver->solve_with_assumptions(job->request.assumptions,
-                                                      budget);
-      session.solver->set_telemetry(nullptr);
-    } else {
-      status = session.portfolio->solve_with_assumptions(
-          job->request.assumptions, budget);
-    }
-  } catch (const std::exception& ex) {
-    slice_error = ex.what();
-  }
-  const double slice_seconds = slice_timer.seconds();
-
-  // A session slice that died cannot retry: the persistent engine is
-  // poisoned mid-search and rebuilding it would silently drop the
-  // session's pushed groups and learned state. Fail this query with a
-  // structured error and poison the session — later solves answer
-  // unsupported with the same reason — while the service keeps serving
-  // every other job and session.
-  if (!slice_error.empty()) {
-    JobResult notify;
-    {
-      std::unique_lock<std::mutex> lk(lock_);
-      ++stats_.slices;
-      ++stats_.slice_deaths;
-      ++job->result.slices;
-      job->result.solve_seconds += slice_seconds;
-      stats_.solve_seconds += slice_seconds;
-      session.unsupported = "session engine died mid-solve: " + slice_error +
-                            "; close and reopen the session";
-      job->result.error = session.unsupported;
-      notify = finish_locked(job, JobOutcome::error);
-    }
-    deliver(std::move(notify));
-    return;
-  }
-
-  // Per-answer certification, outside the lock: the session's live checker
-  // verifies the trace steps logged since its last call, then the answer
-  // itself (¬core RUP over the live database). The accumulated trace is
-  // still delivered as the answer's artifact, so it is copied, not taken.
-  proof::Proof trace;
-  bool have_trace = false;
-  bool proof_checked = false;
-  bool proof_valid = false;
-  if (status == SolveStatus::unsatisfiable && session.proof_writer != nullptr) {
-    trace = session.proof_writer->proof();
-    have_trace = true;
-    if (session.checker != nullptr) {
-      session.checker->set_telemetry(sink);
-      proof_valid = session.checker->answer_holds(
-          session.proof_writer->proof(), session.solver->failed_assumptions());
-      session.checker->set_telemetry(nullptr);
-      proof_checked = true;
-    }
-  }
-
-  JobResult notify;
-  bool terminal = false;
-  std::uint64_t slice_conflicts = 0;
-  {
-    std::unique_lock<std::mutex> lk(lock_);
-    ++stats_.slices;
-    stats_.solve_seconds += slice_seconds;
-    ++job->result.slices;
-    job->result.solve_seconds += slice_seconds;
-
-    std::uint64_t conflicts = 0;
-    std::uint64_t decisions = 0;
-    std::uint64_t propagations = 0;
-    std::uint64_t learned = 0;
-    if (session.solver != nullptr) {
-      const SliceStats& slice = session.solver->last_slice();
-      conflicts = slice.conflicts;
-      decisions = slice.decisions;
-      propagations = slice.propagations;
-      learned = slice.learned_clauses;
-    } else {
-      std::uint64_t total_conflicts = 0;
-      std::uint64_t total_decisions = 0;
-      std::uint64_t total_propagations = 0;
-      std::uint64_t total_learned = 0;
-      for (const portfolio::WorkerReport& report :
-           session.portfolio->reports()) {
-        total_conflicts += report.stats.conflicts;
-        total_decisions += report.stats.decisions;
-        total_propagations += report.stats.propagations;
-        total_learned += report.stats.learned_clauses;
-      }
-      conflicts = total_conflicts - session.seen_conflicts;
-      decisions = total_decisions - session.seen_decisions;
-      propagations = total_propagations - session.seen_propagations;
-      learned = total_learned - session.seen_learned;
-      session.seen_conflicts = total_conflicts;
-      session.seen_decisions = total_decisions;
-      session.seen_propagations = total_propagations;
-      session.seen_learned = total_learned;
-    }
-    job->result.conflicts += conflicts;
-    job->result.decisions += decisions;
-    job->result.propagations += propagations;
-    job->result.learned_clauses += learned;
-    stats_.conflicts += conflicts;
-    slice_conflicts = conflicts;
-
-    if (status != SolveStatus::unknown) {
-      job->result.status = status;
-      if (have_trace) {
-        job->result.proof = std::move(trace);
-        job->result.proof_checked = proof_checked;
-        job->result.proof_valid = proof_valid;
-      }
-      notify = finish_locked(job, JobOutcome::completed);
-      terminal = true;
-    } else if (job->cancel_requested) {
-      notify = finish_locked(job, JobOutcome::cancelled);
-      terminal = true;
-    } else if (job->deadline_point > 0.0 &&
-               now_seconds() >= job->deadline_point) {
-      notify = finish_locked(job, JobOutcome::deadline_expired);
-      terminal = true;
-    } else if (limits.max_conflicts != 0 &&
-               job->result.conflicts >= limits.max_conflicts) {
-      notify = finish_locked(job, JobOutcome::budget_exhausted);
-      terminal = true;
-    } else {
-      // See run_slice: a watchdog-stopped slice is preempted, and the
-      // session engine (which survives the job) must be un-latched.
-      if (job->watchdog_fired) {
-        job->watchdog_fired = false;
-        if (session.solver != nullptr) session.solver->clear_stop();
-        if (session.portfolio != nullptr) session.portfolio->clear_stop();
-      }
-      job->job_state = JobState::preempted;
-      ++job->result.preemptions;
-      ++stats_.preemptions;
-      emit_control_locked(telemetry::EventKind::job_preempted, job->id,
-                          job->result.slices);
-      enqueue_ready_locked(job);
-      work_cv_.notify_one();
-    }
-  }
-  note_slice(sink, *job, slice_seconds, slice_conflicts);
+  note_slice(sink, *job, slice_seconds, slice.conflicts);
   if (terminal) deliver(std::move(notify));
 }
 
@@ -1151,36 +892,20 @@ JobResult SolverService::finish_locked(const std::shared_ptr<Job>& job,
                                        JobOutcome outcome) {
   job->result.outcome = outcome;
   // Session jobs answer through the session's persistent engine.
-  Solver* engine = job->solver.get();
-  portfolio::PortfolioSolver* race = job->portfolio.get();
-  if (job->session != nullptr) {
-    engine = job->session->solver.get();
-    race = job->session->portfolio.get();
-  }
-  if (outcome == JobOutcome::completed) {
-    if (job->result.status == SolveStatus::satisfiable) {
-      job->result.model = engine != nullptr ? engine->model() : race->model();
-    } else if (job->result.status == SolveStatus::unsatisfiable) {
-      job->result.failed_assumptions = engine != nullptr
-                                           ? engine->failed_assumptions()
-                                           : race->failed_assumptions();
-    }
-  }
-  // Snapshot the database shape before the engine is released.
+  SatEngine* engine = job->active_engine();
   if (engine != nullptr) {
-    job->result.max_live_clauses = engine->stats().max_live_clauses;
-    job->result.initial_clauses = engine->stats().initial_clauses;
-    job->result.duplicate_binaries_skipped =
-        engine->stats().duplicate_binaries_skipped;
-  } else if (race != nullptr && race->winner() >= 0) {
-    const SolverStats& winning =
-        race->reports()[static_cast<std::size_t>(race->winner())].stats;
-    job->result.max_live_clauses = winning.max_live_clauses;
-    job->result.initial_clauses = winning.initial_clauses;
-    for (const portfolio::WorkerReport& report : race->reports()) {
-      job->result.duplicate_binaries_skipped +=
-          report.stats.duplicate_binaries_skipped;
+    if (outcome == JobOutcome::completed) {
+      if (job->result.status == SolveStatus::satisfiable) {
+        job->result.model = engine->model();
+      } else if (job->result.status == SolveStatus::unsatisfiable) {
+        job->result.failed_assumptions = engine->failed_assumptions();
+      }
     }
+    // Snapshot the database shape before the engine is released.
+    const SolverStats& stats = engine->stats();
+    job->result.max_live_clauses = stats.max_live_clauses;
+    job->result.initial_clauses = stats.initial_clauses;
+    job->result.duplicate_binaries_skipped = stats.duplicate_binaries_skipped;
   }
   // Clamped at zero: injected clock skew can make an earlier read of the
   // service clock land past a later one.
@@ -1204,13 +929,11 @@ JobResult SolverService::finish_locked(const std::shared_ptr<Job>& job,
     // The engine outlives the job. Un-latch any sticky cancellation so the
     // next query on the session is not stillborn, and release the session
     // for the owner's next operation.
-    if (engine != nullptr) engine->clear_stop();
-    if (race != nullptr) race->clear_stop();
+    engine->clear_stop();
     job->session->busy = false;
     job->session.reset();
   }
-  job->solver.reset();
-  job->portfolio.reset();
+  job->engine.reset();
   job->proof_writer.reset();
   job->proof_formula = Cnf{};
 

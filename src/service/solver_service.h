@@ -5,7 +5,7 @@
 // (slice_conflicts conflicts at a time), so a short job submitted behind a
 // hard one is never starved: after each slice the long job re-enters the
 // run queue — keeping its learned clauses, variable activities and saved
-// polarities, because the job's Solver survives between slices and the
+// polarities, because the job's engine survives between slices and the
 // core's budgets are per-call — and the scheduler picks the next job by
 // consumed slices, explicit priority, and waiting-time aging.
 //
@@ -33,8 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/solver.h"
-#include "portfolio/portfolio.h"
+#include "core/sat_engine.h"
 #include "proof/drat_checker.h"
 #include "proof/proof_writer.h"
 #include "service/job.h"
@@ -88,9 +87,9 @@ struct ServiceOptions {
   // job and poisons the session with a structured reason instead.
   int max_slice_retries = 2;
   // Resource governor (util/memory_budget.h). When set, every job and
-  // session engine charges its clause storage against this budget (see
-  // Solver::set_memory_budget for the degradation ladder) and admission
-  // refuses new jobs and sessions while the budget is critical —
+  // session engine charges its clause storage against this budget (the
+  // core solver's set_memory_budget has the degradation ladder) and
+  // admission refuses new jobs and sessions while the budget is critical —
   // submit/try_submit/open_session/session_solve return nullopt, counted
   // in ServiceStats::rejected_pressure — so load shedding happens at the
   // door instead of dying mid-solve. The budget must outlive the service.
@@ -143,8 +142,8 @@ class SolverService {
   std::optional<JobId> try_submit(JobRequest request);
 
   // ---- incremental job sessions -----------------------------------------
-  // A session is a persistent engine (Solver, or a warm PortfolioSolver
-  // for threads > 1) living inside the service: the caller scripts it with
+  // A session is a persistent engine (one solver, or a warm portfolio for
+  // threads > 1) living inside the service: the caller scripts it with
   // push/pop/add operations and submits each solve as a normal job, which
   // the scheduler slices and preempts like any other — so thousands of
   // closely-related queries share one engine's learned clauses instead of
@@ -159,8 +158,7 @@ class SolverService {
   // service itself and to other sessions.
   std::optional<SessionId> open_session(SessionRequest request);
   // Opens a named clause group on the session engine and returns its
-  // handle (the engine's own GroupId — identical across the solver and
-  // portfolio paths because both assign ids monotonically from 0).
+  // handle (the engine's own GroupId, assigned monotonically from 0).
   // nullopt is a refusal: closed/busy session, or a configuration that
   // cannot serve groups (proof-logging portfolio).
   std::optional<GroupId> session_push(SessionId id);
@@ -234,8 +232,7 @@ class SolverService {
   struct Session {
     SessionId id = invalid_session;
     SessionRequest request;
-    std::unique_ptr<Solver> solver;
-    std::unique_ptr<portfolio::PortfolioSolver> portfolio;
+    std::unique_ptr<SatEngine> engine;
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
     std::unique_ptr<proof::DratChecker> checker;
     // Live groups in push order (innermost last); the session validates
@@ -244,17 +241,12 @@ class SolverService {
     bool busy = false;    // a session solve is queued or running
     bool closed = false;
     // Non-empty when the session was opened with a feature combo the
-    // service cannot serve yet (proof logging + threads > 1): mutations
-    // still maintain the session, but every solve finishes immediately
-    // with JobOutcome::unsupported carrying this reason.
+    // service cannot serve yet (proof logging + threads > 1) or its engine
+    // died mid-solve: mutations still maintain the session, but every
+    // solve finishes immediately with JobOutcome::unsupported carrying
+    // this reason.
     std::string unsupported;
     std::uint64_t solves = 0;
-    // Portfolio worker stats are cumulative across the whole session;
-    // per-job slices are charged as deltas from here.
-    std::uint64_t seen_conflicts = 0;
-    std::uint64_t seen_decisions = 0;
-    std::uint64_t seen_propagations = 0;
-    std::uint64_t seen_learned = 0;
   };
 
   struct Job {
@@ -279,11 +271,9 @@ class SolverService {
     // survives the job's completion.
     std::shared_ptr<Session> session;
 
-    // Engine — exactly one is non-null once loaded (threads > 1 picks the
-    // portfolio). Reset when the job finishes to release memory.
-    std::unique_ptr<Solver> solver;
-    std::unique_ptr<portfolio::PortfolioSolver> portfolio;
-    bool loaded = false;
+    // A job's own engine, built by its first slice (a portfolio when
+    // threads > 1) and reset when the job finishes to release memory.
+    std::unique_ptr<SatEngine> engine;
     // Proof plumbing (JobProofOptions): single-solver jobs log into this
     // writer across all their slices (portfolio jobs log through the
     // engine's own splicer). For DIMACS-path jobs the parsed formula is
@@ -291,15 +281,15 @@ class SolverService {
     // request.cnf directly.
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
     Cnf proof_formula;
-    // Portfolio stats are cumulative across warm calls; remember the
-    // previous totals so slices can be charged as deltas.
-    std::uint64_t portfolio_seen_conflicts = 0;
-    std::uint64_t portfolio_seen_decisions = 0;
-    std::uint64_t portfolio_seen_propagations = 0;
-    std::uint64_t portfolio_seen_learned = 0;
 
     JobResult result;
     bool finished = false;
+
+    // The engine the job solves on: the session's, else its own (nullptr
+    // before the first slice built it).
+    SatEngine* active_engine() const {
+      return session != nullptr ? session->engine.get() : engine.get();
+    }
   };
 
   void worker_loop(int index);
@@ -317,28 +307,33 @@ class SolverService {
                                     std::shared_ptr<Session> session = nullptr);
   // Looks up an open, idle session for a mutation. Must hold lock_.
   std::shared_ptr<Session> mutable_session_locked(SessionId id);
+  // Builds an engine for `threads` workers: one solver, or a portfolio
+  // diversified around `options`. With `log_proof`, a solver logs into a
+  // new *writer and a portfolio splices its workers' traces.
+  std::unique_ptr<SatEngine> make_engine(
+      const SolverOptions& options, int threads, bool log_proof,
+      std::unique_ptr<proof::MemoryProofWriter>* writer) const;
   // The session's checker, first fed the trace steps logged since its
   // last call so each is verified against the formula it was derived
   // from; nullptr without certification. Called before every mutation of
   // the checked formula.
   static proof::DratChecker* synced_checker(Session& session);
-  // One slice of one session job, running against the persistent engine.
-  // `sink` is the calling worker's telemetry sink (nullptr without a hub).
-  void run_session_slice(const std::shared_ptr<Job>& job,
-                         telemetry::SolverTelemetry* sink);
-  // Shared slice protocol of run_slice/run_session_slice: the pre-flight
-  // (finish a cancelled or already-past-deadline job without spending a
-  // slice on it — returns true when the job went terminal) and the slice
-  // budget (service-wide slice size clamped by what remains of the job's
-  // conflict budget and deadline). Called without the lock held.
+  // Slice protocol helpers: the pre-flight (finish a cancelled or
+  // already-past-deadline job without spending a slice on it — returns
+  // true when the job went terminal) and the slice budget (service-wide
+  // slice size clamped by what remains of the job's conflict budget and
+  // deadline). Called without the lock held.
   bool finish_if_preempted_terminal(const std::shared_ptr<Job>& job);
   Budget slice_budget(const Job& job) const;
   // Picks the runnable job with the best (lowest) schedule key, or null.
   std::shared_ptr<Job> pop_ready_locked();
   double schedule_key_locked(const Job& job) const;
   void enqueue_ready_locked(const std::shared_ptr<Job>& job);
-  // One slice of one job: load if needed, solve under the slice budget,
-  // then classify the outcome. Called without the lock held.
+  // One slice of one job: build and load its engine if needed (session
+  // jobs run on the session's), solve under the slice budget, certify an
+  // UNSAT answer, then classify the outcome. `sink` is the calling
+  // worker's telemetry sink (nullptr without a hub). Called without the
+  // lock held.
   void run_slice(const std::shared_ptr<Job>& job,
                  telemetry::SolverTelemetry* sink);
   // Moves a job to a terminal state, fills the remaining result fields and

@@ -5,14 +5,12 @@
 // instrumentation site.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
+#include "core/solver_types.h"
 #include "telemetry/phase.h"
-
-namespace berkmin {
-struct SolverStats;
-}
 
 namespace berkmin::telemetry {
 
@@ -27,31 +25,8 @@ enum class EventKind : std::uint8_t;
 // counters) aggregates any number of solvers, each flushing deltas at safe
 // points (restarts and end of solve) on its own thread.
 struct StatsCursor {
-  std::uint64_t decisions = 0;
-  std::uint64_t propagations = 0;
-  std::uint64_t conflicts = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t reductions = 0;
-  std::uint64_t learned_clauses = 0;
-  std::uint64_t learned_units = 0;
-  std::uint64_t deleted_clauses = 0;
-  std::uint64_t strengthened_clauses = 0;
-  std::uint64_t minimized_literals = 0;
-  std::uint64_t top_clause_decisions = 0;
-  std::uint64_t exported_clauses = 0;
-  std::uint64_t imported_clauses = 0;
-  std::uint64_t duplicate_binaries_skipped = 0;
-  std::uint64_t groups_pushed = 0;
-  std::uint64_t groups_popped = 0;
-  std::uint64_t pop_retained_learned = 0;
-  std::uint64_t pop_dropped_learned = 0;
-  std::uint64_t inprocessings = 0;
-  std::uint64_t probed_units = 0;
-  std::uint64_t vivified_clauses = 0;
-  std::uint64_t subsumed_clauses = 0;
-  std::uint64_t eliminated_vars = 0;
-  std::uint64_t no_learn_restarts = 0;
-  std::uint64_t pressure_reductions = 0;
+  // Indexed like kSolverCounters.
+  std::array<std::uint64_t, kNumSolverCounters> counters{};
   // Per-glue-value counts already mirrored into the hub's solver.glue
   // histogram (indexed like SolverStats::glue_histogram).
   std::vector<std::uint64_t> glue_histogram;
@@ -71,32 +46,9 @@ struct SolverTelemetry {
   // Emit a conflict_sample trace event every this many conflicts (0 = off).
   std::uint64_t conflict_sample_interval = 4096;
 
-  // Cached counters wrapping the SolverStats fields (see publish()).
-  Counter* c_decisions = nullptr;
-  Counter* c_propagations = nullptr;
-  Counter* c_conflicts = nullptr;
-  Counter* c_restarts = nullptr;
-  Counter* c_reductions = nullptr;
-  Counter* c_learned_clauses = nullptr;
-  Counter* c_learned_units = nullptr;
-  Counter* c_deleted_clauses = nullptr;
-  Counter* c_strengthened_clauses = nullptr;
-  Counter* c_minimized_literals = nullptr;
-  Counter* c_top_clause_decisions = nullptr;
-  Counter* c_exported_clauses = nullptr;
-  Counter* c_imported_clauses = nullptr;
-  Counter* c_duplicate_binaries_skipped = nullptr;
-  Counter* c_groups_pushed = nullptr;
-  Counter* c_groups_popped = nullptr;
-  Counter* c_pop_retained_learned = nullptr;
-  Counter* c_pop_dropped_learned = nullptr;
-  Counter* c_inprocessings = nullptr;
-  Counter* c_probed_units = nullptr;
-  Counter* c_vivified_clauses = nullptr;
-  Counter* c_subsumed_clauses = nullptr;
-  Counter* c_eliminated_vars = nullptr;
-  Counter* c_no_learn_restarts = nullptr;
-  Counter* c_pressure_reductions = nullptr;
+  // The hub counter "solver.<name>" of each kSolverCounters entry, cached
+  // in list order (see publish()).
+  std::array<Counter*, kNumSolverCounters> counters{};
   // Learned-clause glue (literal block distance) distribution; fed from
   // SolverStats::glue_histogram deltas at each publish.
   Histogram* h_glue = nullptr;

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -347,6 +349,38 @@ TEST(SolverTelemetry, PublishIsDeltaBased) {
   const std::uint64_t stats_total = solver.stats().conflicts;
   const std::uint64_t hub_total = hub.snapshot().counters.at("solver.conflicts");
   EXPECT_EQ(hub_total, stats_total);
+}
+
+TEST(SolverTelemetry, EveryListedCounterIsExported) {
+  // BERKMIN_SOLVER_COUNTERS is the only list of exported counters: after a
+  // solve, each entry is in the snapshot as "solver.<field>" with the
+  // solver's own value (one solver, one hub, so the totals coincide).
+  Telemetry hub;
+  telemetry::SolverTelemetry sink(hub, nullptr);
+  SolverOptions options;
+  options.save_trail = true;
+  Solver solver(options);
+  solver.set_telemetry(&sink);
+  solver.load(gen::pigeonhole(5));
+  const GroupId group = solver.push_group();
+  EXPECT_TRUE(solver.pop_group(group));
+  EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
+
+  const MetricsSnapshot snap = hub.snapshot();
+  ASSERT_EQ(std::size(kSolverCounters), kNumSolverCounters);
+  for (const SolverCounter& counter : kSolverCounters) {
+    const auto it = snap.counters.find(std::string("solver.") + counter.name);
+    ASSERT_NE(it, snap.counters.end()) << counter.name;
+    EXPECT_EQ(it->second, solver.stats().*counter.field) << counter.name;
+  }
+  // The fields the hand-kept export used to miss.
+  for (const char* name :
+       {"trail_saves", "trail_saved_literals", "selectors_recycled",
+        "budget_infeasible_solves", "global_decisions", "learned_literals"}) {
+    EXPECT_TRUE(snap.counters.contains(std::string("solver.") + name)) << name;
+  }
+  EXPECT_GT(snap.counters.at("solver.learned_literals"), 0u);
+  EXPECT_EQ(snap.counters.at("solver.groups_pushed"), 1u);
 }
 
 TEST(SolverTelemetry, DisabledSinkChangesNothing) {
