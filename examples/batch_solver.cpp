@@ -603,23 +603,13 @@ int main(int argc, char** argv) {
         if (result.proof_valid) ++proofs_valid;
       }
     }
-    std::cout << "{\"summary\":true,\"submitted\":" << stats.submitted
-              << ",\"completed\":" << stats.completed
-              << ",\"budget_exhausted\":" << stats.budget_exhausted
-              << ",\"deadline_expired\":" << stats.deadline_expired
-              << ",\"cancelled\":" << stats.cancelled
-              << ",\"errors\":" << stats.errors
-              << ",\"slices\":" << stats.slices
-              << ",\"preemptions\":" << stats.preemptions
-              << ",\"conflicts\":" << stats.conflicts
-              << ",\"duplicate_binaries_skipped\":" << dup_binaries
+    std::cout << "{\"summary\":true";
+    for (const service::ServiceCounter& counter : service::kServiceCounters) {
+      std::cout << ",\"" << counter.field << "\":" << stats.*counter.member;
+    }
+    std::cout << ",\"duplicate_binaries_skipped\":" << dup_binaries
               << ",\"proofs_checked\":" << proofs_checked
               << ",\"proofs_valid\":" << proofs_valid
-              << ",\"peak_pending\":" << stats.peak_pending
-              << ",\"watchdog_fires\":" << stats.watchdog_fires
-              << ",\"slice_deaths\":" << stats.slice_deaths
-              << ",\"slice_retries\":" << stats.slice_retries
-              << ",\"rejected_pressure\":" << stats.rejected_pressure
               << ",\"solve_s\":" << stats.solve_seconds << "}\n";
   }
 

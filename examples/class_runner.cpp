@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
                   "class name: Hole, Blocksworld, Par16, Sss1.0, Sss1.0a, "
                   "Sss_sat1.0, Fvp_unsat1.0, Vliw_sat1.0, Beijing, Hanoi, "
                   "Miters, Fvp_unsat2.0");
-  args.add_option("preset", "berkmin", "solver preset (see dimacs_solver)");
+  args.add_option("preset", "berkmin", "solver preset: " + preset_list());
   args.add_option("scale", "2", "instance scale");
   args.add_option("timeout", "10.0", "per-instance timeout in seconds");
   args.add_option("seed", "7", "generator seed");
@@ -83,13 +83,14 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  SolverOptions options = SolverOptions::berkmin();
-  const std::string preset = args.get_string("preset");
-  if (preset == "chaff") options = SolverOptions::chaff_like();
-  if (preset == "limmat") options = SolverOptions::limmat_like();
-  if (preset == "less_sensitivity") options = SolverOptions::less_sensitivity();
-  if (preset == "less_mobility") options = SolverOptions::less_mobility();
-  if (preset == "limited_keeping") options = SolverOptions::limited_keeping();
+  const std::optional<SolverOptions> preset =
+      preset_by_name(args.get_string("preset"));
+  if (!preset) {
+    std::cerr << "error: unknown preset '" << args.get_string("preset")
+              << "' (" << preset_list() << ")\n";
+    return 1;
+  }
+  const SolverOptions& options = *preset;
 
   const int scale = static_cast<int>(args.get_int("scale"));
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed"));

@@ -34,23 +34,6 @@ using namespace berkmin;
 
 namespace {
 
-SolverOptions preset_by_name(const std::string& name, bool* ok) {
-  *ok = true;
-  if (name == "berkmin") return SolverOptions::berkmin();
-  if (name == "chaff") return SolverOptions::chaff_like();
-  if (name == "limmat") return SolverOptions::limmat_like();
-  if (name == "less_sensitivity") return SolverOptions::less_sensitivity();
-  if (name == "less_mobility") return SolverOptions::less_mobility();
-  if (name == "limited_keeping") return SolverOptions::limited_keeping();
-  if (name == "sat_top") return SolverOptions::with_polarity(PolarityPolicy::sat_top);
-  if (name == "unsat_top") return SolverOptions::with_polarity(PolarityPolicy::unsat_top);
-  if (name == "take_0") return SolverOptions::with_polarity(PolarityPolicy::take_0);
-  if (name == "take_1") return SolverOptions::with_polarity(PolarityPolicy::take_1);
-  if (name == "take_rand") return SolverOptions::with_polarity(PolarityPolicy::take_rand);
-  *ok = false;
-  return SolverOptions::berkmin();
-}
-
 // Flushes the requested telemetry artifacts on destruction, so every exit
 // path — including early errors — writes what was collected. A metrics
 // path ending in ".prom" gets Prometheus text exposition, anything else
@@ -134,11 +117,15 @@ bool certify_unsat(const Cnf& cnf, const proof::Proof& trace,
 }
 
 SolverOptions options_from_args(const ArgParser& args, bool* ok) {
-  SolverOptions options = preset_by_name(args.get_string("preset"), ok);
+  const std::optional<SolverOptions> preset =
+      preset_by_name(args.get_string("preset"));
+  *ok = preset.has_value();
   if (!*ok) {
-    std::cerr << "error: unknown preset '" << args.get_string("preset") << "'\n";
-    return options;
+    std::cerr << "error: unknown preset '" << args.get_string("preset")
+              << "' (" << preset_list() << ")\n";
+    return {};
   }
+  SolverOptions options = *preset;
   options.restart_interval = static_cast<std::uint32_t>(args.get_int("restart"));
   options.seed = static_cast<std::uint64_t>(args.get_int("seed"));
   options.minimize_learned = args.has_flag("minimize");
@@ -411,10 +398,7 @@ void print_skin_histogram(const SolverStats& stats) {
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  args.add_option("preset", "berkmin",
-                  "heuristic preset: berkmin, chaff, limmat, less_sensitivity, "
-                  "less_mobility, limited_keeping, sat_top, unsat_top, take_0, "
-                  "take_1, take_rand");
+  args.add_option("preset", "berkmin", "heuristic preset: " + preset_list());
   args.add_option("generate", "", "generate an instance instead of reading a file "
                   "(see --list-generators)");
   args.add_option("threads", "1",
@@ -672,31 +656,30 @@ int main(int argc, char** argv) {
     return certify_unsat(formula, trace, drat_path, drat_format, core_path,
                          sink);
   };
-  // The certification target: proofs are checked against the formula as
-  // given, not the preprocessed rewrite the solver saw.
-  Cnf original;
-  const bool certify_original = args.has_flag("preprocess") && want_proof;
-  if (args.has_flag("preprocess")) {
-    if (want_proof) original = cnf;
-    const PreprocessResult pre = preprocess(cnf, {}, proof_sink);
+  // The solver may see a preprocessed rewrite; models and proofs are
+  // checked against `cnf`, the formula as given.
+  const bool preprocessing = args.has_flag("preprocess");
+  Cnf reduced;
+  if (preprocessing) {
+    PreprocessResult pre = preprocess(cnf, {}, proof_sink);
     if (pre.unsat) {
       std::cout << "s UNSATISFIABLE\nc (by preprocessing)\n";
       // The trace already ends with the empty clause.
-      return want_proof && !finish_proof(original, nullptr) ? 1 : 20;
+      return want_proof && !finish_proof(cnf, nullptr) ? 1 : 20;
     }
     std::cout << "c preprocessing: " << pre.removed_subsumed << " subsumed, "
               << pre.strengthened_literals << " literals strengthened, "
               << pre.propagated_units << " units\n";
-    cnf = pre.cnf;
+    reduced = std::move(pre.cnf);
   }
-  const Cnf& proof_formula = certify_original ? original : cnf;
+  const Cnf& solved = preprocessing ? reduced : cnf;
 
   // Single-shot solving: nothing can mention a variable again after this
   // solve, so a sequential engine may also eliminate variables.
   options.inprocess.var_elim = options.inprocess.enabled;
   const std::unique_ptr<SatEngine> engine =
       make_engine(args, options, proof_sink, hub.get(), sink, mem_budget.get());
-  engine->load(cnf);
+  engine->load(solved);
 
   WallTimer timer;
   const SolveStatus status = engine->solve_with_assumptions({}, budget);
@@ -722,7 +705,7 @@ int main(int argc, char** argv) {
     }
   }
   if (status == SolveStatus::unsatisfiable && want_proof &&
-      !finish_proof(proof_formula, engine.get())) {
+      !finish_proof(cnf, engine.get())) {
     return 1;
   }
   if (args.has_flag("stats")) print_stats(*engine, elapsed);

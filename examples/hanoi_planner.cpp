@@ -15,9 +15,16 @@ int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   args.add_option("disks", "4", "number of disks");
   args.add_option("moves", "-1", "plan horizon (-1 = optimal 2^n - 1)");
-  args.add_option("preset", "berkmin", "berkmin or chaff");
+  args.add_option("preset", "berkmin", "solver preset: " + preset_list());
   if (!args.parse()) {
     std::cerr << "error: " << args.error() << "\n";
+    return 1;
+  }
+  const std::optional<SolverOptions> preset =
+      preset_by_name(args.get_string("preset"));
+  if (!preset) {
+    std::cerr << "error: unknown preset '" << args.get_string("preset")
+              << "' (" << preset_list() << ")\n";
     return 1;
   }
   const int disks = static_cast<int>(args.get_int("disks"));
@@ -32,9 +39,7 @@ int main(int argc, char** argv) {
   std::cout << "encoded as " << encoding.cnf().num_vars() << " variables, "
             << encoding.cnf().num_clauses() << " clauses\n";
 
-  Solver solver(args.get_string("preset") == "chaff"
-                    ? SolverOptions::chaff_like()
-                    : SolverOptions::berkmin());
+  Solver solver(*preset);
   solver.load(encoding.cnf());
 
   WallTimer timer;

@@ -1,9 +1,10 @@
 // Safety model checking over generated transition systems: BMC and
-// IC3/PDR driving the incremental solver (or a SolverService session) as
-// a real workload.
+// IC3/PDR driving the incremental solver, an in-process portfolio, or a
+// SolverService session as a real workload.
 //
 //   ./build/examples/model_checker --ts safe:12 --engine both --certify
 //   ./build/examples/model_checker --ts unsafe:4 --engine bmc --bound 12
+//   ./build/examples/model_checker --ts safe:3 --engine both --threads 4
 //   ./build/examples/model_checker --ts latch:7 --engine ic3 --service --threads 2
 //
 // --ts specs:
@@ -22,6 +23,7 @@
 #include "engines/bmc.h"
 #include "engines/ic3.h"
 #include "gen/safety.h"
+#include "portfolio/portfolio.h"
 #include "service/solver_service.h"
 #include "util/cli.h"
 #include "util/timer.h"
@@ -132,7 +134,9 @@ int main(int argc, char** argv) {
   args.add_option("max-frames", "64", "IC3 frontier limit");
   args.add_flag("certify", "independently certify safe verdicts");
   args.add_flag("service", "run via a SolverService incremental session");
-  args.add_option("threads", "1", "session threads (portfolio when > 1)");
+  args.add_option("threads", "1",
+                  "solver threads: a racing portfolio when > 1, in process "
+                  "or in the --service session");
   args.add_flag("json", "emit one JSON object per engine run");
   if (!args.parse()) {
     std::cerr << "error: " << args.error() << "\n"
@@ -170,40 +174,40 @@ int main(int argc, char** argv) {
               << (params.safe ? "safe" : "unsafe") << " by construction)\n";
   }
 
+  // The engines drive a service session (--service) or an in-process
+  // engine; either is a racing portfolio when --threads > 1.
+  const int threads = static_cast<int>(args.get_int("threads"));
   std::unique_ptr<service::SolverService> service;
-  const auto make_backend = [&](const std::string& name)
-      -> std::unique_ptr<EngineBackend> {
+  int exit_code = 0;
+  std::vector<Verdict> verdicts;
+  const auto run_engine = [&](const std::string& name) {
+    std::unique_ptr<SatEngine> sat;
+    std::unique_ptr<EngineBackend> backend;
     if (args.has_flag("service")) {
       if (service == nullptr) {
         service = std::make_unique<service::SolverService>(
             service::ServiceOptions{.num_workers = 2});
       }
-      service::SessionRequest request;
-      request.name = name;
-      request.threads = static_cast<int>(args.get_int("threads"));
-      return std::make_unique<SessionBackend>(*service, request);
+      backend = std::make_unique<SessionBackend>(
+          *service, service::SessionRequest{.name = name, .threads = threads});
+    } else if (threads > 1) {
+      sat = std::make_unique<portfolio::PortfolioSolver>(
+          portfolio::PortfolioOptions{.num_threads = threads});
+    } else {
+      sat = std::make_unique<Solver>();
     }
-    return nullptr;  // caller builds a SolverBackend over its own Solver
-  };
-
-  int exit_code = 0;
-  std::vector<Verdict> verdicts;
-  const auto run_engine = [&](const std::string& name) {
-    Solver solver;
-    std::unique_ptr<EngineBackend> session = make_backend(name);
-    SolverBackend local(solver);
-    EngineBackend& backend = session != nullptr ? *session : local;
+    if (sat != nullptr) backend = std::make_unique<SolverBackend>(*sat);
 
     WallTimer timer;
     EngineResult result;
     if (name == "bmc") {
-      result = BmcEngine(*ts, backend,
+      result = BmcEngine(*ts, *backend,
                          {.bound = bound, .certify = certify}).run();
     } else {
       Ic3Options options;
       options.max_frames = static_cast<int>(args.get_int("max-frames"));
       options.certify = certify;
-      result = Ic3Engine(*ts, backend, options).run();
+      result = Ic3Engine(*ts, *backend, options).run();
     }
     const double seconds = timer.seconds();
     if (json) {

@@ -3,10 +3,10 @@
 # model_checker, each instance checked by BMC *and* IC3 with the verdicts
 # cross-checked (exit 3 on disagreement), every unsafe verdict replayed
 # through circuit simulation and every safe verdict independently
-# certified (exit 2 on any failure). The suite runs three ways per
-# instance: in-process solver, a SolverService session, and a session
-# escalated to a 4-thread portfolio. One JSON object per engine run is
-# appended to the output JSONL.
+# certified (exit 2 on any failure). The suite runs four ways per
+# instance: an in-process solver, an in-process 4-thread portfolio, a
+# SolverService session, and a session escalated to a 4-thread portfolio.
+# One JSON object per engine run is appended to the output JSONL.
 #
 #   scripts/engines_smoke.sh [build-dir] [out-jsonl]
 set -u
@@ -20,7 +20,8 @@ fail=0
 runs=0
 for spec in safe:1 safe:2 safe:3 safe:4 unsafe:1 unsafe:2 unsafe:3 unsafe:4 \
     latch:1 latch:2; do
-  for mode in "" "--service --threads 1" "--service --threads 4"; do
+  for mode in "" "--threads 4" "--service --threads 1" \
+      "--service --threads 4"; do
     # shellcheck disable=SC2086  # $mode is intentionally word-split
     $MC --ts "$spec" --engine both --certify --json $mode >>"$OUT"
     rc=$?

@@ -72,10 +72,9 @@ class Preprocessor {
       for (auto& clause : clauses_) current.add_clause(std::move(clause));
       SimplifyResult simplified = simplify(current);
       result.propagated_units += simplified.root_units.size();
-      if (proof_ != nullptr) {
-        for (const Lit u : simplified.root_units) {
-          proof_->add_clause(std::span<const Lit>(&u, 1));
-        }
+      for (const Lit u : simplified.root_units) {
+        if (proof_ != nullptr) proof_->add_clause(std::span<const Lit>(&u, 1));
+        units_.push_back(u);
       }
       if (simplified.unsat) {
         if (proof_ != nullptr) proof_->add_clause({});
@@ -108,7 +107,11 @@ class Preprocessor {
       }
     }
 
+    // Simplification drops the clauses a unit satisfies, so the units
+    // themselves stay in the reduced formula: without them its models
+    // need not satisfy the input.
     result.cnf = Cnf(num_vars_);
+    for (const Lit u : units_) result.cnf.add_unit(u);
     for (auto& clause : clauses_) result.cnf.add_clause(std::move(clause));
     return result;
   }
@@ -212,6 +215,7 @@ class Preprocessor {
   proof::ProofWriter* proof_;
   int num_vars_;
   std::vector<std::vector<Lit>> clauses_;
+  std::vector<Lit> units_;  // root units found so far, in discovery order
   std::vector<std::vector<std::uint32_t>> occ_;
   std::vector<std::uint64_t> signatures_;
   std::vector<char> alive_;

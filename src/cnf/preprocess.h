@@ -32,7 +32,7 @@ struct PreprocessOptions {
 };
 
 struct PreprocessResult {
-  Cnf cnf;                      // the reduced formula
+  Cnf cnf;                      // the reduced formula; keeps its root units
   bool unsat = false;           // a root-level contradiction was found
   std::uint64_t removed_subsumed = 0;
   std::uint64_t strengthened_literals = 0;

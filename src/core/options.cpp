@@ -101,6 +101,30 @@ const char* name_of(RestartPolicy p) {
   return "?";
 }
 
+template <PolarityPolicy policy>
+SolverOptions polarity_preset() {
+  return SolverOptions::with_polarity(policy);
+}
+
+struct NamedPreset {
+  std::string_view name;
+  SolverOptions (*make)();
+};
+
+constexpr NamedPreset kPresets[] = {
+    {"berkmin", &SolverOptions::berkmin},
+    {"chaff", &SolverOptions::chaff_like},
+    {"limmat", &SolverOptions::limmat_like},
+    {"less_sensitivity", &SolverOptions::less_sensitivity},
+    {"less_mobility", &SolverOptions::less_mobility},
+    {"limited_keeping", &SolverOptions::limited_keeping},
+    {"sat_top", &polarity_preset<PolarityPolicy::sat_top>},
+    {"unsat_top", &polarity_preset<PolarityPolicy::unsat_top>},
+    {"take_0", &polarity_preset<PolarityPolicy::take_0>},
+    {"take_1", &polarity_preset<PolarityPolicy::take_1>},
+    {"take_rand", &polarity_preset<PolarityPolicy::take_rand>},
+};
+
 }  // namespace
 
 std::string SolverOptions::describe() const {
@@ -123,6 +147,28 @@ std::string SolverOptions::describe() const {
     out += ")";
   }
   return out;
+}
+
+std::vector<std::string_view> preset_names() {
+  std::vector<std::string_view> names;
+  for (const NamedPreset& preset : kPresets) names.push_back(preset.name);
+  return names;
+}
+
+std::string preset_list() {
+  std::string out;
+  for (const NamedPreset& preset : kPresets) {
+    if (!out.empty()) out += ", ";
+    out += preset.name;
+  }
+  return out;
+}
+
+std::optional<SolverOptions> preset_by_name(std::string_view name) {
+  for (const NamedPreset& preset : kPresets) {
+    if (preset.name == name) return preset.make();
+  }
+  return std::nullopt;
 }
 
 }  // namespace berkmin

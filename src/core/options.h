@@ -4,7 +4,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace berkmin {
 
@@ -177,5 +180,13 @@ struct SolverOptions {
 
   std::string describe() const;
 };
+
+// The presets selectable by name (every CLI's --preset): the paper's
+// solvers, the table ablations and the Table 4 polarity policies.
+std::vector<std::string_view> preset_names();
+// preset_names() joined by ", ", for help texts and error messages.
+std::string preset_list();
+// The preset called `name`, or nullopt when no preset has that name.
+std::optional<SolverOptions> preset_by_name(std::string_view name);
 
 }  // namespace berkmin

@@ -35,6 +35,8 @@ class SatEngine {
   virtual ~SatEngine() = default;
 
   // ---- problem construction ---------------------------------------------
+  // Creates one fresh variable and returns it.
+  virtual Var new_var() = 0;
   // Both return false once the formula is known unsatisfiable at the root.
   virtual bool load(const Cnf& cnf) = 0;
   virtual bool add_clause(std::span<const Lit> lits) = 0;

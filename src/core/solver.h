@@ -58,7 +58,7 @@ class Solver final : public SatEngine {
   // additionally include the selector variables allocated by push_group.
   // While no group was ever pushed the two numberings coincide, so
   // existing non-incremental callers see no change.
-  Var new_var();
+  Var new_var() override;
   int num_vars() const { return static_cast<int>(ext2int_.size()); }
   // Internal width, selectors included (introspection/validation only).
   int num_internal_vars() const { return static_cast<int>(assign_.size()); }

@@ -1,5 +1,6 @@
 #include "engines/backend.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace berkmin::engines {
@@ -9,7 +10,7 @@ namespace berkmin::engines {
 Var SolverBackend::new_vars(int n) {
   Var first = no_var;
   for (int i = 0; i < n; ++i) {
-    const Var v = solver_.new_var();
+    const Var v = engine_.new_var();
     if (i == 0) first = v;
   }
   return first;
@@ -18,43 +19,53 @@ Var SolverBackend::new_vars(int n) {
 bool SolverBackend::add_clause(std::span<const Lit> lits) {
   // A false return means root-level UNSAT, which for an engine is an
   // answer, not a refusal; solve() will report it.
-  (void)solver_.add_clause(lits);
+  (void)engine_.add_clause(lits);
   return true;
 }
 
-GroupId SolverBackend::push() { return solver_.push_group(); }
+bool SolverBackend::is_live(GroupId id) const {
+  return std::ranges::find(groups_, id) != groups_.end();
+}
+
+GroupId SolverBackend::push() {
+  const GroupId id = engine_.push_group();
+  if (id == no_group) {
+    error_ = "SolverBackend: the engine refuses clause groups";
+    return no_group;
+  }
+  groups_.push_back(id);
+  return id;
+}
 
 bool SolverBackend::pop(GroupId id) {
-  if (!solver_.pop_group(id)) {
+  if (!is_live(id)) {
     error_ = "SolverBackend: pop of a group that is not live";
     return false;
   }
-  return true;
+  std::erase(groups_, id);
+  return engine_.pop_group(id);
 }
 
 bool SolverBackend::pop() {
-  if (solver_.num_groups() == 0) {
+  if (groups_.empty()) {
     error_ = "SolverBackend: pop without a matching push";
     return false;
   }
-  solver_.pop_group();
-  return true;
+  return pop(groups_.back());
 }
 
 bool SolverBackend::add_clause_to(GroupId id, std::span<const Lit> lits) {
-  if (!solver_.add_clause_to_group(id, lits)) {
-    // Distinguish a stale handle (refusal) from root-level UNSAT (an
-    // answer, like add_clause's).
-    if (!solver_.group_is_live(id)) {
-      error_ = "SolverBackend: add_clause_to a group that is not live";
-      return false;
-    }
+  if (!is_live(id)) {
+    error_ = "SolverBackend: add_clause_to a group that is not live";
+    return false;
   }
+  // As in add_clause, a false return is root-level UNSAT: an answer.
+  (void)engine_.add_clause_to_group(id, lits);
   return true;
 }
 
 bool SolverBackend::set_group_active(GroupId id, bool active) {
-  if (!solver_.set_group_active(id, active)) {
+  if (!is_live(id) || !engine_.set_group_active(id, active)) {
     error_ = "SolverBackend: set_group_active on a group that is not live";
     return false;
   }
@@ -64,17 +75,19 @@ bool SolverBackend::set_group_active(GroupId id, bool active) {
 SolveStatus SolverBackend::solve(std::span<const Lit> assumptions,
                                  const Budget& budget) {
   error_.clear();
-  const SolveStatus status = solver_.solve_with_assumptions(assumptions, budget);
+  const SolveStatus status = engine_.solve_with_assumptions(assumptions, budget);
   if (status == SolveStatus::unknown) {
-    error_ = "solver stopped: " + std::string(to_string(solver_.last_stop_cause()));
+    error_ = "SolverBackend: the engine stopped without an answer";
   }
   return status;
 }
 
-bool SolverBackend::model_value(Lit l) const { return solver_.model_value(l); }
+bool SolverBackend::model_value(Lit l) const {
+  return value_of_literal(engine_.model()[l.var()], l) == Value::true_value;
+}
 
 const std::vector<Lit>& SolverBackend::failed_assumptions() const {
-  return solver_.failed_assumptions();
+  return engine_.failed_assumptions();
 }
 
 // ---- SessionBackend ---------------------------------------------------

@@ -4,9 +4,9 @@
 // variable allocation, clause addition, scoped clause groups, and
 // assumption-based solving — so a single engine implementation can drive
 //
-//   * a long-lived in-process Solver (SolverBackend): push/pop map to the
-//     solver's selector-literal clause groups, the hot path for benches
-//     and the differential suites;
+//   * a long-lived in-process SatEngine (SolverBackend) — a Solver or a
+//     racing PortfolioSolver: push/pop map to the engine's named clause
+//     groups, the hot path for benches and the differential suites;
 //   * a SolverService incremental session (SessionBackend): every solve is
 //     a sliced, preemptible service job, and threads > 1 escalates the
 //     session to a warm portfolio — the engines become a real multi-tenant
@@ -28,7 +28,7 @@
 
 #include "cnf/cnf_formula.h"
 #include "cnf/literal.h"
-#include "core/solver.h"
+#include "core/sat_engine.h"
 #include "engines/transition_system.h"
 #include "service/solver_service.h"
 
@@ -81,11 +81,14 @@ class EngineBackend {
   std::string error_;
 };
 
-// ---- in-process solver ------------------------------------------------
+// ---- in-process engine ------------------------------------------------
 
+// Drives any SatEngine the caller owns. The backend tracks the groups it
+// opened, so pop() finds the most recent one and a stale handle is a
+// refusal rather than a root-level conflict.
 class SolverBackend final : public EngineBackend {
  public:
-  explicit SolverBackend(Solver& solver) : solver_(solver) {}
+  explicit SolverBackend(SatEngine& engine) : engine_(engine) {}
 
   Var new_vars(int n) override;
   bool add_clause(std::span<const Lit> lits) override;
@@ -100,10 +103,11 @@ class SolverBackend final : public EngineBackend {
   const std::vector<Lit>& failed_assumptions() const override;
   std::string name() const override { return "solver"; }
 
-  Solver& solver() { return solver_; }
-
  private:
-  Solver& solver_;
+  bool is_live(GroupId id) const;
+
+  SatEngine& engine_;
+  std::vector<GroupId> groups_;  // live handles, oldest first
 };
 
 // ---- service session --------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/solver.h"
 #include "proof/drat_checker.h"
 #include "proof/proof_writer.h"
 

@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "core/solver.h"
+
 namespace berkmin::engines {
 
 Ic3Engine::Ic3Engine(const TransitionSystem& ts, EngineBackend& backend,

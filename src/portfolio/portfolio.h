@@ -94,7 +94,7 @@ class PortfolioSolver final : public SatEngine {
   explicit PortfolioSolver(PortfolioOptions options = {});
 
   // ---- problem construction (mirrors Solver) ---------------------------
-  Var new_var() { return cnf_.add_var(); }
+  Var new_var() override { return cnf_.add_var(); }
   int num_vars() const { return cnf_.num_vars(); }
   // Always true: the formula is only examined by the workers.
   bool add_clause(std::span<const Lit> lits) override;

@@ -101,7 +101,9 @@ struct SessionRequest {
   // workers replay every push/pop/add and race each solve.
   int threads = 1;
   // Per-answer proof artifacts. The session accumulates one DRAT trace
-  // (selectors elided) across all its queries and, with `check`, keeps
+  // (selectors elided) across all its queries; a session answer carries
+  // the verdict only (JobResult::proof_checked / proof_valid), never that
+  // cumulative trace, so JobResult::proof stays empty. With `check` it keeps
   // one live resumable proof::DratChecker that follows every clause and
   // group operation: each trace step is verified once, against the
   // formula it was derived from, and an UNSAT answer holds when the
@@ -149,7 +151,8 @@ struct JobResult {
   std::vector<Lit> failed_assumptions;
 
   // Proof artifacts (JobProofOptions). The trace is present for
-  // assumption-free UNSAT answers of proof-logged jobs; proof_checked /
+  // assumption-free UNSAT answers of proof-logged one-shot jobs (session
+  // answers carry the verdict only); proof_checked /
   // proof_valid report the in-tree verification, and unsat_core holds
   // indices into the submitted formula's clauses() (set only when `core`
   // was requested and the check succeeded).

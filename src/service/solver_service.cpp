@@ -789,20 +789,20 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
   // Proof harvest and certification run outside the lock (a check can
   // dwarf a slice). A session's live checker verifies the trace steps
   // logged since its last call, then the answer itself (¬core RUP over
-  // the live database); the session's trace keeps growing, so the answer
-  // ships a copy. A job's trace is taken whole, and is deliverable only
-  // when complete — UNSAT of the formula itself ends with the empty
-  // clause; an assumption-failure answer does not (its certificate is the
-  // failed-assumption core instead) — and is checked against the formula.
+  // the live database); the answer carries that verdict only, never the
+  // session's cumulative trace. A job's trace is taken whole, and is
+  // deliverable only when complete — UNSAT of the formula itself ends
+  // with the empty clause; an assumption-failure answer does not (its
+  // certificate is the failed-assumption core instead) — and is checked
+  // against the formula.
   proof::Proof trace;
-  bool have_trace = false;
+  bool has_proof = false;  // the answer carries proof artifacts
   bool proof_checked = false;
   bool proof_valid = false;
   std::vector<std::size_t> unsat_core;
   if (status == SolveStatus::unsatisfiable && proof_opts.wanted()) {
     if (session != nullptr) {
-      trace = session->proof_writer->proof();
-      have_trace = true;
+      has_proof = true;
       if (session->checker != nullptr) {
         session->checker->set_telemetry(sink);
         proof_valid = session->checker->answer_holds(
@@ -813,8 +813,8 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     } else {
       trace = job->proof_writer != nullptr ? job->proof_writer->take_proof()
                                            : engine.spliced_proof();
-      have_trace = trace.ends_with_empty();
-      if (have_trace && proof_opts.verify()) {
+      has_proof = trace.ends_with_empty();
+      if (has_proof && proof_opts.verify()) {
         const Cnf& formula = job->request.dimacs_path.empty()
                                  ? job->request.cnf
                                  : job->proof_formula;
@@ -824,7 +824,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
         proof_checked = true;
         proof_valid = check.valid;
         if (check.valid && proof_opts.core) unsat_core = checker.core();
-      } else if (!have_trace) {
+      } else if (!has_proof) {
         trace = proof::Proof{};
       }
     }
@@ -848,7 +848,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
 
     if (status != SolveStatus::unknown) {
       job->result.status = status;
-      if (have_trace) {
+      if (has_proof) {
         job->result.proof = std::move(trace);
         job->result.proof_checked = proof_checked;
         job->result.proof_valid = proof_valid;
@@ -1012,24 +1012,10 @@ telemetry::MetricsSnapshot SolverService::metrics_snapshot() const {
   // The exact scheduler view beats the hub's racy increments for the
   // service's own totals, and jobs-level outcomes are only counted here.
   const ServiceStats totals = stats();
-  snapshot.counters["service.jobs_submitted"] = totals.submitted;
-  snapshot.counters["service.jobs_rejected"] = totals.rejected;
-  snapshot.counters["service.jobs_completed"] = totals.completed;
-  snapshot.counters["service.jobs_budget_exhausted"] = totals.budget_exhausted;
-  snapshot.counters["service.jobs_deadline_expired"] = totals.deadline_expired;
-  snapshot.counters["service.jobs_cancelled"] = totals.cancelled;
-  snapshot.counters["service.jobs_errors"] = totals.errors;
-  snapshot.counters["service.jobs_unsupported"] = totals.unsupported;
-  snapshot.counters["service.slices"] = totals.slices;
-  snapshot.counters["service.preemptions"] = totals.preemptions;
-  snapshot.counters["service.conflicts"] = totals.conflicts;
-  snapshot.counters["service.peak_pending"] = totals.peak_pending;
-  snapshot.counters["service.sessions_opened"] = totals.sessions_opened;
-  snapshot.counters["service.session_solves"] = totals.session_solves;
-  snapshot.counters["service.watchdog_fires"] = totals.watchdog_fires;
-  snapshot.counters["service.slice_deaths"] = totals.slice_deaths;
-  snapshot.counters["service.slice_retries"] = totals.slice_retries;
-  snapshot.counters["service.rejected_pressure"] = totals.rejected_pressure;
+  for (const ServiceCounter& counter : kServiceCounters) {
+    snapshot.counters[std::string("service.") + counter.metric] =
+        totals.*counter.member;
+  }
   snapshot.counters["service.solve_ns"] =
       static_cast<std::uint64_t>(totals.solve_seconds * 1e9);
   return snapshot;

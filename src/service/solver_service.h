@@ -96,34 +96,56 @@ struct ServiceOptions {
   util::MemoryBudget* memory_budget = nullptr;
 };
 
+// Every monotone ServiceStats counter, defined once as X(field, metric):
+// the struct member, and its counter "service.<metric>" in
+// metrics_snapshot(). batch_solver --stats prints each under its field
+// name.
+//  * outcomes: submissions, try_submit refusals (full queue or after
+//    shutdown), and finished jobs by outcome — definitive SAT/UNSAT, a
+//    per-job conflict budget ran out, deadline, cancel, unloadable
+//    formula, a feature combination the service cannot serve;
+//  * scheduling: slices run, preemptions, conflicts summed over every
+//    slice of every job, and the peak number of pending jobs;
+//  * incremental sessions: open_session() calls and session_solve()
+//    queries;
+//  * robustness (ServiceOptions watchdog / retries / budget): slices
+//    stopped by the watchdog, slices that threw, dead slices re-queued for
+//    retry, and admissions refused under memory pressure.
+#define BERKMIN_SERVICE_COUNTERS(X)                                        \
+  X(submitted, jobs_submitted) X(rejected, jobs_rejected)                  \
+  X(completed, jobs_completed) X(budget_exhausted, jobs_budget_exhausted)  \
+  X(deadline_expired, jobs_deadline_expired) X(cancelled, jobs_cancelled)  \
+  X(errors, jobs_errors) X(unsupported, jobs_unsupported)                  \
+  X(slices, slices) X(preemptions, preemptions) X(conflicts, conflicts)    \
+  X(peak_pending, peak_pending)                                            \
+  X(sessions_opened, sessions_opened) X(session_solves, session_solves)    \
+  X(watchdog_fires, watchdog_fires) X(slice_deaths, slice_deaths)          \
+  X(slice_retries, slice_retries) X(rejected_pressure, rejected_pressure)
+
 // Aggregate throughput counters, all monotone over the service lifetime.
 struct ServiceStats {
-  std::uint64_t submitted = 0;
-  std::uint64_t rejected = 0;  // try_submit on a full queue / after shutdown
-  std::uint64_t completed = 0;         // definitive SAT/UNSAT
-  std::uint64_t budget_exhausted = 0;  // per-job conflict budget ran out
-  std::uint64_t deadline_expired = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t errors = 0;       // unloadable formulas
-  std::uint64_t unsupported = 0;  // feature combos the service cannot serve
-  std::uint64_t slices = 0;
-  std::uint64_t preemptions = 0;
-  std::uint64_t conflicts = 0;  // summed over every slice of every job
-  std::uint64_t peak_pending = 0;
-  // Incremental sessions: open_session() calls and session_solve() queries.
-  std::uint64_t sessions_opened = 0;
-  std::uint64_t session_solves = 0;
-  // Robustness accounting (ServiceOptions watchdog / retries / budget).
-  std::uint64_t watchdog_fires = 0;      // slices stopped by the watchdog
-  std::uint64_t slice_deaths = 0;        // slices that threw
-  std::uint64_t slice_retries = 0;       // dead slices re-queued for retry
-  std::uint64_t rejected_pressure = 0;   // admissions refused under pressure
+#define BERKMIN_DECLARE_SERVICE_COUNTER(field, metric) std::uint64_t field = 0;
+  BERKMIN_SERVICE_COUNTERS(BERKMIN_DECLARE_SERVICE_COUNTER)
+#undef BERKMIN_DECLARE_SERVICE_COUNTER
   double solve_seconds = 0.0;  // total time inside solve() slices
 
   std::uint64_t finished() const {
     return completed + budget_exhausted + deadline_expired + cancelled +
            errors + unsupported;
   }
+};
+
+// The BERKMIN_SERVICE_COUNTERS list as data, for code that loops over it.
+struct ServiceCounter {
+  const char* field;
+  const char* metric;  // exported as "service.<metric>"
+  std::uint64_t ServiceStats::*member;
+};
+inline constexpr ServiceCounter kServiceCounters[] = {
+#define BERKMIN_SERVICE_COUNTER_ENTRY(field, metric) \
+  {#field, #metric, &ServiceStats::field},
+    BERKMIN_SERVICE_COUNTERS(BERKMIN_SERVICE_COUNTER_ENTRY)
+#undef BERKMIN_SERVICE_COUNTER_ENTRY
 };
 
 class SolverService {

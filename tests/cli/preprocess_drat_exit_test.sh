@@ -60,6 +60,24 @@ check_rc "preprocess-only UNSAT" 20 $?
 "$CHECKER" "$tmp/units.cnf" "$tmp/units.drat" --quiet
 check_rc "drat_check of preprocess-only trace" 0 $?
 
+# A SAT formula whose units preprocessing propagates: the printed model
+# must set the units (1, and 2 through -1 2) true, so it satisfies the
+# formula as given, not just the reduced one.
+cat >"$tmp/sat_units.cnf" <<'EOF'
+p cnf 4 3
+1 0
+-1 2 0
+3 4 0
+EOF
+"$SOLVER" "$tmp/sat_units.cnf" --preprocess --model --check-model \
+  >"$tmp/sat_units.out" 2>&1
+check_rc "preprocessed units --model --check-model" 10 $?
+if ! grep -Eq '^v 1 2 ' "$tmp/sat_units.out"; then
+  echo "FAIL: preprocessed model drops the units:"
+  cat "$tmp/sat_units.out"
+  fail=1
+fi
+
 # The surviving refusal: incremental scripts with proofs need one thread.
 cat >"$tmp/script.icnf" <<'EOF'
 p inccnf

@@ -3,35 +3,43 @@
 // truth, BMC, and IC3 — with every SAT verdict replayed through circuit
 // simulation and every safe verdict independently certified (BMC: DRAT;
 // IC3: invariant re-check). A smaller sweep drives the same systems
-// through SolverService sessions at 1 and 2 worker threads.
+// through SolverService sessions at 1 and 2 worker threads, and through an
+// in-process 2-worker PortfolioSolver.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
 #include <optional>
 
 #include "core/solver.h"
 #include "engines/bmc.h"
 #include "engines/ic3.h"
 #include "gen/safety.h"
+#include "portfolio/portfolio.h"
 #include "service/solver_service.h"
 
 namespace berkmin::engines {
 namespace {
 
-void check_case(const gen::SafetyParams& params) {
+// Each engine runs over its own SatEngine from `make_engine`: a Solver by
+// default.
+void check_case(const gen::SafetyParams& params,
+                const std::function<std::unique_ptr<SatEngine>()>&
+                    make_engine = [] { return std::make_unique<Solver>(); }) {
   SCOPED_TRACE("seed=" + std::to_string(params.seed) +
                " safe=" + std::to_string(params.safe) +
                " latch_heavy=" + std::to_string(params.latch_heavy));
   const TransitionSystem ts = gen::safety_system(params);
   const std::optional<int> ground = ts.reachable_bad_step();
 
-  Solver bmc_solver;
-  SolverBackend bmc_backend(bmc_solver);
+  const std::unique_ptr<SatEngine> bmc_engine = make_engine();
+  SolverBackend bmc_backend(*bmc_engine);
   const EngineResult bmc =
       BmcEngine(ts, bmc_backend, {.bound = params.cycles, .certify = true})
           .run();
 
-  Solver ic3_solver;
-  SolverBackend ic3_backend(ic3_solver);
+  const std::unique_ptr<SatEngine> ic3_engine = make_engine();
+  SolverBackend ic3_backend(*ic3_engine);
   const EngineResult ic3 =
       Ic3Engine(ts, ic3_backend, {.certify = true}).run();
 
@@ -124,6 +132,26 @@ TEST(EnginesDifferential, SessionBackendsAgreeAcrossThreadCounts) {
           EXPECT_EQ(ic3.verdict, Verdict::safe_invariant) << ic3.error;
         }
       }
+    }
+  }
+}
+
+TEST(EnginesDifferential, PortfolioBackendAgreesAndCertifies) {
+  // SolverBackend drives any SatEngine: here a racing 2-worker portfolio
+  // answers every BMC bound and IC3 query.
+  for (std::uint64_t seed = 0; seed < 3; ++seed) {
+    for (const bool safe : {false, true}) {
+      gen::SafetyParams p;
+      p.safe = safe;
+      p.seed = seed;
+      p.cycles = 8;
+      p.num_gates = 25;
+      p.num_latches = 5;
+      p.num_inputs = 3;
+      check_case(p, [] {
+        return std::make_unique<portfolio::PortfolioSolver>(
+            portfolio::PortfolioOptions{.num_threads = 2});
+      });
     }
   }
 }

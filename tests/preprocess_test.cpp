@@ -48,8 +48,37 @@ TEST(Preprocess, PropagatesUnits) {
   const Cnf cnf = make_cnf({{1}, {-1, 2}, {-2, 3, 4}});
   const PreprocessResult result = preprocess(cnf);
   EXPECT_GE(result.propagated_units, 2u);
-  ASSERT_EQ(result.cnf.num_clauses(), 1u);
-  EXPECT_EQ(result.cnf.clause(0), lits({3, 4}));
+  // The units stay as unit clauses; (-1 2) and (-2 3 4) reduce to (3 4).
+  ASSERT_EQ(result.cnf.num_clauses(), 3u);
+  EXPECT_EQ(result.cnf.clause(0), lits({1}));
+  EXPECT_EQ(result.cnf.clause(1), lits({2}));
+  EXPECT_EQ(result.cnf.clause(2), lits({3, 4}));
+}
+
+TEST(Preprocess, EveryModelOfTheReducedFormulaSatisfiesTheInput) {
+  // Small random formulas seeded with units: enumerate every assignment
+  // and require that each model of result.cnf is a model of the input.
+  for (std::uint64_t seed = 0; seed < 30; ++seed) {
+    Cnf cnf = gen::random_ksat(10, 20, 3, seed + 300);
+    cnf.add_clause(lits({static_cast<int>(seed % 10) + 1}));
+    cnf.add_clause(lits({-(static_cast<int>((seed + 3) % 10) + 1), 5}));
+    const PreprocessResult result = preprocess(cnf);
+    if (result.unsat) {
+      EXPECT_FALSE(reference::brute_force_satisfiable(cnf)) << "seed " << seed;
+      continue;
+    }
+    ASSERT_EQ(result.cnf.num_vars(), cnf.num_vars());
+    std::vector<Value> assignment(static_cast<std::size_t>(cnf.num_vars()));
+    for (std::uint32_t bits = 0; bits < (1u << cnf.num_vars()); ++bits) {
+      for (Var v = 0; v < cnf.num_vars(); ++v) {
+        assignment[static_cast<std::size_t>(v)] = to_value((bits >> v) & 1);
+      }
+      if (result.cnf.is_satisfied_by(assignment)) {
+        ASSERT_TRUE(cnf.is_satisfied_by(assignment))
+            << "seed " << seed << " assignment " << bits;
+      }
+    }
+  }
 }
 
 TEST(Preprocess, DetectsUnsat) {
@@ -89,12 +118,9 @@ TEST_P(PreprocessEquisat, PreservesSatisfiabilityAndModels) {
   const SolveStatus status = solver.solve();
   EXPECT_EQ(status == SolveStatus::satisfiable, expected) << "seed " << seed;
   if (status == SolveStatus::satisfiable) {
-    // Subsumption/strengthening preserve equivalence, so any model of the
-    // reduced formula must satisfy the original too (after extending with
-    // units the preprocessor fixed — which keep their variable values in
-    // the reduced formula's model only if re-asserted; check the reduced
-    // formula instead).
-    EXPECT_TRUE(result.cnf.is_satisfied_by(solver.model()));
+    // Subsumption/strengthening preserve equivalence and the reduced
+    // formula keeps its units, so its models satisfy the original.
+    EXPECT_TRUE(cnf.is_satisfied_by(solver.model()));
   }
 }
 

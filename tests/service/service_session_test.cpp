@@ -115,6 +115,8 @@ TEST(ServiceSession, ProofPerAnswerIncludingAfterPop) {
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(result.proof_checked);
   EXPECT_TRUE(result.proof_valid);
+  // The answer carries the verdict, not a copy of the session's trace.
+  EXPECT_TRUE(result.proof.empty());
 
   // After the pop, an assumption-driven UNSAT must also certify.
   ASSERT_TRUE(service.session_pop(*sid));
@@ -125,6 +127,7 @@ TEST(ServiceSession, ProofPerAnswerIncludingAfterPop) {
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(result.proof_checked);
   EXPECT_TRUE(result.proof_valid);
+  EXPECT_TRUE(result.proof.empty());
   EXPECT_FALSE(result.failed_assumptions.empty());
 }
 

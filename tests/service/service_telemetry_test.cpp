@@ -196,6 +196,20 @@ TEST(ServiceTelemetry, MetricsSnapshotWorksWithoutHub) {
   EXPECT_TRUE(snap.histograms.empty());
 }
 
+TEST(ServiceTelemetry, EveryListedCounterIsInTheSnapshot) {
+  SolverService service(ServiceOptions{.num_workers = 1});
+  service.wait(*service.submit(request_for(make_cnf({{1}}))));
+  const MetricsSnapshot snap = service.metrics_snapshot();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(std::size(kServiceCounters), 18u);
+  for (const ServiceCounter& counter : kServiceCounters) {
+    const std::string name = std::string("service.") + counter.metric;
+    ASSERT_TRUE(snap.counters.contains(name)) << name;
+    EXPECT_EQ(snap.counters.at(name), stats.*counter.member) << name;
+  }
+  EXPECT_TRUE(snap.counters.contains("service.solve_ns"));
+}
+
 // ---- satellite: concurrent snapshot/drain stress (TSan) --------------------
 
 TEST(ServiceTelemetry, SnapshotAndDrainRaceRunningSolves) {

@@ -217,5 +217,20 @@ TEST(SolverOptionsTest, AblationsChangeOneAxis) {
   EXPECT_EQ(lk.decision_policy, base.decision_policy);
 }
 
+TEST(SolverOptionsTest, EveryListedPresetResolvesByName) {
+  ASSERT_EQ(preset_names().size(), 11u);
+  for (const std::string_view name : preset_names()) {
+    EXPECT_TRUE(preset_by_name(name).has_value()) << name;
+    EXPECT_NE(preset_list().find(name), std::string::npos) << name;
+  }
+  EXPECT_EQ(preset_by_name("chaff")->describe(),
+            SolverOptions::chaff_like().describe());
+  EXPECT_EQ(preset_by_name("take_rand")->polarity_policy,
+            PolarityPolicy::take_rand);
+  EXPECT_FALSE(preset_by_name("nosuch").has_value());
+  EXPECT_FALSE(preset_by_name("").has_value());
+  EXPECT_FALSE(preset_by_name("Chaff").has_value());
+}
+
 }  // namespace
 }  // namespace berkmin
