@@ -45,9 +45,9 @@ class Preprocessor {
                proof::ProofWriter* proof)
       : options_(options), proof_(proof), num_vars_(cnf.num_vars()) {
     for (const auto& raw : cnf.clauses()) {
-      auto normalized = normalize_clause(raw);
-      if (!normalized) continue;  // tautology
-      clauses_.push_back(std::move(*normalized));
+      std::vector<Lit> normalized = raw;
+      if (!normalize_clause(normalized)) continue;  // tautology
+      clauses_.push_back(std::move(normalized));
     }
   }
 

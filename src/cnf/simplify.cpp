@@ -4,13 +4,13 @@
 
 namespace berkmin {
 
-std::optional<std::vector<Lit>> normalize_clause(std::vector<Lit> lits) {
+bool normalize_clause(std::vector<Lit>& lits) {
   std::sort(lits.begin(), lits.end());
   lits.erase(std::unique(lits.begin(), lits.end()), lits.end());
   for (std::size_t i = 1; i < lits.size(); ++i) {
-    if (lits[i].var() == lits[i - 1].var()) return std::nullopt;  // l and ~l
+    if (lits[i].var() == lits[i - 1].var()) return false;  // l and ~l
   }
-  return lits;
+  return true;
 }
 
 SimplifyResult simplify(const Cnf& cnf) {
@@ -32,15 +32,15 @@ SimplifyResult simplify(const Cnf& cnf) {
   std::vector<std::vector<Lit>> pending;
   pending.reserve(cnf.num_clauses());
   for (const auto& raw : cnf.clauses()) {
-    auto normalized = normalize_clause(raw);
-    if (!normalized) continue;  // tautology
-    if (normalized->empty()) {
+    std::vector<Lit> normalized = raw;
+    if (!normalize_clause(normalized)) continue;  // tautology
+    if (normalized.empty()) {
       result.unsat = true;
       result.cnf = Cnf(cnf.num_vars());
       result.cnf.add_clause(std::vector<Lit>{});
       return result;
     }
-    pending.push_back(std::move(*normalized));
+    pending.push_back(std::move(normalized));
   }
 
   bool changed = true;

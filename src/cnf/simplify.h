@@ -5,16 +5,16 @@
 // canonical formulas.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "cnf/cnf_formula.h"
 
 namespace berkmin {
 
-// Sorts literals, removes duplicates. Returns std::nullopt if the clause is
-// a tautology (contains both l and ~l) and should be dropped.
-std::optional<std::vector<Lit>> normalize_clause(std::vector<Lit> lits);
+// Sorts `lits` and removes duplicates in place. Returns false if the clause
+// is a tautology (contains both l and ~l) and should be dropped; `lits` is
+// then sorted but otherwise unspecified.
+bool normalize_clause(std::vector<Lit>& lits);
 
 struct SimplifyResult {
   Cnf cnf;                       // the simplified formula

@@ -354,8 +354,9 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
 
   // Rebuild watches and occurrence lists from scratch. Counting the
   // watchers first lets the flat pools lay every span out contiguously
-  // with zero relocations and zero slack.
-  for (auto& ol : occ_) ol.clear();
+  // with zero relocations and zero slack. The surviving originals are a
+  // subset of the listed ones, so every occurrence list refills within its
+  // span.
   std::vector<std::uint32_t> watch_counts(
       2 * static_cast<std::size_t>(num_internal_vars()), 0);
   std::vector<std::uint32_t> bin_counts(
@@ -370,13 +371,12 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
   for (const ClauseRef ref : learned_stack_) count_watches(ref);
   watches_.rebuild(watch_counts);
   bin_watches_.rebuild(bin_counts);
+  occ_.clear();
 
   for (const ClauseRef ref : originals_) {
     attach_clause(ref);
     const Clause c = arena_.deref(ref);
-    for (std::uint32_t i = 0; i < c.size(); ++i) {
-      occ_[c[i].code()].push_back(ref);
-    }
+    for (std::uint32_t i = 0; i < c.size(); ++i) occ_.push(c[i].code(), ref);
   }
   for (const ClauseRef ref : learned_stack_) attach_clause(ref);
   sync_budget_charge();

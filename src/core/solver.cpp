@@ -125,8 +125,7 @@ Var Solver::new_internal_var(bool selector) {
   int2ext_.push_back(no_var);
   watches_.resize_literals(2 * static_cast<std::size_t>(v) + 2);
   bin_watches_.resize_literals(2 * static_cast<std::size_t>(v) + 2);
-  occ_.emplace_back();
-  occ_.emplace_back();
+  occ_.resize_literals(2 * static_cast<std::size_t>(v) + 2);
   lit_activity_.push_back(0);
   lit_activity_.push_back(0);
   chaff_counter_.push_back(0);
@@ -325,17 +324,17 @@ bool Solver::add_root_clause(std::span<const Lit> lits, bool learned,
     }
   }
 
-  auto normalized = normalize_clause(add_scratch_);
-  if (!normalized) return true;  // tautology: trivially satisfied
+  if (!normalize_clause(add_scratch_)) return true;  // tautology
 
-  // Root-level reduction against already-forced assignments.
-  std::vector<Lit> reduced;
-  reduced.reserve(normalized->size());
-  for (const Lit l : *normalized) {
+  // Root-level reduction against already-forced assignments, in place.
+  std::size_t kept = 0;
+  for (const Lit l : add_scratch_) {
     const Value v = value(l);
     if (v == Value::true_value) return true;  // already satisfied
-    if (v == Value::unassigned) reduced.push_back(l);
+    if (v == Value::unassigned) add_scratch_[kept++] = l;
   }
+  add_scratch_.resize(kept);
+  const std::span<const Lit> reduced = add_scratch_;
 
   if (reduced.empty()) {
     // Every literal is false under the retained root assignment: the
@@ -388,6 +387,17 @@ bool Solver::import_clause(std::span<const Lit> lits, std::uint32_t glue) {
 
 bool Solver::load(const Cnf& cnf) {
   while (num_vars() < cnf.num_vars()) new_var();
+  // With no originals yet, lay the occurrence lists out for the whole
+  // formula at once: filled clause by clause, every list that outgrows its
+  // span leaves the old span behind as garbage.
+  if (originals_.empty()) {
+    std::vector<std::uint32_t> counts(occ_.num_literals(), 0);
+    for (const auto& clause : cnf.clauses()) {
+      if (clause.size() < 2) continue;
+      for (const Lit l : clause) ++counts[external_to_internal(l).code()];
+    }
+    occ_.rebuild(counts);
+  }
   for (const auto& clause : cnf.clauses()) {
     if (!add_clause(clause)) return false;
   }
@@ -403,7 +413,7 @@ ClauseRef Solver::add_clause_internal(std::span<const Lit> lits, bool learned,
     satisfied_cache_.push_back(undef_lit);
   } else {
     originals_.push_back(ref);
-    for (const Lit l : lits) occ_[l.code()].push_back(ref);
+    for (const Lit l : lits) occ_.push(l.code(), ref);
   }
   attach_clause(ref);
   update_live_peak();
@@ -958,13 +968,13 @@ std::uint64_t Solver::nb_two(Lit l) const {
 
   std::uint64_t total = 0;
   std::uint32_t scanned = 0;
-  for (const ClauseRef ref : occ_[l.code()]) {
+  for (const ClauseRef ref : occ_.list(l.code())) {
     if (total > opts_.nb_two_threshold || ++scanned > opts_.nb_two_scan_cap) break;
     Lit other = undef_lit;
     if (!currently_binary(ref, &other, l)) continue;
     ++total;
     std::uint32_t inner_scanned = 0;
-    for (const ClauseRef ref2 : occ_[(~other).code()]) {
+    for (const ClauseRef ref2 : occ_.list((~other).code())) {
       if (total > opts_.nb_two_threshold ||
           ++inner_scanned > opts_.nb_two_scan_cap) {
         break;

@@ -531,10 +531,11 @@ class Solver final : public SatEngine {
   // pool (see core/watch_pool.h): watches_ for clauses of three or more
   // literals, bin_watches_ for the specialized two-literal lists that
   // propagate with zero arena derefs. occ_ holds full occurrence lists of
-  // original clauses (needed only by nb_two).
+  // original clauses in the same layout (needed only by nb_two, whose scan
+  // caps depend on each list keeping insertion order).
   WatchPool watches_;
   BinWatchPool bin_watches_;
-  std::vector<std::vector<ClauseRef>> occ_;
+  FlatWatchLists<ClauseRef> occ_;
 
   // Heuristic state.
   std::vector<std::uint64_t> var_activity_;
@@ -588,7 +589,8 @@ class Solver final : public SatEngine {
   // Proof-projection scratch; distinct from callback_scratch_, which may
   // hold the unprojected literals of the same step (notify_deleted).
   std::vector<Lit> proof_scratch_;
-  // add_root_clause scratch for the translated/selector-tagged input.
+  // add_root_clause scratch: the translated/selector-tagged input, then
+  // normalized and root-reduced in place.
   std::vector<Lit> add_scratch_;
 
   // Resource governor state (see set_memory_budget). charged_bytes_ is

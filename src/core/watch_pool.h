@@ -27,6 +27,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/solver_types.h"
@@ -59,6 +60,9 @@ class FlatWatchLists {
   const Entry* data(std::size_t code) const {
     return pool_.data() + spans_[code].offset;
   }
+  std::span<const Entry> list(std::size_t code) const {
+    return {data(code), spans_[code].len};
+  }
 
   // Raw pool access by absolute index: the only accessor that is safe to
   // mix with push() on *other* literals during a scan (see header comment).
@@ -69,6 +73,12 @@ class FlatWatchLists {
     Span& s = spans_[code];
     if (s.len == s.cap) grow(s);
     pool_[s.offset + s.len++] = e;
+  }
+
+  // Empties every list, keeping the layout: refilling a list with at most
+  // as many entries as it held relocates nothing.
+  void clear() {
+    for (Span& s : spans_) s.len = 0;
   }
 
   // Drops the tail of a span (BCP keeps a compacted prefix in place).
@@ -90,12 +100,20 @@ class FlatWatchLists {
   // the live length, so the next push per literal relocates once —
   // acceptable at the restart boundaries this runs on.
   void compact() {
+    compact([](const Entry&) { return true; });
+  }
+  // As compact(), keeping only the entries `keep` accepts, in order.
+  template <typename Keep>
+  void compact(Keep keep) {
     std::vector<Entry> fresh;
     fresh.reserve(live());
     for (Span& s : spans_) {
       const std::uint32_t new_off = static_cast<std::uint32_t>(fresh.size());
-      for (std::uint32_t i = 0; i < s.len; ++i) fresh.push_back(pool_[s.offset + i]);
+      for (std::uint32_t i = 0; i < s.len; ++i) {
+        if (keep(pool_[s.offset + i])) fresh.push_back(pool_[s.offset + i]);
+      }
       s.offset = new_off;
+      s.len = static_cast<std::uint32_t>(fresh.size()) - new_off;
       s.cap = s.len;
     }
     pool_ = std::move(fresh);

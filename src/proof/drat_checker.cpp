@@ -23,11 +23,11 @@ std::uint64_t lits_hash(std::span<const Lit> lits) {
   return h;
 }
 
-bool contains(const std::vector<GroupId>& sorted, GroupId group) {
+bool contains(std::span<const GroupId> sorted, GroupId group) {
   return std::binary_search(sorted.begin(), sorted.end(), group);
 }
 
-void append(std::vector<GroupId>& out, const std::vector<GroupId>& more) {
+void append(std::vector<GroupId>& out, std::span<const GroupId> more) {
   out.insert(out.end(), more.begin(), more.end());
 }
 
@@ -41,12 +41,18 @@ void sort_unique(std::vector<GroupId>& groups) {
 DratChecker::DratChecker(const Cnf& cnf) : record_antecedents_(true) {
   ensure_var(cnf.num_vars() - 1);
   for (std::size_t i = 0; i < cnf.num_clauses(); ++i) {
-    auto normalized = normalize_clause(cnf.clause(i));
-    if (!normalized) continue;  // tautology: can never matter
-    settle(store(std::move(*normalized), {}, /*from_proof=*/false, i));
+    clause_scratch_ = cnf.clause(i);
+    // A tautology can never matter.
+    if (normalize_clause(clause_scratch_)) settle(store({}, false, i));
   }
   num_original_clauses_ = clauses_.size();
   propagate();
+}
+
+void DratChecker::ensure_scratch_vars() {
+  // Normalized literals are sorted by code, so the last has the largest
+  // variable.
+  if (!clause_scratch_.empty()) ensure_var(clause_scratch_.back().var());
 }
 
 void DratChecker::ensure_var(Var v) {
@@ -58,50 +64,127 @@ void DratChecker::ensure_var(Var v) {
   root_groups_.resize(needed);
   seen_.resize(needed, 0);
   assumed_.resize(needed, 0);
-  watches_.resize(2 * needed);
+  watches_.resize_literals(2 * needed);
   lit_mark_.resize(2 * needed, 0);
 }
 
-std::uint32_t DratChecker::store(std::vector<Lit> normalized,
-                                 std::vector<GroupId> groups, bool from_proof,
-                                 std::size_t source) {
-  for (const Lit l : normalized) ensure_var(l.var());
+std::uint32_t DratChecker::store(std::span<const GroupId> groups,
+                                 bool from_proof, std::size_t source) {
+  ensure_scratch_vars();
   const auto id = static_cast<std::uint32_t>(clauses_.size());
-  DbClause c;
-  c.lits = std::move(normalized);
-  c.groups = std::move(groups);
+  StoredClause& c = clauses_.emplace_back();
+  c.offset = static_cast<std::uint32_t>(lit_pool_.size());
+  c.size = static_cast<std::uint32_t>(clause_scratch_.size());
+  lit_pool_.insert(lit_pool_.end(), clause_scratch_.begin(),
+                   clause_scratch_.end());
+  c.num_groups = static_cast<std::uint32_t>(groups.size());
+  if (groups.size() == 1) {
+    c.group = groups.front();
+  } else if (groups.size() > 1) {
+    c.group = static_cast<GroupId>(group_pool_.size());
+    group_pool_.insert(group_pool_.end(), groups.begin(), groups.end());
+  }
   c.from_proof = from_proof;
   c.source = source;
-  for (const GroupId g : c.groups) {
+  for (const GroupId g : groups) {
     GroupState& state = groups_[g];
     state.dependents.push_back(id);
     if (!state.active) ++c.parked;
   }
-  if (live_index_built_) live_index_[lits_hash(c.lits)].push_back(id);
+  if (record_antecedents_) {
+    if (from_proof) {
+      antecedents_.insert(antecedents_.end(), antecedent_scratch_.begin(),
+                          antecedent_scratch_.end());
+    }
+    antecedent_start_.push_back(static_cast<std::uint32_t>(antecedents_.size()));
+  }
+  if (!index_heads_.empty()) index_insert(id);
   if (c.propagating() && ++live_ > stats_.peak_live_clauses) {
     stats_.peak_live_clauses = live_;
   }
-  clauses_.push_back(std::move(c));
   return id;
 }
 
+void DratChecker::release(StoredClause& c) {
+  lit_garbage_ += c.size;
+  c.size = 0;
+  if (c.num_groups > 1) group_garbage_ += c.num_groups;
+  c.num_groups = 0;
+  c.group = no_group;
+}
+
+void DratChecker::reclaim() {
+  // Each pool is compacted once its garbage exceeds both its live size and
+  // the size of the table a compaction walks (the clause records, or the
+  // watch lists), so the walk is paid for by the garbage it frees.
+  const std::size_t live_lits = lit_pool_.size() - lit_garbage_;
+  if (lit_garbage_ > live_lits && lit_garbage_ > clauses_.size()) {
+    std::vector<Lit> pool;
+    pool.reserve(live_lits);
+    for (StoredClause& c : clauses_) {
+      const auto lits = lits_of(c);
+      c.offset = static_cast<std::uint32_t>(pool.size());
+      pool.insert(pool.end(), lits.begin(), lits.end());
+    }
+    lit_pool_ = std::move(pool);
+    lit_garbage_ = 0;
+  }
+  const std::size_t live_groups = group_pool_.size() - group_garbage_;
+  if (group_garbage_ > live_groups &&
+      group_garbage_ > clauses_.size() + root_groups_.size()) {
+    std::vector<GroupId> pool;
+    pool.reserve(live_groups);
+    for (StoredClause& c : clauses_) {
+      if (c.num_groups <= 1) continue;
+      const auto groups = groups_of(c);
+      const auto offset = static_cast<GroupId>(pool.size());
+      pool.insert(pool.end(), groups.begin(), groups.end());
+      c.group = offset;
+    }
+    for (std::size_t v = 0; v < root_groups_.size(); ++v) {
+      const auto groups = root_groups_of(v);
+      root_groups_[v].offset = static_cast<std::uint32_t>(pool.size());
+      pool.insert(pool.end(), groups.begin(), groups.end());
+    }
+    group_pool_ = std::move(pool);
+    group_garbage_ = 0;
+  }
+  // A propagating clause holds at most two current watches; everything
+  // else in the pool (stale watches, slots vacated by growth) is garbage.
+  const std::size_t live_watches = 2 * live_;
+  const std::size_t watch_garbage =
+      watches_.wasted() +
+      (watch_entries_ > live_watches ? watch_entries_ - live_watches : 0);
+  if (watch_garbage > live_watches &&
+      watch_garbage > watches_.num_literals()) {
+    watches_.compact([&](const Watch& w) {
+      const StoredClause& c = clauses_[w.id];
+      return w.epoch == c.epoch && c.propagating();
+    });
+    watch_entries_ = watches_.pool_slots();
+  }
+}
+
 void DratChecker::settle(std::uint32_t id) {
-  DbClause& c = clauses_[id];
+  StoredClause& c = clauses_[id];
+  const std::span<Lit> lits = lits_of(c);
   std::size_t found = 0;
-  for (std::size_t k = 0; k < c.lits.size() && found < 2; ++k) {
-    if (value(c.lits[k]) != Value::false_value) {
-      std::swap(c.lits[found], c.lits[k]);
+  for (std::size_t k = 0; k < lits.size() && found < 2; ++k) {
+    if (value(lits[k]) != Value::false_value) {
+      std::swap(lits[found], lits[k]);
       ++found;
     }
   }
   // Re-attaching bumps the epoch, which retires every older watcher.
   ++c.epoch;
-  if (!c.lits.empty()) watches_[(~c.lits[0]).code()].push_back({id, c.epoch});
-  if (c.lits.size() > 1) watches_[(~c.lits[1]).code()].push_back({id, c.epoch});
+  for (std::size_t k = 0; k < lits.size() && k < 2; ++k) {
+    watches_.push(static_cast<std::size_t>((~lits[k]).code()), {id, c.epoch});
+    ++watch_entries_;
+  }
   if (found == 0) {
     note_root_conflict(id);
-  } else if (found == 1 && value(c.lits[0]) == Value::unassigned) {
-    enqueue(c.lits[0], id);
+  } else if (found == 1 && value(lits[0]) == Value::unassigned) {
+    enqueue(lits[0], id);
   }
 }
 
@@ -116,13 +199,20 @@ void DratChecker::enqueue(Lit l, std::uint32_t reason) {
   }
   // A root literal rests on its reason's groups and on those of the
   // reason's other (false) literals.
-  std::vector<GroupId>& rests_on = root_groups_[v];
-  rests_on = clauses_[reason].groups;
-  for (const Lit other : clauses_[reason].lits) {
-    if (other != l) append(rests_on, root_groups_[other.var()]);
+  const StoredClause& c = clauses_[reason];
+  root_scratch_.clear();
+  append(root_scratch_, groups_of(c));
+  for (const Lit other : lits_of(c)) {
+    if (other != l) append(root_scratch_, root_groups_of(other.var()));
   }
-  sort_unique(rests_on);
-  for (const GroupId g : rests_on) {
+  sort_unique(root_scratch_);
+  GroupList& rests_on = root_groups_[v];
+  group_garbage_ += rests_on.size;
+  rests_on = {static_cast<std::uint32_t>(group_pool_.size()),
+              static_cast<std::uint32_t>(root_scratch_.size())};
+  group_pool_.insert(group_pool_.end(), root_scratch_.begin(),
+                     root_scratch_.end());
+  for (const GroupId g : root_scratch_) {
     groups_[g].root_vars.push_back(l.var());
   }
 }
@@ -130,28 +220,37 @@ void DratChecker::enqueue(Lit l, std::uint32_t reason) {
 std::uint32_t DratChecker::propagate() {
   while (propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
-    std::vector<Watch>& list = watches_[p.code()];
+    const auto code = static_cast<std::size_t>(p.code());
     const Lit false_lit = ~p;
+    // The list is walked by absolute pool index: moving a watch pushes to
+    // another literal's list, which may reallocate the pool (never this
+    // span: the new watch is not false, so it is never ~p).
+    const std::uint32_t base = watches_.offset(code);
+    const std::uint32_t end = watches_.size(code);
 
-    std::size_t i = 0;
-    std::size_t j = 0;
-    while (i < list.size()) {
-      const Watch w = list[i++];
-      DbClause& c = clauses_[w.id];
+    std::uint32_t i = 0;
+    std::uint32_t j = 0;
+    while (i < end) {
+      const Watch w = watches_.at(base + i++);
+      StoredClause& c = clauses_[w.id];
       // Stale (re-attached since) or out of propagation: drop the watcher.
-      if (w.epoch != c.epoch || !c.propagating()) continue;
-      if (c.lits.size() > 1) {
-        if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
-        assert(c.lits[1] == false_lit);
-        if (value(c.lits[0]) == Value::true_value) {
-          list[j++] = w;
+      if (w.epoch != c.epoch || !c.propagating()) {
+        --watch_entries_;
+        continue;
+      }
+      const std::span<Lit> lits = lits_of(c);
+      if (lits.size() > 1) {
+        if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
+        assert(lits[1] == false_lit);
+        if (value(lits[0]) == Value::true_value) {
+          watches_.at(base + j++) = w;
           continue;
         }
         bool moved = false;
-        for (std::size_t k = 2; k < c.lits.size(); ++k) {
-          if (value(c.lits[k]) != Value::false_value) {
-            std::swap(c.lits[1], c.lits[k]);
-            watches_[(~c.lits[1]).code()].push_back(w);
+        for (std::size_t k = 2; k < lits.size(); ++k) {
+          if (value(lits[k]) != Value::false_value) {
+            std::swap(lits[1], lits[k]);
+            watches_.push(static_cast<std::size_t>((~lits[1]).code()), w);
             moved = true;
             break;
           }
@@ -159,9 +258,9 @@ std::uint32_t DratChecker::propagate() {
         if (moved) continue;
       }
 
-      list[j++] = w;
-      if (c.lits.size() > 1 && value(c.lits[0]) == Value::unassigned) {
-        enqueue(c.lits[0], w.id);
+      watches_.at(base + j++) = w;
+      if (lits.size() > 1 && value(lits[0]) == Value::unassigned) {
+        enqueue(lits[0], w.id);
         continue;
       }
       // Every literal is false. Inside a RUP check that is the verdict; at
@@ -169,13 +268,13 @@ std::uint32_t DratChecker::propagate() {
       // root stays a fixpoint should the conflict later be undone.
       if (rup_start_ == at_root) note_root_conflict(w.id);
       if (rup_start_ != at_root || refuted_for_good_) {
-        while (i < list.size()) list[j++] = list[i++];
-        list.resize(j);
+        while (i < end) watches_.at(base + j++) = watches_.at(base + i++);
+        watches_.truncate(code, j);
         propagate_head_ = trail_.size();
         return w.id;
       }
     }
-    list.resize(j);
+    watches_.truncate(code, j);
   }
   return invalid_clause;
 }
@@ -193,26 +292,25 @@ void DratChecker::undo_rup() {
 
 void DratChecker::note_root_conflict(std::uint32_t id) {
   if (refuted_for_good_) return;
-  Derivation d = derive(id);
-  if (conflicts_.empty()) empty_antecedents_ = std::move(d.antecedents);
-  refuted_for_good_ = d.groups.empty();
-  conflicts_.push_back(RootConflict{id, std::move(d.groups)});
+  derive(id);
+  if (conflicts_.empty()) empty_antecedents_ = antecedent_scratch_;
+  refuted_for_good_ = group_scratch_.empty();
+  conflicts_.push_back(RootConflict{id, group_scratch_});
 }
 
-DratChecker::Derivation DratChecker::derive(std::uint32_t conflict,
-                                            Var start) {
-  Derivation d;
-  std::vector<Var> marked;
+void DratChecker::derive(std::uint32_t conflict, Var start) {
+  antecedent_scratch_.clear();
   group_scratch_.clear();
+  marked_.clear();
   const auto mark_clause = [&](std::uint32_t id) {
-    if (record_antecedents_) d.antecedents.push_back(id);
-    const DbClause& c = clauses_[id];
-    append(group_scratch_, c.groups);
-    for (const Lit l : c.lits) {
+    if (record_antecedents_) antecedent_scratch_.push_back(id);
+    const StoredClause& c = clauses_[id];
+    append(group_scratch_, groups_of(c));
+    for (const Lit l : lits_of(c)) {
       const auto v = static_cast<std::size_t>(l.var());
       if (!seen_[v]) {
         seen_[v] = 1;
-        marked.push_back(l.var());
+        marked_.push_back(l.var());
       }
     }
   };
@@ -222,7 +320,7 @@ DratChecker::Derivation DratChecker::derive(std::uint32_t conflict,
   } else {
     assert(start != no_var);
     seen_[static_cast<std::size_t>(start)] = 1;
-    marked.push_back(start);
+    marked_.push_back(start);
   }
 
   // Resolve through the reasons of the RUP part of the trail. The one-shot
@@ -242,26 +340,25 @@ DratChecker::Derivation DratChecker::derive(std::uint32_t conflict,
     if (reason != invalid_clause) mark_clause(reason);
   }
 
-  for (const Var v : marked) {
+  for (const Var v : marked_) {
     const auto index = static_cast<std::size_t>(v);
     seen_[index] = 0;
-    if (!assumed_[index]) append(group_scratch_, root_groups_[index]);
+    if (!assumed_[index]) append(group_scratch_, root_groups_of(index));
   }
   sort_unique(group_scratch_);
-  d.groups = group_scratch_;
-  std::sort(d.antecedents.begin(), d.antecedents.end());
-  d.antecedents.erase(std::unique(d.antecedents.begin(), d.antecedents.end()),
-                      d.antecedents.end());
-  return d;
+  std::sort(antecedent_scratch_.begin(), antecedent_scratch_.end());
+  antecedent_scratch_.erase(
+      std::unique(antecedent_scratch_.begin(), antecedent_scratch_.end()),
+      antecedent_scratch_.end());
 }
 
-bool DratChecker::check_rup(std::span<const Lit> clause,
-                            Derivation* derivation) {
+bool DratChecker::check_rup(std::span<const Lit> clause) {
   if (!conflicts_.empty()) {
     // The live database is refuted at the root: every clause follows,
     // resting on what the conflict rests on.
-    derivation->groups = conflicts_.front().groups;
-    if (record_antecedents_) derivation->antecedents = empty_antecedents_;
+    group_scratch_ = conflicts_.front().groups;
+    antecedent_scratch_.clear();
+    if (record_antecedents_) antecedent_scratch_ = empty_antecedents_;
     return true;
   }
   rup_start_ = trail_.size();
@@ -271,7 +368,7 @@ bool DratChecker::check_rup(std::span<const Lit> clause,
   for (const Lit l : clause) {
     const Value v = value(l);
     if (v == Value::true_value) {
-      *derivation = derive(invalid_clause, l.var());
+      derive(invalid_clause, l.var());
       holds = true;
       break;
     }
@@ -284,7 +381,7 @@ bool DratChecker::check_rup(std::span<const Lit> clause,
   if (!holds) {
     const std::uint32_t conflict = propagate();
     if (conflict != invalid_clause) {
-      *derivation = derive(conflict);
+      derive(conflict);
       holds = true;
     }
   }
@@ -294,13 +391,10 @@ bool DratChecker::check_rup(std::span<const Lit> clause,
 }
 
 void DratChecker::add_original(std::span<const Lit> lits, GroupId group) {
-  auto normalized =
-      normalize_clause(std::vector<Lit>(lits.begin(), lits.end()));
-  if (!normalized) return;  // tautology: can never matter
-  std::vector<GroupId> groups;
-  if (group != no_group) groups.push_back(group);
-  const std::uint32_t id = store(std::move(*normalized), std::move(groups),
-                                 /*from_proof=*/false, clauses_.size());
+  clause_scratch_.assign(lits.begin(), lits.end());
+  if (!normalize_clause(clause_scratch_)) return;  // tautology: never matters
+  const std::span<const GroupId> groups(&group, group == no_group ? 0 : 1);
+  const std::uint32_t id = store(groups, /*from_proof=*/false, clauses_.size());
   if (!clauses_[id].propagating()) return;  // parked: settled on revival
   settle(id);
   propagate();
@@ -310,22 +404,23 @@ void DratChecker::retire_group(GroupId group) {
   const auto it = groups_.find(group);
   if (it == groups_.end()) return;
   for (const std::uint32_t id : it->second.dependents) {
-    DbClause& c = clauses_[id];
+    StoredClause& c = clauses_[id];
     if (c.retired) continue;
     if (c.propagating()) --live_;
     invalidated_lemmas_ = invalidated_lemmas_ || c.from_proof;
+    const std::uint64_t hash = lits_hash(lits_of(c));
     if (!c.deleted) {
-      if (live_index_built_) index_remove(id);
-      ++retired_copies_[lits_hash(c.lits)];
+      if (!index_heads_.empty()) index_remove(id);
+      ++retired_copies_[hash];
     }
-    if (!c.from_proof) ++retired_originals_[lits_hash(c.lits)];
+    if (!c.from_proof) ++retired_originals_[hash];
     c.retired = true;
-    std::vector<Lit>().swap(c.lits);
-    std::vector<GroupId>().swap(c.groups);
+    release(c);
   }
   std::vector<std::uint32_t>().swap(it->second.dependents);
   if (it->second.active) unwind_group(group);
   groups_.erase(group);
+  reclaim();
 }
 
 void DratChecker::set_group_active(GroupId group, bool active) {
@@ -337,7 +432,7 @@ void DratChecker::set_group_active(GroupId group, bool active) {
   // original stays listed: retire_group() still counts it for replays.
   std::size_t kept = 0;
   for (const std::uint32_t id : state.dependents) {
-    DbClause& c = clauses_[id];
+    StoredClause& c = clauses_[id];
     if (c.retired || (c.deleted && c.from_proof)) continue;
     state.dependents[kept++] = id;
     if (c.deleted) continue;
@@ -352,6 +447,7 @@ void DratChecker::set_group_active(GroupId group, bool active) {
   state.dependents.resize(kept);
   if (!active) {
     unwind_group(group);
+    reclaim();
     return;
   }
   for (const std::uint32_t id : revived) settle(id);
@@ -373,7 +469,7 @@ void DratChecker::unwind_group(GroupId group) {
   for (const Var v : state.root_vars) {
     const auto index = static_cast<std::size_t>(v);
     if (assign_[index] != Value::unassigned && !seen_[index] &&
-        contains(root_groups_[index], group)) {
+        contains(root_groups_of(index), group)) {
       seen_[index] = 1;
       ++undone;
     }
@@ -395,7 +491,8 @@ void DratChecker::unwind_group(GroupId group) {
     seen_[v] = 0;
     assign_[v] = Value::unassigned;
     reason_[v] = invalid_clause;
-    root_groups_[v].clear();
+    group_garbage_ += root_groups_[v].size;
+    root_groups_[v].size = 0;
     dropped.push_back(l);
   }
   trail_.resize(j);
@@ -404,12 +501,13 @@ void DratChecker::unwind_group(GroupId group) {
   // A clause watching a dropped literal whose other watch is false may now
   // be unit (or falsified): settle it again.
   for (const Lit l : dropped) {
-    for (const Watch w : watches_[(~l).code()]) {
-      const DbClause& c = clauses_[w.id];
+    for (const Watch w : watches_.list(static_cast<std::size_t>((~l).code()))) {
+      const StoredClause& c = clauses_[w.id];
       if (w.epoch != c.epoch || !c.propagating()) continue;
-      const Lit other = c.lits.size() == 1 ? l
-                        : c.lits[0] == l   ? c.lits[1]
-                                           : c.lits[0];
+      const auto lits = lits_of(c);
+      const Lit other = lits.size() == 1 ? l
+                        : lits[0] == l   ? lits[1]
+                                         : lits[0];
       if (other == l || value(other) == Value::false_value) {
         resettle.push_back(w.id);
       }
@@ -424,25 +522,43 @@ void DratChecker::unwind_group(GroupId group) {
   propagate();
 }
 
-void DratChecker::ensure_live_index() {
-  if (live_index_built_) return;
-  live_index_built_ = true;
-  // Ascending id order keeps each bucket youngest-last, which is the
-  // order the deletion scan walks from the back.
-  for (std::uint32_t id = 0; id < clauses_.size(); ++id) {
-    const DbClause& c = clauses_[id];
-    if (!c.deleted && !c.retired) live_index_[lits_hash(c.lits)].push_back(id);
+void DratChecker::index_insert(std::uint32_t id) {
+  if (++indexed_ > index_heads_.size()) {
+    index_rebuild(2 * index_heads_.size());
+    return;
   }
+  if (index_next_.size() <= id) index_next_.resize(clauses_.size());
+  std::uint32_t& head = index_bucket(lits_hash(lits_of(clauses_[id])));
+  index_next_[id] = head;
+  head = id;
 }
 
 void DratChecker::index_remove(std::uint32_t id) {
-  const auto it = live_index_.find(lits_hash(clauses_[id].lits));
-  if (it == live_index_.end()) return;
-  std::erase(it->second, id);
-  if (it->second.empty()) live_index_.erase(it);
+  std::uint32_t* link = &index_bucket(lits_hash(lits_of(clauses_[id])));
+  while (*link != invalid_clause && *link != id) link = &index_next_[*link];
+  if (*link == invalid_clause) return;
+  *link = index_next_[id];
+  --indexed_;
 }
 
-void DratChecker::delete_copy(const std::vector<Lit>& normalized) {
+void DratChecker::index_rebuild(std::size_t buckets) {
+  index_heads_.assign(buckets, invalid_clause);
+  index_next_.resize(clauses_.size());
+  indexed_ = 0;
+  // Ascending id order keeps each bucket youngest-first, which is the
+  // order the deletion scan walks.
+  for (std::uint32_t id = 0; id < clauses_.size(); ++id) {
+    const StoredClause& c = clauses_[id];
+    if (c.deleted || c.retired) continue;
+    std::uint32_t& head = index_bucket(lits_hash(lits_of(c)));
+    index_next_[id] = head;
+    head = id;
+    ++indexed_;
+  }
+}
+
+void DratChecker::delete_copy() {
+  const std::span<const Lit> normalized = clause_scratch_;
   const std::uint64_t hash = lits_hash(normalized);
   // The solver deleting its copy of a clause whose copy here was already
   // retired with its group: that copy absorbs the deletion, which must not
@@ -453,7 +569,11 @@ void DratChecker::delete_copy(const std::vector<Lit>& normalized) {
     if (--retired->second == 0) retired_copies_.erase(retired);
     return;
   }
-  ensure_live_index();
+  if (index_heads_.empty()) {
+    std::size_t buckets = 16;
+    while (buckets < clauses_.size()) buckets *= 2;
+    index_rebuild(buckets);
+  }
   // A clause that is the recorded reason of a root-trail literal must
   // survive: dropping it would leave a literal assigned that unit
   // propagation could no longer re-derive. Skipping such deletions
@@ -461,16 +581,16 @@ void DratChecker::delete_copy(const std::vector<Lit>& normalized) {
   // database, so later checks stay sound. Deletions run at the root
   // fixpoint, so the reason table holds root reasons only.
   const auto is_root_reason = [&](std::uint32_t id) {
-    for (const Lit l : clauses_[id].lits) {
+    for (const Lit l : lits_of(clauses_[id])) {
       const auto v = static_cast<std::size_t>(l.var());
       if (assign_[v] != Value::unassigned && reason_[v] == id) return true;
     }
     return false;
   };
   for (const Lit l : normalized) lit_mark_[static_cast<std::size_t>(l.code())] = 1;
-  const auto same_lits = [&](const DbClause& c) {
-    if (c.lits.size() != normalized.size()) return false;
-    for (const Lit l : c.lits) {
+  const auto same_lits = [&](const StoredClause& c) {
+    if (c.size != normalized.size()) return false;
+    for (const Lit l : lits_of(c)) {
       if (!lit_mark_[static_cast<std::size_t>(l.code())]) return false;
     }
     return true;
@@ -479,16 +599,13 @@ void DratChecker::delete_copy(const std::vector<Lit>& normalized) {
   // Of several copies, delete the one resting on the most groups (the
   // first to become invalid anyway), youngest first among equals.
   std::uint32_t victim = invalid_clause;
-  const auto bucket = live_index_.find(hash);
-  if (bucket != live_index_.end()) {
-    for (std::size_t k = bucket->second.size(); k-- > 0;) {
-      const std::uint32_t id = bucket->second[k];
-      const DbClause& c = clauses_[id];
-      if (!same_lits(c) || is_root_reason(id)) continue;
-      if (victim == invalid_clause ||
-          c.groups.size() > clauses_[victim].groups.size()) {
-        victim = id;
-      }
+  for (std::uint32_t id = index_bucket(hash); id != invalid_clause;
+       id = index_next_[id]) {
+    const StoredClause& c = clauses_[id];
+    if (!same_lits(c) || is_root_reason(id)) continue;
+    if (victim == invalid_clause ||
+        c.num_groups > clauses_[victim].num_groups) {
+      victim = id;
     }
   }
   for (const Lit l : normalized) lit_mark_[static_cast<std::size_t>(l.code())] = 0;
@@ -497,23 +614,24 @@ void DratChecker::delete_copy(const std::vector<Lit>& normalized) {
     ++stats_.skipped_deletions;
     return;
   }
-  std::erase(bucket->second, victim);
-  if (bucket->second.empty()) live_index_.erase(bucket);
-  DbClause& c = clauses_[victim];
+  index_remove(victim);
+  StoredClause& c = clauses_[victim];
   if (c.propagating()) --live_;
   c.deleted = true;  // watchers are pruned lazily
   // A replay re-adds every original, so only lemmas release their storage.
-  if (c.from_proof) std::vector<Lit>().swap(c.lits);
+  if (c.from_proof) {
+    release(c);
+    reclaim();
+  }
 }
 
 void DratChecker::consume_step(const ProofStep& step, std::size_t index) {
   ++stats_.steps_consumed;
   // Refuted by clauses in no group: everything follows, for good.
   if (refuted_for_good_) return;
-  auto normalized = normalize_clause(step.lits);
-  if (normalized) {
-    for (const Lit l : *normalized) ensure_var(l.var());
-  }
+  clause_scratch_ = step.lits;
+  const bool normalized = normalize_clause(clause_scratch_);
+  if (normalized) ensure_scratch_vars();
 
   if (step.is_delete()) {
     ++stats_.deletions;
@@ -521,27 +639,23 @@ void DratChecker::consume_step(const ProofStep& step, std::size_t index) {
       ++stats_.skipped_deletions;
       return;
     }
-    delete_copy(*normalized);
+    delete_copy();
     return;
   }
 
   // Addition: must be RUP against the live database.
   if (!normalized) return;  // tautology: vacuously sound, never needed
   ++stats_.add_checks;
-  Derivation derivation;
-  if (!check_rup(*normalized, &derivation)) {
+  if (!check_rup(clause_scratch_)) {
     if (stats_.dropped_adds++ == 0) stats_.first_dropped_step = index;
     return;
   }
   ++stats_.checked_adds;
   // An empty addition is RUP only when the database is already refuted.
-  if (normalized->empty()) return;
+  if (clause_scratch_.empty()) return;
 
   const bool was_refuted = refuted();
-  const std::uint32_t id = store(std::move(*normalized),
-                                 std::move(derivation.groups),
-                                 /*from_proof=*/true, index);
-  clauses_[id].antecedents = std::move(derivation.antecedents);
+  const std::uint32_t id = store(group_scratch_, /*from_proof=*/true, index);
   settle(id);
   propagate();
   if (!was_refuted && refuted()) empty_producer_ = step.producer;
@@ -568,16 +682,14 @@ void DratChecker::consume(const Proof& trace) {
 bool DratChecker::answer_holds(const Proof& trace,
                                std::span<const Lit> failed_core) {
   consume(trace);
-  std::vector<Lit> negated;
-  negated.reserve(failed_core.size());
-  for (const Lit a : failed_core) negated.push_back(~a);
-  const auto clause = normalize_clause(std::move(negated));
-  if (!clause) return true;  // the core holds a and ~a: refuted alone
   const auto holds = [&] {
+    clause_scratch_.clear();
+    for (const Lit a : failed_core) clause_scratch_.push_back(~a);
+    // A core holding a and ~a is refuted alone.
+    if (!normalize_clause(clause_scratch_)) return true;
     telemetry::PhaseScope verify_scope(telemetry_, telemetry::Phase::verify);
-    for (const Lit l : *clause) ensure_var(l.var());
-    Derivation derivation;
-    return check_rup(*clause, &derivation);
+    ensure_scratch_vars();
+    return check_rup(clause_scratch_);
   };
   if (holds()) return true;
   if (!invalidated_lemmas_) return false;
@@ -602,16 +714,16 @@ void DratChecker::replay(const Proof& trace) {
   for (const auto& [group, state] : groups_) {
     fresh.groups_[group].active = state.active;
   }
-  for (const DbClause& c : clauses_) {
+  for (const StoredClause& c : clauses_) {
     if (c.from_proof || c.retired) continue;
-    fresh.add_original(c.lits, c.groups.empty() ? no_group : c.groups.front());
+    fresh.add_original(lits_of(c), c.group);
   }
   fresh.consume(trace);
   *this = std::move(fresh);
 }
 
 bool DratChecker::lemma_live(std::size_t step) const {
-  for (const DbClause& c : clauses_) {
+  for (const StoredClause& c : clauses_) {
     if (c.from_proof && c.source == step) return c.propagating();
   }
   return false;
@@ -653,7 +765,10 @@ void DratChecker::build_trim_and_core(const Proof& proof) {
   // visits every addition after all the steps that could depend on it.
   for (std::size_t id = clauses_.size(); id-- > num_original_clauses_;) {
     if (!needed[id]) continue;
-    for (const std::uint32_t a : clauses_[id].antecedents) needed[a] = 1;
+    for (std::uint32_t k = antecedent_start_[id]; k < antecedent_start_[id + 1];
+         ++k) {
+      needed[antecedents_[k]] = 1;
+    }
   }
 
   core_.clear();

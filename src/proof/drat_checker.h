@@ -60,6 +60,7 @@
 #include "cnf/cnf_formula.h"
 #include "cnf/literal.h"
 #include "core/solver_types.h"
+#include "core/watch_pool.h"
 #include "proof/proof.h"
 #include "telemetry/solver_telemetry.h"
 
@@ -171,28 +172,40 @@ class DratChecker {
  private:
   static constexpr std::uint32_t invalid_clause = 0xFFFFFFFFu;
 
-  struct DbClause {
-    std::vector<Lit> lits;  // normalized; watched literals in slots 0/1
-    // Sorted ids of every group the clause rests on.
-    std::vector<GroupId> groups;
-    // One-shot only: clause ids whose unit consequences made this
-    // addition RUP (the backward pass follows them).
-    std::vector<std::uint32_t> antecedents;
-    // Originals: index into cnf.clauses(); additions: proof step index.
-    std::size_t source = 0;
+  // One stored clause: a fixed-size record over the shared pools, so that
+  // storing a clause allocates nothing once the pools have grown. Ids are
+  // indices into clauses_ and never change; compaction remaps offsets.
+  struct StoredClause {
+    // lit_pool_[offset, offset + size): normalized, watched literals in
+    // slots 0/1. size is 0 once the storage is released (a retired clause,
+    // a deleted lemma).
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
     // Bumped on every (re)attach; watchers carrying an older epoch are
     // stale and dropped when visited.
     std::uint32_t epoch = 0;
-    std::uint32_t parked = 0;  // groups in `groups` that are parked
+    std::uint32_t parked = 0;  // groups the clause rests on that are parked
+    // The sorted ids of every group the clause rests on (see groups_of):
+    // with at most one, the common case of an original, `group` is the id
+    // itself; with more, it is their offset in group_pool_.
+    std::uint32_t num_groups = 0;
+    GroupId group = no_group;
     bool from_proof = false;
     bool deleted = false;  // by a trace deletion: out of propagation
     bool retired = false;  // rests on a retired group: invalid for good
+    // Originals: index into cnf.clauses(); additions: proof step index.
+    std::size_t source = 0;
 
     bool propagating() const { return !retired && parked == 0 && !deleted; }
   };
   struct Watch {
     std::uint32_t id;
     std::uint32_t epoch;
+  };
+  // group_pool_[offset, offset + size).
+  struct GroupList {
+    std::uint32_t offset = 0;
+    std::uint32_t size = 0;
   };
   struct GroupState {
     bool active = true;
@@ -208,16 +221,34 @@ class DratChecker {
     std::uint32_t clause;
     std::vector<GroupId> groups;
   };
-  // What one RUP success rests on.
-  struct Derivation {
-    std::vector<std::uint32_t> antecedents;  // one-shot only
-    std::vector<GroupId> groups;
-  };
+
+  std::span<Lit> lits_of(const StoredClause& c) {
+    return {lit_pool_.data() + c.offset, c.size};
+  }
+  std::span<const Lit> lits_of(const StoredClause& c) const {
+    return {lit_pool_.data() + c.offset, c.size};
+  }
+  std::span<const GroupId> groups_of(const StoredClause& c) const {
+    if (c.num_groups <= 1) return {&c.group, c.num_groups};
+    return {group_pool_.data() + c.group, c.num_groups};
+  }
+  std::span<const GroupId> root_groups_of(std::size_t v) const {
+    const GroupList& list = root_groups_[v];
+    return {group_pool_.data() + list.offset, list.size};
+  }
 
   void ensure_var(Var v);
-  // Stores a normalized clause and registers it with its groups.
-  std::uint32_t store(std::vector<Lit> normalized, std::vector<GroupId> groups,
-                      bool from_proof, std::size_t source);
+  // ensure_var for the normalized clause in clause_scratch_.
+  void ensure_scratch_vars();
+  // Stores the normalized clause in clause_scratch_, resting on `groups`
+  // (sorted), and registers it with its groups.
+  std::uint32_t store(std::span<const GroupId> groups, bool from_proof,
+                      std::size_t source);
+  // Releases a clause's literals and groups to the pools' garbage.
+  void release(StoredClause& c);
+  // Compacts each pool whose garbage outgrows both its live size and the
+  // table its compaction walks.
+  void reclaim();
   // Chooses watches under the root assignment, attaches them, and enqueues
   // or records a conflict when the clause is unit or falsified.
   void settle(std::uint32_t id);
@@ -232,55 +263,86 @@ class DratChecker {
   void undo_rup();
   void note_root_conflict(std::uint32_t id);
   // Collects what the conflict on clause `conflict` (or, when invalid, the
-  // root assignment of `start`) rests on.
-  Derivation derive(std::uint32_t conflict, Var start = no_var);
-  // Verifies one clause as RUP; fills *derivation on success.
-  bool check_rup(std::span<const Lit> clause, Derivation* derivation);
+  // root assignment of `start`) rests on: its groups into group_scratch_
+  // and, one-shot, its antecedents into antecedent_scratch_ (both sorted).
+  void derive(std::uint32_t conflict, Var start = no_var);
+  // Verifies one clause as RUP; on success the derivation is left in
+  // group_scratch_ / antecedent_scratch_.
+  bool check_rup(std::span<const Lit> clause);
   // Rebuilds from the valid originals and re-verifies all of `trace`.
   void replay(const Proof& trace);
   void consume_step(const ProofStep& step, std::size_t index);
-  void delete_copy(const std::vector<Lit>& normalized);
+  // Deletes one live copy of the clause in clause_scratch_.
+  void delete_copy();
   // Undoes the root literals and root conflicts resting on `group`, then
   // re-propagates what they unblocked.
   void unwind_group(GroupId group);
-  void ensure_live_index();
+  // The deletion lookup: chains of clause ids by literal hash, each chain
+  // youngest first.
+  std::uint32_t& index_bucket(std::uint64_t hash) {
+    return index_heads_[hash & (index_heads_.size() - 1)];
+  }
+  void index_insert(std::uint32_t id);
   void index_remove(std::uint32_t id);
+  void index_rebuild(std::size_t buckets);
   void build_trim_and_core(const Proof& proof);
 
   // Trim/core support: set by the one-shot constructor.
   bool record_antecedents_ = false;
   std::size_t num_original_clauses_ = 0;
-  std::vector<DbClause> clauses_;
+  std::vector<StoredClause> clauses_;
+  // The clause store: every stored clause's literals, and the group lists
+  // of clauses resting on more than one group and of root literals.
+  // Released storage is garbage until the pool is compacted (see reclaim).
+  std::vector<Lit> lit_pool_;
+  std::size_t lit_garbage_ = 0;
+  std::vector<GroupId> group_pool_;
+  std::size_t group_garbage_ = 0;
+  // One-shot only: clause ids whose unit consequences made each addition
+  // RUP (the backward pass follows them), clause `id` owning
+  // antecedents_[antecedent_start_[id], antecedent_start_[id + 1]).
+  std::vector<std::uint32_t> antecedents_;
+  std::vector<std::uint32_t> antecedent_start_{0};
   std::unordered_map<GroupId, GroupState> groups_;
 
   // Deletion lookup (order-independent literal hash -> live clause ids),
   // built lazily on the first deletion: deletion-free traces never pay
-  // for it. Retired clauses leave it and are counted in retired_copies_;
-  // a trace deletion uses up a retired copy before it looks for a live
-  // one. retired_originals_ counts every original ever retired, which is
-  // what a replay starts retired_copies_ from.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> live_index_;
+  // for it. index_heads_ holds each bucket's youngest id and index_next_
+  // (by clause id) the next older one in its bucket. Retired clauses
+  // leave it and are counted in retired_copies_; a trace deletion uses up
+  // a retired copy before it looks for a live one. retired_originals_
+  // counts every original ever retired, which is what a replay starts
+  // retired_copies_ from.
+  std::vector<std::uint32_t> index_heads_;
+  std::vector<std::uint32_t> index_next_;
+  std::size_t indexed_ = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> retired_copies_;
   std::unordered_map<std::uint64_t, std::uint32_t> retired_originals_;
-  bool live_index_built_ = false;
   std::vector<char> lit_mark_;  // by literal code, clause comparison scratch
 
-  std::vector<std::vector<Watch>> watches_;  // by literal code
-  std::vector<Value> assign_;                // by variable
+  FlatWatchLists<Watch> watches_;  // by literal code
+  // Entries in watches_, live or stale (reclaim's garbage estimate).
+  std::size_t watch_entries_ = 0;
+  std::vector<Value> assign_;  // by variable
   std::vector<Lit> trail_;
   std::vector<std::uint32_t> reason_;  // by variable; invalid for assumptions
   // By variable: the groups a root assignment rests on.
-  std::vector<std::vector<GroupId>> root_groups_;
+  std::vector<GroupList> root_groups_;
   std::size_t propagate_head_ = 0;
   // Trail size where the running RUP check's assumptions start; npos at
   // the root.
   static constexpr std::size_t at_root = static_cast<std::size_t>(-1);
   std::size_t rup_start_ = at_root;
   std::vector<char> seen_;  // derive scratch, by variable
+  std::vector<Var> marked_;  // derive scratch: the variables seen_ marks
   // By variable: set during a RUP check for the checked clause's literals
   // that are already false at the root.
   std::vector<char> assumed_;
+  // The clause being added, deleted or checked, normalized in place.
+  std::vector<Lit> clause_scratch_;
   std::vector<GroupId> group_scratch_;
+  std::vector<GroupId> root_scratch_;  // enqueue's
+  std::vector<std::uint32_t> antecedent_scratch_;
 
   std::vector<RootConflict> conflicts_;
   // A root conflict resting on no group: the database is refuted for good

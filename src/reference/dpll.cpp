@@ -10,8 +10,8 @@ class Dpll {
   Dpll(const Cnf& cnf, std::uint64_t max_nodes)
       : clauses_(), assign_(cnf.num_vars(), Value::unassigned), max_nodes_(max_nodes) {
     for (const auto& clause : cnf.clauses()) {
-      auto normalized = normalize_clause(clause);
-      if (normalized) clauses_.push_back(std::move(*normalized));
+      std::vector<Lit> normalized = clause;
+      if (normalize_clause(normalized)) clauses_.push_back(std::move(normalized));
     }
   }
 

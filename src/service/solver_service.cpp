@@ -325,6 +325,7 @@ bool SolverService::session_add_clause(SessionId id,
   (void)session->engine->add_clause(lits);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
+  ++stats_.session_clauses_added;
   return true;
 }
 
@@ -346,6 +347,7 @@ bool SolverService::session_add_clause_to(SessionId id, GroupId group,
   (void)session->engine->add_clause_to_group(group, lits);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
+  ++stats_.session_clauses_added;
   return true;
 }
 

@@ -106,8 +106,8 @@ struct ServiceOptions {
 //    formula, a feature combination the service cannot serve;
 //  * scheduling: slices run, preemptions, conflicts summed over every
 //    slice of every job, and the peak number of pending jobs;
-//  * incremental sessions: open_session() calls and session_solve()
-//    queries;
+//  * incremental sessions: open_session() calls, session_solve() queries
+//    and clauses added through session_add_clause / session_add_clause_to;
 //  * robustness (ServiceOptions watchdog / retries / budget): slices
 //    stopped by the watchdog, slices that threw, dead slices re-queued for
 //    retry, and admissions refused under memory pressure.
@@ -119,6 +119,7 @@ struct ServiceOptions {
   X(slices, slices) X(preemptions, preemptions) X(conflicts, conflicts)    \
   X(peak_pending, peak_pending)                                            \
   X(sessions_opened, sessions_opened) X(session_solves, session_solves)    \
+  X(session_clauses_added, session_clauses_added)                          \
   X(watchdog_fires, watchdog_fires) X(slice_deaths, slice_deaths)          \
   X(slice_retries, slice_retries) X(rejected_pressure, rejected_pressure)
 

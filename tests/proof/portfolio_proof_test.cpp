@@ -20,21 +20,37 @@ TEST(PortfolioProof, SplicedUnsatTraceVerifies) {
   options.num_threads = 4;
   options.share_clauses = true;
   options.log_proof = true;
+  // Every restart reduces; restarting every 50 conflicts makes the race
+  // reduce long before pigeonhole(6) is refuted.
+  options.configs =
+      portfolio::diversified_configs(options.num_threads, options.base_seed);
+  for (portfolio::WorkerConfig& config : options.configs) {
+    config.options.restart_interval = 50;
+  }
   portfolio::PortfolioSolver portfolio(options);
   portfolio.load(cnf);
   ASSERT_EQ(portfolio.solve(), SolveStatus::unsatisfiable);
 
   const proof::Proof trace = portfolio.spliced_proof();
   ASSERT_TRUE(trace.ends_with_empty());
-  // Per-worker deletions survive splicing (deferred, not dropped), so the
-  // checker's live database stays bounded below the trace's total adds.
-  EXPECT_GT(trace.num_deletes(), 0u);
-
   proof::DratChecker checker(cnf);
   const proof::CheckResult result = checker.check(trace);
   EXPECT_TRUE(result.valid) << result.error;
-  EXPECT_LT(result.peak_live_clauses,
-            cnf.num_clauses() + result.checked_adds);
+
+  // Per-worker deletions survive splicing (deferred, not dropped), so the
+  // checker's live database stays bounded below the trace's total adds.
+  // Each deleted clause is logged as it is dropped, so the claim holds
+  // whenever some worker deleted one; a race won before any worker's
+  // first reduction has nothing to show.
+  std::uint64_t deleted = 0;
+  for (const portfolio::WorkerReport& report : portfolio.reports()) {
+    deleted += report.stats.deleted_clauses;
+  }
+  if (deleted > 0) {
+    EXPECT_GT(trace.num_deletes(), 0u);
+    EXPECT_LT(result.peak_live_clauses,
+              cnf.num_clauses() + result.checked_adds);
+  }
 }
 
 TEST(PortfolioProof, StepsCarryProducerIds) {

@@ -190,5 +190,158 @@ TEST(ResumableChecker, EachStepIsVerifiedOncePerSession) {
   EXPECT_EQ(certifier.checker().watermark(), certifier.trace().size());
 }
 
+TEST(ResumableChecker, LemmaGroupsSurviveGroupPoolCompaction) {
+  // A lemma resting on two groups keeps their ids in the group pool. Fifty
+  // copies of a lemma resting on ten groups fill the pool ahead of it, and
+  // retiring one of those groups turns them into garbage and compacts the
+  // pool. The two-group lemma then becomes the reason of a root literal,
+  // which must still rest on both of its groups: retiring one undoes it.
+  proof::DratChecker checker;
+  for (int v = 10; v < 20; ++v) {
+    checker.add_original(lits({-v, v + 1}), /*group=*/v);
+  }
+  checker.add_original(lits({-1, 2}), kG);
+  checker.add_original(lits({-2, 3}), kH);
+  proof::Proof trace;
+  for (int copy = 0; copy < 50; ++copy) trace.add(lits({-10, 20}));
+  trace.add(lits({-1, 3}));  // rests on G and H
+  checker.consume(trace);
+  ASSERT_TRUE(checker.lemma_live(50));
+
+  checker.retire_group(10);
+  EXPECT_FALSE(checker.lemma_live(0));
+  // The root unit propagates 2 through G's clause, then 3 with the lemma
+  // as its reason (it follows G's clause in the watch list of 1).
+  checker.add_original(lits({1}));
+  EXPECT_TRUE(checker.answer_holds(trace, lits({-3})));
+
+  checker.retire_group(kH);
+  EXPECT_FALSE(checker.lemma_live(50));
+  EXPECT_FALSE(checker.answer_holds(trace, lits({-3})));
+  EXPECT_TRUE(checker.answer_holds(trace, lits({-2})));
+}
+
+// The verdict a fresh one-shot checker gives for the answer `core` over
+// `clauses`: the clause ¬core is RUP exactly when the clauses plus the
+// core's units propagate to a conflict, i.e. when the empty clause is.
+bool fresh_verdict(const std::vector<std::vector<Lit>>& clauses,
+                   const std::vector<Lit>& core) {
+  Cnf cnf;
+  for (const auto& clause : clauses) cnf.add_clause(clause);
+  for (const Lit a : core) cnf.add_unit(a);
+  proof::Proof empty;
+  empty.add({});
+  proof::DratChecker fresh(cnf);
+  return fresh.check(empty).valid;
+}
+
+TEST(ResumableChecker, LongSessionStoreMatchesAFreshCheckerAtEveryAnswer) {
+  // 1,200 groups pushed, parked, revived and retired over one live checker,
+  // with trace additions and deletions in between: the retired clauses,
+  // deleted lemmas, stale watches and undone root literals push the
+  // literal, group and watch pools past their compaction thresholds again
+  // and again. After every operation an answer must get the verdict a fresh
+  // checker gives over the live, active originals alone. The lemmas are
+  // weakenings of root clauses by a variable no original uses, added while
+  // the database is not refuted, so they never strengthen propagation and
+  // never rest on a group.
+  constexpr int kVars = 60;
+  constexpr int kGroups = 1200;
+  const auto random_lit = [](Rng& rng, int vars) {
+    return Lit(static_cast<Var>(rng.below(static_cast<std::uint64_t>(vars))),
+               rng.coin());
+  };
+  struct LiveGroup {
+    GroupId id;
+    bool active;
+    std::vector<std::vector<Lit>> clauses;
+  };
+  proof::DratChecker checker;
+  proof::Proof trace;
+  Rng rng(1515);
+  // Root clauses over variables of their own: no group's propagation ever
+  // assigns them, so a lemma weakening one rests on no group.
+  const std::vector<std::vector<Lit>> root = {
+      lits({61, 62}), lits({-63, 64}), lits({65, -66, 67}), lits({-68, 69})};
+  for (const auto& clause : root) checker.add_original(clause);
+  // A root implication chain over variables 100..199: a group's unit on it
+  // forces the rest of the chain, and every such root literal rests on the
+  // group until it is parked or retired.
+  std::vector<std::vector<Lit>> chain;
+  for (int v = 100; v < 199; ++v) {
+    chain.push_back({Lit::negative(v), Lit::positive(v + 1)});
+    checker.add_original(chain.back());
+  }
+
+  std::vector<LiveGroup> live;
+  std::vector<std::vector<Lit>> lemmas;
+  GroupId next = 0;
+  int answers = 0;
+  int held = 0;
+  while (next < kGroups) {
+    const std::uint64_t op = rng.below(10);
+    if (op < 3 || live.size() < 4) {
+      LiveGroup group{next++, true, {}};
+      const std::uint64_t n = 2 + rng.below(5);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        std::vector<Lit> clause;
+        const std::uint64_t size = rng.chance(0.04) ? 1 : 2 + rng.below(2);
+        for (std::uint64_t k = 0; k < size; ++k) {
+          clause.push_back(random_lit(rng, kVars));
+        }
+        checker.add_original(clause, group.id);
+        group.clauses.push_back(std::move(clause));
+      }
+      if (rng.chance(0.2)) {
+        group.clauses.push_back(
+            {Lit::positive(static_cast<Var>(100 + rng.below(100)))});
+        checker.add_original(group.clauses.back(), group.id);
+      }
+      live.push_back(std::move(group));
+    } else if (op < 5) {
+      LiveGroup& group = live[rng.below(live.size())];
+      group.active = !group.active;
+      checker.set_group_active(group.id, group.active);
+    } else if (op < 7 || live.size() > 24) {
+      const std::size_t victim = rng.below(live.size());
+      checker.retire_group(live[victim].id);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(victim));
+    } else if ((op < 9 || lemmas.empty()) && !checker.refuted()) {
+      std::vector<Lit> lemma = root[rng.below(root.size())];
+      lemma.push_back(Lit(static_cast<Var>(70 + rng.below(20)), rng.coin()));
+      trace.add(lemma);
+      lemmas.push_back(std::move(lemma));
+    } else if (!lemmas.empty()) {
+      const std::size_t victim = rng.below(lemmas.size());
+      trace.del(lemmas[victim]);
+      lemmas.erase(lemmas.begin() + static_cast<std::ptrdiff_t>(victim));
+    }
+    checker.consume(trace);
+
+    std::vector<std::vector<Lit>> formula = root;
+    formula.insert(formula.end(), chain.begin(), chain.end());
+    for (const LiveGroup& group : live) {
+      if (!group.active) continue;
+      formula.insert(formula.end(), group.clauses.begin(), group.clauses.end());
+    }
+    std::vector<Lit> core;
+    const std::uint64_t core_size = 1 + rng.below(3);
+    for (std::uint64_t k = 0; k < core_size; ++k) {
+      core.push_back(random_lit(rng, kVars));
+    }
+    const bool expected = fresh_verdict(formula, core);
+    ASSERT_EQ(checker.answer_holds(trace, core), expected)
+        << "answer " << answers << " after group " << next;
+    ++answers;
+    held += expected ? 1 : 0;
+  }
+  // Both verdicts are common, and none needed a replay.
+  EXPECT_GT(held, answers / 10);
+  EXPECT_LT(held, answers - answers / 10);
+  EXPECT_EQ(checker.stats().replays, 0u);
+  EXPECT_EQ(checker.stats().dropped_adds, 0u);
+  EXPECT_GT(checker.stats().deletions, 0u);
+}
+
 }  // namespace
 }  // namespace berkmin

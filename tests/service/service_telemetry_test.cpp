@@ -185,6 +185,30 @@ TEST(ServiceTelemetry, ControlRingCarriesJobAndSessionLifecycle) {
   EXPECT_EQ(snap.counters.at("service.slices"), stats.slices);
   EXPECT_EQ(snap.counters.at("service.sessions_opened"), 1u);
   EXPECT_EQ(snap.counters.at("service.session_solves"), 1u);
+  EXPECT_EQ(snap.counters.at("service.session_clauses_added"), 2u);
+}
+
+TEST(ServiceTelemetry, SessionClauseAdditionsAreCounted) {
+  SolverService service(ServiceOptions{.num_workers = 1});
+  SessionRequest request;
+  request.proof.log = true;
+  request.proof.check = true;
+  const auto sid = service.open_session(request);
+  ASSERT_TRUE(sid.has_value());
+  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
+  const std::optional<GroupId> group = service.session_push(*sid);
+  ASSERT_TRUE(group.has_value());
+  ASSERT_TRUE(service.session_add_clause(*sid, lits({-1, 3})));
+  ASSERT_TRUE(service.session_add_clause_to(*sid, *group, lits({-2, 3})));
+  // Refused additions (a group that is not live, a closed session) add
+  // nothing and count nothing.
+  EXPECT_FALSE(service.session_add_clause_to(*sid, *group + 100, lits({4})));
+  EXPECT_EQ(service.stats().session_clauses_added, 3u);
+  EXPECT_TRUE(service.close_session(*sid));
+  EXPECT_FALSE(service.session_add_clause(*sid, lits({5})));
+
+  const MetricsSnapshot snap = service.metrics_snapshot();
+  EXPECT_EQ(snap.counters.at("service.session_clauses_added"), 3u);
 }
 
 TEST(ServiceTelemetry, MetricsSnapshotWorksWithoutHub) {
@@ -201,7 +225,7 @@ TEST(ServiceTelemetry, EveryListedCounterIsInTheSnapshot) {
   service.wait(*service.submit(request_for(make_cnf({{1}}))));
   const MetricsSnapshot snap = service.metrics_snapshot();
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(std::size(kServiceCounters), 18u);
+  EXPECT_EQ(std::size(kServiceCounters), 19u);
   for (const ServiceCounter& counter : kServiceCounters) {
     const std::string name = std::string("service.") + counter.metric;
     ASSERT_TRUE(snap.counters.contains(name)) << name;
