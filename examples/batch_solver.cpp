@@ -17,6 +17,7 @@
 //
 // Exit codes: 0 = every job reached a terminal state (and --check, if
 // given, found no disagreement), 1 = manifest/usage error or a mismatch.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -454,6 +455,9 @@ int main(int argc, char** argv) {
   // per query. The sessions multiplex over the same worker pool as the
   // one-shot jobs above.
   int script_failures = 0;
+  // Session answers, which wait() hands over once: kept for the summary
+  // and the per-job metrics (wait_all() leaves them out).
+  std::vector<service::JobResult> session_results;
   std::vector<std::thread> drivers;
   drivers.reserve(scripts.size());
   for (const ManifestEntry* entry : scripts) {
@@ -540,6 +544,7 @@ int main(int argc, char** argv) {
             }
             std::cout << result_json(result, model_valid) << "\n"
                       << std::flush;
+            session_results.push_back(result);
             break;
           }
         }
@@ -560,8 +565,11 @@ int main(int argc, char** argv) {
   }
   for (std::thread& driver : drivers) driver.join();
 
-  const std::vector<service::JobResult> results = solving.wait_all();
+  std::vector<service::JobResult> results = solving.wait_all();
   solving.shutdown(service::SolverService::Shutdown::drain);
+  results.insert(results.end(), session_results.begin(),
+                 session_results.end());
+  std::ranges::sort(results, {}, &service::JobResult::id);
 
   int mismatches = script_failures;
   if (args.has_flag("check")) {

@@ -23,6 +23,7 @@
 #include "portfolio/portfolio.h"
 #include "proof/drat_checker.h"
 #include "proof/drat_file.h"
+#include "proof/live_certifier.h"
 #include "proof/proof_writer.h"
 #include "robustness_flags.h"
 #include "telemetry/telemetry.h"
@@ -206,13 +207,12 @@ std::unique_ptr<SatEngine> make_engine(const ArgParser& args,
 
 // Scripted (.icnf) mode: replay an incremental push/add/pop/solve script
 // against one persistent engine, reporting one "s" line per "a" line.
-// --check-incremental validates every SAT model against the formula
-// active at that moment and certifies every UNSAT answer with one live
-// resumable DratChecker that follows the script: it verifies each step of
-// the accumulated DRAT trace (selectors already elided by the solver)
-// once, retires popped groups, and checks the answer's failed-assumption
-// core (¬core must be RUP). Exit code follows the last answer (10/20/0);
-// 1 on any error or failed check.
+// Every operation goes through a proof::LiveCertifier, which holds the
+// DRAT trace (--drat) and, with --check-incremental, the live checker
+// that certifies every UNSAT answer's failed-assumption core (¬core must
+// be RUP over the checked trace); --check-incremental also validates
+// every SAT model against the formula active at that moment. Exit code
+// follows the last answer (10/20/0); 1 on any error or failed check.
 int run_scripted(const ArgParser& args, const std::string& path,
                  telemetry::Telemetry* hub,
                  const telemetry::SolverTelemetry* sink,
@@ -243,18 +243,16 @@ int run_scripted(const ArgParser& args, const std::string& path,
     return 1;
   }
 
-  proof::MemoryProofWriter trace_writer;
-  const std::unique_ptr<SatEngine> engine =
-      make_engine(args, options, want_proof ? &trace_writer : nullptr, hub,
-                  sink, mem_budget);
+  auto trace = want_proof ? std::make_unique<proof::MemoryProofWriter>()
+                          : nullptr;
+  const std::unique_ptr<SatEngine> engine = make_engine(
+      args, options, trace.get(), hub, sink, mem_budget);
+  proof::LiveCertifier certifier(*engine, std::move(trace), check);
+  certifier.set_telemetry(sink);
 
-  // The active formula (base + open groups) for model validation, and the
-  // open groups' handles for the checker.
+  // The active formula (base + open groups) for model validation.
   std::vector<std::vector<Lit>> active;
   std::vector<std::size_t> marks;
-  std::vector<GroupId> open_groups;
-  proof::DratChecker checker;
-  checker.set_telemetry(sink);
 
   std::size_t solves = 0;
   SolveStatus last = SolveStatus::unknown;
@@ -265,27 +263,16 @@ int run_scripted(const ArgParser& args, const std::string& path,
     switch (op.kind) {
       case icnf::Op::Kind::add_clause:
         active.push_back(op.lits);
-        if (check) {
-          checker.consume(trace_writer.proof());
-          checker.add_original(op.lits, open_groups.empty()
-                                            ? no_group
-                                            : open_groups.back());
-        }
-        (void)engine->add_clause(op.lits);
+        (void)certifier.add_clause(op.lits);
         break;
       case icnf::Op::Kind::push:
         marks.push_back(active.size());
-        open_groups.push_back(engine->push_group());
+        (void)engine->push_group();
         break;
       case icnf::Op::Kind::pop:
         active.resize(marks.back());
         marks.pop_back();
-        if (check) {
-          checker.consume(trace_writer.proof());
-          checker.retire_group(open_groups.back());
-        }
-        (void)engine->pop_group(open_groups.back());
-        open_groups.pop_back();
+        (void)certifier.pop_group();
         break;
       case icnf::Op::Kind::solve: {
         ++solves;
@@ -311,8 +298,7 @@ int run_scripted(const ArgParser& args, const std::string& path,
         }
         if (last == SolveStatus::unsatisfiable && check) {
           ++proofs_checked;
-          if (!checker.answer_holds(trace_writer.proof(),
-                                    engine->failed_assumptions())) {
+          if (!certifier.answer_certified()) {
             std::cerr << "error: query " << solves
                       << ": incremental proof failed verification (the "
                          "failed core is not RUP over the checked trace)\n";
@@ -329,7 +315,7 @@ int run_scripted(const ArgParser& args, const std::string& path,
                                          ? proof::DratFormat::binary
                                          : proof::DratFormat::text;
     std::string error;
-    if (!proof::write_drat_file(drat_path, trace_writer.proof(), format,
+    if (!proof::write_drat_file(drat_path, certifier.trace(), format,
                                 &error)) {
       std::cerr << "error: " << error << "\n";
       return 1;

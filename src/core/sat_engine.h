@@ -48,6 +48,13 @@ class SatEngine {
   virtual bool pop_group(GroupId id) = 0;
   virtual bool add_clause_to_group(GroupId id, std::span<const Lit> lits) = 0;
   virtual bool set_group_active(GroupId id, bool active) = 0;
+  // The engine is the only owner of its live groups; consumers (the
+  // service, proof::LiveCertifier, the model-checking backends) ask it
+  // instead of mirroring the list. innermost_group is the most recently
+  // pushed live group (no_group when none): where add_clause lands.
+  virtual bool group_is_live(GroupId id) const = 0;
+  virtual GroupId innermost_group() const = 0;
+  virtual int num_groups() const = 0;
 
   // ---- solving ----------------------------------------------------------
   // Budgets are per call; an unknown answer within budget is resumable.

@@ -100,17 +100,19 @@ class Solver final : public SatEngine {
   bool pop_group(GroupId id) override;
   // Convenience LIFO form: retracts the most recently pushed live group.
   void pop_group();
-  int num_groups() const { return static_cast<int>(group_selectors_.size()); }
+  int num_groups() const override {
+    return static_cast<int>(group_selectors_.size());
+  }
   // Handle of the most recently pushed live group (no_group when none).
-  GroupId innermost_group() const {
+  GroupId innermost_group() const override {
     return group_ids_.empty() ? no_group : group_ids_.back();
   }
-  // Live group handles / selector literals, push order preserved,
-  // innermost last (introspection for tests and validation; selectors are
-  // internal numbering).
-  const std::vector<GroupId>& group_ids() const { return group_ids_; }
+  // Live selector literals, push order preserved, innermost last
+  // (introspection for tests; internal numbering).
   const std::vector<Lit>& group_selectors() const { return group_selectors_; }
-  bool group_is_live(GroupId id) const { return group_index(id) >= 0; }
+  bool group_is_live(GroupId id) const override {
+    return group_index(id) >= 0;
+  }
 
   // Adds a clause into a specific live group rather than the innermost
   // one: the clause is stored as C OR s_id, exactly as if it had been

@@ -1,6 +1,5 @@
 #include "engines/backend.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace berkmin::engines {
@@ -23,39 +22,32 @@ bool SolverBackend::add_clause(std::span<const Lit> lits) {
   return true;
 }
 
-bool SolverBackend::is_live(GroupId id) const {
-  return std::ranges::find(groups_, id) != groups_.end();
-}
-
 GroupId SolverBackend::push() {
   const GroupId id = engine_.push_group();
   if (id == no_group) {
     error_ = "SolverBackend: the engine refuses clause groups";
-    return no_group;
   }
-  groups_.push_back(id);
   return id;
 }
 
 bool SolverBackend::pop(GroupId id) {
-  if (!is_live(id)) {
+  if (!engine_.pop_group(id)) {
     error_ = "SolverBackend: pop of a group that is not live";
     return false;
   }
-  std::erase(groups_, id);
-  return engine_.pop_group(id);
+  return true;
 }
 
 bool SolverBackend::pop() {
-  if (groups_.empty()) {
+  if (engine_.num_groups() == 0) {
     error_ = "SolverBackend: pop without a matching push";
     return false;
   }
-  return pop(groups_.back());
+  return pop(engine_.innermost_group());
 }
 
 bool SolverBackend::add_clause_to(GroupId id, std::span<const Lit> lits) {
-  if (!is_live(id)) {
+  if (!engine_.group_is_live(id)) {
     error_ = "SolverBackend: add_clause_to a group that is not live";
     return false;
   }
@@ -65,7 +57,7 @@ bool SolverBackend::add_clause_to(GroupId id, std::span<const Lit> lits) {
 }
 
 bool SolverBackend::set_group_active(GroupId id, bool active) {
-  if (!is_live(id) || !engine_.set_group_active(id, active)) {
+  if (!engine_.set_group_active(id, active)) {
     error_ = "SolverBackend: set_group_active on a group that is not live";
     return false;
   }

@@ -83,9 +83,9 @@ class EngineBackend {
 
 // ---- in-process engine ------------------------------------------------
 
-// Drives any SatEngine the caller owns. The backend tracks the groups it
-// opened, so pop() finds the most recent one and a stale handle is a
-// refusal rather than a root-level conflict.
+// Drives any SatEngine the caller owns. The engine owns the live groups:
+// pop() retires its innermost one, and a stale handle is a refusal rather
+// than a root-level conflict.
 class SolverBackend final : public EngineBackend {
  public:
   explicit SolverBackend(SatEngine& engine) : engine_(engine) {}
@@ -104,10 +104,7 @@ class SolverBackend final : public EngineBackend {
   std::string name() const override { return "solver"; }
 
  private:
-  bool is_live(GroupId id) const;
-
   SatEngine& engine_;
-  std::vector<GroupId> groups_;  // live handles, oldest first
 };
 
 // ---- service session --------------------------------------------------

@@ -53,12 +53,6 @@ bool PortfolioSolver::pop_group(GroupId id) {
   return true;
 }
 
-void PortfolioSolver::pop_group() {
-  assert(!live_groups_.empty());
-  if (live_groups_.empty()) return;
-  (void)pop_group(live_groups_.back());
-}
-
 bool PortfolioSolver::set_group_active(GroupId id, bool active) {
   if (!group_is_live(id)) return false;
   ops_.push_back(PendingOp{PendingOp::Kind::set_active, 0, id, active});

@@ -133,13 +133,16 @@ class PortfolioSolver final : public SatEngine {
   GroupId push_group() override;
   // Retracts the named group; false (nothing recorded) for a dead handle.
   bool pop_group(GroupId id) override;
-  // LIFO convenience: retracts the most recently pushed live group.
-  void pop_group();
   bool set_group_active(GroupId id, bool active) override;
   bool add_clause_to_group(GroupId id, std::span<const Lit> lits) override;
-  bool group_is_live(GroupId id) const;
+  bool group_is_live(GroupId id) const override;
+  GroupId innermost_group() const override {
+    return live_groups_.empty() ? no_group : live_groups_.back();
+  }
   bool supports_groups() const { return !opts_.log_proof; }
-  int num_groups() const { return static_cast<int>(live_groups_.size()); }
+  int num_groups() const override {
+    return static_cast<int>(live_groups_.size());
+  }
 
   // ---- solving ---------------------------------------------------------
   // The budget applies to every worker independently (a wall-clock budget

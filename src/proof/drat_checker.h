@@ -125,7 +125,9 @@ class DratChecker {
   // to the end of `trace`. The trace must be the same growing sequence on
   // every call. Feed it before each retire/park/revive and each original
   // added, so every step is checked against the database it was derived
-  // in.
+  // in. On the engine side, proof::LiveCertifier (proof/live_certifier.h)
+  // is the one client that follows this rule: sessions, scripted
+  // dimacs_solver runs and the incremental tests all go through it.
   void consume(const Proof& trace);
   std::size_t watermark() const { return watermark_; }
   // Certifies one UNSAT answer: consumes `trace`, then requires the clause

@@ -169,25 +169,25 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
   if (request.threads < 1) request.threads = 1;
 
   // Engines are built outside the lock; only the registration is inside.
-  auto session = std::make_shared<Session>();
+  std::string unsupported;
   if (request.proof.wanted() && request.threads > 1) {
     // Certifying per-answer incremental checks over a spliced warm-worker
     // trace needs deterministic portfolio replay, which has not landed.
     // Rather than silently dropping the proof request or certifying
     // unsoundly, accept the session but answer every solve with a
     // structured JobOutcome::unsupported carrying this reason.
-    session->unsupported =
+    unsupported =
         "proof logging on a multi-threaded session is not supported yet "
         "(spliced incremental traces need deterministic portfolio replay); "
         "reopen with threads = 1 or without proof options";
   }
-  session->engine = make_engine(
-      request.options, request.threads,
-      request.proof.wanted() && session->unsupported.empty(),
-      &session->proof_writer);
-  if (session->proof_writer != nullptr && request.proof.verify()) {
-    session->checker = std::make_unique<proof::DratChecker>();
-  }
+  std::unique_ptr<proof::MemoryProofWriter> trace;
+  std::unique_ptr<SatEngine> engine =
+      make_engine(request.options, request.threads,
+                  request.proof.wanted() && unsupported.empty(), &trace);
+  auto session = std::make_shared<Session>(std::move(engine), std::move(trace),
+                                           request.proof.verify());
+  session->unsupported = std::move(unsupported);
 
   std::lock_guard<std::mutex> lk(lock_);
   if (!accepting_) return std::nullopt;
@@ -208,15 +208,6 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
     sessions_gauge_->set(static_cast<std::int64_t>(sessions_.size()));
   }
   return session->id;
-}
-
-std::shared_ptr<SolverService::Session> SolverService::mutable_session_locked(
-    SessionId id) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end() || it->second->closed || it->second->busy) {
-    return nullptr;
-  }
-  return it->second;
 }
 
 std::unique_ptr<SatEngine> SolverService::make_engine(
@@ -244,132 +235,89 @@ std::unique_ptr<SatEngine> SolverService::make_engine(
   return solver;
 }
 
-proof::DratChecker* SolverService::synced_checker(Session& session) {
-  if (session.checker != nullptr) {
-    session.checker->consume(session.proof_writer->proof());
-  }
-  return session.checker.get();
-}
-
-std::optional<GroupId> SolverService::session_push(SessionId id) {
+std::optional<GroupId> SolverService::mutate_session(SessionId id,
+                                                    Mutation kind,
+                                                    GroupId group,
+                                                    std::span<const Lit> lits,
+                                                    bool active) {
   std::shared_ptr<Session> session;
   {
     std::lock_guard<std::mutex> lk(lock_);
-    session = mutable_session_locked(id);
-    if (session == nullptr) return std::nullopt;
+    const auto it = sessions_.find(id);
+    if (it == sessions_.end() || it->second->closed || it->second->busy) {
+      return std::nullopt;
+    }
+    session = it->second;
+    // An idle session's engine is reached by no one else, so it can be
+    // asked under the lock.
+    if (group == innermost) group = session->engine->innermost_group();
+    if (kind != Mutation::push && kind != Mutation::add &&
+        !session->engine->group_is_live(group)) {
+      return std::nullopt;
+    }
     session->busy = true;  // exclude solves while mutating outside the lock
   }
-  // no_group is a refusal (a proof-logging portfolio; service sessions
-  // never build one, but honor the contract anyway).
-  const GroupId group = session->engine->push_group();
-  if (group == no_group) {
-    std::lock_guard<std::mutex> lk(lock_);
-    session->busy = false;
-    return std::nullopt;
+  // An add's false return is root-level UNSAT: an answer, not a refusal.
+  proof::LiveCertifier& certifier = session->certifier;
+  switch (kind) {
+    case Mutation::push:
+      group = session->engine->push_group();
+      break;
+    case Mutation::pop:
+      (void)certifier.pop_group(group);
+      break;
+    case Mutation::add:
+      (void)certifier.add_clause(lits);
+      break;
+    case Mutation::add_to:
+      (void)certifier.add_clause_to_group(group, lits);
+      break;
+    case Mutation::set_active:
+      (void)certifier.set_group_active(group, active);
+      break;
   }
-  session->groups.push_back(group);
   std::lock_guard<std::mutex> lk(lock_);
   session->busy = false;
-  emit_control_locked(telemetry::EventKind::session_push, session->id,
-                      session->groups.size());
+  // A push returns no_group when the engine refuses groups (a proof-logging
+  // portfolio; service sessions never build one, but honor the contract).
+  if (kind == Mutation::push && group == no_group) return std::nullopt;
+  if (kind == Mutation::add || kind == Mutation::add_to) {
+    ++stats_.session_clauses_added;
+  } else if (kind != Mutation::set_active) {
+    emit_control_locked(kind == Mutation::push
+                            ? telemetry::EventKind::session_push
+                            : telemetry::EventKind::session_pop,
+                        session->id, session->engine->num_groups());
+  }
   return group;
 }
 
+std::optional<GroupId> SolverService::session_push(SessionId id) {
+  return mutate_session(id, Mutation::push);
+}
+
 bool SolverService::session_pop(SessionId id, GroupId group) {
-  std::shared_ptr<Session> session;
-  {
-    std::lock_guard<std::mutex> lk(lock_);
-    session = mutable_session_locked(id);
-    if (session == nullptr) return false;
-    if (std::ranges::find(session->groups, group) == session->groups.end()) {
-      return false;
-    }
-    session->busy = true;
-  }
-  if (proof::DratChecker* checker = synced_checker(*session)) {
-    checker->retire_group(group);
-  }
-  (void)session->engine->pop_group(group);
-  std::erase(session->groups, group);
-  std::lock_guard<std::mutex> lk(lock_);
-  session->busy = false;
-  emit_control_locked(telemetry::EventKind::session_pop, session->id,
-                      session->groups.size());
-  return true;
+  return mutate_session(id, Mutation::pop, group).has_value();
 }
 
 bool SolverService::session_pop(SessionId id) {
-  GroupId innermost = no_group;
-  {
-    std::lock_guard<std::mutex> lk(lock_);
-    const std::shared_ptr<Session> session = mutable_session_locked(id);
-    if (session == nullptr || session->groups.empty()) return false;
-    innermost = session->groups.back();
-  }
   return session_pop(id, innermost);
 }
 
 bool SolverService::session_add_clause(SessionId id,
                                        std::span<const Lit> lits) {
-  std::shared_ptr<Session> session;
-  {
-    std::lock_guard<std::mutex> lk(lock_);
-    session = mutable_session_locked(id);
-    if (session == nullptr) return false;
-    session->busy = true;
-  }
-  if (proof::DratChecker* checker = synced_checker(*session)) {
-    checker->add_original(
-        lits, session->groups.empty() ? no_group : session->groups.back());
-  }
-  (void)session->engine->add_clause(lits);
-  std::lock_guard<std::mutex> lk(lock_);
-  session->busy = false;
-  ++stats_.session_clauses_added;
-  return true;
+  return mutate_session(id, Mutation::add, no_group, lits).has_value();
 }
 
 bool SolverService::session_add_clause_to(SessionId id, GroupId group,
                                           std::span<const Lit> lits) {
-  std::shared_ptr<Session> session;
-  {
-    std::lock_guard<std::mutex> lk(lock_);
-    session = mutable_session_locked(id);
-    if (session == nullptr) return false;
-    if (std::ranges::find(session->groups, group) == session->groups.end()) {
-      return false;
-    }
-    session->busy = true;
-  }
-  if (proof::DratChecker* checker = synced_checker(*session)) {
-    checker->add_original(lits, group);
-  }
-  (void)session->engine->add_clause_to_group(group, lits);
-  std::lock_guard<std::mutex> lk(lock_);
-  session->busy = false;
-  ++stats_.session_clauses_added;
-  return true;
+  return mutate_session(id, Mutation::add_to, group, lits).has_value();
 }
 
 bool SolverService::session_set_group_active(SessionId id, GroupId group,
                                              bool active) {
-  std::shared_ptr<Session> session;
-  {
-    std::lock_guard<std::mutex> lk(lock_);
-    session = mutable_session_locked(id);
-    if (session == nullptr) return false;
-    if (std::ranges::find(session->groups, group) == session->groups.end()) {
-      return false;
-    }
-    session->busy = true;
-  }
-  if (proof::DratChecker* checker = synced_checker(*session)) {
-    checker->set_group_active(group, active);
-  }
-  (void)session->engine->set_group_active(group, active);
-  std::lock_guard<std::mutex> lk(lock_);
-  session->busy = false;
-  return true;
+  return mutate_session(id, Mutation::set_active, group, {}, active)
+      .has_value();
 }
 
 std::optional<JobId> SolverService::session_solve(SessionId id,
@@ -486,7 +434,9 @@ JobResult SolverService::wait(JobId id) {
   if (it == jobs_.end()) throw std::out_of_range("unknown job id");
   const std::shared_ptr<Job> job = it->second;
   done_cv_.wait(lk, [&] { return job->finished; });
-  return job->result;
+  if (job->result.session == invalid_session) return job->result;
+  jobs_.erase(id);  // a session answer is collected once
+  return std::move(job->result);
 }
 
 std::vector<JobResult> SolverService::wait_all() {
@@ -805,11 +755,10 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
   if (status == SolveStatus::unsatisfiable && proof_opts.wanted()) {
     if (session != nullptr) {
       has_proof = true;
-      if (session->checker != nullptr) {
-        session->checker->set_telemetry(sink);
-        proof_valid = session->checker->answer_holds(
-            session->proof_writer->proof(), engine.failed_assumptions());
-        session->checker->set_telemetry(nullptr);
+      if (session->certifier.checking()) {
+        session->certifier.set_telemetry(sink);
+        proof_valid = session->certifier.answer_certified();
+        session->certifier.set_telemetry(nullptr);
         proof_checked = true;
       }
     } else {

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "core/sat_engine.h"
-#include "proof/drat_checker.h"
+#include "proof/live_certifier.h"
 #include "proof/proof_writer.h"
 #include "service/job.h"
 #include "telemetry/telemetry.h"
@@ -225,12 +225,18 @@ class SolverService {
   void shutdown(Shutdown mode = Shutdown::drain);
 
   // ---- observation ------------------------------------------------------
-  // Valid for any id returned by submit()/try_submit(); unknown ids throw
+  // Valid for any id returned by submit()/try_submit(), and for a session
+  // solve's id until wait() collects it; unknown ids throw
   // std::out_of_range.
   JobState state(JobId id) const;
-  // Blocks until the job is terminal and returns its result.
+  // Blocks until the job is terminal and returns its result. A session
+  // solve's result is collected once: wait() moves it out and releases the
+  // job's record, so a long-lived session does not accumulate answers
+  // (models included). A one-shot job's record stays for state() and
+  // wait_all().
   JobResult wait(JobId id);
-  // Blocks until every submitted job is terminal; results in id order.
+  // Blocks until every submitted job is terminal; results in id order,
+  // leaving out the session solves wait() has collected.
   std::vector<JobResult> wait_all();
 
   // Invoked on a worker thread each time a job reaches a terminal state
@@ -249,18 +255,22 @@ class SolverService {
   telemetry::MetricsSnapshot metrics_snapshot() const;
 
  private:
-  // One incremental session: the persistent engine plus, when answers are
-  // certified, one live resumable DratChecker fed with every clause and
-  // group operation as it happens (see proof/drat_checker.h).
+  // One incremental session: the persistent engine, which owns the live
+  // groups, and the certifier every clause and group operation goes
+  // through. The certifier holds the session's trace (proof.log) and live
+  // checker (proof.check) and keeps them in step with the engine; without
+  // either it passes operations straight to the engine (see
+  // proof/live_certifier.h).
   struct Session {
+    Session(std::unique_ptr<SatEngine> built,
+            std::unique_ptr<proof::MemoryProofWriter> trace, bool check)
+        : engine(std::move(built)),
+          certifier(*engine, std::move(trace), check) {}
+
     SessionId id = invalid_session;
     SessionRequest request;
     std::unique_ptr<SatEngine> engine;
-    std::unique_ptr<proof::MemoryProofWriter> proof_writer;
-    std::unique_ptr<proof::DratChecker> checker;
-    // Live groups in push order (innermost last); the session validates
-    // handles here before touching the engine.
-    std::vector<GroupId> groups;
+    proof::LiveCertifier certifier;
     bool busy = false;    // a session solve is queued or running
     bool closed = false;
     // Non-empty when the session was opened with a feature combo the
@@ -328,19 +338,26 @@ class SolverService {
   // hold lock_.
   std::optional<JobId> admit_locked(JobRequest request,
                                     std::shared_ptr<Session> session = nullptr);
-  // Looks up an open, idle session for a mutation. Must hold lock_.
-  std::shared_ptr<Session> mutable_session_locked(SessionId id);
+  // The one guarded path of every session mutation. Under the lock it
+  // finds the open, idle session, checks that the group a pop, add_to or
+  // set_active names is live (innermost: the innermost live group) and
+  // marks the session busy, so no solve or other mutation reaches its
+  // engine; the mutation runs outside the lock through the session's
+  // certifier; back under the lock it is counted and the session released.
+  // Returns the group acted on (the new one for a push, no_group for an
+  // add to the innermost group), nullopt for a refusal.
+  enum class Mutation { push, pop, add, add_to, set_active };
+  static constexpr GroupId innermost = no_group - 1;
+  std::optional<GroupId> mutate_session(SessionId id, Mutation kind,
+                                        GroupId group = no_group,
+                                        std::span<const Lit> lits = {},
+                                        bool active = true);
   // Builds an engine for `threads` workers: one solver, or a portfolio
   // diversified around `options`. With `log_proof`, a solver logs into a
   // new *writer and a portfolio splices its workers' traces.
   std::unique_ptr<SatEngine> make_engine(
       const SolverOptions& options, int threads, bool log_proof,
       std::unique_ptr<proof::MemoryProofWriter>* writer) const;
-  // The session's checker, first fed the trace steps logged since its
-  // last call so each is verified against the formula it was derived
-  // from; nullptr without certification. Called before every mutation of
-  // the checked formula.
-  static proof::DratChecker* synced_checker(Session& session);
   // Slice protocol helpers: the pre-flight (finish a cancelled or
   // already-past-deadline job without spending a slice on it — returns
   // true when the job went terminal) and the slice budget (service-wide

@@ -1,7 +1,7 @@
 // Proof composition across push/pop (ISSUE 5): the solver's accumulated
 // DRAT trace — selectors elided, external numbering — certifies every
 // UNSAT answer of an incremental run, including answers after pops. One
-// live resumable DratChecker follows each script (testing::LiveCertifier):
+// live resumable DratChecker follows each script (proof::LiveCertifier):
 // it verifies every trace step once, retires popped groups together with
 // every lemma resting on them, and checks each answer's failed core.
 #include <gtest/gtest.h>
@@ -12,8 +12,8 @@
 #include "core/solver.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_ksat.h"
-#include "live_certifier.h"
 #include "proof/drat_checker.h"
+#include "proof/live_certifier.h"
 #include "proof/proof_writer.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -29,7 +29,7 @@ TEST(IncrementalProof, GroupUnsatThenPopThenUnsatAgain) {
   // second group. Both answers must certify against their own formula,
   // the second despite the trace containing lemmas of the popped group.
   Solver solver;
-  testing::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver);
   const Cnf base = gen::random_ksat(12, 30, 3, 17);
   certifier.load(base);
 
@@ -114,7 +114,7 @@ TEST_P(IncrementalProofFuzz, EveryUnsatAnswerCertifies) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   Rng rng(seed * 77 + 5);
   Solver solver;
-  testing::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver);
 
   const int num_vars = 9 + static_cast<int>(seed % 4);
   for (int op = 0; op < 26; ++op) {

@@ -6,8 +6,8 @@
 
 #include "core/solver.h"
 #include "gen/random_ksat.h"
-#include "incremental/live_certifier.h"
 #include "proof/drat_checker.h"
+#include "proof/live_certifier.h"
 #include "test_util.h"
 #include "util/rng.h"
 
@@ -152,7 +152,7 @@ TEST(ResumableChecker, EachStepIsVerifiedOncePerSession) {
   // queries. The checker must read every trace step exactly once, RUP-check
   // each addition at most once, and never fall back to a replay.
   Solver solver;
-  testing::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver);
   certifier.load(gen::random_ksat(40, 150, 3, 11));
   Rng rng(2024);
   int unsat_answers = 0;

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -129,6 +131,86 @@ TEST(ServiceSession, ProofPerAnswerIncludingAfterPop) {
   EXPECT_TRUE(result.proof_valid);
   EXPECT_TRUE(result.proof.empty());
   EXPECT_FALSE(result.failed_assumptions.empty());
+}
+
+TEST(ServiceSession, NamedHandlesOnCheckedSession) {
+  // On a proof-checked session, every named-handle mutation refuses a
+  // popped or never-pushed handle and counts nothing; parking and reviving
+  // a live group keeps each answer certified.
+  SolverService service({.num_workers = 1});
+  SessionRequest request;
+  request.proof.log = true;
+  request.proof.check = true;
+  const auto sid = service.open_session(request);
+  ASSERT_TRUE(sid.has_value());
+
+  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
+  const std::optional<GroupId> popped = service.session_push(*sid);
+  ASSERT_TRUE(popped.has_value());
+  ASSERT_TRUE(service.session_add_clause(*sid, lits({3})));
+  ASSERT_TRUE(service.session_pop(*sid, *popped));
+  const std::optional<GroupId> group = service.session_push(*sid);
+  ASSERT_TRUE(group.has_value());
+  ASSERT_TRUE(service.session_add_clause_to(*sid, *group, lits({-1})));
+  ASSERT_TRUE(service.session_add_clause_to(*sid, *group, lits({-2})));
+
+  const std::uint64_t added = service.stats().session_clauses_added;
+  const GroupId never_pushed = *group + 1;
+  for (const GroupId dead : {*popped, never_pushed}) {
+    EXPECT_FALSE(service.session_pop(*sid, dead)) << "group " << dead;
+    EXPECT_FALSE(service.session_add_clause_to(*sid, dead, lits({4})))
+        << "group " << dead;
+    EXPECT_FALSE(service.session_set_group_active(*sid, dead, false))
+        << "group " << dead;
+  }
+  EXPECT_EQ(service.stats().session_clauses_added, added);
+
+  // Parked, the group no longer refutes the formula; the assumptions do.
+  ASSERT_TRUE(service.session_set_group_active(*sid, *group, false));
+  auto job = service.session_solve(*sid);
+  ASSERT_TRUE(job.has_value());
+  JobResult result = service.wait(*job);
+  ASSERT_EQ(result.status, SolveStatus::satisfiable);
+  job = service.session_solve(*sid, lits({-1, -2}));
+  ASSERT_TRUE(job.has_value());
+  result = service.wait(*job);
+  ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
+  EXPECT_TRUE(result.proof_checked && result.proof_valid);
+
+  // Revived, it refutes the formula on its own again.
+  ASSERT_TRUE(service.session_set_group_active(*sid, *group, true));
+  job = service.session_solve(*sid);
+  ASSERT_TRUE(job.has_value());
+  result = service.wait(*job);
+  ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
+  EXPECT_TRUE(result.failed_assumptions.empty());
+  EXPECT_TRUE(result.proof_checked && result.proof_valid);
+  EXPECT_TRUE(service.close_session(*sid));
+}
+
+TEST(ServiceSession, WaitReleasesSessionAnswer) {
+  // wait() hands a session answer over once and drops the job's record; a
+  // one-shot job's record stays for state() and wait_all().
+  SolverService service({.num_workers = 1});
+  JobRequest oneshot;
+  oneshot.cnf = make_cnf({{1, 2}});
+  const std::optional<JobId> kept = service.submit(std::move(oneshot));
+  ASSERT_TRUE(kept.has_value());
+  const auto sid = service.open_session({});
+  ASSERT_TRUE(sid.has_value());
+  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
+  const auto job = service.session_solve(*sid);
+  ASSERT_TRUE(job.has_value());
+
+  const JobResult result = service.wait(*job);
+  EXPECT_EQ(result.status, SolveStatus::satisfiable);
+  EXPECT_FALSE(result.model.empty());
+  EXPECT_THROW((void)service.state(*job), std::out_of_range);
+  const std::vector<JobResult> all = service.wait_all();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].id, *kept);
+  EXPECT_EQ(service.state(*kept), JobState::done);
+  EXPECT_TRUE(service.close_session(*sid));
 }
 
 TEST(ServiceSession, PortfolioSessionProofIsStructurallyUnsupported) {
