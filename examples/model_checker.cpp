@@ -132,7 +132,8 @@ int main(int argc, char** argv) {
   args.add_option("engine", "both", "bmc | ic3 | both");
   args.add_option("bound", "10", "BMC bound / generator cycle window");
   args.add_option("max-frames", "64", "IC3 frontier limit");
-  args.add_flag("certify", "independently certify safe verdicts");
+  args.add_flag("certify",
+                "re-prove safe verdicts on a fresh DRAT-checked solver");
   args.add_flag("service", "run via a SolverService incremental session");
   args.add_option("threads", "1",
                   "solver threads: a racing portfolio when > 1, in process "
@@ -201,14 +202,13 @@ int main(int argc, char** argv) {
     WallTimer timer;
     EngineResult result;
     if (name == "bmc") {
-      result = BmcEngine(*ts, *backend,
-                         {.bound = bound, .certify = certify}).run();
+      result = BmcEngine(*ts, *backend, {.bound = bound}).run();
     } else {
       Ic3Options options;
       options.max_frames = static_cast<int>(args.get_int("max-frames"));
-      options.certify = certify;
       result = Ic3Engine(*ts, *backend, options).run();
     }
+    if (certify) (void)engines::certify(*ts, result);
     const double seconds = timer.seconds();
     if (json) {
       print_json(name, result, seconds);

@@ -6,10 +6,14 @@ namespace berkmin::engines {
 
 // ---- SolverBackend ----------------------------------------------------
 
+SolverBackend::SolverBackend(SatEngine& engine)
+    : owned_(std::make_unique<proof::LiveCertifier>(engine, nullptr, false)),
+      certifier_(*owned_) {}
+
 Var SolverBackend::new_vars(int n) {
   Var first = no_var;
   for (int i = 0; i < n; ++i) {
-    const Var v = engine_.new_var();
+    const Var v = engine().new_var();
     if (i == 0) first = v;
   }
   return first;
@@ -18,12 +22,12 @@ Var SolverBackend::new_vars(int n) {
 bool SolverBackend::add_clause(std::span<const Lit> lits) {
   // A false return means root-level UNSAT, which for an engine is an
   // answer, not a refusal; solve() will report it.
-  (void)engine_.add_clause(lits);
+  (void)certifier_.add_clause(lits);
   return true;
 }
 
 GroupId SolverBackend::push() {
-  const GroupId id = engine_.push_group();
+  const GroupId id = engine().push_group();
   if (id == no_group) {
     error_ = "SolverBackend: the engine refuses clause groups";
   }
@@ -31,7 +35,7 @@ GroupId SolverBackend::push() {
 }
 
 bool SolverBackend::pop(GroupId id) {
-  if (!engine_.pop_group(id)) {
+  if (!certifier_.pop_group(id)) {
     error_ = "SolverBackend: pop of a group that is not live";
     return false;
   }
@@ -39,25 +43,25 @@ bool SolverBackend::pop(GroupId id) {
 }
 
 bool SolverBackend::pop() {
-  if (engine_.num_groups() == 0) {
+  if (engine().num_groups() == 0) {
     error_ = "SolverBackend: pop without a matching push";
     return false;
   }
-  return pop(engine_.innermost_group());
+  return pop(engine().innermost_group());
 }
 
 bool SolverBackend::add_clause_to(GroupId id, std::span<const Lit> lits) {
-  if (!engine_.group_is_live(id)) {
+  if (!engine().group_is_live(id)) {
     error_ = "SolverBackend: add_clause_to a group that is not live";
     return false;
   }
   // As in add_clause, a false return is root-level UNSAT: an answer.
-  (void)engine_.add_clause_to_group(id, lits);
+  (void)certifier_.add_clause_to_group(id, lits);
   return true;
 }
 
 bool SolverBackend::set_group_active(GroupId id, bool active) {
-  if (!engine_.set_group_active(id, active)) {
+  if (!certifier_.set_group_active(id, active)) {
     error_ = "SolverBackend: set_group_active on a group that is not live";
     return false;
   }
@@ -67,7 +71,8 @@ bool SolverBackend::set_group_active(GroupId id, bool active) {
 SolveStatus SolverBackend::solve(std::span<const Lit> assumptions,
                                  const Budget& budget) {
   error_.clear();
-  const SolveStatus status = engine_.solve_with_assumptions(assumptions, budget);
+  const SolveStatus status =
+      engine().solve_with_assumptions(assumptions, budget);
   if (status == SolveStatus::unknown) {
     error_ = "SolverBackend: the engine stopped without an answer";
   }
@@ -75,11 +80,15 @@ SolveStatus SolverBackend::solve(std::span<const Lit> assumptions,
 }
 
 bool SolverBackend::model_value(Lit l) const {
-  return value_of_literal(engine_.model()[l.var()], l) == Value::true_value;
+  return value_of_literal(engine().model()[l.var()], l) == Value::true_value;
 }
 
 const std::vector<Lit>& SolverBackend::failed_assumptions() const {
-  return engine_.failed_assumptions();
+  return engine().failed_assumptions();
+}
+
+bool SolverBackend::answer_certified() {
+  return certifier_.checking() && certifier_.answer_certified();
 }
 
 // ---- SessionBackend ---------------------------------------------------

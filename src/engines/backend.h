@@ -10,10 +10,11 @@
 //   * a SolverService incremental session (SessionBackend): every solve is
 //     a sliced, preemptible service job, and threads > 1 escalates the
 //     session to a warm portfolio — the engines become a real multi-tenant
-//     workload for the service;
-//   * a plain Cnf (CnfBackend): records the clauses an engine emitted so
-//     certification can re-solve the exact query with an independent
-//     solver and a DRAT writer attached.
+//     workload for the service.
+//
+// SolverBackend sends every clause and group operation through a
+// proof::LiveCertifier; over a checking one (engines::certify), each
+// UNSAT answer can be confirmed with answer_certified().
 //
 // Engines treat a backend failure (closed session, refused operation,
 // service shutdown) as a structured `unknown` verdict carrying
@@ -21,15 +22,16 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
-#include "cnf/cnf_formula.h"
 #include "cnf/literal.h"
 #include "core/sat_engine.h"
 #include "engines/transition_system.h"
+#include "proof/live_certifier.h"
 #include "service/solver_service.h"
 
 namespace berkmin::engines {
@@ -83,12 +85,15 @@ class EngineBackend {
 
 // ---- in-process engine ------------------------------------------------
 
-// Drives any SatEngine the caller owns. The engine owns the live groups:
-// pop() retires its innermost one, and a stale handle is a refusal rather
-// than a root-level conflict.
+// Drives any SatEngine the caller owns, through one LiveCertifier: a
+// pass-through one of its own, or the caller's (checking) one. The engine
+// owns the live groups: pop() retires its innermost one, and a stale
+// handle is a refusal rather than a root-level conflict.
 class SolverBackend final : public EngineBackend {
  public:
-  explicit SolverBackend(SatEngine& engine) : engine_(engine) {}
+  explicit SolverBackend(SatEngine& engine);
+  explicit SolverBackend(proof::LiveCertifier& certifier)
+      : certifier_(certifier) {}
 
   Var new_vars(int n) override;
   bool add_clause(std::span<const Lit> lits) override;
@@ -103,8 +108,15 @@ class SolverBackend final : public EngineBackend {
   const std::vector<Lit>& failed_assumptions() const override;
   std::string name() const override { return "solver"; }
 
+  // Whether the certifier's checker confirms the last UNSAT answer; false
+  // without a checking certifier.
+  bool answer_certified();
+
  private:
-  SatEngine& engine_;
+  SatEngine& engine() const { return certifier_.engine(); }
+
+  std::unique_ptr<proof::LiveCertifier> owned_;  // the pass-through one
+  proof::LiveCertifier& certifier_;
 };
 
 // ---- service session --------------------------------------------------
@@ -143,56 +155,6 @@ class SessionBackend final : public EngineBackend {
   int threads_ = 1;
   Var next_var_ = 0;
   service::JobResult result_;
-  std::vector<Lit> failed_;
-};
-
-// ---- clause capture ---------------------------------------------------
-
-// Records the engine's clause stream into a Cnf (groups flatten away;
-// pops are refused — capture is for monolithic re-solves). solve() is a
-// structured failure.
-class CnfBackend final : public EngineBackend {
- public:
-  explicit CnfBackend(Cnf& cnf) : cnf_(cnf) {}
-
-  Var new_vars(int n) override { return cnf_.add_vars(n); }
-  bool add_clause(std::span<const Lit> lits) override {
-    cnf_.add_clause(lits);
-    return true;
-  }
-  GroupId push() override { return next_group_++; }
-  bool pop(GroupId) override {
-    error_ = "CnfBackend: pop is not supported";
-    return false;
-  }
-  bool pop() override {
-    error_ = "CnfBackend: pop is not supported";
-    return false;
-  }
-  bool add_clause_to(GroupId, std::span<const Lit> lits) override {
-    // Groups flatten away in a monolithic capture.
-    return add_clause(lits);
-  }
-  bool set_group_active(GroupId, bool active) override {
-    // Capture is monolithic: every recorded clause stays part of the
-    // formula, so parking a group cannot be represented faithfully.
-    if (active) return true;
-    error_ = "CnfBackend: deactivating a group is not supported";
-    return false;
-  }
-  SolveStatus solve(std::span<const Lit>, const Budget&) override {
-    error_ = "CnfBackend: solving is not supported";
-    return SolveStatus::unknown;
-  }
-  bool model_value(Lit) const override { return false; }
-  const std::vector<Lit>& failed_assumptions() const override {
-    return failed_;
-  }
-  std::string name() const override { return "cnf"; }
-
- private:
-  Cnf& cnf_;
-  GroupId next_group_ = 0;  // synthetic handles; capture never pops
   std::vector<Lit> failed_;
 };
 

@@ -2,21 +2,7 @@
 
 #include <utility>
 
-#include "core/solver.h"
-#include "proof/drat_checker.h"
-#include "proof/proof_writer.h"
-
 namespace berkmin::engines {
-
-const char* to_string(Verdict verdict) {
-  switch (verdict) {
-    case Verdict::unknown: return "unknown";
-    case Verdict::unsafe: return "unsafe";
-    case Verdict::safe_bounded: return "safe_bounded";
-    case Verdict::safe_invariant: return "safe_invariant";
-  }
-  return "?";
-}
 
 BmcEngine::BmcEngine(const TransitionSystem& ts, EngineBackend& backend,
                      BmcOptions options)
@@ -70,10 +56,6 @@ EngineResult BmcEngine::run() {
 
   result.verdict = Verdict::safe_bounded;
   result.bound = opts_.bound;
-  if (opts_.certify) {
-    result.certified = certify_safe(opts_.bound, &result.error);
-    if (!result.certified) result.verdict = Verdict::unknown;
-  }
   result.stats = stats_;
   return result;
 }
@@ -100,41 +82,6 @@ bool BmcEngine::retire_frame(int t) {
   if (!backend_.pop(group)) return false;
   ++stats_.pops;
   group = no_group;  // the frame's bookkeeping survives; its clauses don't
-  return true;
-}
-
-bool BmcEngine::certify_safe(int bound, std::string* error) const {
-  // Monolithic, independent statement of the same query: frames 0..bound
-  // plus one clause "bad fires at some cycle". UNSAT of this formula is
-  // exactly "safe within bound", and its refutation is a root refutation
-  // (no assumptions), so the DRAT trace ends with the empty clause.
-  Cnf cnf;
-  CnfBackend capture(cnf);
-  FrameStack frames(ts_, capture);
-  std::vector<Lit> any_bad;
-  for (int t = 0; t <= bound; ++t) {
-    any_bad.push_back(frames.extend().bad);
-  }
-  cnf.add_clause(any_bad);
-
-  proof::MemoryProofWriter writer;
-  Solver solver(SolverOptions::chaff_like());
-  solver.set_proof(&writer);
-  solver.load(cnf);
-  const SolveStatus status = solver.solve();
-  if (status != SolveStatus::unsatisfiable) {
-    if (error != nullptr) {
-      *error = "bmc certify: independent monolithic solve answered " +
-               std::string(to_string(status));
-    }
-    return false;
-  }
-  proof::DratChecker checker(cnf);
-  const proof::CheckResult check = checker.check(writer.proof());
-  if (!check.valid) {
-    if (error != nullptr) *error = "bmc certify: DRAT check failed: " + check.error;
-    return false;
-  }
   return true;
 }
 

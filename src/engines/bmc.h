@@ -7,14 +7,12 @@
 // refuting bounds 0..t; this is exactly the incremental re-solve pattern
 // BENCH_PR5 measured, now driven by a real consumer.
 //
-// Verdicts are certifiable:
+// Verdicts are checkable:
 //   * SAT: the model's primary inputs per cycle are extracted and replayed
 //     through plain circuit simulation; the verdict is only `unsafe` when
 //     the replay reproduces bad (cex_validated).
-//   * UNSAT at every bound: with certify on, the exact bounded query is
-//     re-solved monolithically by an independent fresh Solver with a DRAT
-//     writer attached, and the trace is verified by the in-tree
-//     DratChecker (certified).
+//   * UNSAT at every bound: safe_bounded, which certify() (engine.h)
+//     re-proves as one monolithic query on a fresh, DRAT-checked solver.
 #pragma once
 
 #include "engines/backend.h"
@@ -29,8 +27,6 @@ struct BmcOptions {
   // Wrap each frame in a backend clause group (push per frame). The final
   // state leaves depth()+1 nested groups, which pop_to() can retire.
   bool frame_groups = true;
-  // Independently certify a safe_bounded verdict (see header comment).
-  bool certify = false;
   // Per-query budget (unlimited by default). A blown budget yields
   // Verdict::unknown at that bound.
   Budget query_budget = Budget::unlimited();
@@ -65,10 +61,6 @@ class BmcEngine {
   int depth() const { return static_cast<int>(frames_.depth()); }
 
  private:
-  // Builds the monolithic CNF of "bad reachable within `bound` cycles"
-  // and certifies UNSAT with a fresh proof-logged solver + DratChecker.
-  bool certify_safe(int bound, std::string* error) const;
-
   const TransitionSystem& ts_;
   EngineBackend& backend_;
   BmcOptions opts_;

@@ -49,11 +49,9 @@ struct EngineResult {
   // reproduced bad. An unsafe verdict with cex_validated false is an
   // engine bug surfaced in `error`, never silently reported as unsafe.
   bool cex_validated = false;
-  // Safe verdicts with certification requested: the independent check
-  // passed (BMC: monolithic re-solve with a DRAT trace verified by the
-  // in-tree checker; IC3: the inductive invariant re-checked by a fresh
-  // solver). False with certify off, or on certification failure (see
-  // `error`).
+  // Set by certify(): the safe verdict was re-proved on a fresh solver and
+  // every UNSAT answer that proof rests on was DRAT-checked. False until
+  // certify() runs, or on certification failure (see `error`).
   bool certified = false;
   std::string error;
   EngineStats stats;
@@ -62,5 +60,21 @@ struct EngineResult {
   // all-zero initial state and the property, these certify safety.
   std::vector<std::vector<Lit>> invariant;
 };
+
+class TransitionSystem;
+
+// Re-proves a safe verdict independently of the engine and its backend,
+// on a fresh chaff_like Solver whose UNSAT answers a live DratChecker
+// (proof::LiveCertifier) must confirm:
+//   * safe_bounded: "bad fires within `bound` cycles" (the unrolled frames
+//     plus one any-bad clause) is unsatisfiable;
+//   * safe_invariant: the all-zero initial state satisfies every
+//     `invariant` clause (by evaluation), and the invariant over one
+//     transition frame excludes bad and implies each of its clauses in
+//     the next state.
+// Sets `certified` and returns it. On failure the verdict becomes
+// `unknown` and `error` says why; unsafe and unknown results are left
+// untouched (false).
+bool certify(const TransitionSystem& ts, EngineResult& result);
 
 }  // namespace berkmin::engines

@@ -5,8 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/solver.h"
-
 namespace berkmin::engines {
 
 Ic3Engine::Ic3Engine(const TransitionSystem& ts, EngineBackend& backend,
@@ -259,10 +257,6 @@ EngineResult Ic3Engine::run() {
     // No state: bad never firing from init means it never fires at all.
     result.verdict = Verdict::safe_invariant;
     result.bound = 0;
-    if (opts_.certify) {
-      result.certified = certify_invariant({}, &result.error);
-      if (!result.certified) result.verdict = Verdict::unknown;
-    }
     result.stats = stats_;
     return result;
   }
@@ -337,26 +331,21 @@ EngineResult Ic3Engine::run() {
       }
     }
 
-    open_frame();
+    if (!open_frame()) {
+      return fail("ic3: opening a frame group: " + backend_.last_error());
+    }
     const int closed = propagate();
     if (closed >= 0) {
-      std::vector<Cube> invariant;
-      for (std::size_t j = static_cast<std::size_t>(closed) + 1;
-           j < frames_.size(); ++j) {
-        invariant.insert(invariant.end(), frames_[j].begin(), frames_[j].end());
-      }
       result.verdict = Verdict::safe_invariant;
       result.bound = closed;
-      result.invariant.reserve(invariant.size());
-      for (const Cube& cube : invariant) {
-        std::vector<Lit> clause;
-        clause.reserve(cube.size());
-        for (const Lit l : cube) clause.push_back(~l);
-        result.invariant.push_back(std::move(clause));
-      }
-      if (opts_.certify) {
-        result.certified = certify_invariant(invariant, &result.error);
-        if (!result.certified) result.verdict = Verdict::unknown;
+      for (std::size_t j = static_cast<std::size_t>(closed) + 1;
+           j < frames_.size(); ++j) {
+        for (const Cube& cube : frames_[j]) {
+          std::vector<Lit> clause;
+          clause.reserve(cube.size());
+          for (const Lit l : cube) clause.push_back(~l);
+          result.invariant.push_back(std::move(clause));
+        }
       }
       result.stats = stats_;
       return result;
@@ -364,58 +353,6 @@ EngineResult Ic3Engine::run() {
   }
   return fail("ic3: frontier passed max_frames = " +
               std::to_string(opts_.max_frames));
-}
-
-bool Ic3Engine::certify_invariant(const std::vector<Cube>& invariant,
-                                  std::string* error) const {
-  const auto set_error = [error](std::string what) {
-    if (error != nullptr) *error = std::move(what);
-    return false;
-  };
-
-  // Initiation, by direct evaluation: the all-zero initial state must
-  // satisfy every invariant clause, i.e. every cube must carry at least
-  // one positive literal.
-  for (const Cube& cube : invariant) {
-    if (is_init(cube)) {
-      return set_error("ic3 certify: an invariant clause excludes init");
-    }
-  }
-
-  // Consecution and the property, with an independent fresh solver: load
-  // one transition frame, constrain the state side by the invariant, and
-  // require UNSAT for (a) each cube reappearing in the next state and
-  // (b) bad firing.
-  Solver solver(SolverOptions::chaff_like());
-  SolverBackend fresh(solver);
-  const FrameVars fv = instantiate_frame(fresh, ts_.frame());
-  const auto lift = [&fv](Lit cube_lit, const std::vector<Lit>& side) {
-    const Lit base = side[static_cast<std::size_t>(cube_lit.var())];
-    return cube_lit.is_negative() ? ~base : base;
-  };
-  for (const Cube& cube : invariant) {
-    std::vector<Lit> clause;
-    clause.reserve(cube.size());
-    for (const Lit l : cube) clause.push_back(~lift(l, fv.state));
-    fresh.add_clause(clause);
-  }
-  {
-    const Lit assumptions[] = {fv.bad};
-    if (fresh.solve(assumptions, Budget::unlimited()) !=
-        SolveStatus::unsatisfiable) {
-      return set_error("ic3 certify: invariant does not exclude bad");
-    }
-  }
-  for (const Cube& cube : invariant) {
-    std::vector<Lit> assumptions;
-    assumptions.reserve(cube.size());
-    for (const Lit l : cube) assumptions.push_back(lift(l, fv.next));
-    if (fresh.solve(assumptions, Budget::unlimited()) !=
-        SolveStatus::unsatisfiable) {
-      return set_error("ic3 certify: invariant clause is not inductive");
-    }
-  }
-  return true;
 }
 
 }  // namespace berkmin::engines

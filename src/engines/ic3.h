@@ -16,15 +16,16 @@
 // into the next push, so a full run's hundreds of scratch cycles cause
 // zero net group and variable growth (see README "Model checking").
 //
-// Verdicts are certifiable:
+// Verdicts are checkable:
 //   * unsafe: obligations carry full-state cubes plus the concrete input
 //     vector stepping each to its successor, so the counterexample trace
 //     replays deterministically through circuit simulation
 //     (cex_validated).
-//   * safe_invariant: with certify on, the extracted inductive invariant
-//     is re-checked by an independent fresh Solver — initiation by
-//     direct evaluation, consecution clause-by-clause and the property
-//     by assumption queries that must all come back UNSAT (certified).
+//   * safe_invariant: the result carries the extracted inductive
+//     invariant, which certify() (engine.h) re-checks on a fresh,
+//     DRAT-checked solver — initiation by direct evaluation, the property
+//     and consecution clause-by-clause by queries that must all come back
+//     certified UNSAT.
 #pragma once
 
 #include <vector>
@@ -41,8 +42,6 @@ struct Ic3Options {
   // Bound on literal-drop re-queries per blocked cube; 0 keeps only the
   // UNSAT-core shrink.
   int max_generalize_queries = 32;
-  // Independently re-check a safe_invariant verdict (see header comment).
-  bool certify = false;
   // Per-query budget. A blown budget on a blocking query yields
   // Verdict::unknown; on a propagation query the cube just stays put.
   Budget query_budget = Budget::unlimited();
@@ -93,8 +92,6 @@ class Ic3Engine {
   // emptied (invariant found), or -1.
   int propagate();
   EngineResult make_counterexample(int obligation_index);
-  bool certify_invariant(const std::vector<Cube>& invariant,
-                         std::string* error) const;
 
   const TransitionSystem& ts_;
   EngineBackend& backend_;

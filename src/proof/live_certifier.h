@@ -4,10 +4,11 @@
 // operation (so each step is checked against the formula it was derived
 // from) and each clause enters it tagged with the group it lands in.
 // LiveCertifier is the only code that applies this rule: service
-// sessions, dimacs_solver's scripted mode and the incremental tests send
-// every clause and group operation through it. It owns the engine's trace
-// and, when answers are checked, the checker; without a checker the
-// operations go straight to the engine. The engine owns its live groups.
+// sessions, the engines' SolverBackend, dimacs_solver's scripted mode and
+// the incremental tests send every clause and group operation through it.
+// It owns the engine's trace and, when answers are checked, the checker;
+// without a checker the operations go straight to the engine. The engine
+// owns its live groups.
 //
 //   Solver solver;
 //   proof::LiveCertifier certifier(solver);  // logs and checks
@@ -85,6 +86,9 @@ class LiveCertifier {
     return engine_.set_group_active(group, active);
   }
 
+  // The engine it follows: solve it, read its answers and push its groups
+  // directly.
+  SatEngine& engine() const { return engine_; }
   bool checking() const { return checker_ != nullptr; }
   // Whether the checker certifies `core` as an unsatisfiable assumption
   // set: ¬core is RUP over its live database (for an empty core, the

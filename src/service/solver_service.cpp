@@ -14,6 +14,16 @@
 
 namespace berkmin::service {
 
+namespace {
+
+// Scheduler shaping: one unit of JobLimits::priority is worth this many
+// consumed slices, and every dispatch a waiting job ages by kAgingRate
+// slices — so low-priority or long jobs cannot be starved forever.
+constexpr double kPriorityWeight = 4.0;
+constexpr double kAgingRate = 0.125;
+
+}  // namespace
+
 const char* to_string(JobState state) {
   switch (state) {
     case JobState::queued:
@@ -470,9 +480,9 @@ double SolverService::schedule_key_locked(const Job& job) const {
   // explicit priority, and aging credit for time spent waiting — so a
   // steady stream of fresh jobs cannot starve a long-running one forever.
   const double age =
-      static_cast<double>(dispatch_tick_ - job.ready_since) * opts_.aging_rate;
+      static_cast<double>(dispatch_tick_ - job.ready_since) * kAgingRate;
   return static_cast<double>(job.result.slices) -
-         static_cast<double>(job.request.limits.priority) * opts_.priority_weight -
+         static_cast<double>(job.request.limits.priority) * kPriorityWeight -
          age;
 }
 
@@ -576,13 +586,11 @@ Budget SolverService::slice_budget(const Job& job) const {
       budget.max_conflicts = remaining;
     }
   }
-  budget.max_seconds = opts_.slice_seconds;
+  // Slices have no wall-clock cap of their own; a deadline clamps them, so
+  // a job never overshoots it by more than one search step's worth of
+  // clock checking.
   if (job.deadline_point > 0.0) {
-    double remaining = job.deadline_point - now_seconds();
-    if (remaining < 1e-3) remaining = 1e-3;
-    if (budget.max_seconds == 0.0 || remaining < budget.max_seconds) {
-      budget.max_seconds = remaining;
-    }
+    budget.max_seconds = std::max(job.deadline_point - now_seconds(), 1e-3);
   }
   return budget;
 }

@@ -54,15 +54,6 @@ struct ServiceOptions {
   std::size_t max_pending = 1024;
   // Conflicts per slice (0 = run every job to completion in one slice).
   std::uint64_t slice_conflicts = 2000;
-  // Optional wall-clock cap per slice (0 = none). Deadlines clamp slices
-  // regardless, so a job never overshoots its deadline by more than one
-  // search step's worth of clock checking.
-  double slice_seconds = 0.0;
-  // Scheduler shaping: one unit of JobLimits::priority is worth this many
-  // consumed slices, and every dispatch a waiting job ages by aging_rate
-  // slices — so low-priority or long jobs cannot be starved forever.
-  double priority_weight = 4.0;
-  double aging_rate = 0.125;
   // Observability (src/telemetry): when set, the service registers latency
   // histograms ("service.slice_latency_ns", "service.job_wait_ns.<class>",
   // "service.session_solve_latency_ns") and live gauges on the hub, gives

@@ -1,7 +1,7 @@
 // BmcEngine against hand-built circuits with known ground truth, over
 // both backends (long-lived Solver, SolverService session), including
-// trace validation, DRAT certification of safe bounds, frame-group
-// retirement via pop_to, and structured failure paths.
+// trace validation, certify() of safe bounds, frame-group retirement via
+// pop_to, and structured failure paths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -49,8 +49,9 @@ TEST(BmcEngine, SafeWithinBoundIsDratCertified) {
   const TransitionSystem ts(test_circuits::counter(3));
   Solver solver;
   SolverBackend backend(solver);
-  BmcEngine engine(ts, backend, {.bound = 6, .certify = true});
-  const EngineResult result = engine.run();
+  BmcEngine engine(ts, backend, {.bound = 6});
+  EngineResult result = engine.run();
+  EXPECT_TRUE(certify(ts, result)) << result.error;
   EXPECT_EQ(result.verdict, Verdict::safe_bounded);
   EXPECT_EQ(result.bound, 6);
   EXPECT_TRUE(result.certified) << result.error;
@@ -61,8 +62,9 @@ TEST(BmcEngine, UnreachableBadStaysSafeAndCertified) {
   const TransitionSystem ts(test_circuits::safe_ring());
   Solver solver;
   SolverBackend backend(solver);
-  BmcEngine engine(ts, backend, {.bound = 12, .certify = true});
-  const EngineResult result = engine.run();
+  BmcEngine engine(ts, backend, {.bound = 12});
+  EngineResult result = engine.run();
+  EXPECT_TRUE(certify(ts, result)) << result.error;
   EXPECT_EQ(result.verdict, Verdict::safe_bounded);
   EXPECT_TRUE(result.certified) << result.error;
 }
@@ -81,8 +83,8 @@ TEST(BmcEngine, LatchFreeSystems) {
     const TransitionSystem ts(test_circuits::latch_free(false));
     Solver solver;
     SolverBackend backend(solver);
-    const EngineResult result =
-        BmcEngine(ts, backend, {.bound = 4, .certify = true}).run();
+    EngineResult result = BmcEngine(ts, backend, {.bound = 4}).run();
+    EXPECT_TRUE(certify(ts, result)) << result.error;
     EXPECT_EQ(result.verdict, Verdict::safe_bounded);
     EXPECT_TRUE(result.certified) << result.error;
   }
@@ -133,8 +135,9 @@ TEST(BmcEngine, SessionBackendSafeBoundCertified) {
   service::SolverService service({.num_workers = 2});
   SessionBackend backend(service, {.name = "bmc-safe"});
   ASSERT_TRUE(backend.alive());
-  BmcEngine engine(ts, backend, {.bound = 8, .certify = true});
-  const EngineResult result = engine.run();
+  BmcEngine engine(ts, backend, {.bound = 8});
+  EngineResult result = engine.run();
+  EXPECT_TRUE(certify(ts, result)) << result.error;
   EXPECT_EQ(result.verdict, Verdict::safe_bounded);
   EXPECT_TRUE(result.certified) << result.error;
 }
@@ -149,16 +152,6 @@ TEST(BmcEngine, ClosedSessionIsAStructuredFailure) {
   // must surface as Verdict::unknown with an error, never UB.
   service.shutdown();
   BmcEngine engine(ts, *backend, {.bound = 3});
-  const EngineResult result = engine.run();
-  EXPECT_EQ(result.verdict, Verdict::unknown);
-  EXPECT_FALSE(result.error.empty());
-}
-
-TEST(BmcEngine, CnfBackendCannotSolve) {
-  const TransitionSystem ts(test_circuits::counter(3));
-  Cnf cnf;
-  CnfBackend backend(cnf);
-  BmcEngine engine(ts, backend, {.bound = 3});
   const EngineResult result = engine.run();
   EXPECT_EQ(result.verdict, Verdict::unknown);
   EXPECT_FALSE(result.error.empty());

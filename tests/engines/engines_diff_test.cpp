@@ -1,11 +1,12 @@
 // The engines differential suite: seeded transition systems from the
 // safety generator, each checked three ways — explicit-state BFS ground
 // truth, BMC, and IC3 — with every SAT verdict replayed through circuit
-// simulation and every safe verdict independently certified (BMC: DRAT;
-// IC3: invariant re-check). A smaller sweep drives the same systems
-// through SolverService sessions at 1 and 2 worker threads, through
-// proof-checked sessions that certify every UNSAT answer, and through an
-// in-process 2-worker PortfolioSolver.
+// simulation and every safe verdict re-proved by certify() on a fresh,
+// DRAT-checked solver (BMC: the monolithic bounded query; IC3: the
+// invariant). A smaller sweep drives the same systems through
+// SolverService sessions at 1 and 2 worker threads, through proof-checked
+// sessions that certify every UNSAT answer, and through an in-process
+// 2-worker PortfolioSolver.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -35,14 +36,13 @@ void check_case(const gen::SafetyParams& params,
 
   const std::unique_ptr<SatEngine> bmc_engine = make_engine();
   SolverBackend bmc_backend(*bmc_engine);
-  const EngineResult bmc =
-      BmcEngine(ts, bmc_backend, {.bound = params.cycles, .certify = true})
-          .run();
+  EngineResult bmc = BmcEngine(ts, bmc_backend, {.bound = params.cycles}).run();
+  (void)certify(ts, bmc);
 
   const std::unique_ptr<SatEngine> ic3_engine = make_engine();
   SolverBackend ic3_backend(*ic3_engine);
-  const EngineResult ic3 =
-      Ic3Engine(ts, ic3_backend, {.certify = true}).run();
+  EngineResult ic3 = Ic3Engine(ts, ic3_backend).run();
+  (void)certify(ts, ic3);
 
   if (ground.has_value()) {
     ASSERT_LT(*ground, params.cycles);  // generator contract

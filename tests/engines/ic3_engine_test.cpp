@@ -1,13 +1,16 @@
 // Ic3Engine against hand-built circuits with known ground truth:
 // counterexample traces that replay through simulation, inductive
-// invariants re-checked by an independent solver, delta-frame /
+// invariants re-checked by certify(), delta-frame /
 // activation-literal bookkeeping, and the push/pop (selector pressure)
 // discipline the engine imposes on the incremental layer.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/solver.h"
 #include "engines/ic3.h"
 #include "engines_test_util.h"
+#include "gen/safety.h"
 #include "service/solver_service.h"
 
 namespace berkmin::engines {
@@ -43,8 +46,9 @@ TEST(Ic3Engine, SafeRingYieldsCertifiedInvariant) {
   const TransitionSystem ts(test_circuits::safe_ring());
   Solver solver;
   SolverBackend backend(solver);
-  Ic3Engine engine(ts, backend, {.certify = true});
-  const EngineResult result = engine.run();
+  Ic3Engine engine(ts, backend);
+  EngineResult result = engine.run();
+  EXPECT_TRUE(certify(ts, result)) << result.error;
   EXPECT_EQ(result.verdict, Verdict::safe_invariant);
   EXPECT_TRUE(result.certified) << result.error;
   EXPECT_FALSE(result.cex.has_value());
@@ -64,8 +68,8 @@ TEST(Ic3Engine, LatchFreeSystems) {
     const TransitionSystem ts(test_circuits::latch_free(false));
     Solver solver;
     SolverBackend backend(solver);
-    const EngineResult result =
-        Ic3Engine(ts, backend, {.certify = true}).run();
+    EngineResult result = Ic3Engine(ts, backend).run();
+    EXPECT_TRUE(certify(ts, result)) << result.error;
     EXPECT_EQ(result.verdict, Verdict::safe_invariant);
     EXPECT_EQ(result.bound, 0);
     EXPECT_TRUE(result.certified) << result.error;
@@ -92,7 +96,7 @@ TEST(Ic3Engine, PushPopDisciplineStaysBalanced) {
   const TransitionSystem ts(test_circuits::safe_ring());
   Solver solver;
   SolverBackend backend(solver);
-  Ic3Engine engine(ts, backend, {.certify = true});
+  Ic3Engine engine(ts, backend);
   const EngineResult result = engine.run();
   EXPECT_EQ(result.verdict, Verdict::safe_invariant);
   // Zero net group growth per blocking/generalization check: every
@@ -136,20 +140,95 @@ TEST(Ic3Engine, SessionBackendMatchesSolverBackend) {
     const TransitionSystem ts(test_circuits::safe_ring());
     SessionBackend backend(service, {.name = "ic3-inv"});
     ASSERT_TRUE(backend.alive());
-    const EngineResult result =
-        Ic3Engine(ts, backend, {.certify = true}).run();
+    EngineResult result = Ic3Engine(ts, backend).run();
+    EXPECT_TRUE(certify(ts, result)) << result.error;
     EXPECT_EQ(result.verdict, Verdict::safe_invariant);
     EXPECT_TRUE(result.certified) << result.error;
   }
 }
 
-TEST(Ic3Engine, CnfBackendCannotSolve) {
+TEST(Ic3Engine, ClosedSessionIsAStructuredFailure) {
   const TransitionSystem ts(test_circuits::counter(3));
-  Cnf cnf;
-  CnfBackend backend(cnf);
-  const EngineResult result = Ic3Engine(ts, backend).run();
+  service::SolverService service({.num_workers = 1});
+  auto backend = std::make_unique<SessionBackend>(
+      service, service::SessionRequest{.name = "doomed"});
+  ASSERT_TRUE(backend->alive());
+  service.shutdown();
+  const EngineResult result = Ic3Engine(ts, *backend).run();
   EXPECT_EQ(result.verdict, Verdict::unknown);
   EXPECT_FALSE(result.error.empty());
+}
+
+// Forwards to another backend but refuses every push after the first
+// `allowed`.
+class RefusingPushes final : public EngineBackend {
+ public:
+  RefusingPushes(EngineBackend& inner, int allowed)
+      : inner_(inner), allowed_(allowed) {}
+
+  Var new_vars(int n) override { return inner_.new_vars(n); }
+  bool add_clause(std::span<const Lit> lits) override {
+    return inner_.add_clause(lits);
+  }
+  GroupId push() override {
+    if (allowed_-- <= 0) {
+      error_ = "push refused";
+      return no_group;
+    }
+    return inner_.push();
+  }
+  bool pop(GroupId id) override { return inner_.pop(id); }
+  bool pop() override { return inner_.pop(); }
+  bool add_clause_to(GroupId id, std::span<const Lit> lits) override {
+    return inner_.add_clause_to(id, lits);
+  }
+  bool set_group_active(GroupId id, bool active) override {
+    return inner_.set_group_active(id, active);
+  }
+  SolveStatus solve(std::span<const Lit> assumptions,
+                    const Budget& budget) override {
+    return inner_.solve(assumptions, budget);
+  }
+  bool model_value(Lit l) const override { return inner_.model_value(l); }
+  const std::vector<Lit>& failed_assumptions() const override {
+    return inner_.failed_assumptions();
+  }
+  std::string name() const override { return "refusing-pushes"; }
+
+ private:
+  EngineBackend& inner_;
+  int allowed_;
+};
+
+TEST(Ic3Engine, RefusedPushIsAStructuredFailure) {
+  // A refused push, wherever it lands (a frame group or a scratch group),
+  // must end the run with an error, never stall the frontier. The plain
+  // system closes after three pushes (the third opens frame 2); the
+  // latch-heavy one also pushes scratch groups.
+  for (const bool latch_heavy : {false, true}) {
+    gen::SafetyParams params;
+    params.safe = true;
+    params.latch_heavy = latch_heavy;
+    params.seed = 0;
+    params.num_latches = 8;
+    params.num_inputs = 3;
+    params.cycles = 10;
+    const TransitionSystem ts = gen::safety_system(params);
+    for (int allowed = 0; allowed < 16; ++allowed) {
+      SCOPED_TRACE("latch_heavy=" + std::to_string(latch_heavy) +
+                   " pushes allowed: " + std::to_string(allowed));
+      Solver solver;
+      SolverBackend inner(solver);
+      RefusingPushes backend(inner, allowed);
+      const EngineResult result = Ic3Engine(ts, backend).run();
+      if (result.verdict == Verdict::unknown) {
+        EXPECT_NE(result.error.find("push refused"), std::string::npos)
+            << result.error;
+      } else {
+        EXPECT_EQ(result.verdict, Verdict::safe_invariant);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -57,22 +57,20 @@ TEST(TransitionSystem, FrameTemplateAgreesWithStep) {
     const std::vector<bool> state{(code & 1) != 0, (code & 2) != 0};
     const std::vector<bool> inputs{(code & 4) != 0};
 
-    Cnf cnf;
-    CnfBackend capture(cnf);
-    const FrameVars fv = instantiate_frame(capture, ts.frame());
-    cnf.add_unit(state[0] ? fv.state[0] : ~fv.state[0]);
-    cnf.add_unit(state[1] ? fv.state[1] : ~fv.state[1]);
-    cnf.add_unit(inputs[0] ? fv.inputs[0] : ~fv.inputs[0]);
-
     Solver solver;
-    solver.load(cnf);
-    ASSERT_EQ(solver.solve(), SolveStatus::satisfiable);
+    SolverBackend backend(solver);
+    const FrameVars fv = instantiate_frame(backend, ts.frame());
+    backend.add_unit(state[0] ? fv.state[0] : ~fv.state[0]);
+    backend.add_unit(state[1] ? fv.state[1] : ~fv.state[1]);
+    backend.add_unit(inputs[0] ? fv.inputs[0] : ~fv.inputs[0]);
+    ASSERT_EQ(backend.solve({}, Budget::unlimited()),
+              SolveStatus::satisfiable);
 
     std::vector<bool> next;
     const bool bad = ts.step(state, inputs, &next);
-    EXPECT_EQ(solver.model_value(fv.bad), bad);
-    EXPECT_EQ(solver.model_value(fv.next[0]), next[0]);
-    EXPECT_EQ(solver.model_value(fv.next[1]), next[1]);
+    EXPECT_EQ(backend.model_value(fv.bad), bad);
+    EXPECT_EQ(backend.model_value(fv.next[0]), next[0]);
+    EXPECT_EQ(backend.model_value(fv.next[1]), next[1]);
   }
 }
 
