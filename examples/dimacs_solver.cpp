@@ -17,7 +17,7 @@
 
 #include "cnf/dimacs.h"
 #include "cnf/icnf.h"
-#include "cnf/preprocess.h"
+#include "core/inprocess.h"
 #include "core/solver.h"
 #include "gen/registry.h"
 #include "portfolio/portfolio.h"
@@ -422,9 +422,9 @@ int main(int argc, char** argv) {
   args.add_option("icnf-out", "", "synthesize a push/pop edit script from "
                   "the loaded formula, write it to this file, and exit");
   args.add_option("icnf-seed", "0", "seed for --icnf-out synthesis");
-  args.add_flag("preprocess", "run subsumption preprocessing first (composes "
-                "with --drat/--unsat-core: the rewrites lead the proof "
-                "trace, checked against the original formula)");
+  args.add_flag("preprocess", "run one inprocessing pass (probing, subsumption, "
+                "strengthening) first; its rewrites lead the --drat/"
+                "--unsat-core trace, checked against the original formula");
   args.add_flag("inprocess", "inprocess at restart boundaries: failed-literal "
                 "probing, subsumption/self-subsumption, vivification, and "
                 "(single-shot runs) bounded variable elimination — on by "
@@ -594,14 +594,14 @@ int main(int argc, char** argv) {
   budget.max_seconds = args.get_double("timeout");
   budget.max_conflicts = static_cast<std::uint64_t>(args.get_int("conflicts"));
 
-  // Proof sinks are created before preprocessing so that the
-  // preprocessor's rewrites become the leading steps of the very trace
-  // the engine continues — one proof, checkable against the original
-  // (unpreprocessed) formula. A sequential run with plain --drat streams
-  // straight to disk as the search runs; otherwise the trace is buffered
-  // here: a solver logs into the buffer, while portfolio workers splice
-  // their own traces, appended to the buffered preprocessing steps after
-  // the race.
+  // Proof sinks are created before preprocessing so that the rewrites of
+  // the inprocessing pre-pass (preprocess(), core/inprocess.h) become the
+  // leading steps of the very trace the engine continues — one proof,
+  // checkable against the original (unpreprocessed) formula. A sequential
+  // run with plain --drat streams straight to disk as the search runs;
+  // otherwise the trace is buffered here: a solver logs into the buffer,
+  // while portfolio workers splice their own traces, appended to the
+  // buffered preprocessing steps after the race.
   proof::MemoryProofWriter memory_proof;
   std::ofstream drat_stream;
   std::unique_ptr<proof::ProofWriter> stream_writer;
@@ -647,15 +647,15 @@ int main(int argc, char** argv) {
   const bool preprocessing = args.has_flag("preprocess");
   Cnf reduced;
   if (preprocessing) {
-    PreprocessResult pre = preprocess(cnf, {}, proof_sink);
+    PreprocessResult pre = preprocess(cnf, proof_sink);
     if (pre.unsat) {
       std::cout << "s UNSATISFIABLE\nc (by preprocessing)\n";
       // The trace already ends with the empty clause.
       return want_proof && !finish_proof(cnf, nullptr) ? 1 : 20;
     }
-    std::cout << "c preprocessing: " << pre.removed_subsumed << " subsumed, "
-              << pre.strengthened_literals << " literals strengthened, "
-              << pre.propagated_units << " units\n";
+    std::cout << "c preprocessing: " << pre.subsumed_clauses << " subsumed, "
+              << pre.strengthened_clauses << " clauses strengthened, "
+              << pre.root_units << " units\n";
     reduced = std::move(pre.cnf);
   }
   const Cnf& solved = preprocessing ? reduced : cnf;

@@ -2,8 +2,8 @@
 # Certify every answer on the smoke manifest: solve each instance with
 # --drat --check-model, single-threaded and as a 4-worker portfolio, in
 # two modes — inprocessing on (the CLI default), and inprocessing plus
-# front-end preprocessing (--preprocess), whose DRAT steps lead the trace
-# so it still certifies against the ORIGINAL formula. Every UNSAT trace
+# --preprocess, one up-front inprocessing pass whose DRAT steps lead the
+# trace so it still certifies against the ORIGINAL formula. Every UNSAT trace
 # is verified with the in-tree checker (drat_check) and every extracted
 # core re-solved expecting UNSAT. Any unverified answer fails the run.
 #

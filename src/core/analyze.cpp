@@ -18,6 +18,14 @@
 
 namespace berkmin {
 
+namespace {
+
+// Chaff-like literal counters (DecisionPolicy::chaff_literal) are halved
+// at every decay, the value the Chaff paper documents.
+constexpr std::uint32_t kLitDecayFactor = 2;
+
+}  // namespace
+
 void Solver::bump_var(Var v, std::uint64_t amount) {
   var_activity_[v] += amount;
   var_heap_.increased(v);
@@ -36,8 +44,7 @@ void Solver::decay_var_activities() {
 }
 
 void Solver::decay_chaff_counters() {
-  if (opts_.lit_decay_factor <= 1) return;
-  for (auto& a : chaff_counter_) a /= opts_.lit_decay_factor;
+  for (auto& a : chaff_counter_) a /= kLitDecayFactor;
 }
 
 void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learned,

@@ -31,6 +31,15 @@ namespace {
 // Step cap for the subsumption occurrence scans, so one pass stays a
 // bounded slice of the restart even on dense formulas.
 constexpr std::uint64_t kSubsumptionStepBudget = std::uint64_t{1} << 17;
+// Failed-literal probing: at most this many root probes per pass.
+constexpr std::uint32_t kProbeBudget = 256;
+// Vivification: at most this many learned clauses re-propagated per pass.
+constexpr std::uint32_t kVivifyBudget = 128;
+// A variable qualifies for elimination when its total occurrences and its
+// resolvent count stay under these caps (and the elimination does not
+// grow the clause database).
+constexpr std::uint32_t kVarElimMaxOccurrences = 10;
+constexpr std::uint32_t kVarElimMaxResolvents = 16;
 
 bool lit_code_less(Lit a, Lit b) { return a.code() < b.code(); }
 
@@ -121,7 +130,7 @@ bool Inprocessor::probe_failed_literals() {
       static_cast<std::uint32_t>(s_.num_internal_vars());
   if (nvars == 0) return true;
   std::uint32_t probes = 0;
-  const std::uint32_t budget = s_.opts_.inprocess.probe_budget;
+  const std::uint32_t budget = kProbeBudget;
   for (std::uint32_t scanned = 0; scanned < nvars && probes < budget;
        ++scanned) {
     const Var v = static_cast<Var>(probe_cursor_++ % nvars);
@@ -284,7 +293,7 @@ bool Inprocessor::subsume_and_strengthen() {
 
 bool Inprocessor::vivify_clauses() {
   if (items_.empty()) return true;
-  const std::uint32_t budget = s_.opts_.inprocess.vivify_budget;
+  const std::uint32_t budget = kVivifyBudget;
   std::uint32_t attempts = 0;
   const std::size_t n = items_.size();
   for (std::size_t scanned = 0; scanned < n && attempts < budget; ++scanned) {
@@ -335,8 +344,8 @@ bool Inprocessor::vivify_clauses() {
 }
 
 bool Inprocessor::eliminate_variables() {
-  const std::uint32_t max_occ = s_.opts_.inprocess.var_elim_max_occurrences;
-  const std::uint32_t max_res = s_.opts_.inprocess.var_elim_max_resolvents;
+  const std::uint32_t max_occ = kVarElimMaxOccurrences;
+  const std::uint32_t max_res = kVarElimMaxResolvents;
   std::vector<std::uint32_t> pos_items;
   std::vector<std::uint32_t> neg_items;
   std::vector<std::uint32_t> learned_items;
@@ -571,6 +580,44 @@ void Inprocessor::extend_model(std::vector<Value>& model) const {
       model[v] = Value::false_value;
     }
   }
+}
+
+Cnf Inprocessor::formula() const {
+  assert(s_.decision_level() == 0 && !s_.has_selectors_);
+  assert(eliminations_.empty());
+  Cnf out(s_.num_vars());
+  if (!s_.ok_) {
+    out.add_clause(std::vector<Lit>{});
+    return out;
+  }
+  for (const Lit l : s_.trail_) out.add_unit(l);
+  std::vector<Lit> lits;
+  for (const ClauseRef ref : s_.originals_) {
+    if (s_.clause_is_satisfied(ref)) continue;
+    const Clause c = s_.arena_.deref(ref);
+    lits.clear();
+    for (std::uint32_t i = 0; i < c.size(); ++i) {
+      if (s_.value(c[i]) == Value::unassigned) lits.push_back(c[i]);
+    }
+    out.add_clause(std::span<const Lit>(lits));
+  }
+  return out;
+}
+
+PreprocessResult preprocess(const Cnf& cnf, proof::ProofWriter* proof) {
+  Solver solver;
+  solver.set_proof(proof);
+  Inprocessor pass(solver);
+  if (solver.load(cnf)) pass.run();
+  PreprocessResult result;
+  result.cnf = pass.formula();
+  result.unsat = !solver.ok();
+  result.subsumed_clauses = solver.stats().subsumed_clauses;
+  result.strengthened_clauses = solver.stats().strengthened_clauses;
+  for (const auto& clause : result.cnf.clauses()) {
+    if (clause.size() == 1) ++result.root_units;
+  }
+  return result;
 }
 
 }  // namespace berkmin

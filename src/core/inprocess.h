@@ -18,13 +18,21 @@
 // (and skipped while a solve holds assumptions), because it is only sound
 // when the caller can never mention the eliminated variable again —
 // single-shot CLI solving guarantees that; the incremental API does not.
+//
+// preprocess() runs the same passes in front of another engine: one pass
+// over a scratch solver, exported back to a formula.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "cnf/cnf_formula.h"
 #include "cnf/literal.h"
 #include "core/solver_types.h"
+
+namespace berkmin::proof {
+class ProofWriter;
+}
 
 namespace berkmin {
 
@@ -48,6 +56,14 @@ class Inprocessor {
   void extend_model(std::vector<Value>& model) const;
 
   std::size_t eliminated_count() const { return eliminations_.size(); }
+
+  // The live database as a formula: the root-trail units first, then
+  // every stored original the root does not satisfy, with its root-false
+  // literals stripped (learned clauses are left out). A refuted database
+  // exports as the empty clause. Requires decision level 0, no clause
+  // groups, and no eliminated variable — their clauses are gone, and only
+  // extend_model could restore their values.
+  Cnf formula() const;
 
  private:
   // One bounded-variable-elimination record: the variable and copies of
@@ -112,5 +128,24 @@ class Inprocessor {
   std::vector<Lit> unit_scratch_;
   std::vector<Lit> derived_scratch_;
 };
+
+struct PreprocessResult {
+  Cnf cnf;             // root units first, then the surviving clauses
+  bool unsat = false;  // refuted; the trace then ends with the empty clause
+  std::uint64_t subsumed_clauses = 0;
+  std::uint64_t strengthened_clauses = 0;
+  std::uint64_t root_units = 0;
+};
+
+// Simplifies `cnf` for another engine to solve: loads it into a scratch
+// Solver that logs into `proof`, runs one Inprocessor pass (probing,
+// subsumption, self-subsumption; never variable elimination, since the
+// engine solving the result could not extend its models), and exports
+// formula(). Each exported clause was logged by the pass, is an original,
+// or is an original with root-false literals stripped, which unit
+// propagation over the checker's database reproduces: the pass's steps
+// followed by any solver's trace over result.cnf certify against `cnf`,
+// and every model of result.cnf satisfies `cnf`.
+PreprocessResult preprocess(const Cnf& cnf, proof::ProofWriter* proof = nullptr);
 
 }  // namespace berkmin

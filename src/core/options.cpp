@@ -139,7 +139,16 @@ std::string SolverOptions::describe() const {
   out += name_of(reduction_policy);
   out += " restart=";
   out += name_of(restart_policy);
-  out += "(" + std::to_string(restart_interval) + ")";
+  // The parameter the policy actually reads (none reads nothing).
+  if (restart_policy == RestartPolicy::fixed_interval) {
+    out += "(" + std::to_string(restart_interval) + ")";
+  } else if (restart_policy == RestartPolicy::luby) {
+    out += "(" + std::to_string(luby_unit) + ")";
+  }
+  if (minimize_learned) out += " minimize";
+  if (top_clause_window > 1) {
+    out += " window=" + std::to_string(top_clause_window);
+  }
   if (inprocess.enabled) {
     out += " inprocess(every=";
     out += std::to_string(inprocess.interval_restarts);

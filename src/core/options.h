@@ -55,8 +55,8 @@ enum class ReductionPolicy : std::uint8_t {
   // clauses no longer than a length threshold.
   limited_keeping,
   // LBD glue tiers (extension beyond the paper, following the literal
-  // block distance literature): core clauses (glue <= glue_core) are kept
-  // unconditionally, mid-tier clauses (glue <= glue_tier2) are kept while
+  // block distance literature): core clauses (glue <= 2) are kept
+  // unconditionally, mid-tier clauses (glue <= 6) are kept while
   // they stay active, and the local tail falls back to BerkMin's
   // age/activity partition.
   glue_tiered,
@@ -81,20 +81,11 @@ struct InprocessOptions {
   // Restarts between passes (the first pass runs at the interval-th
   // restart).
   std::uint32_t interval_restarts = 4;
-  // Failed-literal probing: at most this many root probes per pass.
-  std::uint32_t probe_budget = 256;
-  // Vivification: at most this many learned clauses re-propagated per pass.
-  std::uint32_t vivify_budget = 128;
   // Bounded variable elimination. Off by default even when inprocessing is
   // enabled: eliminating a variable is only sound while the caller can
   // never mention it again (no later add_clause / assumptions on it), which
   // single-shot CLI solving guarantees but the incremental API does not.
   bool var_elim = false;
-  // A variable qualifies for elimination when pos*neg occurrence product
-  // and total occurrences stay under these caps and the elimination does
-  // not grow the clause database.
-  std::uint32_t var_elim_max_occurrences = 10;
-  std::uint32_t var_elim_max_resolvents = 16;
 };
 
 struct SolverOptions {
@@ -116,9 +107,9 @@ struct SolverOptions {
   std::uint32_t var_decay_interval = 256;  // conflicts between decays
   std::uint32_t var_decay_factor = 2;      // divide counters by this
 
-  // Chaff-like literal counters (used by DecisionPolicy::chaff_literal).
+  // Chaff-like literal counters (used by DecisionPolicy::chaff_literal),
+  // halved every lit_decay_interval conflicts.
   std::uint32_t lit_decay_interval = 256;
-  std::uint32_t lit_decay_factor = 2;
 
   // Database management (Section 8). A learned clause whose distance from
   // the top of the stack is less than stack_size * young_num / young_den
@@ -137,19 +128,9 @@ struct SolverOptions {
   // the paper's comparison used 42, the same as the young-clause limit.
   std::uint32_t limited_keeping_max_length = 42;
 
-  // LBD tiers for ReductionPolicy::glue_tiered. Glue (literal block
-  // distance) is the number of distinct decision levels in a learned
-  // clause at learn time; clauses with glue <= glue_core are "core" and
-  // never deleted, glue <= glue_tier2 survive while recently active, and
-  // the rest compete under the BerkMin age/activity partition.
-  std::uint32_t glue_core = 2;
-  std::uint32_t glue_tier2 = 6;
-
   // Branch selection on initial-formula decisions (Section 7): nb_two's
-  // computation stops once the estimate exceeds this threshold; scan_cap
-  // bounds how many occurrence-list entries are examined.
+  // computation stops once the estimate exceeds this threshold.
   std::uint32_t nb_two_threshold = 100;
-  std::uint32_t nb_two_scan_cap = 4096;
 
   // Extensions beyond the paper (all off in every preset).
   bool minimize_learned = false;      // conflict-clause minimization

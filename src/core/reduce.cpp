@@ -26,6 +26,18 @@
 
 namespace berkmin {
 
+namespace {
+
+// LBD tiers for ReductionPolicy::glue_tiered. Glue (literal block
+// distance) is the number of distinct decision levels in a learned clause
+// at learn time; clauses with glue <= kGlueCore are "core" and never
+// deleted, glue <= kGlueTier2 survive while recently active, and the rest
+// compete under the BerkMin age/activity partition.
+constexpr std::uint32_t kGlueCore = 2;
+constexpr std::uint32_t kGlueTier2 = 6;
+
+}  // namespace
+
 void Solver::handle_restart() {
   if (!ok_) return;  // nothing to manage once the formula is refuted
   backtrack_to(0);
@@ -109,7 +121,7 @@ bool Solver::apply_pressure_ladder() {
   for (std::size_t i = 0; i < learned_stack_.size(); ++i) {
     if (clause_is_satisfied(learned_stack_[i])) continue;  // migrate asserts
     const Clause c = arena_.deref(learned_stack_[i]);
-    keep[i] = (c.glue() != 0 && c.glue() <= opts_.glue_core) ||
+    keep[i] = (c.glue() != 0 && c.glue() <= kGlueCore) ||
                       i + 1 == learned_stack_.size()
                   ? 1
                   : 0;
@@ -185,11 +197,11 @@ Solver::ReduceDecision Solver::classify_learned(std::size_t stack_index,
     // defeating the young-clause anti-looping safeguard (hole:9 degrades
     // from ~31k conflicts to millions).
     const std::uint32_t glue = c.glue();
-    if (glue != 0 && glue <= opts_.glue_core) {
+    if (glue != 0 && glue <= kGlueCore) {
       decision.keep = true;
       return decision;
     }
-    if (glue != 0 && glue <= opts_.glue_tier2 &&
+    if (glue != 0 && glue <= kGlueTier2 &&
         (activity > 0 || length <= opts_.old_keep_max_length)) {
       decision.keep = true;
       return decision;
@@ -317,7 +329,7 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
     // keeps the cumulative count.
     const bool tier2 = opts_.reduction_policy == ReductionPolicy::glue_tiered &&
                        learned && c.glue() != 0 &&
-                       c.glue() > opts_.glue_core && c.glue() <= opts_.glue_tier2;
+                       c.glue() > kGlueCore && c.glue() <= kGlueTier2;
     new_arena.deref(fresh).set_activity(tier2 ? 0 : c.activity());
     return fresh;
   };

@@ -939,6 +939,13 @@ std::uint32_t Solver::clause_activity(ClauseRef ref) const {
   return arena_.deref(ref).activity();
 }
 
+namespace {
+
+// Bounds how many occurrence-list entries one nb_two list scan examines.
+constexpr std::uint32_t kNbTwoScanCap = 4096;
+
+}  // namespace
+
 std::uint64_t Solver::nb_two(Lit l) const {
   // Section 7: count binary clauses containing l; for each such clause
   // {l, v}, also count binary clauses containing ~v. "Binary" means the
@@ -969,14 +976,14 @@ std::uint64_t Solver::nb_two(Lit l) const {
   std::uint64_t total = 0;
   std::uint32_t scanned = 0;
   for (const ClauseRef ref : occ_.list(l.code())) {
-    if (total > opts_.nb_two_threshold || ++scanned > opts_.nb_two_scan_cap) break;
+    if (total > opts_.nb_two_threshold || ++scanned > kNbTwoScanCap) break;
     Lit other = undef_lit;
     if (!currently_binary(ref, &other, l)) continue;
     ++total;
     std::uint32_t inner_scanned = 0;
     for (const ClauseRef ref2 : occ_.list((~other).code())) {
       if (total > opts_.nb_two_threshold ||
-          ++inner_scanned > opts_.nb_two_scan_cap) {
+          ++inner_scanned > kNbTwoScanCap) {
         break;
       }
       if (currently_binary(ref2, nullptr, ~other)) ++total;

@@ -1,11 +1,11 @@
 // Job types for the time-sliced SolverService.
 //
-// A job is one SAT query — a CNF (inline or as a DIMACS path), optional
-// assumptions, and per-job limits — submitted to the service's bounded
-// queue. The service reports progress through JobState (the lifecycle
-// queued → running → preempted → done/cancelled; preempted jobs re-enter
-// the run queue with all solver state intact) and delivers a JobResult
-// once the job reaches a terminal state.
+// A job is one SAT query — a CNF, optional assumptions, and per-job
+// limits — submitted to the service's bounded queue. The service reports
+// progress through JobState (the lifecycle queued → running → preempted →
+// done/cancelled; preempted jobs re-enter the run queue with all solver
+// state intact) and delivers a JobResult once the job reaches a terminal
+// state.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,8 @@ enum class JobOutcome : std::uint8_t {
   budget_exhausted,  // the per-job conflict budget ran out (status unknown)
   deadline_expired,  // the wall-clock deadline passed (status unknown)
   cancelled,         // cancel() or non-draining shutdown
-  error,             // the formula could not be loaded (see JobResult::error)
+  error,             // the engine failed to build or load, or its slices
+                     // kept dying (see JobResult::error)
   unsupported,       // the request combines features the service cannot
                      // serve yet (see JobResult::error), e.g. proof logging
                      // on a multi-threaded incremental session
@@ -123,11 +124,7 @@ struct SessionRequest {
 
 struct JobRequest {
   std::string name;  // echoed in results; defaults to "job-<id>"
-  // The formula: either inline...
   Cnf cnf;
-  // ...or a DIMACS file parsed lazily on a worker thread at the job's
-  // first slice (used when non-empty, so submission stays cheap).
-  std::string dimacs_path;
   std::vector<Lit> assumptions;
   JobLimits limits;
   JobProofOptions proof;

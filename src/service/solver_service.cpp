@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cnf/dimacs.h"
 #include "core/solver.h"
 #include "portfolio/portfolio.h"
 #include "util/fault.h"
@@ -619,29 +618,17 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     return;
   }
 
-  // A job's first slice materializes the formula and the engine. Parsing
-  // and loading happen outside the lock (they can dwarf a slice); the
-  // engine pointer is published under the lock so cancel() can reach it.
+  // A job's first slice builds and loads the engine outside the lock
+  // (loading can dwarf a slice); the engine pointer is published under
+  // the lock so cancel() can reach it.
   if (session == nullptr && job->engine == nullptr) {
     std::string error;
     std::unique_ptr<SatEngine> engine;
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
     try {
-      Cnf parsed;
-      const Cnf* formula = &job->request.cnf;
-      if (!job->request.dimacs_path.empty()) {
-        parsed = dimacs::read_file(job->request.dimacs_path);
-        formula = &parsed;
-      }
       engine = make_engine(job->request.options, limits.threads,
                            proof_opts.wanted(), &proof_writer);
-      engine->load(*formula);
-      // Checking / core extraction needs the formula after the engine is
-      // done with it. The inline request.cnf lives as long as the job, so
-      // only a parsed DIMACS copy (which dies with this scope) is kept.
-      if (proof_opts.verify() && !job->request.dimacs_path.empty()) {
-        job->proof_formula = *formula;
-      }
+      engine->load(job->request.cnf);
     } catch (const std::exception& ex) {
       error = ex.what();
     }
@@ -717,7 +704,6 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       } else {
         job->engine.reset();
         job->proof_writer.reset();
-        job->proof_formula = Cnf{};
         job->watchdog_fired = false;
         if (job->cancel_requested) {
           notify = finish_locked(job, JobOutcome::cancelled);
@@ -774,10 +760,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
                                            : engine.spliced_proof();
       has_proof = trace.ends_with_empty();
       if (has_proof && proof_opts.verify()) {
-        const Cnf& formula = job->request.dimacs_path.empty()
-                                 ? job->request.cnf
-                                 : job->proof_formula;
-        proof::DratChecker checker(formula);
+        proof::DratChecker checker(job->request.cnf);
         checker.set_telemetry(sink);
         const proof::CheckResult check = checker.check(trace);
         proof_checked = true;
@@ -894,7 +877,6 @@ JobResult SolverService::finish_locked(const std::shared_ptr<Job>& job,
   }
   job->engine.reset();
   job->proof_writer.reset();
-  job->proof_formula = Cnf{};
 
   switch (outcome) {
     case JobOutcome::completed:

@@ -300,11 +300,8 @@ class SolverService {
     std::unique_ptr<SatEngine> engine;
     // Proof plumbing (JobProofOptions): single-solver jobs log into this
     // writer across all their slices (portfolio jobs log through the
-    // engine's own splicer). For DIMACS-path jobs the parsed formula is
-    // retained for the in-tree check / core extraction; inline jobs read
-    // request.cnf directly.
+    // engine's own splicer); the check reads request.cnf.
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
-    Cnf proof_formula;
 
     JobResult result;
     bool finished = false;

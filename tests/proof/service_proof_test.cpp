@@ -3,7 +3,6 @@
 // portfolio escalation, and never appear where they were not requested.
 #include <gtest/gtest.h>
 
-#include "cnf/dimacs.h"
 #include "gen/parity.h"
 #include "gen/pigeonhole.h"
 #include "proof/drat_checker.h"
@@ -71,28 +70,6 @@ TEST(ServiceProof, PortfolioEscalatedJobShipsSplicedTrace) {
     EXPECT_GE(step.producer, 0);
     EXPECT_LT(step.producer, 3);
   }
-}
-
-TEST(ServiceProof, DimacsPathJobVerifiesAgainstParsedFormula) {
-  // DIMACS-path jobs parse lazily on a worker; checking must run against
-  // the retained parsed copy, not the (empty) inline cnf.
-  const Cnf cnf = gen::pigeonhole(4);
-  const std::string path = ::testing::TempDir() + "/service_proof_hole4.cnf";
-  dimacs::write_file(path, cnf, "service proof test");
-
-  service::JobRequest request;
-  request.dimacs_path = path;
-  request.proof = {.log = true, .check = true, .core = true};
-  service::SolverService service({.num_workers = 1});
-  const service::JobId id = *service.submit(std::move(request));
-  const service::JobResult result = service.wait(id);
-
-  ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
-  EXPECT_TRUE(result.proof_valid);
-  ASSERT_FALSE(result.unsat_core.empty());
-  Solver resolver;
-  resolver.load(proof::DratChecker::core_formula(cnf, result.unsat_core));
-  EXPECT_EQ(resolver.solve(), SolveStatus::unsatisfiable);
 }
 
 TEST(ServiceProof, SatJobCarriesNoProof) {

@@ -4,13 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdio>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cnf/dimacs.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_ksat.h"
 #include "service/solver_service.h"
@@ -334,30 +332,6 @@ TEST(Service, PortfolioEscalationSolvesJob) {
   const JobResult sat_result = solving.wait(sat_id);
   ASSERT_EQ(sat_result.status, SolveStatus::satisfiable);
   EXPECT_TRUE(sat_cnf.is_satisfied_by(sat_result.model));
-}
-
-TEST(Service, DimacsPathJobsLoadLazily) {
-  const std::string path =
-      ::testing::TempDir() + "/berkmin_service_job.cnf";
-  dimacs::write_file(path, gen::pigeonhole(5), "service test instance");
-
-  SolverService solving(ServiceOptions{.num_workers = 1});
-  JobRequest request;
-  request.dimacs_path = path;
-  const JobResult result = solving.wait(*solving.submit(std::move(request)));
-  EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
-  EXPECT_EQ(result.outcome, JobOutcome::completed);
-  std::remove(path.c_str());
-
-  // A bad path is an error outcome for that job only; the service lives.
-  JobRequest missing;
-  missing.dimacs_path = "/nonexistent/berkmin/formula.cnf";
-  const JobResult failed = solving.wait(*solving.submit(std::move(missing)));
-  EXPECT_EQ(failed.outcome, JobOutcome::error);
-  EXPECT_FALSE(failed.error.empty());
-  const JobResult ok =
-      solving.wait(*solving.submit(request_for(testing::make_cnf({{1}}))));
-  EXPECT_EQ(ok.status, SolveStatus::satisfiable);
 }
 
 TEST(Service, WaitAllReturnsEveryResultInIdOrder) {

@@ -204,6 +204,35 @@ TEST(SolverOptionsTest, PresetsDiffer) {
             SolverOptions::less_sensitivity().describe());
 }
 
+TEST(SolverOptionsTest, DescribeSeparatesExtensionAblations) {
+  // The columns of bench/ablation_extensions: each differs from stock
+  // BerkMin in one extension, so their descriptions must differ too.
+  const SolverOptions base = SolverOptions::berkmin();
+  SolverOptions minimize = base;
+  minimize.minimize_learned = true;
+  SolverOptions luby = base;
+  luby.restart_policy = RestartPolicy::luby;
+  luby.luby_unit = 100;
+  SolverOptions window = base;
+  window.top_clause_window = 4;
+  const std::vector<std::string> columns = {
+      base.describe(), minimize.describe(), luby.describe(),
+      window.describe()};
+  for (std::size_t i = 0; i < columns.size(); ++i) {
+    for (std::size_t j = i + 1; j < columns.size(); ++j) {
+      EXPECT_NE(columns[i], columns[j]) << columns[i];
+    }
+  }
+  // Luby reads luby_unit, never restart_interval (550).
+  EXPECT_NE(columns[2].find("restart=luby(100)"), std::string::npos)
+      << columns[2];
+  EXPECT_NE(columns[1].find("minimize"), std::string::npos);
+  EXPECT_NE(columns[3].find("window=4"), std::string::npos);
+  SolverOptions never = base;
+  never.restart_policy = RestartPolicy::none;
+  EXPECT_EQ(never.describe().find("restart=none("), std::string::npos);
+}
+
 TEST(SolverOptionsTest, AblationsChangeOneAxis) {
   const SolverOptions base = SolverOptions::berkmin();
   const SolverOptions ls = SolverOptions::less_sensitivity();
