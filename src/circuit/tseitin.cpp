@@ -8,22 +8,18 @@ namespace {
 
 // g <-> AND(fanins): (~g | f_i) for each i, (g | ~f_1 | ... | ~f_n).
 void encode_and(Cnf& cnf, Lit g, const std::vector<Lit>& fanins) {
-  std::vector<Lit> big{g};
-  for (const Lit f : fanins) {
-    cnf.add_binary(~g, f);
-    big.push_back(~f);
-  }
-  cnf.add_clause(big);
+  for (const Lit f : fanins) cnf.add_binary(~g, f);
+  cnf.add_literal(g);
+  for (const Lit f : fanins) cnf.add_literal(~f);
+  cnf.end_clause();
 }
 
 // g <-> OR(fanins): (g | ~f_i) for each i, (~g | f_1 | ... | f_n).
 void encode_or(Cnf& cnf, Lit g, const std::vector<Lit>& fanins) {
-  std::vector<Lit> big{~g};
-  for (const Lit f : fanins) {
-    cnf.add_binary(g, ~f);
-    big.push_back(f);
-  }
-  cnf.add_clause(big);
+  for (const Lit f : fanins) cnf.add_binary(g, ~f);
+  cnf.add_literal(~g);
+  for (const Lit f : fanins) cnf.add_literal(f);
+  cnf.end_clause();
 }
 
 // g <-> a XOR b: the four standard clauses.

@@ -1,27 +1,9 @@
 #include "cnf/cnf_formula.h"
 
-#include <algorithm>
-
 namespace berkmin {
 
-void Cnf::add_clause(std::vector<Lit> lits) {
-  for (const Lit l : lits) {
-    if (l.var() >= num_vars_) num_vars_ = l.var() + 1;
-  }
-  num_literals_ += lits.size();
-  clauses_.push_back(std::move(lits));
-}
-
-void Cnf::add_clause(std::span<const Lit> lits) {
-  add_clause(std::vector<Lit>(lits.begin(), lits.end()));
-}
-
-void Cnf::add_clause(std::initializer_list<Lit> lits) {
-  add_clause(std::vector<Lit>(lits));
-}
-
 bool Cnf::is_satisfied_by(const std::vector<Value>& assignment) const {
-  for (const auto& clause : clauses_) {
+  for (const auto clause : clauses()) {
     bool satisfied = false;
     for (const Lit l : clause) {
       const Value v = l.var() < static_cast<Var>(assignment.size())
@@ -35,18 +17,6 @@ bool Cnf::is_satisfied_by(const std::vector<Value>& assignment) const {
     if (!satisfied) return false;
   }
   return true;
-}
-
-Var Cnf::append_disjoint(const Cnf& other) {
-  const Var offset = num_vars_;
-  for (const auto& clause : other.clauses()) {
-    std::vector<Lit> shifted;
-    shifted.reserve(clause.size());
-    for (const Lit l : clause) shifted.push_back(Lit(l.var() + offset, l.is_negative()));
-    add_clause(std::move(shifted));
-  }
-  num_vars_ = std::max(num_vars_, offset + other.num_vars());
-  return offset;
 }
 
 }  // namespace berkmin

@@ -10,7 +10,7 @@ CnfStats compute_stats(const Cnf& cnf) {
   stats.num_clauses = cnf.num_clauses();
 
   std::size_t positive = 0;
-  for (const auto& clause : cnf.clauses()) {
+  for (const auto clause : cnf.clauses()) {
     const std::size_t len = clause.size();
     stats.num_literals += len;
     if (len == 1) ++stats.num_units;

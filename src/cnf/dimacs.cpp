@@ -1,76 +1,95 @@
 #include "cnf/dimacs.h"
 
+#include <charconv>
 #include <fstream>
 #include <istream>
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 namespace berkmin::dimacs {
 namespace {
 
+// Whitespace as the classic locale defines it (what `istream >> string`
+// splits on).
+bool is_space(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' ||
+         c == '\r';
+}
+
 struct Token {
-  std::string text;
+  std::string_view text;  // valid until the next Tokenizer::next()
   int line = 0;
   std::uint64_t offset = 0;  // byte offset of the token's first character
 };
 
-// Tokenizes the stream, dropping comment lines and the SATLIB "%" footer
-// (everything after a lone "%" is ignored, as in the SATLIB uf* files).
-std::vector<Token> tokenize(std::istream& in) {
-  std::vector<Token> tokens;
-  std::string line;
-  int line_number = 0;
-  std::uint64_t line_start = 0;  // byte offset of the current line
-  while (std::getline(in, line)) {
-    ++line_number;
-    std::istringstream ls(line);
-    std::string word;
-    bool first_word = true;
-    while (ls >> word) {
-      if (first_word && (word == "c" || word.rfind("c", 0) == 0)) {
-        // Comment lines start with 'c'; accept both "c text" and "ctext"
-        // only when the token is exactly "c" or starts with "c " — i.e. we
-        // treat any line whose first token begins with a non-numeric,
-        // non-'p' character as a comment, matching common practice.
-        if (word == "c") break;
-        if (!std::isdigit(static_cast<unsigned char>(word[0])) && word[0] != '-' &&
-            word[0] != 'p' && word[0] != '%') {
-          break;
-        }
-      }
-      if (word == "%") return tokens;  // SATLIB footer: stop reading.
-      // The token ends where the line stream now stands (end of line when
-      // the extraction hit EOF), so it starts word.size() bytes earlier.
-      const auto end = ls.tellg() == std::istringstream::pos_type(-1)
-                           ? line.size()
-                           : static_cast<std::size_t>(ls.tellg());
-      tokens.push_back(
-          Token{word, line_number, line_start + end - word.size()});
-      first_word = false;
-    }
-    line_start += line.size() + 1;  // + the newline getline consumed
-  }
-  return tokens;
-}
+// Streams the whitespace-separated words of the input one line at a time,
+// dropping comment lines (any line whose first word starts with 'c') and
+// the SATLIB "%" footer (everything after a lone "%" is ignored, as in the
+// SATLIB uf* files).
+class Tokenizer {
+ public:
+  explicit Tokenizer(std::istream& in) : in_(in) {}
 
-// Parses a token as a number; a malformed token appends a fatal issue and
-// returns nullopt.
+  // Advances to the next token; false at the end of the input or the footer.
+  bool next(Token* token) {
+    while (true) {
+      while (pos_ < line_.size() && is_space(line_[pos_])) ++pos_;
+      if (pos_ < line_.size()) {
+        const std::size_t start = pos_;
+        while (pos_ < line_.size() && !is_space(line_[pos_])) ++pos_;
+        const std::string_view word(line_.data() + start, pos_ - start);
+        const bool first_word = start_of_line_;
+        start_of_line_ = false;
+        if (first_word && word[0] == 'c') {
+          pos_ = line_.size();
+          continue;
+        }
+        if (word == "%") return false;  // SATLIB footer: stop reading.
+        *token = Token{word, line_number_, line_start_ + start};
+        return true;
+      }
+      if (!std::getline(in_, line_)) return false;
+      ++line_number_;
+      line_start_ = next_line_start_;
+      next_line_start_ += line_.size() + 1;  // + the newline getline consumed
+      pos_ = 0;
+      start_of_line_ = true;
+    }
+  }
+
+ private:
+  std::istream& in_;
+  std::string line_;
+  std::size_t pos_ = 0;
+  bool start_of_line_ = true;
+  int line_number_ = 0;
+  std::uint64_t line_start_ = 0;  // byte offset of the current line
+  std::uint64_t next_line_start_ = 0;
+};
+
+// Parses a token as a base-10 number with an optional sign, the syntax
+// std::stoll accepts; a malformed token appends a fatal issue and returns
+// nullopt.
 std::optional<long long> parse_number(const Token& token,
                                       std::vector<ParseIssue>* issues) {
-  std::size_t consumed = 0;
+  const char* first = token.text.data();
+  const char* last = first + token.text.size();
+  if (token.text.size() > 1 && *first == '+' && first[1] != '-') ++first;
   long long value = 0;
-  try {
-    value = std::stoll(token.text, &consumed);
-  } catch (const std::exception&) {
-    issues->push_back(ParseIssue{true, token.line, token.offset,
-                                 "expected a number, got '" + token.text + "'"});
+  const auto [end, error] = std::from_chars(first, last, value);
+  if (error != std::errc{}) {
+    issues->push_back(ParseIssue{
+        true, token.line, token.offset,
+        "expected a number, got '" + std::string(token.text) + "'"});
     return std::nullopt;
   }
-  if (consumed != token.text.size()) {
-    issues->push_back(ParseIssue{true, token.line, token.offset,
-                                 "trailing characters in '" + token.text + "'"});
+  if (end != last) {
+    issues->push_back(ParseIssue{
+        true, token.line, token.offset,
+        "trailing characters in '" + std::string(token.text) + "'"});
     return std::nullopt;
   }
   return value;
@@ -80,67 +99,69 @@ std::optional<long long> parse_number(const Token& token,
 
 ParseResult read_checked(std::istream& in) {
   ParseResult result;
-  const std::vector<Token> tokens = tokenize(in);
-  std::size_t pos = 0;
-
   const auto fatal = [&](int line, std::uint64_t offset,
                          const std::string& message) {
     result.issues.push_back(ParseIssue{true, line, offset, message});
   };
 
-  if (tokens.empty()) {
+  Tokenizer tokens(in);
+  Token token;
+  if (!tokens.next(&token)) {
     fatal(0, 0, "empty input: missing 'p cnf' header");
     return result;
   }
-  if (tokens[pos].text != "p") {
-    fatal(tokens[pos].line, tokens[pos].offset,
-          "expected 'p cnf' header before clauses");
+  if (token.text != "p") {
+    fatal(token.line, token.offset, "expected 'p cnf' header before clauses");
     return result;
   }
-  ++pos;
-  if (pos >= tokens.size() || tokens[pos].text != "cnf") {
-    fatal(tokens[pos - 1].line, tokens[pos - 1].offset,
-          "expected 'cnf' after 'p'");
+  const Token p = token;
+  if (!tokens.next(&token) || token.text != "cnf") {
+    fatal(p.line, p.offset, "expected 'cnf' after 'p'");
     return result;
   }
-  ++pos;
-  if (pos + 1 >= tokens.size()) {
-    fatal(tokens.back().line, tokens.back().offset,
-          "header is missing variable/clause counts");
+  // Both counts must be present before either is parsed. A missing count
+  // is reported at the last token read ("cnf" or the variable count).
+  Token vars = token;
+  std::string vars_text;  // outlives the line the next token may read
+  if (tokens.next(&vars)) {
+    vars_text = vars.text;
+    vars.text = vars_text;
+  }
+  if (vars_text.empty() || !tokens.next(&token)) {
+    fatal(vars.line, vars.offset, "header is missing variable/clause counts");
     return result;
   }
   const std::optional<long long> declared_vars =
-      parse_number(tokens[pos++], &result.issues);
+      parse_number(vars, &result.issues);
   const std::optional<long long> declared_clauses =
-      parse_number(tokens[pos++], &result.issues);
+      parse_number(token, &result.issues);
   if (!declared_vars.has_value() || !declared_clauses.has_value()) {
     return result;
   }
   if (*declared_vars < 0 || *declared_clauses < 0) {
-    fatal(tokens[pos - 1].line, tokens[pos - 1].offset,
-          "negative counts in header");
+    fatal(token.line, token.offset, "negative counts in header");
     return result;
   }
 
+  // Literals are staged per clause, so the formula only ever holds
+  // complete clauses, also when a fatal issue stops the parse.
   result.cnf = Cnf(static_cast<int>(*declared_vars));
   std::vector<Lit> current;
-  int last_line = tokens.back().line;
-  std::uint64_t last_offset = tokens.back().offset;
-  for (; pos < tokens.size(); ++pos) {
-    const std::optional<long long> value =
-        parse_number(tokens[pos], &result.issues);
+  int last_line = token.line;
+  std::uint64_t last_offset = token.offset;
+  while (tokens.next(&token)) {
+    const std::optional<long long> value = parse_number(token, &result.issues);
     if (!value.has_value()) return result;
-    last_line = tokens[pos].line;
-    last_offset = tokens[pos].offset;
+    last_line = token.line;
+    last_offset = token.offset;
     if (*value == 0) {
       result.cnf.add_clause(current);
       current.clear();
       continue;
     }
-    const long long magnitude = *value > 0 ? *value : -*value;
-    if (magnitude > *declared_vars) {
-      fatal(tokens[pos].line, tokens[pos].offset,
-            "literal " + tokens[pos].text + " exceeds declared " +
+    if (*value > *declared_vars || *value < -*declared_vars) {
+      fatal(token.line, token.offset,
+            "literal " + std::string(token.text) + " exceeds declared " +
                 std::to_string(*declared_vars) + " variables");
       return result;
     }
@@ -209,7 +230,7 @@ void write(std::ostream& out, const Cnf& cnf, const std::string& comment) {
     while (std::getline(cs, line)) out << "c " << line << '\n';
   }
   out << "p cnf " << cnf.num_vars() << ' ' << cnf.num_clauses() << '\n';
-  for (const auto& clause : cnf.clauses()) {
+  for (const auto clause : cnf.clauses()) {
     for (const Lit l : clause) out << to_dimacs(l) << ' ';
     out << "0\n";
   }

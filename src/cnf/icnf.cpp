@@ -257,22 +257,22 @@ Script synthesize_from_cnf(const Cnf& cnf, std::uint64_t seed) {
     }
     return lits;
   };
+  const auto add_clauses = [&](std::size_t from, std::size_t to) {
+    for (std::size_t i = from; i < to; ++i) {
+      const auto clause = cnf.clause(i);
+      script.ops.push_back(Op::clause({clause.begin(), clause.end()}));
+    }
+  };
 
-  for (std::size_t i = 0; i < base_end; ++i) {
-    script.ops.push_back(Op::clause(cnf.clause(i)));
-  }
+  add_clauses(0, base_end);
   script.ops.push_back(Op::solve());
 
   script.ops.push_back(Op::push());
-  for (std::size_t i = base_end; i < mid; ++i) {
-    script.ops.push_back(Op::clause(cnf.clause(i)));
-  }
+  add_clauses(base_end, mid);
   script.ops.push_back(Op::solve(assumptions(2)));
 
   script.ops.push_back(Op::push());
-  for (std::size_t i = mid; i < n; ++i) {
-    script.ops.push_back(Op::clause(cnf.clause(i)));
-  }
+  add_clauses(mid, n);
   script.ops.push_back(Op::solve());
 
   script.ops.push_back(Op::pop());

@@ -97,6 +97,10 @@ class ClauseArena {
 
   void clear() { data_.clear(); }
 
+  // Takes `spent`'s buffer, emptied: the arena is as new, with the
+  // capacity `spent` had grown to.
+  void reuse(ClauseArena& spent) { reuse_buffer(data_, spent.data_); }
+
   void reserve_words(std::size_t words) { data_.reserve(words); }
 
  private:

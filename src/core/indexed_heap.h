@@ -70,6 +70,15 @@ class IndexedHeap {
     heap_.clear();
   }
 
+  // Takes `spent`'s buffers, emptied, keeping this heap's priority: the
+  // heap is as new, with the capacity `spent` had grown to.
+  void reuse(IndexedHeap& spent) {
+    heap_.swap(spent.heap_);
+    pos_.swap(spent.pos_);
+    heap_.clear();
+    pos_.clear();
+  }
+
  private:
   void sift_up(int position) {
     const int idx = heap_[position];

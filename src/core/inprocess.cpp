@@ -587,19 +587,17 @@ Cnf Inprocessor::formula() const {
   assert(eliminations_.empty());
   Cnf out(s_.num_vars());
   if (!s_.ok_) {
-    out.add_clause(std::vector<Lit>{});
+    out.add_clause({});
     return out;
   }
   for (const Lit l : s_.trail_) out.add_unit(l);
-  std::vector<Lit> lits;
   for (const ClauseRef ref : s_.originals_) {
     if (s_.clause_is_satisfied(ref)) continue;
     const Clause c = s_.arena_.deref(ref);
-    lits.clear();
     for (std::uint32_t i = 0; i < c.size(); ++i) {
-      if (s_.value(c[i]) == Value::unassigned) lits.push_back(c[i]);
+      if (s_.value(c[i]) == Value::unassigned) out.add_literal(c[i]);
     }
-    out.add_clause(std::span<const Lit>(lits));
+    out.end_clause();
   }
   return out;
 }
@@ -614,7 +612,7 @@ PreprocessResult preprocess(const Cnf& cnf, proof::ProofWriter* proof) {
   result.unsat = !solver.ok();
   result.subsumed_clauses = solver.stats().subsumed_clauses;
   result.strengthened_clauses = solver.stats().strengthened_clauses;
-  for (const auto& clause : result.cnf.clauses()) {
+  for (const auto clause : result.cnf.clauses()) {
     if (clause.size() == 1) ++result.root_units;
   }
   return result;

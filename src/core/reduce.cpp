@@ -373,23 +373,17 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
       2 * static_cast<std::size_t>(num_internal_vars()), 0);
   std::vector<std::uint32_t> bin_counts(
       2 * static_cast<std::size_t>(num_internal_vars()), 0);
-  const auto count_watches = [&](ClauseRef ref) {
-    const Clause c = arena_.deref(ref);
-    auto& counts = c.size() == 2 ? bin_counts : watch_counts;
-    ++counts[(~c[0]).code()];
-    ++counts[(~c[1]).code()];
-  };
-  for (const ClauseRef ref : originals_) count_watches(ref);
-  for (const ClauseRef ref : learned_stack_) count_watches(ref);
+  for (const ClauseRef ref : originals_) {
+    count_watches(arena_.deref(ref), watch_counts, bin_counts);
+  }
+  for (const ClauseRef ref : learned_stack_) {
+    count_watches(arena_.deref(ref), watch_counts, bin_counts);
+  }
   watches_.rebuild(watch_counts);
   bin_watches_.rebuild(bin_counts);
   occ_.clear();
 
-  for (const ClauseRef ref : originals_) {
-    attach_clause(ref);
-    const Clause c = arena_.deref(ref);
-    for (std::uint32_t i = 0; i < c.size(); ++i) occ_.push(c[i].code(), ref);
-  }
+  for (const ClauseRef ref : originals_) attach_original(ref);
   for (const ClauseRef ref : learned_stack_) attach_clause(ref);
   sync_budget_charge();
   if (telemetry_ != nullptr) {

@@ -1,6 +1,7 @@
 #include "core/solver.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 #include "cnf/simplify.h"
@@ -109,6 +110,33 @@ Solver::Solver(SolverOptions options)
       lit_heap_(LitOrder{&chaff_counter_}),
       rng_(options.seed),
       old_threshold_(options.old_activity_threshold) {}
+
+Solver::Solver(SolverOptions options, Solver&& spent) : Solver(options) {
+  arena_.reuse(spent.arena_);
+  watches_.reuse(spent.watches_);
+  bin_watches_.reuse(spent.bin_watches_);
+  occ_.reuse(spent.occ_);
+  var_heap_.reuse(spent.var_heap_);
+  lit_heap_.reuse(spent.lit_heap_);
+  reuse_buffer(originals_, spent.originals_);
+  reuse_buffer(learned_stack_, spent.learned_stack_);
+  reuse_buffer(satisfied_cache_, spent.satisfied_cache_);
+  reuse_buffer(ext2int_, spent.ext2int_);
+  reuse_buffer(int2ext_, spent.int2ext_);
+  reuse_buffer(is_selector_, spent.is_selector_);
+  reuse_buffer(assign_, spent.assign_);
+  reuse_buffer(assign_lit_, spent.assign_lit_);
+  reuse_buffer(reason_, spent.reason_);
+  reuse_buffer(bin_reason_other_, spent.bin_reason_other_);
+  reuse_buffer(level_, spent.level_);
+  reuse_buffer(trail_, spent.trail_);
+  reuse_buffer(var_activity_, spent.var_activity_);
+  reuse_buffer(lit_activity_, spent.lit_activity_);
+  reuse_buffer(chaff_counter_, spent.chaff_counter_);
+  reuse_buffer(eliminated_, spent.eliminated_);
+  reuse_buffer(seen_, spent.seen_);
+  reuse_buffer(model_, spent.model_);
+}
 
 Var Solver::new_internal_var(bool selector) {
   const Var v = static_cast<Var>(assign_.size());
@@ -387,19 +415,49 @@ bool Solver::import_clause(std::span<const Lit> lits, std::uint32_t glue) {
 
 bool Solver::load(const Cnf& cnf) {
   while (num_vars() < cnf.num_vars()) new_var();
-  // With no originals yet, lay the occurrence lists out for the whole
-  // formula at once: filled clause by clause, every list that outgrows its
-  // span leaves the old span behind as garbage.
-  if (originals_.empty()) {
-    std::vector<std::uint32_t> counts(occ_.num_literals(), 0);
-    for (const auto& clause : cnf.clauses()) {
-      if (clause.size() < 2) continue;
-      for (const Lit l : clause) ++counts[external_to_internal(l).code()];
-    }
-    occ_.rebuild(counts);
+  // Store every clause first and attach them together: filled clause by
+  // clause, every watch or occurrence list that outgrows its span leaves
+  // the old span behind as garbage, while counting first lets each pool
+  // lay its spans out once. Attaching in clause order keeps every list's
+  // order, so the search is the same either way. The arena and the watch
+  // lists keep the headroom growth would have left them (a power of two),
+  // so the first learned clauses of the search reallocate and relocate no
+  // more than after clause-by-clause adds.
+  const std::size_t per_clause =
+      ClauseArena::header_words + (group_selectors_.empty() ? 0 : 1);
+  arena_.reserve_words(std::bit_ceil(arena_.size_words() + cnf.num_literals() +
+                                     per_clause * cnf.num_clauses()));
+  const std::size_t first = originals_.size();
+  loading_ = true;
+  for (const auto clause : cnf.clauses()) {
+    if (!add_clause(clause)) break;
   }
-  for (const auto& clause : cnf.clauses()) {
-    if (!add_clause(clause)) return false;
+  loading_ = false;
+  if (originals_.size() == first) return ok_;
+
+  std::vector<std::uint32_t> occ_counts(occ_.num_literals(), 0);
+  std::vector<std::uint32_t> watch_counts(watches_.num_literals(), 0);
+  std::vector<std::uint32_t> bin_counts(bin_watches_.num_literals(), 0);
+  for (std::size_t i = first; i < originals_.size(); ++i) {
+    const Clause c = arena_.deref(originals_[i]);
+    for (std::uint32_t j = 0; j < c.size(); ++j) ++occ_counts[c[j].code()];
+    count_watches(c, watch_counts, bin_counts);
+  }
+  const auto with_headroom = [](const auto& pool,
+                                 std::vector<std::uint32_t>& counts) {
+    for (std::size_t code = 0; code < counts.size(); ++code) {
+      if (counts[code] == 0) continue;
+      const std::uint32_t len = pool.size(code);
+      counts[code] = pool.grown_capacity(len + counts[code]) - len;
+    }
+  };
+  with_headroom(watches_, watch_counts);
+  with_headroom(bin_watches_, bin_counts);
+  occ_.reserve(occ_counts);
+  watches_.reserve(watch_counts);
+  bin_watches_.reserve(bin_counts);
+  for (std::size_t i = first; i < originals_.size(); ++i) {
+    attach_original(originals_[i]);
   }
   return ok_;
 }
@@ -411,14 +469,28 @@ ClauseRef Solver::add_clause_internal(std::span<const Lit> lits, bool learned,
   if (learned) {
     learned_stack_.push_back(ref);
     satisfied_cache_.push_back(undef_lit);
+    attach_clause(ref);
   } else {
     originals_.push_back(ref);
-    for (const Lit l : lits) occ_.push(l.code(), ref);
+    if (!loading_) attach_original(ref);  // load() attaches its own
   }
-  attach_clause(ref);
   update_live_peak();
   sync_budget_charge();
   return ref;
+}
+
+void Solver::attach_original(ClauseRef ref) {
+  const Clause c = arena_.deref(ref);
+  for (std::uint32_t i = 0; i < c.size(); ++i) occ_.push(c[i].code(), ref);
+  attach_clause(ref);
+}
+
+void Solver::count_watches(const Clause& c,
+                           std::vector<std::uint32_t>& watch_counts,
+                           std::vector<std::uint32_t>& bin_counts) {
+  auto& counts = c.size() == 2 ? bin_counts : watch_counts;
+  ++counts[(~c[0]).code()];
+  ++counts[(~c[1]).code()];
 }
 
 void Solver::attach_clause(ClauseRef ref) {

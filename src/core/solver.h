@@ -49,6 +49,12 @@ class Inprocessor;
 class Solver final : public SatEngine {
  public:
   explicit Solver(SolverOptions options = SolverOptions::berkmin());
+  // A solver exactly as Solver(options) builds it, whose clause, watch and
+  // per-variable tables start in `spent`'s buffers: a caller that runs one
+  // solver after another (a service's sessions) keeps their memory
+  // instead of freeing it and faulting fresh pages in for the next one.
+  // `spent` is left empty and can only be destroyed.
+  Solver(SolverOptions options, Solver&& spent);
   ~Solver() override;
 
   // ---- problem construction -------------------------------------------
@@ -346,6 +352,9 @@ class Solver final : public SatEngine {
   // Activity counter of a live clause (test/bench introspection).
   std::uint32_t clause_activity(ClauseRef ref) const;
   const std::vector<ClauseRef>& learned_stack() const { return learned_stack_; }
+  // The long-clause and binary watch pools (test introspection).
+  const WatchPool& watch_pool() const { return watches_; }
+  const BinWatchPool& bin_watch_pool() const { return bin_watches_; }
 
   // Full internal-consistency check (watches, trail, reasons, stack
   // bookkeeping). Returns an empty string when every invariant holds,
@@ -374,6 +383,12 @@ class Solver final : public SatEngine {
   void enqueue(Lit l, ClauseRef reason, Lit bin_other = undef_lit);
   ClauseRef propagate_internal();
   void attach_clause(ClauseRef ref);
+  // Adds an original clause to the occurrence lists and attaches it.
+  void attach_original(ClauseRef ref);
+  // Counts the two watchers attach_clause(c) pushes, per watched literal.
+  static void count_watches(const Clause& c,
+                            std::vector<std::uint32_t>& watch_counts,
+                            std::vector<std::uint32_t>& bin_counts);
   // True when an identical two-literal clause is already attached.
   bool binary_clause_present(Lit a, Lit b) const;
   // Normalizes and records a clause at the root level; learned selects
@@ -650,6 +665,8 @@ class Solver final : public SatEngine {
   // add_clause_to_group: selector the next add_root_clause must tag the
   // clause with instead of the innermost group's (undef_lit = default).
   Lit forced_selector_ = undef_lit;
+  // Set while load() stores its clauses; it attaches them all at the end.
+  bool loading_ = false;
 
   ClauseCallback learn_callback_;
   RestartCallback restart_callback_;

@@ -12,6 +12,14 @@
 
 namespace berkmin {
 
+// Empties `from` into `into`, which takes its buffer: an object built to
+// succeed a finished one keeps the capacity it had grown to.
+template <class T>
+void reuse_buffer(std::vector<T>& into, std::vector<T>& from) {
+  into.swap(from);
+  into.clear();
+}
+
 // Index of a clause inside the ClauseArena. Stable until the next garbage
 // collection (which remaps all references it keeps).
 using ClauseRef = std::uint32_t;

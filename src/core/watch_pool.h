@@ -14,17 +14,21 @@
 // Growth: when a span is full its contents are relocated to fresh slots at
 // the end of the pool with doubled capacity; the vacated slots become
 // garbage tracked by wasted(). Geometric growth bounds total garbage by
-// the live size, and compact() (called at restart boundaries) or
-// rebuild() (called by garbage collection, which knows the exact watcher
-// counts up front) squeezes it out entirely. Because growth never touches
-// any other span's offset, BCP can iterate the current literal's span by
-// absolute pool index while pushing watchers for other literals — only raw
-// pool indices stay valid across a push (the underlying vector may
-// reallocate), which is exactly how Solver::propagate_internal accesses
-// the long-clause lists. A scan that performs no pushes at all (the binary
-// loop) may use data() pointers directly.
+// the live size. compact() (called at restart boundaries), rebuild()
+// (called by garbage collection, which knows the exact watcher counts up
+// front) and reserve() (called by Solver::load, which counts a formula's
+// watchers before attaching it) squeeze it out entirely. Because growth
+// never touches any other span's offset, BCP can iterate the current
+// literal's span by absolute pool index while pushing watchers for other
+// literals — only raw pool indices stay valid across a push (the
+// underlying vector may reallocate), which is exactly how
+// Solver::propagate_internal accesses the long-clause lists. A scan that
+// performs no pushes at all (the binary loop) may use data() pointers
+// directly.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <span>
@@ -81,6 +85,14 @@ class FlatWatchLists {
     for (Span& s : spans_) s.len = 0;
   }
 
+  // Takes `spent`'s buffers, emptied: the lists are as new (no literals,
+  // an empty pool), with the capacity `spent` had grown to.
+  void reuse(FlatWatchLists& spent) {
+    reuse_buffer(pool_, spent.pool_);
+    reuse_buffer(spans_, spent.spans_);
+    wasted_ = 0;
+  }
+
   // Drops the tail of a span (BCP keeps a compacted prefix in place).
   void truncate(std::size_t code, std::uint32_t new_len) {
     assert(new_len <= spans_[code].len);
@@ -125,13 +137,35 @@ class FlatWatchLists {
   // re-attaching). Subsequent pushes fill the spans with zero relocations
   // and zero waste.
   void rebuild(const std::vector<std::uint32_t>& counts) {
-    assert(counts.size() == spans_.size());
+    clear();
+    reserve(counts);
+  }
+
+  // The capacity push() growth gives a list that reaches `len` entries.
+  static std::uint32_t grown_capacity(std::uint32_t len) {
+    return len == 0 ? 0 : std::max<std::uint32_t>(4, std::bit_ceil(len));
+  }
+
+  // Lays the pool out afresh with room for exactly `extra[code]` more
+  // entries per literal, keeping every entry in order (Solver::load counts
+  // a formula's watchers before attaching it). Pushing that many relocates
+  // nothing and wastes nothing.
+  void reserve(const std::vector<std::uint32_t>& extra) {
+    assert(extra.size() == spans_.size());
+    std::uint32_t total = 0;
+    for (std::size_t code = 0; code < spans_.size(); ++code) {
+      total += spans_[code].len + extra[code];
+    }
+    std::vector<Entry> fresh(total);
     std::uint32_t offset = 0;
     for (std::size_t code = 0; code < spans_.size(); ++code) {
-      spans_[code] = Span{offset, 0, counts[code]};
-      offset += counts[code];
+      Span& s = spans_[code];
+      std::copy_n(pool_.begin() + s.offset, s.len, fresh.begin() + offset);
+      s.offset = offset;
+      s.cap = s.len + extra[code];
+      offset += s.cap;
     }
-    pool_.assign(offset, Entry{});
+    pool_ = std::move(fresh);
     wasted_ = 0;
   }
 

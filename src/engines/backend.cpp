@@ -210,16 +210,17 @@ std::string SessionBackend::name() const {
 
 // ---- frame instantiation ----------------------------------------------
 
-FrameVars instantiate_frame(EngineBackend& backend, const FrameTemplate& tmpl) {
+std::optional<FrameVars> instantiate_frame(EngineBackend& backend,
+                                           const FrameTemplate& tmpl) {
   const Var offset = backend.new_vars(tmpl.cnf.num_vars());
   const auto shift = [offset](Lit l) {
     return Lit(l.var() + offset, l.is_negative());
   };
   std::vector<Lit> scratch;
-  for (const auto& clause : tmpl.cnf.clauses()) {
+  for (const auto clause : tmpl.cnf.clauses()) {
     scratch.clear();
     for (const Lit l : clause) scratch.push_back(shift(l));
-    backend.add_clause(scratch);
+    if (backend.refused(backend.add_clause(scratch))) return std::nullopt;
   }
   FrameVars vars;
   vars.inputs.reserve(tmpl.inputs.size());
@@ -232,20 +233,25 @@ FrameVars instantiate_frame(EngineBackend& backend, const FrameTemplate& tmpl) {
   return vars;
 }
 
-const FrameVars& FrameStack::extend() {
-  FrameVars vars = instantiate_frame(backend_, ts_.frame());
+const FrameVars* FrameStack::extend() {
+  std::optional<FrameVars> vars = instantiate_frame(backend_, ts_.frame());
+  if (!vars.has_value()) return nullptr;
   if (frames_.empty()) {
     // Frame 0 starts in the all-zero initial state.
-    for (const Lit s : vars.state) backend_.add_unit(~s);
+    for (const Lit s : vars->state) {
+      if (backend_.refused(backend_.add_unit(~s))) return nullptr;
+    }
   } else {
     const FrameVars& prev = frames_.back();
-    for (std::size_t j = 0; j < vars.state.size(); ++j) {
-      backend_.add_binary(~vars.state[j], prev.next[j]);
-      backend_.add_binary(vars.state[j], ~prev.next[j]);
+    for (std::size_t j = 0; j < vars->state.size(); ++j) {
+      if (backend_.refused(backend_.add_binary(~vars->state[j], prev.next[j])) ||
+          backend_.refused(backend_.add_binary(vars->state[j], ~prev.next[j]))) {
+        return nullptr;
+      }
     }
   }
-  frames_.push_back(std::move(vars));
-  return frames_.back();
+  frames_.push_back(std::move(*vars));
+  return &frames_.back();
 }
 
 std::vector<std::vector<bool>> FrameStack::model_inputs() const {

@@ -78,6 +78,10 @@ class EngineBackend {
 
   virtual std::string name() const = 0;
   const std::string& last_error() const { return error_; }
+  // Whether an add that returned `added` was refused: false with
+  // last_error() set. False without an error is a root-level conflict,
+  // an answer the next solve() reports as UNSAT, not a refusal.
+  bool refused(bool added) const { return !added && !error_.empty(); }
 
  protected:
   std::string error_;
@@ -171,7 +175,9 @@ struct FrameVars {
 
 // Allocates fresh variables for every template variable and adds the
 // frame clauses (into the backend's innermost open group, if any).
-FrameVars instantiate_frame(EngineBackend& backend, const FrameTemplate& tmpl);
+// nullopt when the backend refused an add (its last_error() says why).
+std::optional<FrameVars> instantiate_frame(EngineBackend& backend,
+                                           const FrameTemplate& tmpl);
 
 // Maintains the BMC-style chain of frames: frame 0 is constrained to the
 // all-zero initial state; frame t > 0 ties its state inputs to frame
@@ -181,8 +187,9 @@ class FrameStack {
   FrameStack(const TransitionSystem& ts, EngineBackend& backend)
       : ts_(ts), backend_(backend) {}
 
-  // Instantiates and binds the next frame.
-  const FrameVars& extend();
+  // Instantiates and binds the next frame; nullptr when the backend
+  // refused an add (its last_error() says why).
+  const FrameVars* extend();
   const FrameVars& frame(std::size_t t) const { return frames_[t]; }
   std::size_t depth() const { return frames_.size(); }
 

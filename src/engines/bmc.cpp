@@ -21,10 +21,17 @@ EngineResult BmcEngine::run() {
       frame_groups_.push_back(group);
       ++stats_.pushes;
     }
-    const FrameVars& frame = frames_.extend();
+    const FrameVars* frame = frames_.extend();
+    if (frame == nullptr) {
+      result.bound = t;
+      result.error = "bmc: instantiating frame " + std::to_string(t) + ": " +
+                     backend_.last_error();
+      result.stats = stats_;
+      return result;
+    }
     ++stats_.frames;
 
-    const Lit assumptions[] = {frame.bad};
+    const Lit assumptions[] = {frame->bad};
     const SolveStatus status = backend_.solve(assumptions, opts_.query_budget);
     ++stats_.solves;
     if (status == SolveStatus::satisfiable) {

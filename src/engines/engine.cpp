@@ -41,7 +41,11 @@ std::string recheck_bound(SolverBackend& backend, const TransitionSystem& ts,
                           int bound) {
   FrameStack frames(ts, backend);
   std::vector<Lit> any_bad;
-  for (int t = 0; t <= bound; ++t) any_bad.push_back(frames.extend().bad);
+  for (int t = 0; t <= bound; ++t) {
+    const FrameVars* frame = frames.extend();
+    if (frame == nullptr) return "certify: " + backend.last_error();
+    any_bad.push_back(frame->bad);
+  }
   backend.add_clause(any_bad);
   return refute(backend, "the bounded query", {});
 }
@@ -62,7 +66,9 @@ std::string recheck_invariant(SolverBackend& backend,
     if (!init_satisfies) return "certify: an invariant clause excludes init";
   }
 
-  const FrameVars fv = instantiate_frame(backend, ts.frame());
+  const std::optional<FrameVars> frame = instantiate_frame(backend, ts.frame());
+  if (!frame.has_value()) return "certify: " + backend.last_error();
+  const FrameVars& fv = *frame;
   const auto lift = [](Lit latch_lit, const std::vector<Lit>& side) {
     const Lit base = side[static_cast<std::size_t>(latch_lit.var())];
     return latch_lit.is_negative() ? ~base : base;

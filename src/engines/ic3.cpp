@@ -12,8 +12,23 @@ Ic3Engine::Ic3Engine(const TransitionSystem& ts, EngineBackend& backend,
     : ts_(ts), backend_(backend), opts_(options) {
   // The transition relation is permanent: added at the root, before any
   // frame group is open. Frame 0 (the all-zero initial state) gets its
-  // named group at the start of run(), where a refusal can be reported.
-  fv_ = instantiate_frame(backend_, ts_.frame());
+  // named group at the start of run(). Refusals are reported there.
+  std::optional<FrameVars> fv = instantiate_frame(backend_, ts_.frame());
+  if (fv.has_value()) {
+    fv_ = std::move(*fv);
+  } else {
+    failure_ = "ic3: adding the transition relation refused: " +
+               backend_.last_error();
+  }
+}
+
+bool Ic3Engine::accepted(bool added, const char* what) {
+  if (!backend_.refused(added)) return true;
+  if (failure_.empty()) {
+    failure_ = std::string("ic3: adding ") + what +
+               " refused: " + backend_.last_error();
+  }
+  return false;
 }
 
 Lit Ic3Engine::state_lit(Lit cube_lit) const {
@@ -77,7 +92,10 @@ SolveStatus Ic3Engine::predecessor_query(const Cube& cube, int level) {
   std::vector<Lit> blocker;
   blocker.reserve(cube.size());
   for (const Lit l : cube) blocker.push_back(~state_lit(l));
-  backend_.add_clause(blocker);  // lands in the scratch group (innermost)
+  // Lands in the scratch group (innermost).
+  if (!accepted(backend_.add_clause(blocker), "a query's blocker")) {
+    return SolveStatus::unknown;
+  }
   ++stats_.clauses_added;
 
   std::vector<Lit> assumptions;
@@ -106,14 +124,18 @@ bool Ic3Engine::open_frame() {
   return true;
 }
 
-void Ic3Engine::add_blocked(const Cube& cube, int level) {
+bool Ic3Engine::add_blocked(const Cube& cube, int level) {
   std::vector<Lit> clause;
   clause.reserve(cube.size());
   for (const Lit l : cube) clause.push_back(~state_lit(l));
-  backend_.add_clause_to(frame_groups_[static_cast<std::size_t>(level)],
-                         clause);
+  if (!accepted(backend_.add_clause_to(
+                    frame_groups_[static_cast<std::size_t>(level)], clause),
+                "a blocked cube")) {
+    return false;
+  }
   ++stats_.clauses_added;
   frames_[static_cast<std::size_t>(level)].push_back(cube);
+  return true;
 }
 
 Ic3Engine::Cube Ic3Engine::generalize(Cube cube, int level) {
@@ -158,6 +180,7 @@ Ic3Engine::Cube Ic3Engine::generalize(Cube cube, int level) {
     }
     --queries_left;
     const SolveStatus status = predecessor_query(candidate, level);
+    if (!failure_.empty()) break;
     const bool keep_drop = status == SolveStatus::unsatisfiable;
     if (!pop_scratch()) break;
     if (keep_drop) {
@@ -184,7 +207,7 @@ int Ic3Engine::propagate() {
       assumptions.reserve(cube.size());
       for (const Lit l : cube) assumptions.push_back(next_lit(l));
       if (query(i, assumptions) == SolveStatus::unsatisfiable) {
-        add_blocked(cube, i + 1);
+        if (!add_blocked(cube, i + 1)) return -1;
       } else {
         // SAT keeps the cube here; unknown (budget) conservatively too.
         kept.push_back(std::move(cube));
@@ -226,6 +249,7 @@ EngineResult Ic3Engine::run() {
     return result;
   };
 
+  if (!failure_.empty()) return fail(failure_);
   // Frame 0: the all-zero initial state, unit clauses in its own named
   // group (opened here, not in the constructor, so a refusal is a
   // structured failure).
@@ -234,7 +258,10 @@ EngineResult Ic3Engine::run() {
   }
   for (const Lit s : fv_.state) {
     const Lit unit[] = {~s};
-    backend_.add_clause_to(frame_groups_[0], unit);
+    if (!accepted(backend_.add_clause_to(frame_groups_[0], unit),
+                  "the initial state")) {
+      return fail(failure_);
+    }
   }
 
   // Base case: can bad fire straight from the initial state?
@@ -295,6 +322,7 @@ EngineResult Ic3Engine::run() {
         if (level == 0) return make_counterexample(index);
 
         const SolveStatus pred = predecessor_query(state, level);
+        if (!failure_.empty()) return fail(failure_);
         if (pred == SolveStatus::unknown) {
           return fail("ic3: blocking query at frame " + std::to_string(level) +
                       " unresolved: " + backend_.last_error());
@@ -323,10 +351,11 @@ EngineResult Ic3Engine::run() {
         // UNSAT: `state` is blocked relative to F_{level-1}. Generalize
         // (reads the core before this pop) and commit the clause.
         Cube blocked = generalize(state, level);
+        if (!failure_.empty()) return fail(failure_);
         if (!pop_scratch()) {
           return fail("ic3: " + backend_.last_error());
         }
-        add_blocked(blocked, level);
+        if (!add_blocked(blocked, level)) return fail(failure_);
         if (level < frontier) queue.emplace(level + 1, index);
       }
     }
@@ -335,6 +364,7 @@ EngineResult Ic3Engine::run() {
       return fail("ic3: opening a frame group: " + backend_.last_error());
     }
     const int closed = propagate();
+    if (!failure_.empty()) return fail(failure_);
     if (closed >= 0) {
       result.verdict = Verdict::safe_invariant;
       result.bound = closed;

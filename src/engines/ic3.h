@@ -84,7 +84,12 @@ class Ic3Engine {
   SolveStatus predecessor_query(const Cube& cube, int level);
   bool pop_scratch();
   bool open_frame();
-  void add_blocked(const Cube& cube, int level);
+  // Records a refused add (EngineBackend::refused) as the run's failure;
+  // returns whether the add went through.
+  bool accepted(bool added, const char* what);
+  // Adds ¬cube to frame `level` and records the cube there; false on a
+  // refusal, which leaves the frame as it was.
+  bool add_blocked(const Cube& cube, int level);
   // Shrinks a just-blocked cube: UNSAT-core filter, then bounded literal
   // dropping; keeps the cube init-disjoint (≥1 positive literal).
   Cube generalize(Cube cube, int level);
@@ -98,6 +103,8 @@ class Ic3Engine {
   Ic3Options opts_;
 
   FrameVars fv_;  // the one transition-relation copy
+  // The first refused add, which ends the run ("" while none).
+  std::string failure_;
   // frame_groups_[i] holds frames_[i]'s blocked clauses (and init at 0);
   // frame_active_ mirrors each group's backend activation state so
   // activate_from only flips the frames whose state changed.

@@ -139,18 +139,14 @@ void BlocksworldEncoding::build() {
   for (int t = 0; t <= t_max; ++t) {
     for (int x = 0; x < b; ++x) {
       // x sits exactly on one support (or the table); never on itself.
-      std::vector<Lit> somewhere;
+      cnf_.add_unit(~on(x, x, t));
       for (int y = 0; y < dests; ++y) {
-        if (y == x) {
-          cnf_.add_unit(~on(x, y, t));
-          continue;
-        }
-        somewhere.push_back(on(x, y, t));
+        if (y != x) cnf_.add_literal(on(x, y, t));
       }
-      cnf_.add_clause(somewhere);
-      for (std::size_t i = 0; i < somewhere.size(); ++i) {
-        for (std::size_t j = i + 1; j < somewhere.size(); ++j) {
-          cnf_.add_binary(~somewhere[i], ~somewhere[j]);
+      cnf_.end_clause();
+      for (int y1 = 0; y1 < dests; ++y1) {
+        for (int y2 = y1 + 1; y2 < dests; ++y2) {
+          if (y1 != x && y2 != x) cnf_.add_binary(~on(x, y1, t), ~on(x, y2, t));
         }
       }
     }
@@ -165,9 +161,10 @@ void BlocksworldEncoding::build() {
     }
   }
 
+  std::vector<Lit> actions;
   for (int t = 0; t < t_max; ++t) {
     // Exactly one action (some move, or the explicit no-op).
-    std::vector<Lit> actions{Lit::positive(noop_var(t))};
+    actions.assign(1, Lit::positive(noop_var(t)));
     for (int x = 0; x < b; ++x) {
       for (int y = 0; y < dests; ++y) {
         if (y != x) actions.push_back(mv(x, y, t));
@@ -199,13 +196,13 @@ void BlocksworldEncoding::build() {
       // Frame axioms: support changes only through a move of x.
       for (int y = 0; y < dests; ++y) {
         if (y == x) continue;
-        std::vector<Lit> leave{~on(x, y, t), on(x, y, t + 1)};
-        std::vector<Lit> arrive{on(x, y, t), ~on(x, y, t + 1), mv(x, y, t)};
+        cnf_.add_literal(~on(x, y, t));
+        cnf_.add_literal(on(x, y, t + 1));
         for (int z = 0; z < dests; ++z) {
-          if (z != x && z != y) leave.push_back(mv(x, z, t));
+          if (z != x && z != y) cnf_.add_literal(mv(x, z, t));
         }
-        cnf_.add_clause(leave);
-        cnf_.add_clause(arrive);
+        cnf_.end_clause();
+        cnf_.add_ternary(on(x, y, t), ~on(x, y, t + 1), mv(x, y, t));
       }
     }
   }

@@ -51,9 +51,10 @@ void HanoiEncoding::build() {
     }
   }
 
+  std::vector<Lit> some_move;
   for (int t = 0; t < t_max; ++t) {
     // Exactly one move per step.
-    std::vector<Lit> some_move;
+    some_move.clear();
     for (int d = 0; d < n; ++d) {
       for (int p = 0; p < 3; ++p) {
         for (int q = 0; q < 3; ++q) {
@@ -88,15 +89,18 @@ void HanoiEncoding::build() {
       // Frame axioms: a disk leaves its peg only by moving away from it,
       // and arrives only by moving onto it.
       for (int p = 0; p < 3; ++p) {
-        std::vector<Lit> leave{~on(d, p, t), on(d, p, t + 1)};
-        std::vector<Lit> arrive{on(d, p, t), ~on(d, p, t + 1)};
+        cnf_.add_literal(~on(d, p, t));
+        cnf_.add_literal(on(d, p, t + 1));
         for (int q = 0; q < 3; ++q) {
-          if (q == p) continue;
-          leave.push_back(mv(d, p, q, t));
-          arrive.push_back(mv(d, q, p, t));
+          if (q != p) cnf_.add_literal(mv(d, p, q, t));
         }
-        cnf_.add_clause(leave);
-        cnf_.add_clause(arrive);
+        cnf_.end_clause();
+        cnf_.add_literal(on(d, p, t));
+        cnf_.add_literal(~on(d, p, t + 1));
+        for (int q = 0; q < 3; ++q) {
+          if (q != p) cnf_.add_literal(mv(d, q, p, t));
+        }
+        cnf_.end_clause();
       }
     }
   }

@@ -15,10 +15,8 @@ Cnf pigeonhole(int holes) {
 
   // Each pigeon sits in some hole.
   for (int p = 0; p < pigeons; ++p) {
-    std::vector<Lit> somewhere;
-    somewhere.reserve(holes);
-    for (int h = 0; h < holes; ++h) somewhere.push_back(Lit::positive(var_of(p, h)));
-    cnf.add_clause(std::move(somewhere));
+    for (int h = 0; h < holes; ++h) cnf.add_literal(Lit::positive(var_of(p, h)));
+    cnf.end_clause();
   }
 
   // No two pigeons share a hole.

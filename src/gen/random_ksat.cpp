@@ -12,14 +12,12 @@ Cnf random_ksat(int num_vars, int num_clauses, int k, std::uint64_t seed) {
   }
   Rng rng(seed);
   Cnf cnf(num_vars);
-  std::vector<Lit> clause;
   for (int c = 0; c < num_clauses; ++c) {
-    clause.clear();
     for (const std::size_t v : rng.sample(static_cast<std::size_t>(num_vars),
                                           static_cast<std::size_t>(k))) {
-      clause.push_back(Lit(static_cast<Var>(v), rng.coin()));
+      cnf.add_literal(Lit(static_cast<Var>(v), rng.coin()));
     }
-    cnf.add_clause(clause);
+    cnf.end_clause();
   }
   return cnf;
 }

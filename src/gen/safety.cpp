@@ -81,14 +81,12 @@ Cnf safety_cnf(const SafetyParams& params) {
   Cnf cnf;
   const std::vector<Lit> lits = encode_tseitin(unrolled, cnf);
   const int outputs_per_cycle = circuit.num_outputs();
-  std::vector<Lit> any_bad;
-  any_bad.reserve(static_cast<std::size_t>(params.cycles));
   for (int c = 0; c < params.cycles; ++c) {
     const int gate =
         unrolled.outputs()[static_cast<std::size_t>(c * outputs_per_cycle + bad)];
-    any_bad.push_back(lits[static_cast<std::size_t>(gate)]);
+    cnf.add_literal(lits[static_cast<std::size_t>(gate)]);
   }
-  cnf.add_clause(any_bad);
+  cnf.end_clause();
   return cnf;
 }
 

@@ -26,7 +26,7 @@ bool PortfolioSolver::add_clause(std::span<const Lit> lits) {
 
 bool PortfolioSolver::load(const Cnf& cnf) {
   while (cnf_.num_vars() < cnf.num_vars()) cnf_.add_var();
-  for (const auto& clause : cnf.clauses()) add_clause(clause);
+  for (const auto clause : cnf.clauses()) add_clause(clause);
   return true;
 }
 

@@ -40,8 +40,11 @@ void sort_unique(std::vector<GroupId>& groups) {
 
 DratChecker::DratChecker(const Cnf& cnf) : record_antecedents_(true) {
   ensure_var(cnf.num_vars() - 1);
+  clauses_.reserve(cnf.num_clauses());
+  lit_pool_.reserve(cnf.num_literals());
   for (std::size_t i = 0; i < cnf.num_clauses(); ++i) {
-    clause_scratch_ = cnf.clause(i);
+    const auto clause = cnf.clause(i);
+    clause_scratch_.assign(clause.begin(), clause.end());
     // A tautology can never matter.
     if (normalize_clause(clause_scratch_)) settle(store({}, false, i));
   }
@@ -719,6 +722,25 @@ void DratChecker::replay(const Proof& trace) {
     fresh.add_original(lits_of(c), c.group);
   }
   fresh.consume(trace);
+  *this = std::move(fresh);
+}
+
+void DratChecker::reset() {
+  DratChecker fresh;
+  reuse_buffer(fresh.clauses_, clauses_);
+  reuse_buffer(fresh.lit_pool_, lit_pool_);
+  reuse_buffer(fresh.group_pool_, group_pool_);
+  reuse_buffer(fresh.index_heads_, index_heads_);
+  reuse_buffer(fresh.index_next_, index_next_);
+  reuse_buffer(fresh.lit_mark_, lit_mark_);
+  fresh.watches_.reuse(watches_);
+  reuse_buffer(fresh.assign_, assign_);
+  reuse_buffer(fresh.trail_, trail_);
+  reuse_buffer(fresh.reason_, reason_);
+  reuse_buffer(fresh.root_groups_, root_groups_);
+  reuse_buffer(fresh.seen_, seen_);
+  reuse_buffer(fresh.marked_, marked_);
+  reuse_buffer(fresh.assumed_, assumed_);
   *this = std::move(fresh);
 }
 

@@ -109,6 +109,11 @@ class DratChecker {
   // group), and derivations are recorded for trimmed() and core().
   explicit DratChecker(const Cnf& cnf);
 
+  // Returns to the state of DratChecker(), keeping the clause store, watch
+  // and per-variable buffers it grew, so a caller that checks one session
+  // after another reuses them instead of faulting fresh pages in.
+  void reset();
+
   // ---- resumable interface ------------------------------------------------
   // Adds an original clause; `group` is the clause group it belongs to
   // (no_group: the root formula, never retracted). A clause added to a

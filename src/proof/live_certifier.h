@@ -34,11 +34,19 @@ namespace berkmin::proof {
 class LiveCertifier {
  public:
   // Follows `engine`, which logs into `trace` (nullptr: no proof). With
-  // `check` and a trace, a live checker certifies the engine's answers.
+  // `check` and a trace, a live checker certifies the engine's answers: a
+  // new one, or `spare` reset (a released checker whose buffers it reuses,
+  // see DratChecker::reset).
   LiveCertifier(SatEngine& engine, std::unique_ptr<MemoryProofWriter> trace,
-                bool check)
+                bool check, std::unique_ptr<DratChecker> spare = nullptr)
       : engine_(engine), writer_(std::move(trace)) {
-    if (check && writer_ != nullptr) checker_ = std::make_unique<DratChecker>();
+    if (!check || writer_ == nullptr) return;
+    if (spare == nullptr) {
+      checker_ = std::make_unique<DratChecker>();
+      return;
+    }
+    spare->reset();
+    checker_ = std::move(spare);
   }
   // Attaches a fresh trace to `solver` and checks its answers.
   explicit LiveCertifier(Solver& solver);
@@ -53,7 +61,7 @@ class LiveCertifier {
   bool load(const Cnf& cnf) {
     sync();
     if (checker_ != nullptr) {
-      for (const auto& clause : cnf.clauses()) {
+      for (const auto clause : cnf.clauses()) {
         checker_->add_original(clause, engine_.innermost_group());
       }
     }
@@ -106,6 +114,9 @@ class LiveCertifier {
 
   const Proof& trace() const { return writer_->proof(); }  // requires one
   const DratChecker& checker() const { return *checker_; }
+  // Hands the checker over (nullptr without one) for a later certifier to
+  // reuse; this one checks nothing more.
+  std::unique_ptr<DratChecker> release_checker() { return std::move(checker_); }
 
  private:
   // Feeds the checker the trace steps logged since its last call.

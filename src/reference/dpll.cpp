@@ -9,8 +9,8 @@ class Dpll {
  public:
   Dpll(const Cnf& cnf, std::uint64_t max_nodes)
       : clauses_(), assign_(cnf.num_vars(), Value::unassigned), max_nodes_(max_nodes) {
-    for (const auto& clause : cnf.clauses()) {
-      std::vector<Lit> normalized = clause;
+    for (const auto clause : cnf.clauses()) {
+      std::vector<Lit> normalized(clause.begin(), clause.end());
       if (normalize_clause(normalized)) clauses_.push_back(std::move(normalized));
     }
   }
@@ -112,7 +112,7 @@ class Dpll {
 
 DpllResult dpll_solve(const Cnf& cnf, std::uint64_t max_nodes) {
   // An empty clause anywhere makes the formula trivially unsatisfiable.
-  for (const auto& clause : cnf.clauses()) {
+  for (const auto clause : cnf.clauses()) {
     if (clause.empty()) {
       DpllResult result;
       result.satisfiable = false;

@@ -190,12 +190,20 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
         "(spliced incremental traces need deterministic portfolio replay); "
         "reopen with threads = 1 or without proof options";
   }
+  Spare spare;
+  if (request.threads == 1) {
+    std::lock_guard<std::mutex> lk(lock_);
+    spare = std::move(spare_);
+  }
+  const bool reused = spare.solver != nullptr;
   std::unique_ptr<proof::MemoryProofWriter> trace;
-  std::unique_ptr<SatEngine> engine =
-      make_engine(request.options, request.threads,
-                  request.proof.wanted() && unsupported.empty(), &trace);
+  std::unique_ptr<SatEngine> engine = make_engine(
+      request.options, request.threads,
+      request.proof.wanted() && unsupported.empty(), &trace,
+      std::move(spare.solver));
   auto session = std::make_shared<Session>(std::move(engine), std::move(trace),
-                                           request.proof.verify());
+                                           request.proof.verify(),
+                                           std::move(spare.checker));
   session->unsupported = std::move(unsupported);
 
   std::lock_guard<std::mutex> lk(lock_);
@@ -213,6 +221,7 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
   session->request = std::move(request);
   sessions_.emplace(session->id, session);
   ++stats_.sessions_opened;
+  if (reused) ++stats_.sessions_reused;
   if (sessions_gauge_ != nullptr) {
     sessions_gauge_->set(static_cast<std::int64_t>(sessions_.size()));
   }
@@ -221,7 +230,8 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
 
 std::unique_ptr<SatEngine> SolverService::make_engine(
     const SolverOptions& options, int threads, bool log_proof,
-    std::unique_ptr<proof::MemoryProofWriter>* writer) const {
+    std::unique_ptr<proof::MemoryProofWriter>* writer,
+    std::unique_ptr<Solver> spare) const {
   if (threads > 1) {
     portfolio::PortfolioOptions popts;
     popts.num_threads = threads;
@@ -235,7 +245,9 @@ std::unique_ptr<SatEngine> SolverService::make_engine(
     popts.memory_budget = opts_.memory_budget;
     return std::make_unique<portfolio::PortfolioSolver>(popts);
   }
-  auto solver = std::make_unique<Solver>(options);
+  auto solver = spare != nullptr
+                    ? std::make_unique<Solver>(options, std::move(*spare))
+                    : std::make_unique<Solver>(options);
   solver->set_memory_budget(opts_.memory_budget);
   if (log_proof) {
     *writer = std::make_unique<proof::MemoryProofWriter>();
@@ -364,11 +376,24 @@ bool SolverService::close_session(SessionId id) {
     return false;
   }
   it->second->closed = true;
+  keep_spare_locked(it->second);
   sessions_.erase(it);  // the engine dies with the last shared_ptr
   if (sessions_gauge_ != nullptr) {
     sessions_gauge_->set(static_cast<std::int64_t>(sessions_.size()));
   }
   return true;
+}
+
+void SolverService::keep_spare_locked(const std::shared_ptr<Session>& session) {
+  if (spare_.solver != nullptr || opts_.memory_budget != nullptr ||
+      session.use_count() != 1) {
+    return;
+  }
+  auto* solver = dynamic_cast<Solver*>(session->engine.get());
+  if (solver == nullptr) return;  // a portfolio
+  spare_.checker = session->certifier.release_checker();
+  spare_.solver.reset(solver);
+  session->engine.release();
 }
 
 std::size_t SolverService::open_sessions() const {
@@ -399,9 +424,11 @@ bool SolverService::cancel(JobId id) {
 
 void SolverService::shutdown(Shutdown mode) {
   std::vector<JobResult> notifications;
+  Spare unused;  // no session opens any more; freed outside the lock
   {
     std::lock_guard<std::mutex> lk(lock_);
     accepting_ = false;
+    unused = std::move(spare_);
     if (mode == Shutdown::cancel_pending) {
       for (auto& [id, job] : jobs_) {
         if (job->finished) continue;

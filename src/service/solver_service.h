@@ -40,6 +40,10 @@
 #include "telemetry/telemetry.h"
 #include "util/timer.h"
 
+namespace berkmin {
+class Solver;
+}
+
 namespace berkmin::util {
 class MemoryBudget;
 }
@@ -97,7 +101,8 @@ struct ServiceOptions {
 //    formula, a feature combination the service cannot serve;
 //  * scheduling: slices run, preemptions, conflicts summed over every
 //    slice of every job, and the peak number of pending jobs;
-//  * incremental sessions: open_session() calls, session_solve() queries
+//  * incremental sessions: open_session() calls, the sessions built in a
+//    closed session's solver and checker storage, session_solve() queries
 //    and clauses added through session_add_clause / session_add_clause_to;
 //  * robustness (ServiceOptions watchdog / retries / budget): slices
 //    stopped by the watchdog, slices that threw, dead slices re-queued for
@@ -109,7 +114,8 @@ struct ServiceOptions {
   X(errors, jobs_errors) X(unsupported, jobs_unsupported)                  \
   X(slices, slices) X(preemptions, preemptions) X(conflicts, conflicts)    \
   X(peak_pending, peak_pending)                                            \
-  X(sessions_opened, sessions_opened) X(session_solves, session_solves)    \
+  X(sessions_opened, sessions_opened) X(sessions_reused, sessions_reused)  \
+  X(session_solves, session_solves)                                        \
   X(session_clauses_added, session_clauses_added)                          \
   X(watchdog_fires, watchdog_fires) X(slice_deaths, slice_deaths)          \
   X(slice_retries, slice_retries) X(rejected_pressure, rejected_pressure)
@@ -254,9 +260,11 @@ class SolverService {
   // proof/live_certifier.h).
   struct Session {
     Session(std::unique_ptr<SatEngine> built,
-            std::unique_ptr<proof::MemoryProofWriter> trace, bool check)
+            std::unique_ptr<proof::MemoryProofWriter> trace, bool check,
+            std::unique_ptr<proof::DratChecker> spare_checker)
         : engine(std::move(built)),
-          certifier(*engine, std::move(trace), check) {}
+          certifier(*engine, std::move(trace), check,
+                    std::move(spare_checker)) {}
 
     SessionId id = invalid_session;
     SessionRequest request;
@@ -340,12 +348,26 @@ class SolverService {
                                         GroupId group = no_group,
                                         std::span<const Lit> lits = {},
                                         bool active = true);
-  // Builds an engine for `threads` workers: one solver, or a portfolio
-  // diversified around `options`. With `log_proof`, a solver logs into a
-  // new *writer and a portfolio splices its workers' traces.
+  // Builds an engine for `threads` workers: one solver (in `spare`'s
+  // buffers when given), or a portfolio diversified around `options`. With
+  // `log_proof`, a solver logs into a new *writer and a portfolio splices
+  // its workers' traces.
   std::unique_ptr<SatEngine> make_engine(
       const SolverOptions& options, int threads, bool log_proof,
-      std::unique_ptr<proof::MemoryProofWriter>* writer) const;
+      std::unique_ptr<proof::MemoryProofWriter>* writer,
+      std::unique_ptr<Solver> spare = nullptr) const;
+  // The storage of a closed single-solver session: its solver and checker,
+  // which the next single-solver session is built in (Solver(options,
+  // spent), DratChecker::reset). A run of sessions then keeps one
+  // session's memory instead of returning it to the allocator at every
+  // close and faulting it back in at the next open.
+  struct Spare {
+    std::unique_ptr<Solver> solver;
+    std::unique_ptr<proof::DratChecker> checker;
+  };
+  // Keeps a closing session's storage in spare_ when the slot is free and
+  // nothing else holds the session. Must hold lock_.
+  void keep_spare_locked(const std::shared_ptr<Session>& session);
   // Slice protocol helpers: the pre-flight (finish a cancelled or
   // already-past-deadline job without spending a slice on it — returns
   // true when the job went terminal) and the slice budget (service-wide
@@ -409,6 +431,8 @@ class SolverService {
   std::unordered_map<JobId, std::shared_ptr<Job>> jobs_;
   SessionId next_session_id_ = 1;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
+  // Never filled under a memory budget, whose charges follow live engines.
+  Spare spare_;
   ServiceStats stats_;
 
   // Watchdog thread (opts_.watchdog_seconds > 0). watchdog_stop_ is

@@ -69,17 +69,72 @@ TEST(Cnf, ShortModelVectorIsHandled) {
   EXPECT_FALSE(cnf.is_satisfied_by({Value::false_value}));
 }
 
-TEST(Cnf, AppendDisjointShiftsVariables) {
-  Cnf a = make_cnf({{1, -2}});
-  const Cnf b = make_cnf({{1}, {-1, 2}});
-  const Var offset = a.append_disjoint(b);
-  EXPECT_EQ(offset, 2);
-  EXPECT_EQ(a.num_vars(), 4);
-  ASSERT_EQ(a.num_clauses(), 3u);
-  EXPECT_EQ(a.clause(1)[0], Lit::positive(2));
-  EXPECT_EQ(a.clause(2)[0], Lit::negative(2));
-  EXPECT_EQ(a.clause(2)[1], Lit::positive(3));
+TEST(Cnf, EmptyAndUnitClausesKeepTheirPlace) {
+  Cnf cnf;
+  cnf.add_clause({});
+  cnf.add_unit(from_dimacs(-4));
+  cnf.add_clause(lits({1, 2}));
+  cnf.add_clause({});
+  cnf.add_unit(from_dimacs(3));
+  ASSERT_EQ(cnf.num_clauses(), 5u);
+  EXPECT_TRUE(cnf.clause(0).empty());
+  ASSERT_EQ(cnf.clause(1).size(), 1u);
+  EXPECT_EQ(cnf.clause(1)[0], from_dimacs(-4));
+  EXPECT_EQ(cnf.clause(2).size(), 2u);
+  EXPECT_TRUE(cnf.clause(3).empty());
+  ASSERT_EQ(cnf.clause(4).size(), 1u);
+  EXPECT_EQ(cnf.clause(4)[0], from_dimacs(3));
+  EXPECT_EQ(cnf.num_vars(), 4);
 }
+
+TEST(Cnf, NumLiteralsCountsEveryClause) {
+  Cnf cnf;
+  std::size_t expected = 0;
+  for (int size = 0; size < 40; ++size) {
+    std::vector<Lit> clause;
+    for (int i = 0; i < size; ++i) clause.push_back(Lit::positive(i));
+    cnf.add_clause(clause);
+    expected += static_cast<std::size_t>(size);
+    EXPECT_EQ(cnf.num_literals(), expected);
+  }
+  std::size_t summed = 0;
+  for (const auto clause : cnf.clauses()) summed += clause.size();
+  EXPECT_EQ(summed, expected);
+}
+
+TEST(Cnf, AddLiteralWritesAClauseInPlace) {
+  Cnf cnf;
+  cnf.add_unit(from_dimacs(1));
+  cnf.add_literal(from_dimacs(-2));
+  cnf.add_literal(from_dimacs(5));
+  // The open clause is invisible until it is closed.
+  EXPECT_EQ(cnf.num_clauses(), 1u);
+  EXPECT_EQ(cnf.num_literals(), 1u);
+  cnf.end_clause();
+  cnf.end_clause();  // nothing open: the empty clause
+  ASSERT_EQ(cnf.num_clauses(), 3u);
+  EXPECT_EQ(cnf.clause(1)[0], from_dimacs(-2));
+  EXPECT_EQ(cnf.clause(1)[1], from_dimacs(5));
+  EXPECT_TRUE(cnf.clause(2).empty());
+  EXPECT_EQ(cnf.num_vars(), 5);
+}
+
+// clause(i) is a view into the literal array, which the next add may move:
+// a producer that re-adds a clause of the same formula copies it first.
+TEST(Cnf, ClauseViewsAreCopiedBeforeTheNextAdd) {
+  Cnf cnf = make_cnf({{1, -2, 3}});
+  for (int round = 0; round < 200; ++round) {
+    const auto view = cnf.clause(static_cast<std::size_t>(round));
+    const std::vector<Lit> copy(view.begin(), view.end());
+    cnf.add_clause(copy);  // may reallocate: `view` dangles from here on
+  }
+  ASSERT_EQ(cnf.num_clauses(), 201u);
+  for (const auto clause : cnf.clauses()) {
+    EXPECT_EQ(std::vector<Lit>(clause.begin(), clause.end()),
+              lits({1, -2, 3}));
+  }
+}
+
 
 TEST(Cnf, HelperArities) {
   Cnf cnf;

@@ -8,6 +8,8 @@
 #include <memory>
 
 #include "core/solver.h"
+#include "engines/bmc.h"
+#include "engines/engine.h"
 #include "engines/ic3.h"
 #include "engines_test_util.h"
 #include "gen/safety.h"
@@ -159,28 +161,27 @@ TEST(Ic3Engine, ClosedSessionIsAStructuredFailure) {
   EXPECT_FALSE(result.error.empty());
 }
 
-// Forwards to another backend but refuses every push after the first
-// `allowed`.
-class RefusingPushes final : public EngineBackend {
+// Forwards to another backend, except that after the first `allowed`
+// operations of its kind it refuses every push, refuses every clause add,
+// or forwards every add but reports it as a root-level conflict (false
+// without an error).
+class Misbehaving final : public EngineBackend {
  public:
-  RefusingPushes(EngineBackend& inner, int allowed)
-      : inner_(inner), allowed_(allowed) {}
+  enum class Op { refuse_push, refuse_add, conflict_add };
+  Misbehaving(EngineBackend& inner, Op op, int allowed = 0)
+      : inner_(inner), op_(op), allowed_(allowed) {}
 
   Var new_vars(int n) override { return inner_.new_vars(n); }
   bool add_clause(std::span<const Lit> lits) override {
-    return inner_.add_clause(lits);
+    return !refuse(Op::refuse_add) && added(inner_.add_clause(lits));
   }
   GroupId push() override {
-    if (allowed_-- <= 0) {
-      error_ = "push refused";
-      return no_group;
-    }
-    return inner_.push();
+    return refuse(Op::refuse_push) ? no_group : inner_.push();
   }
   bool pop(GroupId id) override { return inner_.pop(id); }
   bool pop() override { return inner_.pop(); }
   bool add_clause_to(GroupId id, std::span<const Lit> lits) override {
-    return inner_.add_clause_to(id, lits);
+    return !refuse(Op::refuse_add) && added(inner_.add_clause_to(id, lits));
   }
   bool set_group_active(GroupId id, bool active) override {
     return inner_.set_group_active(id, active);
@@ -193,12 +194,31 @@ class RefusingPushes final : public EngineBackend {
   const std::vector<Lit>& failed_assumptions() const override {
     return inner_.failed_assumptions();
   }
-  std::string name() const override { return "refusing-pushes"; }
+  std::string name() const override { return "misbehaving"; }
 
  private:
+  bool refuse(Op op) {
+    if (op != op_ || allowed_-- > 0) return false;
+    error_ = op == Op::refuse_push ? "push refused" : "add refused";
+    return true;
+  }
+  bool added(bool ok) const { return op_ != Op::conflict_add && ok; }
+
   EngineBackend& inner_;
+  Op op_;
   int allowed_;
 };
+
+gen::SafetyParams refusal_params(bool latch_heavy) {
+  gen::SafetyParams params;
+  params.safe = true;
+  params.latch_heavy = latch_heavy;
+  params.seed = 0;
+  params.num_latches = 8;
+  params.num_inputs = 3;
+  params.cycles = 10;
+  return params;
+}
 
 TEST(Ic3Engine, RefusedPushIsAStructuredFailure) {
   // A refused push, wherever it lands (a frame group or a scratch group),
@@ -206,20 +226,13 @@ TEST(Ic3Engine, RefusedPushIsAStructuredFailure) {
   // system closes after three pushes (the third opens frame 2); the
   // latch-heavy one also pushes scratch groups.
   for (const bool latch_heavy : {false, true}) {
-    gen::SafetyParams params;
-    params.safe = true;
-    params.latch_heavy = latch_heavy;
-    params.seed = 0;
-    params.num_latches = 8;
-    params.num_inputs = 3;
-    params.cycles = 10;
-    const TransitionSystem ts = gen::safety_system(params);
+    const TransitionSystem ts = gen::safety_system(refusal_params(latch_heavy));
     for (int allowed = 0; allowed < 16; ++allowed) {
       SCOPED_TRACE("latch_heavy=" + std::to_string(latch_heavy) +
                    " pushes allowed: " + std::to_string(allowed));
       Solver solver;
       SolverBackend inner(solver);
-      RefusingPushes backend(inner, allowed);
+      Misbehaving backend(inner, Misbehaving::Op::refuse_push, allowed);
       const EngineResult result = Ic3Engine(ts, backend).run();
       if (result.verdict == Verdict::unknown) {
         EXPECT_NE(result.error.find("push refused"), std::string::npos)
@@ -229,6 +242,88 @@ TEST(Ic3Engine, RefusedPushIsAStructuredFailure) {
       }
     }
   }
+}
+
+// A refused clause add, wherever it lands (the transition relation, the
+// initial state, a query's blocker or a blocked cube), ends the run with
+// the backend's error; an invariant never names a clause the solver was
+// refused. Counts sweep every add site of both systems' runs.
+TEST(Ic3Engine, RefusedAddIsAStructuredFailure) {
+  for (const bool latch_heavy : {false, true}) {
+    const TransitionSystem ts = gen::safety_system(refusal_params(latch_heavy));
+    Solver reference_solver;
+    SolverBackend reference(reference_solver);
+    const EngineResult expected = Ic3Engine(ts, reference).run();
+    ASSERT_EQ(expected.verdict, Verdict::safe_invariant);
+    const int frame_clauses = static_cast<int>(ts.frame().cnf.num_clauses());
+    const int total =
+        frame_clauses + static_cast<int>(expected.stats.clauses_added) +
+        ts.num_latches();
+    int failures = 0;
+    for (int allowed = 0; allowed <= total; ++allowed) {
+      SCOPED_TRACE("latch_heavy=" + std::to_string(latch_heavy) +
+                   " adds allowed: " + std::to_string(allowed));
+      Solver solver;
+      SolverBackend inner(solver);
+      Misbehaving backend(inner, Misbehaving::Op::refuse_add, allowed);
+      EngineResult result = Ic3Engine(ts, backend).run();
+      if (result.verdict == Verdict::unknown) {
+        ++failures;
+        EXPECT_NE(result.error.find("add refused"), std::string::npos)
+            << result.error;
+        EXPECT_TRUE(result.invariant.empty());
+      } else {
+        EXPECT_EQ(result.verdict, Verdict::safe_invariant);
+        EXPECT_TRUE(certify(ts, result)) << result.error;
+      }
+    }
+    EXPECT_GT(failures, frame_clauses);
+  }
+}
+
+TEST(BmcEngine, RefusedAddIsAStructuredFailure) {
+  const TransitionSystem ts = gen::safety_system(refusal_params(false));
+  const BmcOptions options{.bound = 3};
+  Solver reference_solver;
+  SolverBackend reference(reference_solver);
+  ASSERT_EQ(BmcEngine(ts, reference, options).run().verdict,
+            Verdict::safe_bounded);
+  // Each frame adds its template plus one unit or two binaries per latch.
+  const int per_frame = static_cast<int>(ts.frame().cnf.num_clauses()) +
+                        2 * ts.num_latches();
+  for (int allowed = 0; allowed <= 4 * per_frame; ++allowed) {
+    SCOPED_TRACE("adds allowed: " + std::to_string(allowed));
+    Solver solver;
+    SolverBackend inner(solver);
+    Misbehaving backend(inner, Misbehaving::Op::refuse_add, allowed);
+    const EngineResult result = BmcEngine(ts, backend, options).run();
+    if (result.verdict == Verdict::unknown) {
+      EXPECT_NE(result.error.find("add refused"), std::string::npos)
+          << result.error;
+      EXPECT_LE(result.bound, 3);
+    } else {
+      EXPECT_EQ(result.verdict, Verdict::safe_bounded);
+    }
+  }
+}
+
+TEST(Ic3Engine, FalseAddWithoutAnErrorIsNotARefusal) {
+  const TransitionSystem ts = gen::safety_system(refusal_params(true));
+  Solver plain_solver;
+  SolverBackend plain(plain_solver);
+  const EngineResult expected = Ic3Engine(ts, plain).run();
+  Solver solver;
+  SolverBackend inner(solver);
+  Misbehaving backend(inner, Misbehaving::Op::conflict_add);
+  const EngineResult result = Ic3Engine(ts, backend).run();
+  EXPECT_EQ(result.verdict, expected.verdict) << result.error;
+  EXPECT_EQ(result.invariant, expected.invariant);
+  EXPECT_EQ(result.stats.clauses_added, expected.stats.clauses_added);
+  Solver bmc_solver;
+  SolverBackend bmc_inner(bmc_solver);
+  Misbehaving bmc_backend(bmc_inner, Misbehaving::Op::conflict_add);
+  const EngineResult bmc = BmcEngine(ts, bmc_backend, {.bound = 3}).run();
+  EXPECT_EQ(bmc.verdict, Verdict::safe_bounded) << bmc.error;
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ TEST(TransitionSystem, FrameTemplateAgreesWithStep) {
 
     Solver solver;
     SolverBackend backend(solver);
-    const FrameVars fv = instantiate_frame(backend, ts.frame());
+    const FrameVars fv = instantiate_frame(backend, ts.frame()).value();
     backend.add_unit(state[0] ? fv.state[0] : ~fv.state[0]);
     backend.add_unit(state[1] ? fv.state[1] : ~fv.state[1]);
     backend.add_unit(inputs[0] ? fv.inputs[0] : ~fv.inputs[0]);

@@ -23,13 +23,14 @@ using testing::lits;
 using testing::make_cnf;
 
 // The exported clauses keep the solver's literal order; compare sorted.
-std::vector<Lit> sorted(std::vector<Lit> clause) {
-  normalize_clause(clause);
-  return clause;
+std::vector<Lit> sorted(std::span<const Lit> clause) {
+  std::vector<Lit> out(clause.begin(), clause.end());
+  normalize_clause(out);
+  return out;
 }
 
 bool contains_clause(const Cnf& cnf, const std::vector<Lit>& clause) {
-  for (const auto& c : cnf.clauses()) {
+  for (const auto c : cnf.clauses()) {
     if (sorted(c) == sorted(clause)) return true;
   }
   return false;
@@ -194,7 +195,7 @@ Cnf padded_unsat_formula(int seed) {
   } else {
     cnf = gen::random_ksat(40, 220, 3, static_cast<std::uint64_t>(seed) + 40);
   }
-  const std::vector<Lit> base = cnf.clause(0);
+  const std::vector<Lit> base(cnf.clause(0).begin(), cnf.clause(0).end());
   // The first variable base does not mention.
   Var other = 0;
   while (std::any_of(base.begin(), base.end(),

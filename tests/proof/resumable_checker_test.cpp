@@ -4,6 +4,9 @@
 // trusting the solver's own deletions would get wrong.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "core/solver.h"
 #include "gen/random_ksat.h"
 #include "proof/drat_checker.h"
@@ -343,5 +346,90 @@ TEST(ResumableChecker, LongSessionStoreMatchesAFreshCheckerAtEveryAnswer) {
   EXPECT_GT(checker.stats().deletions, 0u);
 }
 
+
+// The figures of one certified session: every UNSAT answer's verdict and
+// the checker's counters at the end.
+struct SessionRecord {
+  std::vector<bool> certified;
+  std::size_t steps_consumed = 0;
+  std::size_t add_checks = 0;
+  std::size_t checked_adds = 0;
+  std::size_t deletions = 0;
+  std::size_t peak_live_clauses = 0;
+  std::size_t replays = 0;
+  std::size_t watermark = 0;
+
+  friend bool operator==(const SessionRecord&, const SessionRecord&) = default;
+};
+
+// A seeded session of pushes, pops and assumption queries over a random
+// formula, every operation through `certifier`.
+SessionRecord certified_session(Solver& solver,
+                                proof::LiveCertifier& certifier,
+                                std::uint64_t seed) {
+  SessionRecord record;
+  certifier.load(gen::random_ksat(30, 110, 3, seed));
+  Rng rng(seed);
+  for (int query = 0; query < 120 && solver.ok(); ++query) {
+    if (query % 6 == 0) {
+      if (solver.num_groups() > 2) (void)certifier.pop_group();
+      solver.push_group();
+      for (int i = 0; i < 5; ++i) {
+        std::vector<Lit> clause;
+        for (int k = 0; k < 3; ++k) {
+          clause.push_back(Lit(static_cast<Var>(rng.below(30)), rng.coin()));
+        }
+        (void)certifier.add_clause(clause);
+      }
+    }
+    std::vector<Lit> assumptions;
+    for (int k = 0; k < 3; ++k) {
+      assumptions.push_back(Lit(static_cast<Var>(rng.below(30)), rng.coin()));
+    }
+    if (solver.solve_with_assumptions(assumptions) ==
+        SolveStatus::unsatisfiable) {
+      record.certified.push_back(certifier.answer_certified());
+    }
+  }
+  const proof::CheckerStats& stats = certifier.checker().stats();
+  record.steps_consumed = stats.steps_consumed;
+  record.add_checks = stats.add_checks;
+  record.checked_adds = stats.checked_adds;
+  record.deletions = stats.deletions;
+  record.peak_live_clauses = stats.peak_live_clauses;
+  record.replays = stats.replays;
+  record.watermark = certifier.checker().watermark();
+  return record;
+}
+
+TEST(ResumableChecker, ReleasedCheckerCertifiesLikeANewOne) {
+  // A checker released by one session's certifier serves the next
+  // session's certifier, which resets it: every verdict and counter
+  // matches a new checker's.
+  std::unique_ptr<proof::DratChecker> spare;
+  {
+    Solver solver;
+    proof::LiveCertifier certifier(solver);
+    const SessionRecord first = certified_session(solver, certifier, 41);
+    ASSERT_FALSE(first.certified.empty());
+    spare = certifier.release_checker();
+    EXPECT_FALSE(certifier.checking());
+  }
+  ASSERT_NE(spare, nullptr);
+  EXPECT_GT(spare->watermark(), 0u);
+
+  Solver fresh_solver;
+  proof::LiveCertifier fresh(fresh_solver);
+  const SessionRecord expected = certified_session(fresh_solver, fresh, 43);
+  ASSERT_FALSE(expected.certified.empty());
+  for (const bool ok : expected.certified) EXPECT_TRUE(ok);
+
+  Solver solver;
+  auto writer = std::make_unique<proof::MemoryProofWriter>();
+  solver.set_proof(writer.get());
+  proof::LiveCertifier reused(solver, std::move(writer), true,
+                              std::move(spare));
+  EXPECT_EQ(certified_session(solver, reused, 43), expected);
+}
 }  // namespace
 }  // namespace berkmin

@@ -18,6 +18,7 @@
 #include "gen/random_ksat.h"
 #include "service/solver_service.h"
 #include "test_util.h"
+#include "util/memory_budget.h"
 #include "util/rng.h"
 
 namespace berkmin::service {
@@ -56,6 +57,84 @@ TEST(ServiceSession, PushPopSolveLifecycle) {
   EXPECT_EQ(service.open_sessions(), 0u);
   EXPECT_EQ(service.stats().sessions_opened, 1u);
   EXPECT_EQ(service.stats().session_solves, 2u);
+}
+
+// What a session answer reports of its search and its certificate.
+struct SessionAnswer {
+  SolveStatus status;
+  std::uint64_t propagations;
+  std::uint64_t conflicts;
+  std::uint64_t decisions;
+  bool proof_valid;
+  friend bool operator==(const SessionAnswer&, const SessionAnswer&) = default;
+};
+
+TEST(ServiceSession, SessionAfterACloseAnswersAsInANewService) {
+  // A closed single-solver session's solver and checker storage serves the
+  // next session: its answers, search counters and certificates must
+  // match the same session on a service that never ran one.
+  SessionRequest request;
+  request.proof.log = true;
+  request.proof.check = true;
+  const auto run = [&request](SolverService& service, const Cnf& cnf) {
+    std::vector<SessionAnswer> answers;
+    const auto sid = service.open_session(request);
+    EXPECT_TRUE(sid.has_value());
+    if (!sid) return answers;
+    const auto solve = [&](std::vector<Lit> assumptions) {
+      const auto job = service.session_solve(*sid, assumptions);
+      EXPECT_TRUE(job.has_value());
+      if (!job) return;
+      const JobResult r = service.wait(*job);
+      answers.push_back({r.status, r.propagations, r.conflicts, r.decisions,
+                         r.proof_valid});
+    };
+    for (const auto& clause : cnf.clauses()) {
+      EXPECT_TRUE(service.session_add_clause(*sid, clause));
+    }
+    solve({});
+    EXPECT_TRUE(service.session_push(*sid).has_value());
+    for (const auto& clause :
+         {lits({1, 2}), lits({1, -2}), lits({-1, 2}), lits({-1, -2})}) {
+      EXPECT_TRUE(service.session_add_clause(*sid, clause));
+    }
+    solve({});
+    EXPECT_TRUE(service.session_pop(*sid));
+    solve(lits({-3, -4}));
+    EXPECT_TRUE(service.close_session(*sid));
+    return answers;
+  };
+
+  SolverService shared({.num_workers = 1});
+  ASSERT_EQ(run(shared, gen::random_ksat(40, 120, 3, 11)).size(), 3u);
+  EXPECT_EQ(shared.stats().sessions_reused, 0u);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const Cnf cnf = gen::random_ksat(12 + 4 * static_cast<int>(seed),
+                                     40 + 10 * static_cast<int>(seed), 3, seed);
+    SolverService fresh({.num_workers = 1});
+    const std::vector<SessionAnswer> expected = run(fresh, cnf);
+    ASSERT_EQ(expected.size(), 3u);
+    EXPECT_EQ(expected[1].status, SolveStatus::unsatisfiable);
+    EXPECT_TRUE(expected[1].proof_valid);
+    EXPECT_EQ(run(shared, cnf), expected) << "seed " << seed;
+    EXPECT_EQ(shared.stats().sessions_reused, seed);
+    EXPECT_EQ(fresh.stats().sessions_reused, 0u);
+  }
+
+  // A portfolio session is never built in a solver's storage, and a
+  // service under a memory budget keeps no closed session's storage.
+  const Cnf cnf = gen::random_ksat(20, 60, 3, 8);
+  request.threads = 2;
+  request.proof = {};
+  run(shared, cnf);
+  EXPECT_EQ(shared.stats().sessions_reused, 4u);
+  request.threads = 1;
+  util::MemoryBudget budget;
+  SolverService budgeted({.num_workers = 1, .memory_budget = &budget});
+  run(budgeted, cnf);
+  run(budgeted, cnf);
+  EXPECT_EQ(budgeted.stats().sessions_opened, 2u);
+  EXPECT_EQ(budgeted.stats().sessions_reused, 0u);
 }
 
 TEST(ServiceSession, BusyDisciplineRejectsOverlap) {
