@@ -425,11 +425,10 @@ int main(int argc, char** argv) {
   args.add_flag("preprocess", "run one inprocessing pass (probing, subsumption, "
                 "strengthening) first; its rewrites lead the --drat/"
                 "--unsat-core trace, checked against the original formula");
-  args.add_flag("inprocess", "inprocess at restart boundaries: failed-literal "
-                "probing, subsumption/self-subsumption, vivification, and "
-                "(single-shot runs) bounded variable elimination — on by "
-                "default, every rewrite proof-logged");
-  args.add_flag("no-inprocess", "disable restart-time inprocessing");
+  args.add_flag("no-inprocess", "disable restart-time inprocessing (on by "
+                "default: failed-literal probing, subsumption/self-"
+                "subsumption, vivification, and, in single-shot runs, "
+                "bounded variable elimination; every rewrite proof-logged)");
   args.add_option("reduce-policy", "", "override the preset's clause-database "
                   "reduction policy: berkmin, glue (LBD core/tier2/local "
                   "tiers), limited, none");

@@ -172,6 +172,13 @@ SolveStatus SessionBackend::solve(std::span<const Lit> assumptions,
   error_.clear();
   failed_.clear();
   result_ = service::JobResult{};
+  if (budget.max_decisions != 0 || budget.max_propagations != 0) {
+    // JobLimits counts only conflicts and seconds; answering past a budget
+    // the session cannot enforce would overrun it silently.
+    error_ = "SessionBackend: a session enforces only conflict and time "
+             "budgets, not decision or propagation budgets";
+    return SolveStatus::unknown;
+  }
   service::JobLimits limits;
   limits.max_conflicts = budget.max_conflicts;
   limits.deadline_seconds = budget.max_seconds;

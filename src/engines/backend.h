@@ -1,7 +1,7 @@
 // Incremental-solving backends for the model-checking engines.
 //
 // The BMC and IC3 engines are written against one small interface —
-// variable allocation, clause addition, scoped clause groups, and
+// variable allocation, clause addition, named clause groups, and
 // assumption-based solving — so a single engine implementation can drive
 //
 //   * a long-lived in-process SatEngine (SolverBackend) — a Solver or a
@@ -11,6 +11,9 @@
 //     a sliced, preemptible service job, and threads > 1 escalates the
 //     session to a warm portfolio — the engines become a real multi-tenant
 //     workload for the service.
+//
+// BMC needs only variables, root clauses and assumption solves; IC3 also
+// keeps its frames and scratch queries in clause groups.
 //
 // SolverBackend sends every clause and group operation through a
 // proof::LiveCertifier; over a checking one (engines::certify), each
@@ -127,7 +130,9 @@ class SolverBackend final : public EngineBackend {
 
 // Owns one incremental session inside a SolverService; each solve()
 // submits a session job and blocks on its result. The service (and its
-// worker pool) is shared with whatever else the caller runs on it.
+// worker pool) is shared with whatever else the caller runs on it. A
+// session job is limited by conflicts and seconds only, so solve() refuses
+// a budget on decisions or propagations (unknown, last_error() set).
 class SessionBackend final : public EngineBackend {
  public:
   // Fails (last_error set, alive() false) when the service refuses the
@@ -181,7 +186,9 @@ std::optional<FrameVars> instantiate_frame(EngineBackend& backend,
 
 // Maintains the BMC-style chain of frames: frame 0 is constrained to the
 // all-zero initial state; frame t > 0 ties its state inputs to frame
-// t-1's next-state literals with equivalence binaries.
+// t-1's next-state literals with equivalence binaries. The chain only
+// grows: with no group open, every frame, init units included, lands in
+// the backend's root formula.
 class FrameStack {
  public:
   FrameStack(const TransitionSystem& ts, EngineBackend& backend)
@@ -190,14 +197,6 @@ class FrameStack {
   // Instantiates and binds the next frame; nullptr when the backend
   // refused an add (its last_error() says why).
   const FrameVars* extend();
-  const FrameVars& frame(std::size_t t) const { return frames_[t]; }
-  std::size_t depth() const { return frames_.size(); }
-
-  // Drops bookkeeping for frames beyond `depth`. The caller is responsible
-  // for retiring the matching backend clause groups (BmcEngine::pop_to).
-  void truncate(std::size_t depth) {
-    if (depth < frames_.size()) frames_.resize(depth);
-  }
 
   // Reads the primary-input assignment of every frame out of the
   // backend's model (one vector per cycle, frames 0..depth-1).

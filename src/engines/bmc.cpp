@@ -11,16 +11,6 @@ BmcEngine::BmcEngine(const TransitionSystem& ts, EngineBackend& backend,
 EngineResult BmcEngine::run() {
   EngineResult result;
   for (int t = 0; t <= opts_.bound; ++t) {
-    if (opts_.frame_groups) {
-      const GroupId group = backend_.push();
-      if (group == no_group) {
-        result.error = backend_.last_error();
-        result.stats = stats_;
-        return result;
-      }
-      frame_groups_.push_back(group);
-      ++stats_.pushes;
-    }
     const FrameVars* frame = frames_.extend();
     if (frame == nullptr) {
       result.bound = t;
@@ -65,31 +55,6 @@ EngineResult BmcEngine::run() {
   result.bound = opts_.bound;
   result.stats = stats_;
   return result;
-}
-
-bool BmcEngine::pop_to(int depth) {
-  if (!opts_.frame_groups) return false;
-  while (this->depth() > depth) {
-    // Retire the outermost frame by its named handle (it may not be the
-    // backend's innermost group when the caller pushed scratch groups of
-    // its own, or after a retire_frame left holes below it).
-    const GroupId group = frame_groups_.back();
-    if (group != no_group && !backend_.pop(group)) return false;
-    if (group != no_group) ++stats_.pops;
-    frame_groups_.pop_back();
-    // FrameStack has no pop; rebuild bookkeeping by truncation.
-    frames_.truncate(frames_.depth() - 1);
-  }
-  return true;
-}
-
-bool BmcEngine::retire_frame(int t) {
-  if (!opts_.frame_groups || !frame_is_live(t)) return false;
-  GroupId& group = frame_groups_[static_cast<std::size_t>(t)];
-  if (!backend_.pop(group)) return false;
-  ++stats_.pops;
-  group = no_group;  // the frame's bookkeeping survives; its clauses don't
-  return true;
 }
 
 }  // namespace berkmin::engines

@@ -7,6 +7,14 @@
 
 namespace berkmin::engines {
 
+namespace {
+
+// Bound on literal-drop re-queries per blocked cube, after the UNSAT-core
+// shrink.
+constexpr int kMaxGeneralizeQueries = 32;
+
+}  // namespace
+
 Ic3Engine::Ic3Engine(const TransitionSystem& ts, EngineBackend& backend,
                      Ic3Options options)
     : ts_(ts), backend_(backend), opts_(options) {
@@ -167,7 +175,7 @@ Ic3Engine::Cube Ic3Engine::generalize(Cube cube, int level) {
 
   // Pass 2: bounded literal dropping with fresh relative-induction
   // queries, each against its own temporary ¬candidate clause.
-  int queries_left = opts_.max_generalize_queries;
+  int queries_left = kMaxGeneralizeQueries;
   for (std::size_t i = 0; i < cube.size() && queries_left > 0;) {
     Cube candidate;
     candidate.reserve(cube.size() - 1);

@@ -39,9 +39,6 @@ namespace berkmin::engines {
 struct Ic3Options {
   // Give up (Verdict::unknown) once the frontier passes this frame.
   int max_frames = 64;
-  // Bound on literal-drop re-queries per blocked cube; 0 keeps only the
-  // UNSAT-core shrink.
-  int max_generalize_queries = 32;
   // Per-query budget. A blown budget on a blocking query yields
   // Verdict::unknown; on a propagation query the cube just stays put.
   Budget query_budget = Budget::unlimited();

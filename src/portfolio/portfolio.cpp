@@ -13,6 +13,13 @@
 
 namespace berkmin::portfolio {
 
+namespace {
+
+// Worker i's trace ring is named kRingPrefix + i.
+constexpr char kRingPrefix[] = "portfolio-w";
+
+}  // namespace
+
 PortfolioSolver::PortfolioSolver(PortfolioOptions options)
     : opts_(std::move(options)) {
   if (opts_.num_threads < 1) opts_.num_threads = 1;
@@ -87,7 +94,7 @@ void PortfolioSolver::warm_up_workers() {
     }
     configs.resize(static_cast<std::size_t>(n));
 
-    exchange_ = std::make_unique<ClauseExchange>(n, opts_.exchange);
+    exchange_ = std::make_unique<ClauseExchange>(n);
     if (opts_.memory_budget != nullptr) {
       exchange_->set_memory_budget(opts_.memory_budget);
     }
@@ -115,7 +122,7 @@ void PortfolioSolver::warm_up_workers() {
       if (opts_.telemetry != nullptr) {
         telemetry::TraceRing* ring =
             opts_.trace_workers
-                ? opts_.telemetry->trace().ring(opts_.telemetry_name + "-w" +
+                ? opts_.telemetry->trace().ring(kRingPrefix +
                                                 std::to_string(i))
                 : nullptr;
         sinks_[static_cast<std::size_t>(i)] =
@@ -126,8 +133,8 @@ void PortfolioSolver::warm_up_workers() {
         ClauseExchange* exchange = exchange_.get();
         proof::ProofSplicer* splicer = splicer_.get();
         const std::uint32_t max_len =
-            std::max(opts_.exchange.max_clause_length,
-                     opts_.exchange.max_glue_clause_length);
+            std::max(exchange->limits().max_clause_length,
+                     exchange->limits().max_glue_clause_length);
         // Owned by this worker's thread only: batched into an export_batch
         // trace event at the next restart boundary.
         std::uint64_t* pending = &pending_exports_[static_cast<std::size_t>(i)];

@@ -39,8 +39,8 @@ namespace berkmin::portfolio {
 
 struct PortfolioOptions {
   int num_threads = 4;
+  // Clauses travel under ClauseExchange's default ExchangeLimits.
   bool share_clauses = true;
-  ExchangeLimits exchange;
   // Seeds the diversification (tie-breaking seeds, fabricated variants).
   std::uint64_t base_seed = 0;
   // Record a checkable DRAT proof of the whole race: every worker logs
@@ -59,12 +59,11 @@ struct PortfolioOptions {
   // Observability (src/telemetry): when set, every worker gets a
   // SolverTelemetry sink on this hub — phase timers, "solver.*" counter
   // flushes, and (with trace_workers) a per-worker trace ring named
-  // "<telemetry_name>-w<i>" carrying restart / reduce / solve / exchange
+  // "portfolio-w<i>" carrying restart / reduce / solve / exchange
   // events. Exchange stats are published as "exchange.*" counters after
   // every solve. The hub must outlive the portfolio.
   telemetry::Telemetry* telemetry = nullptr;
   bool trace_workers = true;
-  std::string telemetry_name = "portfolio";
   // Resource governor (util/memory_budget.h): when set, every worker
   // solver charges its arena against this budget (degrading under
   // pressure, see Solver::set_memory_budget) and the clause exchange

@@ -1,7 +1,7 @@
 // BmcEngine against hand-built circuits with known ground truth, over
 // both backends (long-lived Solver, SolverService session), including
-// trace validation, certify() of safe bounds, frame-group retirement via
-// pop_to, and structured failure paths.
+// trace validation, certify() of safe bounds, frames unrolled into the
+// root formula, and structured failure paths.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -90,32 +90,18 @@ TEST(BmcEngine, LatchFreeSystems) {
   }
 }
 
-TEST(BmcEngine, PopToRetiresFrameGroups) {
+TEST(BmcEngine, FramesLiveInTheRootFormula) {
+  // Frames are never retracted, so BMC opens no clause group: each query
+  // assumes only its bad literal.
   const TransitionSystem ts(test_circuits::counter(3));
   Solver solver;
   SolverBackend backend(solver);
-  BmcEngine engine(ts, backend, {.bound = 4});
-  const EngineResult result = engine.run();
+  const EngineResult result = BmcEngine(ts, backend, {.bound = 4}).run();
   EXPECT_EQ(result.verdict, Verdict::safe_bounded);
-  EXPECT_EQ(engine.depth(), 5);
-  EXPECT_EQ(solver.num_groups(), 5);
-
-  EXPECT_TRUE(engine.pop_to(2));
-  EXPECT_EQ(engine.depth(), 2);
-  EXPECT_EQ(solver.num_groups(), 2);
-  EXPECT_TRUE(engine.pop_to(0));
+  EXPECT_EQ(result.stats.frames, 5u);
   EXPECT_EQ(solver.num_groups(), 0);
-  // The solver stays usable after full retirement.
-  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
-}
-
-TEST(BmcEngine, PopToWithoutFrameGroupsIsRefused) {
-  const TransitionSystem ts(test_circuits::counter(3));
-  Solver solver;
-  SolverBackend backend(solver);
-  BmcEngine engine(ts, backend, {.bound = 2, .frame_groups = false});
-  (void)engine.run();
-  EXPECT_FALSE(engine.pop_to(0));
+  EXPECT_EQ(result.stats.pushes, 0u);
+  EXPECT_EQ(result.stats.pops, 0u);
 }
 
 TEST(BmcEngine, SessionBackendMatchesSolverBackend) {
@@ -171,6 +157,25 @@ TEST(BmcEngine, BlownBudgetIsUnknownNotWrong) {
   const EngineResult result = BmcEngine(ts, backend, options).run();
   EXPECT_EQ(result.verdict, Verdict::unknown);
   EXPECT_NE(result.error.find("unresolved"), std::string::npos) << result.error;
+}
+
+TEST(BmcEngine, SessionRefusesABudgetItCannotEnforce) {
+  // A session job counts only conflicts and seconds: the same one-decision
+  // budget must end unknown with a reason, never as an answer that
+  // overran it.
+  gen::SafetyParams params;
+  params.safe = false;
+  const TransitionSystem ts = gen::safety_system(params);
+  service::SolverService service({.num_workers = 1});
+  SessionBackend backend(service, {.name = "bmc-budget"});
+  ASSERT_TRUE(backend.alive());
+  BmcOptions options;
+  options.bound = params.cycles;
+  options.query_budget.max_decisions = 1;
+  const EngineResult result = BmcEngine(ts, backend, options).run();
+  EXPECT_EQ(result.verdict, Verdict::unknown);
+  EXPECT_FALSE(backend.last_error().empty());
+  EXPECT_NE(result.error.find("decision"), std::string::npos) << result.error;
 }
 
 }  // namespace
