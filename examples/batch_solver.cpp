@@ -12,12 +12,18 @@
 // where <spec> is a generator spec ("hole:8", "rand3:60:258:1", see
 // --list-generators of dimacs_solver) or a DIMACS path (use "file:<path>"
 // to force file interpretation). Per-job keys override the global flags:
-//   name=<str> deadline-ms=<int> conflicts=<int> threads=<int>
+//   name=<str> deadline-ms=<ms> conflicts=<int> threads=<int>
 //   priority=<int> assume=<d1,d2,...>   (DIMACS literals)
+// Values are validated: a trailing character, a negative deadline or
+// conflict budget, threads below 1, or an assumption that is 0 or names a
+// variable outside the entry's formula exits 1, naming the key; the
+// flags that set the defaults are held to the same rules.
 //
 // Exit codes: 0 = every job reached a terminal state (and --check, if
 // given, found no disagreement), 1 = manifest/usage error or a mismatch.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -127,51 +133,20 @@ std::string result_json(const service::JobResult& result, int model_valid) {
   return out.str();
 }
 
-// Parses one manifest line into an entry. Returns false with *error set
-// on malformed lines.
-bool parse_entry(const std::string& line, const service::JobLimits& defaults,
-                 ManifestEntry* entry, std::string* error) {
-  std::istringstream tokens(line);
-  std::string spec;
-  tokens >> spec;
-  entry->limits = defaults;
+// Reads all of `text` as a T, as the DIMACS reader does: false on an
+// empty token, trailing characters, a sign an unsigned T cannot hold, or
+// overflow.
+template <typename T>
+bool read_number(const std::string& text, T* out) {
+  const char* last = text.data() + text.size();
+  const auto [end, error] = std::from_chars(text.data(), last, *out);
+  return !text.empty() && error == std::errc{} && end == last;
+}
 
-  std::string token;
-  while (tokens >> token) {
-    const auto eq = token.find('=');
-    if (eq == std::string::npos) {
-      *error = "malformed manifest token '" + token + "' (want key=value)";
-      return false;
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    try {
-      if (key == "name") {
-        entry->name = value;
-      } else if (key == "deadline-ms") {
-        entry->limits.deadline_seconds = std::stod(value) / 1000.0;
-      } else if (key == "conflicts") {
-        entry->limits.max_conflicts = std::stoull(value);
-      } else if (key == "threads") {
-        entry->limits.threads = std::stoi(value);
-      } else if (key == "priority") {
-        entry->limits.priority = std::stoi(value);
-      } else if (key == "assume") {
-        std::istringstream dimacs(value);
-        std::string item;
-        while (std::getline(dimacs, item, ',')) {
-          entry->assumptions.push_back(from_dimacs(std::stoi(item)));
-        }
-      } else {
-        *error = "unknown manifest key '" + key + "'";
-        return false;
-      }
-    } catch (const std::exception&) {
-      *error = "bad value for manifest key '" + key + "': " + value;
-      return false;
-    }
-  }
-
+// Resolves a manifest spec into the entry's formula or script. Returns
+// false with *error set when the spec names nothing readable.
+bool load_spec(const std::string& spec, ManifestEntry* entry,
+               std::string* error) {
   if (spec.rfind("icnf:", 0) == 0) {
     const std::string path = spec.substr(5);
     try {
@@ -181,7 +156,7 @@ bool parse_entry(const std::string& line, const service::JobLimits& defaults,
       return false;
     }
     entry->is_script = true;
-    if (entry->name.empty()) entry->name = path;
+    entry->name = path;
     return true;
   }
 
@@ -193,14 +168,14 @@ bool parse_entry(const std::string& line, const service::JobLimits& defaults,
       *error = ex.what();
       return false;
     }
-    if (entry->name.empty()) entry->name = path;
+    entry->name = path;
     return true;
   }
 
   std::string gen_error;
   if (auto instance = gen::generate_from_spec(spec, &gen_error)) {
     entry->cnf = std::move(instance->cnf);
-    if (entry->name.empty()) entry->name = instance->name;
+    entry->name = instance->name;
     return true;
   }
   // Not a known generator spec: fall back to a DIMACS path.
@@ -211,7 +186,65 @@ bool parse_entry(const std::string& line, const service::JobLimits& defaults,
              ") nor a readable DIMACS file (" + ex.what() + ")";
     return false;
   }
-  if (entry->name.empty()) entry->name = spec;
+  entry->name = spec;
+  return true;
+}
+
+// Parses one manifest line into an entry. Returns false with *error set
+// on malformed lines, including a value that is not a whole number of the
+// key's kind: a negative deadline or conflict budget, threads below 1, or
+// an assumption that is 0 or names a variable outside the formula.
+bool parse_entry(const std::string& line, const service::JobLimits& defaults,
+                 ManifestEntry* entry, std::string* error) {
+  std::istringstream tokens(line);
+  std::string spec;
+  tokens >> spec;
+  if (!load_spec(spec, entry, error)) return false;
+  entry->limits = defaults;
+  const int num_vars = entry->cnf.num_vars();
+
+  std::string token;
+  while (tokens >> token) {
+    const auto eq = token.find('=');
+    if (eq == std::string::npos) {
+      *error = "malformed manifest token '" + token + "' (want key=value)";
+      return false;
+    }
+    const std::string key = token.substr(0, eq);
+    const std::string value = token.substr(eq + 1);
+    service::JobLimits& limits = entry->limits;
+    bool valid = true;
+    if (key == "name") {
+      entry->name = value;
+    } else if (key == "deadline-ms") {
+      double ms = 0.0;
+      valid = read_number(value, &ms) && std::isfinite(ms) && ms >= 0.0;
+      limits.deadline_seconds = ms / 1000.0;
+    } else if (key == "conflicts") {
+      valid = read_number(value, &limits.max_conflicts);
+    } else if (key == "threads") {
+      valid = read_number(value, &limits.threads) && limits.threads >= 1;
+    } else if (key == "priority") {
+      valid = read_number(value, &limits.priority);
+    } else if (key == "assume") {
+      for (std::size_t begin = 0; valid; ) {
+        const std::size_t comma = value.find(',', begin);
+        int literal = 0;
+        valid = read_number(value.substr(begin, comma - begin), &literal) &&
+                literal != 0 && literal >= -num_vars && literal <= num_vars;
+        if (valid) entry->assumptions.push_back(from_dimacs(literal));
+        if (comma == std::string::npos) break;
+        begin = comma + 1;
+      }
+    } else {
+      *error = "unknown manifest key '" + key + "'";
+      return false;
+    }
+    if (!valid) {
+      *error = "bad value for manifest key '" + key + "': " + value;
+      return false;
+    }
+  }
   return true;
 }
 
@@ -281,6 +314,13 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // The flags are the manifest keys' defaults and follow the same rules.
+  if (args.get_double("deadline-ms") < 0.0 || args.get_int("conflicts") < 0 ||
+      args.get_int("threads") < 1) {
+    std::cerr << "error: --deadline-ms and --conflicts must be >= 0, "
+                 "--threads >= 1\n";
+    return 1;
+  }
   service::JobLimits defaults;
   defaults.deadline_seconds = args.get_double("deadline-ms") / 1000.0;
   defaults.max_conflicts =

@@ -36,7 +36,6 @@ class Clause {
   void bump_activity() { ++base_[1]; }
 
   std::uint32_t glue() const { return base_[2]; }
-  void set_glue(std::uint32_t value) { base_[2] = value; }
 
   Lit operator[](std::uint32_t i) const {
     return Lit::from_code(static_cast<std::int32_t>(base_[3 + i]));
@@ -45,7 +44,8 @@ class Clause {
     base_[3 + i] = static_cast<std::uint32_t>(l.code());
   }
 
-  // Shrinks the clause in place (used when stripping root-false literals).
+  // Shrinks the clause in place. Reduction strips root-false literals by
+  // copying into a fresh arena instead; only tests call this.
   void shrink(std::uint32_t new_size) {
     assert(new_size <= size());
     base_[0] = (new_size << 2) | (base_[0] & 3);

@@ -55,8 +55,6 @@ class Inprocessor {
   // order the witnesses were stacked.
   void extend_model(std::vector<Value>& model) const;
 
-  std::size_t eliminated_count() const { return eliminations_.size(); }
-
   // The live database as a formula: the root-trail units first, then
   // every stored original the root does not satisfy, with its root-false
   // literals stripped (learned clauses are left out). A refuted database

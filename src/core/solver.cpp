@@ -214,12 +214,6 @@ GroupId Solver::push_group() {
   return id;
 }
 
-void Solver::pop_group() {
-  assert(!group_ids_.empty());
-  if (group_ids_.empty()) return;
-  pop_group(group_ids_.back());
-}
-
 bool Solver::pop_group(GroupId id) {
   cancel_saved_trail();
   assert(decision_level() == 0);

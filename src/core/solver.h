@@ -104,8 +104,6 @@ class Solver final : public SatEngine {
   // Retracts the group with handle `id`. Returns false (and does nothing)
   // when the handle does not name a live group.
   bool pop_group(GroupId id) override;
-  // Convenience LIFO form: retracts the most recently pushed live group.
-  void pop_group();
   int num_groups() const override {
     return static_cast<int>(group_selectors_.size());
   }
@@ -180,7 +178,6 @@ class Solver final : public SatEngine {
   // polarity intact, which is what lets a scheduler run a long job as many
   // short Budget-bounded slices.
   StopCause last_stop_cause() const { return last_stop_cause_; }
-  bool last_unknown_resumable() const { return is_resumable(last_stop_cause_); }
   // Work performed by the most recent solve() call only (deltas of the
   // cumulative stats()), for per-slice accounting.
   const SliceStats& last_slice() const override { return last_slice_; }
@@ -261,7 +258,6 @@ class Solver final : public SatEngine {
   // degradation bumps the budget's degrade-event counter and the solver's
   // no_learn_restarts / pressure_reductions stats.
   void set_memory_budget(util::MemoryBudget* budget);
-  util::MemoryBudget* memory_budget() const { return budget_; }
 
   // ---- telemetry --------------------------------------------------------
   // Attaches a telemetry sink (src/telemetry): phase timers around BCP /
@@ -276,7 +272,6 @@ class Solver final : public SatEngine {
   void set_telemetry(const telemetry::SolverTelemetry* sink) override {
     telemetry_ = sink;
   }
-  const telemetry::SolverTelemetry* telemetry() const { return telemetry_; }
 
   // ---- proof logging ----------------------------------------------------
   // Called with every learned clause (and every clause shortened by

@@ -119,11 +119,6 @@ struct Budget {
     b.max_seconds = seconds;
     return b;
   }
-
-  bool is_unlimited() const {
-    return max_conflicts == 0 && max_decisions == 0 && max_propagations == 0 &&
-           max_seconds == 0.0;
-  }
 };
 
 // Every monotone SolverStats counter, defined once as X(field). SolverStats
@@ -204,10 +199,6 @@ struct SolverStats {
     if (glue > max_tracked) glue = max_tracked;
     if (glue_histogram.size() <= glue) glue_histogram.resize(glue + 1, 0);
     ++glue_histogram[glue];
-  }
-
-  std::uint64_t glue_at(std::size_t glue) const {
-    return glue < glue_histogram.size() ? glue_histogram[glue] : 0;
   }
 
   // (generated conflict clauses + initial clauses) / initial clauses —

@@ -1,12 +1,14 @@
-// Implementation of Solver::validate_invariants (see core/validate.h for
-// the free-function wrapper). Lives in its own translation unit so the
+// Implementation of Solver::validate_invariants: watch-list integrity
+// (every stored clause watched exactly twice, on its first two literals),
+// trail/assignment agreement, reason/implication sanity, and the
+// learned-stack bookkeeping. Lives in its own translation unit so the
 // checking code never creeps into the solving paths.
-#include "core/validate.h"
-
 #include <algorithm>
 #include <map>
 #include <sstream>
 #include <utility>
+
+#include "core/solver.h"
 
 namespace berkmin {
 namespace {
@@ -402,10 +404,6 @@ std::string Solver::validate_invariants() const {
     }
   }
   return "";
-}
-
-std::string validate_solver_invariants(const Solver& solver) {
-  return solver.validate_invariants();
 }
 
 }  // namespace berkmin

@@ -28,10 +28,6 @@ class BlocksworldEncoding {
 
   const Cnf& cnf() const { return cnf_; }
 
-  // below[x] == x means "on the table" (encoded destination index B).
-  const std::vector<int>& initial_below() const { return initial_below_; }
-  const std::vector<int>& goal_below() const { return goal_below_; }
-
   Var on_var(int block, int dest, int time) const;   // dest == num_blocks => table
   Var move_var(int block, int dest, int step) const; // likewise
   Var noop_var(int step) const;

@@ -23,11 +23,6 @@ struct DatapathConfig {
   bool reverse_xor_chains = false;  // chain the parity sums backwards
 };
 
-int mux2(Circuit& c, int select, int when_zero, int when_one) {
-  return c.add_or(c.add_and(c.add_not(select), when_zero),
-                  c.add_and(select, when_one));
-}
-
 // Appends the word-level datapath: opcode 00 -> add, 01 -> and, 10 -> or,
 // 11 -> xor (or the low product half when with_multiplier). Returns the
 // result bits.

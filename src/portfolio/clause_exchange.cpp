@@ -138,21 +138,6 @@ std::size_t ClauseExchange::collect(int worker,
   return appended;
 }
 
-std::size_t ClauseExchange::min_cursor() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::size_t low = entries_.size();
-  for (std::size_t w = 0; w < cursors_.size(); ++w) {
-    if (retired_[w]) continue;  // a dead worker must not stall the splicer
-    low = std::min(low, cursors_[w]);
-  }
-  return low;
-}
-
-std::uint32_t ClauseExchange::glue_limit() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return glue_limit_;
-}
-
 ExchangeStats ClauseExchange::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;

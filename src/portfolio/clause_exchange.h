@@ -74,8 +74,8 @@ class ClauseExchange {
   // Offers a clause deduced by `worker` with its glue (0 = unknown).
   // Returns true iff it was stored (admitted by the filter, novel, and
   // the pool had budget left); on success *entry_index (when non-null)
-  // receives the stored entry's position, which min_cursor() is measured
-  // against.
+  // receives the stored entry's position, which collect cursors are
+  // measured against.
   bool publish(int worker, std::span<const Lit> clause, std::uint32_t glue = 0,
                std::size_t* entry_index = nullptr);
 
@@ -88,16 +88,7 @@ class ClauseExchange {
                       std::vector<std::uint32_t>* glues = nullptr,
                       std::size_t* cursor_after = nullptr);
 
-  // The smallest collect cursor over all workers: every worker has
-  // already collected (and, per the portfolio's restart callback, logged
-  // any proof copies for) all entries below this index. Proof splicing
-  // uses it to decide when a published clause's deletion may be released.
-  // Retired workers (see retire_worker) are excluded.
-  std::size_t min_cursor() const;
-
-  // Removes a dead worker from the pool's accounting: its stale cursor no
-  // longer gates min_cursor() (a crashed worker would otherwise stall
-  // proof-deletion release forever), and later publish/collect calls from
+  // Removes a dead worker from the pool: later publish/collect calls from
   // that worker index are rejected / return nothing.
   void retire_worker(int worker);
 
@@ -105,9 +96,6 @@ class ClauseExchange {
   // and a publish that cannot reserve its bytes is rejected (counted in
   // stats().rejected_pressure). The budget must outlive the exchange.
   void set_memory_budget(util::MemoryBudget* budget);
-
-  // The current adaptive glue admission limit (tests, stats printing).
-  std::uint32_t glue_limit() const;
 
   ExchangeStats stats() const;
   std::size_t size() const;

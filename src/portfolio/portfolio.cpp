@@ -404,15 +404,6 @@ void PortfolioSolver::publish_exchange_stats() {
         &exchange_seen_.collected);
 }
 
-int PortfolioSolver::alive_workers() const {
-  if (dead_.empty()) return opts_.num_threads;
-  int alive = 0;
-  for (const char d : dead_) {
-    if (!d) ++alive;
-  }
-  return alive;
-}
-
 proof::Proof PortfolioSolver::spliced_proof() const {
   return splicer_ != nullptr ? splicer_->spliced() : proof::Proof{};
 }

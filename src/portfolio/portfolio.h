@@ -198,25 +198,17 @@ class PortfolioSolver final : public SatEngine {
   // verifies it against the loaded formula. Empty when logging is off.
   // Only valid to call while no solve is in flight.
   proof::Proof spliced_proof() const override;
-  bool proof_logging() const { return opts_.log_proof; }
 
   const std::vector<WorkerReport>& reports() const { return reports_; }
-  // Workers still in the race (those that have not died). Before the
-  // first solve every configured worker counts as alive.
-  int alive_workers() const;
   const ExchangeStats& exchange_stats() const { return exchange_stats_; }
-  // Sums over workers (see stats()).
-  std::uint64_t clauses_exported() const { return stats_.exported_clauses; }
-  std::uint64_t clauses_imported() const { return stats_.imported_clauses; }
 
   const PortfolioOptions& options() const { return opts_; }
 
   // ---- warm-worker introspection (tests, tools) -------------------------
-  // True once the first solve has built the worker lineup; the same Solver
-  // objects then serve every later call.
-  bool workers_warm() const { return !solvers_.empty(); }
   // The id-th worker engine, or nullptr before the first solve / out of
-  // range. Only valid to inspect while no solve is in flight.
+  // range. The first solve builds the worker lineup; the same Solver
+  // objects then serve every later call. Only valid to inspect while no
+  // solve is in flight.
   const Solver* worker(int id) const {
     return id >= 0 && id < static_cast<int>(solvers_.size())
                ? solvers_[static_cast<std::size_t>(id)].get()

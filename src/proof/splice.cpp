@@ -85,18 +85,6 @@ void ProofSplicer::TaggedWriter::delete_clause(std::span<const Lit> lits) {
   buffer_.push_back(SequencedStep{seq, std::move(step)});
 }
 
-std::size_t ProofSplicer::total_steps() const {
-  std::size_t total = 0;
-  for (const auto& w : writers_) total += w->buffer_.size();
-  std::lock_guard<std::mutex> lock(deferred_mu_);
-  return total + released_.size() + deferred_.size();
-}
-
-std::size_t ProofSplicer::deferred_deletions() const {
-  std::lock_guard<std::mutex> lock(deferred_mu_);
-  return deferred_.size();
-}
-
 Proof ProofSplicer::spliced() const {
   std::lock_guard<std::mutex> lock(deferred_mu_);
   std::size_t buffered = released_.size();

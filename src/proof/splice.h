@@ -78,13 +78,6 @@ class ProofSplicer {
   // sequence numbers (i.e. "now", after all copy-adds they must follow).
   void note_collected(int id, std::size_t cursor);
 
-  // Steps logged so far, across all workers (post-join use only).
-  std::size_t total_steps() const;
-
-  // Deletions currently parked awaiting note_collected() coverage
-  // (post-join use; spliced() flushes them at the trace tail).
-  std::size_t deferred_deletions() const;
-
   // Merges every worker's buffer (plus released deletions) into one trace
   // ordered by the global sequence, with any still-deferred deletions
   // appended at the end. Call only while no worker is solving.

@@ -19,7 +19,6 @@ class Dpll {
     DpllResult result;
     result.satisfiable = search();
     result.completed = !out_of_budget_;
-    result.nodes = nodes_;
     if (result.satisfiable) result.model = assign_;
     return result;
   }

@@ -17,7 +17,6 @@ struct DpllResult {
   bool satisfiable = false;
   bool completed = true;  // false if the node budget ran out
   std::vector<Value> model;
-  std::uint64_t nodes = 0;
 };
 
 // max_nodes bounds the search-tree size (0 = unlimited).

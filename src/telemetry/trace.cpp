@@ -146,13 +146,6 @@ std::vector<std::string> TraceCollector::ring_names() const {
   return names_;
 }
 
-std::uint64_t TraceCollector::total_dropped() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  std::uint64_t total = 0;
-  for (const auto& ring : rings_) total += ring->dropped();
-  return total;
-}
-
 namespace {
 
 void write_json_escaped(std::ostream& out, const std::string& s) {

@@ -109,7 +109,6 @@ class TraceCollector {
   void drain(std::vector<TaggedEvent>* out);
 
   std::vector<std::string> ring_names() const;
-  std::uint64_t total_dropped() const;
 
  private:
   mutable std::mutex mu_;

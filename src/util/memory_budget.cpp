@@ -7,16 +7,6 @@
 
 namespace berkmin::util {
 
-const char* pressure_name(Pressure p) {
-  switch (p) {
-    case Pressure::none: return "none";
-    case Pressure::soft: return "soft";
-    case Pressure::hard: return "hard";
-    case Pressure::critical: return "critical";
-  }
-  return "unknown";
-}
-
 void MemoryBudget::publish() {
   if (used_gauge_)
     used_gauge_->set(

@@ -40,8 +40,6 @@ namespace berkmin::util {
 
 enum class Pressure : std::uint8_t { none, soft, hard, critical };
 
-const char* pressure_name(Pressure p);
-
 class MemoryBudget {
  public:
   // limit_bytes == 0 means unlimited (pressure is always `none`, every

@@ -18,8 +18,6 @@ class Table {
   // is left-aligned, all others right-aligned (numeric convention).
   std::string to_string() const;
 
-  std::size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -71,7 +71,7 @@ void run_script(const FuzzParams& params) {
       solver.push_group();
       marks.push_back(active.size());
     } else if (pick < 8 && !marks.empty()) {
-      solver.pop_group();
+      solver.pop_group(solver.innermost_group());
       active.resize(marks.back());
       marks.pop_back();
     } else {
@@ -469,7 +469,7 @@ TEST(IcnfScript, SynthesizedScriptsReplayCorrectly) {
           marks.push_back(active.size());
           break;
         case icnf::Op::Kind::pop:
-          solver.pop_group();
+          solver.pop_group(solver.innermost_group());
           active.resize(marks.back());
           marks.pop_back();
           break;

@@ -95,7 +95,7 @@ TEST(IncrementalProof, SelectorsNeverAppearInTrace) {
   solver.add_clause(lits({-2, 1}));
   solver.add_clause(lits({-1, -2}));
   (void)solver.solve();
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   (void)solver.solve();
   for (const proof::ProofStep& step : writer.proof().steps) {
     for (const Lit l : step.lits) {

@@ -28,7 +28,7 @@ TEST(ClauseGroups, PoppedClausesAreRetracted) {
   ASSERT_TRUE(solver.add_clause(lits({-2})));
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   EXPECT_TRUE(solver.ok()) << "group UNSAT must not poison the solver";
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   EXPECT_EQ(solver.num_groups(), 0);
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
   EXPECT_EQ(solver.validate_invariants(), "");
@@ -44,10 +44,10 @@ TEST(ClauseGroups, NestedGroupsPopInLifoOrder) {
   solver.add_clause(lits({-3}));
   EXPECT_EQ(solver.num_groups(), 2);
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
-  solver.pop_group();  // drops -2, -3
+  solver.pop_group(solver.innermost_group());  // drops -2, -3
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
   EXPECT_FALSE(solver.model_value(from_dimacs(1)));  // -1 still active
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   ASSERT_EQ(solver.solve(), SolveStatus::satisfiable);
   EXPECT_EQ(solver.validate_invariants(), "");
 }
@@ -104,7 +104,7 @@ TEST(ClauseGroups, LearnedClausesSurviveUnrelatedPop) {
   ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   EXPECT_FALSE(solver.ok());
   const std::uint64_t conflicts_before = solver.stats().conflicts;
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   // No new search happened: the group-independent refutation was kept.
   EXPECT_EQ(solver.stats().conflicts, conflicts_before);
@@ -126,7 +126,7 @@ TEST(ClauseGroups, RetentionKeepsSelectorFreeLemmas) {
   solver.add_clause(lits({-1, -3}));
   const SolveStatus in_group = solver.solve();
   ASSERT_NE(in_group, SolveStatus::unknown);
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   ASSERT_EQ(solver.validate_invariants(), "");
 
   for (const ClauseRef ref : solver.learned_stack()) {
@@ -154,7 +154,7 @@ TEST(ClauseGroups, PopStatsAccount) {
   solver.add_clause(lits({-2, -1}));
   (void)solver.solve();
   const std::size_t learned_before_pop = solver.num_learned();
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   EXPECT_EQ(solver.stats().groups_pushed, 1u);
   EXPECT_EQ(solver.stats().groups_popped, 1u);
   EXPECT_EQ(solver.stats().pop_retained_learned +
@@ -185,7 +185,7 @@ TEST(ClauseGroups, FailedAssumptionsAfterPopRegression) {
                                   << to_string(l);
     EXPECT_LT(l.var(), solver.num_vars());
   }
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   // The stored core still references only user variables (no dead
   // selectors), and a fresh query is clean.
   for (const Lit l : solver.failed_assumptions()) {
@@ -207,7 +207,7 @@ TEST(ClauseGroups, GroupOnlyUnsatYieldsEmptyUserCore) {
   ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   EXPECT_TRUE(solver.ok());
   EXPECT_TRUE(solver.failed_assumptions().empty());
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
 }
 
@@ -228,8 +228,8 @@ TEST(ClauseGroups, NewVariablesInsideGroupsStayExternal) {
   // force both false and expect UNSAT while the group is active.
   EXPECT_EQ(solver.solve_with_assumptions(lits({-3, -4})),
             SolveStatus::unsatisfiable);
-  solver.pop_group();
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
+  solver.pop_group(solver.innermost_group());
   EXPECT_EQ(solver.solve_with_assumptions(lits({-3, -4})),
             SolveStatus::satisfiable);
   EXPECT_EQ(solver.validate_invariants(), "");
@@ -255,7 +255,7 @@ TEST(ClauseGroups, PushPopAcrossBudgetSlices) {
   }
   EXPECT_EQ(status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(solver.ok());
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
   EXPECT_EQ(solver.validate_invariants(), "");
 }

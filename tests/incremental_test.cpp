@@ -1,11 +1,10 @@
 // Incremental solving: assumptions, failed-assumption cores, and model
-// enumeration.
+// counting by blocking clauses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
 
-#include "core/enumerate.h"
 #include "core/solver.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_ksat.h"
@@ -182,7 +181,7 @@ TEST_P(SlicedSolveSweep, PreemptedRunMatchesUnslicedRun) {
     status = sliced.solve_with_assumptions(assumptions, Budget::conflicts(3));
     if (status != SolveStatus::unknown) break;
     ASSERT_EQ(sliced.last_stop_cause(), StopCause::conflict_budget);
-    ASSERT_TRUE(sliced.last_unknown_resumable());
+    ASSERT_TRUE(is_resumable(sliced.last_stop_cause()));
     ASSERT_LE(sliced.last_slice().conflicts, 3u);
   }
   EXPECT_EQ(status, expected) << "seed " << seed << " after " << slices
@@ -247,56 +246,45 @@ TEST(SlicedSolve, StatePersistsAcrossPreemptions) {
   EXPECT_LT(sliced.stats().conflicts, 20 * direct.stats().conflicts + 2000);
 }
 
-// --- model enumeration ----------------------------------------------------
+// --- model counting by blocking clauses ---------------------------------
 
-TEST(Enumerate, CountsMatchBruteForce) {
+// Re-solves after each model with that model's negation added, so the
+// number of SAT answers is the number of models.
+std::uint64_t count_by_blocking(const Cnf& cnf, const SolverOptions& options) {
+  Solver solver(options);
+  solver.load(cnf);
+  std::uint64_t models = 0;
+  while (solver.solve() == SolveStatus::satisfiable) {
+    ++models;
+    std::vector<Lit> blocking;
+    for (Var v = 0; v < cnf.num_vars(); ++v) {
+      blocking.push_back(Lit(v, solver.model()[v] == Value::true_value));
+    }
+    if (!solver.add_clause(blocking)) break;
+  }
+  return models;
+}
+
+TEST(BlockingClauses, CountsMatchBruteForce) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const Cnf cnf = gen::random_ksat(10, 25, 3, seed + 40);
     const auto oracle = reference::brute_force_solve(cnf);
-    const std::uint64_t counted =
-        count_models(cnf, SolverOptions::berkmin());
-    EXPECT_EQ(counted, oracle.num_models) << "seed " << seed;
+    EXPECT_EQ(count_by_blocking(cnf, SolverOptions::berkmin()),
+              oracle.num_models)
+        << "seed " << seed;
   }
 }
 
-TEST(Enumerate, MaxModelsLimits) {
-  const Cnf cnf = make_cnf({{1, 2, 3}});  // 7 models
-  EnumerateOptions options;
-  options.max_models = 3;
-  EXPECT_EQ(count_models(cnf, SolverOptions::berkmin(), options), 3u);
-}
-
-TEST(Enumerate, CallbackReceivesValidModels) {
-  const Cnf cnf = make_cnf({{1, 2}, {-1, -2}});  // exactly 2 models
-  Solver solver;
-  solver.load(cnf);
-  int valid = 0;
-  const std::uint64_t n = enumerate_models(
-      solver, {}, [&](const std::vector<Value>& model) {
-        if (cnf.is_satisfied_by(model)) ++valid;
-      });
-  EXPECT_EQ(n, 2u);
-  EXPECT_EQ(valid, 2);
-}
-
-TEST(Enumerate, ProjectionCountsProjectedAssignments) {
-  // (1 | 2) with projection on variable 1 only: both values of var 1 are
-  // possible, so the projected count is 2.
-  const Cnf cnf = make_cnf({{1, 2}});
-  EnumerateOptions options;
-  options.projection = {0};
-  EXPECT_EQ(count_models(cnf, SolverOptions::berkmin(), options), 2u);
-}
-
-TEST(Enumerate, UnsatFormulaHasNoModels) {
+TEST(BlockingClauses, UnsatFormulaHasNoModels) {
   const Cnf cnf = make_cnf({{1}, {-1}});
-  EXPECT_EQ(count_models(cnf, SolverOptions::berkmin()), 0u);
+  EXPECT_EQ(count_by_blocking(cnf, SolverOptions::berkmin()), 0u);
 }
 
-TEST(Enumerate, ChaffConfigurationAgrees) {
+TEST(BlockingClauses, ChaffConfigurationAgrees) {
   const Cnf cnf = gen::random_ksat(9, 20, 3, 77);
   const auto oracle = reference::brute_force_solve(cnf);
-  EXPECT_EQ(count_models(cnf, SolverOptions::chaff_like()), oracle.num_models);
+  EXPECT_EQ(count_by_blocking(cnf, SolverOptions::chaff_like()),
+            oracle.num_models);
 }
 
 }  // namespace

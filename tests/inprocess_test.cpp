@@ -138,7 +138,7 @@ TEST(Inprocess, SkippedWhileClauseGroupsAreActive) {
   EXPECT_EQ(solver.stats().inprocessings, 0u);
 
   // The group retracts and the solver is usable again.
-  solver.pop_group();
+  solver.pop_group(solver.innermost_group());
   (void)solver.add_clause(lits({1}));
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
 }

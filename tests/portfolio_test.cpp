@@ -176,15 +176,15 @@ TEST(PortfolioSolve, ClauseSharingIsActive) {
   solver.load(gen::pigeonhole(7));
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
 
-  EXPECT_GT(solver.clauses_exported(), 0u);
-  EXPECT_GT(solver.clauses_imported(), 0u);
+  EXPECT_GT(solver.stats().exported_clauses, 0u);
+  EXPECT_GT(solver.stats().imported_clauses, 0u);
   EXPECT_GT(solver.exchange_stats().accepted, 0u);
   // Per-worker stats carry the same counters.
   std::uint64_t exported = 0;
   for (const auto& report : solver.reports()) {
     exported += report.stats.exported_clauses;
   }
-  EXPECT_EQ(exported, solver.clauses_exported());
+  EXPECT_EQ(exported, solver.stats().exported_clauses);
 }
 
 TEST(PortfolioSolve, SharingCanBeDisabled) {
@@ -194,8 +194,8 @@ TEST(PortfolioSolve, SharingCanBeDisabled) {
   PortfolioSolver solver(opts);
   solver.load(gen::pigeonhole(6));
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
-  EXPECT_EQ(solver.clauses_exported(), 0u);
-  EXPECT_EQ(solver.clauses_imported(), 0u);
+  EXPECT_EQ(solver.stats().exported_clauses, 0u);
+  EXPECT_EQ(solver.stats().imported_clauses, 0u);
 }
 
 TEST(PortfolioSolve, SingleThreadDegradesToOneWorker)  {
@@ -292,13 +292,11 @@ TEST(PortfolioWarm, WorkersAndLearnedClausesPersistAcrossCalls) {
   // Hard enough to generate conflicts, satisfiable under both probes.
   solver.load(gen::random_ksat(50, 205, 3, 21));
 
-  EXPECT_FALSE(solver.workers_warm());
   EXPECT_EQ(solver.worker(0), nullptr);
 
   const SolveStatus first =
       solver.solve_with_assumptions(testing::lits({1}));
   ASSERT_NE(first, SolveStatus::unknown);
-  ASSERT_TRUE(solver.workers_warm());
   const Solver* worker0 = solver.worker(0);
   const Solver* worker1 = solver.worker(1);
   ASSERT_NE(worker0, nullptr);

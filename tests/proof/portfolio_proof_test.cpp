@@ -114,7 +114,7 @@ TEST(PortfolioProof, LoggingOffYieldsEmptyTrace) {
       portfolio::PortfolioOptions{.num_threads = 2});
   portfolio.load(gen::pigeonhole(4));
   ASSERT_EQ(portfolio.solve(), SolveStatus::unsatisfiable);
-  EXPECT_FALSE(portfolio.proof_logging());
+  EXPECT_FALSE(portfolio.options().log_proof);
   EXPECT_TRUE(portfolio.spliced_proof().empty());
 }
 

@@ -73,19 +73,19 @@ TEST(StopCause, DistinguishesBudgetExpiryFromCancellation) {
   // Budget expiry: resumable — a scheduler may slice again.
   ASSERT_EQ(solver.solve(Budget::conflicts(5)), SolveStatus::unknown);
   EXPECT_EQ(solver.last_stop_cause(), StopCause::conflict_budget);
-  EXPECT_TRUE(solver.last_unknown_resumable());
+  EXPECT_TRUE(is_resumable(solver.last_stop_cause()));
   EXPECT_GE(solver.last_slice().conflicts, 1u);
   EXPECT_LE(solver.last_slice().conflicts, 5u);
 
   ASSERT_EQ(solver.solve(Budget::decisions(3)), SolveStatus::unknown);
   EXPECT_EQ(solver.last_stop_cause(), StopCause::decision_budget);
-  EXPECT_TRUE(solver.last_unknown_resumable());
+  EXPECT_TRUE(is_resumable(solver.last_stop_cause()));
 
   // External stop: a cancellation, not a pause.
   solver.request_stop();
   ASSERT_EQ(solver.solve(), SolveStatus::unknown);
   EXPECT_EQ(solver.last_stop_cause(), StopCause::external_stop);
-  EXPECT_FALSE(solver.last_unknown_resumable());
+  EXPECT_FALSE(is_resumable(solver.last_stop_cause()));
   solver.clear_stop();
 }
 
@@ -94,7 +94,7 @@ TEST(StopCause, NoneAfterDefinitiveAnswer) {
   solver.load(gen::pigeonhole(5));
   ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   EXPECT_EQ(solver.last_stop_cause(), StopCause::none);
-  EXPECT_FALSE(solver.last_unknown_resumable());
+  EXPECT_FALSE(is_resumable(solver.last_stop_cause()));
   EXPECT_GT(solver.last_slice().conflicts, 0u);
 }
 
