@@ -1,7 +1,8 @@
-// Ablation bench for the beyond-paper extensions called out in DESIGN.md:
-// learned-clause minimization, Luby restarts, and the widened top-clause
-// window (the paper's Remark 2). Compares each against stock BerkMin on
-// the full class suite — the same protocol as the paper's own ablations.
+// Ablation bench for the beyond-paper extensions SolverOptions offers
+// (core/options.h): learned-clause minimization, Luby restarts, and the
+// widened top-clause window (the paper's Remark 2). Compares each against
+// stock BerkMin on the full class suite — the same protocol as the
+// paper's own ablations.
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
@@ -15,7 +16,6 @@ int main(int argc, char** argv) {
 
   SolverOptions luby = SolverOptions::berkmin();
   luby.restart_policy = RestartPolicy::luby;
-  luby.luby_unit = 100;
 
   SolverOptions window = SolverOptions::berkmin();
   window.top_clause_window = 4;

@@ -14,12 +14,14 @@ BenchArgs parse_bench_args(int argc, char** argv, double default_timeout,
   ArgParser parser(argc, argv);
   parser.add_option("scale", std::to_string(default_scale),
                     "instance scale: 1 = smoke, 2 = default, 3+ = closer to "
-                    "paper hardness");
+                    "paper hardness",
+                    {.min = 1});
   parser.add_option("timeout", std::to_string(default_timeout),
                     "per-instance timeout in seconds (the paper used 60000)");
   parser.add_option("seed", "7", "generator seed");
   parser.add_option("threads", "1",
-                    "portfolio workers per solve (clause sharing on)");
+                    "portfolio workers per solve (clause sharing on)",
+                    {.min = 1, .max = kMaxThreads});
   parser.add_flag("help", "show this help");
   if (!parser.parse()) {
     std::cerr << "error: " << parser.error() << "\n";

@@ -252,23 +252,31 @@ bool parse_entry(const std::string& line, const service::JobLimits& defaults,
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  args.add_option("pool", "4", "service worker threads");
+  // The flags that set the manifest keys' defaults (deadline-ms,
+  // conflicts, threads) follow the keys' rules.
+  args.add_option("pool", "4", "service worker threads",
+                  {.min = 1, .max = kMaxThreads});
   args.add_option("slice-conflicts", "2000",
-                  "conflicts per time slice (0 = run each job to completion)");
+                  "conflicts per time slice (0 = run each job to completion)",
+                  {.min = 0});
   args.add_option("deadline-ms", "0.0",
-                  "default per-job wall-clock deadline in ms (0 = none)");
+                  "default per-job wall-clock deadline in ms (0 = none)",
+                  {.min = 0});
   args.add_option("conflicts", "0",
-                  "default per-job total conflict budget (0 = none)");
+                  "default per-job total conflict budget (0 = none)",
+                  {.min = 0});
   args.add_option("threads", "1",
                   "default per-job portfolio escalation (>1 races that many "
-                  "diversified workers inside each slice)");
-  args.add_option("max-pending", "1024", "bounded admission queue size");
+                  "diversified workers inside each slice)",
+                  {.min = 1, .max = kMaxThreads});
+  args.add_option("max-pending", "1024", "bounded admission queue size",
+                  {.min = 1});
   args.add_option("watchdog-ms", "0.0", "per-slice wall-clock watchdog: a "
                   "slice running longer than this is preempted and "
-                  "rescheduled (0 = off)");
+                  "rescheduled (0 = off)", {.min = 0});
   args.add_option("slice-retries", "2", "times a job whose slice died (a "
                   "crashed engine or injected fault) is retried on a fresh "
-                  "engine before reporting an error");
+                  "engine before reporting an error", {.min = 0});
   robustness::add_flags(&args);
   args.add_option("drat", "", "directory for per-job DRAT traces "
                   "(<dir>/job-<id>.drat, written for UNSAT jobs)");
@@ -314,13 +322,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // The flags are the manifest keys' defaults and follow the same rules.
-  if (args.get_double("deadline-ms") < 0.0 || args.get_int("conflicts") < 0 ||
-      args.get_int("threads") < 1) {
-    std::cerr << "error: --deadline-ms and --conflicts must be >= 0, "
-                 "--threads >= 1\n";
-    return 1;
-  }
   service::JobLimits defaults;
   defaults.deadline_seconds = args.get_double("deadline-ms") / 1000.0;
   defaults.max_conflicts =

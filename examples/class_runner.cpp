@@ -65,13 +65,15 @@ int main(int argc, char** argv) {
                   "Sss_sat1.0, Fvp_unsat1.0, Vliw_sat1.0, Beijing, Hanoi, "
                   "Miters, Fvp_unsat2.0");
   args.add_option("preset", "berkmin", "solver preset: " + preset_list());
-  args.add_option("scale", "2", "instance scale");
+  args.add_option("scale", "2", "instance scale", {.min = 1});
   args.add_option("timeout", "10.0", "per-instance timeout in seconds");
   args.add_option("seed", "7", "generator seed");
-  args.add_option("threads", "1", "portfolio workers per solve");
+  args.add_option("threads", "1", "portfolio workers per solve",
+                  {.min = 1, .max = kMaxThreads});
   args.add_option("pool", "1",
                   "batch the class through a time-sliced SolverService with "
-                  "this many worker threads (1 = solve instances one by one)");
+                  "this many worker threads (1 = solve instances one by one)",
+                  {.min = 1, .max = kMaxThreads});
   args.add_flag("all", "run every class");
   args.add_flag("help", "show this help");
   if (!args.parse()) {

@@ -14,6 +14,7 @@
 #include <iostream>
 #include <iterator>
 #include <memory>
+#include <optional>
 
 #include "cnf/dimacs.h"
 #include "cnf/icnf.h"
@@ -117,51 +118,28 @@ bool certify_unsat(const Cnf& cnf, const proof::Proof& trace,
   return true;
 }
 
-SolverOptions options_from_args(const ArgParser& args, bool* ok) {
-  const std::optional<SolverOptions> preset =
+// The selected preset with the CLI's per-run settings, or nullopt (after
+// an error message) for an unknown preset name.
+std::optional<SolverOptions> options_from_args(const ArgParser& args) {
+  std::optional<SolverOptions> options =
       preset_by_name(args.get_string("preset"));
-  *ok = preset.has_value();
-  if (!*ok) {
+  if (!options) {
     std::cerr << "error: unknown preset '" << args.get_string("preset")
               << "' (" << preset_list() << ")\n";
-    return {};
+    return std::nullopt;
   }
-  SolverOptions options = *preset;
-  options.restart_interval = static_cast<std::uint32_t>(args.get_int("restart"));
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed"));
-  options.minimize_learned = args.has_flag("minimize");
-  options.young_keep_max_length = static_cast<std::uint32_t>(args.get_int("young-max-len"));
-  options.young_keep_min_activity = static_cast<std::uint32_t>(args.get_int("young-min-act"));
-  options.old_keep_max_length = static_cast<std::uint32_t>(args.get_int("old-max-len"));
-  options.old_activity_threshold = static_cast<std::uint32_t>(args.get_int("old-act-threshold"));
-  options.var_decay_interval = static_cast<std::uint32_t>(args.get_int("decay-interval"));
-  options.var_decay_factor = static_cast<std::uint32_t>(args.get_int("decay-factor"));
+  options->seed = static_cast<std::uint64_t>(args.get_int("seed"));
+  options->minimize_learned = args.has_flag("minimize");
   // Inprocessing defaults ON for the CLI (the library default is off so
   // embedders opt in); --no-inprocess restores the pure paper engine.
-  options.inprocess.enabled = !args.has_flag("no-inprocess");
-  if (const std::string policy = args.get_string("reduce-policy");
-      !policy.empty()) {
-    if (policy == "glue") {
-      options.reduction_policy = ReductionPolicy::glue_tiered;
-    } else if (policy == "berkmin") {
-      options.reduction_policy = ReductionPolicy::berkmin;
-    } else if (policy == "limited") {
-      options.reduction_policy = ReductionPolicy::limited_keeping;
-    } else if (policy == "none") {
-      options.reduction_policy = ReductionPolicy::none;
-    } else {
-      std::cerr << "error: unknown --reduce-policy '" << policy
-                << "' (berkmin, glue, limited, none)\n";
-      *ok = false;
-    }
-  }
+  options->inprocess.enabled = !args.has_flag("no-inprocess");
   return options;
 }
 
 // Builds the engine both modes solve on: one Solver for --threads 1, else
 // a portfolio. Given a proof sink, a solver logs into it and a portfolio
-// splices its workers' traces instead (see spliced_proof). An explicit preset
-// or any tuning flag keeps the tuned configuration on every portfolio
+// splices its workers' traces instead (see spliced_proof). A preset other
+// than berkmin, or --minimize, keeps that configuration on every portfolio
 // worker (only the restart/decay schedule and seeds are jittered);
 // otherwise the default diversified lineup runs. --seed alone stays on
 // the default lineup — it already reseeds it.
@@ -185,11 +163,7 @@ std::unique_ptr<SatEngine> make_engine(const ArgParser& args,
   popts.base_seed = options.seed;
   popts.log_proof = proof_sink != nullptr;
   const bool tuned =
-      args.get_string("preset") != "berkmin" || args.provided("restart") ||
-      args.has_flag("minimize") || args.provided("young-max-len") ||
-      args.provided("young-min-act") || args.provided("old-max-len") ||
-      args.provided("old-act-threshold") || args.provided("decay-interval") ||
-      args.provided("decay-factor");
+      args.get_string("preset") != "berkmin" || args.has_flag("minimize");
   popts.configs =
       tuned ? portfolio::diversify_around(options, threads, options.seed)
             : portfolio::diversified_configs(threads, options.seed);
@@ -224,9 +198,8 @@ int run_scripted(const ArgParser& args, const std::string& path,
   }
   const icnf::Script script = std::move(parsed.script);
 
-  bool preset_ok = false;
-  const SolverOptions options = options_from_args(args, &preset_ok);
-  if (!preset_ok) return 1;
+  const std::optional<SolverOptions> options = options_from_args(args);
+  if (!options) return 1;
 
   Budget budget;
   budget.max_seconds = args.get_double("timeout");
@@ -246,7 +219,7 @@ int run_scripted(const ArgParser& args, const std::string& path,
   auto trace = want_proof ? std::make_unique<proof::MemoryProofWriter>()
                           : nullptr;
   const std::unique_ptr<SatEngine> engine = make_engine(
-      args, options, trace.get(), hub, sink, mem_budget);
+      args, *options, trace.get(), hub, sink, mem_budget);
   proof::LiveCertifier certifier(*engine, std::move(trace), check);
   certifier.set_telemetry(sink);
 
@@ -389,18 +362,13 @@ int main(int argc, char** argv) {
                   "(see --list-generators)");
   args.add_option("threads", "1",
                   "portfolio size: run N diversified solvers in parallel with "
-                  "learned-clause sharing (1 = the classic sequential solver)");
+                  "learned-clause sharing (1 = the classic sequential solver)",
+                  {.min = 1, .max = kMaxThreads});
   args.add_flag("no-share", "portfolio only: disable clause sharing");
-  args.add_option("timeout", "0.0", "wall-clock budget in seconds (0 = none)");
-  args.add_option("conflicts", "0", "conflict budget (0 = none)");
-  args.add_option("restart", "550", "restart interval in conflicts");
+  args.add_option("timeout", "0.0", "wall-clock budget in seconds (0 = none)",
+                  {.min = 0});
+  args.add_option("conflicts", "0", "conflict budget (0 = none)", {.min = 0});
   args.add_option("seed", "0", "random tie-breaking seed");
-  args.add_option("young-max-len", "42", "keep young clauses up to this length");
-  args.add_option("young-min-act", "8", "or with at least this activity");
-  args.add_option("old-max-len", "8", "keep old clauses up to this length");
-  args.add_option("old-act-threshold", "60", "or above this activity threshold");
-  args.add_option("decay-interval", "256", "conflicts between activity decays");
-  args.add_option("decay-factor", "2", "activity decay divisor");
   args.add_option("drat", "", "write a DRAT proof to this file (with "
                   "--threads N the spliced multi-worker trace, written after "
                   "an UNSAT answer)");
@@ -429,9 +397,6 @@ int main(int argc, char** argv) {
                 "default: failed-literal probing, subsumption/self-"
                 "subsumption, vivification, and, in single-shot runs, "
                 "bounded variable elimination; every rewrite proof-logged)");
-  args.add_option("reduce-policy", "", "override the preset's clause-database "
-                  "reduction policy: berkmin, glue (LBD core/tier2/local "
-                  "tiers), limited, none");
   args.add_option("metrics-out", "", "write a telemetry metrics snapshot on "
                   "exit (counters, latency histograms, phase profile); a "
                   ".prom extension selects Prometheus text exposition, "
@@ -585,9 +550,8 @@ int main(int argc, char** argv) {
                                             ? proof::DratFormat::binary
                                             : proof::DratFormat::text;
 
-  bool preset_ok = false;
-  SolverOptions options = options_from_args(args, &preset_ok);
-  if (!preset_ok) return 1;
+  std::optional<SolverOptions> options = options_from_args(args);
+  if (!options) return 1;
 
   Budget budget;
   budget.max_seconds = args.get_double("timeout");
@@ -661,9 +625,9 @@ int main(int argc, char** argv) {
 
   // Single-shot solving: nothing can mention a variable again after this
   // solve, so a sequential engine may also eliminate variables.
-  options.inprocess.var_elim = options.inprocess.enabled;
+  options->inprocess.var_elim = options->inprocess.enabled;
   const std::unique_ptr<SatEngine> engine =
-      make_engine(args, options, proof_sink, hub.get(), sink, mem_budget.get());
+      make_engine(args, *options, proof_sink, hub.get(), sink, mem_budget.get());
   engine->load(solved);
 
   WallTimer timer;

@@ -15,6 +15,7 @@
 // Exit codes: 0 verdicts OK (validated/certified as requested), 1 usage
 // error, 2 a validation or certification failed, 3 engines disagree.
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -130,14 +131,19 @@ int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   args.add_option("ts", "safe:1", "transition-system spec (see header)");
   args.add_option("engine", "both", "bmc | ic3 | both");
-  args.add_option("bound", "10", "BMC bound / generator cycle window");
-  args.add_option("max-frames", "64", "IC3 frontier limit");
+  // Both are read as an int.
+  constexpr double kMaxInt = std::numeric_limits<int>::max();
+  args.add_option("bound", "10", "BMC bound / generator cycle window",
+                  {.min = 0, .max = kMaxInt});
+  args.add_option("max-frames", "64", "IC3 frontier limit",
+                  {.min = 1, .max = kMaxInt});
   args.add_flag("certify",
                 "re-prove safe verdicts on a fresh DRAT-checked solver");
   args.add_flag("service", "run via a SolverService incremental session");
   args.add_option("threads", "1",
                   "solver threads: a racing portfolio when > 1, in process "
-                  "or in the --service session");
+                  "or in the --service session",
+                  {.min = 1, .max = kMaxThreads});
   args.add_flag("json", "emit one JSON object per engine run");
   if (!args.parse()) {
     std::cerr << "error: " << args.error() << "\n"

@@ -8,7 +8,9 @@
 // binaries behave exactly as before.
 #pragma once
 
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -29,12 +31,13 @@ inline void add_flags(ArgParser* args) {
                    "alloc_exchange, worker_stall, worker_death, slice_death, "
                    "clock_skew, io_short_write, or 'all')");
   args->add_option("fault-rate", "0.05", "per-consultation firing "
-                   "probability for armed fault sites");
+                   "probability for armed fault sites", {.min = 0, .max = 1});
   args->add_option("fault-seed", "1", "seed of the fault schedule (the same "
                    "seed replays the same faults)");
   args->add_option("fault-fires", "8", "cap on fires per armed site; bounded "
                    "injection keeps every run terminating with a checkable "
-                   "answer");
+                   "answer",
+                   {.min = 0, .max = std::numeric_limits<std::uint32_t>::max()});
 }
 
 // --memory-budget → a MemoryBudget, or nullptr when the flag is absent.

@@ -37,10 +37,9 @@ void Solver::bump_chaff(Lit l) {
 }
 
 void Solver::decay_var_activities() {
-  if (opts_.var_decay_factor <= 1) return;
   // Integer division by a common constant is monotone, so the heap order
   // is preserved and no rebuild is necessary.
-  for (auto& a : var_activity_) a /= opts_.var_decay_factor;
+  for (auto& a : var_activity_) a /= kVarDecayFactor;
 }
 
 void Solver::decay_chaff_counters() {

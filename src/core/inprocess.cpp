@@ -474,7 +474,7 @@ void Inprocessor::apply_removals() {
     }
   }
   // Learned clauses satisfied by retained root facts must not be migrated
-  // (GC's invariant), exactly as classify_learned decides in reduce_db.
+  // (GC's invariant), exactly as keep_learned decides in reduce_db.
   for (std::size_t i = 0; i < s_.learned_stack_.size(); ++i) {
     if (keep_learned[i] && s_.clause_is_satisfied(s_.learned_stack_[i])) {
       keep_learned[i] = 0;

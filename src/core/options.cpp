@@ -86,8 +86,6 @@ const char* name_of(ReductionPolicy p) {
   switch (p) {
     case ReductionPolicy::berkmin: return "berkmin";
     case ReductionPolicy::limited_keeping: return "limited_keeping";
-    case ReductionPolicy::glue_tiered: return "glue_tiered";
-    case ReductionPolicy::none: return "none";
   }
   return "?";
 }
@@ -143,7 +141,7 @@ std::string SolverOptions::describe() const {
   if (restart_policy == RestartPolicy::fixed_interval) {
     out += "(" + std::to_string(restart_interval) + ")";
   } else if (restart_policy == RestartPolicy::luby) {
-    out += "(" + std::to_string(luby_unit) + ")";
+    out += "(" + std::to_string(kLubyUnit) + ")";
   }
   if (minimize_learned) out += " minimize";
   if (top_clause_window > 1) {

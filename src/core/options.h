@@ -1,6 +1,8 @@
 // Every heuristic the paper describes — and every ablation its evaluation
-// tables toggle — is a value in SolverOptions. The presets at the bottom
-// name the exact configurations the paper's experiments compare.
+// tables toggle — is a value in SolverOptions or, where no configuration
+// varies it, a named constant here. The presets at the bottom name the
+// exact configurations the paper's experiments compare, and are the only
+// search configurations the CLIs select.
 #pragma once
 
 #include <cstdint>
@@ -54,14 +56,6 @@ enum class ReductionPolicy : std::uint8_t {
   // GRASP-style "limited_keeping" ablation (Table 5): keep exactly the
   // clauses no longer than a length threshold.
   limited_keeping,
-  // LBD glue tiers (extension beyond the paper, following the literal
-  // block distance literature): core clauses (glue <= 2) are kept
-  // unconditionally, mid-tier clauses (glue <= 6) are kept while
-  // they stay active, and the local tail falls back to BerkMin's
-  // age/activity partition.
-  glue_tiered,
-  // Keep everything (baseline for tests; memory grows without bound).
-  none,
 };
 
 enum class RestartPolicy : std::uint8_t {
@@ -69,6 +63,17 @@ enum class RestartPolicy : std::uint8_t {
   luby,            // extension (the paper's future-work direction)
   none,
 };
+
+// Search constants no preset varies.
+// Conflicts per unit of the Luby restart sequence (RestartPolicy::luby).
+inline constexpr std::uint32_t kLubyUnit = 100;
+// Divisor of the variable activities at each aging step.
+inline constexpr std::uint32_t kVarDecayFactor = 2;
+// Branch selection on initial-formula decisions (Section 7): nb_two's
+// computation stops once the estimate exceeds this threshold.
+inline constexpr std::uint32_t kNbTwoThreshold = 100;
+// Growth of the old-clause activity threshold per BerkMin reduction.
+inline constexpr std::uint32_t kThresholdIncrement = 1;
 
 // Inprocessing (src/core/inprocess.*): simplification passes run at
 // restart boundaries, every rewrite logged to the attached ProofWriter as
@@ -95,17 +100,16 @@ struct SolverOptions {
   ReductionPolicy reduction_policy = ReductionPolicy::berkmin;
   RestartPolicy restart_policy = RestartPolicy::fixed_interval;
 
-  // Restarts.
-  std::uint32_t restart_interval = 550;  // conflicts between restarts
-  std::uint32_t luby_unit = 100;         // base for the luby extension
+  // Restarts: conflicts between restarts under fixed_interval (luby reads
+  // kLubyUnit instead).
+  std::uint32_t restart_interval = 550;
 
   // Variable-activity aging ("conflict clause aging" inherited from
-  // Chaff). The paper describes the mechanism but gives no constants for
-  // BerkMin itself; these defaults (halve every 256 conflicts, the values
-  // the Chaff paper documents) were selected empirically — see the
-  // parameter notes in DESIGN.md.
+  // Chaff): every var_decay_interval conflicts the counters are divided by
+  // kVarDecayFactor. The paper describes the mechanism but gives no
+  // constants for BerkMin itself; halving every 256 conflicts is what the
+  // Chaff paper documents.
   std::uint32_t var_decay_interval = 256;  // conflicts between decays
-  std::uint32_t var_decay_factor = 2;      // divide counters by this
 
   // Chaff-like literal counters (used by DecisionPolicy::chaff_literal),
   // halved every lit_decay_interval conflicts.
@@ -116,21 +120,17 @@ struct SolverOptions {
   // is young. Keep rules use the paper's constants: young clauses survive
   // if length < 43 or activity > 7; old clauses survive if length < 9 or
   // activity > threshold, with the threshold starting at 60 and growing by
-  // threshold_increment at each reduction.
+  // kThresholdIncrement at each reduction. These stay settable so tests
+  // can reach the young/old partition with a handful of clauses.
   std::uint32_t young_fraction_num = 15;
   std::uint32_t young_fraction_den = 16;
   std::uint32_t young_keep_max_length = 42;
   std::uint32_t young_keep_min_activity = 8;
   std::uint32_t old_keep_max_length = 8;
   std::uint32_t old_activity_threshold = 60;
-  std::uint32_t threshold_increment = 1;
   // Length threshold for ReductionPolicy::limited_keeping (GRASP-like);
   // the paper's comparison used 42, the same as the young-clause limit.
   std::uint32_t limited_keeping_max_length = 42;
-
-  // Branch selection on initial-formula decisions (Section 7): nb_two's
-  // computation stops once the estimate exceeds this threshold.
-  std::uint32_t nb_two_threshold = 100;
 
   // Extensions beyond the paper (all off in every preset).
   bool minimize_learned = false;      // conflict-clause minimization

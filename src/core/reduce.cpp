@@ -15,7 +15,8 @@
 //    anti-looping safeguard) unless a retained assignment satisfies it.
 //
 // The GRASP-like "limited_keeping" ablation replaces the partitioned rule
-// with a pure length threshold.
+// with a pure length threshold. Under memory pressure an emergency
+// reduction keeps only the glue core (see apply_pressure_ladder).
 #include <cassert>
 #include <memory>
 
@@ -28,13 +29,10 @@ namespace berkmin {
 
 namespace {
 
-// LBD tiers for ReductionPolicy::glue_tiered. Glue (literal block
-// distance) is the number of distinct decision levels in a learned clause
-// at learn time; clauses with glue <= kGlueCore are "core" and never
-// deleted, glue <= kGlueTier2 survive while recently active, and the rest
-// compete under the BerkMin age/activity partition.
+// Glue (literal block distance) is the number of distinct decision levels
+// in a learned clause at learn time. The emergency reduction of the
+// memory-pressure ladder keeps only the "core" clauses, glue <= kGlueCore.
 constexpr std::uint32_t kGlueCore = 2;
-constexpr std::uint32_t kGlueTier2 = 6;
 
 }  // namespace
 
@@ -58,15 +56,13 @@ void Solver::handle_restart() {
   }
   // Memory-pressure ladder first: an emergency reduction both frees memory
   // and replaces the regular (gentler) reduction for this restart.
-  const bool emergency_reduced = apply_pressure_ladder();
-  if (!emergency_reduced && opts_.reduction_policy != ReductionPolicy::none) {
-    reduce_db();
-  }
+  if (!apply_pressure_ladder()) reduce_db();
   // Watch-pool hygiene: span relocations during the search leave garbage
-  // slots behind (reduce_db rebuilds the pools gap-free, but the policy
-  // may be none). A restart is the one point where no scan is in flight,
-  // so compacting here is safe. wasted() is O(1) and usually 0 right
-  // after a rebuild; live() scans the span table, so check it second.
+  // slots behind (reduce_db rebuilds the pools gap-free, but an emergency
+  // reduction may have run instead). A restart is the one point where no
+  // scan is in flight, so compacting here is safe. wasted() is O(1) and
+  // usually 0 right after a rebuild; live() scans the span table, so check
+  // it second.
   if (watches_.wasted() > 1024 &&
       watches_.wasted() > watches_.live() + 1024) {
     watches_.compact();
@@ -159,72 +155,27 @@ std::uint32_t live_length(const Solver& solver, const Clause& c) {
 
 }  // namespace
 
-Solver::ReduceDecision Solver::classify_learned(std::size_t stack_index,
-                                                std::size_t stack_size) {
-  ReduceDecision decision;
+bool Solver::keep_learned(std::size_t stack_index, std::size_t stack_size) {
   const ClauseRef ref = learned_stack_[stack_index];
+  // Satisfied by a retained (root) assignment: always removed.
+  if (clause_is_satisfied(ref)) return false;
+
   const Clause c = arena_.deref(ref);
-
-  if (clause_is_satisfied(ref)) {
-    // Satisfied by a retained (root) assignment: always removed.
-    decision.satisfied_at_root = true;
-    return decision;
-  }
-
-  if (opts_.reduction_policy == ReductionPolicy::none) {
-    decision.keep = true;
-    return decision;
-  }
-
   const std::uint32_t length = live_length(*this, c);
-  const std::uint32_t activity = c.activity();
-
   if (opts_.reduction_policy == ReductionPolicy::limited_keeping) {
-    decision.keep = length <= opts_.limited_keeping_max_length;
-    return decision;
+    return length <= opts_.limited_keeping_max_length;
   }
 
-  if (opts_.reduction_policy == ReductionPolicy::glue_tiered) {
-    // LBD tiers. Core clauses (low glue) capture tightly-coupled decision
-    // levels and are kept unconditionally; the mid tier additionally
-    // survives on conflict activity earned since the last reduction.
-    // Everything else — the local tail, mid-tier clauses that earned
-    // nothing, and shared clauses imported with unknown glue (0 means
-    // unknown, not perfect) — falls through to BerkMin's age/activity
-    // partition, so glue tiers only ever retain MORE than the paper's
-    // policy. An early return here instead of a fall-through would delete
-    // freshly-learned mid-glue clauses before they could earn activity,
-    // defeating the young-clause anti-looping safeguard (hole:9 degrades
-    // from ~31k conflicts to millions).
-    const std::uint32_t glue = c.glue();
-    if (glue != 0 && glue <= kGlueCore) {
-      decision.keep = true;
-      return decision;
-    }
-    if (glue != 0 && glue <= kGlueTier2 &&
-        (activity > 0 || length <= opts_.old_keep_max_length)) {
-      decision.keep = true;
-      return decision;
-    }
-  }
-
-  // BerkMin policy (and the glue_tiered local tail). The topmost clause is
-  // protected.
-  if (stack_index + 1 == stack_size) {
-    decision.keep = true;
-    return decision;
-  }
+  // BerkMin policy. The topmost clause is protected.
+  if (stack_index + 1 == stack_size) return true;
   const std::size_t distance = stack_size - 1 - stack_index;
   const bool young = distance * opts_.young_fraction_den <
                      stack_size * opts_.young_fraction_num;
   if (young) {
-    decision.keep = length <= opts_.young_keep_max_length ||
-                    activity >= opts_.young_keep_min_activity;
-  } else {
-    decision.keep =
-        length <= opts_.old_keep_max_length || activity > old_threshold_;
+    return length <= opts_.young_keep_max_length ||
+           c.activity() >= opts_.young_keep_min_activity;
   }
-  return decision;
+  return length <= opts_.old_keep_max_length || c.activity() > old_threshold_;
 }
 
 void Solver::reduce_db() {
@@ -245,13 +196,12 @@ void Solver::reduce_db() {
 
   std::vector<char> keep(learned_stack_.size(), 0);
   for (std::size_t i = 0; i < learned_stack_.size(); ++i) {
-    keep[i] = classify_learned(i, learned_stack_.size()).keep ? 1 : 0;
+    keep[i] = keep_learned(i, learned_stack_.size()) ? 1 : 0;
   }
   garbage_collect(keep);
 
-  if (opts_.reduction_policy == ReductionPolicy::berkmin ||
-      opts_.reduction_policy == ReductionPolicy::glue_tiered) {
-    old_threshold_ += opts_.threshold_increment;
+  if (opts_.reduction_policy == ReductionPolicy::berkmin) {
+    old_threshold_ += kThresholdIncrement;
   }
   if (telemetry_ != nullptr) {
     telemetry_->emit(telemetry::EventKind::reduce, reduce_start_ns,
@@ -324,13 +274,7 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
     assert(stripped.size() >= 2);
     if (stripped.size() < c.size()) strengthen_trace(c);
     const ClauseRef fresh = new_arena.alloc(stripped, learned, c.glue());
-    // The glue_tiered mid tier survives on activity earned since the last
-    // reduction, so its counter restarts each cycle; every other policy
-    // keeps the cumulative count.
-    const bool tier2 = opts_.reduction_policy == ReductionPolicy::glue_tiered &&
-                       learned && c.glue() != 0 &&
-                       c.glue() > kGlueCore && c.glue() <= kGlueTier2;
-    new_arena.deref(fresh).set_activity(tier2 ? 0 : c.activity());
+    new_arena.deref(fresh).set_activity(c.activity());
     return fresh;
   };
 

@@ -670,7 +670,7 @@ std::uint64_t Solver::next_restart_limit() const {
     case RestartPolicy::fixed_interval:
       return opts_.restart_interval;
     case RestartPolicy::luby:
-      return luby(luby_index_) * opts_.luby_unit;
+      return luby(luby_index_) * kLubyUnit;
     case RestartPolicy::none:
       return 0;  // interpreted as "never"
   }
@@ -1016,7 +1016,7 @@ std::uint64_t Solver::nb_two(Lit l) const {
   // Section 7: count binary clauses containing l; for each such clause
   // {l, v}, also count binary clauses containing ~v. "Binary" means the
   // clause has exactly two unassigned literals and no satisfied literal in
-  // the current formula. Computation stops at nb_two_threshold.
+  // the current formula. Computation stops at kNbTwoThreshold.
   const auto currently_binary = [&](ClauseRef ref, Lit* other, Lit in) -> bool {
     const Clause c = arena_.deref(ref);
     Lit free_a = undef_lit;
@@ -1042,16 +1042,13 @@ std::uint64_t Solver::nb_two(Lit l) const {
   std::uint64_t total = 0;
   std::uint32_t scanned = 0;
   for (const ClauseRef ref : occ_.list(l.code())) {
-    if (total > opts_.nb_two_threshold || ++scanned > kNbTwoScanCap) break;
+    if (total > kNbTwoThreshold || ++scanned > kNbTwoScanCap) break;
     Lit other = undef_lit;
     if (!currently_binary(ref, &other, l)) continue;
     ++total;
     std::uint32_t inner_scanned = 0;
     for (const ClauseRef ref2 : occ_.list((~other).code())) {
-      if (total > opts_.nb_two_threshold ||
-          ++inner_scanned > kNbTwoScanCap) {
-        break;
-      }
+      if (total > kNbTwoThreshold || ++inner_scanned > kNbTwoScanCap) break;
       if (currently_binary(ref2, nullptr, ~other)) ++total;
     }
   }

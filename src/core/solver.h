@@ -212,11 +212,11 @@ class Solver final : public SatEngine {
   // importer has since popped reduces to a satisfied clause and is
   // dropped, keeping cross-call migration sound across push/pop.
   // `glue` is the producer's literal-block distance for the clause (0 =
-  // unknown); the importer caches it so tiered reduction treats shared
-  // lemmas by quality rather than pinning them as core. Clauses mentioning
-  // a variable this solver has eliminated by inprocessing are dropped (the
-  // importer's root simplification of such a clause would lean on the
-  // arbitrary witness assignment, which is not a consequence).
+  // unknown); the importer caches it so the emergency reduction treats
+  // shared lemmas by quality rather than pinning them as core. Clauses
+  // mentioning a variable this solver has eliminated by inprocessing are
+  // dropped (the importer's root simplification of such a clause would
+  // lean on the arbitrary witness assignment, which is not a consequence).
   bool import_clause(std::span<const Lit> lits, std::uint32_t glue = 0);
   // Bumps stats().exported_clauses; called by the owner of the learn
   // callback when a clause was accepted by a sharing pool.
@@ -388,7 +388,8 @@ class Solver final : public SatEngine {
   bool binary_clause_present(Lit a, Lit b) const;
   // Normalizes and records a clause at the root level; learned selects
   // whether it joins the originals or the reducible learned stack. `glue`
-  // is cached on learned clauses for tiered reduction (0 = unknown).
+  // is cached on learned clauses for the emergency reduction (0 =
+  // unknown).
   bool add_root_clause(std::span<const Lit> lits, bool learned,
                        std::uint32_t glue = 0);
   ClauseRef add_clause_internal(std::span<const Lit> lits, bool learned,
@@ -481,11 +482,8 @@ class Solver final : public SatEngine {
   void proof_emit_add(std::span<const Lit> lits);
   void proof_emit_delete(std::span<const Lit> lits);
   void proof_emit_empty();
-  struct ReduceDecision {
-    bool keep = false;
-    bool satisfied_at_root = false;
-  };
-  ReduceDecision classify_learned(std::size_t stack_index, std::size_t stack_size);
+  // Whether reduce_db keeps the learned clause at stack_index.
+  bool keep_learned(std::size_t stack_index, std::size_t stack_size);
   // keep_originals, when non-null, masks original clauses the same way
   // keep_learned masks the learned stack (inprocessing removals); masked-
   // out clauses get a proof deletion via notify_deleted.

@@ -190,8 +190,9 @@ struct SolverStats {
   }
 
   // LBD distribution: glue_histogram[g] counts learned clauses whose glue
-  // (distinct decision levels at learn time) was g. Feeds the tiered
-  // retention policy's telemetry.
+  // (distinct decision levels at learn time) was g. Exported as telemetry;
+  // the same glue decides what the memory-pressure emergency reduction
+  // keeps.
   std::vector<std::uint64_t> glue_histogram;
 
   void record_glue(std::size_t glue) {

@@ -4,9 +4,10 @@
 // of Tables 6/7): Hole, Blocksworld, Par16, Sss1.0, Sss1.0a, Sss_sat1.0,
 // Fvp_unsat1.0, Vliw_sat1.0, Beijing, Hanoi, Miters, Fvp_unsat2.0. The
 // original CNF files are not redistributable here, so each class is
-// populated by the structurally matching generator (see DESIGN.md's
-// substitution table). `scale` grows the instances: 1 = seconds-per-class
-// smoke scale, 2-3 = progressively closer to paper hardness.
+// populated by the structurally matching generator (README.md, "Benchmark
+// classes", tabulates which). `scale` grows the instances: 1 =
+// seconds-per-class smoke scale, 2-3 = progressively closer to paper
+// hardness.
 #pragma once
 
 #include <cstdint>

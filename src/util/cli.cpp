@@ -1,5 +1,6 @@
 #include "util/cli.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -31,6 +32,26 @@ bool is_number(const std::string& text) {
   });
 }
 
+// A range bound as the user would type it: 0, 256, 0.5.
+std::string bound_text(double bound) {
+  std::ostringstream out;
+  out.precision(15);
+  out << bound;
+  return out.str();
+}
+
+// "in [lo, hi]", ">= lo" or "<= hi"; empty for an unbounded range.
+std::string range_text(const OptionRange& range) {
+  const bool low = std::isfinite(range.min);
+  const bool high = std::isfinite(range.max);
+  if (low && high) {
+    return "in [" + bound_text(range.min) + ", " + bound_text(range.max) + "]";
+  }
+  if (low) return ">= " + bound_text(range.min);
+  if (high) return "<= " + bound_text(range.max);
+  return "";
+}
+
 }  // namespace
 
 ArgParser::ArgParser(int argc, const char* const* argv) {
@@ -38,12 +59,12 @@ ArgParser::ArgParser(int argc, const char* const* argv) {
 }
 
 void ArgParser::add_flag(const std::string& name, const std::string& help) {
-  specs_[name] = Spec{true, "", help};
+  specs_[name] = Spec{true, "", help, {}};
 }
 
 void ArgParser::add_option(const std::string& name, const std::string& default_value,
-                           const std::string& help) {
-  specs_[name] = Spec{false, default_value, help};
+                           const std::string& help, OptionRange range) {
+  specs_[name] = Spec{false, default_value, help, range};
 }
 
 bool ArgParser::parse() {
@@ -97,6 +118,16 @@ bool ArgParser::parse() {
       error_ = "option --" + name + " expects a number, got '" + value + "'";
       return false;
     }
+    // Compared as a double, so a huge integer still lands on the right
+    // side of the bound.
+    if (is_number(value)) {
+      const double number = std::strtod(value.c_str(), nullptr);
+      if (number < spec.range.min || number > spec.range.max) {
+        error_ = "option --" + name + " must be " + range_text(spec.range) +
+                 ", got '" + value + "'";
+        return false;
+      }
+    }
   }
   return true;
 }
@@ -128,7 +159,13 @@ std::string ArgParser::help(const std::string& program_description) const {
   out << program_description << "\n\noptions:\n";
   for (const auto& [name, spec] : specs_) {
     out << "  --" << name;
-    if (!spec.is_flag) out << " <value> (default: " << spec.default_value << ")";
+    if (!spec.is_flag) {
+      out << " <value> (default: " << spec.default_value;
+      if (const std::string range = range_text(spec.range); !range.empty()) {
+        out << ", " << range;
+      }
+      out << ")";
+    }
     out << "\n      " << spec.help << '\n';
   }
   return out.str();

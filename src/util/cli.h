@@ -5,15 +5,26 @@
 // and so is a non-numeric value for an option registered with a numeric
 // default, or a non-integer one for an integer default (the default
 // documents the option's type: register "0.0", not "0", for an option read
-// with get_double).
+// with get_double), and a value outside the option's registered range.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 namespace berkmin {
+
+// The largest --threads / --pool any CLI accepts: each unit is an OS
+// thread, so a typo must not ask for thousands of them.
+inline constexpr std::int64_t kMaxThreads = 256;
+
+// The inclusive bounds a numeric option's value must lie within.
+struct OptionRange {
+  double min = -std::numeric_limits<double>::infinity();
+  double max = std::numeric_limits<double>::infinity();
+};
 
 class ArgParser {
  public:
@@ -22,11 +33,11 @@ class ArgParser {
   // Registration doubles as documentation; parse() checks against it.
   void add_flag(const std::string& name, const std::string& help);
   void add_option(const std::string& name, const std::string& default_value,
-                  const std::string& help);
+                  const std::string& help, OptionRange range = {});
 
   // Returns false (and fills error()) on unknown or malformed options,
-  // including a value that is not a number for a numeric option or not an
-  // integer for an integer one.
+  // including a value that is not a number for a numeric option, not an
+  // integer for an integer one, or outside the option's range.
   bool parse();
 
   bool has_flag(const std::string& name) const;
@@ -45,6 +56,7 @@ class ArgParser {
     bool is_flag = false;
     std::string default_value;
     std::string help;
+    OptionRange range;
   };
 
   std::vector<std::string> raw_;

@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# Every numeric flag is registered with an inclusive range, and a value
+# outside it exits 1 with an error naming the flag, before anything runs:
+# no negative bound or budget read as a huge one, no thread count below 1
+# or above the stated maximum, no fault rate outside [0, 1].
+#
+# The upper bounds on --threads and --pool are probed together with an
+# argument that ends the run before any solving (--help, or an unknown
+# --engine), so no build of these CLIs can start that many threads here.
+#
+#   tests/cli/flag_range_test.sh <model_checker> <dimacs_solver> \
+#       <class_runner> <bench driver> <hanoi_planner> <equivalence_checker>
+set -u
+
+CHECKER=$1
+SOLVER=$2
+CLASS_RUNNER=$3
+BENCH=$4
+HANOI=$5
+EQUIV=$6
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+fail=0
+HUGE=100000  # far above kMaxThreads
+
+# expect_refused <flag> <command...>: exit 1 and an error naming --<flag>.
+# A run that does not stop within the timeout (a range check missing and
+# the value taken) counts as a failure too.
+expect_refused() {
+  local flag=$1
+  shift
+  timeout 60 "$@" >"$tmp/out.txt" 2>&1
+  local got=$?
+  if [ "$got" -ne 1 ]; then
+    echo "FAIL: $*: expected exit 1, got $got"
+    tail -5 "$tmp/out.txt"
+    fail=1
+  elif ! grep -q "option --$flag " "$tmp/out.txt"; then
+    echo "FAIL: $*: error does not name --$flag"
+    cat "$tmp/out.txt"
+    fail=1
+  fi
+}
+
+expect_refused bound "$CHECKER" --ts safe:3 --engine bmc --bound -2
+# 2^32 + 2 would be read as bound 2.
+expect_refused bound "$CHECKER" --ts safe:3 --engine bmc --bound 4294967298
+expect_refused max-frames "$CHECKER" --ts safe:3 --engine ic3 --max-frames 0
+expect_refused threads "$CHECKER" --ts safe:3 --engine bmc --threads 0
+expect_refused threads "$CHECKER" --ts safe:3 --engine nosuch --threads "$HUGE"
+
+expect_refused threads "$SOLVER" --generate hole:5 --threads 0
+expect_refused threads "$SOLVER" --generate hole:5 --threads -1
+expect_refused threads "$SOLVER" --generate hole:5 --threads "$HUGE" --help
+expect_refused conflicts "$SOLVER" --generate hole:5 --conflicts -1
+expect_refused timeout "$SOLVER" --generate hole:5 --timeout -1
+# Fault injection stays bounded: a negative cap must not wrap to 2^32-1
+# fires (with every consultation firing, such a run does not end), and a
+# rate is a probability.
+expect_refused fault-fires "$SOLVER" --generate hole:5 \
+  --fault-sites alloc_clause --fault-fires -1 --fault-rate 7
+expect_refused fault-fires "$SOLVER" --generate hole:5 \
+  --fault-sites alloc_clause --fault-fires -1
+expect_refused fault-rate "$SOLVER" --generate hole:5 \
+  --fault-sites alloc_clause --fault-rate 7
+expect_refused fault-rate "$SOLVER" --generate hole:5 \
+  --fault-sites alloc_clause --fault-rate -0.5
+
+expect_refused scale "$CLASS_RUNNER" --class Hole --scale 0
+expect_refused threads "$CLASS_RUNNER" --class Hole --scale 1 --threads 0
+expect_refused pool "$CLASS_RUNNER" --class Hole --scale 1 --pool 0
+expect_refused threads "$CLASS_RUNNER" --threads "$HUGE" --help
+expect_refused pool "$CLASS_RUNNER" --pool "$HUGE" --help
+
+expect_refused scale "$BENCH" --scale 0 --timeout 1
+expect_refused threads "$BENCH" --scale 1 --timeout 1 --threads 0
+expect_refused threads "$BENCH" --threads "$HUGE" --help
+
+expect_refused disks "$HANOI" --disks 0
+expect_refused moves "$HANOI" --moves -5
+expect_refused width "$EQUIV" --width 0
+
+if [ "$fail" -eq 0 ]; then
+  echo "out-of-range flag values refused"
+fi
+exit "$fail"

@@ -2,7 +2,9 @@
 # Every CLI resolves --preset through one table: an unknown name exits 1
 # and prints the valid list instead of silently running BerkMin, and a
 # listed name that only dimacs_solver used to know (take_rand) works
-# everywhere.
+# everywhere. The presets are dimacs_solver's only search configuration:
+# the chosen preset's settings reach the solver unchanged, and the old
+# per-knob tuning flags are unknown options.
 #
 #   tests/cli/unknown_preset_test.sh <class_runner> <hanoi_planner> <dimacs_solver>
 set -u
@@ -40,7 +42,29 @@ expect "dimacs_solver --preset nosuch" 1 \
 expect "hanoi_planner --preset take_rand" 10 \
   "$HANOI" --disks 2 --preset take_rand
 
+# limmat restarts every 10,000 conflicts; hole:8 takes fewer, so a run
+# that restarts is running some other schedule.
+"$SOLVER" --generate hole:8 --preset limmat --no-inprocess --stats \
+  >"$tmp/out.txt" 2>&1
+if ! grep -qx "c restarts 0" "$tmp/out.txt"; then
+  echo "FAIL: dimacs_solver --preset limmat does not run limmat's restarts"
+  grep "restarts" "$tmp/out.txt"
+  fail=1
+fi
+
+for flag in restart young-max-len young-min-act old-max-len \
+    old-act-threshold decay-interval decay-factor; do
+  "$SOLVER" --generate hole:4 "--$flag" 5 >"$tmp/out.txt" 2>&1
+  got=$?
+  if [ "$got" -ne 1 ] || ! grep -q "unknown option --$flag" "$tmp/out.txt"; then
+    echo "FAIL: dimacs_solver --$flag 5: expected exit 1 as an unknown" \
+      "option, got $got"
+    cat "$tmp/out.txt"
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "unknown presets refused by every CLI"
+  echo "unknown presets refused by every CLI; presets honored"
 fi
 exit "$fail"

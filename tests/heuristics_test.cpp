@@ -143,17 +143,16 @@ TEST(NbTwo, SatisfiedClausesExcluded) {
 }
 
 TEST(NbTwo, ThresholdCapsComputation) {
-  SolverOptions options;
-  options.nb_two_threshold = 3;
-  Solver solver(options);
+  Solver solver;
   Cnf cnf;
-  for (int i = 0; i < 50; ++i) {
+  // Half again as many binaries on literal 1 as the threshold.
+  for (std::uint32_t i = 0; i < kNbTwoThreshold * 3 / 2; ++i) {
     cnf.add_binary(from_dimacs(1), Lit::positive(cnf.add_var() + 1));
   }
   solver.load(cnf);
   // Computation stops soon after passing the threshold.
-  EXPECT_LE(solver.nb_two(from_dimacs(1)), 5u);
-  EXPECT_GT(solver.nb_two(from_dimacs(1)), 3u);
+  EXPECT_LE(solver.nb_two(from_dimacs(1)), kNbTwoThreshold + 2);
+  EXPECT_GT(solver.nb_two(from_dimacs(1)), kNbTwoThreshold);
 }
 
 TEST(NbTwo, GlobalDecisionFalsifiesStrongLiteral) {
@@ -189,15 +188,14 @@ TEST(ChaffLiteral, PicksLiteralWithHighestCounter) {
 TEST(Aging, VarActivitiesDecayOnSchedule) {
   SolverOptions options;
   options.var_decay_interval = 1;  // decay after every conflict
-  options.var_decay_factor = 4;
   options.restart_policy = RestartPolicy::none;
   Solver solver(options);
   // Two conflicting clauses force one conflict through solve().
   solver.load(make_cnf({{-1, 2}, {-1, -2}, {3, 4}}));
   ASSERT_EQ(solver.solve(), SolveStatus::satisfiable);
-  // After the single conflict, activities were divided by 4: vars 1 and 2
-  // were bumped twice each (conflicting + reason clause), 2/4 = 0.
-  EXPECT_LE(solver.var_activity(0), 1u);
+  // After the single conflict, activities were divided by kVarDecayFactor:
+  // vars 1 and 2 were bumped twice each (conflicting + reason clause).
+  EXPECT_EQ(solver.var_activity(0), 2u / kVarDecayFactor);
 }
 
 TEST(Aging, LitActivityNeverDecays) {

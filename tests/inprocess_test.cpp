@@ -89,43 +89,6 @@ TEST(Inprocess, ProofLoggedTraceVerifiesAgainstOriginal) {
   EXPECT_LT(result.peak_live_clauses, cnf.num_clauses() + result.checked_adds);
 }
 
-TEST(Inprocess, GlueTieredReductionComposes) {
-  // LBD-tiered clause management plus inprocessing, UNSAT and SAT.
-  SolverOptions options = inprocess_heavy(11);
-  options.reduction_policy = ReductionPolicy::glue_tiered;
-  Solver unsat_solver(options);
-  unsat_solver.load(gen::pigeonhole(7));
-  EXPECT_EQ(unsat_solver.solve(), SolveStatus::unsatisfiable);
-
-  const Cnf sat = gen::random_ksat(50, 180, 3, 99);
-  Solver sat_solver(options);
-  sat_solver.load(sat);
-  const SolveStatus status = sat_solver.solve();
-  const auto oracle = reference::dpll_solve(sat);
-  ASSERT_TRUE(oracle.completed);
-  EXPECT_EQ(status == SolveStatus::satisfiable, oracle.satisfiable);
-  if (status == SolveStatus::satisfiable) {
-    EXPECT_TRUE(sat.is_satisfied_by(sat_solver.model()));
-  }
-}
-
-TEST(Inprocess, GlueTiersKeepTheAntiLoopingSafeguard) {
-  // Regression: the glue_tiered mid tier must FALL THROUGH to BerkMin's
-  // age/activity partition when a clause earned no activity, not delete
-  // it outright — an early return deletes freshly-learned mid-glue
-  // clauses before they can earn activity, defeating the young-clause
-  // anti-looping safeguard (pigeonhole(9) degraded from ~31k conflicts
-  // to millions, re-learning the same clauses forever). The budget is
-  // ~20x the observed post-fix conflict count and far below the
-  // thrashing regime.
-  SolverOptions options;
-  options.reduction_policy = ReductionPolicy::glue_tiered;
-  Solver solver(options);
-  solver.load(gen::pigeonhole(8));
-  EXPECT_EQ(solver.solve(Budget::conflicts(500000)),
-            SolveStatus::unsatisfiable);
-}
-
 TEST(Inprocess, SkippedWhileClauseGroupsAreActive) {
   // Selector variables mark retractable clauses; every inprocessing pass
   // must stand down rather than draw permanent conclusions from them.

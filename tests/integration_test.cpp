@@ -45,8 +45,7 @@ TEST(Integration, ExtensionsSolveTheSuites) {
   // clause window) must preserve correctness on every family.
   SolverOptions extended = SolverOptions::berkmin();
   extended.minimize_learned = true;
-  extended.restart_policy = RestartPolicy::luby;
-  extended.luby_unit = 200;
+  extended.restart_policy = RestartPolicy::luby;  // kLubyUnit per unit
   extended.top_clause_window = 3;
 
   for (const harness::Suite& suite : harness::paper_classes(1, 9)) {

@@ -151,12 +151,11 @@ TEST_F(ReduceFixture, RisingThresholdIncrements) {
   options.reduction_policy = ReductionPolicy::berkmin;
   options.restart_policy = RestartPolicy::none;
   options.old_activity_threshold = 60;
-  options.threshold_increment = 5;
   Solver solver(options);
   EXPECT_EQ(solver.current_old_threshold(), 60u);
   solver.restart_now();
   solver.restart_now();
-  EXPECT_EQ(solver.current_old_threshold(), 70u);
+  EXPECT_EQ(solver.current_old_threshold(), 60u + 2 * kThresholdIncrement);
 }
 
 TEST_F(ReduceFixture, LimitedKeepingDropsByLengthOnly) {
@@ -171,18 +170,6 @@ TEST_F(ReduceFixture, LimitedKeepingDropsByLengthOnly) {
   solver.restart_now();
   EXPECT_EQ(solver.num_learned(), 1u);
   EXPECT_EQ(solver.clause_literals(solver.learned_stack()[0]).size(), 3u);
-}
-
-TEST_F(ReduceFixture, ReductionNoneKeepsEverything) {
-  SolverOptions options;
-  options.reduction_policy = ReductionPolicy::none;
-  options.restart_policy = RestartPolicy::none;
-  Solver solver(options);
-  Cnf cnf;
-  for (int i = 0; i < 5; ++i) learn_clause_of_length(solver, 6, cnf);
-  solver.restart_now();
-  EXPECT_EQ(solver.num_learned(), 5u);
-  EXPECT_EQ(solver.stats().reductions, 0u);
 }
 
 TEST_F(ReduceFixture, ClausesSatisfiedByRetainedAssignmentsRemoved) {

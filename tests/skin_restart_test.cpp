@@ -32,8 +32,7 @@ TEST(Restart, NonePolicyNeverRestarts) {
 
 TEST(Restart, LubyExtensionSolvesCorrectly) {
   SolverOptions options;
-  options.restart_policy = RestartPolicy::luby;
-  options.luby_unit = 16;
+  options.restart_policy = RestartPolicy::luby;  // kLubyUnit per unit
   Solver solver(options);
   solver.load(gen::pigeonhole(5));
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);

@@ -212,7 +212,6 @@ TEST(SolverOptionsTest, DescribeSeparatesExtensionAblations) {
   minimize.minimize_learned = true;
   SolverOptions luby = base;
   luby.restart_policy = RestartPolicy::luby;
-  luby.luby_unit = 100;
   SolverOptions window = base;
   window.top_clause_window = 4;
   const std::vector<std::string> columns = {
@@ -223,8 +222,10 @@ TEST(SolverOptionsTest, DescribeSeparatesExtensionAblations) {
       EXPECT_NE(columns[i], columns[j]) << columns[i];
     }
   }
-  // Luby reads luby_unit, never restart_interval (550).
-  EXPECT_NE(columns[2].find("restart=luby(100)"), std::string::npos)
+  // Luby reads kLubyUnit, never restart_interval (550).
+  static_assert(kLubyUnit != 550);
+  EXPECT_NE(columns[2].find("restart=luby(" + std::to_string(kLubyUnit) + ")"),
+            std::string::npos)
       << columns[2];
   EXPECT_NE(columns[1].find("minimize"), std::string::npos);
   EXPECT_NE(columns[3].find("window=4"), std::string::npos);

@@ -203,6 +203,38 @@ TEST(Cli, TextOptionsTakeAnyValue) {
   EXPECT_EQ(parser.get_string("preset"), "abc");
 }
 
+TEST(Cli, RangesAreInclusive) {
+  const auto parses = [](const char* flag, const char* value) {
+    const char* argv[] = {"prog", flag, value};
+    ArgParser parser(3, argv);
+    parser.add_option("threads", "1", "workers", {.min = 1, .max = 4});
+    parser.add_option("rate", "0.5", "a probability", {.min = 0, .max = 1});
+    parser.add_option("bound", "10", "a bound", {.min = 0});
+    const bool ok = parser.parse();
+    EXPECT_TRUE(ok || parser.error().find(flag) != std::string::npos)
+        << parser.error();
+    return ok;
+  };
+  EXPECT_TRUE(parses("--threads", "1"));
+  EXPECT_TRUE(parses("--threads", "4"));
+  EXPECT_FALSE(parses("--threads", "0"));
+  EXPECT_FALSE(parses("--threads", "5"));
+  EXPECT_FALSE(parses("--threads", "99999999999999999999"));
+  EXPECT_TRUE(parses("--rate", "0"));
+  EXPECT_TRUE(parses("--rate", "1.0"));
+  EXPECT_FALSE(parses("--rate", "7"));
+  EXPECT_FALSE(parses("--rate", "-0.5"));
+  EXPECT_TRUE(parses("--bound", "0"));
+  EXPECT_FALSE(parses("--bound", "-2"));
+
+  const char* argv[] = {"prog"};
+  ArgParser parser(1, argv);
+  parser.add_option("threads", "1", "workers", {.min = 1, .max = 4});
+  parser.add_option("rate", "0.5", "a probability", {.min = 0, .max = 0.5});
+  EXPECT_NE(parser.help("demo").find("in [1, 4]"), std::string::npos);
+  EXPECT_NE(parser.help("demo").find("in [0, 0.5]"), std::string::npos);
+}
+
 TEST(Cli, HelpMentionsOptions) {
   const char* argv[] = {"prog"};
   ArgParser parser(1, argv);
