@@ -15,9 +15,10 @@ BenchArgs parse_bench_args(int argc, char** argv, double default_timeout,
   parser.add_option("scale", std::to_string(default_scale),
                     "instance scale: 1 = smoke, 2 = default, 3+ = closer to "
                     "paper hardness",
-                    {.min = 1});
+                    {.min = 1, .max = kMaxInt});
   parser.add_option("timeout", std::to_string(default_timeout),
-                    "per-instance timeout in seconds (the paper used 60000)");
+                    "per-instance timeout in seconds (the paper used 60000)",
+                    {.min = 0});
   parser.add_option("seed", "7", "generator seed");
   parser.add_option("threads", "1",
                     "portfolio workers per solve (clause sharing on)",

@@ -276,7 +276,8 @@ int main(int argc, char** argv) {
                   "rescheduled (0 = off)", {.min = 0});
   args.add_option("slice-retries", "2", "times a job whose slice died (a "
                   "crashed engine or injected fault) is retried on a fresh "
-                  "engine before reporting an error", {.min = 0});
+                  "engine before reporting an error",
+                  {.min = 0, .max = kMaxInt});
   robustness::add_flags(&args);
   args.add_option("drat", "", "directory for per-job DRAT traces "
                   "(<dir>/job-<id>.drat, written for UNSAT jobs)");

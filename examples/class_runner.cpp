@@ -65,8 +65,9 @@ int main(int argc, char** argv) {
                   "Sss_sat1.0, Fvp_unsat1.0, Vliw_sat1.0, Beijing, Hanoi, "
                   "Miters, Fvp_unsat2.0");
   args.add_option("preset", "berkmin", "solver preset: " + preset_list());
-  args.add_option("scale", "2", "instance scale", {.min = 1});
-  args.add_option("timeout", "10.0", "per-instance timeout in seconds");
+  args.add_option("scale", "2", "instance scale", {.min = 1, .max = kMaxInt});
+  args.add_option("timeout", "10.0", "per-instance timeout in seconds",
+                  {.min = 0});
   args.add_option("seed", "7", "generator seed");
   args.add_option("threads", "1", "portfolio workers per solve",
                   {.min = 1, .max = kMaxThreads});

@@ -12,7 +12,6 @@
 // --check-model / proof verification.
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <memory>
 #include <optional>
 
@@ -78,9 +77,9 @@ bool model_checks_out(const Cnf& cnf, const std::vector<Value>& model) {
 }
 
 // Verifies an UNSAT trace with the in-tree checker and writes the
-// requested artifacts: the (possibly spliced) DRAT file and/or the
-// original-clause unsatisfiable core as DIMACS. Returns false after
-// printing an error when verification or a write fails.
+// requested artifacts: the DRAT file and/or the original-clause
+// unsatisfiable core as DIMACS. Returns false after printing an error when
+// verification or a write fails.
 bool certify_unsat(const Cnf& cnf, const proof::Proof& trace,
                    const std::string& drat_path, proof::DratFormat format,
                    const std::string& core_path,
@@ -137,15 +136,12 @@ std::optional<SolverOptions> options_from_args(const ArgParser& args) {
 }
 
 // Builds the engine both modes solve on: one Solver for --threads 1, else
-// a portfolio. Given a proof sink, a solver logs into it and a portfolio
-// splices its workers' traces instead (see spliced_proof). A preset other
-// than berkmin, or --minimize, keeps that configuration on every portfolio
-// worker (only the restart/decay schedule and seeds are jittered);
-// otherwise the default diversified lineup runs. --seed alone stays on
-// the default lineup — it already reseeds it.
+// a portfolio. A preset other than berkmin, or --minimize, keeps that
+// configuration on every portfolio worker (only the restart/decay schedule
+// and seeds are jittered); otherwise the default diversified lineup runs.
+// --seed alone stays on the default lineup — it already reseeds it.
 std::unique_ptr<SatEngine> make_engine(const ArgParser& args,
                                        const SolverOptions& options,
-                                       proof::ProofWriter* proof_sink,
                                        telemetry::Telemetry* hub,
                                        const telemetry::SolverTelemetry* sink,
                                        util::MemoryBudget* mem_budget) {
@@ -154,14 +150,12 @@ std::unique_ptr<SatEngine> make_engine(const ArgParser& args,
     auto solver = std::make_unique<Solver>(options);
     solver->set_telemetry(sink);
     solver->set_memory_budget(mem_budget);
-    solver->set_proof(proof_sink);
     return solver;
   }
   portfolio::PortfolioOptions popts;
   popts.num_threads = threads;
   popts.share_clauses = !args.has_flag("no-share");
   popts.base_seed = options.seed;
-  popts.log_proof = proof_sink != nullptr;
   const bool tuned =
       args.get_string("preset") != "berkmin" || args.has_flag("minimize");
   popts.configs =
@@ -181,8 +175,8 @@ std::unique_ptr<SatEngine> make_engine(const ArgParser& args,
 
 // Scripted (.icnf) mode: replay an incremental push/add/pop/solve script
 // against one persistent engine, reporting one "s" line per "a" line.
-// Every operation goes through a proof::LiveCertifier, which holds the
-// DRAT trace (--drat) and, with --check-incremental, the live checker
+// Every operation goes through a proof::LiveCertifier, which attaches the
+// DRAT trace (--drat) and, with --check-incremental, holds the live checker
 // that certifies every UNSAT answer's failed-assumption core (¬core must
 // be RUP over the checked trace); --check-incremental also validates
 // every SAT model against the formula active at that moment. Exit code
@@ -216,11 +210,9 @@ int run_scripted(const ArgParser& args, const std::string& path,
     return 1;
   }
 
-  auto trace = want_proof ? std::make_unique<proof::MemoryProofWriter>()
-                          : nullptr;
-  const std::unique_ptr<SatEngine> engine = make_engine(
-      args, *options, trace.get(), hub, sink, mem_budget);
-  proof::LiveCertifier certifier(*engine, std::move(trace), check);
+  const std::unique_ptr<SatEngine> engine =
+      make_engine(args, *options, hub, sink, mem_budget);
+  proof::LiveCertifier certifier(*engine, want_proof, check);
   certifier.set_telemetry(sink);
 
   // The active formula (base + open groups) for model validation.
@@ -369,9 +361,9 @@ int main(int argc, char** argv) {
                   {.min = 0});
   args.add_option("conflicts", "0", "conflict budget (0 = none)", {.min = 0});
   args.add_option("seed", "0", "random tie-breaking seed");
-  args.add_option("drat", "", "write a DRAT proof to this file (with "
-                  "--threads N the spliced multi-worker trace, written after "
-                  "an UNSAT answer)");
+  args.add_option("drat", "", "write a DRAT proof to this file, streamed "
+                  "as the search runs (with --threads N the spliced "
+                  "multi-worker trace, streamed after an UNSAT answer)");
   args.add_flag("binary-drat", "emit proofs in drat-trim's binary format");
   args.add_option("unsat-core", "", "on UNSAT: verify the proof with the "
                   "in-tree checker and write an unsatisfiable core of the "
@@ -557,18 +549,16 @@ int main(int argc, char** argv) {
   budget.max_seconds = args.get_double("timeout");
   budget.max_conflicts = static_cast<std::uint64_t>(args.get_int("conflicts"));
 
-  // Proof sinks are created before preprocessing so that the rewrites of
+  // The proof sink is created before preprocessing so that the rewrites of
   // the inprocessing pre-pass (preprocess(), core/inprocess.h) become the
   // leading steps of the very trace the engine continues — one proof,
-  // checkable against the original (unpreprocessed) formula. A sequential
-  // run with plain --drat streams straight to disk as the search runs;
-  // otherwise the trace is buffered here: a solver logs into the buffer,
-  // while portfolio workers splice their own traces, appended to the
-  // buffered preprocessing steps after the race.
+  // checkable against the original (unpreprocessed) formula. Plain --drat
+  // streams straight to disk, whichever engine runs; --unsat-core buffers
+  // the trace here so it can be checked and trimmed.
   proof::MemoryProofWriter memory_proof;
   std::ofstream drat_stream;
   std::unique_ptr<proof::ProofWriter> stream_writer;
-  if (args.get_int("threads") <= 1 && !drat_path.empty() && core_path.empty()) {
+  if (!drat_path.empty() && core_path.empty()) {
     drat_stream.open(drat_path, std::ios::binary);
     if (!drat_stream) {
       std::cerr << "error: cannot open '" << drat_path << "' for the proof\n";
@@ -584,26 +574,18 @@ int main(int argc, char** argv) {
   if (want_proof) {
     proof_sink = stream_writer != nullptr ? stream_writer.get() : &memory_proof;
   }
-  // Writes / certifies a buffered UNSAT trace: the buffer, then whatever
-  // the engine spliced. A streamed trace is already on disk, unless the
-  // writer hit a short write and latched the failure: refuse to present
-  // the truncated file as a proof.
-  const auto finish_proof = [&](const Cnf& formula, const SatEngine* engine) {
+  // Writes / certifies a buffered UNSAT trace. A streamed trace is
+  // already on disk, unless the writer hit a short write and latched the
+  // failure: refuse to present the truncated file as a proof.
+  const auto finish_proof = [&] {
     if (stream_writer != nullptr) {
       if (stream_writer->ok()) return true;
       std::cerr << "error: DRAT proof incomplete ("
                 << stream_writer->fail_reason() << ")\n";
       return false;
     }
-    proof::Proof trace = memory_proof.take_proof();
-    if (engine != nullptr) {
-      proof::Proof spliced = engine->spliced_proof();
-      trace.steps.insert(trace.steps.end(),
-                         std::make_move_iterator(spliced.steps.begin()),
-                         std::make_move_iterator(spliced.steps.end()));
-    }
-    return certify_unsat(formula, trace, drat_path, drat_format, core_path,
-                         sink);
+    return certify_unsat(cnf, memory_proof.take_proof(), drat_path,
+                         drat_format, core_path, sink);
   };
   // The solver may see a preprocessed rewrite; models and proofs are
   // checked against `cnf`, the formula as given.
@@ -614,7 +596,7 @@ int main(int argc, char** argv) {
     if (pre.unsat) {
       std::cout << "s UNSATISFIABLE\nc (by preprocessing)\n";
       // The trace already ends with the empty clause.
-      return want_proof && !finish_proof(cnf, nullptr) ? 1 : 20;
+      return want_proof && !finish_proof() ? 1 : 20;
     }
     std::cout << "c preprocessing: " << pre.subsumed_clauses << " subsumed, "
               << pre.strengthened_clauses << " clauses strengthened, "
@@ -627,7 +609,8 @@ int main(int argc, char** argv) {
   // solve, so a sequential engine may also eliminate variables.
   options->inprocess.var_elim = options->inprocess.enabled;
   const std::unique_ptr<SatEngine> engine =
-      make_engine(args, *options, proof_sink, hub.get(), sink, mem_budget.get());
+      make_engine(args, *options, hub.get(), sink, mem_budget.get());
+  engine->set_proof(proof_sink);
   engine->load(solved);
 
   WallTimer timer;
@@ -653,8 +636,7 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  if (status == SolveStatus::unsatisfiable && want_proof &&
-      !finish_proof(cnf, engine.get())) {
+  if (status == SolveStatus::unsatisfiable && want_proof && !finish_proof()) {
     return 1;
   }
   if (args.has_flag("stats")) print_stats(*engine, elapsed);

@@ -60,8 +60,10 @@ bool check_equivalence(const std::string& label, const Circuit& left,
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  args.add_option("width", "6", "adder width in bits", {.min = 1});
-  args.add_option("gates", "80", "random circuit size");
+  args.add_option("width", "6", "adder width in bits",
+                  {.min = 1, .max = kMaxInt});
+  args.add_option("gates", "80", "random circuit size",
+                  {.min = 1, .max = kMaxInt});
   args.add_option("seed", "1", "generator seed");
   if (!args.parse()) {
     std::cerr << "error: " << args.error() << "\n";

@@ -13,9 +13,10 @@ using namespace berkmin;
 
 int main(int argc, char** argv) {
   ArgParser args(argc, argv);
-  args.add_option("disks", "4", "number of disks", {.min = 1});
+  args.add_option("disks", "4", "number of disks",
+                  {.min = 1, .max = gen::HanoiEncoding::kMaxDisks});
   args.add_option("moves", "-1", "plan horizon (-1 = optimal 2^n - 1)",
-                  {.min = -1});
+                  {.min = -1, .max = kMaxInt});
   args.add_option("preset", "berkmin", "solver preset: " + preset_list());
   if (!args.parse()) {
     std::cerr << "error: " << args.error() << "\n";

@@ -15,7 +15,6 @@
 // Exit codes: 0 verdicts OK (validated/certified as requested), 1 usage
 // error, 2 a validation or certification failed, 3 engines disagree.
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -131,8 +130,6 @@ int main(int argc, char** argv) {
   ArgParser args(argc, argv);
   args.add_option("ts", "safe:1", "transition-system spec (see header)");
   args.add_option("engine", "both", "bmc | ic3 | both");
-  // Both are read as an int.
-  constexpr double kMaxInt = std::numeric_limits<int>::max();
   args.add_option("bound", "10", "BMC bound / generator cycle window",
                   {.min = 0, .max = kMaxInt});
   args.add_option("max-frames", "64", "IC3 frontier limit",

@@ -2,8 +2,10 @@
 // the racing portfolio::PortfolioSolver both implement SatEngine, so a
 // consumer (the service, the CLI, the experiment harness) holds one engine
 // and never branches on which kind it was given. Engines are configured —
-// options, proof logging, memory budget — where they are built; this
-// interface only carries what every consumer does with a built engine.
+// options, memory budget — where they are built; this interface carries
+// what every consumer does with a built engine, proof logging included: a
+// consumer attaches one proof::ProofWriter with set_proof and reads the
+// trace back from it, whichever engine ran.
 //
 // Typical use:
 //   std::unique_ptr<SatEngine> engine = std::make_unique<Solver>();
@@ -19,10 +21,12 @@
 #include "cnf/cnf_formula.h"
 #include "cnf/literal.h"
 #include "core/solver_types.h"
-#include "proof/proof.h"
 
 namespace berkmin {
 
+namespace proof {
+class ProofWriter;
+}
 namespace telemetry {
 struct SolverTelemetry;
 }
@@ -74,9 +78,13 @@ class SatEngine {
   // Statistics behind the answer: the solver's cumulative counters, or the
   // portfolio winner's with the exchange counters summed over workers.
   virtual const SolverStats& stats() const = 0;
-  // The trace an engine records internally (a portfolio's spliced trace);
-  // empty for an engine that logs through an attached proof::ProofWriter.
-  virtual proof::Proof spliced_proof() const { return {}; }
+
+  // Attaches the writer that receives the engine's DRAT trace (nullptr
+  // detaches); attach it before the first solve, and keep it alive across
+  // the solves. A Solver streams each step as it searches; a portfolio
+  // replays its spliced trace once a solve refutes the formula (UNSAT with
+  // no failed assumptions). The trace checks against the loaded formula.
+  virtual void set_proof(proof::ProofWriter* writer) = 0;
 
   // Attaches a telemetry sink for the following solves (nullptr detaches).
   // A portfolio ignores it: its workers own their sinks.

@@ -287,7 +287,7 @@ class Solver final : public SatEngine {
   // callback, so a portfolio can export clauses and log a proof at the
   // same time. The writer must outlive the solver's
   // solving calls; pass nullptr to detach.
-  void set_proof(proof::ProofWriter* writer) { proof_ = writer; }
+  void set_proof(proof::ProofWriter* writer) override { proof_ = writer; }
   proof::ProofWriter* proof() const { return proof_; }
 
   // ---- introspection (tests, instrumentation, tools) --------------------

@@ -7,7 +7,7 @@ namespace berkmin::engines {
 // ---- SolverBackend ----------------------------------------------------
 
 SolverBackend::SolverBackend(SatEngine& engine)
-    : owned_(std::make_unique<proof::LiveCertifier>(engine, nullptr, false)),
+    : owned_(std::make_unique<proof::LiveCertifier>(engine, false, false)),
       certifier_(*owned_) {}
 
 Var SolverBackend::new_vars(int n) {

@@ -97,7 +97,7 @@ bool certify(const TransitionSystem& ts, EngineResult& result) {
     return false;
   }
   Solver solver(SolverOptions::chaff_like());
-  proof::LiveCertifier certifier(solver);  // checks every UNSAT answer
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
   SolverBackend backend(certifier);
   std::string error =
       result.verdict == Verdict::safe_bounded

@@ -1,6 +1,7 @@
 #include "gen/hanoi.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace berkmin::gen {
 
@@ -9,6 +10,14 @@ HanoiEncoding::HanoiEncoding(int num_disks, int num_moves)
   if (num_disks < 1) throw std::invalid_argument("hanoi: need >= 1 disk");
   if (num_moves < 0) throw std::invalid_argument("hanoi: negative horizon");
   build();
+}
+
+int HanoiEncoding::optimal_moves(int num_disks) {
+  if (num_disks < 0 || num_disks > kMaxDisks) {
+    throw std::invalid_argument("hanoi: optimal horizon of " +
+                                std::to_string(num_disks) + " disks");
+  }
+  return (1 << num_disks) - 1;
 }
 
 // Variable layout: the on(d,p,t) block first, then the move block.

@@ -32,7 +32,11 @@ class HanoiEncoding {
   int num_disks() const { return num_disks_; }
   int num_moves() const { return num_moves_; }
 
-  static int optimal_moves(int num_disks) { return (1 << num_disks) - 1; }
+  // The most disks any caller may ask for: every optimal horizon up to it
+  // fits an int with room to spare.
+  static constexpr int kMaxDisks = 30;
+  // 2^num_disks - 1; throws std::invalid_argument outside [0, kMaxDisks].
+  static int optimal_moves(int num_disks);
 
   Var on_var(int disk, int peg, int time) const;
   Var move_var(int disk, int from, int to, int step) const;

@@ -1,7 +1,11 @@
 #include "gen/registry.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cstdint>
+#include <initializer_list>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "gen/adder_bench.h"
@@ -33,24 +37,69 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
-long long to_int(const std::string& text, bool* ok) {
-  char* end = nullptr;
-  const long long value = std::strtoll(text.c_str(), &end, 10);
-  *ok = end != text.c_str() && *end == '\0';
-  return value;
-}
+// The fields after a family name. Every field is optional (a missing one
+// reads as its default), but one that is given must be whole and fit what
+// it is read into: a bad field throws std::invalid_argument naming it,
+// and so does a field past the family's last when the fields are opened.
+class Fields {
+ public:
+  // `names` are the family's fields in order, as registry_help shows them.
+  Fields(const std::vector<std::string>& parts,
+         std::initializer_list<const char*> names)
+      : parts_(parts), names_(names) {
+    if (parts_.size() > names_.size() + 1) {
+      throw std::invalid_argument(
+          "field " + std::to_string(names_.size() + 1) + " ('" +
+          parts_[names_.size() + 1] + "') is past the family's last field");
+    }
+  }
 
-bool parse_sat_flag(const std::string& text, bool* satisfiable) {
-  if (text == "sat") {
-    *satisfiable = true;
-    return true;
+  int integer(std::size_t i, int fallback,
+              int min = std::numeric_limits<int>::min(),
+              int max = std::numeric_limits<int>::max()) const {
+    return read<int>(i, fallback, min, max);
   }
-  if (text == "unsat") {
-    *satisfiable = false;
-    return true;
+  std::uint64_t seed(std::size_t i) const {
+    return read<std::uint64_t>(i, 0, 0,
+                               std::numeric_limits<std::uint64_t>::max());
   }
-  return false;
-}
+  // A <sat|unsat> field.
+  bool satisfiable(std::size_t i, bool fallback) const {
+    if (i >= parts_.size()) return fallback;
+    if (parts_[i] == "sat") return true;
+    if (parts_[i] == "unsat") return false;
+    throw std::invalid_argument(describe(i) + " is not sat or unsat");
+  }
+
+ private:
+  std::string describe(std::size_t i) const {
+    return "field " + std::to_string(i) + " <" + names_[i - 1] + "> ('" +
+           parts_[i] + "')";
+  }
+
+  template <typename T>
+  T read(std::size_t i, T fallback, T min, T max) const {
+    if (i >= parts_.size()) return fallback;
+    const std::string& text = parts_[i];
+    const std::size_t sign = text.starts_with('-') ? 1 : 0;
+    if (text.size() == sign ||
+        text.find_first_not_of("0123456789", sign) != std::string::npos) {
+      throw std::invalid_argument(describe(i) + " is not a whole number");
+    }
+    T value{};
+    const auto result =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (result.ec != std::errc{} || value < min || value > max) {
+      throw std::invalid_argument(describe(i) + " is out of range [" +
+                                  std::to_string(min) + ", " +
+                                  std::to_string(max) + "]");
+    }
+    return value;
+  }
+
+  const std::vector<std::string>& parts_;
+  std::vector<const char*> names_;
+};
 
 }  // namespace
 
@@ -63,174 +112,136 @@ std::optional<GeneratedInstance> generate_from_spec(const std::string& spec,
     return std::nullopt;
   };
 
-  // Collects the numeric arguments after the family name; non-numeric
-  // entries ("sat"/"unsat") are handled separately per family.
-  const auto arg_int = [&](std::size_t i, long long fallback) -> long long {
-    if (i >= parts.size()) return fallback;
-    bool ok = false;
-    const long long v = to_int(parts[i], &ok);
-    return ok ? v : fallback;
-  };
-
   GeneratedInstance out;
   out.name = spec;
   try {
     if (family == "hole") {
-      out.cnf = pigeonhole(static_cast<int>(arg_int(1, 6)));
+      const Fields f(parts, {"holes"});
+      out.cnf = pigeonhole(f.integer(1, 6));
       out.expected = Expectation::unsat;
     } else if (family == "rand3") {
-      out.cnf = random_ksat(static_cast<int>(arg_int(1, 50)),
-                            static_cast<int>(arg_int(2, 213)), 3,
-                            static_cast<std::uint64_t>(arg_int(3, 0)));
+      const Fields f(parts, {"vars", "clauses", "seed"});
+      out.cnf = random_ksat(f.integer(1, 50), f.integer(2, 213), 3, f.seed(3));
       out.expected = Expectation::unknown;
     } else if (family == "par") {
+      const Fields f(parts, {"vars", "eqs", "len", "sat|unsat", "seed"});
       ParityParams p;
-      p.num_vars = static_cast<int>(arg_int(1, 16));
-      p.num_equations = static_cast<int>(arg_int(2, 24));
-      p.equation_size = static_cast<int>(arg_int(3, 4));
-      p.satisfiable = true;
-      if (parts.size() > 4 && !parse_sat_flag(parts[4], &p.satisfiable)) {
-        return fail("expected sat|unsat in field 5");
-      }
-      p.seed = static_cast<std::uint64_t>(arg_int(5, 0));
+      p.num_vars = f.integer(1, 16);
+      p.num_equations = f.integer(2, 24);
+      p.equation_size = f.integer(3, 4);
+      p.satisfiable = f.satisfiable(4, true);
+      p.seed = f.seed(5);
       out.cnf = parity_instance(p);
       out.expected = p.satisfiable ? Expectation::sat : Expectation::unsat;
     } else if (family == "hanoi") {
-      const int disks = static_cast<int>(arg_int(1, 4));
-      const int moves = static_cast<int>(
-          arg_int(2, HanoiEncoding::optimal_moves(static_cast<int>(arg_int(1, 4)))));
+      const Fields f(parts, {"disks", "moves"});
+      const int disks = f.integer(1, 4, 1, HanoiEncoding::kMaxDisks);
+      const int moves = f.integer(2, HanoiEncoding::optimal_moves(disks));
       out.cnf = hanoi_instance(disks, moves);
       out.expected = moves >= HanoiEncoding::optimal_moves(disks)
                          ? Expectation::sat
                          : Expectation::unsat;
     } else if (family == "blocks") {
+      const Fields f(parts, {"blocks", "horizon", "sat|unsat", "seed"});
       BlocksworldParams p;
-      p.num_blocks = static_cast<int>(arg_int(1, 5));
-      p.horizon = static_cast<int>(arg_int(2, 8));
-      p.satisfiable = true;
-      if (parts.size() > 3 && !parse_sat_flag(parts[3], &p.satisfiable)) {
-        return fail("expected sat|unsat in field 4");
-      }
-      p.seed = static_cast<std::uint64_t>(arg_int(4, 0));
+      p.num_blocks = f.integer(1, 5);
+      p.horizon = f.integer(2, 8);
+      p.satisfiable = f.satisfiable(3, true);
+      p.seed = f.seed(4);
       out.cnf = blocksworld_instance(p);
       out.expected = p.satisfiable ? Expectation::sat : Expectation::unsat;
     } else if (family == "miter") {
+      const Fields f(parts,
+                     {"inputs", "gates", "sat|unsat", "seed", "xor percent"});
       MiterParams p;
-      p.num_inputs = static_cast<int>(arg_int(1, 10));
-      p.num_gates = static_cast<int>(arg_int(2, 120));
-      p.equivalent = true;
-      if (parts.size() > 3) {
-        bool satisfiable = false;
-        if (!parse_sat_flag(parts[3], &satisfiable)) {
-          return fail("expected sat|unsat in field 4");
-        }
-        p.equivalent = !satisfiable;
-      }
-      p.seed = static_cast<std::uint64_t>(arg_int(4, 0));
-      p.xor_fraction = static_cast<double>(arg_int(5, 25)) / 100.0;
+      p.num_inputs = f.integer(1, 10);
+      p.num_gates = f.integer(2, 120);
+      p.equivalent = !f.satisfiable(3, false);
+      p.seed = f.seed(4);
+      p.xor_fraction = static_cast<double>(f.integer(5, 25)) / 100.0;
       out.cnf = miter_instance(p);
       out.expected = p.equivalent ? Expectation::unsat : Expectation::sat;
     } else if (family == "cmiter") {
+      const Fields f(parts, {"inputs", "gates", "sat|unsat", "seed"});
       CanonicalMiterParams p;
-      p.num_inputs = static_cast<int>(arg_int(1, 10));
-      p.num_gates = static_cast<int>(arg_int(2, 150));
-      p.equivalent = true;
-      if (parts.size() > 3) {
-        bool satisfiable = false;
-        if (!parse_sat_flag(parts[3], &satisfiable)) {
-          return fail("expected sat|unsat in field 4");
-        }
-        p.equivalent = !satisfiable;
-      }
-      p.seed = static_cast<std::uint64_t>(arg_int(4, 0));
+      p.num_inputs = f.integer(1, 10);
+      p.num_gates = f.integer(2, 150);
+      p.equivalent = !f.satisfiable(3, false);
+      p.seed = f.seed(4);
       out.cnf = canonical_miter_instance(p);
       out.expected = p.equivalent ? Expectation::unsat : Expectation::sat;
     } else if (family == "adder") {
-      const int width = static_cast<int>(arg_int(1, 6));
-      const auto pair = static_cast<AdderPair>(arg_int(2, 0) % 3);
-      const bool swap = arg_int(3, 0) != 0;
+      const Fields f(parts, {"width", "pair", "swap"});
+      const int width = f.integer(1, 6);
+      const auto pair = static_cast<AdderPair>(f.integer(2, 0, 0) % 3);
+      const bool swap = f.integer(3, 0) != 0;
       out.cnf = adder_equivalence(width, pair, swap);
       out.expected = Expectation::unsat;
     } else if (family == "mult") {
-      const int width = static_cast<int>(arg_int(1, 4));
-      const int variant = static_cast<int>(arg_int(2, 0) % 4);
-      out.cnf = multiplier_equivalence(width, variant);
+      const Fields f(parts, {"width", "variant"});
+      out.cnf = multiplier_equivalence(f.integer(1, 4), f.integer(2, 0, 0) % 4);
       out.expected = Expectation::unsat;
     } else if (family == "mult_mut") {
-      const int width = static_cast<int>(arg_int(1, 4));
-      const int variant = static_cast<int>(arg_int(2, 0) % 4);
-      out.cnf = multiplier_mutation(width, variant,
-                                    static_cast<std::uint64_t>(arg_int(3, 0)));
+      const Fields f(parts, {"width", "variant", "seed"});
+      out.cnf = multiplier_mutation(f.integer(1, 4), f.integer(2, 0, 0) % 4,
+                                    f.seed(3));
       out.expected = Expectation::sat;
     } else if (family == "adder_mut") {
-      const int width = static_cast<int>(arg_int(1, 6));
-      const auto pair = static_cast<AdderPair>(arg_int(2, 0) % 3);
-      out.cnf = adder_mutation(width, pair, static_cast<std::uint64_t>(arg_int(3, 0)));
+      const Fields f(parts, {"width", "pair", "seed"});
+      const int width = f.integer(1, 6);
+      const auto pair = static_cast<AdderPair>(f.integer(2, 0, 0) % 3);
+      out.cnf = adder_mutation(width, pair, f.seed(3));
       out.expected = Expectation::sat;
     } else if (family == "adder_sum") {
-      out.cnf = adder_target_sum(static_cast<int>(arg_int(1, 8)),
-                                 static_cast<std::uint64_t>(arg_int(2, 0)));
+      const Fields f(parts, {"width", "seed"});
+      out.cnf = adder_target_sum(f.integer(1, 8), f.seed(2));
       out.expected = Expectation::sat;
     } else if (family == "bmc") {
+      const Fields f(parts, {"cycles", "gates", "latches", "inputs",
+                             "sat|unsat", "seed"});
       BmcParams p;
-      p.cycles = static_cast<int>(arg_int(1, 5));
-      p.num_gates = static_cast<int>(arg_int(2, 60));
-      p.num_latches = static_cast<int>(arg_int(3, 8));
-      p.num_inputs = static_cast<int>(arg_int(4, 6));
-      p.equivalent = true;
-      if (parts.size() > 5) {
-        bool satisfiable = false;
-        if (!parse_sat_flag(parts[5], &satisfiable)) {
-          return fail("expected sat|unsat in field 6");
-        }
-        p.equivalent = !satisfiable;
-      }
-      p.seed = static_cast<std::uint64_t>(arg_int(6, 0));
+      p.cycles = f.integer(1, 5);
+      p.num_gates = f.integer(2, 60);
+      p.num_latches = f.integer(3, 8);
+      p.num_inputs = f.integer(4, 6);
+      p.equivalent = !f.satisfiable(5, false);
+      p.seed = f.seed(6);
       out.cnf = bmc_instance(p);
       out.expected = p.equivalent ? Expectation::unsat : Expectation::sat;
     } else if (family == "bmc-safe" || family == "bmc-unsafe") {
+      const Fields f(parts, {"cycles", "gates", "latches", "inputs", "seed"});
       SafetyParams p;
       p.safe = family == "bmc-safe";
-      p.cycles = static_cast<int>(arg_int(1, 8));
-      p.num_gates = static_cast<int>(arg_int(2, 30));
-      p.num_latches = static_cast<int>(arg_int(3, 6));
-      p.num_inputs = static_cast<int>(arg_int(4, 4));
-      p.seed = static_cast<std::uint64_t>(arg_int(5, 0));
+      p.cycles = f.integer(1, 8);
+      p.num_gates = f.integer(2, 30);
+      p.num_latches = f.integer(3, 6);
+      p.num_inputs = f.integer(4, 4);
+      p.seed = f.seed(5);
       out.cnf = safety_cnf(p);
       out.expected = p.safe ? Expectation::unsat : Expectation::sat;
     } else if (family == "bmc-latch") {
+      const Fields f(parts,
+                     {"cycles", "latches", "inputs", "sat|unsat", "seed"});
       SafetyParams p;
       p.latch_heavy = true;
-      p.cycles = static_cast<int>(arg_int(1, 10));
-      p.num_latches = static_cast<int>(arg_int(2, 10));
-      p.num_inputs = static_cast<int>(arg_int(3, 3));
-      p.safe = false;
-      if (parts.size() > 4) {
-        bool satisfiable = false;
-        if (!parse_sat_flag(parts[4], &satisfiable)) {
-          return fail("expected sat|unsat in field 5");
-        }
-        p.safe = !satisfiable;
-      }
-      p.seed = static_cast<std::uint64_t>(arg_int(5, 0));
+      p.cycles = f.integer(1, 10);
+      p.num_latches = f.integer(2, 10);
+      p.num_inputs = f.integer(3, 3);
+      p.safe = !f.satisfiable(4, true);
+      p.seed = f.seed(5);
       out.cnf = safety_cnf(p);
       out.expected = p.safe ? Expectation::unsat : Expectation::sat;
     } else if (family == "pipe") {
+      const Fields f(parts, {"width", "stages", "sat|unsat", "seed", "mult",
+                             "swap", "xor"});
       PipeParams p;
-      p.width = static_cast<int>(arg_int(1, 4));
-      p.stages = static_cast<int>(arg_int(2, 3));
-      p.correct = true;
-      if (parts.size() > 3) {
-        bool satisfiable = false;
-        if (!parse_sat_flag(parts[3], &satisfiable)) {
-          return fail("expected sat|unsat in field 4");
-        }
-        p.correct = !satisfiable;
-      }
-      p.seed = static_cast<std::uint64_t>(arg_int(4, 0));
-      p.with_multiplier = arg_int(5, 0) != 0;
-      p.swap_spec_operands = arg_int(6, 0) != 0;
-      p.with_xor_spread = arg_int(7, 0) != 0;
+      p.width = f.integer(1, 4);
+      p.stages = f.integer(2, 3);
+      p.correct = !f.satisfiable(3, false);
+      p.seed = f.seed(4);
+      p.with_multiplier = f.integer(5, 0) != 0;
+      p.swap_spec_operands = f.integer(6, 0) != 0;
+      p.with_xor_spread = f.integer(7, 0) != 0;
       out.cnf = pipe_instance(p);
       out.expected = p.correct ? Expectation::unsat : Expectation::sat;
     } else {
@@ -244,13 +255,15 @@ std::optional<GeneratedInstance> generate_from_spec(const std::string& spec,
 
 std::string registry_help() {
   std::ostringstream out;
-  out << "instance specs (fields after the family name are optional):\n"
+  out << "instance specs (fields after the family name are optional; a "
+         "given field must be a whole number in range):\n"
       << "  hole:<holes>                          pigeonhole, unsat\n"
       << "  rand3:<vars>:<clauses>:<seed>         uniform random 3-sat\n"
       << "  par:<vars>:<eqs>:<len>:<sat|unsat>:<seed>   xor system\n"
-      << "  hanoi:<disks>:<moves>                 towers of hanoi plan\n"
+      << "  hanoi:<disks 1-30>:<moves>            towers of hanoi plan\n"
       << "  blocks:<blocks>:<horizon>:<sat|unsat>:<seed> blocks world\n"
-      << "  miter:<inputs>:<gates>:<sat|unsat>:<seed>    equivalence miter\n"
+      << "  miter:<inputs>:<gates>:<sat|unsat>:<seed>:<xor percent>\n"
+      << "                                        equivalence miter\n"
       << "  cmiter:<inputs>:<gates>:<sat|unsat>:<seed>   vs canonical mux tree\n"
       << "  adder:<width>:<pair 0-2>:<swap 0|1>   adder equivalence, unsat\n"
       << "  mult:<width>:<variant 0-3>            multiplier miter, unsat (hard)\n"
@@ -264,7 +277,8 @@ std::string registry_help() {
       << "                                        reachable bad state, sat\n"
       << "  bmc-latch:<cycles>:<latches>:<inputs>:<sat|unsat>:<seed>\n"
       << "                                        latch-heavy safety property\n"
-      << "  pipe:<width>:<stages>:<sat|unsat>:<seed>:<mult 0|1>:<swap 0|1>\n"
+      << "  pipe:<width>:<stages>:<sat|unsat>:<seed>:<mult 0|1>:<swap 0|1>:\n"
+      << "       <xor 0|1>\n"
       << "                                        pipelined datapath check\n";
   return out.str();
 }

@@ -38,7 +38,7 @@ bool PortfolioSolver::load(const Cnf& cnf) {
 }
 
 GroupId PortfolioSolver::push_group() {
-  if (!supports_groups()) return no_group;
+  if (proof_ != nullptr) return no_group;
   // The id comes from the same monotone counter each worker Solver runs,
   // so replaying this push assigns the identical handle in every worker.
   const GroupId id = next_group_id_++;
@@ -98,7 +98,7 @@ void PortfolioSolver::warm_up_workers() {
     if (opts_.memory_budget != nullptr) {
       exchange_->set_memory_budget(opts_.memory_budget);
     }
-    if (opts_.log_proof) {
+    if (proof_ != nullptr) {
       splicer_ = std::make_unique<proof::ProofSplicer>(n);
     }
     solvers_.resize(static_cast<std::size_t>(n));
@@ -370,6 +370,13 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
     model_ = winning.model();
   } else {
     failed_assumptions_ = winning.failed_assumptions();
+    // A refutation of the formula itself: hand the attached writer the
+    // whole spliced trace, once (later solves only re-answer UNSAT).
+    if (failed_assumptions_.empty() && splicer_ != nullptr &&
+        proof_ != nullptr && !proof_replayed_) {
+      proof::replay(splicer_->spliced(), *proof_);
+      proof_replayed_ = true;
+    }
   }
   return status;
 }
@@ -402,10 +409,6 @@ void PortfolioSolver::publish_exchange_stats() {
         &exchange_seen_.rejected_pressure);
   flush("exchange.collected", exchange_stats_.collected,
         &exchange_seen_.collected);
-}
-
-proof::Proof PortfolioSolver::spliced_proof() const {
-  return splicer_ != nullptr ? splicer_->spliced() : proof::Proof{};
 }
 
 }  // namespace berkmin::portfolio

@@ -9,7 +9,8 @@
 // answer wins: one shared atomic stop flag (checked inside every worker's
 // search loop) cancels the rest, and the winner's model or failed-
 // assumption set is returned through the SatEngine interface the
-// sequential Solver implements too.
+// sequential Solver implements too. A writer attached with set_proof
+// receives one checkable DRAT trace of the whole race (see set_proof).
 //
 // Typical use:
 //   PortfolioSolver portfolio(PortfolioOptions{.num_threads = 4});
@@ -31,7 +32,6 @@
 #include "core/solver.h"
 #include "portfolio/clause_exchange.h"
 #include "portfolio/diversify.h"
-#include "proof/proof.h"
 #include "proof/splice.h"
 #include "telemetry/telemetry.h"
 
@@ -43,15 +43,6 @@ struct PortfolioOptions {
   bool share_clauses = true;
   // Seeds the diversification (tie-breaking seeds, fabricated variants).
   std::uint64_t base_seed = 0;
-  // Record a checkable DRAT proof of the whole race: every worker logs
-  // its clause additions and deletions (tagged with its worker id)
-  // through one proof::ProofSplicer, and spliced_proof() merges them
-  // into a single trace that certifies an UNSAT answer regardless of
-  // which worker won or how clauses were exchanged. Deletions survive
-  // splicing (deletions of still-shared clauses are deferred until every
-  // importer logged its copy), which keeps a checker's live database
-  // bounded on long races.
-  bool log_proof = false;
   // Explicit worker lineup; when empty, diversified_configs() supplies
   // num_threads workers. When shorter than num_threads it is extended,
   // when longer it is truncated.
@@ -120,15 +111,14 @@ class PortfolioSolver final : public SatEngine {
   // without retracting it; add_clause_to_group targets a specific live
   // group.
   //
-  // Groups remain unsupported with PortfolioOptions::log_proof: spliced
-  // traces now keep per-worker deletions, but checking a post-pop answer
+  // Groups remain unsupported while a proof writer is attached: spliced
+  // traces keep per-worker deletions, but checking a post-pop answer
   // needs the selector-elided incremental trace to be replayable in a
   // deterministic order across warm workers, which has not landed yet.
   //
   // Contract: push_group() returns the new group's handle (>= 0) on
-  // success, or no_group — recording nothing — when groups are
-  // unsupported in this configuration (today: exactly when log_proof is
-  // set, i.e. supports_groups() is false).
+  // success, or no_group — recording nothing — when a proof writer is
+  // attached.
   GroupId push_group() override;
   // Retracts the named group; false (nothing recorded) for a dead handle.
   bool pop_group(GroupId id) override;
@@ -138,7 +128,6 @@ class PortfolioSolver final : public SatEngine {
   GroupId innermost_group() const override {
     return live_groups_.empty() ? no_group : live_groups_.back();
   }
-  bool supports_groups() const { return !opts_.log_proof; }
   int num_groups() const override {
     return static_cast<int>(live_groups_.size());
   }
@@ -191,18 +180,21 @@ class PortfolioSolver final : public SatEngine {
   int winner() const { return winner_; }
   const std::string& winner_name() const { return winner_name_; }
 
-  // ---- proof logging (PortfolioOptions::log_proof) -----------------------
-  // The spliced multi-worker trace, merged by global sequence number.
-  // Complete — ends with the empty clause — exactly when the last solve
-  // answered unsatisfiable with no failed assumptions; proof::DratChecker
-  // verifies it against the loaded formula. Empty when logging is off.
-  // Only valid to call while no solve is in flight.
-  proof::Proof spliced_proof() const override;
+  // ---- proof logging ----------------------------------------------------
+  // With a writer attached before the first solve, every worker logs its
+  // clause additions and deletions through one proof::ProofSplicer. When
+  // a solve refutes the formula (UNSAT with no failed assumptions), the
+  // spliced trace — merged by global sequence number — is replayed into
+  // the writer, once: it ends with the empty clause and proof::DratChecker
+  // verifies it against the loaded formula, whichever worker won and
+  // however clauses were exchanged. Deletions survive splicing (deletions
+  // of still-shared clauses are deferred until every importer logged its
+  // copy), which keeps a checker's live database bounded on long races.
+  // A writer attached after the first solve receives nothing.
+  void set_proof(proof::ProofWriter* writer) override { proof_ = writer; }
 
   const std::vector<WorkerReport>& reports() const { return reports_; }
   const ExchangeStats& exchange_stats() const { return exchange_stats_; }
-
-  const PortfolioOptions& options() const { return opts_; }
 
   // ---- warm-worker introspection (tests, tools) -------------------------
   // The id-th worker engine, or nullptr before the first solve / out of
@@ -259,7 +251,11 @@ class PortfolioSolver final : public SatEngine {
   std::vector<char> dead_;
   std::vector<std::string> dead_errors_;
   std::unique_ptr<ClauseExchange> exchange_;
+  // Built by the first solve when a writer is attached; proof_replayed_
+  // latches once the refutation has been replayed into proof_.
+  proof::ProofWriter* proof_ = nullptr;
   std::unique_ptr<proof::ProofSplicer> splicer_;
+  bool proof_replayed_ = false;
 
   // Telemetry wiring (opts_.telemetry != nullptr): one sink per worker
   // (stable addresses — workers hold pointers into this vector), a

@@ -657,11 +657,9 @@ void DratChecker::consume_step(const ProofStep& step, std::size_t index) {
   // An empty addition is RUP only when the database is already refuted.
   if (clause_scratch_.empty()) return;
 
-  const bool was_refuted = refuted();
   const std::uint32_t id = store(group_scratch_, /*from_proof=*/true, index);
   settle(id);
   propagate();
-  if (!was_refuted && refuted()) empty_producer_ = step.producer;
 }
 
 void DratChecker::consume(const Proof& trace) {
@@ -803,7 +801,7 @@ void DratChecker::build_trim_and_core(const Proof& proof) {
     if (!needed[id] || !clauses_[id].from_proof) continue;
     trimmed_.steps.push_back(proof.steps[clauses_[id].source]);
   }
-  trimmed_.steps.push_back(ProofStep{StepKind::add, empty_producer_, {}});
+  trimmed_.steps.push_back(ProofStep{StepKind::add, {}});
   if (telemetry_ != nullptr) {
     telemetry_->emit(telemetry::EventKind::check_trim, trim_start_ns,
                      telemetry_->now_ns() - trim_start_ns,

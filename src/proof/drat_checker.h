@@ -164,7 +164,7 @@ class DratChecker {
   }
 
   // Valid after a successful check(): the needed additions in original
-  // order (producer tags preserved), ending with the empty clause.
+  // order, ending with the empty clause.
   const Proof& trimmed() const { return trimmed_; }
 
   // Valid after a successful check(): indices into cnf.clauses() of the
@@ -356,7 +356,6 @@ class DratChecker {
   // and every later step holds.
   bool refuted_for_good_ = false;
   std::vector<std::uint32_t> empty_antecedents_;
-  std::int32_t empty_producer_ = no_producer;
 
   std::size_t watermark_ = 0;
   std::size_t live_ = 0;

@@ -6,12 +6,13 @@
 // LiveCertifier is the only code that applies this rule: service
 // sessions, the engines' SolverBackend, dimacs_solver's scripted mode and
 // the incremental tests send every clause and group operation through it.
-// It owns the engine's trace and, when answers are checked, the checker;
-// without a checker the operations go straight to the engine. The engine
-// owns its live groups.
+// It creates the engine's trace and attaches it (SatEngine::set_proof), so
+// no caller builds a writer; when answers are checked it also owns the
+// checker. Without a checker the operations go straight to the engine.
+// The engine owns its live groups.
 //
 //   Solver solver;
-//   proof::LiveCertifier certifier(solver);  // logs and checks
+//   proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
 //   certifier.add_clause(lits);
 //   if (solver.solve() == SolveStatus::unsatisfiable)
 //     assert(certifier.answer_certified());
@@ -25,22 +26,22 @@
 #include "proof/drat_checker.h"
 #include "proof/proof_writer.h"
 
-namespace berkmin {
-class Solver;
-}
-
 namespace berkmin::proof {
 
 class LiveCertifier {
  public:
-  // Follows `engine`, which logs into `trace` (nullptr: no proof). With
-  // `check` and a trace, a live checker certifies the engine's answers: a
-  // new one, or `spare` reset (a released checker whose buffers it reuses,
-  // see DratChecker::reset).
-  LiveCertifier(SatEngine& engine, std::unique_ptr<MemoryProofWriter> trace,
-                bool check, std::unique_ptr<DratChecker> spare = nullptr)
-      : engine_(engine), writer_(std::move(trace)) {
-    if (!check || writer_ == nullptr) return;
+  // Follows `engine`, which must not have solved yet. With `log`, a fresh
+  // trace is attached to it (the engine must not solve once the certifier
+  // is gone); with `log` and `check`, a live checker certifies its
+  // answers: a new one, or `spare` reset (a released checker whose buffers
+  // it reuses, see DratChecker::reset).
+  LiveCertifier(SatEngine& engine, bool log, bool check,
+                std::unique_ptr<DratChecker> spare = nullptr)
+      : engine_(engine) {
+    if (!log) return;
+    writer_ = std::make_unique<MemoryProofWriter>();
+    engine_.set_proof(writer_.get());
+    if (!check) return;
     if (spare == nullptr) {
       checker_ = std::make_unique<DratChecker>();
       return;
@@ -48,8 +49,6 @@ class LiveCertifier {
     spare->reset();
     checker_ = std::move(spare);
   }
-  // Attaches a fresh trace to `solver` and checks its answers.
-  explicit LiveCertifier(Solver& solver);
 
   LiveCertifier(const LiveCertifier&) = delete;
   LiveCertifier& operator=(const LiveCertifier&) = delete;

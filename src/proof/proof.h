@@ -8,10 +8,9 @@
 // empty clause it certifies unsatisfiability, and DratChecker
 // (drat_checker.h) can verify it without trusting the solver.
 //
-// Each step carries the id of the worker that produced it (-1 for a
-// single-solver run); PortfolioSolver splices the per-worker traces of a
-// parallel run into one Proof ordered by a global sequence number, and the
-// producer tags survive so a checked step can be attributed to a worker.
+// A step is its DRAT content and nothing else: a portfolio's spliced trace
+// (proof/splice.h) is the same kind of Proof as a single solver's, and no
+// step records which worker produced it.
 #pragma once
 
 #include <cstdint>
@@ -22,9 +21,6 @@
 
 namespace berkmin::proof {
 
-// A worker id for steps emitted outside any portfolio.
-inline constexpr std::int32_t no_producer = -1;
-
 enum class StepKind : std::uint8_t {
   add,      // the clause is claimed RUP w.r.t. the live database
   del,      // one live copy of the clause is removed
@@ -32,7 +28,6 @@ enum class StepKind : std::uint8_t {
 
 struct ProofStep {
   StepKind kind = StepKind::add;
-  std::int32_t producer = no_producer;
   std::vector<Lit> lits;  // empty for the final (empty-clause) addition
 
   bool is_add() const { return kind == StepKind::add; }
@@ -54,13 +49,11 @@ struct Proof {
   // shape every complete unsatisfiability proof must have.
   bool ends_with_empty() const;
 
-  void add(std::span<const Lit> lits, std::int32_t producer = no_producer) {
-    steps.push_back(
-        ProofStep{StepKind::add, producer, {lits.begin(), lits.end()}});
+  void add(std::span<const Lit> lits) {
+    steps.push_back(ProofStep{StepKind::add, {lits.begin(), lits.end()}});
   }
-  void del(std::span<const Lit> lits, std::int32_t producer = no_producer) {
-    steps.push_back(
-        ProofStep{StepKind::del, producer, {lits.begin(), lits.end()}});
+  void del(std::span<const Lit> lits) {
+    steps.push_back(ProofStep{StepKind::del, {lits.begin(), lits.end()}});
   }
 };
 

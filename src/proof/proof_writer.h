@@ -1,8 +1,10 @@
 // Proof emission backends.
 //
-// A ProofWriter receives every clause addition and deletion a Solver
-// performs (Solver::set_proof wires the engine's clause-lifecycle sites to
-// it). Three backends cover the common shapes:
+// A ProofWriter receives every clause addition and deletion an engine
+// performs (SatEngine::set_proof attaches it: a Solver streams its
+// clause-lifecycle sites into it, a PortfolioSolver replays its spliced
+// trace into it once the formula is refuted). Three backends cover the
+// common shapes:
 //
 //  * TextDratWriter — the standard textual DRAT format ("d" prefix for
 //    deletions, DIMACS literals, 0-terminated lines), readable by external
@@ -13,8 +15,9 @@
 //  * MemoryProofWriter — buffers the trace as a proof::Proof so it can be
 //    checked in-process (DratChecker), trimmed, or serialized later.
 //
-// Writers are not thread-safe; a portfolio run gives each worker its own
-// writer through proof::ProofSplicer (splice.h).
+// Writers are not thread-safe; a portfolio gives each worker its own
+// internal writer through proof::ProofSplicer (splice.h) and touches the
+// attached one only from the thread that called solve.
 #pragma once
 
 #include <cstdint>
@@ -93,25 +96,19 @@ class BinaryDratWriter : public ProofWriter {
 
 class MemoryProofWriter : public ProofWriter {
  public:
-  // Steps recorded through this writer carry `producer` (a portfolio
-  // worker id; no_producer for single-solver runs).
-  explicit MemoryProofWriter(std::int32_t producer = no_producer)
-      : producer_(producer) {}
-
   void add_clause(std::span<const Lit> lits) override {
     ++added_;
-    proof_.add(lits, producer_);
+    proof_.add(lits);
   }
   void delete_clause(std::span<const Lit> lits) override {
     ++deleted_;
-    proof_.del(lits, producer_);
+    proof_.del(lits);
   }
 
   const Proof& proof() const { return proof_; }
   Proof take_proof() { return std::move(proof_); }
 
  private:
-  std::int32_t producer_;
   Proof proof_;
 };
 

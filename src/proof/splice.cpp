@@ -21,7 +21,7 @@ ProofSplicer::ProofSplicer(int num_workers) {
   assert(num_workers >= 1);
   writers_.reserve(static_cast<std::size_t>(num_workers));
   for (int i = 0; i < num_workers; ++i) {
-    writers_.push_back(std::make_unique<TaggedWriter>(this, i));
+    writers_.push_back(std::make_unique<TaggedWriter>(this));
   }
   import_cursors_.assign(static_cast<std::size_t>(num_workers), 0);
 }
@@ -66,12 +66,12 @@ void ProofSplicer::TaggedWriter::add_clause(std::span<const Lit> lits) {
   const std::uint64_t seq =
       owner_->next_seq_.fetch_add(1, std::memory_order_relaxed);
   buffer_.push_back(SequencedStep{
-      seq, ProofStep{StepKind::add, id_, {lits.begin(), lits.end()}}});
+      seq, ProofStep{StepKind::add, {lits.begin(), lits.end()}}});
 }
 
 void ProofSplicer::TaggedWriter::delete_clause(std::span<const Lit> lits) {
   ++deleted_;
-  ProofStep step{StepKind::del, id_, {lits.begin(), lits.end()}};
+  ProofStep step{StepKind::del, {lits.begin(), lits.end()}};
   const auto it = published_.find(sorted_key(lits));
   if (it != published_.end()) {
     // A sibling may still be between collecting this clause and logging

@@ -2,10 +2,12 @@
 //
 // A portfolio worker's trace is not checkable on its own: clauses imported
 // from siblings appear in its derivations without a justification. The
-// splicer fixes that by giving every worker a tagged ProofWriter whose
-// steps carry the worker id and a global sequence number (one shared
-// atomic counter), and by merging all per-worker buffers in sequence order
-// after the race. The merged trace is a valid DRUP/DRAT proof of the
+// splicer fixes that by giving every worker a ProofWriter that tags each
+// step with a global sequence number (one shared atomic counter), and by
+// merging all per-worker buffers in sequence order after the race. The
+// merged trace is plain DRAT: no step records which worker produced it.
+// PortfolioSolver replays it into the writer attached to the portfolio
+// (SatEngine::set_proof) once the formula is refuted. The merged trace is a valid DRUP/DRAT proof of the
 // shared formula because
 //
 //  * a clause is published to the exchange only after its addition was
@@ -60,8 +62,9 @@ class ProofSplicer {
   explicit ProofSplicer(int num_workers);
 
   // The proof sink for worker `id`; owned by the splicer, valid for its
-  // lifetime. Additions are tagged with `id`; deletions of published
-  // clauses are deferred as described above, all others pass through.
+  // lifetime. Additions are sequenced as they arrive; deletions of
+  // published clauses are deferred as described above, all others are
+  // sequenced at once.
   ProofWriter* writer(int id);
 
   // Worker `id` just had `lits` accepted by the clause exchange as entry
@@ -91,15 +94,13 @@ class ProofSplicer {
 
   class TaggedWriter : public ProofWriter {
    public:
-    TaggedWriter(ProofSplicer* owner, std::int32_t id)
-        : owner_(owner), id_(id) {}
+    explicit TaggedWriter(ProofSplicer* owner) : owner_(owner) {}
     void add_clause(std::span<const Lit> lits) override;
     void delete_clause(std::span<const Lit> lits) override;
 
    private:
     friend class ProofSplicer;
     ProofSplicer* owner_;
-    std::int32_t id_;
     std::vector<SequencedStep> buffer_;
     // Sorted-code key -> exchange entry index for every clause this
     // worker published. Touched only from this worker's thread.

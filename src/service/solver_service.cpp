@@ -196,14 +196,10 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
     spare = std::move(spare_);
   }
   const bool reused = spare.solver != nullptr;
-  std::unique_ptr<proof::MemoryProofWriter> trace;
-  std::unique_ptr<SatEngine> engine = make_engine(
-      request.options, request.threads,
-      request.proof.wanted() && unsupported.empty(), &trace,
-      std::move(spare.solver));
-  auto session = std::make_shared<Session>(std::move(engine), std::move(trace),
-                                           request.proof.verify(),
-                                           std::move(spare.checker));
+  auto session = std::make_shared<Session>(
+      make_engine(request.options, request.threads, std::move(spare.solver)),
+      request.proof.wanted() && unsupported.empty(), request.proof.verify(),
+      std::move(spare.checker));
   session->unsupported = std::move(unsupported);
 
   std::lock_guard<std::mutex> lk(lock_);
@@ -229,14 +225,12 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
 }
 
 std::unique_ptr<SatEngine> SolverService::make_engine(
-    const SolverOptions& options, int threads, bool log_proof,
-    std::unique_ptr<proof::MemoryProofWriter>* writer,
+    const SolverOptions& options, int threads,
     std::unique_ptr<Solver> spare) const {
   if (threads > 1) {
     portfolio::PortfolioOptions popts;
     popts.num_threads = threads;
     popts.base_seed = options.seed;
-    popts.log_proof = log_proof;
     popts.configs = portfolio::diversify_around(options, threads, options.seed);
     // Counters and phases flow to the hub; per-worker rings stay off (ring
     // names would collide and interleave across sessions and jobs).
@@ -249,10 +243,6 @@ std::unique_ptr<SatEngine> SolverService::make_engine(
                     ? std::make_unique<Solver>(options, std::move(*spare))
                     : std::make_unique<Solver>(options);
   solver->set_memory_budget(opts_.memory_budget);
-  if (log_proof) {
-    *writer = std::make_unique<proof::MemoryProofWriter>();
-    solver->set_proof(writer->get());
-  }
   return solver;
 }
 
@@ -653,8 +643,11 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     std::unique_ptr<SatEngine> engine;
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
     try {
-      engine = make_engine(job->request.options, limits.threads,
-                           proof_opts.wanted(), &proof_writer);
+      engine = make_engine(job->request.options, limits.threads);
+      if (proof_opts.wanted()) {
+        proof_writer = std::make_unique<proof::MemoryProofWriter>();
+        engine->set_proof(proof_writer.get());
+      }
       engine->load(job->request.cnf);
     } catch (const std::exception& ex) {
       error = ex.what();
@@ -783,8 +776,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
         proof_checked = true;
       }
     } else {
-      trace = job->proof_writer != nullptr ? job->proof_writer->take_proof()
-                                           : engine.spliced_proof();
+      trace = job->proof_writer->take_proof();
       has_proof = trace.ends_with_empty();
       if (has_proof && proof_opts.verify()) {
         proof::DratChecker checker(job->request.cnf);

@@ -254,17 +254,15 @@ class SolverService {
  private:
   // One incremental session: the persistent engine, which owns the live
   // groups, and the certifier every clause and group operation goes
-  // through. The certifier holds the session's trace (proof.log) and live
-  // checker (proof.check) and keeps them in step with the engine; without
-  // either it passes operations straight to the engine (see
-  // proof/live_certifier.h).
+  // through. The certifier attaches the session's trace (proof.log) to the
+  // engine, holds the live checker (proof.check) and keeps both in step
+  // with the engine; without either it passes operations straight to the
+  // engine (see proof/live_certifier.h).
   struct Session {
-    Session(std::unique_ptr<SatEngine> built,
-            std::unique_ptr<proof::MemoryProofWriter> trace, bool check,
+    Session(std::unique_ptr<SatEngine> built, bool log, bool check,
             std::unique_ptr<proof::DratChecker> spare_checker)
         : engine(std::move(built)),
-          certifier(*engine, std::move(trace), check,
-                    std::move(spare_checker)) {}
+          certifier(*engine, log, check, std::move(spare_checker)) {}
 
     SessionId id = invalid_session;
     SessionRequest request;
@@ -306,9 +304,9 @@ class SolverService {
     // A job's own engine, built by its first slice (a portfolio when
     // threads > 1) and reset when the job finishes to release memory.
     std::unique_ptr<SatEngine> engine;
-    // Proof plumbing (JobProofOptions): single-solver jobs log into this
-    // writer across all their slices (portfolio jobs log through the
-    // engine's own splicer); the check reads request.cnf.
+    // Proof plumbing (JobProofOptions): attached to the job's engine when
+    // it is built, so it holds the trace of every slice, whichever engine
+    // runs them; the check reads request.cnf.
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
 
     JobResult result;
@@ -349,12 +347,10 @@ class SolverService {
                                         std::span<const Lit> lits = {},
                                         bool active = true);
   // Builds an engine for `threads` workers: one solver (in `spare`'s
-  // buffers when given), or a portfolio diversified around `options`. With
-  // `log_proof`, a solver logs into a new *writer and a portfolio splices
-  // its workers' traces.
+  // buffers when given), or a portfolio diversified around `options`. A
+  // consumer that wants a proof attaches its writer (SatEngine::set_proof).
   std::unique_ptr<SatEngine> make_engine(
-      const SolverOptions& options, int threads, bool log_proof,
-      std::unique_ptr<proof::MemoryProofWriter>* writer,
+      const SolverOptions& options, int threads,
       std::unique_ptr<Solver> spare = nullptr) const;
   // The storage of a closed single-solver session: its solver and checker,
   // which the next single-solver session is built in (Solver(options,

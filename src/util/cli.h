@@ -19,6 +19,9 @@ namespace berkmin {
 // The largest --threads / --pool any CLI accepts: each unit is an OS
 // thread, so a typo must not ask for thousands of them.
 inline constexpr std::int64_t kMaxThreads = 256;
+// The largest value of an option read into an int: every such option
+// registers it (or less) as its range's max, so no value is truncated.
+inline constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
 
 // The inclusive bounds a numeric option's value must lie within.
 struct OptionRange {

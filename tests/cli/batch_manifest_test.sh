@@ -5,7 +5,8 @@
 # formula is a manifest error (exit 1, naming the key), never a value read
 # in part or wrapped around; so is such a value in the flags that set the
 # keys' defaults, and so is any service flag outside its range (exit 1,
-# naming the flag). One valid line using every key runs (exit 0).
+# naming the flag), and a generator spec with a bad field (exit 1, naming
+# the field). One valid line using every key runs (exit 0).
 #
 #   tests/cli/batch_manifest_test.sh <batch_solver>
 set -u
@@ -78,6 +79,22 @@ expect_flag slice-retries --pool 1 --slice-retries -3
 expect_flag watchdog-ms --pool 1 --watchdog-ms -5
 expect_flag fault-rate --pool 1 --fault-rate 1.5
 expect_flag fault-fires --pool 1 --fault-fires -1
+expect_flag slice-retries --pool 1 --slice-retries 4294967298
+# A spec with a bad field is no generator spec; its error rides along with
+# the DIMACS fallback's.
+expect_spec() {
+  local field=$1 line=$2
+  printf '%s\n' "$line" >"$tmp/manifest.txt"
+  "$BATCH" "$tmp/manifest.txt" --pool 1 >"$tmp/out.txt" 2>&1
+  local got=$?
+  if [ "$got" -ne 1 ] || ! grep -q "field $field" "$tmp/out.txt"; then
+    echo "FAIL: '$line': expected exit 1 naming field $field, got $got"
+    cat "$tmp/out.txt"
+    fail=1
+  fi
+}
+expect_spec "1 <holes>" "hole:abc"
+expect_spec "4 " "rand3:20:80:1:junk"
 expect 0 "" "$SPEC name=ok deadline-ms=5000 conflicts=100000 threads=2 priority=3 assume=1,-20"
 
 if [ "$fail" -eq 0 ]; then

@@ -82,6 +82,47 @@ expect_refused disks "$HANOI" --disks 0
 expect_refused moves "$HANOI" --moves -5
 expect_refused width "$EQUIV" --width 0
 
+# A negative per-instance timeout would run every instance without limit.
+expect_refused timeout "$CLASS_RUNNER" --class Hole --scale 1 --timeout -1
+expect_refused timeout "$BENCH" --scale 1 --timeout -1
+# A negative gate count would check an empty circuit.
+expect_refused gates "$EQUIV" --gates -5
+
+# Every option read into an int stops at INT_MAX: 2^32 + k would be read
+# as k. The scales are probed with --help, which ends the run before any
+# instance is built.
+expect_refused scale "$CLASS_RUNNER" --scale 4294967298 --help
+expect_refused scale "$BENCH" --scale 4294967298 --help
+expect_refused width "$EQUIV" --width 4294967297
+expect_refused gates "$EQUIV" --gates 4294967376
+expect_refused moves "$HANOI" --moves 4294967311
+expect_refused disks "$HANOI" --disks 4294967299
+# 2^31 - 1 moves do not fit the encoding's int arithmetic.
+expect_refused disks "$HANOI" --disks 31
+
+# Generator specs name a bad field the same way: not a whole number, out
+# of range for its type, or past the family's last field.
+expect_spec_refused() {
+  local field=$1
+  shift
+  timeout 60 "$SOLVER" --generate "$@" >"$tmp/out.txt" 2>&1
+  local got=$?
+  if [ "$got" -ne 1 ]; then
+    echo "FAIL: --generate $*: expected exit 1, got $got"
+    tail -5 "$tmp/out.txt"
+    fail=1
+  elif ! grep -q "field $field" "$tmp/out.txt"; then
+    echo "FAIL: --generate $*: error does not name field $field"
+    cat "$tmp/out.txt"
+    fail=1
+  fi
+}
+
+expect_spec_refused "1 <holes>" hole:abc
+expect_spec_refused "1 <holes>" hole:4294967299
+expect_spec_refused "4 " rand3:50:213:1:junk
+expect_spec_refused "1 <disks>" hanoi:31
+
 if [ "$fail" -eq 0 ]; then
   echo "out-of-range flag values refused"
 fi

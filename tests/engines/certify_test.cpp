@@ -15,7 +15,7 @@ namespace {
 
 TEST(SolverBackend, CheckingCertifierConfirmsEachAnswer) {
   Solver solver;
-  proof::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
   SolverBackend backend(certifier);
   const Var first = backend.new_vars(3);
   const Lit a(first, false), b(first + 1, false), c(first + 2, false);

@@ -237,8 +237,9 @@ TEST(FaultMatrix, WorkerDeathAnswersStayCertifiable) {
     portfolio::PortfolioOptions popts;
     popts.num_threads = 3;
     popts.base_seed = seed;
-    popts.log_proof = true;
     portfolio::PortfolioSolver race(popts);
+    proof::MemoryProofWriter writer;
+    race.set_proof(&writer);
     race.load(cnf);
     SolveStatus status = SolveStatus::unknown;
     {
@@ -246,7 +247,7 @@ TEST(FaultMatrix, WorkerDeathAnswersStayCertifiable) {
       status = race.solve();
     }
     ASSERT_EQ(status, SolveStatus::unsatisfiable) << "seed " << seed;
-    const proof::Proof trace = race.spliced_proof();
+    const proof::Proof& trace = writer.proof();
     ASSERT_TRUE(trace.ends_with_empty()) << "seed " << seed;
     proof::DratChecker checker(cnf);
     const proof::CheckResult check = checker.check(trace);

@@ -2,6 +2,8 @@
 // SAT/UNSAT status against the solver (and the oracle where feasible).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/solver.h"
 #include "gen/adder_bench.h"
 #include "gen/blocksworld.h"
@@ -116,6 +118,11 @@ TEST(Hanoi, OptimalMoves) {
   EXPECT_EQ(gen::HanoiEncoding::optimal_moves(1), 1);
   EXPECT_EQ(gen::HanoiEncoding::optimal_moves(3), 7);
   EXPECT_EQ(gen::HanoiEncoding::optimal_moves(5), 31);
+  EXPECT_EQ(gen::HanoiEncoding::optimal_moves(gen::HanoiEncoding::kMaxDisks),
+            (1 << 30) - 1);
+  // 2^31 - 1 would need a shift past int's sign bit.
+  EXPECT_THROW(gen::HanoiEncoding::optimal_moves(31), std::invalid_argument);
+  EXPECT_THROW(gen::HanoiEncoding::optimal_moves(-1), std::invalid_argument);
 }
 
 TEST(Hanoi, SatAtOptimalHorizon) {
@@ -335,6 +342,65 @@ TEST(Registry, RejectsUnknownFamily) {
 TEST(Registry, RejectsBadSatFlag) {
   std::string error;
   EXPECT_FALSE(gen::generate_from_spec("par:10:14:3:maybe:2", &error).has_value());
+  EXPECT_NE(error.find("field 4 <sat|unsat>"), std::string::npos) << error;
+}
+
+TEST(Registry, RejectsBadFieldsNamingThem) {
+  // Each of these used to generate something else: a default, a
+  // truncated value, or the spec without its trailing field.
+  const std::pair<const char*, const char*> cases[] = {
+      {"hole:abc", "field 1 <holes> ('abc') is not a whole number"},
+      {"hole:", "field 1 <holes> ('') is not a whole number"},
+      {"hole:+5", "field 1 <holes> ('+5') is not a whole number"},
+      {"hole:6x", "field 1 <holes> ('6x') is not a whole number"},
+      {"hole:4294967299", "field 1 <holes> ('4294967299') is out of range"},
+      {"hole:-4294967299", "field 1 <holes> ('-4294967299') is out of range"},
+      {"rand3:50:213:1:junk", "field 4 ('junk') is past the family's last"},
+      {"hole:6:7", "field 2 ('7') is past the family's last"},
+      {"rand3:50:213:-1", "field 3 <seed> ('-1') is out of range"},
+      {"rand3:50:213:18446744073709551616", "field 3 <seed>"},
+      {"rand3:50:2.5:1", "field 2 <clauses> ('2.5') is not a whole number"},
+      {"hanoi:31", "field 1 <disks> ('31') is out of range [1, 30]"},
+      {"hanoi:0", "field 1 <disks> ('0') is out of range [1, 30]"},
+      {"adder:6:-1", "field 2 <pair> ('-1') is out of range"},
+      {"miter:10:120:unsat:3:25:9", "field 6 ('9') is past"},
+      {"pipe:4:2:unsat:0:0:1:1:0", "field 8 ('0') is past"},
+  };
+  for (const auto& [spec, expected] : cases) {
+    std::string error;
+    EXPECT_FALSE(gen::generate_from_spec(spec, &error).has_value()) << spec;
+    EXPECT_NE(error.find(expected), std::string::npos)
+        << spec << ": " << error;
+  }
+}
+
+TEST(Registry, SpecsGenerateWhatTheirGeneratorsDo) {
+  const auto same = [](const char* spec, const Cnf& expected) {
+    std::string error;
+    const auto instance = gen::generate_from_spec(spec, &error);
+    ASSERT_TRUE(instance.has_value()) << error;
+    ASSERT_EQ(instance->cnf.num_vars(), expected.num_vars()) << spec;
+    ASSERT_EQ(instance->cnf.num_clauses(), expected.num_clauses()) << spec;
+    for (std::size_t i = 0; i < expected.num_clauses(); ++i) {
+      ASSERT_TRUE(instance->cnf.clause(i) == expected.clause(i))
+          << spec << " clause " << i;
+    }
+  };
+  same("hole", gen::pigeonhole(6));
+  same("hole:3", gen::pigeonhole(3));
+  same("rand3:20:60:1", gen::random_ksat(20, 60, 3, 1));
+  same("rand3:20:60:18446744073709551615",
+       gen::random_ksat(20, 60, 3, 18446744073709551615ull));
+  same("hanoi:3", gen::hanoi_instance(3, 7));
+  same("hanoi:2:5", gen::hanoi_instance(2, 5));
+  same("adder:3:4", gen::adder_equivalence(3, gen::AdderPair::ripple_vs_lookahead));
+  gen::ParityParams parity;
+  parity.num_vars = 10;
+  parity.num_equations = 14;
+  parity.equation_size = 3;
+  parity.satisfiable = false;
+  parity.seed = 2;
+  same("par:10:14:3:unsat:2", gen::parity_instance(parity));
 }
 
 TEST(Registry, HelpListsFamilies) {

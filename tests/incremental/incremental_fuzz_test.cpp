@@ -218,7 +218,7 @@ struct LiveGroup {
 void run_named_group_script(std::uint64_t seed) {
   Rng rng(seed * 0x2545f4914f6cdd1dull + 99);
   Solver solver;
-  proof::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
   const int num_vars = 8 + static_cast<int>(seed % 5);
 
   std::vector<std::vector<Lit>> root;

@@ -29,7 +29,7 @@ TEST(IncrementalProof, GroupUnsatThenPopThenUnsatAgain) {
   // second group. Both answers must certify against their own formula,
   // the second despite the trace containing lemmas of the popped group.
   Solver solver;
-  proof::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
   const Cnf base = gen::random_ksat(12, 30, 3, 17);
   certifier.load(base);
 
@@ -114,7 +114,7 @@ TEST_P(IncrementalProofFuzz, EveryUnsatAnswerCertifies) {
   const std::uint64_t seed = static_cast<std::uint64_t>(GetParam());
   Rng rng(seed * 77 + 5);
   Solver solver;
-  proof::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
 
   const int num_vars = 9 + static_cast<int>(seed % 4);
   for (int op = 0; op < 26; ++op) {

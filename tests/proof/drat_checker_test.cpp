@@ -183,14 +183,15 @@ TEST(DratChecker, InstancesAreSingleUse) {
   EXPECT_NE(again.error.find("single-use"), std::string::npos);
 }
 
-TEST(DratChecker, ProducerTagsSurviveTrimming) {
+TEST(DratChecker, TrimmingKeepsTheNeededAddition) {
   const Cnf cnf = make_cnf({{1, 2}, {1, -2}, {-1, 3}, {-1, -3}});
   proof::Proof p;
-  p.add(lits({1}), /*producer=*/3);
+  p.add(lits({1}));
   proof::DratChecker checker(cnf);
   ASSERT_TRUE(checker.check(p).valid);
-  ASSERT_GE(checker.trimmed().size(), 1u);
-  EXPECT_EQ(checker.trimmed().steps[0].producer, 3);
+  ASSERT_EQ(checker.trimmed().size(), 2u);
+  EXPECT_EQ(checker.trimmed().steps[0], p.steps[0]);
+  EXPECT_TRUE(checker.trimmed().ends_with_empty());
 }
 
 }  // namespace

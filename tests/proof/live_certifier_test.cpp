@@ -1,14 +1,17 @@
 // proof::LiveCertifier, the one owner of the certified-session protocol:
-// before every clause or group operation its checker has consumed the
-// whole trace logged so far, and without a checker every operation still
-// reaches the engine with the engine's own contract.
+// it attaches its own trace to the engine, before every clause or group
+// operation its checker has consumed the whole trace logged so far, and
+// without a checker every operation still reaches the engine with the
+// engine's own contract.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "core/solver.h"
+#include "gen/pigeonhole.h"
 #include "gen/random_ksat.h"
+#include "portfolio/portfolio.h"
 #include "proof/live_certifier.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -24,7 +27,7 @@ TEST(LiveCertifier, SyncsTheCheckerBeforeEveryOperation) {
   // formula it was derived in. A step that instead reached the checker
   // after the operation would be checked against the wrong database.
   Solver solver;
-  proof::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
   Rng rng(7);
   const auto grow_trace = [&] {
     const std::size_t before = certifier.trace().size();
@@ -73,7 +76,7 @@ TEST(LiveCertifier, SyncsTheCheckerBeforeEveryOperation) {
 
 TEST(LiveCertifier, DeadHandlesAreRefusedOnBothSides) {
   Solver solver;
-  proof::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
   ASSERT_TRUE(certifier.add_clause(lits({1})));
   const GroupId popped = solver.push_group();
   ASSERT_TRUE(certifier.pop_group(popped));
@@ -90,11 +93,33 @@ TEST(LiveCertifier, DeadHandlesAreRefusedOnBothSides) {
   EXPECT_FALSE(certifier.certifies({}));
 }
 
+TEST(LiveCertifier, AttachesItsOwnTraceToTheEngine) {
+  // The caller never attaches a writer: the certifier logs into a trace of
+  // its own and certifies the engine's refutation with it.
+  Solver solver;
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
+  ASSERT_TRUE(certifier.load(gen::pigeonhole(5)));
+  ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
+  EXPECT_TRUE(certifier.trace().ends_with_empty());
+  EXPECT_TRUE(certifier.answer_certified());
+}
+
+TEST(LiveCertifier, CertifiesAPortfolioRefutation) {
+  // The same protocol over a racing portfolio: its spliced trace reaches
+  // the certifier's writer once the formula is refuted.
+  portfolio::PortfolioSolver race(portfolio::PortfolioOptions{.num_threads = 2});
+  proof::LiveCertifier certifier(race, /*log=*/true, /*check=*/true);
+  ASSERT_TRUE(certifier.load(gen::pigeonhole(5)));
+  ASSERT_EQ(race.solve(), SolveStatus::unsatisfiable);
+  EXPECT_TRUE(certifier.trace().ends_with_empty());
+  EXPECT_TRUE(certifier.answer_certified());
+}
+
 TEST(LiveCertifier, WithoutACheckerOperationsPassThrough) {
   // No trace: nothing is logged or checked, and the engine keeps its own
   // contract (named groups, LIFO pop, refusals).
   Solver solver;
-  proof::LiveCertifier certifier(solver, nullptr, /*check=*/true);
+  proof::LiveCertifier certifier(solver, /*log=*/false, /*check=*/true);
   EXPECT_FALSE(certifier.checking());
   ASSERT_TRUE(certifier.add_clause(lits({1, 2})));
   const GroupId group = solver.push_group();

@@ -74,9 +74,10 @@ TEST_P(PortfolioProofFuzz, SplicedTraceChecks) {
                                    static_cast<std::uint64_t>(1000 + seed));
   portfolio::PortfolioOptions options;
   options.num_threads = 2 + (seed % 3);
-  options.log_proof = true;
   options.base_seed = static_cast<std::uint64_t>(seed);
   portfolio::PortfolioSolver portfolio(options);
+  proof::MemoryProofWriter writer;
+  portfolio.set_proof(&writer);
   portfolio.load(cnf);
   const SolveStatus status = portfolio.solve();
   ASSERT_NE(status, SolveStatus::unknown);
@@ -85,7 +86,7 @@ TEST_P(PortfolioProofFuzz, SplicedTraceChecks) {
     EXPECT_TRUE(cnf.is_satisfied_by(portfolio.model())) << "seed " << seed;
     return;
   }
-  const proof::Proof trace = portfolio.spliced_proof();
+  const proof::Proof& trace = writer.proof();
   ASSERT_TRUE(trace.ends_with_empty()) << "seed " << seed;
   proof::DratChecker checker(cnf);
   const proof::CheckResult result = checker.check(trace);
@@ -152,7 +153,6 @@ TEST_P(PortfolioInprocessProofFuzz, SplicedTraceKeepsDeletionsAndChecks) {
                                    static_cast<std::uint64_t>(3000 + seed));
   portfolio::PortfolioOptions options;
   options.num_threads = 2 + (seed % 3);
-  options.log_proof = true;
   options.base_seed = static_cast<std::uint64_t>(seed);
   options.configs = portfolio::diversified_configs(
       options.num_threads, options.base_seed);
@@ -165,6 +165,8 @@ TEST_P(PortfolioInprocessProofFuzz, SplicedTraceKeepsDeletionsAndChecks) {
     config.options.inprocess.var_elim = false;
   }
   portfolio::PortfolioSolver portfolio(options);
+  proof::MemoryProofWriter writer;
+  portfolio.set_proof(&writer);
   portfolio.load(cnf);
   const SolveStatus status = portfolio.solve();
   ASSERT_NE(status, SolveStatus::unknown);
@@ -173,7 +175,7 @@ TEST_P(PortfolioInprocessProofFuzz, SplicedTraceKeepsDeletionsAndChecks) {
     EXPECT_TRUE(cnf.is_satisfied_by(portfolio.model())) << "seed " << seed;
     return;
   }
-  const proof::Proof trace = portfolio.spliced_proof();
+  const proof::Proof& trace = writer.proof();
   ASSERT_TRUE(trace.ends_with_empty()) << "seed " << seed;
   // Deletions survive splicing (deferred past every importer, not
   // dropped): whenever any worker deleted a clause, the spliced trace must

@@ -70,12 +70,11 @@ TEST(BinaryDratWriter, IsSmallerThanTextOnWideLiterals) {
   EXPECT_LT(binary.str().size(), text.str().size());
 }
 
-TEST(MemoryProofWriter, TagsStepsWithProducer) {
-  proof::MemoryProofWriter writer(/*producer=*/7);
+TEST(MemoryProofWriter, RecordsStepsInOrder) {
+  proof::MemoryProofWriter writer;
   writer.add_clause(lits({1, 2}));
   writer.delete_clause(lits({1, 2}));
   ASSERT_EQ(writer.proof().size(), 2u);
-  EXPECT_EQ(writer.proof().steps[0].producer, 7);
   EXPECT_TRUE(writer.proof().steps[0].is_add());
   EXPECT_TRUE(writer.proof().steps[1].is_delete());
   EXPECT_EQ(writer.num_added(), 1u);

@@ -155,7 +155,7 @@ TEST(ResumableChecker, EachStepIsVerifiedOncePerSession) {
   // queries. The checker must read every trace step exactly once, RUP-check
   // each addition at most once, and never fall back to a replay.
   Solver solver;
-  proof::LiveCertifier certifier(solver);
+  proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
   certifier.load(gen::random_ksat(40, 150, 3, 11));
   Rng rng(2024);
   int unsat_answers = 0;
@@ -409,7 +409,7 @@ TEST(ResumableChecker, ReleasedCheckerCertifiesLikeANewOne) {
   std::unique_ptr<proof::DratChecker> spare;
   {
     Solver solver;
-    proof::LiveCertifier certifier(solver);
+    proof::LiveCertifier certifier(solver, /*log=*/true, /*check=*/true);
     const SessionRecord first = certified_session(solver, certifier, 41);
     ASSERT_FALSE(first.certified.empty());
     spare = certifier.release_checker();
@@ -419,15 +419,13 @@ TEST(ResumableChecker, ReleasedCheckerCertifiesLikeANewOne) {
   EXPECT_GT(spare->watermark(), 0u);
 
   Solver fresh_solver;
-  proof::LiveCertifier fresh(fresh_solver);
+  proof::LiveCertifier fresh(fresh_solver, /*log=*/true, /*check=*/true);
   const SessionRecord expected = certified_session(fresh_solver, fresh, 43);
   ASSERT_FALSE(expected.certified.empty());
   for (const bool ok : expected.certified) EXPECT_TRUE(ok);
 
   Solver solver;
-  auto writer = std::make_unique<proof::MemoryProofWriter>();
-  solver.set_proof(writer.get());
-  proof::LiveCertifier reused(solver, std::move(writer), true,
+  proof::LiveCertifier reused(solver, /*log=*/true, /*check=*/true,
                               std::move(spare));
   EXPECT_EQ(certified_session(solver, reused, 43), expected);
 }

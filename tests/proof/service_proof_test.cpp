@@ -65,11 +65,6 @@ TEST(ServiceProof, PortfolioEscalatedJobShipsSplicedTrace) {
 
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   ASSERT_TRUE(result.proof_valid);
-  // Portfolio traces carry worker attribution.
-  for (const proof::ProofStep& step : result.proof.steps) {
-    EXPECT_GE(step.producer, 0);
-    EXPECT_LT(step.producer, 3);
-  }
 }
 
 TEST(ServiceProof, SatJobCarriesNoProof) {

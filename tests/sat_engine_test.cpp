@@ -1,7 +1,8 @@
 // The SatEngine interface: one push / add-to-group / park / pop / solve
 // script driven through SatEngine& on a sequential Solver and on a
-// 2-worker PortfolioSolver must give the same answers, and the portfolio's
-// per-call accounting (last_slice, stats) must match its workers.
+// 2-worker PortfolioSolver must give the same answers, the portfolio's
+// per-call accounting (last_slice, stats) must match its workers, and both
+// must log a checkable refutation into the writer attached with set_proof.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,8 @@
 #include "core/solver.h"
 #include "gen/pigeonhole.h"
 #include "portfolio/portfolio.h"
+#include "proof/drat_checker.h"
+#include "proof/proof_writer.h"
 #include "test_util.h"
 
 namespace berkmin {
@@ -149,6 +152,24 @@ TEST(SatEngine, StopIsStickyUntilCleared) {
     engine->clear_stop();
     EXPECT_EQ(engine->solve_with_assumptions({}), SolveStatus::unsatisfiable)
         << (race ? "portfolio" : "solver");
+  }
+}
+
+TEST(SatEngine, BothEnginesLogIntoTheAttachedWriter) {
+  const Cnf cnf = gen::pigeonhole(5);
+  for (const bool race : {false, true}) {
+    const std::unique_ptr<SatEngine> engine = make_engine(race);
+    proof::MemoryProofWriter writer;
+    engine->set_proof(&writer);
+    engine->load(cnf);
+    ASSERT_EQ(engine->solve_with_assumptions({}), SolveStatus::unsatisfiable)
+        << (race ? "portfolio" : "solver");
+    ASSERT_TRUE(writer.proof().ends_with_empty())
+        << (race ? "portfolio" : "solver");
+    proof::DratChecker checker(cnf);
+    const proof::CheckResult result = checker.check(writer.proof());
+    EXPECT_TRUE(result.valid) << (race ? "portfolio: " : "solver: ")
+                              << result.error;
   }
 }
 
