@@ -25,7 +25,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -45,6 +44,7 @@
 #include "robustness_flags.h"
 #include "service/solver_service.h"
 #include "telemetry/telemetry.h"
+#include "telemetry/trace.h"
 #include "util/cli.h"
 #include "util/memory_budget.h"
 
@@ -63,40 +63,11 @@ struct ManifestEntry {
   icnf::Script script;
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string result_json(const service::JobResult& result, int model_valid) {
   std::ostringstream out;
-  out << "{\"id\":" << result.id << ",\"name\":\"" << json_escape(result.name)
-      << "\",\"status\":\"" << to_string(result.status) << "\",\"outcome\":\""
+  out << "{\"id\":" << result.id << ",\"name\":\"";
+  telemetry::write_json_escaped(out, result.name);
+  out << "\",\"status\":\"" << to_string(result.status) << "\",\"outcome\":\""
       << to_string(result.outcome) << "\",\"slices\":" << result.slices
       << ",\"preemptions\":" << result.preemptions
       << ",\"conflicts\":" << result.conflicts
@@ -127,7 +98,9 @@ std::string result_json(const service::JobResult& result, int model_valid) {
     out << "]";
   }
   if (!result.error.empty()) {
-    out << ",\"error\":\"" << json_escape(result.error) << "\"";
+    out << ",\"error\":\"";
+    telemetry::write_json_escaped(out, result.error);
+    out << "\"";
   }
   out << "}";
   return out.str();
@@ -271,9 +244,11 @@ int main(int argc, char** argv) {
                   {.min = 1, .max = kMaxThreads});
   args.add_option("max-pending", "1024", "bounded admission queue size",
                   {.min = 1});
-  args.add_option("watchdog-ms", "0.0", "per-slice wall-clock watchdog: a "
-                  "slice running longer than this is preempted and "
-                  "rescheduled (0 = off)", {.min = 0});
+  args.add_option("watchdog-ms", "0.0", "per-slice wall-clock limit, "
+                  "measured from the slice's dispatch (engine load and "
+                  "stalls count) and enforced at the solver's clock check: "
+                  "the slice is preempted with its search state kept and "
+                  "rescheduled (0 = off, else at least 1 ms)", {.min = 0});
   args.add_option("slice-retries", "2", "times a job whose slice died (a "
                   "crashed engine or injected fault) is retried on a fresh "
                   "engine before reporting an error",
@@ -483,8 +458,9 @@ int main(int argc, char** argv) {
     if (!solving.submit(std::move(request))) {
       std::lock_guard<std::mutex> lock(output_mutex);
       submit_refused = true;
-      std::cout << "{\"name\":\"" << json_escape(entry->name)
-                << "\",\"status\":\"unknown\",\"outcome\":\"refused\","
+      std::cout << "{\"name\":\"";
+      telemetry::write_json_escaped(std::cout, entry->name);
+      std::cout << "\",\"status\":\"unknown\",\"outcome\":\"refused\","
                 << "\"error\":\"service refused the job (shutdown?)\"}\n"
                 << std::flush;
       std::cerr << "error: service refused job '" << entry->name << "'\n";
@@ -514,8 +490,9 @@ int main(int argc, char** argv) {
       const auto sid = solving.open_session(sreq);
       if (!sid.has_value()) {
         std::lock_guard<std::mutex> lock(output_mutex);
-        std::cout << "{\"name\":\"" << json_escape(entry->name)
-                  << "\",\"status\":\"unknown\",\"outcome\":\"refused\","
+        std::cout << "{\"name\":\"";
+        telemetry::write_json_escaped(std::cout, entry->name);
+        std::cout << "\",\"status\":\"unknown\",\"outcome\":\"refused\","
                   << "\"error\":\"service refused the session (shutdown?)\"}\n"
                   << std::flush;
         std::cerr << "error: " << entry->name << ": session refused\n";

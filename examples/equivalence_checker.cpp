@@ -65,9 +65,15 @@ int main(int argc, char** argv) {
   args.add_option("gates", "80", "random circuit size",
                   {.min = 1, .max = kMaxInt});
   args.add_option("seed", "1", "generator seed");
+  args.add_flag("help", "show this help");
   if (!args.parse()) {
     std::cerr << "error: " << args.error() << "\n";
     return 1;
+  }
+  if (args.has_flag("help")) {
+    std::cout << args.help(
+        "equivalence_checker — combinational equivalence checking by SAT");
+    return 0;
   }
   const int width = static_cast<int>(args.get_int("width"));
   const int gates = static_cast<int>(args.get_int("gates"));

@@ -18,9 +18,14 @@ int main(int argc, char** argv) {
   args.add_option("moves", "-1", "plan horizon (-1 = optimal 2^n - 1)",
                   {.min = -1, .max = kMaxInt});
   args.add_option("preset", "berkmin", "solver preset: " + preset_list());
+  args.add_flag("help", "show this help");
   if (!args.parse()) {
     std::cerr << "error: " << args.error() << "\n";
     return 1;
+  }
+  if (args.has_flag("help")) {
+    std::cout << args.help("hanoi_planner — Towers of Hanoi planning by SAT");
+    return 0;
   }
   const std::optional<SolverOptions> preset =
       preset_by_name(args.get_string("preset"));

@@ -25,6 +25,7 @@
 #include "gen/safety.h"
 #include "portfolio/portfolio.h"
 #include "service/solver_service.h"
+#include "telemetry/trace.h"
 #include "util/cli.h"
 #include "util/timer.h"
 
@@ -106,7 +107,13 @@ void print_json(const std::string& engine, const EngineResult& result,
             << ",\"pushes\":" << result.stats.pushes
             << ",\"pops\":" << result.stats.pops
             << ",\"obligations\":" << result.stats.obligations
-            << ",\"seconds\":" << seconds << "}\n";
+            << ",\"seconds\":" << seconds;
+  if (!result.error.empty()) {
+    std::cout << ",\"error\":\"";
+    telemetry::write_json_escaped(std::cout, result.error);
+    std::cout << "\"";
+  }
+  std::cout << "}\n";
 }
 
 // A verdict is acceptable when it is conclusive and its evidence checks
@@ -142,11 +149,16 @@ int main(int argc, char** argv) {
                   "or in the --service session",
                   {.min = 1, .max = kMaxThreads});
   args.add_flag("json", "emit one JSON object per engine run");
+  args.add_flag("help", "show this help");
+  const char* const description =
+      "model_checker — BMC / IC3 over generated safety properties";
   if (!args.parse()) {
-    std::cerr << "error: " << args.error() << "\n"
-              << args.help("model_checker — BMC / IC3 over generated "
-                           "safety properties");
+    std::cerr << "error: " << args.error() << "\n" << args.help(description);
     return 1;
+  }
+  if (args.has_flag("help")) {
+    std::cout << args.help(description);
+    return 0;
   }
 
   const std::string engine = args.get_string("engine");

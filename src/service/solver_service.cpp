@@ -1,7 +1,6 @@
 #include "service/solver_service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -20,6 +19,10 @@ namespace {
 // slices — so low-priority or long jobs cannot be starved forever.
 constexpr double kPriorityWeight = 4.0;
 constexpr double kAgingRate = 0.125;
+// Floor of a nonzero ServiceOptions::watchdog_seconds. A limit shorter than
+// the few microseconds between a dispatch and its solve would preempt every
+// slice before it solves, so no job could ever finish.
+constexpr double kMinWatchdog = 1e-3;
 
 }  // namespace
 
@@ -60,6 +63,9 @@ const char* to_string(JobOutcome outcome) {
 SolverService::SolverService(ServiceOptions options) : opts_(options) {
   if (opts_.num_workers < 1) opts_.num_workers = 1;
   if (opts_.max_pending < 1) opts_.max_pending = 1;
+  if (opts_.watchdog_seconds > 0.0) {
+    opts_.watchdog_seconds = std::max(opts_.watchdog_seconds, kMinWatchdog);
+  }
   if (opts_.telemetry != nullptr) {
     telemetry::MetricsRegistry& metrics = opts_.telemetry->metrics();
     control_ring_ = opts_.telemetry->trace().ring("svc-control");
@@ -76,9 +82,6 @@ SolverService::SolverService(ServiceOptions options) : opts_(options) {
   for (int i = 0; i < opts_.num_workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
   }
-  if (opts_.watchdog_seconds > 0.0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
-  }
 }
 
 double SolverService::now_seconds() const {
@@ -88,29 +91,6 @@ double SolverService::now_seconds() const {
     if (injector != nullptr) t += injector->plan().skew_seconds;
   }
   return t;
-}
-
-void SolverService::watchdog_loop() {
-  // Scan at a quarter of the limit (clamped to [1ms, 50ms]) so a stalled
-  // slice is caught promptly without the thread spinning.
-  const auto interval = std::chrono::milliseconds(std::clamp<long long>(
-      static_cast<long long>(opts_.watchdog_seconds * 250.0), 1, 50));
-  std::unique_lock<std::mutex> lk(lock_);
-  while (!watchdog_stop_) {
-    watchdog_cv_.wait_for(lk, interval, [&] { return watchdog_stop_; });
-    if (watchdog_stop_) return;
-    const double now = now_seconds();
-    for (auto& [id, job] : jobs_) {
-      if (job->finished || job->job_state != JobState::running) continue;
-      if (job->watchdog_fired) continue;  // already stopping
-      if (now - job->slice_start < opts_.watchdog_seconds) continue;
-      // Same stop plumbing as cancel(), but the slice is preempted, not
-      // failed: the worker un-latches the sticky stop and re-queues.
-      job->watchdog_fired = true;
-      ++stats_.watchdog_fires;
-      if (SatEngine* engine = job->active_engine()) engine->request_stop();
-    }
-  }
 }
 
 SolverService::~SolverService() { shutdown(Shutdown::cancel_pending); }
@@ -431,10 +411,8 @@ void SolverService::shutdown(Shutdown mode) {
       }
       ready_.clear();
     }
-    watchdog_stop_ = true;
     work_cv_.notify_all();
     space_cv_.notify_all();
-    watchdog_cv_.notify_all();
   }
   for (JobResult& result : notifications) deliver(std::move(result));
 
@@ -443,7 +421,6 @@ void SolverService::shutdown(Shutdown mode) {
   std::lock_guard<std::mutex> jg(join_lock_);
   if (joined_) return;
   for (std::thread& worker : workers_) worker.join();
-  if (watchdog_.joinable()) watchdog_.join();
   joined_ = true;
 }
 
@@ -590,7 +567,7 @@ bool SolverService::finish_if_preempted_terminal(
   return terminal;
 }
 
-Budget SolverService::slice_budget(const Job& job) const {
+std::optional<Budget> SolverService::slice_budget(const Job& job) const {
   const JobLimits& limits = job.request.limits;
   Budget budget;
   budget.max_conflicts = opts_.slice_conflicts;
@@ -602,11 +579,19 @@ Budget SolverService::slice_budget(const Job& job) const {
       budget.max_conflicts = remaining;
     }
   }
-  // Slices have no wall-clock cap of their own; a deadline clamps them, so
-  // a job never overshoots it by more than one search step's worth of
-  // clock checking.
+  // The slice's clock stops at the nearer of the job's deadline and the
+  // watchdog limit. The solver reads its clock once every 1024 search
+  // steps, so a slice overshoots either by at most that many steps.
+  const double now = now_seconds();
   if (job.deadline_point > 0.0) {
-    budget.max_seconds = std::max(job.deadline_point - now_seconds(), 1e-3);
+    budget.max_seconds = std::max(job.deadline_point - now, 1e-3);
+  }
+  if (opts_.watchdog_seconds > 0.0) {
+    const double left = job.slice_start + opts_.watchdog_seconds - now;
+    if (left <= 0.0) return std::nullopt;
+    if (budget.max_seconds == 0.0 || left < budget.max_seconds) {
+      budget.max_seconds = left;
+    }
   }
   return budget;
 }
@@ -676,24 +661,30 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
   }
   SatEngine& engine = *job->active_engine();
 
-  const Budget budget = slice_budget(*job);
-
   // A cancel() arriving from here on finds the published engine pointer
   // and stops the solve mid-slice; the sticky flag means even a request
   // that lands before solve() starts is honored.
   WallTimer slice_timer;
   SolveStatus status = SolveStatus::unknown;
+  SliceStats slice;  // stays zero when the slice never solves
   std::string slice_error;
   try {
     BERKMIN_FAULT_STALL(util::FaultSite::worker_stall);
     if (BERKMIN_FAULT_POINT(util::FaultSite::slice_death)) {
       throw std::runtime_error("injected service slice death");
     }
-    // The sink is this worker's; detach before the job can migrate to
-    // another worker after a preemption.
-    engine.set_telemetry(sink);
-    status = engine.solve_with_assumptions(job->request.assumptions, budget);
-    engine.set_telemetry(nullptr);
+    // Taken after the engine build and any stall, which both count against
+    // the watchdog limit; a slice with none of it left is preempted here.
+    const std::optional<Budget> budget = slice_budget(*job);
+    if (budget.has_value()) {
+      // The sink is this worker's; detach before the job can migrate to
+      // another worker after a preemption.
+      engine.set_telemetry(sink);
+      status = engine.solve_with_assumptions(job->request.assumptions, *budget);
+      engine.set_telemetry(nullptr);
+      // Copied: finishing the job releases its engine.
+      slice = engine.last_slice();
+    }
   } catch (const std::exception& ex) {
     slice_error = ex.what();
   }
@@ -724,7 +715,6 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       } else {
         job->engine.reset();
         job->proof_writer.reset();
-        job->watchdog_fired = false;
         if (job->cancel_requested) {
           notify = finish_locked(job, JobOutcome::cancelled);
         } else if (job->fault_retries < opts_.max_slice_retries) {
@@ -791,8 +781,6 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     }
   }
 
-  // Copied: finishing the job releases its engine.
-  const SliceStats slice = engine.last_slice();
   JobResult notify;
   bool terminal = false;
   {
@@ -830,11 +818,11 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       terminal = true;
     } else {
       // Budget slice expired with the query still open: back into the run
-      // queue with all engine state intact. A watchdog-stopped slice lands
-      // here too — un-latch the sticky stop so the next slice runs.
-      if (job->watchdog_fired) {
-        job->watchdog_fired = false;
-        engine.clear_stop();
+      // queue with all engine state intact. A slice whose watchdog limit ran
+      // out ended on the resumable wall-clock stop, or before it solved.
+      if (opts_.watchdog_seconds > 0.0 &&
+          now_seconds() >= job->slice_start + opts_.watchdog_seconds) {
+        ++stats_.watchdog_fires;
       }
       job->job_state = JobState::preempted;
       ++job->result.preemptions;

@@ -66,12 +66,15 @@ struct ServiceOptions {
   // attaches each worker's sink to the engine it is slicing. The hub must
   // outlive the service.
   telemetry::Telemetry* telemetry = nullptr;
-  // Per-slice wall-clock watchdog (0 = off). A dedicated thread scans
-  // running jobs; a slice older than this is stopped through the engine's
-  // request_stop (it terminates at the solver's next search step) and the
-  // job is preempted back into the run queue — so a wedged or stalled
-  // slice can never hold a worker thread hostage. Fires are counted in
-  // ServiceStats::watchdog_fires; the job itself is not failed.
+  // Per-slice wall-clock limit (0 = off; a nonzero limit is raised to at
+  // least 1 ms), measured from the slice's dispatch, so an engine build or
+  // a stall before the solve counts against it. What is left of it caps
+  // the slice budget's max_seconds, like the deadline, and the solver stops
+  // at its next clock check; a slice with nothing left is preempted before
+  // it solves. Either way the job is preempted back into the run queue
+  // with its search state kept (the stop is the resumable wall-clock one),
+  // so a stalled slice cannot hold a worker for long. Such preemptions are
+  // counted in ServiceStats::watchdog_fires; the job itself is not failed.
   double watchdog_seconds = 0.0;
   // Bounded retry for slices that die with an exception (a real bad_alloc
   // or an injected fault): the job's engine is discarded — mid-search
@@ -105,8 +108,8 @@ struct ServiceOptions {
 //    closed session's solver and checker storage, session_solve() queries
 //    and clauses added through session_add_clause / session_add_clause_to;
 //  * robustness (ServiceOptions watchdog / retries / budget): slices
-//    stopped by the watchdog, slices that threw, dead slices re-queued for
-//    retry, and admissions refused under memory pressure.
+//    preempted by the watchdog limit, slices that threw, dead slices
+//    re-queued for retry, and admissions refused under memory pressure.
 #define BERKMIN_SERVICE_COUNTERS(X)                                        \
   X(submitted, jobs_submitted) X(rejected, jobs_rejected)                  \
   X(completed, jobs_completed) X(budget_exhausted, jobs_budget_exhausted)  \
@@ -290,11 +293,9 @@ class SolverService {
     std::uint64_t ready_since = 0;  // dispatch tick of the last enqueue
     double submit_time = 0.0;
     double first_slice_time = -1.0;
-    // Robustness: when the running slice started (watchdog), whether the
-    // watchdog stopped it (the slice un-latches the engine's sticky stop
-    // before re-queueing), and how many dead slices have been retried.
+    // Robustness: when the running slice was dispatched (the watchdog limit
+    // runs from here) and how many dead slices have been retried.
     double slice_start = 0.0;
-    bool watchdog_fired = false;
     int fault_retries = 0;
 
     // Session solve: the engine lives in the session, not the job, and
@@ -320,9 +321,6 @@ class SolverService {
   };
 
   void worker_loop(int index);
-  // Watchdog thread body (started when opts_.watchdog_seconds > 0): scans
-  // running jobs and stops slices past the limit. See ServiceOptions.
-  void watchdog_loop();
   // The service clock, with injected clock-skew faults applied (the skew
   // only jumps forward; every consumer clamps derived durations at zero,
   // so a skewed read degrades into early deadline/watchdog expiry — a
@@ -367,10 +365,11 @@ class SolverService {
   // Slice protocol helpers: the pre-flight (finish a cancelled or
   // already-past-deadline job without spending a slice on it — returns
   // true when the job went terminal) and the slice budget (service-wide
-  // slice size clamped by what remains of the job's conflict budget and
-  // deadline). Called without the lock held.
+  // slice size clamped by what remains of the job's conflict budget,
+  // deadline and watchdog limit; nullopt when nothing remains of the
+  // watchdog limit). Called without the lock held.
   bool finish_if_preempted_terminal(const std::shared_ptr<Job>& job);
-  Budget slice_budget(const Job& job) const;
+  std::optional<Budget> slice_budget(const Job& job) const;
   // Picks the runnable job with the best (lowest) schedule key, or null.
   std::shared_ptr<Job> pop_ready_locked();
   double schedule_key_locked(const Job& job) const;
@@ -430,12 +429,6 @@ class SolverService {
   // Never filled under a memory budget, whose charges follow live engines.
   Spare spare_;
   ServiceStats stats_;
-
-  // Watchdog thread (opts_.watchdog_seconds > 0). watchdog_stop_ is
-  // guarded by lock_; the cv is notified by shutdown().
-  std::condition_variable watchdog_cv_;
-  bool watchdog_stop_ = false;
-  std::thread watchdog_;
 
   // Serializes the join phase of shutdown() so concurrent shutdown calls
   // (including the destructor) are safe. Never taken while holding lock_.

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "telemetry/trace.h"
+
 namespace berkmin::telemetry {
 
 Counter* MetricsRegistry::counter(const std::string& name) {
@@ -46,16 +48,7 @@ namespace {
 
 void append_json_string(std::ostringstream& out, const std::string& s) {
   out << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-          << "0123456789abcdef"[c & 0xf];
-    } else {
-      out << c;
-    }
-  }
+  write_json_escaped(out, s);
   out << '"';
 }
 

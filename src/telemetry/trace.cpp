@@ -146,9 +146,7 @@ std::vector<std::string> TraceCollector::ring_names() const {
   return names_;
 }
 
-namespace {
-
-void write_json_escaped(std::ostream& out, const std::string& s) {
+void write_json_escaped(std::ostream& out, std::string_view s) {
   for (char c : s) {
     if (c == '"' || c == '\\') {
       out << '\\' << c;
@@ -160,6 +158,8 @@ void write_json_escaped(std::ostream& out, const std::string& s) {
     }
   }
 }
+
+namespace {
 
 std::string ring_label(const std::vector<std::string>& names, std::uint32_t id) {
   if (id < names.size()) return names[id];

@@ -20,6 +20,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace berkmin::telemetry {
@@ -117,6 +118,11 @@ class TraceCollector {
   std::vector<std::unique_ptr<TraceRing>> rings_;
   std::vector<std::string> names_;
 };
+
+// Writes `s` as the body of a JSON string: quotes and backslashes are
+// escaped, control characters written as \u00XX. Every JSON writer of the
+// project escapes its strings here.
+void write_json_escaped(std::ostream& out, std::string_view s);
 
 // One JSON object per line:
 //   {"ts_ns":..,"dur_ns":..,"ring":"..","kind":"..","args":{..}}

@@ -2,14 +2,16 @@
 # Every numeric flag is registered with an inclusive range, and a value
 # outside it exits 1 with an error naming the flag, before anything runs:
 # no negative bound or budget read as a huge one, no thread count below 1
-# or above the stated maximum, no fault rate outside [0, 1].
+# or above the stated maximum, no fault rate outside [0, 1]. And every CLI
+# answers --help with exit 0.
 #
 # The upper bounds on --threads and --pool are probed together with an
 # argument that ends the run before any solving (--help, or an unknown
 # --engine), so no build of these CLIs can start that many threads here.
 #
 #   tests/cli/flag_range_test.sh <model_checker> <dimacs_solver> \
-#       <class_runner> <bench driver> <hanoi_planner> <equivalence_checker>
+#       <class_runner> <bench driver> <hanoi_planner> <equivalence_checker> \
+#       <batch_solver> <drat_check> <telemetry_dump>
 set -u
 
 CHECKER=$1
@@ -18,6 +20,9 @@ CLASS_RUNNER=$3
 BENCH=$4
 HANOI=$5
 EQUIV=$6
+BATCH=$7
+DRAT_CHECK=$8
+TELEMETRY_DUMP=$9
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -123,7 +128,18 @@ expect_spec_refused "1 <holes>" hole:4294967299
 expect_spec_refused "4 " rand3:50:213:1:junk
 expect_spec_refused "1 <disks>" hanoi:31
 
+for cli in "$CHECKER" "$SOLVER" "$CLASS_RUNNER" "$BENCH" "$HANOI" "$EQUIV" \
+    "$BATCH" "$DRAT_CHECK" "$TELEMETRY_DUMP"; do
+  timeout 60 "$cli" --help >"$tmp/out.txt" 2>&1
+  got=$?
+  if [ "$got" -ne 0 ]; then
+    echo "FAIL: $cli --help: expected exit 0, got $got"
+    tail -5 "$tmp/out.txt"
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "out-of-range flag values refused"
+  echo "out-of-range flag values refused; --help exits 0"
 fi
 exit "$fail"

@@ -2,6 +2,8 @@
 // instead of dying, service watchdogs preempting stuck slices, pressure
 // refusing admission, slice-death retries with bounded give-up, and
 // session poisoning after an engine dies mid-solve.
+#include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -12,6 +14,7 @@
 #include "reference/brute_force.h"
 #include "reference/dpll.h"
 #include "service/solver_service.h"
+#include "telemetry/telemetry.h"
 #include "util/fault.h"
 #include "util/memory_budget.h"
 
@@ -162,6 +165,111 @@ TEST(ServiceGovernor, WatchdogPreemptsStalledSlice) {
   const service::JobResult result = service.wait(*id);
   EXPECT_EQ(result.outcome, service::JobOutcome::completed) << result.error;
   EXPECT_GE(service.stats().watchdog_fires, 1u);
+  service.shutdown(service::SolverService::Shutdown::drain);
+}
+
+TEST(ServiceGovernor, WatchdogFiresOnlyWhenItPreempts) {
+  // 20,000 clauses of 50 positive literals over 1,000 variables take tens
+  // of milliseconds to load. The first slice's load outlasts the 5ms
+  // limit, so that slice is preempted before it solves, and later slices
+  // solve on the loaded engine. Every fire counted must be a slice that
+  // was preempted.
+  Cnf cnf(1000);
+  std::vector<Lit> clause;
+  for (int i = 0; i < 20000; ++i) {
+    clause.clear();
+    for (int j = 0; j < 50; ++j) {
+      clause.push_back(Lit::positive(static_cast<Var>((i * 7 + j * 13) % 1000)));
+    }
+    cnf.add_clause(clause);
+  }
+
+  service::ServiceOptions sopts;
+  sopts.num_workers = 1;
+  sopts.watchdog_seconds = 0.005;
+  service::SolverService service(sopts);
+  service::JobRequest request;
+  request.cnf = std::move(cnf);
+  const auto id = service.submit(std::move(request));
+  ASSERT_TRUE(id.has_value());
+  const service::JobResult result = service.wait(*id);
+  EXPECT_EQ(result.outcome, service::JobOutcome::completed) << result.error;
+  EXPECT_EQ(result.status, SolveStatus::satisfiable);
+  const service::ServiceStats stats = service.stats();
+  EXPECT_GE(stats.watchdog_fires, 1u);
+  EXPECT_EQ(stats.watchdog_fires, result.preemptions);
+  EXPECT_EQ(result.slices, result.preemptions + 1);
+  service.shutdown(service::SolverService::Shutdown::drain);
+}
+
+TEST(ServiceGovernor, WatchdogPreemptionKeepsRestartPacing) {
+  // A watchdog-stopped slice ends on the resumable wall-clock stop, so the
+  // next slice continues the restart countdown. hole(10) restarts every
+  // 550 conflicts; chopped into 1ms slices of fewer conflicts than that,
+  // the job must still restart exactly as often as an unpreempted run of
+  // the same conflict budget. A slice that reset the countdown would never
+  // reach it.
+  constexpr std::uint64_t kBudget = 3000;
+  const auto restarts = [&](double watchdog_seconds,
+                            service::JobResult* result) {
+    telemetry::Telemetry hub;
+    service::ServiceOptions sopts;
+    sopts.num_workers = 1;
+    sopts.slice_conflicts = 0;
+    sopts.watchdog_seconds = watchdog_seconds;
+    sopts.telemetry = &hub;
+    service::SolverService service(sopts);
+    service::JobRequest request;
+    request.cnf = gen::pigeonhole(10);
+    request.limits.max_conflicts = kBudget;
+    *result = service.wait(*service.submit(std::move(request)));
+    EXPECT_EQ(service.stats().watchdog_fires, result->preemptions);
+    return service.metrics_snapshot().counters.at("solver.restarts");
+  };
+  service::JobResult whole;
+  service::JobResult sliced;
+  const std::uint64_t whole_restarts = restarts(0.0, &whole);
+  const std::uint64_t sliced_restarts = restarts(0.001, &sliced);
+  ASSERT_EQ(whole.outcome, service::JobOutcome::budget_exhausted);
+  ASSERT_EQ(sliced.outcome, service::JobOutcome::budget_exhausted);
+  EXPECT_EQ(whole.preemptions, 0u);
+  EXPECT_GE(sliced.preemptions, 2u);
+  EXPECT_EQ(sliced.conflicts, kBudget);
+  EXPECT_GE(whole_restarts, 5u);
+  EXPECT_EQ(sliced_restarts, whole_restarts);
+}
+
+TEST(ServiceGovernor, WatchdogBelowAMillisecondStillFinishes) {
+  // Nothing is left of a 1ns limit by the time a dispatched slice could
+  // solve, so every slice would be preempted before solving; the service
+  // raises the limit to 1ms and the job finishes.
+  service::ServiceOptions sopts;
+  sopts.num_workers = 1;
+  sopts.slice_conflicts = 0;
+  sopts.watchdog_seconds = 1e-9;
+  service::SolverService service(sopts);
+  service::JobRequest request;
+  request.cnf = gen::pigeonhole(7);
+  const service::JobResult result =
+      service.wait(*service.submit(std::move(request)));
+  EXPECT_EQ(result.outcome, service::JobOutcome::completed) << result.error;
+  EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
+  service.shutdown(service::SolverService::Shutdown::drain);
+}
+
+TEST(ServiceGovernor, WatchdogStartsNoThreadOfItsOwn) {
+  const std::filesystem::path tasks = "/proc/self/task";
+  if (!std::filesystem::exists(tasks)) GTEST_SKIP() << "no " << tasks;
+  const auto threads = [&] {
+    const std::filesystem::directory_iterator entries(tasks);
+    return std::distance(begin(entries), end(entries));
+  };
+  const auto before = threads();
+  service::ServiceOptions sopts;
+  sopts.num_workers = 2;
+  sopts.watchdog_seconds = 0.05;
+  service::SolverService service(sopts);
+  EXPECT_EQ(threads() - before, 2);
   service.shutdown(service::SolverService::Shutdown::drain);
 }
 

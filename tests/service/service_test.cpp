@@ -296,8 +296,13 @@ TEST(Service, HigherPriorityRunsFirst) {
     completion_order.push_back(result.id);
   });
 
-  // The blocker owns the only worker while both competitors queue up.
+  // The blocker owns the only worker while both competitors queue up: wait
+  // until the worker has picked it up, or it would run the high-priority
+  // job first.
   const JobId blocker = *solving.submit(request_for(gen::pigeonhole(10)));
+  while (solving.state(blocker) != JobState::running) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   JobRequest low = request_for(gen::pigeonhole(5));
   low.limits.priority = 0;
   const JobId low_id = *solving.submit(std::move(low));
