@@ -129,10 +129,13 @@ class SolverBackend final : public EngineBackend {
 // ---- service session --------------------------------------------------
 
 // Owns one incremental session inside a SolverService; each solve()
-// submits a session job and blocks on its result. The service (and its
-// worker pool) is shared with whatever else the caller runs on it. A
-// session job is limited by conflicts and seconds only, so solve() refuses
-// a budget on decisions or propagations (unknown, last_error() set).
+// submits a session job and waits for its result, which (when the job is
+// the scheduler's pick and a slice slot is free) runs the job's slices on
+// the calling thread, so an uncontended query costs no worker hand-off.
+// The service (and its slots) is shared with whatever else the caller runs
+// on it. A session job is limited by conflicts and seconds only, so
+// solve() refuses a budget on decisions or propagations (unknown,
+// last_error() set).
 class SessionBackend final : public EngineBackend {
  public:
   // Fails (last_error set, alive() false) when the service refuses the

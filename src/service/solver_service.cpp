@@ -77,10 +77,17 @@ SolverService::SolverService(ServiceOptions options) : opts_(options) {
     wait_high_ = metrics.histogram("service.job_wait_ns.high");
     pending_gauge_ = metrics.gauge("service.pending_jobs");
     sessions_gauge_ = metrics.gauge("service.open_sessions");
+    for (int i = 0; i < opts_.num_workers; ++i) {
+      slot_sinks_.emplace_back(*opts_.telemetry,
+                               opts_.telemetry->trace().ring(
+                                   "svc-worker-" + std::to_string(i)));
+    }
   }
+  // Slot 0 is handed out first.
+  for (int i = opts_.num_workers - 1; i >= 0; --i) free_slots_.push_back(i);
   workers_.reserve(static_cast<std::size_t>(opts_.num_workers));
   for (int i = 0; i < opts_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -148,7 +155,8 @@ std::optional<JobId> SolverService::admit_locked(
     pending_gauge_->set(static_cast<std::int64_t>(pending_));
   }
   enqueue_ready_locked(job);
-  work_cv_.notify_one();
+  // With every slot taken, the slice that frees one wakes a worker.
+  if (!free_slots_.empty()) work_cv_.notify_one();
   return job->id;
 }
 
@@ -231,14 +239,15 @@ std::optional<GroupId> SolverService::mutate_session(SessionId id,
                                                     GroupId group,
                                                     std::span<const Lit> lits,
                                                     bool active) {
-  std::shared_ptr<Session> session;
+  const bool adds = kind == Mutation::add || kind == Mutation::add_to;
+  Session* session = nullptr;
   {
     std::lock_guard<std::mutex> lk(lock_);
     const auto it = sessions_.find(id);
     if (it == sessions_.end() || it->second->closed || it->second->busy) {
       return std::nullopt;
     }
-    session = it->second;
+    session = it->second.get();
     // An idle session's engine is reached by no one else, so it can be
     // asked under the lock.
     if (group == innermost) group = session->engine->innermost_group();
@@ -247,6 +256,7 @@ std::optional<GroupId> SolverService::mutate_session(SessionId id,
       return std::nullopt;
     }
     session->busy = true;  // exclude solves while mutating outside the lock
+    if (adds) ++stats_.session_clauses_added;
   }
   // An add's false return is root-level UNSAT: an answer, not a refusal.
   proof::LiveCertifier& certifier = session->certifier;
@@ -267,19 +277,20 @@ std::optional<GroupId> SolverService::mutate_session(SessionId id,
       (void)certifier.set_group_active(group, active);
       break;
   }
-  std::lock_guard<std::mutex> lk(lock_);
-  session->busy = false;
   // A push returns no_group when the engine refuses groups (a proof-logging
   // portfolio; service sessions never build one, but honor the contract).
-  if (kind == Mutation::push && group == no_group) return std::nullopt;
-  if (kind == Mutation::add || kind == Mutation::add_to) {
-    ++stats_.session_clauses_added;
-  } else if (kind != Mutation::set_active) {
+  const bool refused = kind == Mutation::push && group == no_group;
+  if (adds || kind == Mutation::set_active || refused) {
+    session->busy.store(false, std::memory_order_release);
+  } else {
+    std::lock_guard<std::mutex> lk(lock_);
     emit_control_locked(kind == Mutation::push
                             ? telemetry::EventKind::session_push
                             : telemetry::EventKind::session_pop,
                         session->id, session->engine->num_groups());
+    session->busy = false;
   }
+  if (refused) return std::nullopt;
   return group;
 }
 
@@ -372,7 +383,7 @@ std::size_t SolverService::open_sessions() const {
 }
 
 bool SolverService::cancel(JobId id) {
-  JobResult notify;
+  Finished notify;
   {
     std::lock_guard<std::mutex> lk(lock_);
     const auto it = jobs_.find(id);
@@ -380,8 +391,8 @@ bool SolverService::cancel(JobId id) {
     const std::shared_ptr<Job>& job = it->second;
     job->cancel_requested = true;
     if (job->job_state == JobState::running) {
-      // The worker owns the job: stop its engine mid-slice and let the
-      // worker classify the result (it re-checks cancel_requested under
+      // The slice's runner owns the job: stop its engine mid-slice and let
+      // the runner classify the result (it re-checks cancel_requested under
       // this lock after the slice, so the request cannot be lost).
       if (SatEngine* engine = job->active_engine()) engine->request_stop();
       return true;
@@ -393,7 +404,7 @@ bool SolverService::cancel(JobId id) {
 }
 
 void SolverService::shutdown(Shutdown mode) {
-  std::vector<JobResult> notifications;
+  std::vector<Finished> notifications;
   Spare unused;  // no session opens any more; freed outside the lock
   {
     std::lock_guard<std::mutex> lk(lock_);
@@ -414,7 +425,7 @@ void SolverService::shutdown(Shutdown mode) {
     work_cv_.notify_all();
     space_cv_.notify_all();
   }
-  for (JobResult& result : notifications) deliver(std::move(result));
+  for (Finished& finished : notifications) deliver(std::move(finished));
 
   // Joining is serialized separately so concurrent shutdown calls (and the
   // destructor racing an explicit shutdown) are safe.
@@ -436,7 +447,36 @@ JobResult SolverService::wait(JobId id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) throw std::out_of_range("unknown job id");
   const std::shared_ptr<Job> job = it->second;
-  done_cv_.wait(lk, [&] { return job->finished; });
+  // The caller runs its job's slices itself while the job is the
+  // scheduler's pick and it holds a slot: one freed for it, or the one its
+  // previous slice ran in, kept while the preempted job is picked again.
+  // Otherwise it parks until a slot frees or a job finishes.
+  int slot = -1;
+  while (!job->finished) {
+    if ((slot >= 0 || !free_slots_.empty()) && pick_ready_locked() == job) {
+      if (slot < 0) {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+      }
+      dispatch_locked(job);
+      lk.unlock();
+      try {
+        run_slice(job, slot_sink(slot), true);
+      } catch (...) {  // a throwing completion callback
+        lk.lock();
+        release_slot_locked(slot);
+        throw;
+      }
+      lk.lock();
+      continue;
+    }
+    if (slot >= 0) {
+      release_slot_locked(slot);
+      slot = -1;
+    }
+    done_cv_.wait(lk);
+  }
+  if (slot >= 0) release_slot_locked(slot);
   if (job->result.session == invalid_session) return job->result;
   jobs_.erase(id);  // a session answer is collected once
   return std::move(job->result);
@@ -479,20 +519,19 @@ double SolverService::schedule_key_locked(const Job& job) const {
          age;
 }
 
-std::shared_ptr<SolverService::Job> SolverService::pop_ready_locked() {
+std::shared_ptr<SolverService::Job> SolverService::pick_ready_locked() {
   // Linear scan: the ready queue is bounded by max_pending and a dispatch
-  // happens once per multi-thousand-conflict slice, so O(n) selection is
-  // noise. Stale ids (jobs cancelled while queued) are compacted away.
+  // happens once per slice, so O(n) selection is noise. Stale ids (jobs
+  // cancelled while queued) are compacted away in place.
   std::shared_ptr<Job> best;
   double best_key = 0.0;
-  std::vector<JobId> runnable;
-  runnable.reserve(ready_.size());
+  std::size_t kept = 0;
   for (const JobId id : ready_) {
     const auto it = jobs_.find(id);
     if (it == jobs_.end()) continue;
     const std::shared_ptr<Job>& job = it->second;
     if (job->finished || job->job_state == JobState::running) continue;
-    runnable.push_back(id);
+    ready_[kept++] = id;
     const double key = schedule_key_locked(*job);
     if (best == nullptr || key < best_key ||
         (key == best_key && id < best->id)) {
@@ -500,57 +539,61 @@ std::shared_ptr<SolverService::Job> SolverService::pop_ready_locked() {
       best_key = key;
     }
   }
-  if (best != nullptr) {
-    runnable.erase(std::find(runnable.begin(), runnable.end(), best->id));
-  }
-  ready_ = std::move(runnable);
+  ready_.resize(kept);
   return best;
 }
 
-void SolverService::worker_loop(int index) {
-  // This worker's telemetry sink: a trace ring it alone writes to, plus
-  // the shared hub counters/phases. Attached to whichever engine the
-  // worker is slicing; engines detach before the job can migrate.
-  telemetry::SolverTelemetry sink_storage;
-  telemetry::SolverTelemetry* sink = nullptr;
-  if (opts_.telemetry != nullptr) {
-    sink_storage = telemetry::SolverTelemetry(
-        *opts_.telemetry, opts_.telemetry->trace().ring(
-                              "svc-worker-" + std::to_string(index)));
-    sink = &sink_storage;
-  }
-  for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lk(lock_);
-      work_cv_.wait(lk, [&] { return !ready_.empty() || !accepting_; });
-      job = pop_ready_locked();
-      if (job == nullptr) {
-        if (!accepting_ && ready_.empty()) return;
-        continue;
-      }
-      ++dispatch_tick_;
-      job->job_state = JobState::running;
-      job->slice_start = now_seconds();
-      if (job->first_slice_time < 0.0) {
-        job->first_slice_time = job->slice_start;
-        telemetry::Histogram* wait =
-            wait_histogram(job->request.limits.priority);
-        if (wait != nullptr) {
-          wait->record(static_cast<std::uint64_t>(
-              std::max(0.0, job->first_slice_time - job->submit_time) * 1e9));
-        }
-      }
-      emit_control_locked(telemetry::EventKind::job_dispatch, job->id,
-                          job->result.slices);
+void SolverService::dispatch_locked(const std::shared_ptr<Job>& job) {
+  ready_.erase(std::find(ready_.begin(), ready_.end(), job->id));
+  ++dispatch_tick_;
+  job->job_state = JobState::running;
+  job->slice_start = now_seconds();
+  if (job->first_slice_time < 0.0) {
+    job->first_slice_time = job->slice_start;
+    telemetry::Histogram* wait = wait_histogram(job->request.limits.priority);
+    if (wait != nullptr) {
+      wait->record(static_cast<std::uint64_t>(
+          std::max(0.0, job->first_slice_time - job->submit_time) * 1e9));
     }
-    run_slice(job, sink);
+  }
+  emit_control_locked(telemetry::EventKind::job_dispatch, job->id,
+                      job->result.slices);
+}
+
+void SolverService::release_slot_locked(int slot) {
+  free_slots_.push_back(slot);
+  if (ready_.empty()) return;
+  work_cv_.notify_one();
+  done_cv_.notify_all();  // a waiter's job may be the pick
+}
+
+telemetry::SolverTelemetry* SolverService::slot_sink(int slot) {
+  return slot_sinks_.empty() ? nullptr
+                             : &slot_sinks_[static_cast<std::size_t>(slot)];
+}
+
+void SolverService::worker_loop() {
+  std::unique_lock<std::mutex> lk(lock_);
+  for (;;) {
+    work_cv_.wait(lk, [&] {
+      return ready_.empty() ? !accepting_ : !free_slots_.empty();
+    });
+    if (ready_.empty()) return;  // shutting down with nothing left to run
+    const std::shared_ptr<Job> job = pick_ready_locked();
+    if (job == nullptr) continue;  // only stale ids were queued
+    const int slot = free_slots_.back();
+    free_slots_.pop_back();
+    dispatch_locked(job);
+    lk.unlock();
+    run_slice(job, slot_sink(slot), false);
+    lk.lock();
+    release_slot_locked(slot);
   }
 }
 
 bool SolverService::finish_if_preempted_terminal(
     const std::shared_ptr<Job>& job) {
-  JobResult notify;
+  Finished notify;
   bool terminal = false;
   {
     std::unique_lock<std::mutex> lk(lock_);
@@ -597,7 +640,8 @@ std::optional<Budget> SolverService::slice_budget(const Job& job) const {
 }
 
 void SolverService::run_slice(const std::shared_ptr<Job>& job,
-                              telemetry::SolverTelemetry* sink) {
+                              telemetry::SolverTelemetry* sink,
+                              bool on_waiter) {
   const JobLimits& limits = job->request.limits;
   const JobProofOptions& proof_opts = job->request.proof;
   Session* session = job->session.get();
@@ -610,7 +654,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
   // dead slice) answers every solve with a structured error instead of an
   // uncertified result.
   if (session != nullptr && !session->unsupported.empty()) {
-    JobResult notify;
+    Finished notify;
     {
       std::unique_lock<std::mutex> lk(lock_);
       job->result.error = session->unsupported;
@@ -638,7 +682,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       error = ex.what();
     }
 
-    JobResult notify;
+    Finished notify;
     bool terminal = false;
     {
       std::unique_lock<std::mutex> lk(lock_);
@@ -677,8 +721,8 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     // the watchdog limit; a slice with none of it left is preempted here.
     const std::optional<Budget> budget = slice_budget(*job);
     if (budget.has_value()) {
-      // The sink is this worker's; detach before the job can migrate to
-      // another worker after a preemption.
+      // The sink is this slot's; detach before the job can migrate to
+      // another slot after a preemption.
       engine.set_telemetry(sink);
       status = engine.solve_with_assumptions(job->request.assumptions, *budget);
       engine.set_telemetry(nullptr);
@@ -695,18 +739,14 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
   // number of times, then fails with a structured error. A session cannot
   // retry (rebuilding its engine would silently drop the pushed groups and
   // learned state): the query fails and the session is poisoned, so later
-  // solves answer unsupported with the same reason. Either way the worker
-  // thread survives and the queue keeps draining.
+  // solves answer unsupported with the same reason. Either way the thread
+  // running the slice survives and the queue keeps draining.
   if (!slice_error.empty()) {
-    JobResult notify;
-    bool terminal = true;
+    Finished notify;
     {
       std::unique_lock<std::mutex> lk(lock_);
-      ++stats_.slices;
+      count_slice_locked(*job, slice_seconds, on_waiter);
       ++stats_.slice_deaths;
-      ++job->result.slices;
-      job->result.solve_seconds += slice_seconds;
-      stats_.solve_seconds += slice_seconds;
       if (session != nullptr) {
         session->unsupported = "session engine died mid-solve: " +
                                slice_error + "; close and reopen the session";
@@ -728,8 +768,6 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
           emit_control_locked(telemetry::EventKind::job_preempted, job->id,
                               job->result.slices);
           enqueue_ready_locked(job);
-          work_cv_.notify_one();
-          terminal = false;
         } else {
           job->result.error = "slice died: " + slice_error +
                               " (gave up after " +
@@ -738,7 +776,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
         }
       }
     }
-    if (terminal) deliver(std::move(notify));
+    deliver(std::move(notify));
     return;
   }
 
@@ -781,14 +819,10 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     }
   }
 
-  JobResult notify;
-  bool terminal = false;
+  Finished notify;
   {
     std::unique_lock<std::mutex> lk(lock_);
-    ++stats_.slices;
-    stats_.solve_seconds += slice_seconds;
-    ++job->result.slices;
-    job->result.solve_seconds += slice_seconds;
+    count_slice_locked(*job, slice_seconds, on_waiter);
     job->result.conflicts += slice.conflicts;
     job->result.decisions += slice.decisions;
     job->result.propagations += slice.propagations;
@@ -804,18 +838,14 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
         job->result.unsat_core = std::move(unsat_core);
       }
       notify = finish_locked(job, JobOutcome::completed);
-      terminal = true;
     } else if (job->cancel_requested) {
       notify = finish_locked(job, JobOutcome::cancelled);
-      terminal = true;
     } else if (job->deadline_point > 0.0 &&
                now_seconds() >= job->deadline_point) {
       notify = finish_locked(job, JobOutcome::deadline_expired);
-      terminal = true;
     } else if (limits.max_conflicts != 0 &&
                job->result.conflicts >= limits.max_conflicts) {
       notify = finish_locked(job, JobOutcome::budget_exhausted);
-      terminal = true;
     } else {
       // Budget slice expired with the query still open: back into the run
       // queue with all engine state intact. A slice whose watchdog limit ran
@@ -830,15 +860,23 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       emit_control_locked(telemetry::EventKind::job_preempted, job->id,
                           job->result.slices);
       enqueue_ready_locked(job);
-      work_cv_.notify_one();
     }
   }
   note_slice(sink, *job, slice_seconds, slice.conflicts);
-  if (terminal) deliver(std::move(notify));
+  deliver(std::move(notify));
 }
 
-JobResult SolverService::finish_locked(const std::shared_ptr<Job>& job,
-                                       JobOutcome outcome) {
+void SolverService::count_slice_locked(Job& job, double slice_seconds,
+                                       bool on_waiter) {
+  ++stats_.slices;
+  if (on_waiter) ++stats_.waiter_slices;
+  stats_.solve_seconds += slice_seconds;
+  ++job.result.slices;
+  job.result.solve_seconds += slice_seconds;
+}
+
+SolverService::Finished SolverService::finish_locked(
+    const std::shared_ptr<Job>& job, JobOutcome outcome) {
   job->result.outcome = outcome;
   // Session jobs answer through the session's persistent engine.
   SatEngine* engine = job->active_engine();
@@ -882,8 +920,14 @@ JobResult SolverService::finish_locked(const std::shared_ptr<Job>& job,
     job->session->busy = false;
     job->session.reset();
   }
-  job->engine.reset();
-  job->proof_writer.reset();
+  // Nothing reads the formula after the last slice (a proof check and a
+  // dead slice's rebuild both come before this), so it goes with the
+  // engine, freed outside the lock.
+  Finished finished;
+  finished.cnf = std::move(job->request.cnf);
+  finished.assumptions = std::move(job->request.assumptions);
+  finished.engine = std::move(job->engine);
+  finished.proof_writer = std::move(job->proof_writer);
 
   switch (outcome) {
     case JobOutcome::completed:
@@ -911,16 +955,15 @@ JobResult SolverService::finish_locked(const std::shared_ptr<Job>& job,
   }
   space_cv_.notify_one();
   done_cv_.notify_all();
-  return job->result;
+  if (completion_) {
+    finished.callback = completion_;
+    finished.result = job->result;
+  }
+  return finished;
 }
 
-void SolverService::deliver(JobResult result) {
-  CompletionCallback callback;
-  {
-    std::lock_guard<std::mutex> lk(lock_);
-    callback = completion_;
-  }
-  if (callback) callback(result);
+void SolverService::deliver(Finished finished) {
+  if (finished.callback) finished.callback(finished.result);
 }
 
 // ---- telemetry ------------------------------------------------------------

@@ -1,13 +1,19 @@
 // SolverService: a multi-tenant, time-sliced SAT solving engine.
 //
-// Many formulas share one fixed pool of worker threads. Jobs enter a
-// bounded queue and are executed as Budget-bounded solve() slices
-// (slice_conflicts conflicts at a time), so a short job submitted behind a
-// hard one is never starved: after each slice the long job re-enters the
-// run queue — keeping its learned clauses, variable activities and saved
-// polarities, because the job's engine survives between slices and the
-// core's budgets are per-call — and the scheduler picks the next job by
-// consumed slices, explicit priority, and waiting-time aging.
+// Many formulas share a fixed number of slice slots. Jobs enter a bounded
+// queue and are executed as Budget-bounded solve() slices (slice_conflicts
+// conflicts at a time), so a short job submitted behind a hard one is never
+// starved: after each slice the long job re-enters the run queue — keeping
+// its learned clauses, variable activities and saved polarities, because
+// the job's engine survives between slices and the core's budgets are
+// per-call — and the scheduler picks the next job by consumed slices,
+// explicit priority, and waiting-time aging.
+//
+// A slice runs on one of the service's worker threads, or on the thread of
+// a caller blocked in wait() for that very job: when the job is the
+// scheduler's next pick and a slot is free, wait() runs the slice itself,
+// so a synchronous query (submit, then wait) costs no thread hand-off.
+// Either way at most num_workers slices run at once, in schedule order.
 //
 // Lifecycle: queued → running ⇄ preempted → done/cancelled. Individual
 // jobs can be cancelled mid-slice (the slice stops at the solver's next
@@ -23,6 +29,7 @@
 //   const JobResult result = service.wait(id);
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -51,6 +58,9 @@ class MemoryBudget;
 namespace berkmin::service {
 
 struct ServiceOptions {
+  // Slice slots: at most this many slices run at once. Each slot has a
+  // worker thread, and a caller waiting on its own job may fill a free slot
+  // in the worker's place (see wait()).
   int num_workers = 4;
   // Bounded admission: the number of unfinished jobs (queued + running +
   // preempted) the service holds at once. submit() blocks while full;
@@ -61,10 +71,10 @@ struct ServiceOptions {
   // Observability (src/telemetry): when set, the service registers latency
   // histograms ("service.slice_latency_ns", "service.job_wait_ns.<class>",
   // "service.session_solve_latency_ns") and live gauges on the hub, gives
-  // every worker a trace ring ("svc-worker-<i>") plus a scheduler-owned
+  // every slice slot a trace ring ("svc-worker-<i>") plus a scheduler-owned
   // control ring ("svc-control") for job/session lifecycle events, and
-  // attaches each worker's sink to the engine it is slicing. The hub must
-  // outlive the service.
+  // attaches the slot's sink to the engine it is slicing, whichever thread
+  // runs the slice. The hub must outlive the service.
   telemetry::Telemetry* telemetry = nullptr;
   // Per-slice wall-clock limit (0 = off; a nonzero limit is raised to at
   // least 1 ms), measured from the slice's dispatch, so an engine build or
@@ -73,7 +83,7 @@ struct ServiceOptions {
   // at its next clock check; a slice with nothing left is preempted before
   // it solves. Either way the job is preempted back into the run queue
   // with its search state kept (the stop is the resumable wall-clock one),
-  // so a stalled slice cannot hold a worker for long. Such preemptions are
+  // so a stalled slice cannot hold a slot for long. Such preemptions are
   // counted in ServiceStats::watchdog_fires; the job itself is not failed.
   double watchdog_seconds = 0.0;
   // Bounded retry for slices that die with an exception (a real bad_alloc
@@ -102,8 +112,9 @@ struct ServiceOptions {
 //    shutdown), and finished jobs by outcome — definitive SAT/UNSAT, a
 //    per-job conflict budget ran out, deadline, cancel, unloadable
 //    formula, a feature combination the service cannot serve;
-//  * scheduling: slices run, preemptions, conflicts summed over every
-//    slice of every job, and the peak number of pending jobs;
+//  * scheduling: slices run, those of them run on a waiting caller's
+//    thread instead of a worker's, preemptions, conflicts summed over
+//    every slice of every job, and the peak number of pending jobs;
 //  * incremental sessions: open_session() calls, the sessions built in a
 //    closed session's solver and checker storage, session_solve() queries
 //    and clauses added through session_add_clause / session_add_clause_to;
@@ -115,7 +126,8 @@ struct ServiceOptions {
   X(completed, jobs_completed) X(budget_exhausted, jobs_budget_exhausted)  \
   X(deadline_expired, jobs_deadline_expired) X(cancelled, jobs_cancelled)  \
   X(errors, jobs_errors) X(unsupported, jobs_unsupported)                  \
-  X(slices, slices) X(preemptions, preemptions) X(conflicts, conflicts)    \
+  X(slices, slices) X(waiter_slices, waiter_slices)                        \
+  X(preemptions, preemptions) X(conflicts, conflicts)                      \
   X(peak_pending, peak_pending)                                            \
   X(sessions_opened, sessions_opened) X(sessions_reused, sessions_reused)  \
   X(session_solves, session_solves)                                        \
@@ -171,7 +183,7 @@ class SolverService {
   // the scheduler slices and preempts like any other — so thousands of
   // closely-related queries share one engine's learned clauses instead of
   // re-deriving them, while unrelated batch jobs keep flowing through the
-  // same worker pool.
+  // same slice slots.
   //
   // Discipline: a session is driven by one logical owner. Mutations
   // (push/pop/add) and close are rejected (false / nullopt) while a solve
@@ -229,19 +241,24 @@ class SolverService {
   // solve's id until wait() collects it; unknown ids throw
   // std::out_of_range.
   JobState state(JobId id) const;
-  // Blocks until the job is terminal and returns its result. A session
-  // solve's result is collected once: wait() moves it out and releases the
-  // job's record, so a long-lived session does not accumulate answers
-  // (models included). A one-shot job's record stays for state() and
-  // wait_all().
+  // Blocks until the job is terminal and returns its result. While the job
+  // is the scheduler's next pick and a slice slot is free, the caller runs
+  // the job's slices on its own thread (counted in
+  // ServiceStats::waiter_slices); otherwise it parks until a worker has run
+  // them. A session solve's result is collected once: wait() moves it out
+  // and releases the job's record, so a long-lived session does not
+  // accumulate answers (models included). A one-shot job's record stays for
+  // state() and wait_all().
   JobResult wait(JobId id);
   // Blocks until every submitted job is terminal; results in id order,
   // leaving out the session solves wait() has collected.
   std::vector<JobResult> wait_all();
 
-  // Invoked on a worker thread each time a job reaches a terminal state
-  // (including cancellations of jobs that never ran). Set it before the
-  // first submit; the callback must not call back into the service.
+  // Invoked each time a job reaches a terminal state (including
+  // cancellations of jobs that never ran), on the thread that finished it:
+  // a worker, a caller whose wait() ran the job's last slice, or a caller of
+  // cancel() or shutdown(). Set it before the first submit; the callback
+  // must not call back into the service.
   using CompletionCallback = std::function<void(const JobResult&)>;
   void set_completion_callback(CompletionCallback callback);
 
@@ -271,7 +288,9 @@ class SolverService {
     SessionRequest request;
     std::unique_ptr<SatEngine> engine;
     proof::LiveCertifier certifier;
-    bool busy = false;    // a session solve is queued or running
+    // A session solve is queued or running, or a mutation is in progress.
+    // Set under lock_; a mutation may clear it without the lock.
+    std::atomic<bool> busy{false};
     bool closed = false;
     // Non-empty when the session was opened with a feature combo the
     // service cannot serve yet (proof logging + threads > 1) or its engine
@@ -320,7 +339,7 @@ class SolverService {
     }
   };
 
-  void worker_loop(int index);
+  void worker_loop();
   // The service clock, with injected clock-skew faults applied (the skew
   // only jumps forward; every consumer clamps derived durations at zero,
   // so a skewed read degrades into early deadline/watchdog expiry — a
@@ -330,14 +349,17 @@ class SolverService {
   // hold lock_.
   std::optional<JobId> admit_locked(JobRequest request,
                                     std::shared_ptr<Session> session = nullptr);
-  // The one guarded path of every session mutation. Under the lock it
-  // finds the open, idle session, checks that the group a pop, add_to or
-  // set_active names is live (innermost: the innermost live group) and
-  // marks the session busy, so no solve or other mutation reaches its
-  // engine; the mutation runs outside the lock through the session's
-  // certifier; back under the lock it is counted and the session released.
-  // Returns the group acted on (the new one for a push, no_group for an
-  // add to the innermost group), nullopt for a refusal.
+  // The one guarded path of every session mutation. In one critical
+  // section it finds the open, idle session, checks that the group a pop,
+  // add_to or set_active names is live (innermost: the innermost live
+  // group), counts an add and marks the session busy, so no solve or other
+  // mutation reaches its engine. The mutation then runs outside the lock
+  // through the session's certifier, on a raw pointer: close_session
+  // refuses a busy session, so it cannot go away meanwhile. An atomic store
+  // releases the session; only a push or pop takes the lock again, to emit
+  // its control-ring event first. Returns the group acted on (the new one
+  // for a push, no_group for an add to the innermost group), nullopt for a
+  // refusal.
   enum class Mutation { push, pop, add, add_to, set_active };
   static constexpr GroupId innermost = no_group - 1;
   std::optional<GroupId> mutate_session(SessionId id, Mutation kind,
@@ -370,21 +392,49 @@ class SolverService {
   // watchdog limit). Called without the lock held.
   bool finish_if_preempted_terminal(const std::shared_ptr<Job>& job);
   std::optional<Budget> slice_budget(const Job& job) const;
-  // Picks the runnable job with the best (lowest) schedule key, or null.
-  std::shared_ptr<Job> pop_ready_locked();
+  // The scheduler's pick: the runnable job with the best (lowest) schedule
+  // key, or null. Compacts stale ids (finished or running jobs) out of the
+  // run queue in place; the pick itself stays queued until dispatched.
+  std::shared_ptr<Job> pick_ready_locked();
   double schedule_key_locked(const Job& job) const;
+  // Queues a job. A requeued job needs no wake-up: its slice still holds a
+  // slot, and releasing or reusing it follows.
   void enqueue_ready_locked(const std::shared_ptr<Job>& job);
+  // The one dispatch path of workers and waiters: takes the pick off the
+  // run queue, marks it running and records its dispatch (tick, slice
+  // start, first-slice wait, job_dispatch event). The caller holds a slot.
+  void dispatch_locked(const std::shared_ptr<Job>& job);
+  // Returns a slot and wakes whoever may now run a queued job in it.
+  void release_slot_locked(int slot);
+  // The slot's telemetry sink; nullptr without a hub.
+  telemetry::SolverTelemetry* slot_sink(int slot);
   // One slice of one job: build and load its engine if needed (session
   // jobs run on the session's), solve under the slice budget, certify an
-  // UNSAT answer, then classify the outcome. `sink` is the calling
-  // worker's telemetry sink (nullptr without a hub). Called without the
-  // lock held.
+  // UNSAT answer, then classify the outcome. `sink` is the telemetry sink
+  // of the slot it runs in (nullptr without a hub); `on_waiter` is true
+  // when the job's waiting caller runs it. Called without the lock held.
   void run_slice(const std::shared_ptr<Job>& job,
-                 telemetry::SolverTelemetry* sink);
+                 telemetry::SolverTelemetry* sink, bool on_waiter);
+  // Adds one slice that ran (solved or died) to the job's and the service's
+  // totals. Must hold lock_.
+  void count_slice_locked(Job& job, double slice_seconds, bool on_waiter);
+  // What a finished job hands to deliver(), which runs outside the lock:
+  // the completion callback with its payload (built only when a callback
+  // is installed), and the job's formula and engine, freed there.
+  struct Finished {
+    CompletionCallback callback;
+    JobResult result;
+    Cnf cnf;
+    std::vector<Lit> assumptions;
+    std::unique_ptr<SatEngine> engine;
+    std::unique_ptr<proof::MemoryProofWriter> proof_writer;
+  };
   // Moves a job to a terminal state, fills the remaining result fields and
-  // wakes waiters. Must hold lock_; returns the callback payload.
-  JobResult finish_locked(const std::shared_ptr<Job>& job, JobOutcome outcome);
-  void deliver(JobResult result);  // completion callback, outside the lock
+  // wakes waiters. Must hold lock_.
+  Finished finish_locked(const std::shared_ptr<Job>& job, JobOutcome outcome);
+  // Runs the completion callback, if any, and frees the finished job's
+  // formula and engine. Called without the lock held.
+  static void deliver(Finished finished);
 
   // --- telemetry helpers (no-ops without a hub) ---
   // Job/session lifecycle events go to one control ring written only while
@@ -394,7 +444,7 @@ class SolverService {
   // Wait-by-priority-class: negative priorities are "low", zero "normal",
   // positive "high".
   telemetry::Histogram* wait_histogram(int priority) const;
-  // Records slice latency and emits the worker-ring slice span event.
+  // Records slice latency and emits the slot-ring slice span event.
   void note_slice(telemetry::SolverTelemetry* sink, const Job& job,
                   double slice_seconds, std::uint64_t conflicts);
 
@@ -416,13 +466,18 @@ class SolverService {
   mutable std::mutex lock_;
   std::condition_variable work_cv_;   // workers: ready job or shutdown
   std::condition_variable space_cv_;  // submitters: queue has room
-  std::condition_variable done_cv_;   // waiters: some job finished
+  // Waiters: some job finished, or a slot freed while jobs are queued.
+  std::condition_variable done_cv_;
 
   bool accepting_ = true;
   JobId next_id_ = 1;
   std::uint64_t dispatch_tick_ = 0;
   std::size_t pending_ = 0;  // unfinished jobs
   std::vector<JobId> ready_;  // queued/preempted jobs (may hold stale ids)
+  // The slice slots: the free ones, and each slot's telemetry sink (ring
+  // "svc-worker-<i>"; no sinks without a hub).
+  std::vector<int> free_slots_;
+  std::vector<telemetry::SolverTelemetry> slot_sinks_;
   std::unordered_map<JobId, std::shared_ptr<Job>> jobs_;
   SessionId next_session_id_ = 1;
   std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;

@@ -225,7 +225,7 @@ TEST(ServiceTelemetry, EveryListedCounterIsInTheSnapshot) {
   service.wait(*service.submit(request_for(make_cnf({{1}}))));
   const MetricsSnapshot snap = service.metrics_snapshot();
   const ServiceStats stats = service.stats();
-  EXPECT_EQ(std::size(kServiceCounters), 20u);
+  EXPECT_EQ(std::size(kServiceCounters), 21u);
   for (const ServiceCounter& counter : kServiceCounters) {
     const std::string name = std::string("service.") + counter.metric;
     ASSERT_TRUE(snap.counters.contains(name)) << name;
