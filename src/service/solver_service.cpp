@@ -562,9 +562,13 @@ void SolverService::dispatch_locked(const std::shared_ptr<Job>& job) {
 
 void SolverService::release_slot_locked(int slot) {
   free_slots_.push_back(slot);
-  if (ready_.empty()) return;
-  work_cv_.notify_one();
-  done_cv_.notify_all();  // a waiter's job may be the pick
+  if (!ready_.empty()) {
+    work_cv_.notify_one();
+    done_cv_.notify_all();  // a waiter's job may be the pick
+  } else if (!accepting_) {
+    // Draining: a worker that slept while every slot was held may now exit.
+    work_cv_.notify_all();
+  }
 }
 
 telemetry::SolverTelemetry* SolverService::slot_sink(int slot) {
@@ -578,7 +582,10 @@ void SolverService::worker_loop() {
     work_cv_.wait(lk, [&] {
       return ready_.empty() ? !accepting_ : !free_slots_.empty();
     });
-    if (ready_.empty()) return;  // shutting down with nothing left to run
+    if (ready_.empty()) {  // shutting down with nothing left to run
+      work_cv_.notify_all();  // so may the workers still asleep
+      return;
+    }
     const std::shared_ptr<Job> job = pick_ready_locked();
     if (job == nullptr) continue;  // only stale ids were queued
     const int slot = free_slots_.back();

@@ -229,10 +229,12 @@ class SolverService {
   // delivered through wait()/the completion callback like any other.
   bool cancel(JobId id);
 
-  // Ends the service. `drain` finishes every queued job first;
-  // `cancel_pending` cancels all unfinished jobs (running jobs stop at the
-  // next search step). Idempotent; every job reaches exactly one terminal
-  // state either way. The destructor uses cancel_pending.
+  // Ends the service. `drain` finishes every queued job first, though a
+  // job that a caller is running in wait() may still be running on that
+  // caller's thread when shutdown returns; `cancel_pending` cancels all
+  // unfinished jobs (running jobs stop at the next search step).
+  // Idempotent; every job reaches exactly one terminal state either way.
+  // The destructor uses cancel_pending.
   enum class Shutdown { drain, cancel_pending };
   void shutdown(Shutdown mode = Shutdown::drain);
 

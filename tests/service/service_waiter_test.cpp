@@ -4,13 +4,15 @@
 // slot cap (a held slot keeps a waiter parked; no more than num_workers
 // slices ever overlap, traced under a multi-caller stress with more
 // session threads than slots), schedule order against a better-keyed job,
-// and the telemetry of a waiter-run slice. Run under TSan via the
-// "service" label and the ServiceSession* filter.
+// the telemetry of a waiter-run slice, and a draining shutdown while
+// waiters hold every slot. Run under TSan via the "service" label and the
+// ServiceSession* filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -180,6 +182,70 @@ TEST(ServiceSessionWaiter, WaiterRunSliceLandsInSliceLatencyAndPhases) {
     EXPECT_GT(calls(after, "verify"), calls(before, "verify"));
   }
   EXPECT_TRUE(seen);
+}
+
+// A draining shutdown while callers hold every slot, each running its own
+// unbounded slice, with a one-shot job queued behind them. Both workers
+// sleep, since no slot is free. The first freed slot wakes one worker,
+// which takes the queued job and empties the run queue; every later
+// release must still wake the other worker so that it can exit, or
+// shutdown() never joins it. Repeated, since a caller holds a slot only
+// when it reaches wait() before the worker woken for its job.
+TEST(ServiceSessionWaiter, DrainShutdownWhileWaitersHoldEverySlot) {
+  constexpr int kSlots = 2;
+  constexpr int kRounds = 10;
+  int rounds_held_by_waiters = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    ServiceOptions options;
+    options.num_workers = kSlots;
+    options.slice_conflicts = 0;
+    SolverService service(options);
+    std::mutex mutex;
+    std::map<JobId, std::thread::id> finished_on;
+    service.set_completion_callback([&](const JobResult& result) {
+      std::lock_guard<std::mutex> lock(mutex);
+      finished_on[result.id] = std::this_thread::get_id();
+    });
+    std::atomic<JobId> owned[kSlots] = {};
+    std::thread::id owner_ids[kSlots];
+    JobResult answers[kSlots];
+    std::vector<std::thread> owners;
+    for (int c = 0; c < kSlots; ++c) {
+      owners.emplace_back([&, c] {
+        owner_ids[c] = std::this_thread::get_id();
+        const JobId id = *service.submit(request_for(gen::pigeonhole(7)));
+        owned[c] = id;
+        answers[c] = service.wait(id);
+      });
+    }
+    bool all_running = true;
+    for (std::atomic<JobId>& id : owned) {
+      while (id.load() == invalid_job) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      while (service.state(id) == JobState::queued) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      all_running = all_running && service.state(id) == JobState::running;
+    }
+    const JobId queued = *service.submit(request_for(gen::pigeonhole(4)));
+    const bool behind = service.state(queued) == JobState::queued;
+    service.shutdown(SolverService::Shutdown::drain);  // must return
+    for (std::thread& owner : owners) owner.join();
+
+    const JobResult last = service.wait(queued);
+    EXPECT_EQ(last.outcome, JobOutcome::completed);
+    EXPECT_EQ(last.status, SolveStatus::unsatisfiable);
+    bool held = all_running && behind;
+    std::lock_guard<std::mutex> lock(mutex);
+    for (int c = 0; c < kSlots; ++c) {
+      EXPECT_EQ(answers[c].outcome, JobOutcome::completed);
+      EXPECT_EQ(answers[c].status, SolveStatus::unsatisfiable);
+      held = held && finished_on.at(owned[c]) == owner_ids[c];
+    }
+    if (held) ++rounds_held_by_waiters;
+  }
+  EXPECT_GE(rounds_held_by_waiters, 1);
 }
 
 // Several callers, each driving its own session, race the workers (and one
