@@ -168,16 +168,4 @@ std::vector<int> append_alu(Circuit& c, const std::vector<int>& a,
   return result;
 }
 
-Circuit simple_alu(int width, bool use_fast_adder) {
-  if (width < 1) throw std::invalid_argument("alu width must be >= 1");
-  Circuit c;
-  const Operands ops = add_operand_inputs(c, width);
-  const int op0 = c.add_input();
-  const int op1 = c.add_input();
-  for (const int bit : append_alu(c, ops.a, ops.b, op0, op1, use_fast_adder)) {
-    c.mark_output(bit);
-  }
-  return c;
-}
-
 }  // namespace berkmin

@@ -22,12 +22,6 @@ Circuit carry_select_adder(int width, int block = 2);
 // expanded as unrolled lookahead logic.
 Circuit carry_lookahead_adder(int width);
 
-// A small word-level ALU over two w-bit operands with a 2-bit opcode:
-// 00 -> add, 01 -> and, 10 -> or, 11 -> xor. Inputs: a, b, op0, op1;
-// outputs: w result bits. `use_fast_adder` switches the internal adder
-// implementation, giving two structurally different but equivalent ALUs.
-Circuit simple_alu(int width, bool use_fast_adder);
-
 // --- in-place builders (used by the pipelined-datapath generator) --------
 
 // Appends a ripple-carry sum of the signals in a/b (LSB first) to `c`;
@@ -35,8 +29,11 @@ Circuit simple_alu(int width, bool use_fast_adder);
 std::vector<int> append_ripple_sum(Circuit& c, const std::vector<int>& a,
                                    const std::vector<int>& b, int cin);
 
-// Appends the ALU logic (same opcode map as simple_alu) over existing
-// signals. Returns the result bits.
+// Appends a word-level ALU over existing signals: two w-bit operands a, b
+// and a 2-bit opcode (op1 op0): 00 -> add (mod 2^w), 01 -> and, 10 -> or,
+// 11 -> xor. Returns the w result bits. `use_fast_adder` switches the
+// internal adder implementation, giving two structurally different but
+// equivalent ALUs.
 std::vector<int> append_alu(Circuit& c, const std::vector<int>& a,
                             const std::vector<int>& b, int op0, int op1,
                             bool use_fast_adder);

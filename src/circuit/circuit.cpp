@@ -1,6 +1,5 @@
 #include "circuit/circuit.h"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace berkmin {
@@ -106,94 +105,111 @@ std::string Circuit::validate() const {
   return "";
 }
 
-bool evaluate_gate(GateKind kind, const std::vector<bool>& fanin_values) {
+namespace {
+
+// One combinational gate over all 64 lanes.
+std::uint64_t gate_word(GateKind kind, const std::vector<int>& fanins,
+                        std::span<const std::uint64_t> values) {
+  std::uint64_t acc = values[fanins[0]];
   switch (kind) {
     case GateKind::buf:
-      return fanin_values[0];
+      return acc;
     case GateKind::not_gate:
-      return !fanin_values[0];
+      return ~acc;
     case GateKind::and_gate:
-    case GateKind::nand_gate: {
-      bool all = true;
-      for (const bool v : fanin_values) all = all && v;
-      return kind == GateKind::and_gate ? all : !all;
-    }
+    case GateKind::nand_gate:
+      for (std::size_t k = 1; k < fanins.size(); ++k) acc &= values[fanins[k]];
+      return kind == GateKind::and_gate ? acc : ~acc;
     case GateKind::or_gate:
-    case GateKind::nor_gate: {
-      bool any = false;
-      for (const bool v : fanin_values) any = any || v;
-      return kind == GateKind::or_gate ? any : !any;
-    }
+    case GateKind::nor_gate:
+      for (std::size_t k = 1; k < fanins.size(); ++k) acc |= values[fanins[k]];
+      return kind == GateKind::or_gate ? acc : ~acc;
     case GateKind::xor_gate:
-    case GateKind::xnor_gate: {
-      bool parity = false;
-      for (const bool v : fanin_values) parity = parity != v;
-      return kind == GateKind::xor_gate ? parity : !parity;
-    }
+    case GateKind::xnor_gate:
+      for (std::size_t k = 1; k < fanins.size(); ++k) acc ^= values[fanins[k]];
+      return kind == GateKind::xor_gate ? acc : ~acc;
     default:
-      throw std::invalid_argument("evaluate_gate: not a combinational kind");
+      throw std::logic_error("gate_word: not a combinational kind");
   }
 }
 
-std::vector<bool> Circuit::evaluate_with_state(const std::vector<bool>& input_values,
-                                               std::vector<bool>& latch_state,
-                                               bool advance_state) const {
-  assert(input_values.size() == inputs_.size());
-  assert(latch_state.size() == latches_.size());
+// One-lane packing: bit i goes to lane 0 of word i, and back.
+std::vector<std::uint64_t> one_lane_words(const std::vector<bool>& bits) {
+  return std::vector<std::uint64_t>(bits.begin(), bits.end());
+}
 
-  std::vector<bool> value(gates_.size(), false);
-  std::size_t next_input = 0;
-  std::size_t next_latch = 0;
-  std::vector<bool> fanin_values;
+std::vector<bool> lane_zero(const std::vector<int>& gates,
+                            const std::vector<std::uint64_t>& values) {
+  std::vector<bool> out;
+  out.reserve(gates.size());
+  for (const int g : gates) out.push_back((values[g] & 1) != 0);
+  return out;
+}
+
+}  // namespace
+
+void Circuit::evaluate_lanes(std::span<const std::uint64_t> input_words,
+                             std::span<const std::uint64_t> latch_words,
+                             std::span<std::uint64_t> values,
+                             KindOverride kind_override) const {
+  if (input_words.size() != inputs_.size() ||
+      latch_words.size() != latches_.size() || values.size() != gates_.size()) {
+    throw std::invalid_argument("Circuit::evaluate_lanes: size mismatch");
+  }
+  if (kind_override.gate != -1 &&
+      (kind_override.gate < 0 || kind_override.gate >= num_gates() ||
+       !is_combinational_kind(gates_[kind_override.gate].kind) ||
+       !is_combinational_kind(kind_override.kind))) {
+    throw std::invalid_argument(
+        "Circuit::evaluate_lanes: the override must name a combinational "
+        "gate and kind");
+  }
+  for (std::size_t k = 0; k < inputs_.size(); ++k) values[inputs_[k]] = input_words[k];
+  for (std::size_t k = 0; k < latches_.size(); ++k) values[latches_[k]] = latch_words[k];
   for (int i = 0; i < num_gates(); ++i) {
     const Gate& g = gates_[i];
     switch (g.kind) {
       case GateKind::input:
-        value[i] = input_values[next_input++];
+      case GateKind::latch:
         break;
       case GateKind::const_zero:
-        value[i] = false;
+        values[i] = 0;
         break;
       case GateKind::const_one:
-        value[i] = true;
+        values[i] = ~std::uint64_t{0};
         break;
-      case GateKind::latch:
-        value[i] = latch_state[next_latch++];
+      default:
+        values[i] = gate_word(i == kind_override.gate ? kind_override.kind : g.kind,
+                              g.fanins, values);
         break;
-      default: {
-        fanin_values.clear();
-        for (const int f : g.fanins) fanin_values.push_back(value[f]);
-        value[i] = evaluate_gate(g.kind, fanin_values);
-        break;
-      }
     }
   }
-
-  if (advance_state) {
-    for (std::size_t s = 0; s < latches_.size(); ++s) {
-      latch_state[s] = value[gates_[latches_[s]].fanins[0]];
-    }
-  }
-
-  std::vector<bool> out;
-  out.reserve(outputs_.size());
-  for (const int o : outputs_) out.push_back(value[o]);
-  return out;
 }
 
 std::vector<bool> Circuit::evaluate(const std::vector<bool>& input_values) const {
-  assert(is_combinational());
-  std::vector<bool> no_state;
-  return evaluate_with_state(input_values, no_state, false);
+  if (!is_combinational()) {
+    throw std::invalid_argument(
+        "Circuit::evaluate: the circuit has latches (use simulate)");
+  }
+  std::vector<std::uint64_t> values(gates_.size());
+  evaluate_lanes(one_lane_words(input_values), {}, values);
+  return lane_zero(outputs_, values);
 }
 
 std::vector<std::vector<bool>> Circuit::simulate(
     const std::vector<std::vector<bool>>& inputs_per_cycle) const {
-  std::vector<bool> state(latches_.size(), false);
+  const std::string problem = validate();
+  if (!problem.empty()) throw std::invalid_argument("Circuit::simulate: " + problem);
+  std::vector<std::uint64_t> state(latches_.size(), 0);
+  std::vector<std::uint64_t> values(gates_.size());
   std::vector<std::vector<bool>> outputs;
   outputs.reserve(inputs_per_cycle.size());
   for (const auto& cycle_inputs : inputs_per_cycle) {
-    outputs.push_back(evaluate_with_state(cycle_inputs, state, true));
+    evaluate_lanes(one_lane_words(cycle_inputs), state, values);
+    outputs.push_back(lane_zero(outputs_, values));
+    for (std::size_t s = 0; s < latches_.size(); ++s) {
+      state[s] = values[gates_[latches_[s]].fanins[0]];
+    }
   }
   return outputs;
 }

@@ -1,4 +1,4 @@
-// Gate-level netlist with simulation.
+// Gate-level netlist with bit-parallel simulation.
 //
 // This is the substrate behind the paper's circuit-derived benchmark
 // families: miters for equivalence checking (class Miters), adder logic
@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -39,6 +40,13 @@ bool is_combinational_kind(GateKind kind);
 struct Gate {
   GateKind kind = GateKind::input;
   std::vector<int> fanins;
+};
+
+// Evaluate gate `gate` as `kind` instead of its own kind (see
+// Circuit::evaluate_lanes); gate -1 overrides nothing.
+struct KindOverride {
+  int gate = -1;
+  GateKind kind = GateKind::buf;
 };
 
 class Circuit {
@@ -74,26 +82,56 @@ class Circuit {
   std::string validate() const;
 
   // --- simulation ---------------------------------------------------------
-  // Combinational evaluation; input_values follows the order of inputs().
+  // Bit-parallel evaluation, the one implementation of gate semantics.
+  // A pass evaluates 64 independent assignments ("lanes") at once: bit j
+  // of every word belongs to lane j. input_words[k] carries the k-th
+  // input of inputs() and latch_words[k] the current state of the k-th
+  // latch of latches(); values (one word per gate, caller-owned, so a pass
+  // allocates nothing) receives every gate's output in all 64 lanes. A
+  // latch's word is its current state; its next state is the word of its
+  // fanin. Lanes a caller does not use carry garbage: mask them with
+  // lane_mask. `kind_override`, when set, evaluates gate
+  // `kind_override.gate` as `kind_override.kind` instead of its own kind:
+  // the values a copy of the circuit with that one gate changed would
+  // give. Throws std::invalid_argument on a size mismatch or an override
+  // that names a non-combinational gate or kind.
+  void evaluate_lanes(std::span<const std::uint64_t> input_words,
+                      std::span<const std::uint64_t> latch_words,
+                      std::span<std::uint64_t> values,
+                      KindOverride kind_override = {}) const;
+
+  // One-lane evaluation of a combinational circuit; input_values follows
+  // the order of inputs(). Throws std::invalid_argument when the circuit
+  // has latches or input_values has the wrong length.
   std::vector<bool> evaluate(const std::vector<bool>& input_values) const;
 
-  // Sequential simulation from the all-zero latch state; one input vector
-  // per cycle, returns one output vector per cycle.
+  // One-lane sequential simulation from the all-zero latch state; one
+  // input vector per cycle, returns one output vector per cycle. Throws
+  // std::invalid_argument when the circuit does not validate or a cycle's
+  // input vector has the wrong length.
   std::vector<std::vector<bool>> simulate(
       const std::vector<std::vector<bool>>& inputs_per_cycle) const;
 
  private:
-  std::vector<bool> evaluate_with_state(const std::vector<bool>& input_values,
-                                        std::vector<bool>& latch_state,
-                                        bool advance_state) const;
-
   std::vector<Gate> gates_;
   std::vector<int> inputs_;
   std::vector<int> latches_;
   std::vector<int> outputs_;
 };
 
-// Evaluates one combinational gate function.
-bool evaluate_gate(GateKind kind, const std::vector<bool>& fanin_values);
+// The mask of lanes [0, lanes) of a simulation word; lanes in [0, 64].
+constexpr std::uint64_t lane_mask(int lanes) {
+  return lanes >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << lanes) - 1;
+}
+
+// Input bit `bit` of 64 consecutive vectors base, base + 1, ..., base + 63
+// (base a multiple of 64), lane j carrying vector base + j: a pass with
+// input i set to counting_word(i, base) enumerates those 64 vectors.
+constexpr std::uint64_t counting_word(int bit, std::uint64_t base) {
+  constexpr std::uint64_t kLowBits[6] = {
+      0xAAAAAAAAAAAAAAAAull, 0xCCCCCCCCCCCCCCCCull, 0xF0F0F0F0F0F0F0F0ull,
+      0xFF00FF00FF00FF00ull, 0xFFFF0000FFFF0000ull, 0xFFFFFFFF00000000ull};
+  return bit < 6 ? kLowBits[bit] : std::uint64_t{0} - ((base >> bit) & 1);
+}
 
 }  // namespace berkmin

@@ -1,6 +1,8 @@
 #include "circuit/circuit_gen.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 
 namespace berkmin {
 
@@ -59,8 +61,6 @@ Circuit random_circuit(const RandomCircuitParams& params, Rng& rng) {
   return circuit;
 }
 
-namespace {
-
 GateKind flipped_kind(GateKind kind) {
   switch (kind) {
     case GateKind::and_gate: return GateKind::or_gate;
@@ -75,7 +75,6 @@ GateKind flipped_kind(GateKind kind) {
   }
 }
 
-// Rebuilds `circuit` with gate `target` replaced by `kind`.
 Circuit with_gate_kind(const Circuit& circuit, int target, GateKind kind) {
   Circuit out;
   for (int i = 0; i < circuit.num_gates(); ++i) {
@@ -99,8 +98,6 @@ Circuit with_gate_kind(const Circuit& circuit, int target, GateKind kind) {
   return out;
 }
 
-}  // namespace
-
 std::optional<Circuit> inject_fault(const Circuit& circuit, Rng& rng,
                                     int probe_vectors) {
   if (!circuit.is_combinational()) return std::nullopt;
@@ -114,15 +111,38 @@ std::optional<Circuit> inject_fault(const Circuit& circuit, Rng& rng,
   }
   rng.shuffle(candidates);
 
+  // Probes run 64 to a pass, on the circuit and on the circuit with the
+  // target's kind overridden; the faulty copy is built only for the
+  // target returned.
+  std::vector<std::uint64_t> inputs(static_cast<std::size_t>(circuit.num_inputs()));
+  std::vector<std::uint64_t> good(static_cast<std::size_t>(circuit.num_gates()));
+  std::vector<std::uint64_t> faulty(good.size());
   for (const int target : candidates) {
-    const Circuit faulty =
-        with_gate_kind(circuit, target, flipped_kind(circuit.gate(target).kind));
+    const GateKind kind = flipped_kind(circuit.gate(target).kind);
     // Verify the fault is observable on some random vector; only then is
     // the miter guaranteed satisfiable.
-    for (int probe = 0; probe < probe_vectors; ++probe) {
-      std::vector<bool> vec(circuit.num_inputs());
-      for (std::size_t b = 0; b < vec.size(); ++b) vec[b] = rng.coin();
-      if (circuit.evaluate(vec) != faulty.evaluate(vec)) return faulty;
+    for (int first = 0; first < probe_vectors; first += 64) {
+      const int lanes = std::min(64, probe_vectors - first);
+      const Rng before = rng;
+      std::fill(inputs.begin(), inputs.end(), 0);
+      for (int lane = 0; lane < lanes; ++lane) {
+        for (std::uint64_t& word : inputs) {
+          if (rng.coin()) word |= std::uint64_t{1} << lane;
+        }
+      }
+      circuit.evaluate_lanes(inputs, {}, good);
+      circuit.evaluate_lanes(inputs, {}, faulty, {target, kind});
+      std::uint64_t differs = 0;
+      for (const int o : circuit.outputs()) differs |= good[o] ^ faulty[o];
+      differs &= lane_mask(lanes);
+      if (differs != 0) {
+        // Leave rng just past the first differing probe's draws, where a
+        // probe-at-a-time loop would have stopped.
+        rng = before;
+        const int drawn = (std::countr_zero(differs) + 1) * circuit.num_inputs();
+        for (int d = 0; d < drawn; ++d) rng.coin();
+        return with_gate_kind(circuit, target, kind);
+      }
     }
   }
   return std::nullopt;

@@ -24,11 +24,21 @@ struct RandomCircuitParams {
 // a bias toward recent gates, giving depth rather than a flat netlist.
 Circuit random_circuit(const RandomCircuitParams& params, Rng& rng);
 
-// Returns a copy of `circuit` with one internal gate's function changed
-// (and<->or, xor<->xnor, nand<->nor, not<->buf), verified by random
-// simulation to change the output on at least one of `probe_vectors`
-// random inputs. Returns std::nullopt when no verified fault was found
-// (rare; retry with another rng state). Combinational circuits only.
+// The fault model: and<->or, xor<->xnor, nand<->nor, not<->buf; any other
+// kind maps to itself (not a fault site).
+GateKind flipped_kind(GateKind kind);
+
+// A copy of the combinational `circuit` with gate `target` evaluated as
+// `kind`.
+Circuit with_gate_kind(const Circuit& circuit, int target, GateKind kind);
+
+// Returns a copy of `circuit` with one internal gate's function flipped
+// by flipped_kind, verified by random simulation to change the output on
+// at least one of `probe_vectors` random inputs. Candidates are tried in
+// a shuffled order; each probe draws one rng.coin() per input, and rng is
+// left just past the first differing probe's draws. Returns std::nullopt
+// when no verified fault was found (rare; retry with another rng state).
+// Combinational circuits only.
 std::optional<Circuit> inject_fault(const Circuit& circuit, Rng& rng,
                                     int probe_vectors = 64);
 

@@ -1,5 +1,7 @@
 #include "circuit/shannon.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -77,17 +79,24 @@ Circuit shannon_canonical(const Circuit& source, int max_inputs) {
     throw std::invalid_argument("shannon_canonical: too many inputs");
   }
 
-  // Exhaustive simulation: per-output truth tables indexed so that input
-  // bit j of vector i is ((i >> j) & 1) — matching ShannonBuilder's
-  // bit-0-first cofactor split.
+  // Exhaustive simulation, 64 rows a pass: per-output truth tables indexed
+  // so that input bit j of vector i is ((i >> j) & 1) — matching
+  // ShannonBuilder's bit-0-first cofactor split.
   const std::size_t rows = std::size_t{1} << n;
   std::vector<std::vector<bool>> tables(
       source.num_outputs(), std::vector<bool>(rows, false));
-  std::vector<bool> input(n);
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (int j = 0; j < n; ++j) input[j] = ((i >> j) & 1) != 0;
-    const std::vector<bool> out = source.evaluate(input);
-    for (int o = 0; o < source.num_outputs(); ++o) tables[o][i] = out[o];
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(n));
+  std::vector<std::uint64_t> values(static_cast<std::size_t>(source.num_gates()));
+  for (std::size_t base = 0; base < rows; base += 64) {
+    for (int j = 0; j < n; ++j) words[j] = counting_word(j, base);
+    source.evaluate_lanes(words, {}, values);
+    const std::size_t lanes = std::min<std::size_t>(64, rows - base);
+    for (int o = 0; o < source.num_outputs(); ++o) {
+      const std::uint64_t word = values[source.outputs()[o]];
+      for (std::size_t lane = 0; lane < lanes; ++lane) {
+        tables[o][base + lane] = ((word >> lane) & 1) != 0;
+      }
+    }
   }
 
   Circuit result;

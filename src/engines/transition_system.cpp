@@ -1,11 +1,20 @@
 #include "engines/transition_system.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "circuit/tseitin.h"
 
 namespace berkmin::engines {
+namespace {
+
+// reachable_bad_step's explicit-search limits.
+constexpr int kMaxBfsLatches = 22;
+constexpr int kMaxBfsInputs = 16;
+
+}  // namespace
 
 TransitionSystem::TransitionSystem(Circuit circuit, int bad_output)
     : circuit_(std::move(circuit)), bad_output_(bad_output) {
@@ -94,50 +103,69 @@ bool TransitionSystem::step(const std::vector<bool>& state,
       static_cast<int>(state.size()) != num_latches()) {
     throw std::invalid_argument("TransitionSystem::step: arity mismatch");
   }
-  std::vector<bool> slice_inputs(sliced_.num_inputs());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    slice_inputs[input_pos_[i]] = inputs[i];
-  }
-  for (std::size_t s = 0; s < state.size(); ++s) {
-    slice_inputs[state_pos_[s]] = state[s];
-  }
-  const std::vector<bool> outputs = sliced_.evaluate(slice_inputs);
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(sliced_.num_inputs()));
+  for (std::size_t i = 0; i < inputs.size(); ++i) words[input_pos_[i]] = inputs[i];
+  for (std::size_t s = 0; s < state.size(); ++s) words[state_pos_[s]] = state[s];
+  std::vector<std::uint64_t> values(static_cast<std::size_t>(sliced_.num_gates()));
+  sliced_.evaluate_lanes(words, {}, values);
+  const std::vector<int>& outputs = sliced_.outputs();
   if (next != nullptr) {
-    next->assign(outputs.begin() + 1, outputs.end());
+    next->resize(state.size());
+    for (std::size_t s = 0; s < state.size(); ++s) {
+      (*next)[s] = (values[outputs[1 + s]] & 1) != 0;
+    }
   }
-  return outputs[0];
+  return (values[outputs[0]] & 1) != 0;
 }
 
 std::optional<int> TransitionSystem::reachable_bad_step(int max_cycles) const {
-  if (num_latches() > 22 || num_inputs() > 16) {
+  if (num_latches() > kMaxBfsLatches || num_inputs() > kMaxBfsInputs) {
     throw std::invalid_argument(
         "reachable_bad_step: state space too large for explicit search");
   }
   const int latches = num_latches();
+  const int input_bits = num_inputs();
   const std::uint32_t num_states = 1u << latches;
-  const std::uint32_t num_vectors = 1u << num_inputs();
 
-  std::vector<bool> state(latches), inputs(num_inputs()), next;
-  const auto unpack = [](std::uint32_t bits, std::vector<bool>& out) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i] = (bits >> i) & 1u;
-    }
-  };
+  // Pair p = (frontier position << input_bits) | input vector, the order
+  // of a state-by-state, vector-by-vector walk. A pass evaluates the 64
+  // pairs [base, base + 64): the input vectors count up lane by lane, and
+  // each frontier state fills a block of 2^min(input_bits, 6) lanes.
+  const int block_bits = std::min(input_bits, 6);
+  const int states_per_pass = 64 >> block_bits;
+  const std::uint64_t block_mask = lane_mask(1 << block_bits);
+  const std::vector<int>& outputs = sliced_.outputs();
+  std::vector<std::uint64_t> words(static_cast<std::size_t>(sliced_.num_inputs()));
+  std::vector<std::uint64_t> values(static_cast<std::size_t>(sliced_.num_gates()));
 
   std::vector<char> seen(num_states, 0);
   std::vector<std::uint32_t> frontier{0};
+  std::vector<std::uint32_t> successors;
   seen[0] = 1;
   for (int cycle = 0; max_cycles < 0 || cycle <= max_cycles; ++cycle) {
     if (frontier.empty()) return std::nullopt;  // fixpoint: bad unreachable
-    std::vector<std::uint32_t> successors;
-    for (const std::uint32_t s : frontier) {
-      unpack(s, state);
-      for (std::uint32_t v = 0; v < num_vectors; ++v) {
-        unpack(v, inputs);
-        if (step(state, inputs, &next)) return cycle;
+    successors.clear();
+    const std::uint64_t pairs = std::uint64_t{frontier.size()} << input_bits;
+    for (std::uint64_t base = 0; base < pairs; base += 64) {
+      const int lanes = static_cast<int>(std::min<std::uint64_t>(64, pairs - base));
+      for (int i = 0; i < input_bits; ++i) words[input_pos_[i]] = counting_word(i, base);
+      for (int b = 0; b < latches; ++b) words[state_pos_[b]] = 0;
+      const std::size_t first = base >> input_bits;
+      for (int k = 0; k < states_per_pass && first + k < frontier.size(); ++k) {
+        const std::uint32_t s = frontier[first + k];
+        const std::uint64_t block = block_mask << (k << block_bits);
+        for (int b = 0; b < latches; ++b) {
+          if ((s >> b) & 1u) words[state_pos_[b]] |= block;
+        }
+      }
+      sliced_.evaluate_lanes(words, {}, values);
+      if ((values[outputs[0]] & lane_mask(lanes)) != 0) return cycle;
+      std::uint64_t next[kMaxBfsLatches];
+      for (int b = 0; b < latches; ++b) next[b] = values[outputs[1 + b]];
+      for (int lane = 0; lane < lanes; ++lane) {
         std::uint32_t code = 0;
         for (int b = 0; b < latches; ++b) {
-          if (next[static_cast<std::size_t>(b)]) code |= 1u << b;
+          code |= static_cast<std::uint32_t>((next[b] >> lane) & 1) << b;
         }
         if (!seen[code]) {
           seen[code] = 1;
@@ -145,7 +173,7 @@ std::optional<int> TransitionSystem::reachable_bad_step(int max_cycles) const {
         }
       }
     }
-    frontier = std::move(successors);
+    frontier.swap(successors);
   }
   return std::nullopt;  // not within max_cycles (reachability beyond unknown)
 }

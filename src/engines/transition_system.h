@@ -69,8 +69,10 @@ class TransitionSystem {
   // every input vector at every frontier state. Returns the earliest cycle
   // t at which bad can be 1 (a counterexample has t+1 input vectors), or
   // nullopt when bad is unreachable within `max_cycles` (max_cycles < 0
-  // runs to the reachable-set fixpoint, i.e. proves full safety). Requires
-  // num_latches() <= 22 and num_inputs() <= 16; throws otherwise.
+  // runs to the reachable-set fixpoint, i.e. proves full safety). Each
+  // pass of the slice's bit-parallel evaluator covers 64 (frontier state,
+  // input vector) pairs. Requires num_latches() <= 22 and
+  // num_inputs() <= 16; throws otherwise.
   std::optional<int> reachable_bad_step(int max_cycles = -1) const;
 
   // Replays a candidate counterexample through plain sequential simulation

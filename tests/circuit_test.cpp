@@ -3,6 +3,7 @@
 // circuits.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "circuit/adders.h"
@@ -36,17 +37,61 @@ TEST(Circuit, EvaluateHalfAdder) {
   EXPECT_EQ(c.evaluate({true, true}), (std::vector<bool>{false, true}));
 }
 
+// One gate of `kind` over inputs carrying `fanin_values`, through the
+// 64-lane kernel (lane 0).
+bool gate_value(GateKind kind, const std::vector<bool>& fanin_values) {
+  Circuit c;
+  std::vector<int> fanins;
+  for (std::size_t i = 0; i < fanin_values.size(); ++i) fanins.push_back(c.add_input());
+  const int g = c.add_gate(kind, fanins);
+  const std::vector<std::uint64_t> inputs(fanin_values.begin(), fanin_values.end());
+  std::vector<std::uint64_t> values(static_cast<std::size_t>(c.num_gates()));
+  c.evaluate_lanes(inputs, {}, values);
+  return (values[static_cast<std::size_t>(g)] & 1) != 0;
+}
+
 TEST(Circuit, GateFunctions) {
-  EXPECT_TRUE(evaluate_gate(GateKind::and_gate, {true, true}));
-  EXPECT_FALSE(evaluate_gate(GateKind::and_gate, {true, false}));
-  EXPECT_TRUE(evaluate_gate(GateKind::nand_gate, {true, false}));
-  EXPECT_TRUE(evaluate_gate(GateKind::or_gate, {false, true}));
-  EXPECT_FALSE(evaluate_gate(GateKind::nor_gate, {false, true}));
-  EXPECT_TRUE(evaluate_gate(GateKind::xor_gate, {true, false, false}));
-  EXPECT_FALSE(evaluate_gate(GateKind::xor_gate, {true, true, false}));
-  EXPECT_TRUE(evaluate_gate(GateKind::xnor_gate, {true, true}));
-  EXPECT_FALSE(evaluate_gate(GateKind::not_gate, {true}));
-  EXPECT_TRUE(evaluate_gate(GateKind::buf, {true}));
+  EXPECT_TRUE(gate_value(GateKind::and_gate, {true, true}));
+  EXPECT_FALSE(gate_value(GateKind::and_gate, {true, false}));
+  EXPECT_TRUE(gate_value(GateKind::nand_gate, {true, false}));
+  EXPECT_TRUE(gate_value(GateKind::or_gate, {false, true}));
+  EXPECT_FALSE(gate_value(GateKind::nor_gate, {false, true}));
+  EXPECT_TRUE(gate_value(GateKind::xor_gate, {true, false, false}));
+  EXPECT_FALSE(gate_value(GateKind::xor_gate, {true, true, false}));
+  EXPECT_TRUE(gate_value(GateKind::xnor_gate, {true, true}));
+  EXPECT_FALSE(gate_value(GateKind::not_gate, {true}));
+  EXPECT_TRUE(gate_value(GateKind::buf, {true}));
+}
+
+TEST(Circuit, EvaluateRejectsSequentialCircuits) {
+  Circuit c;
+  const int latch = c.add_latch();
+  const int in = c.add_input();
+  c.set_latch_input(latch, in);
+  c.mark_output(c.add_and(latch, in));
+  EXPECT_THROW(c.evaluate({true}), std::invalid_argument);
+}
+
+TEST(Circuit, EvaluateRejectsWrongInputCount) {
+  const Circuit c = half_adder();
+  EXPECT_THROW(c.evaluate({true}), std::invalid_argument);
+  EXPECT_THROW(c.evaluate({}), std::invalid_argument);
+  EXPECT_THROW(c.evaluate({true, false, true}), std::invalid_argument);
+}
+
+TEST(Circuit, SimulateRejectsWrongInputCountAndInvalidCircuits) {
+  Circuit c;
+  const int latch = c.add_latch();
+  const int in = c.add_input();
+  c.set_latch_input(latch, in);
+  c.mark_output(latch);
+  EXPECT_THROW(c.simulate({{true}, {}}), std::invalid_argument);
+  EXPECT_THROW(c.simulate({{true, false}}), std::invalid_argument);
+
+  Circuit unset;
+  unset.add_latch();  // next-state input never set
+  unset.mark_output(0);
+  EXPECT_THROW(unset.simulate({{}}), std::invalid_argument);
 }
 
 TEST(Circuit, ValidationCatchesBadArity) {
@@ -368,34 +413,67 @@ TEST(Adders, ImplementationsAreEquivalentViaSat) {
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
 }
 
+// The pipe generator's ALU as a standalone circuit: inputs a[0..w-1],
+// b[0..w-1], op0, op1; outputs the w result bits.
+Circuit alu_circuit(int width, bool use_fast_adder) {
+  Circuit c;
+  std::vector<int> a, b;
+  for (int i = 0; i < width; ++i) a.push_back(c.add_input());
+  for (int i = 0; i < width; ++i) b.push_back(c.add_input());
+  const int op0 = c.add_input();
+  const int op1 = c.add_input();
+  for (const int bit : append_alu(c, a, b, op0, op1, use_fast_adder)) c.mark_output(bit);
+  return c;
+}
+
+// Every row of the ALU's truth table through the 64-lane kernel: input i
+// of row r is bit i of r. Returns each row's result word.
+std::vector<unsigned> alu_rows(const Circuit& alu) {
+  const int n = alu.num_inputs();
+  const std::size_t rows = std::size_t{1} << n;
+  std::vector<std::uint64_t> inputs(static_cast<std::size_t>(n));
+  std::vector<std::uint64_t> values(static_cast<std::size_t>(alu.num_gates()));
+  std::vector<unsigned> results(rows, 0);
+  for (std::size_t base = 0; base < rows; base += 64) {
+    for (int i = 0; i < n; ++i) inputs[static_cast<std::size_t>(i)] = counting_word(i, base);
+    alu.evaluate_lanes(inputs, {}, values);
+    for (std::size_t lane = 0; lane < 64 && base + lane < rows; ++lane) {
+      for (int o = 0; o < alu.num_outputs(); ++o) {
+        if ((values[static_cast<std::size_t>(alu.outputs()[o])] >> lane) & 1) {
+          results[base + lane] |= 1u << o;
+        }
+      }
+    }
+  }
+  return results;
+}
+
 TEST(Alu, BothVariantsMatchExhaustively) {
   const int width = 3;
-  const Circuit slow = simple_alu(width, false);
-  const Circuit fast = simple_alu(width, true);
-  for (unsigned bits = 0; bits < (1u << (2 * width + 2)); ++bits) {
-    std::vector<bool> input(2 * width + 2);
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      input[i] = ((bits >> i) & 1) != 0;
-    }
-    ASSERT_EQ(slow.evaluate(input), fast.evaluate(input)) << bits;
-  }
+  const std::vector<unsigned> slow = alu_rows(alu_circuit(width, false));
+  const std::vector<unsigned> fast = alu_rows(alu_circuit(width, true));
+  ASSERT_EQ(slow.size(), std::size_t{1} << (2 * width + 2));
+  EXPECT_EQ(slow, fast);
 }
 
 TEST(Alu, OpcodeSemantics) {
   const int width = 4;
-  const Circuit alu = simple_alu(width, false);
-  const auto run = [&](unsigned a, unsigned b, bool op0, bool op1) {
-    std::vector<bool> input;
-    for (int i = 0; i < width; ++i) input.push_back(((a >> i) & 1) != 0);
-    for (int i = 0; i < width; ++i) input.push_back(((b >> i) & 1) != 0);
-    input.push_back(op0);
-    input.push_back(op1);
-    return decode_bits(alu.evaluate(input));
-  };
-  EXPECT_EQ(run(5, 9, false, false), (5u + 9u) & 0xF);  // add (mod 2^w)
-  EXPECT_EQ(run(12, 10, true, false), 12u & 10u);       // and
-  EXPECT_EQ(run(12, 10, false, true), 12u | 10u);       // or
-  EXPECT_EQ(run(12, 10, true, true), 12u ^ 10u);        // xor
+  const unsigned mask = (1u << width) - 1;
+  for (const bool fast : {false, true}) {
+    const std::vector<unsigned> rows = alu_rows(alu_circuit(width, fast));
+    ASSERT_EQ(rows.size(), std::size_t{1} << (2 * width + 2));
+    for (unsigned row = 0; row < rows.size(); ++row) {
+      const unsigned a = row & mask;
+      const unsigned b = (row >> width) & mask;
+      const unsigned op = row >> (2 * width);  // op0 is bit 0, op1 bit 1
+      const unsigned want = op == 0   ? (a + b) & mask  // add (mod 2^w)
+                            : op == 1 ? a & b
+                            : op == 2 ? a | b
+                                      : a ^ b;
+      ASSERT_EQ(rows[row], want) << "fast " << fast << " a " << a << " b " << b
+                                 << " op " << op;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <stdexcept>
 
+#include "circuit/circuit_gen.h"
+#include "circuit_reference.h"
 #include "core/solver.h"
 #include "engines/backend.h"
 #include "engines/transition_system.h"
@@ -89,6 +91,65 @@ TEST(TransitionSystem, ReachableBadStepHonorsMaxCycles) {
   const TransitionSystem ts(test_circuits::counter(3));
   EXPECT_EQ(ts.reachable_bad_step(6), std::nullopt);
   EXPECT_EQ(ts.reachable_bad_step(7), 7);
+}
+
+// The 64-pair BFS against the scalar pair-at-a-time reference over random
+// systems: 0-8 inputs (one pass spans 64 states, one state or a part of one),
+// 0-13 latches, rare and common bad signals, five cycle limits.
+TEST(TransitionSystem, ReachableBadStepMatchesScalarReference) {
+  Rng rng(2024);
+  int reached = 0;
+  int unreached = 0;
+  for (int i = 0; i < 120; ++i) {
+    RandomCircuitParams params;
+    params.num_inputs = i % 9;
+    params.num_latches = (3 * i) % 14;
+    if (params.num_inputs + params.num_latches == 0) params.num_latches = 2;
+    params.num_gates = 10 + 2 * params.num_latches + params.num_inputs;
+    params.num_outputs = 1 + i % 4;
+    params.xor_fraction = i % 2 == 0 ? 0.2 : 0.05;
+    Circuit circuit = random_circuit(params, rng);
+    int bad = circuit.outputs()[0];
+    for (int o = 1; o < params.num_outputs; ++o) {
+      bad = circuit.add_and(bad, circuit.outputs()[static_cast<std::size_t>(o)]);
+    }
+    circuit.mark_output(bad);
+    const TransitionSystem ts(std::move(circuit), params.num_outputs);
+    for (const int max_cycles : {-1, 0, 1, 3, 7}) {
+      const std::optional<int> want = reference::reachable_bad_step(ts, max_cycles);
+      ASSERT_EQ(ts.reachable_bad_step(max_cycles), want)
+          << "system " << i << " max_cycles " << max_cycles;
+      ++(want ? reached : unreached);
+    }
+  }
+  EXPECT_GT(reached, 0);
+  EXPECT_GT(unreached, 0);
+}
+
+TEST(TransitionSystem, StepMatchesScalarReference) {
+  Rng rng(77);
+  for (int i = 0; i < 6; ++i) {
+    gen::SafetyParams p;
+    p.seed = static_cast<std::uint64_t>(i);
+    p.safe = i % 2 == 0;
+    p.latch_heavy = i % 3 == 2;
+    const TransitionSystem ts = gen::safety_system(p);
+    for (int k = 0; k < 50; ++k) {
+      std::vector<bool> state, inputs, next, want_next;
+      for (int b = 0; b < ts.num_latches(); ++b) state.push_back(rng.coin());
+      for (int b = 0; b < ts.num_inputs(); ++b) inputs.push_back(rng.coin());
+      const bool bad = ts.step(state, inputs, &next);
+      EXPECT_EQ(bad, reference::step(ts, state, inputs, &want_next));
+      EXPECT_EQ(next, want_next);
+    }
+  }
+}
+
+TEST(TransitionSystem, StepRejectsArityMismatch) {
+  const TransitionSystem ts(test_circuits::shift_chain());
+  std::vector<bool> next;
+  EXPECT_THROW(ts.step({false}, {true}, &next), std::invalid_argument);
+  EXPECT_THROW(ts.step({false, false}, {}, &next), std::invalid_argument);
 }
 
 TEST(TransitionSystem, ReachableBadStepRejectsHugeStateSpaces) {
