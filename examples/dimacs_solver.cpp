@@ -135,42 +135,18 @@ std::optional<SolverOptions> options_from_args(const ArgParser& args) {
   return options;
 }
 
-// Builds the engine both modes solve on: one Solver for --threads 1, else
-// a portfolio. A preset other than berkmin, or --minimize, keeps that
-// configuration on every portfolio worker (only the restart/decay schedule
-// and seeds are jittered); otherwise the default diversified lineup runs.
-// --seed alone stays on the default lineup — it already reseeds it.
-std::unique_ptr<SatEngine> make_engine(const ArgParser& args,
-                                       const SolverOptions& options,
-                                       telemetry::Telemetry* hub,
-                                       const telemetry::SolverTelemetry* sink,
-                                       util::MemoryBudget* mem_budget) {
-  const int threads = static_cast<int>(args.get_int("threads"));
-  if (threads <= 1) {
-    auto solver = std::make_unique<Solver>(options);
-    solver->set_telemetry(sink);
-    solver->set_memory_budget(mem_budget);
-    return solver;
-  }
-  portfolio::PortfolioOptions popts;
-  popts.num_threads = threads;
-  popts.share_clauses = !args.has_flag("no-share");
-  popts.base_seed = options.seed;
-  const bool tuned =
-      args.get_string("preset") != "berkmin" || args.has_flag("minimize");
-  popts.configs =
-      tuned ? portfolio::diversify_around(options, threads, options.seed)
-            : portfolio::diversified_configs(threads, options.seed);
-  // Workers inprocess at restarts like the sequential engine, but never
-  // eliminate variables: an eliminated variable may still occur in a
-  // sibling's exchanged clauses.
-  for (portfolio::WorkerConfig& config : popts.configs) {
-    config.options.inprocess = options.inprocess;
-    config.options.inprocess.var_elim = false;
-  }
-  popts.telemetry = hub;
-  popts.memory_budget = mem_budget;
-  return std::make_unique<portfolio::PortfolioSolver>(popts);
+// The engine both modes solve on, from portfolio::make_engine.
+std::unique_ptr<SatEngine> engine_from_args(
+    const ArgParser& args, const SolverOptions& options,
+    telemetry::Telemetry* hub, const telemetry::SolverTelemetry* sink,
+    util::MemoryBudget* mem_budget) {
+  std::unique_ptr<SatEngine> engine = portfolio::make_engine(
+      options, static_cast<int>(args.get_int("threads")),
+      {.share_clauses = !args.has_flag("no-share"),
+       .telemetry = hub,
+       .memory_budget = mem_budget});
+  engine->set_telemetry(sink);
+  return engine;
 }
 
 // Scripted (.icnf) mode: replay an incremental push/add/pop/solve script
@@ -211,7 +187,7 @@ int run_scripted(const ArgParser& args, const std::string& path,
   }
 
   const std::unique_ptr<SatEngine> engine =
-      make_engine(args, *options, hub, sink, mem_budget);
+      engine_from_args(args, *options, hub, sink, mem_budget);
   proof::LiveCertifier certifier(*engine, want_proof, check);
   certifier.set_telemetry(sink);
 
@@ -319,16 +295,20 @@ void print_stats(const SatEngine& engine, double elapsed) {
             << "\n"
             << "c database ratio " << stats.db_generated_ratio()
             << ", peak live ratio " << stats.db_peak_ratio() << "\n";
-  const auto* race = dynamic_cast<const portfolio::PortfolioSolver*>(&engine);
-  if (race == nullptr) return;
-  std::cout << "c winner " << race->winner_name() << " (worker "
-            << race->winner() << " of " << race->reports().size() << ")\n";
-  for (const portfolio::WorkerReport& report : race->reports()) {
+  const RaceReport& race = engine.race();
+  if (race.workers.empty()) return;
+  std::cout << "c winner "
+            << (race.winner < 0
+                    ? std::string()
+                    : race.workers[static_cast<std::size_t>(race.winner)].name)
+            << " (worker " << race.winner << " of " << race.workers.size()
+            << ")\n";
+  for (const WorkerReport& report : race.workers) {
     std::cout << "c worker " << report.name << ": " << to_string(report.status)
               << " in " << report.seconds << " s, " << report.stats.summary()
               << "\n";
   }
-  const portfolio::ExchangeStats& ex = race->exchange_stats();
+  const ExchangeStats& ex = race.exchange;
   std::cout << "c exchange: " << ex.accepted << " stored ("
             << ex.rejected_duplicate << " dup, " << ex.rejected_length
             << " long, " << ex.rejected_glue << " glue, " << ex.rejected_full
@@ -353,8 +333,9 @@ int main(int argc, char** argv) {
   args.add_option("generate", "", "generate an instance instead of reading a file "
                   "(see --list-generators)");
   args.add_option("threads", "1",
-                  "portfolio size: run N diversified solvers in parallel with "
-                  "learned-clause sharing (1 = the classic sequential solver)",
+                  "portfolio size: race the preset on worker 0 against N-1 "
+                  "schedule/seed-jittered copies with learned-clause sharing "
+                  "(1 = the classic sequential solver)",
                   {.min = 1, .max = kMaxThreads});
   args.add_flag("no-share", "portfolio only: disable clause sharing");
   args.add_option("timeout", "0.0", "wall-clock budget in seconds (0 = none)",
@@ -606,10 +587,11 @@ int main(int argc, char** argv) {
   const Cnf& solved = preprocessing ? reduced : cnf;
 
   // Single-shot solving: nothing can mention a variable again after this
-  // solve, so a sequential engine may also eliminate variables.
+  // solve, so a sequential engine may also eliminate variables (portfolio
+  // workers never do).
   options->inprocess.var_elim = options->inprocess.enabled;
   const std::unique_ptr<SatEngine> engine =
-      make_engine(args, *options, hub.get(), sink, mem_budget.get());
+      engine_from_args(args, *options, hub.get(), sink, mem_budget.get());
   engine->set_proof(proof_sink);
   engine->load(solved);
 

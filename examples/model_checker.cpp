@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/solver.h"
+#include "core/options.h"
 #include "engines/bmc.h"
 #include "engines/ic3.h"
 #include "gen/safety.h"
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
   }
 
   // The engines drive a service session (--service) or an in-process
-  // engine; either is a racing portfolio when --threads > 1.
+  // engine; either is make_engine's racing portfolio when --threads > 1.
   const int threads = static_cast<int>(args.get_int("threads"));
   std::unique_ptr<service::SolverService> service;
   int exit_code = 0;
@@ -206,13 +206,10 @@ int main(int argc, char** argv) {
       }
       backend = std::make_unique<SessionBackend>(
           *service, service::SessionRequest{.name = name, .threads = threads});
-    } else if (threads > 1) {
-      sat = std::make_unique<portfolio::PortfolioSolver>(
-          portfolio::PortfolioOptions{.num_threads = threads});
     } else {
-      sat = std::make_unique<Solver>();
+      sat = portfolio::make_engine(SolverOptions::berkmin(), threads);
+      backend = std::make_unique<SolverBackend>(*sat);
     }
-    if (sat != nullptr) backend = std::make_unique<SolverBackend>(*sat);
 
     WallTimer timer;
     EngineResult result;

@@ -236,12 +236,6 @@ void write(std::ostream& out, const Cnf& cnf, const std::string& comment) {
   }
 }
 
-std::string write_string(const Cnf& cnf, const std::string& comment) {
-  std::ostringstream out;
-  write(out, cnf, comment);
-  return out.str();
-}
-
 void write_file(const std::string& path, const Cnf& cnf, const std::string& comment) {
   std::ofstream out(path);
   if (!out) throw DimacsError(0, "cannot open file '" + path + "' for writing");

@@ -82,7 +82,6 @@ Cnf read_string(const std::string& text);
 Cnf read_file(const std::string& path);
 
 void write(std::ostream& out, const Cnf& cnf, const std::string& comment = "");
-std::string write_string(const Cnf& cnf, const std::string& comment = "");
 void write_file(const std::string& path, const Cnf& cnf,
                 const std::string& comment = "");
 

@@ -44,13 +44,6 @@ class Clause {
     base_[3 + i] = static_cast<std::uint32_t>(l.code());
   }
 
-  // Shrinks the clause in place. Reduction strips root-false literals by
-  // copying into a fresh arena instead; only tests call this.
-  void shrink(std::uint32_t new_size) {
-    assert(new_size <= size());
-    base_[0] = (new_size << 2) | (base_[0] & 3);
-  }
-
   // Copies the literals out (for callbacks and proof logging; safe across
   // later arena growth).
   void copy_to(std::vector<Lit>& out) const {

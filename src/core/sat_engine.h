@@ -1,14 +1,15 @@
 // One solving surface over every engine: the sequential BerkMin Solver and
 // the racing portfolio::PortfolioSolver both implement SatEngine, so a
 // consumer (the service, the CLI, the experiment harness) holds one engine
-// and never branches on which kind it was given. Engines are configured —
-// options, memory budget — where they are built; this interface carries
-// what every consumer does with a built engine, proof logging included: a
-// consumer attaches one proof::ProofWriter with set_proof and reads the
-// trace back from it, whichever engine ran.
+// and never branches on which kind it was given. Engines are built — and
+// configured: options, thread count, memory budget — by one factory,
+// portfolio::make_engine; this interface carries what every consumer does
+// with a built engine, proof logging included: a consumer attaches one
+// proof::ProofWriter with set_proof and reads the trace back from it,
+// whichever engine ran.
 //
 // Typical use:
-//   std::unique_ptr<SatEngine> engine = std::make_unique<Solver>();
+//   std::unique_ptr<SatEngine> engine = portfolio::make_engine(options, 1);
 //   engine->load(cnf);
 //   if (engine->solve_with_assumptions({}, Budget::conflicts(1000)) ==
 //       SolveStatus::satisfiable)
@@ -78,6 +79,12 @@ class SatEngine {
   // Statistics behind the answer: the solver's cumulative counters, or the
   // portfolio winner's with the exchange counters summed over workers.
   virtual const SolverStats& stats() const = 0;
+  // The race behind the last answer (see RaceReport). A single solver runs
+  // none: its report has no workers.
+  virtual const RaceReport& race() const {
+    static const RaceReport none;
+    return none;
+  }
 
   // Attaches the writer that receives the engine's DRAT trace (nullptr
   // detaches); attach it before the first solve, and keep it alive across

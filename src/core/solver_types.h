@@ -233,4 +233,42 @@ inline constexpr SolverCounter kSolverCounters[] = {
 };
 inline constexpr std::size_t kNumSolverCounters = std::size(kSolverCounters);
 
+// One racing worker's outcome of a portfolio's last solve.
+struct WorkerReport {
+  std::string name;
+  SolveStatus status = SolveStatus::unknown;
+  double seconds = 0.0;
+  SolverStats stats;
+  // Worker-death detection: true when the worker's solve threw (a real
+  // bad_alloc or an injected fault). The engine is considered poisoned
+  // and is permanently removed from the race — its exchange cursor is
+  // retired so it cannot stall proof splicing, and later solves skip it.
+  // The race's answer comes from the surviving workers and stays correct
+  // and certifiable.
+  bool died = false;
+  std::string error;
+};
+
+// Counters of a portfolio's learned-clause exchange.
+struct ExchangeStats {
+  std::uint64_t published = 0;           // publish() calls
+  std::uint64_t accepted = 0;            // clauses stored
+  std::uint64_t rejected_length = 0;     // too long
+  std::uint64_t rejected_glue = 0;       // glue above the adaptive limit
+  std::uint64_t rejected_duplicate = 0;  // already in the pool
+  std::uint64_t rejected_full = 0;       // budget exhausted
+  std::uint64_t rejected_pressure = 0;   // memory budget denied the entry
+  std::uint64_t collected = 0;           // clauses handed to importers
+};
+
+// The race behind an engine's last answer (SatEngine::race): one report per
+// portfolio worker, the index of the worker whose answer was returned (-1
+// when none answered) and the clause exchange's counters. A single solver
+// runs no race: no workers.
+struct RaceReport {
+  std::vector<WorkerReport> workers;
+  int winner = -1;
+  ExchangeStats exchange;
+};
+
 }  // namespace berkmin

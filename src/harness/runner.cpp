@@ -33,16 +33,8 @@ void score_result(RunResult* result, const Instance& instance,
 
 RunResult run_instance(const Instance& instance, const SolverOptions& options,
                        double timeout_seconds, int threads) {
-  std::unique_ptr<SatEngine> engine;
-  if (threads > 1) {
-    portfolio::PortfolioOptions popts;
-    popts.num_threads = threads;
-    popts.base_seed = options.seed;
-    popts.configs = portfolio::diversify_around(options, threads, options.seed);
-    engine = std::make_unique<portfolio::PortfolioSolver>(popts);
-  } else {
-    engine = std::make_unique<Solver>(options);
-  }
+  const std::unique_ptr<SatEngine> engine =
+      portfolio::make_engine(options, threads);
   engine->load(instance.cnf);
 
   RunResult result;

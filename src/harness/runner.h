@@ -22,12 +22,11 @@ struct RunResult {
   SolverStats stats;
 };
 
-// `threads` > 1 solves through a portfolio whose worker 0 keeps `options`
-// unchanged and whose other workers jitter only the restart/decay schedule
-// and seed (portfolio::diversify_around), so comparisons across options
-// stay meaningful. `stats` is the engine's answer stats (SatEngine::stats):
-// for a portfolio the winner's, with the clause-exchange totals summed
-// over workers.
+// Solves on portfolio::make_engine(options, threads): `threads` > 1 races a
+// portfolio whose worker 0 keeps `options` unchanged, so comparisons across
+// options stay meaningful at any thread count. `stats` is the engine's
+// answer stats (SatEngine::stats): for a portfolio the winner's, with the
+// clause-exchange totals summed over workers.
 RunResult run_instance(const Instance& instance, const SolverOptions& options,
                        double timeout_seconds, int threads = 1);
 

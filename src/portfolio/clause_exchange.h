@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "cnf/literal.h"
+#include "core/solver_types.h"
 
 namespace berkmin::util {
 class MemoryBudget;
@@ -53,17 +54,6 @@ struct ExchangeLimits {
   // Glue-path offers per adaptation step (0 disables adaptation).
   std::uint32_t adapt_window = 64;
   std::uint64_t max_clauses = 1 << 16;
-};
-
-struct ExchangeStats {
-  std::uint64_t published = 0;           // publish() calls
-  std::uint64_t accepted = 0;            // clauses stored
-  std::uint64_t rejected_length = 0;     // too long
-  std::uint64_t rejected_glue = 0;       // glue above the adaptive limit
-  std::uint64_t rejected_duplicate = 0;  // already in the pool
-  std::uint64_t rejected_full = 0;       // budget exhausted
-  std::uint64_t rejected_pressure = 0;   // memory budget denied the entry
-  std::uint64_t collected = 0;           // clauses handed to importers
 };
 
 class ClauseExchange {

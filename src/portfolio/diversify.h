@@ -32,8 +32,8 @@ std::vector<WorkerConfig> diversified_configs(int num_workers,
 
 // Variations of one base configuration: worker 0 is `base` unchanged, the
 // rest only vary the restart schedule, decay interval and seed, keeping
-// the heuristic policies intact. Used by the bench drivers so a "column"
-// keeps its meaning when run with --threads.
+// the heuristic policies intact. The lineup make_engine races, so a
+// caller's configuration keeps its meaning at any thread count.
 std::vector<WorkerConfig> diversify_around(const SolverOptions& base,
                                            int num_workers,
                                            std::uint64_t base_seed);

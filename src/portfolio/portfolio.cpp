@@ -93,6 +93,9 @@ void PortfolioSolver::warm_up_workers() {
       }
     }
     configs.resize(static_cast<std::size_t>(n));
+    for (WorkerConfig& config : configs) {
+      config.options.inprocess.var_elim = false;
+    }
 
     exchange_ = std::make_unique<ClauseExchange>(n);
     if (opts_.memory_budget != nullptr) {
@@ -252,15 +255,15 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
   const int n = opts_.num_threads;
   warm_up_workers();
 
-  winner_ = -1;
-  winner_name_.clear();
+  race_.winner = -1;
   model_.clear();
   failed_assumptions_.clear();
   last_slice_ = SliceStats{};
   stats_ = SolverStats{};
-  reports_.assign(static_cast<std::size_t>(n), WorkerReport{});
+  std::vector<WorkerReport>& reports = race_.workers;
+  reports.assign(static_cast<std::size_t>(n), WorkerReport{});
   for (int i = 0; i < n; ++i) {
-    reports_[static_cast<std::size_t>(i)].name =
+    reports[static_cast<std::size_t>(i)].name =
         worker_names_[static_cast<std::size_t>(i)];
   }
 
@@ -276,7 +279,7 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
 
   const auto worker = [&](int id) {
     Solver& solver = *solvers_[static_cast<std::size_t>(id)];
-    WorkerReport& report = reports_[static_cast<std::size_t>(id)];
+    WorkerReport& report = reports[static_cast<std::size_t>(id)];
 
     WallTimer timer;
     SolveStatus status = SolveStatus::unknown;
@@ -308,7 +311,7 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
 
     if (status != SolveStatus::unknown) {
       std::lock_guard<std::mutex> lock(winner_mutex);
-      if (winner_ < 0) winner_ = id;
+      if (race_.winner < 0) race_.winner = id;
       // Cancel the race through each sibling's own sticky flag (the
       // shared user_stop_ must stay untouched: it belongs to the user).
       for (const auto& sibling : solvers_) sibling->request_stop();
@@ -337,10 +340,10 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
   for (int i = 0; i < n; ++i) {
     const std::size_t w = static_cast<std::size_t>(i);
     const Solver& solver = *solvers_[w];
-    reports_[w].stats = solver.stats();
+    reports[w].stats = solver.stats();
     if (dead_[w]) {
-      reports_[w].died = true;
-      reports_[w].error = dead_errors_[w];
+      reports[w].died = true;
+      reports[w].error = dead_errors_[w];
     } else {
       last_slice_.conflicts += solver.last_slice().conflicts;
       last_slice_.decisions += solver.last_slice().decisions;
@@ -350,22 +353,22 @@ SolveStatus PortfolioSolver::solve_with_assumptions(
       last_slice_.seconds += solver.last_slice().seconds;
     }
   }
-  if (winner_ >= 0) stats_ = reports_[static_cast<std::size_t>(winner_)].stats;
+  const int winner = race_.winner;
+  if (winner >= 0) stats_ = reports[static_cast<std::size_t>(winner)].stats;
   stats_.exported_clauses = stats_.imported_clauses = 0;
   stats_.duplicate_binaries_skipped = 0;
-  for (const WorkerReport& report : reports_) {
+  for (const WorkerReport& report : reports) {
     stats_.exported_clauses += report.stats.exported_clauses;
     stats_.imported_clauses += report.stats.imported_clauses;
     stats_.duplicate_binaries_skipped +=
         report.stats.duplicate_binaries_skipped;
   }
-  exchange_stats_ = exchange_->stats();
+  race_.exchange = exchange_->stats();
   publish_exchange_stats();
 
-  if (winner_ < 0) return SolveStatus::unknown;
-  const Solver& winning = *solvers_[static_cast<std::size_t>(winner_)];
-  winner_name_ = reports_[static_cast<std::size_t>(winner_)].name;
-  const SolveStatus status = reports_[static_cast<std::size_t>(winner_)].status;
+  if (winner < 0) return SolveStatus::unknown;
+  const Solver& winning = *solvers_[static_cast<std::size_t>(winner)];
+  const SolveStatus status = reports[static_cast<std::size_t>(winner)].status;
   if (status == SolveStatus::satisfiable) {
     model_ = winning.model();
   } else {
@@ -394,21 +397,39 @@ void PortfolioSolver::publish_exchange_stats() {
       *prev = current;
     }
   };
-  flush("exchange.published", exchange_stats_.published,
+  flush("exchange.published", race_.exchange.published,
         &exchange_seen_.published);
-  flush("exchange.accepted", exchange_stats_.accepted, &exchange_seen_.accepted);
-  flush("exchange.rejected_length", exchange_stats_.rejected_length,
+  flush("exchange.accepted", race_.exchange.accepted, &exchange_seen_.accepted);
+  flush("exchange.rejected_length", race_.exchange.rejected_length,
         &exchange_seen_.rejected_length);
-  flush("exchange.rejected_glue", exchange_stats_.rejected_glue,
+  flush("exchange.rejected_glue", race_.exchange.rejected_glue,
         &exchange_seen_.rejected_glue);
-  flush("exchange.rejected_duplicate", exchange_stats_.rejected_duplicate,
+  flush("exchange.rejected_duplicate", race_.exchange.rejected_duplicate,
         &exchange_seen_.rejected_duplicate);
-  flush("exchange.rejected_full", exchange_stats_.rejected_full,
+  flush("exchange.rejected_full", race_.exchange.rejected_full,
         &exchange_seen_.rejected_full);
-  flush("exchange.rejected_pressure", exchange_stats_.rejected_pressure,
+  flush("exchange.rejected_pressure", race_.exchange.rejected_pressure,
         &exchange_seen_.rejected_pressure);
-  flush("exchange.collected", exchange_stats_.collected,
+  flush("exchange.collected", race_.exchange.collected,
         &exchange_seen_.collected);
+}
+
+std::unique_ptr<SatEngine> make_engine(const SolverOptions& options,
+                                       int threads, PortfolioOptions shared,
+                                       std::unique_ptr<SatEngine> spare) {
+  if (threads <= 1) {
+    // At one thread this factory builds nothing but a Solver, so a spare
+    // it built is one.
+    auto solver = spare != nullptr
+                      ? std::make_unique<Solver>(
+                            options, std::move(static_cast<Solver&>(*spare)))
+                      : std::make_unique<Solver>(options);
+    solver->set_memory_budget(shared.memory_budget);
+    return solver;
+  }
+  shared.num_threads = threads;
+  shared.configs = diversify_around(options, threads, options.seed);
+  return std::make_unique<PortfolioSolver>(std::move(shared));
 }
 
 }  // namespace berkmin::portfolio

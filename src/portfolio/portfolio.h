@@ -12,11 +12,13 @@
 // sequential Solver implements too. A writer attached with set_proof
 // receives one checkable DRAT trace of the whole race (see set_proof).
 //
-// Typical use:
-//   PortfolioSolver portfolio(PortfolioOptions{.num_threads = 4});
-//   portfolio.load(cnf);
-//   if (portfolio.solve(Budget::wall_clock(10.0)) == SolveStatus::satisfiable)
-//     use(portfolio.model());
+// Consumers build their engine with make_engine (below), which picks a
+// Solver or a PortfolioSolver by thread count:
+//   std::unique_ptr<SatEngine> engine = make_engine(options, 4);
+//   engine->load(cnf);
+//   if (engine->solve_with_assumptions({}, Budget::wall_clock(10.0)) ==
+//       SolveStatus::satisfiable)
+//     use(engine->model());
 #pragma once
 
 #include <atomic>
@@ -61,22 +63,6 @@ struct PortfolioOptions {
   // charges its entries (publishes the budget cannot absorb are
   // dropped). The budget must outlive the portfolio.
   util::MemoryBudget* memory_budget = nullptr;
-};
-
-// Per-worker outcome of the last solve, for stats printing and tests.
-struct WorkerReport {
-  std::string name;
-  SolveStatus status = SolveStatus::unknown;
-  double seconds = 0.0;
-  SolverStats stats;
-  // Worker-death detection: true when the worker's solve threw (a real
-  // bad_alloc or an injected fault). The engine is considered poisoned
-  // and is permanently removed from the race — its exchange cursor is
-  // retired so it cannot stall proof splicing, and later solves skip it.
-  // The race's answer comes from the surviving workers and stays correct
-  // and certifiable.
-  bool died = false;
-  std::string error;
 };
 
 class PortfolioSolver final : public SatEngine {
@@ -174,11 +160,7 @@ class PortfolioSolver final : public SatEngine {
   const SolverStats& stats() const override { return stats_; }
   // Workers own their telemetry sinks (PortfolioOptions::telemetry).
   void set_telemetry(const telemetry::SolverTelemetry*) override {}
-
-  // Index/name of the worker whose answer was returned (-1 / "" when the
-  // last solve returned unknown).
-  int winner() const { return winner_; }
-  const std::string& winner_name() const { return winner_name_; }
+  const RaceReport& race() const override { return race_; }
 
   // ---- proof logging ----------------------------------------------------
   // With a writer attached before the first solve, every worker logs its
@@ -193,9 +175,6 @@ class PortfolioSolver final : public SatEngine {
   // A writer attached after the first solve receives nothing.
   void set_proof(proof::ProofWriter* writer) override { proof_ = writer; }
 
-  const std::vector<WorkerReport>& reports() const { return reports_; }
-  const ExchangeStats& exchange_stats() const { return exchange_stats_; }
-
   // ---- warm-worker introspection (tests, tools) -------------------------
   // The id-th worker engine, or nullptr before the first solve / out of
   // range. The first solve builds the worker lineup; the same Solver
@@ -209,7 +188,9 @@ class PortfolioSolver final : public SatEngine {
 
  private:
   // Builds the diversified lineup, exchange and worker solvers (first
-  // solve only), then feeds any clauses added since the previous call.
+  // solve only), then feeds any clauses added since the previous call. No
+  // worker eliminates variables, whatever its configuration asks: an
+  // eliminated variable may still occur in a sibling's exchanged clauses.
   void warm_up_workers();
 
   PortfolioOptions opts_;
@@ -270,14 +251,29 @@ class PortfolioSolver final : public SatEngine {
   // cancellation goes through each worker Solver's own request_stop().
   std::atomic<bool> user_stop_{false};
 
-  int winner_ = -1;
-  std::string winner_name_;
   std::vector<Value> model_;
   std::vector<Lit> failed_assumptions_;
-  std::vector<WorkerReport> reports_;
+  RaceReport race_;
   SliceStats last_slice_;
   SolverStats stats_;
-  ExchangeStats exchange_stats_;
 };
+
+// The one engine factory: every consumer builds its engine here, so a
+// thread count means the same engine everywhere.
+// - threads <= 1: a Solver running `options`, charging
+//   shared.memory_budget. Given `spare` — an engine this factory built at
+//   one thread, whose owner is done with it — the solver starts in the
+//   spare's buffers (Solver(options, spent)).
+// - threads > 1: a PortfolioSolver whose worker 0 runs `options` unchanged
+//   and whose siblings jitter only its restart/decay schedule and seed
+//   (diversify_around, seeded by options.seed), so presets, seeds and
+//   inprocessing mean the same at every thread count. From `shared` it
+//   takes share_clauses, telemetry, trace_workers and memory_budget; the
+//   lineup fields are its own.
+// The caller attaches a single solver's telemetry sink and any proof
+// writer through SatEngine.
+std::unique_ptr<SatEngine> make_engine(
+    const SolverOptions& options, int threads, PortfolioOptions shared = {},
+    std::unique_ptr<SatEngine> spare = nullptr);
 
 }  // namespace berkmin::portfolio

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/solver.h"
 #include "portfolio/portfolio.h"
 #include "util/fault.h"
 #include "util/memory_budget.h"
@@ -23,6 +22,18 @@ constexpr double kAgingRate = 0.125;
 // the few microseconds between a dispatch and its solve would preempt every
 // slice before it solves, so no job could ever finish.
 constexpr double kMinWatchdog = 1e-3;
+
+// What the service's engines share (portfolio::make_engine): counters and
+// phases flow to the hub, per-worker rings stay off (ring names would
+// collide and interleave across sessions and jobs), and every engine
+// charges the memory budget.
+portfolio::PortfolioOptions engine_resources(const ServiceOptions& opts) {
+  portfolio::PortfolioOptions shared;
+  shared.telemetry = opts.telemetry;
+  shared.trace_workers = false;
+  shared.memory_budget = opts.memory_budget;
+  return shared;
+}
 
 }  // namespace
 
@@ -183,9 +194,10 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
     std::lock_guard<std::mutex> lk(lock_);
     spare = std::move(spare_);
   }
-  const bool reused = spare.solver != nullptr;
+  const bool reused = spare.engine != nullptr;
   auto session = std::make_shared<Session>(
-      make_engine(request.options, request.threads, std::move(spare.solver)),
+      portfolio::make_engine(request.options, request.threads,
+                             engine_resources(opts_), std::move(spare.engine)),
       request.proof.wanted() && unsupported.empty(), request.proof.verify(),
       std::move(spare.checker));
   session->unsupported = std::move(unsupported);
@@ -210,28 +222,6 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
     sessions_gauge_->set(static_cast<std::int64_t>(sessions_.size()));
   }
   return session->id;
-}
-
-std::unique_ptr<SatEngine> SolverService::make_engine(
-    const SolverOptions& options, int threads,
-    std::unique_ptr<Solver> spare) const {
-  if (threads > 1) {
-    portfolio::PortfolioOptions popts;
-    popts.num_threads = threads;
-    popts.base_seed = options.seed;
-    popts.configs = portfolio::diversify_around(options, threads, options.seed);
-    // Counters and phases flow to the hub; per-worker rings stay off (ring
-    // names would collide and interleave across sessions and jobs).
-    popts.telemetry = opts_.telemetry;
-    popts.trace_workers = false;
-    popts.memory_budget = opts_.memory_budget;
-    return std::make_unique<portfolio::PortfolioSolver>(popts);
-  }
-  auto solver = spare != nullptr
-                    ? std::make_unique<Solver>(options, std::move(*spare))
-                    : std::make_unique<Solver>(options);
-  solver->set_memory_budget(opts_.memory_budget);
-  return solver;
 }
 
 std::optional<GroupId> SolverService::mutate_session(SessionId id,
@@ -366,15 +356,12 @@ bool SolverService::close_session(SessionId id) {
 }
 
 void SolverService::keep_spare_locked(const std::shared_ptr<Session>& session) {
-  if (spare_.solver != nullptr || opts_.memory_budget != nullptr ||
-      session.use_count() != 1) {
+  if (spare_.engine != nullptr || opts_.memory_budget != nullptr ||
+      session.use_count() != 1 || session->request.threads != 1) {
     return;
   }
-  auto* solver = dynamic_cast<Solver*>(session->engine.get());
-  if (solver == nullptr) return;  // a portfolio
   spare_.checker = session->certifier.release_checker();
-  spare_.solver.reset(solver);
-  session->engine.release();
+  spare_.engine = std::move(session->engine);
 }
 
 std::size_t SolverService::open_sessions() const {
@@ -679,7 +666,8 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     std::unique_ptr<SatEngine> engine;
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
     try {
-      engine = make_engine(job->request.options, limits.threads);
+      engine = portfolio::make_engine(job->request.options, limits.threads,
+                                      engine_resources(opts_));
       if (proof_opts.wanted()) {
         proof_writer = std::make_unique<proof::MemoryProofWriter>();
         engine->set_proof(proof_writer.get());

@@ -368,23 +368,17 @@ class SolverService {
                                         GroupId group = no_group,
                                         std::span<const Lit> lits = {},
                                         bool active = true);
-  // Builds an engine for `threads` workers: one solver (in `spare`'s
-  // buffers when given), or a portfolio diversified around `options`. A
-  // consumer that wants a proof attaches its writer (SatEngine::set_proof).
-  std::unique_ptr<SatEngine> make_engine(
-      const SolverOptions& options, int threads,
-      std::unique_ptr<Solver> spare = nullptr) const;
-  // The storage of a closed single-solver session: its solver and checker,
-  // which the next single-solver session is built in (Solver(options,
-  // spent), DratChecker::reset). A run of sessions then keeps one
-  // session's memory instead of returning it to the allocator at every
-  // close and faulting it back in at the next open.
+  // The storage of a closed one-thread session: its engine and checker,
+  // which the next one-thread session is built in (make_engine's spare,
+  // DratChecker::reset). A run of sessions then keeps one session's memory
+  // instead of returning it to the allocator at every close and faulting
+  // it back in at the next open.
   struct Spare {
-    std::unique_ptr<Solver> solver;
+    std::unique_ptr<SatEngine> engine;
     std::unique_ptr<proof::DratChecker> checker;
   };
-  // Keeps a closing session's storage in spare_ when the slot is free and
-  // nothing else holds the session. Must hold lock_.
+  // Keeps a closing one-thread session's storage in spare_ when the slot
+  // is free and nothing else holds the session. Must hold lock_.
   void keep_spare_locked(const std::shared_ptr<Session>& session);
   // Slice protocol helpers: the pre-flight (finish a cancelled or
   // already-past-deadline job without spending a slice on it — returns

@@ -72,16 +72,4 @@ std::uint64_t HistogramSnapshot::quantile(double q) const {
   return max;
 }
 
-void HistogramSnapshot::merge(const HistogramSnapshot& other) {
-  if (other.count == 0) return;
-  if (buckets.size() < other.buckets.size()) buckets.resize(other.buckets.size());
-  for (std::size_t i = 0; i < other.buckets.size(); ++i) {
-    buckets[i] += other.buckets[i];
-  }
-  min = count == 0 ? other.min : std::min(min, other.min);
-  max = count == 0 ? other.max : std::max(max, other.max);
-  count += other.count;
-  sum += other.sum;
-}
-
 }  // namespace berkmin::telemetry

@@ -35,10 +35,6 @@ struct HistogramSnapshot {
   // midpoint of the containing log bucket, clamped into [min, max].
   // Returns 0 on an empty snapshot.
   std::uint64_t quantile(double q) const;
-
-  // Bucket-wise addition (count/sum add, min/max widen): the per-thread →
-  // global aggregation step.
-  void merge(const HistogramSnapshot& other);
 };
 
 class Histogram {

@@ -4,7 +4,6 @@
 
 #include "core/solver_types.h"
 #include "telemetry/solver_telemetry.h"
-#include "util/table.h"
 
 namespace berkmin::telemetry {
 
@@ -97,43 +96,6 @@ void SolverTelemetry::publish(const SolverStats& stats,
     }
     seen->glue_histogram[g] = stats.glue_histogram[g];
   }
-}
-
-std::string render_summary(const MetricsSnapshot& snapshot) {
-  std::string out;
-  if (!snapshot.counters.empty() || !snapshot.gauges.empty()) {
-    Table table({"metric", "value"});
-    for (const auto& [name, value] : snapshot.counters) {
-      table.add_row({name, format_count(value)});
-    }
-    for (const auto& [name, value] : snapshot.gauges) {
-      table.add_row({name + " (gauge)", std::to_string(value)});
-    }
-    out += table.to_string();
-  }
-  if (!snapshot.histograms.empty()) {
-    if (!out.empty()) out += "\n";
-    Table table({"histogram", "count", "mean", "p50", "p90", "p99", "max"});
-    for (const auto& [name, hist] : snapshot.histograms) {
-      table.add_row({name, format_count(hist.count),
-                     format_count(static_cast<std::uint64_t>(hist.mean())),
-                     format_count(hist.quantile(0.5)),
-                     format_count(hist.quantile(0.9)),
-                     format_count(hist.quantile(0.99)),
-                     format_count(hist.max)});
-    }
-    out += table.to_string();
-  }
-  if (!snapshot.phases.empty()) {
-    if (!out.empty()) out += "\n";
-    Table table({"phase", "calls", "seconds"});
-    for (const auto& [name, totals] : snapshot.phases) {
-      table.add_row({name, format_count(totals.calls),
-                     format_seconds(static_cast<double>(totals.ns) / 1e9)});
-    }
-    out += table.to_string();
-  }
-  return out;
 }
 
 }  // namespace berkmin::telemetry

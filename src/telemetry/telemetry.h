@@ -53,8 +53,4 @@ class Telemetry {
   std::vector<TaggedEvent> retained_;
 };
 
-// Human-readable rendering of a snapshot using util/table (counters,
-// gauges, latency summaries, phase profile).
-std::string render_summary(const MetricsSnapshot& snapshot);
-
 }  // namespace berkmin::telemetry

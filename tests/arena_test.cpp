@@ -63,17 +63,6 @@ TEST(ClauseArena, SetLitMutates) {
   EXPECT_EQ(arena.deref(ref)[0], from_dimacs(-7));
 }
 
-TEST(ClauseArena, ShrinkReducesSize) {
-  ClauseArena arena;
-  const ClauseRef ref = arena.alloc(lits({1, 2, 3, 4}), true);
-  Clause c = arena.deref(ref);
-  c.set_activity(5);
-  c.shrink(2);
-  EXPECT_EQ(arena.deref(ref).size(), 2u);
-  EXPECT_TRUE(arena.deref(ref).learned());
-  EXPECT_EQ(arena.deref(ref).activity(), 5u);
-}
-
 TEST(ClauseArena, CopyTo) {
   ClauseArena arena;
   const auto original = lits({-4, 2, 9});

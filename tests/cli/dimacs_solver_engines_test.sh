@@ -3,7 +3,8 @@
 # (--threads 1) or a portfolio (--threads N): one-shot answers, models,
 # DRAT traces and scripted (.icnf) sessions must behave the same at either
 # width, with the documented exit codes (10 = SAT, 20 = UNSAT, 0 =
-# unknown, 1 = usage error or failed check).
+# unknown, 1 = usage error or failed check); --stats adds the race to the
+# search statistics only at N > 1.
 #
 #   tests/cli/dimacs_solver_engines_test.sh <dimacs_solver> <drat_check>
 set -u
@@ -46,6 +47,35 @@ for threads in 1 2; do
     >/dev/null 2>&1
   check_rc "budget-limited --threads $threads" 0 $?
 done
+
+# --stats describes the race of a portfolio (the winner, one line per
+# worker, the clause exchange) and no race for a single solver.
+"$SOLVER" --generate hole:7 --threads 2 --stats >"$tmp/stats2.out" 2>&1
+check_rc "--stats --threads 2" 20 $?
+grep -q '^c winner ' "$tmp/stats2.out" || {
+  echo "FAIL: --threads 2 --stats printed no winner line"
+  fail=1
+}
+workers=$(grep -c '^c worker ' "$tmp/stats2.out")
+if [ "$workers" -ne 2 ]; then
+  echo "FAIL: --threads 2 --stats printed $workers worker lines, expected 2"
+  fail=1
+fi
+grep -q '^c exchange: ' "$tmp/stats2.out" || {
+  echo "FAIL: --threads 2 --stats printed no exchange line"
+  fail=1
+}
+"$SOLVER" --generate hole:7 --threads 1 --stats >"$tmp/stats1.out" 2>&1
+check_rc "--stats --threads 1" 20 $?
+grep -q '^c conflicts ' "$tmp/stats1.out" || {
+  echo "FAIL: --threads 1 --stats printed no search statistics"
+  fail=1
+}
+if grep -qE '^c (winner|worker|exchange:) ' "$tmp/stats1.out"; then
+  echo "FAIL: --threads 1 --stats printed a race:"
+  cat "$tmp/stats1.out"
+  fail=1
+fi
 
 # Scripted sessions: the last answer sets the exit code.
 cat >"$tmp/unsat_last.icnf" <<'EOF'

@@ -146,8 +146,8 @@ TEST(PortfolioSolve, AgreesWithDpllOnRandomFormulas) {
         << "seed " << seed;
     if (status == SolveStatus::satisfiable) {
       EXPECT_TRUE(cnf.is_satisfied_by(solver.model()))
-          << "seed " << seed << " winner " << solver.winner_name();
-      EXPECT_GE(solver.winner(), 0);
+          << "seed " << seed << " winner " << solver.race().winner;
+      EXPECT_GE(solver.race().winner, 0);
     }
   }
 }
@@ -178,10 +178,10 @@ TEST(PortfolioSolve, ClauseSharingIsActive) {
 
   EXPECT_GT(solver.stats().exported_clauses, 0u);
   EXPECT_GT(solver.stats().imported_clauses, 0u);
-  EXPECT_GT(solver.exchange_stats().accepted, 0u);
+  EXPECT_GT(solver.race().exchange.accepted, 0u);
   // Per-worker stats carry the same counters.
   std::uint64_t exported = 0;
-  for (const auto& report : solver.reports()) {
+  for (const auto& report : solver.race().workers) {
     exported += report.stats.exported_clauses;
   }
   EXPECT_EQ(exported, solver.stats().exported_clauses);
@@ -204,8 +204,8 @@ TEST(PortfolioSolve, SingleThreadDegradesToOneWorker)  {
   PortfolioSolver solver(opts);
   solver.load(testing::make_cnf({{1, 2}, {-1, 2}, {1, -2}}));
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
-  EXPECT_EQ(solver.winner(), 0);
-  EXPECT_EQ(solver.reports().size(), 1u);
+  EXPECT_EQ(solver.race().winner, 0);
+  EXPECT_EQ(solver.race().workers.size(), 1u);
 }
 
 TEST(PortfolioSolve, FailedAssumptionsComeFromTheWinner) {
@@ -250,7 +250,7 @@ TEST(PortfolioSolve, RequestStopCancelsTheRace) {
   solver.request_stop();
   solving.join();
   EXPECT_EQ(status, SolveStatus::unknown);
-  EXPECT_EQ(solver.winner(), -1);
+  EXPECT_EQ(solver.race().winner, -1);
 }
 
 TEST(PortfolioSolve, StopRequestIsStickyAcrossSolveStart) {
@@ -275,8 +275,10 @@ TEST(PortfolioSolve, BudgetExpiryReturnsUnknown) {
   PortfolioSolver solver(opts);
   solver.load(gen::pigeonhole(9));
   EXPECT_EQ(solver.solve(Budget::conflicts(10)), SolveStatus::unknown);
-  EXPECT_EQ(solver.winner(), -1);
-  EXPECT_EQ(solver.winner_name(), "");
+  EXPECT_EQ(solver.race().winner, -1);
+  for (const WorkerReport& report : solver.race().workers) {
+    EXPECT_EQ(report.status, SolveStatus::unknown) << report.name;
+  }
 }
 
 // ---- warm workers across calls ----------------------------------------
@@ -359,7 +361,7 @@ TEST(PortfolioWarm, SlicedPortfolioSolveResumesInsteadOfRestarting) {
     status = solver.solve(Budget::conflicts(100));
     ++slices;
     std::uint64_t total = 0;
-    for (const auto& report : solver.reports()) total += report.stats.conflicts;
+    for (const auto& report : solver.race().workers) total += report.stats.conflicts;
     ASSERT_GE(total, conflicts_high_water) << "worker stats were reset";
     conflicts_high_water = total;
     ASSERT_LT(slices, 10000) << "sliced portfolio run diverged";

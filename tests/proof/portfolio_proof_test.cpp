@@ -49,7 +49,7 @@ TEST(PortfolioProof, SplicedUnsatTraceVerifies) {
   // whenever some worker deleted one; a race won before any worker's
   // first reduction has nothing to show.
   std::uint64_t deleted = 0;
-  for (const portfolio::WorkerReport& report : portfolio.reports()) {
+  for (const WorkerReport& report : portfolio.race().workers) {
     deleted += report.stats.deleted_clauses;
   }
   if (deleted > 0) {

@@ -157,12 +157,10 @@ TEST_P(PortfolioInprocessProofFuzz, SplicedTraceKeepsDeletionsAndChecks) {
   options.configs = portfolio::diversified_configs(
       options.num_threads, options.base_seed);
   for (portfolio::WorkerConfig& config : options.configs) {
-    // var_elim stays off: an eliminated variable may still occur in a
-    // sibling's exchanged clauses (mirrors the CLI's portfolio setup).
+    // The portfolio keeps var_elim off on every worker.
     config.options.restart_interval = 20;
     config.options.inprocess.enabled = true;
     config.options.inprocess.interval_restarts = 1;
-    config.options.inprocess.var_elim = false;
   }
   portfolio::PortfolioSolver portfolio(options);
   proof::MemoryProofWriter writer;
@@ -185,7 +183,7 @@ TEST_P(PortfolioInprocessProofFuzz, SplicedTraceKeepsDeletionsAndChecks) {
   // worker that refutes the formula inside the pass never gets there. (A
   // race won before the first reduction legitimately has none.)
   std::uint64_t deleted = 0;
-  for (const portfolio::WorkerReport& report : portfolio.reports()) {
+  for (const WorkerReport& report : portfolio.race().workers) {
     deleted += report.stats.deleted_clauses;
   }
   if (deleted > 0) {

@@ -3,18 +3,25 @@
 // 2-worker PortfolioSolver must give the same answers, the portfolio's
 // per-call accounting (last_slice, stats) must match its workers, and both
 // must log a checkable refutation into the writer attached with set_proof.
+// The engine factory (portfolio::make_engine) builds a plain Solver at one
+// thread and a portfolio whose worker 0 runs the caller's options above
+// that, and no portfolio worker ever eliminates variables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/sat_engine.h"
 #include "core/solver.h"
 #include "gen/pigeonhole.h"
+#include "gen/registry.h"
 #include "portfolio/portfolio.h"
 #include "proof/drat_checker.h"
 #include "proof/proof_writer.h"
+#include "reference/dpll.h"
 #include "test_util.h"
 
 namespace berkmin {
@@ -23,10 +30,7 @@ namespace {
 using testing::lits;
 
 std::unique_ptr<SatEngine> make_engine(bool race) {
-  if (!race) return std::make_unique<Solver>();
-  portfolio::PortfolioOptions options;
-  options.num_threads = 2;
-  return std::make_unique<portfolio::PortfolioSolver>(options);
+  return portfolio::make_engine(SolverOptions::berkmin(), race ? 2 : 1);
 }
 
 struct Answer {
@@ -117,7 +121,7 @@ TEST(SatEngine, PortfolioLastSliceIsTheCallsWorkerDelta) {
   for (int call = 0; call < 2; ++call) {
     (void)engine.solve_with_assumptions({}, Budget::conflicts(300));
     SolverStats after;
-    for (const portfolio::WorkerReport& report : race.reports()) {
+    for (const WorkerReport& report : engine.race().workers) {
       after.conflicts += report.stats.conflicts;
       after.decisions += report.stats.decisions;
       after.propagations += report.stats.propagations;
@@ -170,6 +174,106 @@ TEST(SatEngine, BothEnginesLogIntoTheAttachedWriter) {
     const proof::CheckResult result = checker.check(writer.proof());
     EXPECT_TRUE(result.valid) << (race ? "portfolio: " : "solver: ")
                               << result.error;
+  }
+}
+
+// Inprocessing with variable elimination, first pass at the first restart.
+SolverOptions eliminating_options() {
+  SolverOptions options = SolverOptions::berkmin();
+  options.restart_interval = 20;
+  options.inprocess.enabled = true;
+  options.inprocess.var_elim = true;
+  options.inprocess.interval_restarts = 1;
+  return options;
+}
+
+TEST(SatEngine, NoPortfolioWorkerEliminatesVariables) {
+  // Circuit encodings, where elimination finds gate variables to remove.
+  const char* const specs[] = {"adder:5:0", "adder:6:0", "adder:6:1",
+                               "miter:10:120:unsat:3"};
+  for (std::size_t i = 0; i < std::size(specs); ++i) {
+    const char* const spec = specs[i];
+    std::string error;
+    const Cnf cnf = gen::generate_from_spec(spec, &error)->cnf;
+    const bool expected = reference::dpll_solve(cnf).satisfiable;
+    // The options do eliminate variables on a sequential solver.
+    Solver sequential(eliminating_options());
+    sequential.load(cnf);
+    ASSERT_EQ(sequential.solve() == SolveStatus::satisfiable, expected);
+    EXPECT_GT(sequential.stats().eliminated_vars, 0u) << spec;
+
+    const int threads = 2 + static_cast<int>(i % 2);
+    portfolio::PortfolioOptions explicit_lineup;
+    explicit_lineup.num_threads = threads;
+    explicit_lineup.configs =
+        portfolio::diversify_around(eliminating_options(), threads, i);
+    std::vector<std::unique_ptr<SatEngine>> engines;
+    engines.push_back(portfolio::make_engine(eliminating_options(), threads));
+    engines.push_back(
+        std::make_unique<portfolio::PortfolioSolver>(explicit_lineup));
+    for (const std::unique_ptr<SatEngine>& engine : engines) {
+      engine->load(cnf);
+      const SolveStatus status = engine->solve_with_assumptions({});
+      ASSERT_NE(status, SolveStatus::unknown) << spec;
+      EXPECT_EQ(status == SolveStatus::satisfiable, expected)
+          << spec;
+      if (status == SolveStatus::satisfiable) {
+        EXPECT_TRUE(cnf.is_satisfied_by(engine->model())) << spec;
+      }
+      ASSERT_EQ(engine->race().workers.size(),
+                static_cast<std::size_t>(threads));
+      for (const WorkerReport& report : engine->race().workers) {
+        EXPECT_EQ(report.stats.eliminated_vars, 0u)
+            << spec << " worker " << report.name;
+      }
+    }
+  }
+}
+
+TEST(SatEngine, FactoryRunsTheCallersOptions) {
+  SolverOptions options = SolverOptions::less_mobility();
+  options.seed = 17;
+  options.minimize_learned = true;
+  options.inprocess.enabled = true;
+  const Cnf cnf = gen::pigeonhole(7);
+
+  // One thread: a plain solver, counter for counter.
+  const std::unique_ptr<SatEngine> single = portfolio::make_engine(options, 1);
+  Solver plain(options);
+  single->load(cnf);
+  plain.load(cnf);
+  ASSERT_EQ(single->solve_with_assumptions({}), SolveStatus::unsatisfiable);
+  ASSERT_EQ(plain.solve(), SolveStatus::unsatisfiable);
+  for (const SolverCounter& counter : kSolverCounters) {
+    EXPECT_EQ(single->stats().*counter.field, plain.stats().*counter.field)
+        << counter.name;
+  }
+  EXPECT_TRUE(single->race().workers.empty());
+
+  // Three threads: worker 0 runs the options unchanged. Without sharing
+  // and under a budget no worker reaches, it also searches exactly as the
+  // plain solver does.
+  const std::unique_ptr<SatEngine> race =
+      portfolio::make_engine(options, 3, {.share_clauses = false});
+  const auto* portfolio = dynamic_cast<portfolio::PortfolioSolver*>(race.get());
+  ASSERT_NE(portfolio, nullptr);
+  const Cnf hard = gen::pigeonhole(9);
+  race->load(hard);
+  ASSERT_EQ(race->solve_with_assumptions({}, Budget::conflicts(400)),
+            SolveStatus::unknown);
+  const SolverOptions& worker0 = portfolio->worker(0)->options();
+  EXPECT_EQ(worker0.describe(), options.describe());
+  EXPECT_EQ(worker0.seed, options.seed);
+  EXPECT_EQ(worker0.var_decay_interval, options.var_decay_interval);
+  // Workers take the formula clause by clause, so the control does too.
+  Solver budgeted(options);
+  for (const auto clause : hard.clauses()) budgeted.add_clause(clause);
+  ASSERT_EQ(budgeted.solve(Budget::conflicts(400)), SolveStatus::unknown);
+  ASSERT_EQ(race->race().workers.size(), 3u);
+  for (const SolverCounter& counter : kSolverCounters) {
+    EXPECT_EQ(race->race().workers[0].stats.*counter.field,
+              budgeted.stats().*counter.field)
+        << counter.name;
   }
 }
 

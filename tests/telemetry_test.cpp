@@ -110,21 +110,6 @@ TEST(Histogram, EmptySnapshotIsZero) {
   EXPECT_EQ(snap.mean(), 0.0);
 }
 
-TEST(Histogram, MergeAddsBucketsAndWidensExtrema) {
-  Histogram a;
-  Histogram b;
-  for (std::uint64_t v = 1; v <= 100; ++v) a.record(v);
-  for (std::uint64_t v = 901; v <= 1000; ++v) b.record(v);
-  HistogramSnapshot merged = a.snapshot();
-  merged.merge(b.snapshot());
-  EXPECT_EQ(merged.count, 200u);
-  EXPECT_EQ(merged.min, 1u);
-  EXPECT_EQ(merged.max, 1000u);
-  // Half the mass is <= 100, so p50 stays low and p90 lands high.
-  EXPECT_LE(merged.quantile(0.5), 120u);
-  EXPECT_GE(merged.quantile(0.9), 800u);
-}
-
 TEST(Histogram, ConcurrentRecordsAllLand) {
   Histogram h;
   constexpr int kThreads = 4;
@@ -387,17 +372,6 @@ TEST(SolverTelemetry, DisabledSinkChangesNothing) {
   Solver solver;  // no set_telemetry: the null-sink fast path
   solver.load(gen::pigeonhole(4));
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
-}
-
-TEST(RenderSummary, ProducesTables) {
-  Telemetry hub;
-  hub.metrics().counter("solver.conflicts")->add(3);
-  hub.metrics().histogram("service.slice_latency_ns")->record(5000);
-  hub.phases().add(Phase::bcp, 1234);
-  const std::string text = telemetry::render_summary(hub.snapshot());
-  EXPECT_NE(text.find("solver.conflicts"), std::string::npos);
-  EXPECT_NE(text.find("service.slice_latency_ns"), std::string::npos);
-  EXPECT_NE(text.find("bcp"), std::string::npos);
 }
 
 }  // namespace
