@@ -10,6 +10,7 @@
 // Exit codes follow the SAT-competition convention: 10 = satisfiable,
 // 20 = unsatisfiable, 0 = unknown/budget, 1 = usage error or failed
 // --check-model / proof verification.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -280,9 +281,30 @@ int run_scripted(const ArgParser& args, const std::string& path,
   return 0;
 }
 
+// The search of a race no worker won, summed over its workers (each
+// loaded the same formula, so the database shape is the largest one's).
+SolverStats summed_stats(const RaceReport& race) {
+  SolverStats sum;
+  for (const WorkerReport& report : race.workers) {
+    for (const SolverCounter& counter : kSolverCounters) {
+      sum.*counter.field += report.stats.*counter.field;
+    }
+    sum.initial_clauses =
+        std::max(sum.initial_clauses, report.stats.initial_clauses);
+    sum.max_live_clauses =
+        std::max(sum.max_live_clauses, report.stats.max_live_clauses);
+  }
+  return sum;
+}
+
 // --stats: the answer's search statistics and, for a portfolio, the race.
+// A race that ends unknown has no answering worker: its statistics are the
+// workers' summed, and its winner is none.
 void print_stats(const SatEngine& engine, double elapsed) {
-  const SolverStats& stats = engine.stats();
+  const RaceReport& race = engine.race();
+  const bool unanswered = !race.workers.empty() && race.winner < 0;
+  const SolverStats summed = unanswered ? summed_stats(race) : SolverStats{};
+  const SolverStats& stats = unanswered ? summed : engine.stats();
   std::cout << "c time " << elapsed << " s\n"
             << "c decisions " << stats.decisions << " (top-clause "
             << stats.top_clause_decisions << ", global "
@@ -295,14 +317,15 @@ void print_stats(const SatEngine& engine, double elapsed) {
             << "\n"
             << "c database ratio " << stats.db_generated_ratio()
             << ", peak live ratio " << stats.db_peak_ratio() << "\n";
-  const RaceReport& race = engine.race();
   if (race.workers.empty()) return;
-  std::cout << "c winner "
-            << (race.winner < 0
-                    ? std::string()
-                    : race.workers[static_cast<std::size_t>(race.winner)].name)
-            << " (worker " << race.winner << " of " << race.workers.size()
-            << ")\n";
+  if (unanswered) {
+    std::cout << "c winner none\n";
+  } else {
+    std::cout << "c winner "
+              << race.workers[static_cast<std::size_t>(race.winner)].name
+              << " (worker " << race.winner << " of " << race.workers.size()
+              << ")\n";
+  }
   for (const WorkerReport& report : race.workers) {
     std::cout << "c worker " << report.name << ": " << to_string(report.status)
               << " in " << report.seconds << " s, " << report.stats.summary()

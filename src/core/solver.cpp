@@ -136,6 +136,7 @@ Solver::Solver(SolverOptions options, Solver&& spent) : Solver(options) {
   reuse_buffer(eliminated_, spent.eliminated_);
   reuse_buffer(seen_, spent.seen_);
   reuse_buffer(model_, spent.model_);
+  reuse_buffer(add_scratch_, spent.add_scratch_);
 }
 
 Var Solver::new_internal_var(bool selector) {
@@ -158,15 +159,20 @@ Var Solver::new_internal_var(bool selector) {
   lit_activity_.push_back(0);
   chaff_counter_.push_back(0);
   chaff_counter_.push_back(0);
+  // Only the Chaff-like policy decides from the literal heap.
+  const bool literal_order =
+      opts_.decision_policy == DecisionPolicy::chaff_literal;
   var_heap_.grow(v + 1);
-  lit_heap_.grow(2 * v + 2);
+  if (literal_order) lit_heap_.grow(2 * v + 2);
   // Selectors are frozen: never in a decision heap, so the heuristics can
   // never branch on one (they are always assigned by the assumption prefix
   // while their group is active, and root-true once it is popped).
   if (!selector) {
     var_heap_.insert(v);
-    lit_heap_.insert(Lit::positive(v).code());
-    lit_heap_.insert(Lit::negative(v).code());
+    if (literal_order) {
+      lit_heap_.insert(Lit::positive(v).code());
+      lit_heap_.insert(Lit::negative(v).code());
+    }
   }
   return v;
 }

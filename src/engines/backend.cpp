@@ -170,11 +170,10 @@ bool SessionBackend::set_group_active(GroupId id, bool active) {
 SolveStatus SessionBackend::solve(std::span<const Lit> assumptions,
                                   const Budget& budget) {
   error_.clear();
-  failed_.clear();
-  result_ = service::JobResult{};
   if (budget.max_decisions != 0 || budget.max_propagations != 0) {
     // JobLimits counts only conflicts and seconds; answering past a budget
     // the session cannot enforce would overrun it silently.
+    result_ = service::JobResult{};
     error_ = "SessionBackend: a session enforces only conflict and time "
              "budgets, not decision or propagation budgets";
     return SolveStatus::unknown;
@@ -182,20 +181,16 @@ SolveStatus SessionBackend::solve(std::span<const Lit> assumptions,
   service::JobLimits limits;
   limits.max_conflicts = budget.max_conflicts;
   limits.deadline_seconds = budget.max_seconds;
-  const auto job = service_.session_solve(
-      session_, std::vector<Lit>(assumptions.begin(), assumptions.end()),
-      limits);
-  if (!job.has_value()) {
-    error_ = "SessionBackend: session_solve refused";
+  if (!service_.session_query(session_, assumptions, limits, result_)) {
+    result_ = service::JobResult{};
+    error_ = "SessionBackend: session_query refused";
     return SolveStatus::unknown;
   }
-  result_ = service_.wait(*job);
   if (result_.outcome != service::JobOutcome::completed) {
     error_ = "SessionBackend: " + std::string(to_string(result_.outcome));
     if (!result_.error.empty()) error_ += ": " + result_.error;
     return SolveStatus::unknown;
   }
-  failed_ = result_.failed_assumptions;
   return result_.status;
 }
 
@@ -208,7 +203,7 @@ bool SessionBackend::model_value(Lit l) const {
 }
 
 const std::vector<Lit>& SessionBackend::failed_assumptions() const {
-  return failed_;
+  return result_.failed_assumptions;
 }
 
 std::string SessionBackend::name() const {

@@ -128,10 +128,10 @@ class SolverBackend final : public EngineBackend {
 
 // ---- service session --------------------------------------------------
 
-// Owns one incremental session inside a SolverService; each solve()
-// submits a session job and waits for its result, which (when the job is
-// the scheduler's pick and a slice slot is free) runs the job's slices on
-// the calling thread, so an uncontended query costs no worker hand-off.
+// Owns one incremental session inside a SolverService; each solve() is a
+// SolverService::session_query, which (when the job is the scheduler's
+// pick and a slice slot is free) runs the job's slices on the calling
+// thread, so an uncontended query wakes no worker.
 // The service (and its slots) is shared with whatever else the caller runs
 // on it. A session job is limited by conflicts and seconds only, so
 // solve() refuses a budget on decisions or propagations (unknown,
@@ -167,7 +167,6 @@ class SessionBackend final : public EngineBackend {
   int threads_ = 1;
   Var next_var_ = 0;
   service::JobResult result_;
-  std::vector<Lit> failed_;
 };
 
 // ---- frame instantiation ----------------------------------------------

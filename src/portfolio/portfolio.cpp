@@ -23,6 +23,13 @@ constexpr char kRingPrefix[] = "portfolio-w";
 PortfolioSolver::PortfolioSolver(PortfolioOptions options)
     : opts_(std::move(options)) {
   if (opts_.num_threads < 1) opts_.num_threads = 1;
+  if (!opts_.configs.empty() &&
+      opts_.configs.size() < static_cast<std::size_t>(opts_.num_threads)) {
+    throw std::invalid_argument(
+        "PortfolioSolver: the lineup names " +
+        std::to_string(opts_.configs.size()) + " workers for " +
+        std::to_string(opts_.num_threads) + " threads");
+  }
 }
 
 bool PortfolioSolver::add_clause(std::span<const Lit> lits) {
@@ -83,15 +90,7 @@ void PortfolioSolver::warm_up_workers() {
   const int n = opts_.num_threads;
   if (solvers_.empty()) {
     std::vector<WorkerConfig> configs = opts_.configs;
-    if (configs.empty()) {
-      configs = diversified_configs(n, opts_.base_seed);
-    } else if (static_cast<int>(configs.size()) < n) {
-      // Extend an explicit-but-short lineup with jitter around its first.
-      auto extra = diversify_around(configs.front().options, n, opts_.base_seed);
-      for (std::size_t i = configs.size(); i < extra.size(); ++i) {
-        configs.push_back(std::move(extra[i]));
-      }
-    }
+    if (configs.empty()) configs = diversified_configs(n, opts_.base_seed);
     configs.resize(static_cast<std::size_t>(n));
     for (WorkerConfig& config : configs) {
       config.options.inprocess.var_elim = false;

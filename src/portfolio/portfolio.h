@@ -46,8 +46,8 @@ struct PortfolioOptions {
   // Seeds the diversification (tie-breaking seeds, fabricated variants).
   std::uint64_t base_seed = 0;
   // Explicit worker lineup; when empty, diversified_configs() supplies
-  // num_threads workers. When shorter than num_threads it is extended,
-  // when longer it is truncated.
+  // num_threads workers. A longer one is truncated; a shorter one is
+  // refused (the constructor throws std::invalid_argument).
   std::vector<WorkerConfig> configs;
   // Observability (src/telemetry): when set, every worker gets a
   // SolverTelemetry sink on this hub — phase timers, "solver.*" counter

@@ -59,9 +59,12 @@ void DratChecker::ensure_scratch_vars() {
 }
 
 void DratChecker::ensure_var(Var v) {
-  if (v < 0) return;
-  const std::size_t needed = static_cast<std::size_t>(v) + 1;
-  if (assign_.size() >= needed) return;
+  // The tables grow geometrically, as a vector's capacity does, so a
+  // stream of ever-new variables resizes them a logarithmic number of
+  // times rather than once per variable.
+  if (v < 0 || static_cast<std::size_t>(v) < assign_.size()) return;
+  const std::size_t needed =
+      std::max(static_cast<std::size_t>(v) + 1, 2 * assign_.size());
   assign_.resize(needed, Value::unassigned);
   reason_.resize(needed, invalid_clause);
   root_groups_.resize(needed);
@@ -90,7 +93,7 @@ std::uint32_t DratChecker::store(std::span<const GroupId> groups,
   c.from_proof = from_proof;
   c.source = source;
   for (const GroupId g : groups) {
-    GroupState& state = groups_[g];
+    GroupState& state = group_state(g);
     state.dependents.push_back(id);
     if (!state.active) ++c.parked;
   }
@@ -216,7 +219,7 @@ void DratChecker::enqueue(Lit l, std::uint32_t reason) {
   group_pool_.insert(group_pool_.end(), root_scratch_.begin(),
                      root_scratch_.end());
   for (const GroupId g : root_scratch_) {
-    groups_[g].root_vars.push_back(l.var());
+    group_state(g).root_vars.push_back(l.var());
   }
 }
 
@@ -399,8 +402,9 @@ void DratChecker::add_original(std::span<const Lit> lits, GroupId group) {
   const std::span<const GroupId> groups(&group, group == no_group ? 0 : 1);
   const std::uint32_t id = store(groups, /*from_proof=*/false, clauses_.size());
   if (!clauses_[id].propagating()) return;  // parked: settled on revival
+  const std::size_t assigned = trail_.size();
   settle(id);
-  propagate();
+  if (trail_.size() > assigned) propagate();
 }
 
 void DratChecker::retire_group(GroupId group) {
@@ -422,12 +426,13 @@ void DratChecker::retire_group(GroupId group) {
   }
   std::vector<std::uint32_t>().swap(it->second.dependents);
   if (it->second.active) unwind_group(group);
+  found_group_ = nullptr;
   groups_.erase(group);
   reclaim();
 }
 
 void DratChecker::set_group_active(GroupId group, bool active) {
-  GroupState& state = groups_[group];
+  GroupState& state = group_state(group);
   if (state.active == active) return;
   state.active = active;
   std::vector<std::uint32_t> revived;
@@ -458,7 +463,7 @@ void DratChecker::set_group_active(GroupId group, bool active) {
 }
 
 void DratChecker::unwind_group(GroupId group) {
-  GroupState& state = groups_[group];
+  GroupState& state = group_state(group);
   // Root conflicts resting on the group are undone; their clauses are
   // settled again below (they may still be falsified on other grounds).
   std::vector<std::uint32_t> resettle;
@@ -523,6 +528,13 @@ void DratChecker::unwind_group(GroupId group) {
     if (clauses_[id].propagating()) settle(id);
   }
   propagate();
+}
+
+DratChecker::GroupState& DratChecker::group_state(GroupId group) {
+  if (found_group_ == nullptr || found_group_->first != group) {
+    found_group_ = &*groups_.try_emplace(group).first;
+  }
+  return found_group_->second;
 }
 
 void DratChecker::index_insert(std::uint32_t id) {
@@ -721,6 +733,7 @@ void DratChecker::replay(const Proof& trace) {
   }
   fresh.consume(trace);
   *this = std::move(fresh);
+  found_group_ = nullptr;
 }
 
 void DratChecker::reset() {
@@ -739,6 +752,7 @@ void DratChecker::reset() {
   reuse_buffer(fresh.seen_, seen_);
   reuse_buffer(fresh.marked_, marked_);
   reuse_buffer(fresh.assumed_, assumed_);
+  reuse_buffer(fresh.clause_scratch_, clause_scratch_);
   *this = std::move(fresh);
 }
 

@@ -108,6 +108,12 @@ class DratChecker {
   // One-shot use: the database starts as the formula's clauses (in no
   // group), and derivations are recorded for trimmed() and core().
   explicit DratChecker(const Cnf& cnf);
+  // Movable, not copyable: group_state() keeps a pointer into groups_,
+  // which a move carries over with the map's nodes and a copy would not.
+  DratChecker(DratChecker&&) = default;
+  DratChecker& operator=(DratChecker&&) = default;
+  DratChecker(const DratChecker&) = delete;
+  DratChecker& operator=(const DratChecker&) = delete;
 
   // Returns to the state of DratChecker(), keeping the clause store, watch
   // and per-variable buffers it grew, so a caller that checks one session
@@ -245,6 +251,9 @@ class DratChecker {
   }
 
   void ensure_var(Var v);
+  // groups_[group], remembering the last one found: a stream of clauses
+  // into one group looks it up once.
+  GroupState& group_state(GroupId group);
   // ensure_var for the normalized clause in clause_scratch_.
   void ensure_scratch_vars();
   // Stores the normalized clause in clause_scratch_, resting on `groups`
@@ -311,6 +320,8 @@ class DratChecker {
   std::vector<std::uint32_t> antecedents_;
   std::vector<std::uint32_t> antecedent_start_{0};
   std::unordered_map<GroupId, GroupState> groups_;
+  // group_state()'s last find; reset when an element of groups_ is erased.
+  std::pair<const GroupId, GroupState>* found_group_ = nullptr;
 
   // Deletion lookup (order-independent literal hash -> live clause ids),
   // built lazily on the first deletion: deletion-free traces never pay

@@ -118,9 +118,13 @@ class LiveCertifier {
   std::unique_ptr<DratChecker> release_checker() { return std::move(checker_); }
 
  private:
-  // Feeds the checker the trace steps logged since its last call.
+  // Feeds the checker the trace steps logged since its last call (none,
+  // between two adds).
   void sync() {
-    if (checker_ != nullptr) checker_->consume(writer_->proof());
+    if (checker_ != nullptr &&
+        checker_->watermark() < writer_->proof().size()) {
+      checker_->consume(writer_->proof());
+    }
   }
 
   SatEngine& engine_;

@@ -117,19 +117,25 @@ std::optional<JobId> SolverService::submit(JobRequest request) {
   std::unique_lock<std::mutex> lk(lock_);
   space_cv_.wait(
       lk, [&] { return pending_ < opts_.max_pending || !accepting_; });
-  return admit_locked(std::move(request));
+  const std::shared_ptr<Job> job = admit_locked(std::move(request));
+  if (job == nullptr) return std::nullopt;
+  wake_worker_locked();
+  return job->id;
 }
 
 std::optional<JobId> SolverService::try_submit(JobRequest request) {
   std::unique_lock<std::mutex> lk(lock_);
-  return admit_locked(std::move(request));
+  const std::shared_ptr<Job> job = admit_locked(std::move(request));
+  if (job == nullptr) return std::nullopt;
+  wake_worker_locked();
+  return job->id;
 }
 
-std::optional<JobId> SolverService::admit_locked(
+std::shared_ptr<SolverService::Job> SolverService::admit_locked(
     JobRequest request, std::shared_ptr<Session> session) {
   if (!accepting_ || pending_ >= opts_.max_pending) {
     ++stats_.rejected;
-    return std::nullopt;
+    return nullptr;
   }
   // Load shedding: while the memory budget is critical, refusing at the
   // door is the graceful move — an admitted job would only deepen the
@@ -139,21 +145,31 @@ std::optional<JobId> SolverService::admit_locked(
     ++stats_.rejected;
     ++stats_.rejected_pressure;
     opts_.memory_budget->note_degrade();
-    return std::nullopt;
+    return nullptr;
   }
   auto job = std::make_shared<Job>();
   job->id = next_id_++;
-  if (request.name.empty()) request.name = "job-" + std::to_string(job->id);
   if (request.limits.threads < 1) request.limits.threads = 1;
   job->request = std::move(request);
-  job->session = std::move(session);
+  job->assumptions = job->request.assumptions;
   job->submit_time = now_seconds();
   if (job->request.limits.deadline_seconds > 0.0) {
     job->deadline_point = job->submit_time + job->request.limits.deadline_seconds;
   }
   job->result.id = job->id;
-  job->result.name = job->request.name;
-  if (job->session != nullptr) job->result.session = job->session->id;
+  if (session != nullptr) {
+    // A session query is named after its session and its number there.
+    job->result.session = session->id;
+    job->result.name = session->request.name;
+    job->result.name += '#';
+    job->result.name += std::to_string(++session->solves);
+    ++stats_.session_solves;
+  } else if (job->request.name.empty()) {
+    job->result.name = "job-" + std::to_string(job->id);
+  } else {
+    job->result.name = std::move(job->request.name);
+  }
+  job->session = std::move(session);
 
   jobs_.emplace(job->id, job);
   ++pending_;
@@ -166,9 +182,11 @@ std::optional<JobId> SolverService::admit_locked(
     pending_gauge_->set(static_cast<std::int64_t>(pending_));
   }
   enqueue_ready_locked(job);
-  // With every slot taken, the slice that frees one wakes a worker.
+  return job;
+}
+
+void SolverService::wake_worker_locked() {
   if (!free_slots_.empty()) work_cv_.notify_one();
-  return job->id;
 }
 
 // ---- incremental job sessions ---------------------------------------------
@@ -229,24 +247,22 @@ std::optional<GroupId> SolverService::mutate_session(SessionId id,
                                                     GroupId group,
                                                     std::span<const Lit> lits,
                                                     bool active) {
-  const bool adds = kind == Mutation::add || kind == Mutation::add_to;
   Session* session = nullptr;
   {
     std::lock_guard<std::mutex> lk(lock_);
-    const auto it = sessions_.find(id);
-    if (it == sessions_.end() || it->second->closed || it->second->busy) {
-      return std::nullopt;
-    }
-    session = it->second.get();
-    // An idle session's engine is reached by no one else, so it can be
-    // asked under the lock.
+    const std::shared_ptr<Session>* claimed = claim_session_locked(id);
+    if (claimed == nullptr) return std::nullopt;
+    session = claimed->get();
+    // The claim makes the engine this caller's alone until released.
     if (group == innermost) group = session->engine->innermost_group();
     if (kind != Mutation::push && kind != Mutation::add &&
         !session->engine->group_is_live(group)) {
+      release_session(*session);
       return std::nullopt;
     }
-    session->busy = true;  // exclude solves while mutating outside the lock
-    if (adds) ++stats_.session_clauses_added;
+    if (kind == Mutation::add || kind == Mutation::add_to) {
+      ++stats_.session_clauses_added;
+    }
   }
   // An add's false return is root-level UNSAT: an answer, not a refusal.
   proof::LiveCertifier& certifier = session->certifier;
@@ -270,18 +286,28 @@ std::optional<GroupId> SolverService::mutate_session(SessionId id,
   // A push returns no_group when the engine refuses groups (a proof-logging
   // portfolio; service sessions never build one, but honor the contract).
   const bool refused = kind == Mutation::push && group == no_group;
-  if (adds || kind == Mutation::set_active || refused) {
-    session->busy.store(false, std::memory_order_release);
-  } else {
+  if ((kind == Mutation::push || kind == Mutation::pop) && !refused) {
     std::lock_guard<std::mutex> lk(lock_);
     emit_control_locked(kind == Mutation::push
                             ? telemetry::EventKind::session_push
                             : telemetry::EventKind::session_pop,
                         session->id, session->engine->num_groups());
-    session->busy = false;
   }
+  release_session(*session);
   if (refused) return std::nullopt;
   return group;
+}
+
+std::shared_ptr<SolverService::Session>* SolverService::claim_session_locked(
+    SessionId id) {
+  const auto it = sessions_.find(id);
+  if (it == sessions_.end()) return nullptr;
+  bool idle = false;
+  if (!it->second->busy.compare_exchange_strong(idle, true,
+                                                std::memory_order_acquire)) {
+    return nullptr;
+  }
+  return &it->second;
 }
 
 std::optional<GroupId> SolverService::session_push(SessionId id) {
@@ -312,41 +338,55 @@ bool SolverService::session_set_group_active(SessionId id, GroupId group,
       .has_value();
 }
 
+std::shared_ptr<SolverService::Job> SolverService::admit_session_locked(
+    SessionId id, JobLimits limits) {
+  const std::shared_ptr<Session>* claimed = claim_session_locked(id);
+  if (claimed == nullptr) return nullptr;
+  JobRequest request;
+  request.limits = limits;
+  request.limits.threads = 1;  // escalation is the session's, not the job's
+  request.proof = (*claimed)->request.proof;
+  std::shared_ptr<Job> job = admit_locked(std::move(request), *claimed);
+  if (job == nullptr) release_session(**claimed);
+  return job;
+}
+
 std::optional<JobId> SolverService::session_solve(SessionId id,
                                                   std::vector<Lit> assumptions,
                                                   JobLimits limits) {
   std::lock_guard<std::mutex> lk(lock_);
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end() || it->second->closed || it->second->busy) {
-    return std::nullopt;
-  }
-  const std::shared_ptr<Session>& session = it->second;
+  const std::shared_ptr<Job> job = admit_session_locked(id, limits);
+  if (job == nullptr) return std::nullopt;
+  job->request.assumptions = std::move(assumptions);
+  job->assumptions = job->request.assumptions;
+  wake_worker_locked();
+  return job->id;
+}
 
-  JobRequest request;
-  request.name =
-      session->request.name + "#" + std::to_string(session->solves + 1);
-  request.assumptions = std::move(assumptions);
-  request.limits = limits;
-  request.limits.threads = 1;  // escalation is the session's, not the job's
-  request.proof = session->request.proof;
-  request.options = session->request.options;
-
-  const std::optional<JobId> job = admit_locked(std::move(request), session);
-  if (job.has_value()) {
-    session->busy = true;
-    ++session->solves;
-    ++stats_.session_solves;
-  }
-  return job;
+bool SolverService::session_query(SessionId id,
+                                  std::span<const Lit> assumptions,
+                                  JobLimits limits, JobResult& result) {
+  std::unique_lock<std::mutex> lk(lock_);
+  const std::shared_ptr<Job> job = admit_session_locked(id, limits);
+  if (job == nullptr) return false;
+  job->assumptions = assumptions;
+  // The answer's model and core are copied into the caller's buffers.
+  job->result.model = std::move(result.model);
+  job->result.model.clear();
+  job->result.failed_assumptions = std::move(result.failed_assumptions);
+  job->result.failed_assumptions.clear();
+  run_until_finished(lk, job);
+  jobs_.erase(job->id);
+  result = std::move(job->result);
+  return true;
 }
 
 bool SolverService::close_session(SessionId id) {
   std::lock_guard<std::mutex> lk(lock_);
   const auto it = sessions_.find(id);
-  if (it == sessions_.end() || it->second->busy || it->second->closed) {
-    return false;
-  }
-  it->second->closed = true;
+  if (it == sessions_.end()) return false;
+  // Claims are taken under the lock, so an idle session stays idle.
+  if (it->second->busy.load(std::memory_order_acquire)) return false;
   keep_spare_locked(it->second);
   sessions_.erase(it);  // the engine dies with the last shared_ptr
   if (sessions_gauge_ != nullptr) {
@@ -434,39 +474,51 @@ JobResult SolverService::wait(JobId id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) throw std::out_of_range("unknown job id");
   const std::shared_ptr<Job> job = it->second;
+  run_until_finished(lk, job);
+  if (job->result.session == invalid_session) return job->result;
+  jobs_.erase(id);  // a session answer is collected once
+  return std::move(job->result);
+}
+
+void SolverService::run_until_finished(std::unique_lock<std::mutex>& lk,
+                                       const std::shared_ptr<Job>& job) {
   // The caller runs its job's slices itself while the job is the
   // scheduler's pick and it holds a slot: one freed for it, or the one its
   // previous slice ran in, kept while the preempted job is picked again.
-  // Otherwise it parks until a slot frees or a job finishes.
+  // Otherwise it parks until a slot frees or a job finishes; parking while
+  // a slot is free and another job is the pick, it wakes a worker for that
+  // job, which may have been admitted without one.
   int slot = -1;
   while (!job->finished) {
-    if ((slot >= 0 || !free_slots_.empty()) && pick_ready_locked() == job) {
-      if (slot < 0) {
-        slot = free_slots_.back();
-        free_slots_.pop_back();
-      }
-      dispatch_locked(job);
-      lk.unlock();
-      try {
-        run_slice(job, slot_sink(slot), true);
-      } catch (...) {  // a throwing completion callback
+    if (slot >= 0 || !free_slots_.empty()) {
+      const std::shared_ptr<Job> pick = pick_ready_locked();
+      if (pick == job) {
+        if (slot < 0) {
+          slot = free_slots_.back();
+          free_slots_.pop_back();
+        }
+        dispatch_locked(job);
+        lk.unlock();
+        try {
+          run_slice(job, slot_sink(slot), true);
+        } catch (...) {  // a throwing completion callback
+          lk.lock();
+          release_slot_locked(slot);
+          throw;
+        }
         lk.lock();
-        release_slot_locked(slot);
-        throw;
+        continue;
       }
-      lk.lock();
-      continue;
-    }
-    if (slot >= 0) {
-      release_slot_locked(slot);
-      slot = -1;
+      if (slot >= 0) {
+        release_slot_locked(slot);
+        slot = -1;
+      } else if (pick != nullptr) {
+        work_cv_.notify_one();
+      }
     }
     done_cv_.wait(lk);
   }
   if (slot >= 0) release_slot_locked(slot);
-  if (job->result.session == invalid_session) return job->result;
-  jobs_.erase(id);  // a session answer is collected once
-  return std::move(job->result);
 }
 
 std::vector<JobResult> SolverService::wait_all() {
@@ -619,6 +671,9 @@ std::optional<Budget> SolverService::slice_budget(const Job& job) const {
   // The slice's clock stops at the nearer of the job's deadline and the
   // watchdog limit. The solver reads its clock once every 1024 search
   // steps, so a slice overshoots either by at most that many steps.
+  if (job.deadline_point == 0.0 && opts_.watchdog_seconds == 0.0) {
+    return budget;
+  }
   const double now = now_seconds();
   if (job.deadline_point > 0.0) {
     budget.max_seconds = std::max(job.deadline_point - now, 1e-3);
@@ -719,7 +774,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       // The sink is this slot's; detach before the job can migrate to
       // another slot after a preemption.
       engine.set_telemetry(sink);
-      status = engine.solve_with_assumptions(job->request.assumptions, *budget);
+      status = engine.solve_with_assumptions(job->assumptions, *budget);
       engine.set_telemetry(nullptr);
       // Copied: finishing the job releases its engine.
       slice = engine.last_slice();
@@ -912,7 +967,7 @@ SolverService::Finished SolverService::finish_locked(
     // next query on the session is not stillborn, and release the session
     // for the owner's next operation.
     engine->clear_stop();
-    job->session->busy = false;
+    release_session(*job->session);
     job->session.reset();
   }
   // Nothing reads the formula after the last slice (a proof check and a

@@ -36,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -218,6 +219,14 @@ class SolverService {
   std::optional<JobId> session_solve(SessionId id,
                                      std::vector<Lit> assumptions = {},
                                      JobLimits limits = {});
+  // session_solve() and wait() in one call: the query's slices run on the
+  // calling thread whenever a slot is free, so no worker is woken for it
+  // then, and the assumptions are read where they are, not copied. The
+  // answer lands in `result`, in the buffers it already holds (a caller
+  // that queries in a loop passes the same result each time). Returns
+  // false, leaving `result` as it was, when session_solve would refuse.
+  bool session_query(SessionId id, std::span<const Lit> assumptions,
+                     JobLimits limits, JobResult& result);
   // Releases the engine. Returns false while a session solve is pending.
   bool close_session(SessionId id);
   std::size_t open_sessions() const;
@@ -290,10 +299,11 @@ class SolverService {
     SessionRequest request;
     std::unique_ptr<SatEngine> engine;
     proof::LiveCertifier certifier;
-    // A session solve is queued or running, or a mutation is in progress.
-    // Set under lock_; a mutation may clear it without the lock.
+    // A session solve is queued or running, or a mutation is in progress:
+    // whoever set it is the only one to reach the engine. Claimed under
+    // lock_ (claim_session_locked); a mutation releases it without the
+    // lock.
     std::atomic<bool> busy{false};
-    bool closed = false;
     // Non-empty when the session was opened with a feature combo the
     // service cannot serve yet (proof logging + threads > 1) or its engine
     // died mid-solve: mutations still maintain the session, but every
@@ -318,6 +328,10 @@ class SolverService {
     // runs from here) and how many dead slices have been retried.
     double slice_start = 0.0;
     int fault_retries = 0;
+
+    // What the slices solve under: request.assumptions, or the caller's
+    // own during a session_query(), which outlives the job's slices.
+    std::span<const Lit> assumptions;
 
     // Session solve: the engine lives in the session, not the job, and
     // survives the job's completion.
@@ -347,10 +361,31 @@ class SolverService {
   // so a skewed read degrades into early deadline/watchdog expiry — a
   // structured outcome — never a hang or a negative-duration artifact).
   double now_seconds() const;
-  // Shared admission path of submit()/try_submit()/session_solve(). Must
-  // hold lock_.
-  std::optional<JobId> admit_locked(JobRequest request,
+  // Shared admission path of every job: queues it and returns it, or null
+  // when the service refuses it. It wakes no one: submit(), try_submit()
+  // and session_solve() then call wake_worker_locked(), while a
+  // session_query() caller runs the job itself. Must hold lock_.
+  std::shared_ptr<Job> admit_locked(JobRequest request,
                                     std::shared_ptr<Session> session = nullptr);
+  // Admits a query on an open, idle session (with no assumptions yet: the
+  // caller sets Job::assumptions), which stays claimed until the job
+  // finishes; null for a refusal. Must hold lock_.
+  std::shared_ptr<Job> admit_session_locked(SessionId id, JobLimits limits);
+  // Wakes a worker for a newly queued job while a slot is free; with every
+  // slot taken, the slice that frees one wakes a worker. Must hold lock_.
+  void wake_worker_locked();
+  // Claims the open, idle session `id` by marking it busy: its entry in
+  // sessions_, or null when it is busy or unknown. Must hold lock_.
+  std::shared_ptr<Session>* claim_session_locked(SessionId id);
+  // Ends a claim; the next claimer sees everything the holder did.
+  static void release_session(Session& session) {
+    session.busy.store(false, std::memory_order_release);
+  }
+  // wait()'s body: runs the job's slices on the calling thread while the
+  // job is the scheduler's pick and a slot is free, else parks, until the
+  // job is terminal. Takes and returns `lk` locked.
+  void run_until_finished(std::unique_lock<std::mutex>& lk,
+                          const std::shared_ptr<Job>& job);
   // The one guarded path of every session mutation. In one critical
   // section it finds the open, idle session, checks that the group a pop,
   // add_to or set_active names is live (innermost: the innermost live

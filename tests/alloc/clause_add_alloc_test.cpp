@@ -2,11 +2,14 @@
 // of a certified session: Solver::add_clause_to_group and
 // DratChecker::add_original keep every clause in pooled storage, so the
 // heap is touched only when a pool or a per-variable table grows (a
-// logarithmic number of times) and once per group. This binary replaces
-// the global operator new with a counting one, which is why it is its own
-// executable.
+// logarithmic number of times) and once per group. Through the service,
+// a session that starts in a closed session's storage adds without a
+// single allocation, and a steady-state query allocates a small, fixed
+// number of times. This binary replaces the global operator new with a
+// counting one, which is why it is its own executable.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -14,7 +17,9 @@
 #include <vector>
 
 #include "core/solver.h"
+#include "engines/backend.h"
 #include "proof/drat_checker.h"
+#include "service/solver_service.h"
 #include "util/rng.h"
 
 namespace {
@@ -38,6 +43,9 @@ constexpr int kInputs = 20;
 constexpr int kGates = 300;
 // Fewer than one allocation per twenty clauses, amortized over the stream.
 constexpr double kMaxAllocationsPerClause = 0.05;
+// A steady-state session query: its job record and that record's entry in
+// the service's job table.
+constexpr double kMaxAllocationsPerQuery = 2.0;
 
 struct FrameClause {
   int frame;
@@ -125,6 +133,81 @@ TEST(ClauseAddAllocations, CheckerAddOriginalIsAllocationFree) {
             kMaxAllocationsPerClause)
       << allocations << " allocations for " << stream.size() << " clauses";
   EXPECT_FALSE(checker.refuted());
+}
+
+service::SessionRequest certified_session() {
+  service::SessionRequest request;
+  request.proof.log = true;
+  request.proof.check = true;
+  return request;
+}
+
+TEST(ClauseAddAllocations, WarmSessionAddClauseIsAllocationFree) {
+  const std::vector<FrameClause> stream = bmc_stream();
+  service::SolverService service({.num_workers = 1});
+  // The first session grows the solver's and the checker's storage; its
+  // close hands both to the next session, whose adds then fit in them.
+  for (int run = 0; run < 2; ++run) {
+    const auto id = service.open_session(certified_session());
+    ASSERT_TRUE(id.has_value());
+    const std::uint64_t before = g_allocations.load();
+    for (const FrameClause& clause : stream) {
+      ASSERT_TRUE(service.session_add_clause(*id, clause.lits));
+    }
+    const std::uint64_t allocations = g_allocations.load() - before;
+    if (run == 1) {
+      EXPECT_EQ(allocations, 0u)
+          << allocations << " allocations for " << stream.size()
+          << " clauses";
+    }
+    ASSERT_TRUE(service.close_session(*id));
+  }
+  EXPECT_EQ(service.stats().sessions_reused, 1u);
+  EXPECT_EQ(service.stats().session_clauses_added, 2 * stream.size());
+}
+
+TEST(ClauseAddAllocations, SteadyStateSessionQueryAllocatesAtMostABound) {
+  // Frame 0 of the stream is satisfiable; two more clauses rule out a
+  // fresh variable a. Queries alternate a SAT answer, with a model, and a
+  // certified UNSAT one under {a}, with a failed core.
+  const std::vector<FrameClause> stream = bmc_stream();
+  service::SolverService service({.num_workers = 1});
+  engines::SessionBackend session(service, certified_session());
+  ASSERT_TRUE(session.alive());
+  Var fresh = 0;
+  for (const FrameClause& clause : stream) {
+    if (clause.frame > 0) break;
+    ASSERT_TRUE(session.add_clause(clause.lits));
+    for (const Lit l : clause.lits) fresh = std::max(fresh, l.var() + 1);
+  }
+  const Lit a = Lit::positive(fresh);
+  const Lit b = Lit::positive(fresh + 1);
+  ASSERT_TRUE(session.add_binary(~a, b));
+  ASSERT_TRUE(session.add_binary(~a, ~b));
+  const Lit sat[] = {~a};
+  const Lit unsat[] = {a};
+  const auto query = [&](int i) {
+    const bool odd = i % 2 != 0;
+    const SolveStatus status =
+        session.solve(odd ? std::span<const Lit>(unsat) : sat,
+                      Budget::unlimited());
+    ASSERT_EQ(status, odd ? SolveStatus::unsatisfiable
+                          : SolveStatus::satisfiable);
+    if (odd) {
+      ASSERT_TRUE(session.last_result().proof_valid);
+    } else {
+      ASSERT_FALSE(session.model_value(a));
+    }
+  };
+  constexpr int kWarmUp = 100;
+  constexpr int kQueries = 1000;
+  for (int i = 0; i < kWarmUp; ++i) query(i);
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < kQueries; ++i) query(i);
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_LE(static_cast<double>(allocations) / kQueries,
+            kMaxAllocationsPerQuery)
+      << allocations << " allocations for " << kQueries << " queries";
 }
 
 }  // namespace

@@ -65,6 +65,22 @@ grep -q '^c exchange: ' "$tmp/stats2.out" || {
   echo "FAIL: --threads 2 --stats printed no exchange line"
   fail=1
 }
+# A race that runs out of budget has no winner: its statistics are the
+# workers' search summed, and the winner line says none.
+"$SOLVER" --generate hole:9 --threads 2 --conflicts 20 --stats \
+  >"$tmp/stats_unknown.out" 2>&1
+check_rc "--stats on an unknown --threads 2 race" 0 $?
+grep -q '^c winner none$' "$tmp/stats_unknown.out" || {
+  echo "FAIL: an unknown race's --stats printed no 'c winner none' line:"
+  cat "$tmp/stats_unknown.out"
+  fail=1
+}
+conflicts=$(sed -n 's/^c conflicts \([0-9]*\)$/\1/p' "$tmp/stats_unknown.out")
+if [ -z "$conflicts" ] || [ "$conflicts" -eq 0 ]; then
+  echo "FAIL: an unknown race's --stats printed conflicts '$conflicts'," \
+    "not the workers' sum"
+  fail=1
+fi
 "$SOLVER" --generate hole:7 --threads 1 --stats >"$tmp/stats1.out" 2>&1
 check_rc "--stats --threads 1" 20 $?
 grep -q '^c conflicts ' "$tmp/stats1.out" || {

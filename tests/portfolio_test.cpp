@@ -2,6 +2,7 @@
 // result agreement with the sequential solver and the DPLL reference.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <thread>
 
 #include "gen/pigeonhole.h"
@@ -125,6 +126,19 @@ TEST(PortfolioDiversify, AroundKeepsTheBasePolicies) {
     EXPECT_EQ(config.options.activity_policy, base.activity_policy);
     EXPECT_EQ(config.options.reduction_policy, base.reduction_policy);
   }
+}
+
+TEST(PortfolioDiversify, ShortLineupIsRefused) {
+  portfolio::PortfolioOptions options;
+  options.num_threads = 4;
+  options.configs = portfolio::diversified_configs(2, 0);
+  EXPECT_THROW(portfolio::PortfolioSolver{options}, std::invalid_argument);
+  // A lineup of at least num_threads workers is taken, the extra truncated.
+  options.configs = portfolio::diversified_configs(5, 0);
+  portfolio::PortfolioSolver solver(options);
+  solver.load(gen::pigeonhole(4));
+  EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
+  EXPECT_EQ(solver.race().workers.size(), 4u);
 }
 
 // ---- solving ----------------------------------------------------------

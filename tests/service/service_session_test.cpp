@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "cnf/icnf.h"
 #include "core/solver.h"
+#include "engines/backend.h"
 #include "gen/pigeonhole.h"
 #include "gen/random_ksat.h"
 #include "service/solver_service.h"
@@ -365,6 +367,48 @@ TEST(ServiceSessionMisuse, EveryOperationAfterCloseIsRefused) {
   EXPECT_TRUE(service.open_session({}).has_value());
 }
 
+TEST(ServiceSessionMisuse, InvalidSessionIdNamesNoSession) {
+  // A backend whose open was refused keeps invalid_session and sends every
+  // later operation with it. However many sessions were opened, used and
+  // closed before, that id claims nothing, and later sessions claim as
+  // usual.
+  util::MemoryBudget budget(std::uint64_t{1} << 30);
+  SolverService service({.num_workers = 1, .memory_budget = &budget});
+  const auto use_and_close = [&service] {
+    const auto sid = service.open_session({});
+    ASSERT_TRUE(sid.has_value());
+    ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
+    const auto job = service.session_solve(*sid);
+    ASSERT_TRUE(job.has_value());
+    EXPECT_EQ(service.wait(*job).status, SolveStatus::satisfiable);
+    ASSERT_TRUE(service.close_session(*sid));
+  };
+  for (int i = 0; i < 17; ++i) use_and_close();  // ids 1..17
+
+  EXPECT_FALSE(service.session_add_clause(invalid_session, lits({3})));
+  EXPECT_FALSE(service.session_push(invalid_session).has_value());
+  EXPECT_FALSE(service.session_pop(invalid_session));
+  EXPECT_FALSE(service.session_solve(invalid_session).has_value());
+  EXPECT_FALSE(service.close_session(invalid_session));
+
+  budget.charge(budget.limit());  // critical pressure refuses the open
+  {
+    engines::SessionBackend refused(service, {});
+    EXPECT_FALSE(refused.alive());
+    EXPECT_FALSE(refused.add_clause(lits({1})));
+    EXPECT_EQ(refused.push(), no_group);
+    EXPECT_EQ(refused.solve({}, Budget{}), SolveStatus::unknown);
+  }
+  budget.release(budget.limit());
+
+  for (int i = 0; i < 17; ++i) use_and_close();
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.sessions_opened, 34u);
+  EXPECT_EQ(stats.session_clauses_added, 34u);
+  EXPECT_EQ(stats.session_solves, 34u);
+  EXPECT_EQ(service.open_sessions(), 0u);
+}
+
 TEST(ServiceSessionMisuse, InterleavedPopsBeyondStackDepth) {
   SolverService service({.num_workers = 1});
   const auto sid = service.open_session({});
@@ -501,6 +545,66 @@ TEST(ServiceSessionStress, ConcurrentSessionsWithEscalation) {
     EXPECT_NE(service.wait(id).status, SolveStatus::unknown);
   }
   service.shutdown(SolverService::Shutdown::drain);
+  EXPECT_EQ(service.open_sessions(), 0u);
+}
+
+TEST(ServiceSessionStress, ContendedOperationsOnOneSessionNeverOverlap) {
+  // A session is meant for one owner, but every operation must stay safe
+  // when several threads race on one: each claims the session or is
+  // refused (an adder retries until its clause lands), clause counts stay
+  // exact, and once a close succeeds nothing lands any more.
+  SolverService service({.num_workers = 2});
+  const auto sid = service.open_session({});
+  ASSERT_TRUE(sid.has_value());
+  constexpr int kAdds = 1000;
+  std::atomic<std::uint64_t> added{0};
+  const auto adder = [&](int first_var) {
+    for (int i = 0; i < kAdds;) {
+      const Lit clause[] = {Lit::positive(first_var + 2 * i),
+                            Lit::negative(first_var + 2 * i + 1)};
+      if (service.session_add_clause(*sid, clause)) {
+        added.fetch_add(1);
+        ++i;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  };
+  std::atomic<int> wrong{0};
+  std::thread querier([&] {
+    JobResult result;
+    for (int i = 0; i < 100; ++i) {
+      if (service.session_query(*sid, {}, {}, result) &&
+          result.status != SolveStatus::satisfiable) {
+        ++wrong;
+      }
+    }
+  });
+  std::thread first(adder, 0);
+  std::thread second(adder, 2 * kAdds);
+  first.join();
+  second.join();
+  querier.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(added.load(), 2u * kAdds);
+  EXPECT_EQ(service.stats().session_clauses_added, added.load());
+
+  std::atomic<bool> closed{false};
+  std::atomic<int> after_close{0};
+  std::thread late_adder([&] {
+    const Lit clause[] = {Lit::positive(0)};
+    while (!closed.load()) {
+      if (service.session_add_clause(*sid, clause)) added.fetch_add(1);
+    }
+    for (int i = 0; i < 100; ++i) {
+      if (service.session_add_clause(*sid, clause)) ++after_close;
+    }
+  });
+  while (!service.close_session(*sid)) std::this_thread::yield();
+  closed.store(true);
+  late_adder.join();
+  EXPECT_EQ(after_close.load(), 0);
+  EXPECT_EQ(service.stats().session_clauses_added, added.load());
   EXPECT_EQ(service.open_sessions(), 0u);
 }
 

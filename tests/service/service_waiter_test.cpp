@@ -1,6 +1,7 @@
 // Slices run on the waiting caller's thread: wait(id) runs its own job's
 // slice when the job is the scheduler's pick and a slice slot is free, and
-// parks otherwise. Covers the caller-thread run of an idle service, the
+// parks otherwise. Covers the caller-thread run of an idle service (a
+// synchronous session_query wakes no worker at all), the
 // slot cap (a held slot keeps a waiter parked; no more than num_workers
 // slices ever overlap, traced under a multi-caller stress with more
 // session threads than slots), schedule order against a better-keyed job,
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "engines/backend.h"
 #include "gen/pigeonhole.h"
 #include "service/solver_service.h"
 #include "telemetry/telemetry.h"
@@ -81,6 +83,28 @@ TEST(ServiceSessionWaiter, IdleServiceRunsSessionSolveOnCallersThread) {
   EXPECT_GE(stats.waiter_slices, 1u);
   EXPECT_EQ(service.metrics_snapshot().counters.at("service.waiter_slices"),
             stats.waiter_slices);
+}
+
+TEST(ServiceSessionWaiter, SynchronousQueriesWakeNoWorker) {
+  // SessionBackend::solve is a session_query: the caller runs the slice
+  // itself, and no worker is woken to race it for the free slot, so every
+  // query of an idle service runs on the caller, every time.
+  constexpr int kQueries = 2000;
+  SolverService service(ServiceOptions{.num_workers = 1});
+  engines::SessionBackend session(service, {});
+  ASSERT_TRUE(session.alive());
+  const Cnf formula = gen::pigeonhole(3);
+  for (const auto clause : formula.clauses()) {
+    ASSERT_TRUE(session.add_clause(clause));
+  }
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_EQ(session.solve({}, Budget::unlimited()),
+              SolveStatus::unsatisfiable)
+        << session.last_error();
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.slices, static_cast<std::uint64_t>(kQueries));
+  EXPECT_EQ(stats.waiter_slices, static_cast<std::uint64_t>(kQueries));
 }
 
 TEST(ServiceSessionWaiter, WaiterStartsNoSliceWhileTheOnlySlotIsHeld) {
