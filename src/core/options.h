@@ -136,15 +136,6 @@ struct SolverOptions {
   bool minimize_learned = false;      // conflict-clause minimization
   std::uint32_t top_clause_window = 1;  // Remark 2: consider K top clauses
   InprocessOptions inprocess;         // restart-time simplification
-  // Trail-saving across assumption solves: when consecutive
-  // solve_with_assumptions calls share a prefix of their effective
-  // assumption vector (group-selector assumptions first, then the
-  // caller's), the solver keeps the decision levels and implied trail of
-  // the shared prefix between the calls and resumes propagation past it
-  // instead of re-deciding and re-propagating from the root. Any clause or
-  // group mutation between solves cancels the saved segment. Savings are
-  // counted in SolverStats::{trail_saves, trail_saved_literals}.
-  bool save_trail = false;
 
   std::uint64_t seed = 0;  // randomized tie-breaking (take_rand, nb_two ties)
 

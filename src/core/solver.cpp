@@ -198,7 +198,6 @@ int Solver::group_index(GroupId id) const {
 }
 
 GroupId Solver::push_group() {
-  cancel_saved_trail();
   assert(decision_level() == 0);
   Var s;
   if (!free_selectors_.empty()) {
@@ -221,7 +220,6 @@ GroupId Solver::push_group() {
 }
 
 bool Solver::pop_group(GroupId id) {
-  cancel_saved_trail();
   assert(decision_level() == 0);
   const int idx = group_index(id);
   assert(idx >= 0);
@@ -327,7 +325,6 @@ bool Solver::add_clause(std::span<const Lit> lits) {
 
 bool Solver::add_root_clause(std::span<const Lit> lits, bool learned,
                              std::uint32_t glue) {
-  cancel_saved_trail();
   assert(decision_level() == 0);
   if (!ok_) return false;
 
@@ -756,41 +753,13 @@ SolveStatus Solver::solve_with_assumptions(std::span<const Lit> assumptions,
   }
   for (const Lit a : assumptions) assumptions_.push_back(external_to_internal(a));
 
-  // Trail-saving: the previous solve left the decision levels realizing
-  // saved_prefix_ in place (clause/group mutations in between cancelled
-  // them). Keep the longest prefix shared with this solve's assumption
-  // vector — every literal on the kept segment is a decision or
-  // propagation this solve skips — and rewind the rest.
-  if (decision_level() > 0) {
-    std::size_t common = 0;
-    const std::size_t limit =
-        std::min({saved_prefix_.size(), assumptions_.size(),
-                  static_cast<std::size_t>(decision_level())});
-    while (common < limit && saved_prefix_[common] == assumptions_[common]) {
-      ++common;
-    }
-    backtrack_to(static_cast<int>(common));
-    if (common > 0) {
-      ++stats_.trail_saves;
-      stats_.trail_saved_literals +=
-          trail_.size() - static_cast<std::size_t>(trail_lim_[0]);
-    }
-  }
-  saved_prefix_.clear();
-
-  // Root propagation of any units queued by add_clause (adds cancel any
-  // saved trail, so pending units always meet decision level 0 here and a
-  // conflict is a genuine root refutation).
+  // Root propagation of any units queued by add_clause. Every solve ends
+  // at decision level 0 (a throwing one included, below), so pending units
+  // always meet the root here and a conflict is a genuine refutation.
+  assert(decision_level() == 0);
   ClauseRef root_conflict;
   {
     telemetry::PhaseScope bcp_scope(telemetry_, telemetry::Phase::bcp);
-    root_conflict = propagate_internal();
-  }
-  if (root_conflict != no_clause && decision_level() > 0) {
-    // Defensive: a kept segment should already be at its propagation
-    // fixpoint; if it somehow is not, restart the solve from the root
-    // rather than mistake an assumption-level conflict for a refutation.
-    backtrack_to(0);
     root_conflict = propagate_internal();
   }
   if (root_conflict != no_clause) {
@@ -802,11 +771,21 @@ SolveStatus Solver::solve_with_assumptions(std::span<const Lit> assumptions,
     return SolveStatus::unsatisfiable;
   }
 
-  const SolveStatus status = search(budget, resume_search);
+  SolveStatus status = SolveStatus::unknown;
+  try {
+    status = search(budget, resume_search);
+  } catch (...) {
+    // A throw mid-search (bad_alloc) leaves the engine for its owner to
+    // discard, but still at the root: clause and group calls on it keep
+    // their decision-level-0 precondition.
+    backtrack_to(0);
+    assumptions_.clear();
+    throw;
+  }
   if (status == SolveStatus::unsatisfiable && !failed_by_assumptions_) {
     ok_ = false;
   }
-  finish_solve_trail();
+  backtrack_to(0);
   assumptions_.clear();
   if (has_selectors_ && !failed_assumptions_.empty()) {
     // The caller sees its own assumptions only: selector literals are
@@ -822,27 +801,6 @@ SolveStatus Solver::solve_with_assumptions(std::span<const Lit> assumptions,
   record_slice();
   telemetry_finish_solve(trace_start_ns, status);
   return status;
-}
-
-void Solver::finish_solve_trail() {
-  if (!opts_.save_trail || !ok_) {
-    saved_prefix_.clear();
-    backtrack_to(0);
-    return;
-  }
-  // Keep the assumption decision levels (level i realizes assumptions_[i-1];
-  // any deeper levels are search decisions and are rewound). The next solve
-  // backtracks further, to the longest prefix shared with its own
-  // assumption vector.
-  const int keep =
-      std::min(decision_level(), static_cast<int>(assumptions_.size()));
-  backtrack_to(keep);
-  saved_prefix_.assign(assumptions_.begin(), assumptions_.begin() + keep);
-}
-
-void Solver::cancel_saved_trail() {
-  saved_prefix_.clear();
-  if (decision_level() > 0) backtrack_to(0);
 }
 
 void Solver::telemetry_finish_solve(std::int64_t start_ns, SolveStatus status) {

@@ -98,8 +98,7 @@ class Solver final : public SatEngine {
   // Selectors are invisible outside the solver: they are frozen out of the
   // decision heuristics, elided from models, failed-assumption cores and
   // DRAT traces (traces are emitted in external numbering). All group
-  // calls require decision level 0 — i.e. between solves (a trail segment
-  // saved by SolverOptions::save_trail is cancelled first).
+  // calls require decision level 0 — i.e. between solves.
   GroupId push_group() override;
   // Retracts the group with handle `id`. Returns false (and does nothing)
   // when the handle does not name a live group.
@@ -130,9 +129,8 @@ class Solver final : public SatEngine {
   // retracting it: an inactive group's selector is assumed *true*, so its
   // clauses (and every lemma whose derivation touched it) are satisfied
   // and inert for the solve. Persistent until changed; groups start
-  // active. Does not mutate the clause database, so it composes with
-  // trail-saving (the changed selector assumption just ends the shared
-  // prefix earlier). Returns false for a dead handle.
+  // active. Does not mutate the clause database. Returns false for a dead
+  // handle.
   bool set_group_active(GroupId id, bool active) override;
   bool group_is_active(GroupId id) const {
     const int i = group_index(id);
@@ -404,16 +402,6 @@ class Solver final : public SatEngine {
   // stored clause mentions the variable at all — clears its per-variable
   // state, and pushes it onto free_selectors_ for reuse.
   void recycle_selector(Var v);
-  // Trail-saving (SolverOptions::save_trail). finish_solve_trail replaces
-  // the unconditional end-of-solve backtrack_to(0): with the flag on and
-  // the solver alive it keeps the assumption decision levels and records
-  // the assumption prefix they realize; the next solve backtracks only to
-  // the longest prefix it shares with the new assumption vector.
-  // cancel_saved_trail drops the saved segment before any clause/group
-  // mutation (root simplification reads value(), garbage collection
-  // invalidates saved reasons).
-  void finish_solve_trail();
-  void cancel_saved_trail();
   // Maps an external literal into internal numbering, creating the
   // external variable (and its internal twin) on demand.
   Lit external_to_internal(Lit l);
@@ -651,10 +639,6 @@ class Solver final : public SatEngine {
   std::vector<Lit> assumptions_;
   std::vector<Lit> failed_assumptions_;
   bool failed_by_assumptions_ = false;
-  // Trail-saving: the internal assumption prefix whose decision levels
-  // survived the previous solve (empty when nothing is saved). Level i of
-  // the retained trail realizes saved_prefix_[i].
-  std::vector<Lit> saved_prefix_;
   // add_clause_to_group: selector the next add_root_clause must tag the
   // clause with instead of the innermost group's (undef_lit = default).
   Lit forced_selector_ = undef_lit;

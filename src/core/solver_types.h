@@ -144,10 +144,7 @@ struct Budget {
 //  * clause groups (Solver::push_group): pushes, pops, the learned stack
 //    split at each pop into kept (selector-independent) and dropped
 //    lemmas, and pushes served by a recycled selector variable, which
-//    bounds internal variable growth by the peak number of live groups;
-//  * trail-saving (SolverOptions::save_trail): solves that resumed from a
-//    shared assumption prefix, and the implied literals kept across the
-//    solve boundary (each one a propagation the solve skipped).
+//    bounds internal variable growth by the peak number of live groups.
 #define BERKMIN_SOLVER_COUNTERS(X)                                        \
   X(decisions) X(propagations) X(conflicts) X(restarts) X(reductions)    \
   X(learned_clauses) X(learned_literals) X(learned_units)                \
@@ -158,8 +155,7 @@ struct Budget {
   X(no_learn_restarts) X(pressure_reductions) X(budget_infeasible_solves) \
   X(exported_clauses) X(imported_clauses) X(duplicate_binaries_skipped)  \
   X(groups_pushed) X(groups_popped) X(pop_retained_learned)              \
-  X(pop_dropped_learned) X(selectors_recycled)                           \
-  X(trail_saves) X(trail_saved_literals)
+  X(pop_dropped_learned) X(selectors_recycled)
 
 // Counters exposed through Solver::stats(). The skin histogram and the
 // database-size counters feed Tables 3, 8 and 9 of the paper directly.

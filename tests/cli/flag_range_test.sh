@@ -10,14 +10,14 @@
 # --engine), so no build of these CLIs can start that many threads here.
 #
 #   tests/cli/flag_range_test.sh <model_checker> <dimacs_solver> \
-#       <class_runner> <bench driver> <hanoi_planner> <equivalence_checker> \
+#       <class_runner> <scorecard> <hanoi_planner> <equivalence_checker> \
 #       <batch_solver> <drat_check> <telemetry_dump>
 set -u
 
 CHECKER=$1
 SOLVER=$2
 CLASS_RUNNER=$3
-BENCH=$4
+SCORECARD=$4
 HANOI=$5
 EQUIV=$6
 BATCH=$7
@@ -79,9 +79,13 @@ expect_refused pool "$CLASS_RUNNER" --class Hole --scale 1 --pool 0
 expect_refused threads "$CLASS_RUNNER" --threads "$HUGE" --help
 expect_refused pool "$CLASS_RUNNER" --pool "$HUGE" --help
 
-expect_refused scale "$BENCH" --scale 0 --timeout 1
-expect_refused threads "$BENCH" --scale 1 --timeout 1 --threads 0
-expect_refused threads "$BENCH" --threads "$HUGE" --help
+expect_refused scale "$SCORECARD" --scale 0 --timeout 1
+expect_refused threads "$SCORECARD" --scale 1 --timeout 1 --threads 0
+expect_refused threads "$SCORECARD" --threads "$HUGE" --help
+# --table names a paper table (1-10) or the extensions ablation.
+expect_refused table "$SCORECARD" --table 0
+expect_refused table "$SCORECARD" --table 11
+expect_refused table "$SCORECARD" --table nosuch
 
 expect_refused disks "$HANOI" --disks 0
 expect_refused moves "$HANOI" --moves -5
@@ -89,7 +93,7 @@ expect_refused width "$EQUIV" --width 0
 
 # A negative per-instance timeout would run every instance without limit.
 expect_refused timeout "$CLASS_RUNNER" --class Hole --scale 1 --timeout -1
-expect_refused timeout "$BENCH" --scale 1 --timeout -1
+expect_refused timeout "$SCORECARD" --scale 1 --timeout -1
 # A negative gate count would check an empty circuit.
 expect_refused gates "$EQUIV" --gates -5
 
@@ -97,7 +101,7 @@ expect_refused gates "$EQUIV" --gates -5
 # as k. The scales are probed with --help, which ends the run before any
 # instance is built.
 expect_refused scale "$CLASS_RUNNER" --scale 4294967298 --help
-expect_refused scale "$BENCH" --scale 4294967298 --help
+expect_refused scale "$SCORECARD" --scale 4294967298 --help
 expect_refused width "$EQUIV" --width 4294967297
 expect_refused gates "$EQUIV" --gates 4294967376
 expect_refused moves "$HANOI" --moves 4294967311
@@ -128,7 +132,7 @@ expect_spec_refused "1 <holes>" hole:4294967299
 expect_spec_refused "4 " rand3:50:213:1:junk
 expect_spec_refused "1 <disks>" hanoi:31
 
-for cli in "$CHECKER" "$SOLVER" "$CLASS_RUNNER" "$BENCH" "$HANOI" "$EQUIV" \
+for cli in "$CHECKER" "$SOLVER" "$CLASS_RUNNER" "$SCORECARD" "$HANOI" "$EQUIV" \
     "$BATCH" "$DRAT_CHECK" "$TELEMETRY_DUMP"; do
   timeout 60 "$cli" --help >"$tmp/out.txt" 2>&1
   got=$?

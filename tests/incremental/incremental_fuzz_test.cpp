@@ -325,92 +325,6 @@ TEST_P(NamedGroupFuzz, ScriptMatchesScratchDpllAndDrat) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NamedGroupFuzz, ::testing::Range(0, 40));
 
-// --- trail-saving equivalence (ISSUE 10) ------------------------------------
-
-TEST(TrailSavingFuzz, OnOffScriptsAgreeAndSavingNeverCostsPropagations) {
-  // The same random script replayed against a save_trail=true solver and
-  // a save_trail=false solver must return identical answers at every
-  // query. Each generated query runs twice back-to-back, so the saving
-  // solver repeatedly gets a fully-shared assumption prefix to resume;
-  // over the whole corpus it must actually bank saves and spend no more
-  // propagations than the non-saving twin.
-  std::uint64_t total_saves = 0;
-  std::uint64_t total_saved_literals = 0;
-  std::uint64_t props_on = 0;
-  std::uint64_t props_off = 0;
-  for (std::uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(seed * 31 + 7);
-    SolverOptions on = SolverOptions::berkmin();
-    on.save_trail = true;
-    Solver s_on(on);
-    Solver s_off(SolverOptions::berkmin());
-    const int num_vars = 10 + static_cast<int>(seed % 4);
-
-    std::vector<std::vector<Lit>> active;
-    std::vector<std::size_t> marks;
-    std::vector<GroupId> gids_on;
-    std::vector<GroupId> gids_off;
-    bool dead = false;
-    for (int op = 0; op < 24 && !dead; ++op) {
-      const std::uint64_t pick = rng.below(10);
-      if (pick < 4) {
-        const auto clause = random_clause(rng, num_vars, 3);
-        active.push_back(clause);
-        (void)s_on.add_clause(clause);
-        (void)s_off.add_clause(clause);
-      } else if (pick < 5) {
-        gids_on.push_back(s_on.push_group());
-        gids_off.push_back(s_off.push_group());
-        marks.push_back(active.size());
-      } else if (pick < 6 && !marks.empty()) {
-        ASSERT_TRUE(s_on.pop_group(gids_on.back()));
-        ASSERT_TRUE(s_off.pop_group(gids_off.back()));
-        gids_on.pop_back();
-        gids_off.pop_back();
-        active.resize(marks.back());
-        marks.pop_back();
-      } else {
-        std::vector<Lit> assumptions;
-        const int count = 1 + static_cast<int>(rng.below(2));
-        for (int i = 0; i < count; ++i) {
-          assumptions.push_back(
-              Lit(static_cast<Var>(
-                      rng.below(static_cast<std::uint64_t>(num_vars))),
-                  rng.coin()));
-        }
-        for (int rep = 0; rep < 2 && !dead; ++rep) {
-          const SolveStatus got = s_on.solve_with_assumptions(assumptions);
-          const SolveStatus want = s_off.solve_with_assumptions(assumptions);
-          ASSERT_EQ(got, want)
-              << "seed " << seed << " op " << op << " rep " << rep
-              << ": trail-saving changed an answer";
-          if (got == SolveStatus::satisfiable) {
-            const Cnf formula = active_formula(active, num_vars);
-            EXPECT_TRUE(formula.is_satisfied_by(s_on.model()))
-                << "seed " << seed << " op " << op << " rep " << rep;
-            for (const Lit a : assumptions) {
-              EXPECT_EQ(value_of_literal(s_on.model()[a.var()], a),
-                        Value::true_value)
-                  << "seed " << seed << " op " << op << " rep " << rep;
-            }
-          } else if (!s_on.ok()) {
-            dead = true;
-          }
-        }
-      }
-    }
-    ASSERT_EQ(s_on.validate_invariants(), "") << "seed " << seed;
-    EXPECT_EQ(s_off.stats().trail_saves, 0u);
-    total_saves += s_on.stats().trail_saves;
-    total_saved_literals += s_on.stats().trail_saved_literals;
-    props_on += s_on.stats().propagations;
-    props_off += s_off.stats().propagations;
-  }
-  EXPECT_GT(total_saves, 0u);
-  EXPECT_GT(total_saved_literals, 0u);
-  EXPECT_LE(props_on, props_off);
-}
-
 // --- icnf script plumbing --------------------------------------------------
 
 TEST(IcnfScript, RoundTripsThroughParse) {

@@ -433,74 +433,5 @@ TEST(ClauseGroups, OutOfOrderPopDropsDependentsKeepsLaterGroups) {
   EXPECT_EQ(solver.validate_invariants(), "");
 }
 
-TEST(TrailSaving, SharedPrefixSkipsRepropagation) {
-  // SolverOptions::save_trail keeps the implied trail of a shared
-  // assumption prefix across consecutive solves: re-solving under the
-  // same assumptions resumes past the saved segment instead of
-  // re-deciding and re-propagating it.
-  Cnf chain;
-  constexpr int kVars = 50;
-  chain.add_vars(kVars);
-  for (int i = 0; i < kVars - 1; ++i) {
-    chain.add_clause({Lit::negative(i), Lit::positive(i + 1)});
-  }
-  SolverOptions opts;
-  opts.save_trail = true;
-  Solver solver(opts);
-  solver.load(chain);
-
-  const auto assumptions = lits({1});  // propagates the whole chain
-  ASSERT_EQ(solver.solve_with_assumptions(assumptions),
-            SolveStatus::satisfiable);
-  const std::uint64_t props_first = solver.stats().propagations;
-  ASSERT_EQ(solver.solve_with_assumptions(assumptions),
-            SolveStatus::satisfiable);
-  EXPECT_EQ(solver.stats().trail_saves, 1u);
-  EXPECT_GE(solver.stats().trail_saved_literals,
-            static_cast<std::uint64_t>(kVars - 1));
-  // The chain was not re-propagated on the second solve.
-  EXPECT_LT(solver.stats().propagations - props_first,
-            static_cast<std::uint64_t>(kVars - 1));
-
-  // A clause mutation cancels the saved segment; the next solve is still
-  // correct and starts from scratch.
-  solver.add_clause(lits({2, 3}));
-  ASSERT_EQ(solver.solve_with_assumptions(assumptions),
-            SolveStatus::satisfiable);
-  EXPECT_EQ(solver.stats().trail_saves, 1u);  // no save to resume from
-  // A different assumption vector shares no prefix: correct answer, no
-  // saved-trail credit.
-  ASSERT_EQ(solver.solve_with_assumptions(lits({-1})),
-            SolveStatus::satisfiable);
-  EXPECT_FALSE(solver.model_value(from_dimacs(1)));
-  EXPECT_EQ(solver.validate_invariants(), "");
-}
-
-TEST(TrailSaving, ComposesWithGroupsAndActivation) {
-  // The effective assumption vector starts with the group selectors, so
-  // trail-saving credits repeated queries over a stable group
-  // configuration, and an activation flip just shortens the shared
-  // prefix instead of corrupting state.
-  SolverOptions opts;
-  opts.save_trail = true;
-  Solver solver(opts);
-  solver.load(make_cnf({{1, 2}}));
-  const GroupId g = solver.push_group();
-  solver.add_clause(lits({-1}));
-  ASSERT_EQ(solver.solve(), SolveStatus::satisfiable);
-  ASSERT_EQ(solver.solve(), SolveStatus::satisfiable);
-  EXPECT_GE(solver.stats().trail_saves, 1u);
-  ASSERT_TRUE(solver.set_group_active(g, false));
-  ASSERT_EQ(solver.solve_with_assumptions(lits({-2})),
-            SolveStatus::satisfiable);  // -1 parked, 1 may hold
-  EXPECT_TRUE(solver.model_value(from_dimacs(1)));
-  ASSERT_TRUE(solver.set_group_active(g, true));
-  ASSERT_EQ(solver.solve_with_assumptions(lits({-2})),
-            SolveStatus::unsatisfiable);  // {1,2} vs -1 and -2
-  ASSERT_TRUE(solver.pop_group(g));
-  EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
-  EXPECT_EQ(solver.validate_invariants(), "");
-}
-
 }  // namespace
 }  // namespace berkmin

@@ -205,8 +205,8 @@ TEST(SolverOptionsTest, PresetsDiffer) {
 }
 
 TEST(SolverOptionsTest, DescribeSeparatesExtensionAblations) {
-  // The columns of bench/ablation_extensions: each differs from stock
-  // BerkMin in one extension, so their descriptions must differ too.
+  // The columns of `scorecard --table extensions`: each differs from
+  // stock BerkMin in one extension, so their descriptions must differ too.
   const SolverOptions base = SolverOptions::berkmin();
   SolverOptions minimize = base;
   minimize.minimize_learned = true;

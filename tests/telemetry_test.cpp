@@ -342,9 +342,7 @@ TEST(SolverTelemetry, EveryListedCounterIsExported) {
   // solver's own value (one solver, one hub, so the totals coincide).
   Telemetry hub;
   telemetry::SolverTelemetry sink(hub, nullptr);
-  SolverOptions options;
-  options.save_trail = true;
-  Solver solver(options);
+  Solver solver;
   solver.set_telemetry(&sink);
   solver.load(gen::pigeonhole(5));
   const GroupId group = solver.push_group();
@@ -360,8 +358,8 @@ TEST(SolverTelemetry, EveryListedCounterIsExported) {
   }
   // The fields the hand-kept export used to miss.
   for (const char* name :
-       {"trail_saves", "trail_saved_literals", "selectors_recycled",
-        "budget_infeasible_solves", "global_decisions", "learned_literals"}) {
+       {"selectors_recycled", "budget_infeasible_solves", "global_decisions",
+        "learned_literals"}) {
     EXPECT_TRUE(snap.counters.contains(std::string("solver.") + name)) << name;
   }
   EXPECT_GT(snap.counters.at("solver.learned_literals"), 0u);
