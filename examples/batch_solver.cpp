@@ -469,12 +469,12 @@ int main(int argc, char** argv) {
 
   // Incremental scripts: one driver thread per script replays its ops
   // against a persistent service session — mutations applied between
-  // solves, each solve a normal sliced job — and streams one JSONL line
+  // solves, each solve a sliced session query — and streams one JSONL line
   // per query. The sessions multiplex over the same worker pool as the
   // one-shot jobs above.
   int script_failures = 0;
-  // Session answers, which wait() hands over once: kept for the summary
-  // and the per-job metrics (wait_all() leaves them out).
+  // Session answers, kept for the summary and the per-job metrics
+  // (wait_all() returns only the one-shot results).
   std::vector<service::JobResult> session_results;
   std::vector<std::thread> drivers;
   drivers.reserve(scripts.size());
@@ -501,6 +501,7 @@ int main(int argc, char** argv) {
       }
       std::vector<std::vector<Lit>> active;
       std::vector<std::size_t> marks;
+      service::JobResult result;
       bool failed = false;
       for (const icnf::Op& op : entry->script.ops) {
         bool ok = true;
@@ -519,13 +520,11 @@ int main(int argc, char** argv) {
             ok = solving.session_pop(*sid);
             break;
           case icnf::Op::Kind::solve: {
-            const auto jid =
-                solving.session_solve(*sid, op.lits, entry->limits);
-            if (!jid.has_value()) {
+            if (!solving.session_query(*sid, op.lits, entry->limits,
+                                       result)) {
               ok = false;
               break;
             }
-            const service::JobResult result = solving.wait(*jid);
             int model_valid = -1;
             if (result.status == SolveStatus::satisfiable) {
               Cnf formula;

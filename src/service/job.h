@@ -92,9 +92,8 @@ struct JobProofOptions {
   bool verify() const { return check || core; }
 };
 
-// Configuration of an incremental session. Each solve submitted through
-// session_solve() runs as an ordinary (sliced, preemptible, cancellable)
-// job against the session's persistent engine.
+// Configuration of an incremental session. Each session_query() runs like
+// a job (sliced, preemptible, bounded by its limits) on its engine.
 struct SessionRequest {
   std::string name;  // echoed in per-solve results; defaults to "session-<id>"
   SolverOptions options = SolverOptions::berkmin();
@@ -133,7 +132,8 @@ struct JobRequest {
 
 struct JobResult {
   JobId id = invalid_job;
-  // Set when this result answers a session_solve() query.
+  // Set when this result answers a session_query(); state(), wait() and
+  // cancel() do not know its id.
   SessionId session = invalid_session;
   std::string name;
   SolveStatus status = SolveStatus::unknown;

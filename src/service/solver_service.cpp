@@ -102,6 +102,10 @@ SolverService::SolverService(ServiceOptions options) : opts_(options) {
   }
 }
 
+SatEngine* SolverService::Job::active_engine() const {
+  return session != nullptr ? session->engine.get() : engine.get();
+}
+
 double SolverService::now_seconds() const {
   double t = clock_.seconds();
   if (BERKMIN_FAULT_POINT(util::FaultSite::clock_skew)) {
@@ -117,25 +121,35 @@ std::optional<JobId> SolverService::submit(JobRequest request) {
   std::unique_lock<std::mutex> lk(lock_);
   space_cv_.wait(
       lk, [&] { return pending_ < opts_.max_pending || !accepting_; });
-  const std::shared_ptr<Job> job = admit_locked(std::move(request));
-  if (job == nullptr) return std::nullopt;
-  wake_worker_locked();
-  return job->id;
+  return submit_locked(std::move(request));
 }
 
 std::optional<JobId> SolverService::try_submit(JobRequest request) {
-  std::unique_lock<std::mutex> lk(lock_);
-  const std::shared_ptr<Job> job = admit_locked(std::move(request));
-  if (job == nullptr) return std::nullopt;
-  wake_worker_locked();
+  std::lock_guard<std::mutex> lk(lock_);
+  return submit_locked(std::move(request));
+}
+
+std::optional<JobId> SolverService::submit_locked(JobRequest request) {
+  auto job = std::make_shared<Job>();
+  if (request.limits.threads < 1) request.limits.threads = 1;
+  job->request = std::move(request);
+  if (!admit_locked(*job)) return std::nullopt;
+  job->assumptions = job->request.assumptions;
+  if (job->request.name.empty()) {
+    job->result.name = "job-" + std::to_string(job->id);
+  } else {
+    job->result.name = std::move(job->request.name);
+  }
+  jobs_.emplace(job->id, job);
+  // With every slot taken, the slice that frees one wakes a worker.
+  if (!free_slots_.empty()) work_cv_.notify_one();
   return job->id;
 }
 
-std::shared_ptr<SolverService::Job> SolverService::admit_locked(
-    JobRequest request, std::shared_ptr<Session> session) {
+bool SolverService::admit_locked(Job& job) {
   if (!accepting_ || pending_ >= opts_.max_pending) {
     ++stats_.rejected;
-    return nullptr;
+    return false;
   }
   // Load shedding: while the memory budget is critical, refusing at the
   // door is the graceful move — an admitted job would only deepen the
@@ -145,48 +159,27 @@ std::shared_ptr<SolverService::Job> SolverService::admit_locked(
     ++stats_.rejected;
     ++stats_.rejected_pressure;
     opts_.memory_budget->note_degrade();
-    return nullptr;
+    return false;
   }
-  auto job = std::make_shared<Job>();
-  job->id = next_id_++;
-  if (request.limits.threads < 1) request.limits.threads = 1;
-  job->request = std::move(request);
-  job->assumptions = job->request.assumptions;
-  job->submit_time = now_seconds();
-  if (job->request.limits.deadline_seconds > 0.0) {
-    job->deadline_point = job->submit_time + job->request.limits.deadline_seconds;
-  }
-  job->result.id = job->id;
-  if (session != nullptr) {
-    // A session query is named after its session and its number there.
-    job->result.session = session->id;
-    job->result.name = session->request.name;
-    job->result.name += '#';
-    job->result.name += std::to_string(++session->solves);
-    ++stats_.session_solves;
-  } else if (job->request.name.empty()) {
-    job->result.name = "job-" + std::to_string(job->id);
-  } else {
-    job->result.name = std::move(job->request.name);
-  }
-  job->session = std::move(session);
+  job.id = next_id_++;
+  job.job_state = JobState::queued;
+  job.cancel_requested = false;
+  job.first_slice_time = -1.0;
+  job.submit_time = now_seconds();
+  const double deadline = job.request.limits.deadline_seconds;
+  job.deadline_point = deadline > 0.0 ? job.submit_time + deadline : 0.0;
+  job.result.id = job.id;
 
-  jobs_.emplace(job->id, job);
   ++pending_;
   ++stats_.submitted;
   stats_.peak_pending = std::max<std::uint64_t>(stats_.peak_pending, pending_);
-  emit_control_locked(
-      telemetry::EventKind::job_queued, job->id,
-      static_cast<std::uint64_t>(job->request.limits.priority));
+  emit_control_locked(telemetry::EventKind::job_queued, job.id,
+                      static_cast<std::uint64_t>(job.request.limits.priority));
   if (pending_gauge_ != nullptr) {
     pending_gauge_->set(static_cast<std::int64_t>(pending_));
   }
   enqueue_ready_locked(job);
-  return job;
-}
-
-void SolverService::wake_worker_locked() {
-  if (!free_slots_.empty()) work_cv_.notify_one();
+  return true;
 }
 
 // ---- incremental job sessions ---------------------------------------------
@@ -213,7 +206,7 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
     spare = std::move(spare_);
   }
   const bool reused = spare.engine != nullptr;
-  auto session = std::make_shared<Session>(
+  auto session = std::make_unique<Session>(
       portfolio::make_engine(request.options, request.threads,
                              engine_resources(opts_), std::move(spare.engine)),
       request.proof.wanted() && unsupported.empty(), request.proof.verify(),
@@ -233,13 +226,16 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
     request.name = "session-" + std::to_string(session->id);
   }
   session->request = std::move(request);
-  sessions_.emplace(session->id, session);
+  session->query.session = session.get();
+  session->query.request.proof = session->request.proof;
+  const SessionId id = session->id;
+  sessions_.emplace(id, std::move(session));
   ++stats_.sessions_opened;
   if (reused) ++stats_.sessions_reused;
   if (sessions_gauge_ != nullptr) {
     sessions_gauge_->set(static_cast<std::int64_t>(sessions_.size()));
   }
-  return session->id;
+  return id;
 }
 
 std::optional<GroupId> SolverService::mutate_session(SessionId id,
@@ -250,9 +246,8 @@ std::optional<GroupId> SolverService::mutate_session(SessionId id,
   Session* session = nullptr;
   {
     std::lock_guard<std::mutex> lk(lock_);
-    const std::shared_ptr<Session>* claimed = claim_session_locked(id);
-    if (claimed == nullptr) return std::nullopt;
-    session = claimed->get();
+    session = claim_session_locked(id);
+    if (session == nullptr) return std::nullopt;
     // The claim makes the engine this caller's alone until released.
     if (group == innermost) group = session->engine->innermost_group();
     if (kind != Mutation::push && kind != Mutation::add &&
@@ -298,8 +293,7 @@ std::optional<GroupId> SolverService::mutate_session(SessionId id,
   return group;
 }
 
-std::shared_ptr<SolverService::Session>* SolverService::claim_session_locked(
-    SessionId id) {
+SolverService::Session* SolverService::claim_session_locked(SessionId id) {
   const auto it = sessions_.find(id);
   if (it == sessions_.end()) return nullptr;
   bool idle = false;
@@ -307,7 +301,7 @@ std::shared_ptr<SolverService::Session>* SolverService::claim_session_locked(
                                                 std::memory_order_acquire)) {
     return nullptr;
   }
-  return &it->second;
+  return it->second.get();
 }
 
 std::optional<GroupId> SolverService::session_push(SessionId id) {
@@ -338,46 +332,47 @@ bool SolverService::session_set_group_active(SessionId id, GroupId group,
       .has_value();
 }
 
-std::shared_ptr<SolverService::Job> SolverService::admit_session_locked(
-    SessionId id, JobLimits limits) {
-  const std::shared_ptr<Session>* claimed = claim_session_locked(id);
-  if (claimed == nullptr) return nullptr;
-  JobRequest request;
-  request.limits = limits;
-  request.limits.threads = 1;  // escalation is the session's, not the job's
-  request.proof = (*claimed)->request.proof;
-  std::shared_ptr<Job> job = admit_locked(std::move(request), *claimed);
-  if (job == nullptr) release_session(**claimed);
-  return job;
-}
-
-std::optional<JobId> SolverService::session_solve(SessionId id,
-                                                  std::vector<Lit> assumptions,
-                                                  JobLimits limits) {
-  std::lock_guard<std::mutex> lk(lock_);
-  const std::shared_ptr<Job> job = admit_session_locked(id, limits);
-  if (job == nullptr) return std::nullopt;
-  job->request.assumptions = std::move(assumptions);
-  job->assumptions = job->request.assumptions;
-  wake_worker_locked();
-  return job->id;
-}
-
 bool SolverService::session_query(SessionId id,
                                   std::span<const Lit> assumptions,
                                   JobLimits limits, JobResult& result) {
   std::unique_lock<std::mutex> lk(lock_);
-  const std::shared_ptr<Job> job = admit_session_locked(id, limits);
-  if (job == nullptr) return false;
-  job->assumptions = assumptions;
-  // The answer's model and core are copied into the caller's buffers.
-  job->result.model = std::move(result.model);
-  job->result.model.clear();
-  job->result.failed_assumptions = std::move(result.failed_assumptions);
-  job->result.failed_assumptions.clear();
-  run_until_finished(lk, job);
-  jobs_.erase(job->id);
-  result = std::move(job->result);
+  Session* session = claim_session_locked(id);
+  if (session == nullptr) return false;
+  Job& query = session->query;
+  query.request.limits = limits;
+  query.request.limits.threads = 1;  // escalation is the session's
+  if (!admit_locked(query)) {
+    release_session(*session);
+    return false;
+  }
+  query.assumptions = assumptions;
+  // The answer is built in the caller's buffers, which the record holds
+  // until the caller collects it.
+  JobResult& answer = query.result;
+  answer.session = session->id;
+  answer.name = std::move(result.name);
+  answer.name.assign(session->request.name);
+  answer.name += '#';
+  answer.name += std::to_string(++session->solves);
+  answer.model = std::move(result.model);
+  answer.model.clear();
+  answer.failed_assumptions = std::move(result.failed_assumptions);
+  answer.failed_assumptions.clear();
+  ++stats_.session_solves;
+  // The session stays claimed until the answer is collected, so no other
+  // query can reuse the record before then.
+  const auto collect = [&] {
+    result = std::move(answer);
+    answer = JobResult{};
+    release_session(*session);
+  };
+  try {
+    run_until_finished(lk, query);
+  } catch (...) {  // a throwing completion callback, after the answer
+    collect();
+    throw;
+  }
+  collect();
   return true;
 }
 
@@ -387,21 +382,21 @@ bool SolverService::close_session(SessionId id) {
   if (it == sessions_.end()) return false;
   // Claims are taken under the lock, so an idle session stays idle.
   if (it->second->busy.load(std::memory_order_acquire)) return false;
-  keep_spare_locked(it->second);
-  sessions_.erase(it);  // the engine dies with the last shared_ptr
+  keep_spare_locked(*it->second);
+  sessions_.erase(it);
   if (sessions_gauge_ != nullptr) {
     sessions_gauge_->set(static_cast<std::int64_t>(sessions_.size()));
   }
   return true;
 }
 
-void SolverService::keep_spare_locked(const std::shared_ptr<Session>& session) {
+void SolverService::keep_spare_locked(Session& session) {
   if (spare_.engine != nullptr || opts_.memory_budget != nullptr ||
-      session.use_count() != 1 || session->request.threads != 1) {
+      session.request.threads != 1) {
     return;
   }
-  spare_.checker = session->certifier.release_checker();
-  spare_.engine = std::move(session->engine);
+  spare_.checker = session.certifier.release_checker();
+  spare_.engine = std::move(session.engine);
 }
 
 std::size_t SolverService::open_sessions() const {
@@ -414,20 +409,24 @@ bool SolverService::cancel(JobId id) {
   {
     std::lock_guard<std::mutex> lk(lock_);
     const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second->finished) return false;
-    const std::shared_ptr<Job>& job = it->second;
-    job->cancel_requested = true;
-    if (job->job_state == JobState::running) {
-      // The slice's runner owns the job: stop its engine mid-slice and let
-      // the runner classify the result (it re-checks cancel_requested under
-      // this lock after the slice, so the request cannot be lost).
-      if (SatEngine* engine = job->active_engine()) engine->request_stop();
-      return true;
-    }
-    notify = finish_locked(job, JobOutcome::cancelled);
+    if (it == jobs_.end() || it->second->finished()) return false;
+    notify = cancel_locked(*it->second);
   }
   deliver(std::move(notify));
   return true;
+}
+
+SolverService::Finished SolverService::cancel_locked(Job& job) {
+  job.cancel_requested = true;
+  if (job.job_state == JobState::running) {
+    // The slice's runner owns the record: stop its engine mid-slice and let
+    // the runner classify the result (it re-checks cancel_requested under
+    // this lock after the slice, so the request cannot be lost).
+    if (SatEngine* engine = job.active_engine()) engine->request_stop();
+    return {};
+  }
+  ready_.erase(std::find(ready_.begin(), ready_.end(), &job));
+  return finish_locked(job, JobOutcome::cancelled);
 }
 
 void SolverService::shutdown(Shutdown mode) {
@@ -439,15 +438,13 @@ void SolverService::shutdown(Shutdown mode) {
     unused = std::move(spare_);
     if (mode == Shutdown::cancel_pending) {
       for (auto& [id, job] : jobs_) {
-        if (job->finished) continue;
-        job->cancel_requested = true;
-        if (job->job_state == JobState::running) {
-          if (SatEngine* engine = job->active_engine()) engine->request_stop();
-        } else {
-          notifications.push_back(finish_locked(job, JobOutcome::cancelled));
+        if (!job->finished()) notifications.push_back(cancel_locked(*job));
+      }
+      for (auto& [id, session] : sessions_) {
+        if (!session->query.finished()) {
+          notifications.push_back(cancel_locked(session->query));
         }
       }
-      ready_.clear();
     }
     work_cv_.notify_all();
     space_cv_.notify_all();
@@ -474,14 +471,15 @@ JobResult SolverService::wait(JobId id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) throw std::out_of_range("unknown job id");
   const std::shared_ptr<Job> job = it->second;
-  run_until_finished(lk, job);
-  if (job->result.session == invalid_session) return job->result;
-  jobs_.erase(id);  // a session answer is collected once
+  run_until_finished(lk, *job);
+  // Collected once: the first caller back takes the result, and any other
+  // finds the id gone.
+  if (jobs_.erase(id) == 0) throw std::out_of_range("job already collected");
   return std::move(job->result);
 }
 
 void SolverService::run_until_finished(std::unique_lock<std::mutex>& lk,
-                                       const std::shared_ptr<Job>& job) {
+                                       Job& job) {
   // The caller runs its job's slices itself while the job is the
   // scheduler's pick and it holds a slot: one freed for it, or the one its
   // previous slice ran in, kept while the preempted job is picked again.
@@ -489,10 +487,10 @@ void SolverService::run_until_finished(std::unique_lock<std::mutex>& lk,
   // a slot is free and another job is the pick, it wakes a worker for that
   // job, which may have been admitted without one.
   int slot = -1;
-  while (!job->finished) {
+  while (!job.finished()) {
     if (slot >= 0 || !free_slots_.empty()) {
-      const std::shared_ptr<Job> pick = pick_ready_locked();
-      if (pick == job) {
+      const Job* pick = pick_ready_locked();
+      if (pick == &job) {
         if (slot < 0) {
           slot = free_slots_.back();
           free_slots_.pop_back();
@@ -526,7 +524,8 @@ std::vector<JobResult> SolverService::wait_all() {
   done_cv_.wait(lk, [&] { return pending_ == 0; });
   std::vector<JobResult> results;
   results.reserve(jobs_.size());
-  for (const auto& [id, job] : jobs_) results.push_back(job->result);
+  for (auto& [id, job] : jobs_) results.push_back(std::move(job->result));
+  jobs_.clear();
   std::sort(results.begin(), results.end(),
             [](const JobResult& a, const JobResult& b) { return a.id < b.id; });
   return results;
@@ -542,9 +541,9 @@ ServiceStats SolverService::stats() const {
   return stats_;
 }
 
-void SolverService::enqueue_ready_locked(const std::shared_ptr<Job>& job) {
-  job->ready_since = dispatch_tick_;
-  ready_.push_back(job->id);
+void SolverService::enqueue_ready_locked(Job& job) {
+  job.ready_since = dispatch_tick_;
+  ready_.push_back(&job);
 }
 
 double SolverService::schedule_key_locked(const Job& job) const {
@@ -558,45 +557,37 @@ double SolverService::schedule_key_locked(const Job& job) const {
          age;
 }
 
-std::shared_ptr<SolverService::Job> SolverService::pick_ready_locked() {
+SolverService::Job* SolverService::pick_ready_locked() {
   // Linear scan: the ready queue is bounded by max_pending and a dispatch
-  // happens once per slice, so O(n) selection is noise. Stale ids (jobs
-  // cancelled while queued) are compacted away in place.
-  std::shared_ptr<Job> best;
+  // happens once per slice, so O(n) selection is noise.
+  Job* best = nullptr;
   double best_key = 0.0;
-  std::size_t kept = 0;
-  for (const JobId id : ready_) {
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end()) continue;
-    const std::shared_ptr<Job>& job = it->second;
-    if (job->finished || job->job_state == JobState::running) continue;
-    ready_[kept++] = id;
+  for (Job* job : ready_) {
     const double key = schedule_key_locked(*job);
     if (best == nullptr || key < best_key ||
-        (key == best_key && id < best->id)) {
+        (key == best_key && job->id < best->id)) {
       best = job;
       best_key = key;
     }
   }
-  ready_.resize(kept);
   return best;
 }
 
-void SolverService::dispatch_locked(const std::shared_ptr<Job>& job) {
-  ready_.erase(std::find(ready_.begin(), ready_.end(), job->id));
+void SolverService::dispatch_locked(Job& job) {
+  ready_.erase(std::find(ready_.begin(), ready_.end(), &job));
   ++dispatch_tick_;
-  job->job_state = JobState::running;
-  job->slice_start = now_seconds();
-  if (job->first_slice_time < 0.0) {
-    job->first_slice_time = job->slice_start;
-    telemetry::Histogram* wait = wait_histogram(job->request.limits.priority);
+  job.job_state = JobState::running;
+  job.slice_start = now_seconds();
+  if (job.first_slice_time < 0.0) {
+    job.first_slice_time = job.slice_start;
+    telemetry::Histogram* wait = wait_histogram(job.request.limits.priority);
     if (wait != nullptr) {
       wait->record(static_cast<std::uint64_t>(
-          std::max(0.0, job->first_slice_time - job->submit_time) * 1e9));
+          std::max(0.0, job.first_slice_time - job.submit_time) * 1e9));
     }
   }
-  emit_control_locked(telemetry::EventKind::job_dispatch, job->id,
-                      job->result.slices);
+  emit_control_locked(telemetry::EventKind::job_dispatch, job.id,
+                      job.result.slices);
 }
 
 void SolverService::release_slot_locked(int slot) {
@@ -625,8 +616,7 @@ void SolverService::worker_loop() {
       work_cv_.notify_all();  // so may the workers still asleep
       return;
     }
-    const std::shared_ptr<Job> job = pick_ready_locked();
-    if (job == nullptr) continue;  // only stale ids were queued
+    Job& job = *pick_ready_locked();
     const int slot = free_slots_.back();
     free_slots_.pop_back();
     dispatch_locked(job);
@@ -637,17 +627,16 @@ void SolverService::worker_loop() {
   }
 }
 
-bool SolverService::finish_if_preempted_terminal(
-    const std::shared_ptr<Job>& job) {
+bool SolverService::finish_if_preempted_terminal(Job& job) {
   Finished notify;
   bool terminal = false;
   {
     std::unique_lock<std::mutex> lk(lock_);
-    if (job->cancel_requested) {
+    if (job.cancel_requested) {
       notify = finish_locked(job, JobOutcome::cancelled);
       terminal = true;
-    } else if (job->deadline_point > 0.0 &&
-               now_seconds() >= job->deadline_point) {
+    } else if (job.deadline_point > 0.0 &&
+               now_seconds() >= job.deadline_point) {
       notify = finish_locked(job, JobOutcome::deadline_expired);
       terminal = true;
     }
@@ -688,12 +677,11 @@ std::optional<Budget> SolverService::slice_budget(const Job& job) const {
   return budget;
 }
 
-void SolverService::run_slice(const std::shared_ptr<Job>& job,
-                              telemetry::SolverTelemetry* sink,
+void SolverService::run_slice(Job& job, telemetry::SolverTelemetry* sink,
                               bool on_waiter) {
-  const JobLimits& limits = job->request.limits;
-  const JobProofOptions& proof_opts = job->request.proof;
-  Session* session = job->session.get();
+  const JobLimits& limits = job.request.limits;
+  const JobProofOptions& proof_opts = job.request.proof;
+  Session* session = job.session;
 
   // Pre-flight: cancellation or an already-expired deadline ends the job
   // without spending a slice on it.
@@ -706,7 +694,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     Finished notify;
     {
       std::unique_lock<std::mutex> lk(lock_);
-      job->result.error = session->unsupported;
+      job.result.error = session->unsupported;
       notify = finish_locked(job, JobOutcome::unsupported);
     }
     deliver(std::move(notify));
@@ -716,18 +704,18 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
   // A job's first slice builds and loads the engine outside the lock
   // (loading can dwarf a slice); the engine pointer is published under
   // the lock so cancel() can reach it.
-  if (session == nullptr && job->engine == nullptr) {
+  if (session == nullptr && job.engine == nullptr) {
     std::string error;
     std::unique_ptr<SatEngine> engine;
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
     try {
-      engine = portfolio::make_engine(job->request.options, limits.threads,
+      engine = portfolio::make_engine(job.request.options, limits.threads,
                                       engine_resources(opts_));
       if (proof_opts.wanted()) {
         proof_writer = std::make_unique<proof::MemoryProofWriter>();
         engine->set_proof(proof_writer.get());
       }
-      engine->load(job->request.cnf);
+      engine->load(job.request.cnf);
     } catch (const std::exception& ex) {
       error = ex.what();
     }
@@ -737,15 +725,15 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     {
       std::unique_lock<std::mutex> lk(lock_);
       if (!error.empty()) {
-        job->result.error = error;
+        job.result.error = error;
         notify = finish_locked(job, JobOutcome::error);
         terminal = true;
-      } else if (job->cancel_requested) {
+      } else if (job.cancel_requested) {
         notify = finish_locked(job, JobOutcome::cancelled);
         terminal = true;
       } else {
-        job->engine = std::move(engine);
-        job->proof_writer = std::move(proof_writer);
+        job.engine = std::move(engine);
+        job.proof_writer = std::move(proof_writer);
       }
     }
     if (terminal) {
@@ -753,7 +741,7 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
       return;
     }
   }
-  SatEngine& engine = *job->active_engine();
+  SatEngine& engine = *job.active_engine();
 
   // A cancel() arriving from here on finds the published engine pointer
   // and stops the solve mid-slice; the sticky flag means even a request
@@ -769,12 +757,12 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     }
     // Taken after the engine build and any stall, which both count against
     // the watchdog limit; a slice with none of it left is preempted here.
-    const std::optional<Budget> budget = slice_budget(*job);
+    const std::optional<Budget> budget = slice_budget(job);
     if (budget.has_value()) {
       // The sink is this slot's; detach before the job can migrate to
       // another slot after a preemption.
       engine.set_telemetry(sink);
-      status = engine.solve_with_assumptions(job->assumptions, *budget);
+      status = engine.solve_with_assumptions(job.assumptions, *budget);
       engine.set_telemetry(nullptr);
       // Copied: finishing the job releases its engine.
       slice = engine.last_slice();
@@ -795,33 +783,33 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     Finished notify;
     {
       std::unique_lock<std::mutex> lk(lock_);
-      count_slice_locked(*job, slice_seconds, on_waiter);
+      count_slice_locked(job, slice_seconds, on_waiter);
       ++stats_.slice_deaths;
       if (session != nullptr) {
         session->unsupported = "session engine died mid-solve: " +
                                slice_error + "; close and reopen the session";
-        job->result.error = session->unsupported;
+        job.result.error = session->unsupported;
         notify = finish_locked(job, JobOutcome::error);
       } else {
-        job->engine.reset();
-        job->proof_writer.reset();
-        if (job->cancel_requested) {
+        job.engine.reset();
+        job.proof_writer.reset();
+        if (job.cancel_requested) {
           notify = finish_locked(job, JobOutcome::cancelled);
-        } else if (job->fault_retries < opts_.max_slice_retries) {
+        } else if (job.fault_retries < opts_.max_slice_retries) {
           // Re-queue for a rebuild. The consumed slice count feeds the
           // schedule key, so retries back off behind fresh work naturally.
-          ++job->fault_retries;
+          ++job.fault_retries;
           ++stats_.slice_retries;
-          job->job_state = JobState::preempted;
-          ++job->result.preemptions;
+          job.job_state = JobState::preempted;
+          ++job.result.preemptions;
           ++stats_.preemptions;
-          emit_control_locked(telemetry::EventKind::job_preempted, job->id,
-                              job->result.slices);
+          emit_control_locked(telemetry::EventKind::job_preempted, job.id,
+                              job.result.slices);
           enqueue_ready_locked(job);
         } else {
-          job->result.error = "slice died: " + slice_error +
+          job.result.error = "slice died: " + slice_error +
                               " (gave up after " +
-                              std::to_string(job->fault_retries) + " retries)";
+                              std::to_string(job.fault_retries) + " retries)";
           notify = finish_locked(job, JobOutcome::error);
         }
       }
@@ -854,10 +842,10 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
         proof_checked = true;
       }
     } else {
-      trace = job->proof_writer->take_proof();
+      trace = job.proof_writer->take_proof();
       has_proof = trace.ends_with_empty();
       if (has_proof && proof_opts.verify()) {
-        proof::DratChecker checker(job->request.cnf);
+        proof::DratChecker checker(job.request.cnf);
         checker.set_telemetry(sink);
         const proof::CheckResult check = checker.check(trace);
         proof_checked = true;
@@ -869,50 +857,50 @@ void SolverService::run_slice(const std::shared_ptr<Job>& job,
     }
   }
 
+  note_slice(sink, job.id, slice_seconds, slice.conflicts);
   Finished notify;
   {
     std::unique_lock<std::mutex> lk(lock_);
-    count_slice_locked(*job, slice_seconds, on_waiter);
-    job->result.conflicts += slice.conflicts;
-    job->result.decisions += slice.decisions;
-    job->result.propagations += slice.propagations;
-    job->result.learned_clauses += slice.learned_clauses;
+    count_slice_locked(job, slice_seconds, on_waiter);
+    job.result.conflicts += slice.conflicts;
+    job.result.decisions += slice.decisions;
+    job.result.propagations += slice.propagations;
+    job.result.learned_clauses += slice.learned_clauses;
     stats_.conflicts += slice.conflicts;
 
     if (status != SolveStatus::unknown) {
-      job->result.status = status;
+      job.result.status = status;
       if (has_proof) {
-        job->result.proof = std::move(trace);
-        job->result.proof_checked = proof_checked;
-        job->result.proof_valid = proof_valid;
-        job->result.unsat_core = std::move(unsat_core);
+        job.result.proof = std::move(trace);
+        job.result.proof_checked = proof_checked;
+        job.result.proof_valid = proof_valid;
+        job.result.unsat_core = std::move(unsat_core);
       }
       notify = finish_locked(job, JobOutcome::completed);
-    } else if (job->cancel_requested) {
+    } else if (job.cancel_requested) {
       notify = finish_locked(job, JobOutcome::cancelled);
-    } else if (job->deadline_point > 0.0 &&
-               now_seconds() >= job->deadline_point) {
+    } else if (job.deadline_point > 0.0 &&
+               now_seconds() >= job.deadline_point) {
       notify = finish_locked(job, JobOutcome::deadline_expired);
     } else if (limits.max_conflicts != 0 &&
-               job->result.conflicts >= limits.max_conflicts) {
+               job.result.conflicts >= limits.max_conflicts) {
       notify = finish_locked(job, JobOutcome::budget_exhausted);
     } else {
       // Budget slice expired with the query still open: back into the run
       // queue with all engine state intact. A slice whose watchdog limit ran
       // out ended on the resumable wall-clock stop, or before it solved.
       if (opts_.watchdog_seconds > 0.0 &&
-          now_seconds() >= job->slice_start + opts_.watchdog_seconds) {
+          now_seconds() >= job.slice_start + opts_.watchdog_seconds) {
         ++stats_.watchdog_fires;
       }
-      job->job_state = JobState::preempted;
-      ++job->result.preemptions;
+      job.job_state = JobState::preempted;
+      ++job.result.preemptions;
       ++stats_.preemptions;
-      emit_control_locked(telemetry::EventKind::job_preempted, job->id,
-                          job->result.slices);
+      emit_control_locked(telemetry::EventKind::job_preempted, job.id,
+                          job.result.slices);
       enqueue_ready_locked(job);
     }
   }
-  note_slice(sink, *job, slice_seconds, slice.conflicts);
   deliver(std::move(notify));
 }
 
@@ -925,59 +913,56 @@ void SolverService::count_slice_locked(Job& job, double slice_seconds,
   job.result.solve_seconds += slice_seconds;
 }
 
-SolverService::Finished SolverService::finish_locked(
-    const std::shared_ptr<Job>& job, JobOutcome outcome) {
-  job->result.outcome = outcome;
+SolverService::Finished SolverService::finish_locked(Job& job,
+                                                    JobOutcome outcome) {
+  job.result.outcome = outcome;
   // Session jobs answer through the session's persistent engine.
-  SatEngine* engine = job->active_engine();
+  SatEngine* engine = job.active_engine();
   if (engine != nullptr) {
     if (outcome == JobOutcome::completed) {
-      if (job->result.status == SolveStatus::satisfiable) {
-        job->result.model = engine->model();
-      } else if (job->result.status == SolveStatus::unsatisfiable) {
-        job->result.failed_assumptions = engine->failed_assumptions();
+      if (job.result.status == SolveStatus::satisfiable) {
+        job.result.model = engine->model();
+      } else if (job.result.status == SolveStatus::unsatisfiable) {
+        job.result.failed_assumptions = engine->failed_assumptions();
       }
     }
     // Snapshot the database shape before the engine is released.
     const SolverStats& stats = engine->stats();
-    job->result.max_live_clauses = stats.max_live_clauses;
-    job->result.initial_clauses = stats.initial_clauses;
-    job->result.duplicate_binaries_skipped = stats.duplicate_binaries_skipped;
+    job.result.max_live_clauses = stats.max_live_clauses;
+    job.result.initial_clauses = stats.initial_clauses;
+    job.result.duplicate_binaries_skipped = stats.duplicate_binaries_skipped;
   }
   // Clamped at zero: injected clock skew can make an earlier read of the
   // service clock land past a later one.
   const double now = now_seconds();
-  job->result.wall_seconds = std::max(0.0, now - job->submit_time);
-  job->result.queue_seconds = std::max(
-      0.0, (job->first_slice_time >= 0.0 ? job->first_slice_time : now) -
-               job->submit_time);
+  job.result.wall_seconds = std::max(0.0, now - job.submit_time);
+  job.result.queue_seconds = std::max(
+      0.0, (job.first_slice_time >= 0.0 ? job.first_slice_time : now) -
+               job.submit_time);
 
-  job->job_state =
+  job.job_state =
       outcome == JobOutcome::cancelled ? JobState::cancelled : JobState::done;
-  job->finished = true;
-  emit_control_locked(telemetry::EventKind::job_complete, job->id,
+  emit_control_locked(telemetry::EventKind::job_complete, job.id,
                       static_cast<std::uint64_t>(outcome));
-  if (job->session != nullptr && session_solve_latency_ != nullptr) {
+  if (job.session != nullptr && session_solve_latency_ != nullptr) {
     // End-to-end query latency (submit → terminal), queueing included.
     session_solve_latency_->record(
-        static_cast<std::uint64_t>(job->result.wall_seconds * 1e9));
+        static_cast<std::uint64_t>(job.result.wall_seconds * 1e9));
   }
-  if (job->session != nullptr) {
-    // The engine outlives the job. Un-latch any sticky cancellation so the
-    // next query on the session is not stillborn, and release the session
-    // for the owner's next operation.
+  if (job.session != nullptr) {
+    // The engine outlives the query. Un-latch the stop a non-draining
+    // shutdown may have requested, so the session's engine is left as it
+    // was. The session stays claimed until its caller collects the answer.
     engine->clear_stop();
-    release_session(*job->session);
-    job->session.reset();
   }
   // Nothing reads the formula after the last slice (a proof check and a
   // dead slice's rebuild both come before this), so it goes with the
   // engine, freed outside the lock.
   Finished finished;
-  finished.cnf = std::move(job->request.cnf);
-  finished.assumptions = std::move(job->request.assumptions);
-  finished.engine = std::move(job->engine);
-  finished.proof_writer = std::move(job->proof_writer);
+  finished.cnf = std::move(job.request.cnf);
+  finished.assumptions = std::move(job.request.assumptions);
+  finished.engine = std::move(job.engine);
+  finished.proof_writer = std::move(job.proof_writer);
 
   switch (outcome) {
     case JobOutcome::completed:
@@ -1007,7 +992,7 @@ SolverService::Finished SolverService::finish_locked(
   done_cv_.notify_all();
   if (completion_) {
     finished.callback = completion_;
-    finished.result = job->result;
+    finished.result = job.result;
   }
   return finished;
 }
@@ -1034,15 +1019,14 @@ telemetry::Histogram* SolverService::wait_histogram(int priority) const {
   return priority == 0 ? wait_normal_ : wait_high_;
 }
 
-void SolverService::note_slice(telemetry::SolverTelemetry* sink,
-                               const Job& job, double slice_seconds,
-                               std::uint64_t conflicts) {
+void SolverService::note_slice(telemetry::SolverTelemetry* sink, JobId job,
+                               double slice_seconds, std::uint64_t conflicts) {
   const std::uint64_t latency_ns =
       static_cast<std::uint64_t>(slice_seconds * 1e9);
   if (slice_latency_ != nullptr) slice_latency_->record(latency_ns);
   if (sink != nullptr) {
     const std::int64_t dur = static_cast<std::int64_t>(latency_ns);
-    sink->emit(telemetry::EventKind::slice, sink->now_ns() - dur, dur, job.id,
+    sink->emit(telemetry::EventKind::slice, sink->now_ns() - dur, dur, job,
                conflicts);
   }
 }

@@ -10,15 +10,17 @@
 // explicit priority, and waiting-time aging.
 //
 // A slice runs on one of the service's worker threads, or on the thread of
-// a caller blocked in wait() for that very job: when the job is the
-// scheduler's next pick and a slot is free, wait() runs the slice itself,
-// so a synchronous query (submit, then wait) costs no thread hand-off.
+// a caller blocked in wait() or session_query() for that very job: when the
+// job is the scheduler's next pick and a slot is free, the caller runs the
+// slice itself, so a synchronous query costs no thread hand-off.
 // Either way at most num_workers slices run at once, in schedule order.
 //
 // Lifecycle: queued → running ⇄ preempted → done/cancelled. Individual
 // jobs can be cancelled mid-slice (the slice stops at the solver's next
 // search step); shutdown either drains the queue or cancels every
-// unfinished job, exactly once each.
+// unfinished job, exactly once each. Every result is collected once, by
+// wait() or wait_all(), so the service holds a record only for a job that
+// is unfinished or not yet collected.
 //
 // Typical use:
 //   SolverService service({.num_workers = 4, .slice_conflicts = 2000});
@@ -99,9 +101,9 @@ struct ServiceOptions {
   // session engine charges its clause storage against this budget (the
   // core solver's set_memory_budget has the degradation ladder) and
   // admission refuses new jobs and sessions while the budget is critical —
-  // submit/try_submit/open_session/session_solve return nullopt, counted
-  // in ServiceStats::rejected_pressure — so load shedding happens at the
-  // door instead of dying mid-solve. The budget must outlive the service.
+  // submit/try_submit/open_session return nullopt and session_query false,
+  // counted in ServiceStats::rejected_pressure — so load shedding happens at
+  // the door instead of dying mid-solve. The budget must outlive the service.
   util::MemoryBudget* memory_budget = nullptr;
 };
 
@@ -117,7 +119,7 @@ struct ServiceOptions {
 //    thread instead of a worker's, preemptions, conflicts summed over
 //    every slice of every job, and the peak number of pending jobs;
 //  * incremental sessions: open_session() calls, the sessions built in a
-//    closed session's solver and checker storage, session_solve() queries
+//    closed session's solver and checker storage, session_query() queries
 //    and clauses added through session_add_clause / session_add_clause_to;
 //  * robustness (ServiceOptions watchdog / retries / budget): slices
 //    preempted by the watchdog limit, slices that threw, dead slices
@@ -180,18 +182,18 @@ class SolverService {
   // ---- incremental job sessions -----------------------------------------
   // A session is a persistent engine (one solver, or a warm portfolio for
   // threads > 1) living inside the service: the caller scripts it with
-  // push/pop/add operations and submits each solve as a normal job, which
-  // the scheduler slices and preempts like any other — so thousands of
+  // push/pop/add operations and asks each query with session_query(), which
+  // the scheduler slices and preempts like any job — so thousands of
   // closely-related queries share one engine's learned clauses instead of
   // re-deriving them, while unrelated batch jobs keep flowing through the
-  // same slice slots.
+  // same slice slots. A query runs in the session's one reusable record,
+  // never in the job table: state(), wait() and cancel() do not know it.
   //
   // Discipline: a session is driven by one logical owner. Mutations
-  // (push/pop/add) and close are rejected (false / nullopt) while a solve
-  // submitted for the session is still unfinished — wait() for it first —
-  // and after close_session. session_solve rejects overlapping solves for
-  // the same session. All methods are thread-safe with respect to the
-  // service itself and to other sessions.
+  // (push/pop/add), a second query and close are rejected (false / nullopt)
+  // while a query is in flight, and everything is rejected after
+  // close_session. All methods are thread-safe with respect to the service
+  // itself and to other sessions.
   std::optional<SessionId> open_session(SessionRequest request);
   // Opens a named clause group on the session engine and returns its
   // handle (the engine's own GroupId, assigned monotonically from 0).
@@ -212,22 +214,17 @@ class SolverService {
   // rests on them) in the session's checker too, matching what the engine
   // sees.
   bool session_set_group_active(SessionId id, GroupId group, bool active);
-  // Submits one query against the session engine; the result arrives
-  // through wait()/the completion callback like any job, carrying
-  // JobResult::session. `limits.threads` is ignored (the session's own
-  // escalation applies).
-  std::optional<JobId> session_solve(SessionId id,
-                                     std::vector<Lit> assumptions = {},
-                                     JobLimits limits = {});
-  // session_solve() and wait() in one call: the query's slices run on the
-  // calling thread whenever a slot is free, so no worker is woken for it
-  // then, and the assumptions are read where they are, not copied. The
-  // answer lands in `result`, in the buffers it already holds (a caller
-  // that queries in a loop passes the same result each time). Returns
-  // false, leaving `result` as it was, when session_solve would refuse.
+  // Asks the session one query and blocks until it is answered. The query
+  // is scheduled like a job (a job id, slices, preemption); its slices run
+  // on the calling thread whenever a slot is free, so no worker is woken
+  // for it then, and the assumptions are read in place. The answer, named
+  // "<session>#<n>", lands in `result`, in the buffers it already holds,
+  // and goes to the completion callback too. `limits` bounds the query by
+  // deadline and conflicts (`threads` is ignored); a non-draining shutdown
+  // cancels it. Returns false, leaving `result` as it was, for a refusal.
   bool session_query(SessionId id, std::span<const Lit> assumptions,
                      JobLimits limits, JobResult& result);
-  // Releases the engine. Returns false while a session solve is pending.
+  // Releases the engine. Returns false while a query is in flight.
   bool close_session(SessionId id);
   std::size_t open_sessions() const;
 
@@ -236,33 +233,32 @@ class SolverService {
   // queued/preempted job is cancelled immediately, a running job stops at
   // its solver's next search step. The result (outcome cancelled) is
   // delivered through wait()/the completion callback like any other.
+  // Returns false for an unknown id, a collected one and a session query's.
   bool cancel(JobId id);
 
   // Ends the service. `drain` finishes every queued job first, though a
   // job that a caller is running in wait() may still be running on that
   // caller's thread when shutdown returns; `cancel_pending` cancels all
-  // unfinished jobs (running jobs stop at the next search step).
-  // Idempotent; every job reaches exactly one terminal state either way.
-  // The destructor uses cancel_pending.
+  // unfinished jobs and session queries (running ones stop at the next
+  // search step). Idempotent; every job reaches exactly one terminal state
+  // either way. The destructor uses cancel_pending.
   enum class Shutdown { drain, cancel_pending };
   void shutdown(Shutdown mode = Shutdown::drain);
 
   // ---- observation ------------------------------------------------------
-  // Valid for any id returned by submit()/try_submit(), and for a session
-  // solve's id until wait() collects it; unknown ids throw
+  // Valid for an id returned by submit()/try_submit() until its result is
+  // collected; any other id (unknown, collected, a session query's) throws
   // std::out_of_range.
   JobState state(JobId id) const;
-  // Blocks until the job is terminal and returns its result. While the job
-  // is the scheduler's next pick and a slice slot is free, the caller runs
-  // the job's slices on its own thread (counted in
-  // ServiceStats::waiter_slices); otherwise it parks until a worker has run
-  // them. A session solve's result is collected once: wait() moves it out
-  // and releases the job's record, so a long-lived session does not
-  // accumulate answers (models included). A one-shot job's record stays for
-  // state() and wait_all().
+  // Blocks until the job is terminal and collects its result: the record is
+  // dropped, so the id is unknown from then on. While the job is the
+  // scheduler's next pick and a slice slot is free, the caller runs the
+  // job's slices on its own thread (ServiceStats::waiter_slices), else it
+  // parks. Of several callers waiting on one id (or a wait_all() meanwhile)
+  // the first back gets the result; the others throw std::out_of_range.
   JobResult wait(JobId id);
-  // Blocks until every submitted job is terminal; results in id order,
-  // leaving out the session solves wait() has collected.
+  // Blocks until every submitted job and session query is terminal, then
+  // collects every one-shot result not yet collected, in id order.
   std::vector<JobResult> wait_all();
 
   // Invoked each time a job reaches a terminal state (including
@@ -283,6 +279,53 @@ class SolverService {
   telemetry::MetricsSnapshot metrics_snapshot() const;
 
  private:
+  struct Session;
+
+  // The record of a query: a one-shot job, owned by jobs_ until collected,
+  // or a session's, owned by the session and reused for each query.
+  struct Job {
+    JobId id = invalid_job;
+    JobRequest request;
+    // Terminal while the record holds no query in flight: a finished job,
+    // or a session's idle record.
+    JobState job_state = JobState::done;
+    bool cancel_requested = false;
+
+    // Scheduling.
+    double deadline_point = 0.0;  // service-clock seconds; 0 = none
+    std::uint64_t ready_since = 0;  // dispatch tick of the last enqueue
+    double submit_time = 0.0;
+    double first_slice_time = -1.0;
+    // Robustness: when the running slice was dispatched (the watchdog limit
+    // runs from here) and how many dead slices have been retried.
+    double slice_start = 0.0;
+    int fault_retries = 0;
+
+    // What the slices solve under: request.assumptions, or a session
+    // query's caller's own, which outlive the query's slices.
+    std::span<const Lit> assumptions;
+
+    // The owning session, whose engine the query runs on; null for a job.
+    Session* session = nullptr;
+
+    // A job's own engine, built by its first slice (a portfolio when
+    // threads > 1) and reset when the job finishes to release memory.
+    std::unique_ptr<SatEngine> engine;
+    // Proof plumbing (JobProofOptions): attached to the job's engine when
+    // it is built, so it holds the trace of every slice, whichever engine
+    // runs them; the check reads request.cnf.
+    std::unique_ptr<proof::MemoryProofWriter> proof_writer;
+
+    JobResult result;
+    bool finished() const {
+      return job_state == JobState::done || job_state == JobState::cancelled;
+    }
+
+    // The engine the record solves on: the session's, else the job's own
+    // (nullptr before the first slice built it).
+    SatEngine* active_engine() const;
+  };
+
   // One incremental session: the persistent engine, which owns the live
   // groups, and the certifier every clause and group operation goes
   // through. The certifier attaches the session's trace (proof.log) to the
@@ -299,60 +342,19 @@ class SolverService {
     SessionRequest request;
     std::unique_ptr<SatEngine> engine;
     proof::LiveCertifier certifier;
-    // A session solve is queued or running, or a mutation is in progress:
-    // whoever set it is the only one to reach the engine. Claimed under
-    // lock_ (claim_session_locked); a mutation releases it without the
-    // lock.
+    // A query or a mutation is in progress: whoever set it is the only one
+    // to reach the engine and the query record. Claimed under lock_
+    // (claim_session_locked); a mutation releases it without the lock, a
+    // query once its caller has collected the answer.
     std::atomic<bool> busy{false};
     // Non-empty when the session was opened with a feature combo the
     // service cannot serve yet (proof logging + threads > 1) or its engine
     // died mid-solve: mutations still maintain the session, but every
-    // solve finishes immediately with JobOutcome::unsupported carrying
+    // query finishes immediately with JobOutcome::unsupported carrying
     // this reason.
     std::string unsupported;
     std::uint64_t solves = 0;
-  };
-
-  struct Job {
-    JobId id = invalid_job;
-    JobRequest request;
-    JobState job_state = JobState::queued;
-    bool cancel_requested = false;
-
-    // Scheduling.
-    double deadline_point = 0.0;  // service-clock seconds; 0 = none
-    std::uint64_t ready_since = 0;  // dispatch tick of the last enqueue
-    double submit_time = 0.0;
-    double first_slice_time = -1.0;
-    // Robustness: when the running slice was dispatched (the watchdog limit
-    // runs from here) and how many dead slices have been retried.
-    double slice_start = 0.0;
-    int fault_retries = 0;
-
-    // What the slices solve under: request.assumptions, or the caller's
-    // own during a session_query(), which outlives the job's slices.
-    std::span<const Lit> assumptions;
-
-    // Session solve: the engine lives in the session, not the job, and
-    // survives the job's completion.
-    std::shared_ptr<Session> session;
-
-    // A job's own engine, built by its first slice (a portfolio when
-    // threads > 1) and reset when the job finishes to release memory.
-    std::unique_ptr<SatEngine> engine;
-    // Proof plumbing (JobProofOptions): attached to the job's engine when
-    // it is built, so it holds the trace of every slice, whichever engine
-    // runs them; the check reads request.cnf.
-    std::unique_ptr<proof::MemoryProofWriter> proof_writer;
-
-    JobResult result;
-    bool finished = false;
-
-    // The engine the job solves on: the session's, else its own (nullptr
-    // before the first slice built it).
-    SatEngine* active_engine() const {
-      return session != nullptr ? session->engine.get() : engine.get();
-    }
+    Job query;  // the record every query of the session runs in
   };
 
   void worker_loop();
@@ -361,31 +363,26 @@ class SolverService {
   // so a skewed read degrades into early deadline/watchdog expiry — a
   // structured outcome — never a hang or a negative-duration artifact).
   double now_seconds() const;
-  // Shared admission path of every job: queues it and returns it, or null
-  // when the service refuses it. It wakes no one: submit(), try_submit()
-  // and session_solve() then call wake_worker_locked(), while a
-  // session_query() caller runs the job itself. Must hold lock_.
-  std::shared_ptr<Job> admit_locked(JobRequest request,
-                                    std::shared_ptr<Session> session = nullptr);
-  // Admits a query on an open, idle session (with no assumptions yet: the
-  // caller sets Job::assumptions), which stays claimed until the job
-  // finishes; null for a refusal. Must hold lock_.
-  std::shared_ptr<Job> admit_session_locked(SessionId id, JobLimits limits);
-  // Wakes a worker for a newly queued job while a slot is free; with every
-  // slot taken, the slice that frees one wakes a worker. Must hold lock_.
-  void wake_worker_locked();
+  // The one admission path of both kinds of record: refuses (and counts
+  // the refusal) after shutdown, with the queue full or under memory
+  // pressure; otherwise gives the record its id, clocks and deadline, and
+  // queues it. It wakes no worker. Must hold lock_.
+  bool admit_locked(Job& job);
+  // submit()'s and try_submit()'s body: a new record admitted into jobs_,
+  // and a worker woken for it while a slot is free. Must hold lock_.
+  std::optional<JobId> submit_locked(JobRequest request);
   // Claims the open, idle session `id` by marking it busy: its entry in
   // sessions_, or null when it is busy or unknown. Must hold lock_.
-  std::shared_ptr<Session>* claim_session_locked(SessionId id);
+  Session* claim_session_locked(SessionId id);
   // Ends a claim; the next claimer sees everything the holder did.
   static void release_session(Session& session) {
     session.busy.store(false, std::memory_order_release);
   }
-  // wait()'s body: runs the job's slices on the calling thread while the
-  // job is the scheduler's pick and a slot is free, else parks, until the
-  // job is terminal. Takes and returns `lk` locked.
-  void run_until_finished(std::unique_lock<std::mutex>& lk,
-                          const std::shared_ptr<Job>& job);
+  // What wait() and session_query() block in: runs the record's slices on
+  // the calling thread while it is the scheduler's pick and a slot is free,
+  // else parks, until the record is terminal. Takes and returns `lk`
+  // locked.
+  void run_until_finished(std::unique_lock<std::mutex>& lk, Job& job);
   // The one guarded path of every session mutation. In one critical
   // section it finds the open, idle session, checks that the group a pop,
   // add_to or set_active names is live (innermost: the innermost live
@@ -413,28 +410,28 @@ class SolverService {
     std::unique_ptr<proof::DratChecker> checker;
   };
   // Keeps a closing one-thread session's storage in spare_ when the slot
-  // is free and nothing else holds the session. Must hold lock_.
-  void keep_spare_locked(const std::shared_ptr<Session>& session);
+  // is free. Must hold lock_.
+  void keep_spare_locked(Session& session);
   // Slice protocol helpers: the pre-flight (finish a cancelled or
   // already-past-deadline job without spending a slice on it — returns
   // true when the job went terminal) and the slice budget (service-wide
   // slice size clamped by what remains of the job's conflict budget,
   // deadline and watchdog limit; nullopt when nothing remains of the
   // watchdog limit). Called without the lock held.
-  bool finish_if_preempted_terminal(const std::shared_ptr<Job>& job);
+  bool finish_if_preempted_terminal(Job& job);
   std::optional<Budget> slice_budget(const Job& job) const;
-  // The scheduler's pick: the runnable job with the best (lowest) schedule
-  // key, or null. Compacts stale ids (finished or running jobs) out of the
-  // run queue in place; the pick itself stays queued until dispatched.
-  std::shared_ptr<Job> pick_ready_locked();
+  // The scheduler's pick: the queued record with the best (lowest)
+  // schedule key, or null when none is queued. The pick stays queued until
+  // dispatched.
+  Job* pick_ready_locked();
   double schedule_key_locked(const Job& job) const;
   // Queues a job. A requeued job needs no wake-up: its slice still holds a
   // slot, and releasing or reusing it follows.
-  void enqueue_ready_locked(const std::shared_ptr<Job>& job);
+  void enqueue_ready_locked(Job& job);
   // The one dispatch path of workers and waiters: takes the pick off the
   // run queue, marks it running and records its dispatch (tick, slice
   // start, first-slice wait, job_dispatch event). The caller holds a slot.
-  void dispatch_locked(const std::shared_ptr<Job>& job);
+  void dispatch_locked(Job& job);
   // Returns a slot and wakes whoever may now run a queued job in it.
   void release_slot_locked(int slot);
   // The slot's telemetry sink; nullptr without a hub.
@@ -444,8 +441,9 @@ class SolverService {
   // UNSAT answer, then classify the outcome. `sink` is the telemetry sink
   // of the slot it runs in (nullptr without a hub); `on_waiter` is true
   // when the job's waiting caller runs it. Called without the lock held.
-  void run_slice(const std::shared_ptr<Job>& job,
-                 telemetry::SolverTelemetry* sink, bool on_waiter);
+  // Once the record is finished the runner touches it no more: its owner
+  // may collect, reuse or free it at once.
+  void run_slice(Job& job, telemetry::SolverTelemetry* sink, bool on_waiter);
   // Adds one slice that ran (solved or died) to the job's and the service's
   // totals. Must hold lock_.
   void count_slice_locked(Job& job, double slice_seconds, bool on_waiter);
@@ -462,7 +460,11 @@ class SolverService {
   };
   // Moves a job to a terminal state, fills the remaining result fields and
   // wakes waiters. Must hold lock_.
-  Finished finish_locked(const std::shared_ptr<Job>& job, JobOutcome outcome);
+  Finished finish_locked(Job& job, JobOutcome outcome);
+  // Cancels an unfinished record: a running one stops at its engine's next
+  // search step and its runner finishes it (nothing to deliver), a queued
+  // one leaves the run queue and finishes here. Must hold lock_.
+  Finished cancel_locked(Job& job);
   // Runs the completion callback, if any, and frees the finished job's
   // formula and engine. Called without the lock held.
   static void deliver(Finished finished);
@@ -476,7 +478,7 @@ class SolverService {
   // positive "high".
   telemetry::Histogram* wait_histogram(int priority) const;
   // Records slice latency and emits the slot-ring slice span event.
-  void note_slice(telemetry::SolverTelemetry* sink, const Job& job,
+  void note_slice(telemetry::SolverTelemetry* sink, JobId job,
                   double slice_seconds, std::uint64_t conflicts);
 
   ServiceOptions opts_;
@@ -504,14 +506,16 @@ class SolverService {
   JobId next_id_ = 1;
   std::uint64_t dispatch_tick_ = 0;
   std::size_t pending_ = 0;  // unfinished jobs
-  std::vector<JobId> ready_;  // queued/preempted jobs (may hold stale ids)
+  // Queued/preempted records, one-shot and session alike; a record leaves
+  // when it is dispatched or cancelled.
+  std::vector<Job*> ready_;
   // The slice slots: the free ones, and each slot's telemetry sink (ring
   // "svc-worker-<i>"; no sinks without a hub).
   std::vector<int> free_slots_;
   std::vector<telemetry::SolverTelemetry> slot_sinks_;
   std::unordered_map<JobId, std::shared_ptr<Job>> jobs_;
   SessionId next_session_id_ = 1;
-  std::unordered_map<SessionId, std::shared_ptr<Session>> sessions_;
+  std::unordered_map<SessionId, std::unique_ptr<Session>> sessions_;
   // Never filled under a memory budget, whose charges follow live engines.
   Spare spare_;
   ServiceStats stats_;

@@ -4,8 +4,9 @@
 // heap is touched only when a pool or a per-variable table grows (a
 // logarithmic number of times) and once per group. Through the service,
 // a session that starts in a closed session's storage adds without a
-// single allocation, and a steady-state query allocates a small, fixed
-// number of times. This binary replaces the global operator new with a
+// single allocation, and so does a steady-state query, which runs in the
+// session's own query record and answers into the caller's buffers. This
+// binary replaces the global operator new with a
 // counting one, which is why it is its own executable.
 #include <gtest/gtest.h>
 
@@ -43,9 +44,9 @@ constexpr int kInputs = 20;
 constexpr int kGates = 300;
 // Fewer than one allocation per twenty clauses, amortized over the stream.
 constexpr double kMaxAllocationsPerClause = 0.05;
-// A steady-state session query: its job record and that record's entry in
-// the service's job table.
-constexpr double kMaxAllocationsPerQuery = 2.0;
+// A steady-state session query reuses the session's query record and the
+// caller's result buffers.
+constexpr double kMaxAllocationsPerQuery = 0.0;
 
 struct FrameClause {
   int frame;

@@ -315,22 +315,18 @@ TEST(ServiceGovernor, SessionEngineDeathPoisonsTheSession) {
   const std::vector<Lit> unit{Lit::positive(0)};
   ASSERT_TRUE(service.session_add_clause(*sid, unit));
 
-  std::optional<service::JobId> id;
+  service::JobResult result;
   {
     ScopedInjector installed(&injector);
-    id = service.session_solve(*sid, {});
-    ASSERT_TRUE(id.has_value());
-    const service::JobResult died = service.wait(*id);
-    EXPECT_EQ(died.outcome, service::JobOutcome::error);
-    EXPECT_NE(died.error.find("session engine died"), std::string::npos)
-        << died.error;
+    ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
+    EXPECT_EQ(result.outcome, service::JobOutcome::error);
+    EXPECT_NE(result.error.find("session engine died"), std::string::npos)
+        << result.error;
   }
 
   // The session stays poisoned even after injection stops: its engine
   // state is gone and silently rebuilding it could drop pushed groups.
-  const auto after = service.session_solve(*sid, {});
-  ASSERT_TRUE(after.has_value());
-  const service::JobResult result = service.wait(*after);
+  ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   EXPECT_EQ(result.outcome, service::JobOutcome::unsupported);
   EXPECT_NE(result.error.find("close and reopen"), std::string::npos)
       << result.error;

@@ -19,6 +19,7 @@
 #include "gen/pigeonhole.h"
 #include "gen/random_ksat.h"
 #include "service/solver_service.h"
+#include "service_test_util.h"
 #include "test_util.h"
 #include "util/memory_budget.h"
 #include "util/rng.h"
@@ -26,6 +27,7 @@
 namespace berkmin::service {
 namespace {
 
+using berkmin::testing::ask;
 using berkmin::testing::lits;
 using berkmin::testing::make_cnf;
 
@@ -40,17 +42,14 @@ TEST(ServiceSession, PushPopSolveLifecycle) {
   ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
   ASSERT_TRUE(service.session_add_clause(*sid, lits({-2})));
 
-  auto job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  JobResult result = service.wait(*job);
+  JobResult result;
+  ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_EQ(result.session, *sid);
   EXPECT_EQ(result.name, "inc#1");
 
   ASSERT_TRUE(service.session_pop(*sid));
-  job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  result = service.wait(*job);
+  ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   EXPECT_EQ(result.status, SolveStatus::satisfiable);
   EXPECT_EQ(result.name, "inc#2");
 
@@ -84,10 +83,8 @@ TEST(ServiceSession, SessionAfterACloseAnswersAsInANewService) {
     EXPECT_TRUE(sid.has_value());
     if (!sid) return answers;
     const auto solve = [&](std::vector<Lit> assumptions) {
-      const auto job = service.session_solve(*sid, assumptions);
-      EXPECT_TRUE(job.has_value());
-      if (!job) return;
-      const JobResult r = service.wait(*job);
+      JobResult r;
+      EXPECT_TRUE(service.session_query(*sid, assumptions, {}, r));
       answers.push_back({r.status, r.propagations, r.conflicts, r.decisions,
                          r.proof_valid});
     };
@@ -143,22 +140,29 @@ TEST(ServiceSession, BusyDisciplineRejectsOverlap) {
   SolverService service({.num_workers = 1, .slice_conflicts = 5});
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
-  // A hard instance so the solve outlives the following calls.
-  const Cnf hole = gen::pigeonhole(7);
+  // An instance far beyond the deadline, so the query is in flight for the
+  // whole deadline: it runs on its own thread, and the checks below start
+  // once the service has admitted it.
+  const Cnf hole = gen::pigeonhole(10);
   for (const auto& clause : hole.clauses()) {
     ASSERT_TRUE(service.session_add_clause(*sid, clause));
   }
-  const auto job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  // While the solve is pending, mutations, further solves and close are
+  JobResult result;
+  std::thread owner([&] {
+    EXPECT_TRUE(service.session_query(
+        *sid, {}, JobLimits{.deadline_seconds = 0.3}, result));
+  });
+  while (service.stats().submitted == 0) std::this_thread::yield();
+  // While the query is in flight, mutations, a second query and close are
   // all rejected.
   EXPECT_FALSE(service.session_push(*sid));
   EXPECT_FALSE(service.session_pop(*sid));
   EXPECT_FALSE(service.session_add_clause(*sid, lits({1})));
-  EXPECT_FALSE(service.session_solve(*sid).has_value());
+  EXPECT_FALSE(ask(service, *sid).has_value());
   EXPECT_FALSE(service.close_session(*sid));
-  const JobResult result = service.wait(*job);
-  EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
+  owner.join();
+  EXPECT_EQ(result.outcome, JobOutcome::deadline_expired);
+  EXPECT_EQ(result.status, SolveStatus::unknown);
   // Released: the session is usable again.
   EXPECT_TRUE(service.session_push(*sid));
   EXPECT_TRUE(service.session_pop(*sid));
@@ -192,9 +196,8 @@ TEST(ServiceSession, ProofPerAnswerIncludingAfterPop) {
        {lits({1, 2}), lits({1, -2}), lits({-1, 2}), lits({-1, -2})}) {
     ASSERT_TRUE(service.session_add_clause(*sid, clause));
   }
-  auto job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  JobResult result = service.wait(*job);
+  JobResult result;
+  ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(result.proof_checked);
   EXPECT_TRUE(result.proof_valid);
@@ -204,9 +207,7 @@ TEST(ServiceSession, ProofPerAnswerIncludingAfterPop) {
   // After the pop, an assumption-driven UNSAT must also certify.
   ASSERT_TRUE(service.session_pop(*sid));
   ASSERT_TRUE(service.session_add_clause(*sid, lits({3, 4})));
-  job = service.session_solve(*sid, lits({-3, -4}));
-  ASSERT_TRUE(job.has_value());
-  result = service.wait(*job);
+  ASSERT_TRUE(service.session_query(*sid, lits({-3, -4}), {}, result));
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(result.proof_checked);
   EXPECT_TRUE(result.proof_valid);
@@ -248,21 +249,16 @@ TEST(ServiceSession, NamedHandlesOnCheckedSession) {
 
   // Parked, the group no longer refutes the formula; the assumptions do.
   ASSERT_TRUE(service.session_set_group_active(*sid, *group, false));
-  auto job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  JobResult result = service.wait(*job);
+  JobResult result;
+  ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   ASSERT_EQ(result.status, SolveStatus::satisfiable);
-  job = service.session_solve(*sid, lits({-1, -2}));
-  ASSERT_TRUE(job.has_value());
-  result = service.wait(*job);
+  ASSERT_TRUE(service.session_query(*sid, lits({-1, -2}), {}, result));
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(result.proof_checked && result.proof_valid);
 
   // Revived, it refutes the formula on its own again.
   ASSERT_TRUE(service.session_set_group_active(*sid, *group, true));
-  job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  result = service.wait(*job);
+  ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(result.failed_assumptions.empty());
   EXPECT_TRUE(result.proof_checked && result.proof_valid);
@@ -270,27 +266,43 @@ TEST(ServiceSession, NamedHandlesOnCheckedSession) {
 }
 
 TEST(ServiceSession, WaitReleasesSessionAnswer) {
-  // wait() hands a session answer over once and drops the job's record; a
-  // one-shot job's record stays for state() and wait_all().
+  // Every result is collected once. A session answer goes to its caller
+  // and never enters the job table: its id is unknown to state(), wait()
+  // and cancel(). A one-shot job's record stays until wait() or wait_all()
+  // collects it, then its id is unknown too.
   SolverService service({.num_workers = 1});
   JobRequest oneshot;
   oneshot.cnf = make_cnf({{1, 2}});
   const std::optional<JobId> kept = service.submit(std::move(oneshot));
   ASSERT_TRUE(kept.has_value());
+  JobRequest waited;
+  waited.cnf = make_cnf({{1}, {-1}});
+  const std::optional<JobId> collected = service.submit(std::move(waited));
+  ASSERT_TRUE(collected.has_value());
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
   ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
-  const auto job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
 
-  const JobResult result = service.wait(*job);
-  EXPECT_EQ(result.status, SolveStatus::satisfiable);
-  EXPECT_FALSE(result.model.empty());
-  EXPECT_THROW((void)service.state(*job), std::out_of_range);
+  const std::optional<JobResult> result = ask(service, *sid);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, SolveStatus::satisfiable);
+  EXPECT_FALSE(result->model.empty());
+  EXPECT_THROW((void)service.state(result->id), std::out_of_range);
+  EXPECT_THROW((void)service.wait(result->id), std::out_of_range);
+  EXPECT_FALSE(service.cancel(result->id));
+
+  EXPECT_EQ(service.wait(*collected).status, SolveStatus::unsatisfiable);
+  EXPECT_THROW((void)service.state(*collected), std::out_of_range);
+  EXPECT_THROW((void)service.wait(*collected), std::out_of_range);
+  EXPECT_FALSE(service.cancel(*collected));
+
+  EXPECT_EQ(service.state(*kept), JobState::done);
   const std::vector<JobResult> all = service.wait_all();
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].id, *kept);
-  EXPECT_EQ(service.state(*kept), JobState::done);
+  EXPECT_EQ(all[0].status, SolveStatus::satisfiable);
+  EXPECT_THROW((void)service.state(*kept), std::out_of_range);
+  EXPECT_TRUE(service.wait_all().empty());
   EXPECT_TRUE(service.close_session(*sid));
 }
 
@@ -306,9 +318,8 @@ TEST(ServiceSession, PortfolioSessionProofIsStructurallyUnsupported) {
   ASSERT_TRUE(sid.has_value());
   ASSERT_TRUE(service.session_add_clause(*sid, lits({1})));
   ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
-  const auto job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  const JobResult result = service.wait(*job);
+  JobResult result;
+  ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   EXPECT_EQ(result.outcome, JobOutcome::unsupported);
   EXPECT_EQ(result.status, SolveStatus::unknown);
   EXPECT_FALSE(result.error.empty());
@@ -321,26 +332,32 @@ TEST(ServiceSession, PortfolioSessionProofIsStructurallyUnsupported) {
   EXPECT_TRUE(service.open_session(request).has_value());
 }
 
-TEST(ServiceSession, CancelMidSolveKeepsSessionUsable) {
+TEST(ServiceSession, DeadlineMidSolveKeepsSessionUsable) {
   SolverService service({.num_workers = 1, .slice_conflicts = 0});
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
-  const Cnf hole = gen::pigeonhole(9);  // far beyond the test budget
+  const Cnf hole = gen::pigeonhole(9);  // far beyond the deadline
   for (const auto& clause : hole.clauses()) {
     ASSERT_TRUE(service.session_add_clause(*sid, clause));
   }
-  const auto job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  service.cancel(*job);
-  const JobResult result = service.wait(*job);
-  EXPECT_EQ(result.outcome, JobOutcome::cancelled);
-  // The sticky stop was cleared: a small follow-up query still works.
+  JobResult result;
+  ASSERT_TRUE(service.session_query(
+      *sid, {}, JobLimits{.deadline_seconds = 0.05}, result));
+  EXPECT_EQ(result.outcome, JobOutcome::deadline_expired);
+  EXPECT_EQ(result.status, SolveStatus::unknown);
+  EXPECT_GE(result.slices, 1u);
+  // The session keeps answering: a follow-up query that can be answered
+  // quickly is, the mutations around it are accepted, and then the first
+  // query's formula is answered again under a conflict limit.
   ASSERT_TRUE(service.session_push(*sid));
   ASSERT_TRUE(service.session_add_clause(*sid, lits({100})));
-  const auto job2 = service.session_solve(*sid, {}, JobLimits{.max_conflicts = 50});
-  ASSERT_TRUE(job2.has_value());
-  const JobResult result2 = service.wait(*job2);
-  EXPECT_NE(result2.outcome, JobOutcome::cancelled);
+  ASSERT_TRUE(service.session_query(*sid, lits({-100}), {}, result));
+  EXPECT_EQ(result.outcome, JobOutcome::completed);
+  EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
+  ASSERT_TRUE(service.session_pop(*sid));
+  ASSERT_TRUE(service.session_query(
+      *sid, {}, JobLimits{.max_conflicts = 50}, result));
+  EXPECT_EQ(result.outcome, JobOutcome::budget_exhausted);
   EXPECT_TRUE(service.close_session(*sid));
 }
 
@@ -357,7 +374,7 @@ TEST(ServiceSessionMisuse, EveryOperationAfterCloseIsRefused) {
   ASSERT_TRUE(service.session_push(*sid));
   EXPECT_TRUE(service.close_session(*sid));
 
-  EXPECT_FALSE(service.session_solve(*sid).has_value());
+  EXPECT_FALSE(ask(service, *sid).has_value());
   EXPECT_FALSE(service.session_add_clause(*sid, lits({3})));
   EXPECT_FALSE(service.session_push(*sid));
   EXPECT_FALSE(service.session_pop(*sid));
@@ -378,9 +395,9 @@ TEST(ServiceSessionMisuse, InvalidSessionIdNamesNoSession) {
     const auto sid = service.open_session({});
     ASSERT_TRUE(sid.has_value());
     ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
-    const auto job = service.session_solve(*sid);
-    ASSERT_TRUE(job.has_value());
-    EXPECT_EQ(service.wait(*job).status, SolveStatus::satisfiable);
+    const std::optional<JobResult> result = ask(service, *sid);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->status, SolveStatus::satisfiable);
     ASSERT_TRUE(service.close_session(*sid));
   };
   for (int i = 0; i < 17; ++i) use_and_close();  // ids 1..17
@@ -388,7 +405,7 @@ TEST(ServiceSessionMisuse, InvalidSessionIdNamesNoSession) {
   EXPECT_FALSE(service.session_add_clause(invalid_session, lits({3})));
   EXPECT_FALSE(service.session_push(invalid_session).has_value());
   EXPECT_FALSE(service.session_pop(invalid_session));
-  EXPECT_FALSE(service.session_solve(invalid_session).has_value());
+  EXPECT_FALSE(ask(service, invalid_session).has_value());
   EXPECT_FALSE(service.close_session(invalid_session));
 
   budget.charge(budget.limit());  // critical pressure refuses the open
@@ -426,10 +443,9 @@ TEST(ServiceSessionMisuse, InterleavedPopsBeyondStackDepth) {
   ASSERT_TRUE(service.session_pop(*sid));
   EXPECT_FALSE(service.session_pop(*sid));
   // The session still answers correctly: only the base clause remains.
-  const auto job = service.session_solve(*sid, lits({-2}));
-  ASSERT_TRUE(job.has_value());
-  const JobResult result = service.wait(*job);
-  EXPECT_EQ(result.status, SolveStatus::satisfiable);
+  const std::optional<JobResult> result = ask(service, *sid, lits({-2}));
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->status, SolveStatus::satisfiable);
   EXPECT_TRUE(service.close_session(*sid));
 }
 
@@ -442,23 +458,20 @@ TEST(ServiceSessionMisuse, PopAfterAssumptionSolvesDoesNotLeakAssumptions) {
   ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
 
   // UNSAT under assumptions, with the failed subset reported.
-  auto job = service.session_solve(*sid, lits({-2}));
-  ASSERT_TRUE(job.has_value());
-  JobResult result = service.wait(*job);
+  JobResult result;
+  ASSERT_TRUE(service.session_query(*sid, lits({-2}), {}, result));
   EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_FALSE(result.failed_assumptions.empty());
 
   // Popping right after an assumption solve must retire only the group:
   // the assumptions from the previous query leave no residue.
   ASSERT_TRUE(service.session_pop(*sid));
-  job = service.session_solve(*sid, lits({-2}));
-  ASSERT_TRUE(job.has_value());
-  result = service.wait(*job);
+  ASSERT_TRUE(service.session_query(*sid, lits({-2}), {}, result));
   EXPECT_EQ(result.status, SolveStatus::satisfiable);
+  EXPECT_TRUE(result.failed_assumptions.empty());
   // And with no assumptions at all, nothing constrains the query.
-  job = service.session_solve(*sid);
-  ASSERT_TRUE(job.has_value());
-  EXPECT_EQ(service.wait(*job).status, SolveStatus::satisfiable);
+  ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
+  EXPECT_EQ(result.status, SolveStatus::satisfiable);
   EXPECT_TRUE(service.close_session(*sid));
 }
 
@@ -522,12 +535,11 @@ TEST(ServiceSessionStress, ConcurrentSessionsWithEscalation) {
             assumptions.push_back(
                 Lit(static_cast<Var>(rng.below(num_vars)), rng.coin()));
           }
-          const auto job = service.session_solve(*sid, assumptions);
-          if (!job.has_value()) {
+          JobResult result;
+          if (!service.session_query(*sid, assumptions, {}, result)) {
             ++divergences;
             continue;
           }
-          const JobResult result = service.wait(*job);
           if (result.status == SolveStatus::unknown) continue;
           Solver scratch;
           for (const auto& clause : active) (void)scratch.add_clause(clause);
@@ -609,12 +621,13 @@ TEST(ServiceSessionStress, ContendedOperationsOnOneSessionNeverOverlap) {
 }
 
 TEST(ServiceSessionStress, ShutdownCancelsPendingSessionSolves) {
-  // A non-draining shutdown racing live sessions must terminate every
-  // session job exactly once and not deadlock.
+  // A non-draining shutdown racing live session queries must terminate
+  // every query exactly once, hand each answer to its caller and not
+  // deadlock. Three queries share two slots, so one is queued when the
+  // shutdown lands unless a query finished first.
   auto service = std::make_unique<SolverService>(
       ServiceOptions{.num_workers = 2, .slice_conflicts = 0});
   std::vector<SessionId> sessions;
-  std::vector<JobId> jobs;
   for (int s = 0; s < 3; ++s) {
     const auto sid = service->open_session({});
     ASSERT_TRUE(sid.has_value());
@@ -622,17 +635,28 @@ TEST(ServiceSessionStress, ShutdownCancelsPendingSessionSolves) {
     for (const auto& clause : hole.clauses()) {
       ASSERT_TRUE(service->session_add_clause(*sid, clause));
     }
-    const auto job = service->session_solve(*sid);
-    ASSERT_TRUE(job.has_value());
     sessions.push_back(*sid);
-    jobs.push_back(*job);
+  }
+  std::vector<JobResult> results(sessions.size());
+  std::vector<std::thread> owners;
+  for (std::size_t s = 0; s < sessions.size(); ++s) {
+    owners.emplace_back([&, s] {
+      EXPECT_TRUE(service->session_query(sessions[s], {}, {}, results[s]));
+    });
+  }
+  while (service->stats().submitted < sessions.size()) {
+    std::this_thread::yield();
   }
   service->shutdown(SolverService::Shutdown::cancel_pending);
-  for (const JobId id : jobs) {
-    const JobResult result = service->wait(id);
+  for (std::thread& owner : owners) owner.join();
+  for (const JobResult& result : results) {
     EXPECT_TRUE(result.outcome == JobOutcome::cancelled ||
                 result.outcome == JobOutcome::completed);
   }
+  const ServiceStats stats = service->stats();
+  EXPECT_EQ(stats.finished(), stats.submitted);
+  // The sessions stay open and closable after the shutdown.
+  for (const SessionId sid : sessions) EXPECT_TRUE(service->close_session(sid));
   service.reset();
 }
 

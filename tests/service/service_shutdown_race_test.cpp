@@ -1,15 +1,14 @@
 // Shutdown/teardown races, written to run under ThreadSanitizer: a
-// drain-or-cancel shutdown racing concurrent session closes, and
-// mid-slice cancels racing the very jobs they target. Complements
-// service_stress_test.cpp, which races one-shot submissions; here the
-// contested resources are persistent sessions and their in-flight
-// solves.
+// drain-or-cancel shutdown racing concurrent session closes and in-flight
+// session queries, and mid-slice cancels of one-shot jobs racing a
+// non-draining shutdown. Complements service_stress_test.cpp, which races
+// one-shot submissions; here the contested resources are persistent
+// sessions and their in-flight queries.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -49,16 +48,16 @@ TEST(ServiceShutdownRace, DrainShutdownRacesSessionClose) {
         for (std::size_t i = 0; i < cnf.num_clauses(); ++i) {
           if (!solving.session_add_clause(*sid, cnf.clause(i))) break;
         }
+        JobResult result;
         for (int q = 0; q < 3; ++q) {
-          const auto id = solving.session_solve(*sid, {});
-          if (!id.has_value()) break;  // refused mid-shutdown: fine
-          const JobResult result = solving.wait(*id);
+          // Refused mid-shutdown: fine.
+          if (!solving.session_query(*sid, {}, {}, result)) break;
           EXPECT_TRUE(result.outcome == JobOutcome::completed ||
                       result.outcome == JobOutcome::cancelled)
               << to_string(result.outcome) << ": " << result.error;
         }
-        // close_session must be safe whether it beats the shutdown, loses
-        // to it, or interleaves with the session's last solve.
+        // close_session must be safe whether it beats the shutdown or
+        // loses to it.
         if (solving.close_session(*sid)) clean_closes.fetch_add(1);
       });
     }
@@ -83,9 +82,14 @@ TEST(ServiceShutdownRace, MidSliceCancelRacesCancelPendingShutdown) {
     SolverService solving(options);
 
     // Hard instances guarantee multi-slice jobs, so cancels genuinely
-    // land mid-solve rather than on finished work.
-    std::mutex ids_mutex;
+    // land mid-solve rather than on finished work. The canceller targets
+    // one-shot jobs; the session drivers' queries race only the shutdown.
     std::vector<JobId> ids;
+    for (int j = 0; j < 4; ++j) {
+      service::JobRequest request;
+      request.cnf = gen::pigeonhole(8 + j % 2);
+      ids.push_back(*solving.submit(std::move(request)));
+    }
     std::vector<std::thread> drivers;
     for (int d = 0; d < 2; ++d) {
       drivers.emplace_back([&, d] {
@@ -95,14 +99,9 @@ TEST(ServiceShutdownRace, MidSliceCancelRacesCancelPendingShutdown) {
         for (std::size_t i = 0; i < hard.num_clauses(); ++i) {
           if (!solving.session_add_clause(*sid, hard.clause(i))) break;
         }
+        JobResult result;
         for (int q = 0; q < 2; ++q) {
-          const auto id = solving.session_solve(*sid, {});
-          if (!id.has_value()) break;
-          {
-            std::lock_guard<std::mutex> lock(ids_mutex);
-            ids.push_back(*id);
-          }
-          const JobResult result = solving.wait(*id);
+          if (!solving.session_query(*sid, {}, {}, result)) break;
           EXPECT_TRUE(result.outcome == JobOutcome::completed ||
                       result.outcome == JobOutcome::cancelled)
               << to_string(result.outcome) << ": " << result.error;
@@ -112,12 +111,7 @@ TEST(ServiceShutdownRace, MidSliceCancelRacesCancelPendingShutdown) {
     }
     std::thread canceller([&] {
       for (int i = 0; i < 40; ++i) {
-        JobId victim = 0;
-        {
-          std::lock_guard<std::mutex> lock(ids_mutex);
-          if (!ids.empty()) victim = ids.back();
-        }
-        if (victim != 0) solving.cancel(victim);
+        solving.cancel(ids[static_cast<std::size_t>(i) % ids.size()]);
         std::this_thread::sleep_for(std::chrono::microseconds(300));
       }
     });
@@ -126,6 +120,12 @@ TEST(ServiceShutdownRace, MidSliceCancelRacesCancelPendingShutdown) {
     canceller.join();
     for (std::thread& t : drivers) t.join();
 
+    for (const JobId id : ids) {
+      const JobResult result = solving.wait(id);
+      EXPECT_TRUE(result.outcome == JobOutcome::completed ||
+                  result.outcome == JobOutcome::cancelled)
+          << to_string(result.outcome) << ": " << result.error;
+    }
     const auto stats = solving.stats();
     EXPECT_EQ(stats.finished(), stats.submitted) << "round " << round;
   }

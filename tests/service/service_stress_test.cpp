@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -174,7 +175,10 @@ TEST(ServiceStress, DeadlineJobsUnderLoadDontPoisonTheService) {
   }
 }
 
-TEST(ServiceStress, ManyWaitersOnOneJobAllGetTheResult) {
+TEST(ServiceStress, ManyWaitersOnOneJobOneCollectsTheResult) {
+  // A result is collected once: of several callers waiting on one job, the
+  // first back gets the result and every other one finds the id gone,
+  // whether it was already waiting or arrived after the collection.
   ServiceOptions options;
   options.num_workers = 2;
   options.slice_conflicts = 30;
@@ -186,19 +190,28 @@ TEST(ServiceStress, ManyWaitersOnOneJobAllGetTheResult) {
     return request;
   }());
 
+  constexpr int kWaiters = 6;
   std::vector<std::thread> waiters;
-  std::atomic<int> agreed{0};
-  for (int i = 0; i < 6; ++i) {
+  std::atomic<int> collected{0};
+  std::atomic<int> gone{0};
+  for (int i = 0; i < kWaiters; ++i) {
     waiters.emplace_back([&] {
-      const JobResult result = solving.wait(id);
-      if (result.status == SolveStatus::unsatisfiable &&
-          result.outcome == JobOutcome::completed) {
-        agreed.fetch_add(1);
+      try {
+        const JobResult result = solving.wait(id);
+        if (result.status == SolveStatus::unsatisfiable &&
+            result.outcome == JobOutcome::completed) {
+          collected.fetch_add(1);
+        }
+      } catch (const std::out_of_range&) {
+        gone.fetch_add(1);
       }
     });
   }
   for (std::thread& t : waiters) t.join();
-  EXPECT_EQ(agreed.load(), 6);
+  EXPECT_EQ(collected.load(), 1);
+  EXPECT_EQ(gone.load(), kWaiters - 1);
+  EXPECT_THROW((void)solving.state(id), std::out_of_range);
+  EXPECT_TRUE(solving.wait_all().empty());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "gen/pigeonhole.h"
 #include "gen/random_ksat.h"
 #include "service/solver_service.h"
+#include "service_test_util.h"
 #include "telemetry/telemetry.h"
 #include "test_util.h"
 #include "util/rng.h"
@@ -24,6 +25,7 @@
 namespace berkmin::service {
 namespace {
 
+using berkmin::testing::ask;
 using berkmin::testing::lits;
 using berkmin::testing::make_cnf;
 using telemetry::EventKind;
@@ -144,10 +146,9 @@ TEST(ServiceTelemetry, ControlRingCarriesJobAndSessionLifecycle) {
   ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
   ASSERT_TRUE(service.session_push(*sid));
   ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
-  const JobId c = *service.session_solve(*sid);
+  ASSERT_TRUE(ask(service, *sid).has_value());
   service.wait(a);
   service.wait(b);
-  service.wait(c);
   ASSERT_TRUE(service.session_pop(*sid));
   EXPECT_TRUE(service.close_session(*sid));
   service.shutdown();
@@ -276,9 +277,7 @@ TEST(ServiceTelemetry, SnapshotAndDrainRaceRunningSolves) {
     for (const auto& clause : cnf.clauses()) {
       ASSERT_TRUE(service.session_add_clause(*sid, clause));
     }
-    const auto job = service.session_solve(*sid);
-    ASSERT_TRUE(job.has_value());
-    service.wait(*job);
+    ASSERT_TRUE(ask(service, *sid).has_value());
     ASSERT_TRUE(service.session_pop(*sid));
   }
 

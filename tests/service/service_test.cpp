@@ -41,7 +41,8 @@ TEST(Service, SolvesSatJobAndValidatesModel) {
   EXPECT_EQ(result.status, SolveStatus::satisfiable);
   EXPECT_EQ(result.outcome, JobOutcome::completed);
   EXPECT_TRUE(cnf.is_satisfied_by(result.model));
-  EXPECT_EQ(solving.state(*id), JobState::done);
+  // wait() collected the result: the id is unknown from then on.
+  EXPECT_THROW((void)solving.state(*id), std::out_of_range);
   EXPECT_GE(result.slices, 1u);
 }
 
@@ -180,10 +181,13 @@ TEST(Service, CancelRunningJobStopsMidSlice) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_TRUE(solving.cancel(id));
+  while (solving.state(id) == JobState::running) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(solving.state(id), JobState::cancelled);
   const JobResult result = solving.wait(id);
   EXPECT_EQ(result.outcome, JobOutcome::cancelled);
   EXPECT_EQ(result.status, SolveStatus::unknown);
-  EXPECT_EQ(solving.state(id), JobState::cancelled);
 }
 
 TEST(Service, ShutdownDrainFinishesEveryJob) {

@@ -1,7 +1,7 @@
-// Slices run on the waiting caller's thread: wait(id) runs its own job's
-// slice when the job is the scheduler's pick and a slice slot is free, and
-// parks otherwise. Covers the caller-thread run of an idle service (a
-// synchronous session_query wakes no worker at all), the
+// Slices run on the waiting caller's thread: wait(id) and session_query
+// run their own job's slice when the job is the scheduler's pick and a
+// slice slot is free, and park otherwise. Covers the caller-thread run of
+// an idle service (a synchronous session_query wakes no worker at all), the
 // slot cap (a held slot keeps a waiter parked; no more than num_workers
 // slices ever overlap, traced under a multi-caller stress with more
 // session threads than slots), schedule order against a better-keyed job,
@@ -15,6 +15,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -22,11 +23,13 @@
 #include "engines/backend.h"
 #include "gen/pigeonhole.h"
 #include "service/solver_service.h"
+#include "service_test_util.h"
 #include "telemetry/telemetry.h"
 
 namespace berkmin::service {
 namespace {
 
+using berkmin::testing::ask;
 using telemetry::EventKind;
 using telemetry::MetricsSnapshot;
 using telemetry::TaggedEvent;
@@ -50,9 +53,7 @@ void wait_until_running(const SolverService& service, JobId id) {
   }
 }
 
-// How often a session solve races the worker the service woke for it: the
-// caller usually reaches wait() first, so a run of solves has waiter-run
-// ones.
+// How many session queries a test asks in a row.
 constexpr int kSolves = 50;
 
 TEST(ServiceSessionWaiter, IdleServiceRunsSessionSolveOnCallersThread) {
@@ -65,8 +66,9 @@ TEST(ServiceSessionWaiter, IdleServiceRunsSessionSolveOnCallersThread) {
   });
   const SessionId session = *service.open_session({});
   add_formula(service, session, gen::pigeonhole(3));
+  JobResult result;
   for (int i = 0; i < kSolves; ++i) {
-    const JobResult result = service.wait(*service.session_solve(session));
+    ASSERT_TRUE(service.session_query(session, {}, {}, result));
     ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
     ASSERT_EQ(result.slices, 1u);
   }
@@ -75,12 +77,12 @@ TEST(ServiceSessionWaiter, IdleServiceRunsSessionSolveOnCallersThread) {
   const std::thread::id caller = std::this_thread::get_id();
   std::lock_guard<std::mutex> lock(mutex);
   ASSERT_EQ(callback_threads.size(), static_cast<std::size_t>(kSolves));
-  // Each one-slice job finished on the thread that ran its slice: the
-  // caller's exactly when the caller ran it.
+  // Each one-slice query finished on the thread that ran its slice: on an
+  // idle service, the caller's, every time.
   const auto on_caller = static_cast<std::uint64_t>(
       std::count(callback_threads.begin(), callback_threads.end(), caller));
   EXPECT_EQ(on_caller, stats.waiter_slices);
-  EXPECT_GE(stats.waiter_slices, 1u);
+  EXPECT_EQ(stats.waiter_slices, static_cast<std::uint64_t>(kSolves));
   EXPECT_EQ(service.metrics_snapshot().counters.at("service.waiter_slices"),
             stats.waiter_slices);
 }
@@ -132,12 +134,12 @@ TEST(ServiceSessionWaiter, WaiterStartsNoSliceWhileTheOnlySlotIsHeld) {
 
 TEST(ServiceSessionWaiter, WaiterParksWhileItsJobIsNotThePick) {
   // Service.HigherPriorityRunsFirst with the low job's owner blocked in
-  // wait(). The caller queues a high-priority job nobody waits on, then its
-  // own low-priority session solve, and waits: it usually gets there before
-  // the worker woken for the first job, with the slot still free. The
+  // session_query(). The caller queues a high-priority job nobody waits
+  // on, then asks its own session query: it usually gets there before the
+  // worker woken for the first job, with the slot still free. The
   // high-priority job is the pick, so the caller must leave it to the
-  // worker and run (or get) its own job after. Repeated, since who sees the
-  // free slot first is a race.
+  // worker and run (or get) its own query after. Repeated, since who sees
+  // the free slot first is a race.
   for (int round = 0; round < 10; ++round) {
     ServiceOptions options;
     options.num_workers = 1;
@@ -155,8 +157,10 @@ TEST(ServiceSessionWaiter, WaiterParksWhileItsJobIsNotThePick) {
     JobRequest high = request_for(gen::pigeonhole(5));
     high.limits.priority = 3;
     const JobId high_id = *service.submit(std::move(high));
-    const JobId low_id = *service.session_solve(session);
-    EXPECT_EQ(service.wait(low_id).status, SolveStatus::unsatisfiable);
+    const std::optional<JobResult> low = ask(service, session);
+    ASSERT_TRUE(low.has_value());
+    EXPECT_EQ(low->status, SolveStatus::unsatisfiable);
+    const JobId low_id = low->id;
     service.shutdown(SolverService::Shutdown::drain);
 
     std::lock_guard<std::mutex> lock(order_mutex);
@@ -182,10 +186,11 @@ TEST(ServiceSessionWaiter, WaiterRunSliceLandsInSliceLatencyAndPhases) {
       ASSERT_TRUE(service.session_add_clause_to(session, group, clause));
     }
     const MetricsSnapshot before = service.metrics_snapshot();
-    const JobResult result = service.wait(*service.session_solve(session));
+    const std::optional<JobResult> result = ask(service, session);
     const MetricsSnapshot after = service.metrics_snapshot();
-    ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
-    ASSERT_EQ(result.slices, 1u);
+    ASSERT_TRUE(result.has_value());
+    ASSERT_EQ(result->status, SolveStatus::unsatisfiable);
+    ASSERT_EQ(result->slices, 1u);
     ASSERT_TRUE(service.session_pop(session, group));
     if (after.counters.at("service.waiter_slices") ==
         before.counters.at("service.waiter_slices")) {
@@ -273,9 +278,8 @@ TEST(ServiceSessionWaiter, DrainShutdownWhileWaitersHoldEverySlot) {
 }
 
 // Several callers, each driving its own session, race the workers (and one
-// another) for fewer slots than there are callers: every session solve
-// wakes a worker while its caller heads for wait(), and sliced solves are
-// preempted and picked again, by their waiter or by a worker, next to a
+// another) for fewer slots than there are callers: sliced queries are
+// preempted and picked again, by their caller or by a worker, next to a
 // few one-shot jobs nobody waits on until the end. Busy workers keep their
 // slots while work is queued, so how many slices the waiters win varies
 // (IdleServiceRunsSessionSolveOnCallersThread shows that they do). Every
@@ -320,12 +324,11 @@ TEST(ServiceSessionWaiter, MultiCallerStressNeverExceedsTheSlots) {
             ++wrong;
           }
         }
-        const auto query = service.session_solve(*session);
-        if (!query.has_value()) {
+        JobResult result;
+        if (!service.session_query(*session, {}, {}, result)) {
           ++wrong;
           return;
         }
-        const JobResult result = service.wait(*query);
         if (result.status != SolveStatus::unsatisfiable ||
             !result.proof_valid || !service.session_pop(*session, *group)) {
           ++wrong;
