@@ -122,12 +122,12 @@ bool load_spec(const std::string& spec, ManifestEntry* entry,
                std::string* error) {
   if (spec.rfind("icnf:", 0) == 0) {
     const std::string path = spec.substr(5);
-    try {
-      entry->script = icnf::read_file(path);
-    } catch (const std::exception& ex) {
-      *error = ex.what();
+    icnf::ParseResult parsed = icnf::read_checked_file(path);
+    if (!parsed.ok()) {
+      *error = parsed.first_error();
       return false;
     }
+    entry->script = std::move(parsed.script);
     entry->is_script = true;
     entry->name = path;
     return true;
@@ -468,10 +468,10 @@ int main(int argc, char** argv) {
   }
 
   // Incremental scripts: one driver thread per script replays its ops
-  // against a persistent service session — mutations applied between
-  // solves, each solve a sliced session query — and streams one JSONL line
-  // per query. The sessions multiplex over the same worker pool as the
-  // one-shot jobs above.
+  // against a persistent service session — each clause or group op through
+  // session_apply, each solve a sliced session query — and streams one
+  // JSONL line per query. The sessions multiplex over the same worker pool
+  // as the one-shot jobs above.
   int script_failures = 0;
   // Session answers, kept for the summary and the per-job metrics
   // (wait_all() returns only the one-shot results).
@@ -499,83 +499,51 @@ int main(int argc, char** argv) {
         ++script_failures;
         return;
       }
-      std::vector<std::vector<Lit>> active;
-      std::vector<std::size_t> marks;
+      // The formula the session sees, for model validation and --check.
+      icnf::ActiveFormula active;
       service::JobResult result;
-      bool failed = false;
-      for (const icnf::Op& op : entry->script.ops) {
-        bool ok = true;
-        switch (op.kind) {
-          case icnf::Op::Kind::add_clause:
-            active.push_back(op.lits);
-            ok = solving.session_add_clause(*sid, op.lits);
-            break;
-          case icnf::Op::Kind::push:
-            marks.push_back(active.size());
-            ok = solving.session_push(*sid).has_value();
-            break;
-          case icnf::Op::Kind::pop:
-            active.resize(marks.back());
-            marks.pop_back();
-            ok = solving.session_pop(*sid);
-            break;
-          case icnf::Op::Kind::solve: {
-            if (!solving.session_query(*sid, op.lits, entry->limits,
-                                       result)) {
-              ok = false;
-              break;
-            }
-            int model_valid = -1;
-            if (result.status == SolveStatus::satisfiable) {
-              Cnf formula;
-              for (const auto& clause : active) formula.add_clause(clause);
-              model_valid = formula.is_satisfied_by(result.model) ? 1 : 0;
-              for (const Lit a : op.lits) {
-                if (a.var() >= static_cast<Var>(result.model.size()) ||
-                    value_of_literal(result.model[a.var()], a) !=
-                        Value::true_value) {
-                  model_valid = 0;
-                }
-              }
-            }
-            bool query_mismatch = false;
-            if (args.has_flag("check") &&
-                result.status != SolveStatus::unknown) {
-              Solver reference;
-              for (const auto& clause : active) {
-                (void)reference.add_clause(clause);
-              }
-              const SolveStatus expected = reference.solve_with_assumptions(
-                  std::vector<Lit>(op.lits.begin(), op.lits.end()));
-              query_mismatch = expected != result.status;
-            }
-            std::lock_guard<std::mutex> lock(output_mutex);
-            if (model_valid == 0) model_failure = true;
-            if (result.proof_checked && !result.proof_valid) {
-              proof_failure = true;
-            }
-            if (query_mismatch) {
-              ++script_failures;
-              std::cerr << "MISMATCH " << result.name
-                        << ": session says " << to_string(result.status)
-                        << ", scratch solver disagrees\n";
-            }
-            std::cout << result_json(result, model_valid) << "\n"
-                      << std::flush;
-            session_results.push_back(result);
-            break;
-          }
-        }
+      const icnf::Script& script = entry->script;
+      for (std::size_t i = 0; i < script.size(); ++i) {
+        const icnf::Op op = script.op(i);
+        const bool ok =
+            op.kind == icnf::Op::Kind::solve
+                ? solving.session_query(*sid, op.lits, entry->limits, result)
+                : solving.session_apply(*sid, op).has_value();
         if (!ok) {
           std::lock_guard<std::mutex> lock(output_mutex);
-          std::cerr << "error: " << entry->name
-                    << ": session operation failed\n";
+          std::cerr << "error: " << entry->name << ": session operation "
+                    << i + 1 << " (" << icnf::to_string(op.kind)
+                    << ") failed\n";
           ++script_failures;
-          failed = true;
           break;
         }
+        if (op.kind != icnf::Op::Kind::solve) {
+          (void)icnf::apply(active, op);
+          continue;
+        }
+        int model_valid = -1;
+        if (result.status == SolveStatus::satisfiable) {
+          model_valid = active.is_model(result.model, op.lits) ? 1 : 0;
+        }
+        bool query_mismatch = false;
+        if (args.has_flag("check") && result.status != SolveStatus::unknown) {
+          Solver reference;
+          reference.load(active.formula());
+          query_mismatch =
+              reference.solve_with_assumptions(op.lits) != result.status;
+        }
+        std::lock_guard<std::mutex> lock(output_mutex);
+        if (model_valid == 0) model_failure = true;
+        if (result.proof_checked && !result.proof_valid) proof_failure = true;
+        if (query_mismatch) {
+          ++script_failures;
+          std::cerr << "MISMATCH " << result.name << ": session says "
+                    << to_string(result.status)
+                    << ", scratch solver disagrees\n";
+        }
+        std::cout << result_json(result, model_valid) << "\n" << std::flush;
+        session_results.push_back(result);
       }
-      (void)failed;
       // Close unconditionally: an abandoned session would pin its engine
       // (and any accumulated proof trace) until service destruction.
       solving.close_session(*sid);

@@ -150,14 +150,15 @@ std::unique_ptr<SatEngine> engine_from_args(
   return engine;
 }
 
-// Scripted (.icnf) mode: replay an incremental push/add/pop/solve script
-// against one persistent engine, reporting one "s" line per "a" line.
-// Every operation goes through a proof::LiveCertifier, which attaches the
-// DRAT trace (--drat) and, with --check-incremental, holds the live checker
-// that certifies every UNSAT answer's failed-assumption core (¬core must
-// be RUP over the checked trace); --check-incremental also validates
-// every SAT model against the formula active at that moment. Exit code
-// follows the last answer (10/20/0); 1 on any error or failed check.
+// Scripted (.icnf) mode: replay an incremental script against one
+// persistent engine, reporting one "s" line per "a" line. Every operation
+// is applied through a proof::LiveCertifier, which attaches the DRAT trace
+// (--drat) and, with --check-incremental, holds the live checker that
+// certifies every UNSAT answer's failed-assumption core (¬core must be RUP
+// over the checked trace); --check-incremental also validates every SAT
+// model against the formula active at that moment (an icnf::ActiveFormula
+// the same ops are applied to). Exit code follows the last answer
+// (10/20/0); 1 on any error or failed check.
 int run_scripted(const ArgParser& args, const std::string& path,
                  telemetry::Telemetry* hub,
                  const telemetry::SolverTelemetry* sink,
@@ -191,63 +192,42 @@ int run_scripted(const ArgParser& args, const std::string& path,
       engine_from_args(args, *options, hub, sink, mem_budget);
   proof::LiveCertifier certifier(*engine, want_proof, check);
   certifier.set_telemetry(sink);
-
-  // The active formula (base + open groups) for model validation.
-  std::vector<std::vector<Lit>> active;
-  std::vector<std::size_t> marks;
+  icnf::ActiveFormula active;
 
   std::size_t solves = 0;
   SolveStatus last = SolveStatus::unknown;
   bool failed_check = false;
   std::size_t models_checked = 0;
   std::size_t proofs_checked = 0;
-  for (const icnf::Op& op : script.ops) {
-    switch (op.kind) {
-      case icnf::Op::Kind::add_clause:
-        active.push_back(op.lits);
-        (void)certifier.add_clause(op.lits);
-        break;
-      case icnf::Op::Kind::push:
-        marks.push_back(active.size());
-        (void)engine->push_group();
-        break;
-      case icnf::Op::Kind::pop:
-        active.resize(marks.back());
-        marks.pop_back();
-        (void)certifier.pop_group();
-        break;
-      case icnf::Op::Kind::solve: {
-        ++solves;
-        last = engine->solve_with_assumptions(op.lits, budget);
-        std::cout << "c query " << solves << "\ns " << to_string(last) << "\n";
-        if (last == SolveStatus::satisfiable && check) {
-          Cnf formula;
-          for (const auto& clause : active) formula.add_clause(clause);
-          const std::vector<Value>& model = engine->model();
-          bool valid = formula.is_satisfied_by(model);
-          for (const Lit a : op.lits) {
-            if (a.var() >= static_cast<Var>(model.size()) ||
-                value_of_literal(model[a.var()], a) != Value::true_value) {
-              valid = false;
-            }
-          }
-          ++models_checked;
-          if (!valid) {
-            std::cerr << "error: query " << solves
-                      << ": model failed validation\n";
-            failed_check = true;
-          }
-        }
-        if (last == SolveStatus::unsatisfiable && check) {
-          ++proofs_checked;
-          if (!certifier.answer_certified()) {
-            std::cerr << "error: query " << solves
-                      << ": incremental proof failed verification (the "
-                         "failed core is not RUP over the checked trace)\n";
-            failed_check = true;
-          }
-        }
-        break;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    const icnf::Op op = script.op(i);
+    if (op.kind != icnf::Op::Kind::solve) {
+      if (!icnf::apply(certifier, op)) {
+        std::cerr << "error: op " << i + 1 << " (" << icnf::to_string(op.kind)
+                  << ") refused by the engine\n";
+        return 1;
+      }
+      (void)icnf::apply(active, op);
+      continue;
+    }
+    ++solves;
+    last = engine->solve_with_assumptions(op.lits, budget);
+    std::cout << "c query " << solves << "\ns " << to_string(last) << "\n";
+    if (last == SolveStatus::satisfiable && check) {
+      ++models_checked;
+      if (!active.is_model(engine->model(), op.lits)) {
+        std::cerr << "error: query " << solves
+                  << ": model failed validation\n";
+        failed_check = true;
+      }
+    }
+    if (last == SolveStatus::unsatisfiable && check) {
+      ++proofs_checked;
+      if (!certifier.answer_certified()) {
+        std::cerr << "error: query " << solves
+                  << ": incremental proof failed verification (the "
+                     "failed core is not RUP over the checked trace)\n";
+        failed_check = true;
       }
     }
   }

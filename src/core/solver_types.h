@@ -31,6 +31,10 @@ inline constexpr ClauseRef no_clause = std::numeric_limits<ClauseRef>::max();
 // is recycled through a free-list.
 using GroupId = int;
 inline constexpr GroupId no_group = -1;
+// Names "the innermost live group" where an operation takes a group
+// (icnf::Op::pop() retracts it); whoever applies the operation resolves it
+// through the engine's innermost_group().
+inline constexpr GroupId innermost_group = no_group - 1;
 
 // One entry of a watch list. `blocker` is some other literal of the clause;
 // if it is already true the clause is satisfied and need not be visited.

@@ -19,53 +19,12 @@ Var SolverBackend::new_vars(int n) {
   return first;
 }
 
-bool SolverBackend::add_clause(std::span<const Lit> lits) {
-  // A false return means root-level UNSAT, which for an engine is an
-  // answer, not a refusal; solve() will report it.
-  (void)certifier_.add_clause(lits);
-  return true;
-}
-
-GroupId SolverBackend::push() {
-  const GroupId id = engine().push_group();
-  if (id == no_group) {
-    error_ = "SolverBackend: the engine refuses clause groups";
+std::optional<GroupId> SolverBackend::apply(const icnf::Op& op) {
+  const std::optional<GroupId> group = icnf::apply(certifier_, op);
+  if (!group.has_value()) {
+    error_ = std::string("SolverBackend: refused ") + icnf::to_string(op.kind);
   }
-  return id;
-}
-
-bool SolverBackend::pop(GroupId id) {
-  if (!certifier_.pop_group(id)) {
-    error_ = "SolverBackend: pop of a group that is not live";
-    return false;
-  }
-  return true;
-}
-
-bool SolverBackend::pop() {
-  if (engine().num_groups() == 0) {
-    error_ = "SolverBackend: pop without a matching push";
-    return false;
-  }
-  return pop(engine().innermost_group());
-}
-
-bool SolverBackend::add_clause_to(GroupId id, std::span<const Lit> lits) {
-  if (!engine().group_is_live(id)) {
-    error_ = "SolverBackend: add_clause_to a group that is not live";
-    return false;
-  }
-  // As in add_clause, a false return is root-level UNSAT: an answer.
-  (void)certifier_.add_clause_to_group(id, lits);
-  return true;
-}
-
-bool SolverBackend::set_group_active(GroupId id, bool active) {
-  if (!certifier_.set_group_active(id, active)) {
-    error_ = "SolverBackend: set_group_active on a group that is not live";
-    return false;
-  }
-  return true;
+  return group;
 }
 
 SolveStatus SolverBackend::solve(std::span<const Lit> assumptions,
@@ -118,53 +77,12 @@ Var SessionBackend::new_vars(int n) {
   return first;
 }
 
-bool SessionBackend::add_clause(std::span<const Lit> lits) {
-  if (!service_.session_add_clause(session_, lits)) {
-    error_ = "SessionBackend: session_add_clause refused";
-    return false;
-  }
-  return true;
-}
-
-GroupId SessionBackend::push() {
-  const auto group = service_.session_push(session_);
+std::optional<GroupId> SessionBackend::apply(const icnf::Op& op) {
+  const std::optional<GroupId> group = service_.session_apply(session_, op);
   if (!group.has_value()) {
-    error_ = "SessionBackend: session_push refused";
-    return no_group;
+    error_ = std::string("SessionBackend: refused ") + icnf::to_string(op.kind);
   }
-  return *group;
-}
-
-bool SessionBackend::pop(GroupId id) {
-  if (!service_.session_pop(session_, id)) {
-    error_ = "SessionBackend: session_pop refused";
-    return false;
-  }
-  return true;
-}
-
-bool SessionBackend::pop() {
-  if (!service_.session_pop(session_)) {
-    error_ = "SessionBackend: session_pop refused";
-    return false;
-  }
-  return true;
-}
-
-bool SessionBackend::add_clause_to(GroupId id, std::span<const Lit> lits) {
-  if (!service_.session_add_clause_to(session_, id, lits)) {
-    error_ = "SessionBackend: session_add_clause_to refused";
-    return false;
-  }
-  return true;
-}
-
-bool SessionBackend::set_group_active(GroupId id, bool active) {
-  if (!service_.session_set_group_active(session_, id, active)) {
-    error_ = "SessionBackend: session_set_group_active refused";
-    return false;
-  }
-  return true;
+  return group;
 }
 
 SolveStatus SessionBackend::solve(std::span<const Lit> assumptions,

@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "cnf/icnf.h"
 #include "cnf/literal.h"
 #include "core/sat_engine.h"
 #include "engines/transition_system.h"
@@ -103,12 +104,20 @@ class SolverBackend final : public EngineBackend {
       : certifier_(certifier) {}
 
   Var new_vars(int n) override;
-  bool add_clause(std::span<const Lit> lits) override;
-  GroupId push() override;
-  bool pop(GroupId id) override;
-  bool pop() override;
-  bool add_clause_to(GroupId id, std::span<const Lit> lits) override;
-  bool set_group_active(GroupId id, bool active) override;
+  bool add_clause(std::span<const Lit> lits) override {
+    return apply(icnf::Op::clause(lits)).has_value();
+  }
+  GroupId push() override {
+    return apply(icnf::Op::push()).value_or(no_group);
+  }
+  bool pop(GroupId id) override { return apply(icnf::Op::pop(id)).has_value(); }
+  bool pop() override { return apply(icnf::Op::pop()).has_value(); }
+  bool add_clause_to(GroupId id, std::span<const Lit> lits) override {
+    return apply(icnf::Op::clause_to(id, lits)).has_value();
+  }
+  bool set_group_active(GroupId id, bool active) override {
+    return apply(icnf::Op::set_active(id, active)).has_value();
+  }
   SolveStatus solve(std::span<const Lit> assumptions,
                     const Budget& budget) override;
   bool model_value(Lit l) const override;
@@ -120,6 +129,8 @@ class SolverBackend final : public EngineBackend {
   bool answer_certified();
 
  private:
+  // icnf::apply through the certifier; a refusal sets last_error().
+  std::optional<GroupId> apply(const icnf::Op& op);
   SatEngine& engine() const { return certifier_.engine(); }
 
   std::unique_ptr<proof::LiveCertifier> owned_;  // the pass-through one
@@ -147,12 +158,20 @@ class SessionBackend final : public EngineBackend {
   bool alive() const { return session_ != service::invalid_session; }
 
   Var new_vars(int n) override;
-  bool add_clause(std::span<const Lit> lits) override;
-  GroupId push() override;
-  bool pop(GroupId id) override;
-  bool pop() override;
-  bool add_clause_to(GroupId id, std::span<const Lit> lits) override;
-  bool set_group_active(GroupId id, bool active) override;
+  bool add_clause(std::span<const Lit> lits) override {
+    return apply(icnf::Op::clause(lits)).has_value();
+  }
+  GroupId push() override {
+    return apply(icnf::Op::push()).value_or(no_group);
+  }
+  bool pop(GroupId id) override { return apply(icnf::Op::pop(id)).has_value(); }
+  bool pop() override { return apply(icnf::Op::pop()).has_value(); }
+  bool add_clause_to(GroupId id, std::span<const Lit> lits) override {
+    return apply(icnf::Op::clause_to(id, lits)).has_value();
+  }
+  bool set_group_active(GroupId id, bool active) override {
+    return apply(icnf::Op::set_active(id, active)).has_value();
+  }
   SolveStatus solve(std::span<const Lit> assumptions,
                     const Budget& budget) override;
   bool model_value(Lit l) const override;
@@ -162,6 +181,8 @@ class SessionBackend final : public EngineBackend {
   const service::JobResult& last_result() const { return result_; }
 
  private:
+  // SolverService::session_apply; a refusal sets last_error().
+  std::optional<GroupId> apply(const icnf::Op& op);
   service::SolverService& service_;
   service::SessionId session_ = service::invalid_session;
   int threads_ = 1;

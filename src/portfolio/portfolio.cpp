@@ -1,7 +1,6 @@
 #include "portfolio/portfolio.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -33,53 +32,22 @@ PortfolioSolver::PortfolioSolver(PortfolioOptions options)
 }
 
 bool PortfolioSolver::add_clause(std::span<const Lit> lits) {
-  cnf_.add_clause(lits);
-  ops_.push_back(PendingOp{PendingOp::Kind::clause, cnf_.num_clauses() - 1});
+  (void)log_.append(icnf::Op::clause(lits));
   return true;
 }
 
 bool PortfolioSolver::load(const Cnf& cnf) {
-  while (cnf_.num_vars() < cnf.num_vars()) cnf_.add_var();
+  log_.declared_vars = std::max(log_.num_vars(), cnf.num_vars());
   for (const auto clause : cnf.clauses()) add_clause(clause);
   return true;
 }
 
 GroupId PortfolioSolver::push_group() {
   if (proof_ != nullptr) return no_group;
-  // The id comes from the same monotone counter each worker Solver runs,
-  // so replaying this push assigns the identical handle in every worker.
-  const GroupId id = next_group_id_++;
-  ops_.push_back(PendingOp{PendingOp::Kind::push, 0, id, true});
-  live_groups_.push_back(id);
-  return id;
-}
-
-bool PortfolioSolver::group_is_live(GroupId id) const {
-  return std::find(live_groups_.begin(), live_groups_.end(), id) !=
-         live_groups_.end();
-}
-
-bool PortfolioSolver::pop_group(GroupId id) {
-  const auto it = std::find(live_groups_.begin(), live_groups_.end(), id);
-  if (it == live_groups_.end()) return false;
-  live_groups_.erase(it);
-  ops_.push_back(PendingOp{PendingOp::Kind::pop, 0, id, true});
-  return true;
-}
-
-bool PortfolioSolver::set_group_active(GroupId id, bool active) {
-  if (!group_is_live(id)) return false;
-  ops_.push_back(PendingOp{PendingOp::Kind::set_active, 0, id, active});
-  return true;
-}
-
-bool PortfolioSolver::add_clause_to_group(GroupId id,
-                                          std::span<const Lit> lits) {
-  if (!group_is_live(id)) return false;
-  cnf_.add_clause(lits);
-  ops_.push_back(
-      PendingOp{PendingOp::Kind::clause_to, cnf_.num_clauses() - 1, id, true});
-  return true;
+  // Each worker Solver numbers its groups like the log, so applying this
+  // push assigns the identical handle in every worker.
+  (void)log_.append(icnf::Op::push());
+  return innermost_group();
 }
 
 SolveStatus PortfolioSolver::solve(const Budget& budget) {
@@ -202,37 +170,15 @@ void PortfolioSolver::warm_up_workers() {
   // calling thread.
   const std::size_t from = replayed_ops_;
   const auto feed = [&](Solver& solver) {
-    for (std::size_t oi = from; oi < ops_.size(); ++oi) {
-      const PendingOp& op = ops_[oi];
-      switch (op.kind) {
-        case PendingOp::Kind::clause:
-          (void)solver.add_clause(cnf_.clause(op.clause_index));
-          break;
-        case PendingOp::Kind::clause_to:
-          (void)solver.add_clause_to_group(op.group,
-                                           cnf_.clause(op.clause_index));
-          break;
-        case PendingOp::Kind::push: {
-          // Identical push sequences make the worker assign op.group.
-          const GroupId assigned = solver.push_group();
-          (void)assigned;
-          assert(assigned == op.group);
-          break;
-        }
-        case PendingOp::Kind::pop:
-          (void)solver.pop_group(op.group);
-          break;
-        case PendingOp::Kind::set_active:
-          (void)solver.set_group_active(op.group, op.active);
-          break;
-      }
+    for (std::size_t i = from; i < log_.size(); ++i) {
+      (void)icnf::apply(solver, log_.op(i));
     }
     // Trailing variables added without any clause mentioning them.
-    while (solver.num_vars() < cnf_.num_vars()) solver.new_var();
+    while (solver.num_vars() < log_.num_vars()) solver.new_var();
   };
   // Dead workers are never fed again: their engines are poisoned and out
   // of the race for good.
-  if (ops_.size() > from && solvers_.size() > 1) {
+  if (log_.size() > from && solvers_.size() > 1) {
     std::vector<std::thread> threads;
     threads.reserve(solvers_.size());
     for (std::size_t i = 0; i < solvers_.size(); ++i) {
@@ -246,7 +192,7 @@ void PortfolioSolver::warm_up_workers() {
       if (!dead_[i]) feed(*solvers_[i]);
     }
   }
-  replayed_ops_ = ops_.size();
+  replayed_ops_ = log_.size();
 }
 
 SolveStatus PortfolioSolver::solve_with_assumptions(

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cnf/cnf_formula.h"
+#include "cnf/icnf.h"
 #include "cnf/literal.h"
 #include "core/sat_engine.h"
 #include "core/solver.h"
@@ -70,8 +71,11 @@ class PortfolioSolver final : public SatEngine {
   explicit PortfolioSolver(PortfolioOptions options = {});
 
   // ---- problem construction (mirrors Solver) ---------------------------
-  Var new_var() override { return cnf_.add_var(); }
-  int num_vars() const { return cnf_.num_vars(); }
+  Var new_var() override {
+    const Var var = log_.num_vars();
+    log_.declared_vars = var + 1;
+    return var;
+  }
   // Always true: the formula is only examined by the workers.
   bool add_clause(std::span<const Lit> lits) override;
   bool add_clause(std::initializer_list<Lit> lits) {
@@ -81,7 +85,7 @@ class PortfolioSolver final : public SatEngine {
 
   // ---- incremental clause groups (mirrors Solver) ------------------------
   // Every group operation is recorded in the portfolio's construction log
-  // and replayed to every (warm) worker at the next solve, so all workers
+  // and applied to every (warm) worker at the next solve, so all workers
   // keep identical internal layouts — which is what keeps the learned-
   // clause exchange sound across pops: surviving lemmas keep migrating
   // between workers through the existing ClauseExchange, and a shared
@@ -107,16 +111,20 @@ class PortfolioSolver final : public SatEngine {
   // attached.
   GroupId push_group() override;
   // Retracts the named group; false (nothing recorded) for a dead handle.
-  bool pop_group(GroupId id) override;
-  bool set_group_active(GroupId id, bool active) override;
-  bool add_clause_to_group(GroupId id, std::span<const Lit> lits) override;
-  bool group_is_live(GroupId id) const override;
+  bool pop_group(GroupId id) override { return log_.append(icnf::Op::pop(id)); }
+  bool set_group_active(GroupId id, bool active) override {
+    return log_.append(icnf::Op::set_active(id, active));
+  }
+  bool add_clause_to_group(GroupId id, std::span<const Lit> lits) override {
+    return log_.append(icnf::Op::clause_to(id, lits));
+  }
+  bool group_is_live(GroupId id) const override {
+    return log_.groups().group_is_live(id);
+  }
   GroupId innermost_group() const override {
-    return live_groups_.empty() ? no_group : live_groups_.back();
+    return log_.groups().innermost_group();
   }
-  int num_groups() const override {
-    return static_cast<int>(live_groups_.size());
-  }
+  int num_groups() const override { return log_.groups().num_groups(); }
 
   // ---- solving ---------------------------------------------------------
   // The budget applies to every worker independently (a wall-clock budget
@@ -194,33 +202,15 @@ class PortfolioSolver final : public SatEngine {
   void warm_up_workers();
 
   PortfolioOptions opts_;
-  Cnf cnf_;
 
-  // Construction log: every clause add (an index into cnf_, which retains
-  // all clauses ever added, popped groups included) and every group
-  // operation, in order. Workers replay the log from replayed_ops_ at
-  // each solve — identical sequences give identical internal variable
-  // *and group-id* layouts, the invariant clause exchange (and the
-  // portfolio's handle mirroring) relies on.
-  struct PendingOp {
-    enum class Kind : std::uint8_t {
-      clause,      // add to the innermost open group (clause_index)
-      clause_to,   // add to a named group (clause_index + group)
-      push,        // open a group (each worker assigns the same id)
-      pop,         // retract a named group (group)
-      set_active,  // park/revive a named group (group + active)
-    };
-    Kind kind = Kind::clause;
-    std::size_t clause_index = 0;
-    GroupId group = no_group;
-    bool active = true;
-  };
-  std::vector<PendingOp> ops_;
+  // Construction log: every clause add and group operation, in order, as
+  // icnf ops (popped groups' clauses included), the variable count and the
+  // groups every worker has once it applied them. Workers apply the log
+  // from replayed_ops_ at each solve — identical sequences give identical
+  // internal variable *and group-id* layouts, the invariant clause
+  // exchange (and the portfolio's handle mirroring) relies on.
+  icnf::Script log_;
   std::size_t replayed_ops_ = 0;
-  // Mirror of the live handles (push order) and the monotone id counter
-  // every worker's replay reproduces.
-  std::vector<GroupId> live_groups_;
-  GroupId next_group_id_ = 0;
 
   // Warm state, created by the first solve and reused afterwards.
   std::vector<std::unique_ptr<Solver>> solvers_;

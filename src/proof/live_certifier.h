@@ -5,7 +5,9 @@
 // from) and each clause enters it tagged with the group it lands in.
 // LiveCertifier is the only code that applies this rule: service
 // sessions, the engines' SolverBackend, dimacs_solver's scripted mode and
-// the incremental tests send every clause and group operation through it.
+// the incremental tests send every clause and group operation through it,
+// most of them as icnf::apply(certifier, op): it has the engine's named
+// group methods, push_group, group_is_live and innermost_group forwarded.
 // It creates the engine's trace and attaches it (SatEngine::set_proof), so
 // no caller builds a writer; when answers are checked it also owns the
 // checker. Without a checker the operations go straight to the engine.
@@ -55,8 +57,8 @@ class LiveCertifier {
 
   // The engine's calls, with its returns: false for a dead group handle
   // (which reaches neither side) and for an add once the formula is
-  // unsatisfiable at the root. Groups are pushed on the engine itself; a
-  // group enters the checker with its first clause.
+  // unsatisfiable at the root. A push reaches only the engine; a group
+  // enters the checker with its first clause.
   bool load(const Cnf& cnf) {
     sync();
     if (checker_ != nullptr) {
@@ -85,7 +87,11 @@ class LiveCertifier {
     if (checker_ != nullptr) checker_->retire_group(group);
     return engine_.pop_group(group);
   }
-  bool pop_group() { return pop_group(engine_.innermost_group()); }
+  GroupId push_group() { return engine_.push_group(); }
+  bool group_is_live(GroupId group) const {
+    return engine_.group_is_live(group);
+  }
+  GroupId innermost_group() const { return engine_.innermost_group(); }
   bool set_group_active(GroupId group, bool active) {
     if (!engine_.group_is_live(group)) return false;
     sync();
@@ -93,8 +99,7 @@ class LiveCertifier {
     return engine_.set_group_active(group, active);
   }
 
-  // The engine it follows: solve it, read its answers and push its groups
-  // directly.
+  // The engine it follows: solve it and read its answers.
   SatEngine& engine() const { return engine_; }
   bool checking() const { return checker_ != nullptr; }
   // Whether the checker certifies `core` as an unsatisfiable assumption

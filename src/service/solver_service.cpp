@@ -238,58 +238,39 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
   return id;
 }
 
-std::optional<GroupId> SolverService::mutate_session(SessionId id,
-                                                    Mutation kind,
-                                                    GroupId group,
-                                                    std::span<const Lit> lits,
-                                                    bool active) {
+// Claims the session in one critical section (counting an add whose group
+// is live) and applies the op outside the lock, through the session's
+// certifier, on a raw pointer: close_session refuses a busy session, so it
+// cannot go away meanwhile. An atomic store releases the session; only a
+// push or pop takes the lock again, to emit its control-ring event first.
+std::optional<GroupId> SolverService::session_apply(SessionId id,
+                                                   const icnf::Op& op) {
+  using Kind = icnf::Op::Kind;
   Session* session = nullptr;
   {
     std::lock_guard<std::mutex> lk(lock_);
     session = claim_session_locked(id);
     if (session == nullptr) return std::nullopt;
-    // The claim makes the engine this caller's alone until released.
-    if (group == innermost) group = session->engine->innermost_group();
-    if (kind != Mutation::push && kind != Mutation::add &&
-        !session->engine->group_is_live(group)) {
-      release_session(*session);
-      return std::nullopt;
-    }
-    if (kind == Mutation::add || kind == Mutation::add_to) {
+    // The claim makes the engine this caller's alone until released. An
+    // add counts unless its named group is dead (a refusal).
+    const SatEngine& engine = *session->engine;
+    if (op.kind == Kind::add_clause ||
+        (op.kind == Kind::add_clause_to &&
+         engine.group_is_live(op.group == innermost_group
+                                  ? engine.innermost_group()
+                                  : op.group))) {
       ++stats_.session_clauses_added;
     }
   }
-  // An add's false return is root-level UNSAT: an answer, not a refusal.
-  proof::LiveCertifier& certifier = session->certifier;
-  switch (kind) {
-    case Mutation::push:
-      group = session->engine->push_group();
-      break;
-    case Mutation::pop:
-      (void)certifier.pop_group(group);
-      break;
-    case Mutation::add:
-      (void)certifier.add_clause(lits);
-      break;
-    case Mutation::add_to:
-      (void)certifier.add_clause_to_group(group, lits);
-      break;
-    case Mutation::set_active:
-      (void)certifier.set_group_active(group, active);
-      break;
-  }
-  // A push returns no_group when the engine refuses groups (a proof-logging
-  // portfolio; service sessions never build one, but honor the contract).
-  const bool refused = kind == Mutation::push && group == no_group;
-  if ((kind == Mutation::push || kind == Mutation::pop) && !refused) {
+  const std::optional<GroupId> group = icnf::apply(session->certifier, op);
+  if (group.has_value() && (op.kind == Kind::push || op.kind == Kind::pop)) {
     std::lock_guard<std::mutex> lk(lock_);
-    emit_control_locked(kind == Mutation::push
+    emit_control_locked(op.kind == Kind::push
                             ? telemetry::EventKind::session_push
                             : telemetry::EventKind::session_pop,
                         session->id, session->engine->num_groups());
   }
   release_session(*session);
-  if (refused) return std::nullopt;
   return group;
 }
 
@@ -302,34 +283,6 @@ SolverService::Session* SolverService::claim_session_locked(SessionId id) {
     return nullptr;
   }
   return it->second.get();
-}
-
-std::optional<GroupId> SolverService::session_push(SessionId id) {
-  return mutate_session(id, Mutation::push);
-}
-
-bool SolverService::session_pop(SessionId id, GroupId group) {
-  return mutate_session(id, Mutation::pop, group).has_value();
-}
-
-bool SolverService::session_pop(SessionId id) {
-  return session_pop(id, innermost);
-}
-
-bool SolverService::session_add_clause(SessionId id,
-                                       std::span<const Lit> lits) {
-  return mutate_session(id, Mutation::add, no_group, lits).has_value();
-}
-
-bool SolverService::session_add_clause_to(SessionId id, GroupId group,
-                                          std::span<const Lit> lits) {
-  return mutate_session(id, Mutation::add_to, group, lits).has_value();
-}
-
-bool SolverService::session_set_group_active(SessionId id, GroupId group,
-                                             bool active) {
-  return mutate_session(id, Mutation::set_active, group, {}, active)
-      .has_value();
 }
 
 bool SolverService::session_query(SessionId id,

@@ -43,6 +43,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cnf/icnf.h"
 #include "core/sat_engine.h"
 #include "proof/live_certifier.h"
 #include "proof/proof_writer.h"
@@ -120,7 +121,7 @@ struct ServiceOptions {
 //    every slice of every job, and the peak number of pending jobs;
 //  * incremental sessions: open_session() calls, the sessions built in a
 //    closed session's solver and checker storage, session_query() queries
-//    and clauses added through session_add_clause / session_add_clause_to;
+//    and clauses added through session_apply (its accepted adds);
 //  * robustness (ServiceOptions watchdog / retries / budget): slices
 //    preempted by the watchdog limit, slices that threw, dead slices
 //    re-queued for retry, and admissions refused under memory pressure.
@@ -182,38 +183,27 @@ class SolverService {
   // ---- incremental job sessions -----------------------------------------
   // A session is a persistent engine (one solver, or a warm portfolio for
   // threads > 1) living inside the service: the caller scripts it with
-  // push/pop/add operations and asks each query with session_query(), which
+  // icnf::Op clause and group operations through session_apply() — the
+  // same ops a .icnf script holds — and asks each query with
+  // session_query(), which
   // the scheduler slices and preempts like any job — so thousands of
   // closely-related queries share one engine's learned clauses instead of
   // re-deriving them, while unrelated batch jobs keep flowing through the
   // same slice slots. A query runs in the session's one reusable record,
   // never in the job table: state(), wait() and cancel() do not know it.
   //
-  // Discipline: a session is driven by one logical owner. Mutations
-  // (push/pop/add), a second query and close are rejected (false / nullopt)
-  // while a query is in flight, and everything is rejected after
+  // Discipline: a session is driven by one logical owner. Operations, a
+  // second query and close are rejected (false / nullopt) while a query
+  // or another operation is in flight, and everything is rejected after
   // close_session. All methods are thread-safe with respect to the service
   // itself and to other sessions.
   std::optional<SessionId> open_session(SessionRequest request);
-  // Opens a named clause group on the session engine and returns its
-  // handle (the engine's own GroupId, assigned monotonically from 0).
-  // nullopt is a refusal: closed/busy session, or a configuration that
-  // cannot serve groups (proof-logging portfolio).
-  std::optional<GroupId> session_push(SessionId id);
-  // Retracts the named group — any live group, regardless of push order.
-  bool session_pop(SessionId id, GroupId group);
-  // LIFO convenience: retracts the most recently pushed live group.
-  bool session_pop(SessionId id);
-  // Adds to the innermost open group (or the root formula when none).
-  bool session_add_clause(SessionId id, std::span<const Lit> lits);
-  // Adds to a specific live group, regardless of what was pushed since.
-  bool session_add_clause_to(SessionId id, GroupId group,
-                             std::span<const Lit> lits);
-  // Parks / revives a live group for subsequent solves without retracting
-  // it; per-answer certification parks the group's clauses (and whatever
-  // rests on them) in the session's checker too, matching what the engine
-  // sees.
-  bool session_set_group_active(SessionId id, GroupId group, bool active);
+  // icnf::apply(certifier, op) on the session: its returns and refusals
+  // (group handles are the engine's GroupIds, from 0), and nullopt for a
+  // closed or busy session and for every solve op (session_query asks).
+  // Parking a group parks its clauses, and whatever rests on them, in the
+  // session's checker too.
+  std::optional<GroupId> session_apply(SessionId id, const icnf::Op& op);
   // Asks the session one query and blocks until it is answered. The query
   // is scheduled like a job (a job id, slices, preemption); its slices run
   // on the calling thread whenever a slot is free, so no worker is woken
@@ -383,23 +373,6 @@ class SolverService {
   // else parks, until the record is terminal. Takes and returns `lk`
   // locked.
   void run_until_finished(std::unique_lock<std::mutex>& lk, Job& job);
-  // The one guarded path of every session mutation. In one critical
-  // section it finds the open, idle session, checks that the group a pop,
-  // add_to or set_active names is live (innermost: the innermost live
-  // group), counts an add and marks the session busy, so no solve or other
-  // mutation reaches its engine. The mutation then runs outside the lock
-  // through the session's certifier, on a raw pointer: close_session
-  // refuses a busy session, so it cannot go away meanwhile. An atomic store
-  // releases the session; only a push or pop takes the lock again, to emit
-  // its control-ring event first. Returns the group acted on (the new one
-  // for a push, no_group for an add to the innermost group), nullopt for a
-  // refusal.
-  enum class Mutation { push, pop, add, add_to, set_active };
-  static constexpr GroupId innermost = no_group - 1;
-  std::optional<GroupId> mutate_session(SessionId id, Mutation kind,
-                                        GroupId group = no_group,
-                                        std::span<const Lit> lits = {},
-                                        bool active = true);
   // The storage of a closed one-thread session: its engine and checker,
   // which the next one-thread session is built in (make_engine's spare,
   // DratChecker::reset). A run of sessions then keeps one session's memory

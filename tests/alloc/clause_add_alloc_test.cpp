@@ -14,11 +14,13 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "core/solver.h"
 #include "engines/backend.h"
+#include "portfolio/portfolio.h"
 #include "proof/drat_checker.h"
 #include "service/solver_service.h"
 #include "util/rng.h"
@@ -153,7 +155,7 @@ TEST(ClauseAddAllocations, WarmSessionAddClauseIsAllocationFree) {
     ASSERT_TRUE(id.has_value());
     const std::uint64_t before = g_allocations.load();
     for (const FrameClause& clause : stream) {
-      ASSERT_TRUE(service.session_add_clause(*id, clause.lits));
+      ASSERT_TRUE(service.session_apply(*id, icnf::Op::clause(clause.lits)));
     }
     const std::uint64_t allocations = g_allocations.load() - before;
     if (run == 1) {
@@ -165,6 +167,22 @@ TEST(ClauseAddAllocations, WarmSessionAddClauseIsAllocationFree) {
   }
   EXPECT_EQ(service.stats().sessions_reused, 1u);
   EXPECT_EQ(service.stats().session_clauses_added, 2 * stream.size());
+}
+
+TEST(ClauseAddAllocations, PortfolioLoadIsAllocationFreePerClause) {
+  // A portfolio logs a loaded formula into one flat icnf::Script: its
+  // allocations follow the log's growth, not the number of clauses.
+  const std::vector<FrameClause> stream = bmc_stream();
+  Cnf cnf;
+  for (const FrameClause& clause : stream) cnf.add_clause(clause.lits);
+  const std::unique_ptr<SatEngine> engine =
+      portfolio::make_engine(SolverOptions{}, 2);
+  const std::uint64_t before = g_allocations.load();
+  ASSERT_TRUE(engine->load(cnf));
+  const std::uint64_t allocations = g_allocations.load() - before;
+  EXPECT_LT(allocations_per_clause(allocations, stream.size()),
+            kMaxAllocationsPerClause)
+      << allocations << " allocations for " << stream.size() << " clauses";
 }
 
 TEST(ClauseAddAllocations, SteadyStateSessionQueryAllocatesAtMostABound) {

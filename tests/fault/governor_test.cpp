@@ -313,7 +313,7 @@ TEST(ServiceGovernor, SessionEngineDeathPoisonsTheSession) {
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
   const std::vector<Lit> unit{Lit::positive(0)};
-  ASSERT_TRUE(service.session_add_clause(*sid, unit));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(unit)));
 
   service::JobResult result;
   {

@@ -46,7 +46,7 @@ TEST(IncrementalProof, GroupUnsatThenPopThenUnsatAgain) {
   ASSERT_TRUE(solver.ok());
   EXPECT_TRUE(certifier.answer_certified());
 
-  certifier.pop_group();
+  certifier.pop_group(certifier.innermost_group());
   ASSERT_EQ(solver.solve(), SolveStatus::satisfiable);
   // The pigeonhole refutation rested on the popped group.
   EXPECT_FALSE(certifier.certifies({}));
@@ -59,7 +59,7 @@ TEST(IncrementalProof, GroupUnsatThenPopThenUnsatAgain) {
   ASSERT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   ASSERT_TRUE(solver.ok());
   EXPECT_TRUE(certifier.answer_certified());
-  certifier.pop_group();
+  certifier.pop_group(certifier.innermost_group());
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
 }
 
@@ -135,7 +135,7 @@ TEST_P(IncrementalProofFuzz, EveryUnsatAnswerCertifies) {
     } else if (pick < 6) {
       solver.push_group();
     } else if (pick < 8 && solver.num_groups() > 0) {
-      certifier.pop_group();
+      certifier.pop_group(certifier.innermost_group());
     } else {
       std::vector<Lit> assumptions;
       for (std::uint64_t i = rng.below(3); i > 0; --i) {

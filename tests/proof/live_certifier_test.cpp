@@ -70,7 +70,9 @@ TEST(LiveCertifier, SyncsTheCheckerBeforeEveryOperation) {
                 [&] { return certifier.set_group_active(group, true); });
   expect_synced("pop_group(id)", [&] { return certifier.pop_group(group); });
   ASSERT_NE(solver.push_group(), no_group);
-  expect_synced("pop_group()", [&] { return certifier.pop_group(); });
+  expect_synced("pop_group(innermost)", [&] {
+    return certifier.pop_group(certifier.innermost_group());
+  });
   ASSERT_TRUE(solver.ok());
 }
 
@@ -86,7 +88,7 @@ TEST(LiveCertifier, DeadHandlesAreRefusedOnBothSides) {
         << "group " << dead;
     EXPECT_FALSE(certifier.set_group_active(dead, false)) << "group " << dead;
   }
-  EXPECT_FALSE(certifier.pop_group());
+  EXPECT_FALSE(certifier.pop_group(certifier.innermost_group()));
   // Had (-1) reached the checker in a group of its own, that group would
   // refute the database there.
   ASSERT_EQ(solver.solve(), SolveStatus::satisfiable);
@@ -128,9 +130,9 @@ TEST(LiveCertifier, WithoutACheckerOperationsPassThrough) {
   EXPECT_EQ(solver.solve(), SolveStatus::unsatisfiable);
   ASSERT_TRUE(certifier.set_group_active(group, false));
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
-  ASSERT_TRUE(certifier.pop_group());
+  ASSERT_TRUE(certifier.pop_group(certifier.innermost_group()));
   EXPECT_FALSE(solver.group_is_live(group));
-  EXPECT_FALSE(certifier.pop_group());
+  EXPECT_FALSE(certifier.pop_group(certifier.innermost_group()));
   EXPECT_EQ(solver.solve(), SolveStatus::satisfiable);
 }
 

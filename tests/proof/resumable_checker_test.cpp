@@ -162,7 +162,7 @@ TEST(ResumableChecker, EachStepIsVerifiedOncePerSession) {
   for (int query = 0; unsat_answers < 50 && query < 2000; ++query) {
     if (query % 7 == 0) {
       if (solver.num_groups() > 2) {
-        ASSERT_TRUE(certifier.pop_group());
+        ASSERT_TRUE(certifier.pop_group(certifier.innermost_group()));
       }
       solver.push_group();
       for (int i = 0; i < 6; ++i) {
@@ -372,7 +372,9 @@ SessionRecord certified_session(Solver& solver,
   Rng rng(seed);
   for (int query = 0; query < 120 && solver.ok(); ++query) {
     if (query % 6 == 0) {
-      if (solver.num_groups() > 2) (void)certifier.pop_group();
+      if (solver.num_groups() > 2) {
+        (void)certifier.pop_group(certifier.innermost_group());
+      }
       solver.push_group();
       for (int i = 0; i < 5; ++i) {
         std::vector<Lit> clause;

@@ -37,10 +37,10 @@ TEST(ServiceSession, PushPopSolveLifecycle) {
   ASSERT_TRUE(sid.has_value());
   EXPECT_EQ(service.open_sessions(), 1u);
 
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
-  ASSERT_TRUE(service.session_push(*sid));
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({-2})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({-1}))));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({-2}))));
 
   JobResult result;
   ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
@@ -48,13 +48,16 @@ TEST(ServiceSession, PushPopSolveLifecycle) {
   EXPECT_EQ(result.session, *sid);
   EXPECT_EQ(result.name, "inc#1");
 
-  ASSERT_TRUE(service.session_pop(*sid));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
   ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   EXPECT_EQ(result.status, SolveStatus::satisfiable);
   EXPECT_EQ(result.name, "inc#2");
 
+  // A solve op is not a mutation: session_query asks.
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::solve()));
+
   EXPECT_TRUE(service.close_session(*sid));
-  EXPECT_FALSE(service.session_push(*sid));  // closed
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::push()));  // closed
   EXPECT_EQ(service.open_sessions(), 0u);
   EXPECT_EQ(service.stats().sessions_opened, 1u);
   EXPECT_EQ(service.stats().session_solves, 2u);
@@ -89,16 +92,16 @@ TEST(ServiceSession, SessionAfterACloseAnswersAsInANewService) {
                          r.proof_valid});
     };
     for (const auto& clause : cnf.clauses()) {
-      EXPECT_TRUE(service.session_add_clause(*sid, clause));
+      EXPECT_TRUE(service.session_apply(*sid, icnf::Op::clause(clause)));
     }
     solve({});
-    EXPECT_TRUE(service.session_push(*sid).has_value());
+    EXPECT_TRUE(service.session_apply(*sid, icnf::Op::push()).has_value());
     for (const auto& clause :
          {lits({1, 2}), lits({1, -2}), lits({-1, 2}), lits({-1, -2})}) {
-      EXPECT_TRUE(service.session_add_clause(*sid, clause));
+      EXPECT_TRUE(service.session_apply(*sid, icnf::Op::clause(clause)));
     }
     solve({});
-    EXPECT_TRUE(service.session_pop(*sid));
+    EXPECT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
     solve(lits({-3, -4}));
     EXPECT_TRUE(service.close_session(*sid));
     return answers;
@@ -145,7 +148,7 @@ TEST(ServiceSession, BusyDisciplineRejectsOverlap) {
   // once the service has admitted it.
   const Cnf hole = gen::pigeonhole(10);
   for (const auto& clause : hole.clauses()) {
-    ASSERT_TRUE(service.session_add_clause(*sid, clause));
+    ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(clause)));
   }
   JobResult result;
   std::thread owner([&] {
@@ -155,17 +158,17 @@ TEST(ServiceSession, BusyDisciplineRejectsOverlap) {
   while (service.stats().submitted == 0) std::this_thread::yield();
   // While the query is in flight, mutations, a second query and close are
   // all rejected.
-  EXPECT_FALSE(service.session_push(*sid));
-  EXPECT_FALSE(service.session_pop(*sid));
-  EXPECT_FALSE(service.session_add_clause(*sid, lits({1})));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::push()));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::pop()));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::clause(lits({1}))));
   EXPECT_FALSE(ask(service, *sid).has_value());
   EXPECT_FALSE(service.close_session(*sid));
   owner.join();
   EXPECT_EQ(result.outcome, JobOutcome::deadline_expired);
   EXPECT_EQ(result.status, SolveStatus::unknown);
   // Released: the session is usable again.
-  EXPECT_TRUE(service.session_push(*sid));
-  EXPECT_TRUE(service.session_pop(*sid));
+  EXPECT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  EXPECT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
   EXPECT_TRUE(service.close_session(*sid));
 }
 
@@ -173,10 +176,10 @@ TEST(ServiceSession, PopWithoutGroupRejected) {
   SolverService service(ServiceOptions{});
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
-  EXPECT_FALSE(service.session_pop(*sid));
-  EXPECT_TRUE(service.session_push(*sid));
-  EXPECT_TRUE(service.session_pop(*sid));
-  EXPECT_FALSE(service.session_pop(*sid));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::pop()));
+  EXPECT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  EXPECT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::pop()));
 }
 
 TEST(ServiceSession, ProofPerAnswerIncludingAfterPop) {
@@ -189,12 +192,12 @@ TEST(ServiceSession, ProofPerAnswerIncludingAfterPop) {
 
   const Cnf base = gen::random_ksat(10, 25, 3, 21);
   for (const auto& clause : base.clauses()) {
-    ASSERT_TRUE(service.session_add_clause(*sid, clause));
+    ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(clause)));
   }
-  ASSERT_TRUE(service.session_push(*sid));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
   for (const auto& clause :
        {lits({1, 2}), lits({1, -2}), lits({-1, 2}), lits({-1, -2})}) {
-    ASSERT_TRUE(service.session_add_clause(*sid, clause));
+    ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(clause)));
   }
   JobResult result;
   ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
@@ -205,8 +208,8 @@ TEST(ServiceSession, ProofPerAnswerIncludingAfterPop) {
   EXPECT_TRUE(result.proof.empty());
 
   // After the pop, an assumption-driven UNSAT must also certify.
-  ASSERT_TRUE(service.session_pop(*sid));
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({3, 4})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({3, 4}))));
   ASSERT_TRUE(service.session_query(*sid, lits({-3, -4}), {}, result));
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(result.proof_checked);
@@ -226,29 +229,35 @@ TEST(ServiceSession, NamedHandlesOnCheckedSession) {
   const auto sid = service.open_session(request);
   ASSERT_TRUE(sid.has_value());
 
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
-  const std::optional<GroupId> popped = service.session_push(*sid);
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
+  const std::optional<GroupId> popped =
+      service.session_apply(*sid, icnf::Op::push());
   ASSERT_TRUE(popped.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({3})));
-  ASSERT_TRUE(service.session_pop(*sid, *popped));
-  const std::optional<GroupId> group = service.session_push(*sid);
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({3}))));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop(*popped)));
+  const std::optional<GroupId> group =
+      service.session_apply(*sid, icnf::Op::push());
   ASSERT_TRUE(group.has_value());
-  ASSERT_TRUE(service.session_add_clause_to(*sid, *group, lits({-1})));
-  ASSERT_TRUE(service.session_add_clause_to(*sid, *group, lits({-2})));
+  ASSERT_TRUE(
+      service.session_apply(*sid, icnf::Op::clause_to(*group, lits({-1}))));
+  ASSERT_TRUE(
+      service.session_apply(*sid, icnf::Op::clause_to(*group, lits({-2}))));
 
   const std::uint64_t added = service.stats().session_clauses_added;
   const GroupId never_pushed = *group + 1;
   for (const GroupId dead : {*popped, never_pushed}) {
-    EXPECT_FALSE(service.session_pop(*sid, dead)) << "group " << dead;
-    EXPECT_FALSE(service.session_add_clause_to(*sid, dead, lits({4})))
+    EXPECT_FALSE(
+        service.session_apply(*sid, icnf::Op::pop(dead))) << "group " << dead;
+    EXPECT_FALSE(
+        service.session_apply(*sid, icnf::Op::clause_to(dead, lits({4}))))
         << "group " << dead;
-    EXPECT_FALSE(service.session_set_group_active(*sid, dead, false))
+    EXPECT_FALSE(service.session_apply(*sid, icnf::Op::set_active(dead, false)))
         << "group " << dead;
   }
   EXPECT_EQ(service.stats().session_clauses_added, added);
 
   // Parked, the group no longer refutes the formula; the assumptions do.
-  ASSERT_TRUE(service.session_set_group_active(*sid, *group, false));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::set_active(*group, false)));
   JobResult result;
   ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   ASSERT_EQ(result.status, SolveStatus::satisfiable);
@@ -257,7 +266,7 @@ TEST(ServiceSession, NamedHandlesOnCheckedSession) {
   EXPECT_TRUE(result.proof_checked && result.proof_valid);
 
   // Revived, it refutes the formula on its own again.
-  ASSERT_TRUE(service.session_set_group_active(*sid, *group, true));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::set_active(*group, true)));
   ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   ASSERT_EQ(result.status, SolveStatus::unsatisfiable);
   EXPECT_TRUE(result.failed_assumptions.empty());
@@ -281,7 +290,7 @@ TEST(ServiceSession, WaitReleasesSessionAnswer) {
   ASSERT_TRUE(collected.has_value());
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
 
   const std::optional<JobResult> result = ask(service, *sid);
   ASSERT_TRUE(result.has_value());
@@ -316,8 +325,8 @@ TEST(ServiceSession, PortfolioSessionProofIsStructurallyUnsupported) {
   request.proof.log = true;
   const auto sid = service.open_session(request);
   ASSERT_TRUE(sid.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1})));
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1}))));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({-1}))));
   JobResult result;
   ASSERT_TRUE(service.session_query(*sid, {}, {}, result));
   EXPECT_EQ(result.outcome, JobOutcome::unsupported);
@@ -338,7 +347,7 @@ TEST(ServiceSession, DeadlineMidSolveKeepsSessionUsable) {
   ASSERT_TRUE(sid.has_value());
   const Cnf hole = gen::pigeonhole(9);  // far beyond the deadline
   for (const auto& clause : hole.clauses()) {
-    ASSERT_TRUE(service.session_add_clause(*sid, clause));
+    ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(clause)));
   }
   JobResult result;
   ASSERT_TRUE(service.session_query(
@@ -349,12 +358,12 @@ TEST(ServiceSession, DeadlineMidSolveKeepsSessionUsable) {
   // The session keeps answering: a follow-up query that can be answered
   // quickly is, the mutations around it are accepted, and then the first
   // query's formula is answered again under a conflict limit.
-  ASSERT_TRUE(service.session_push(*sid));
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({100})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({100}))));
   ASSERT_TRUE(service.session_query(*sid, lits({-100}), {}, result));
   EXPECT_EQ(result.outcome, JobOutcome::completed);
   EXPECT_EQ(result.status, SolveStatus::unsatisfiable);
-  ASSERT_TRUE(service.session_pop(*sid));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
   ASSERT_TRUE(service.session_query(
       *sid, {}, JobLimits{.max_conflicts = 50}, result));
   EXPECT_EQ(result.outcome, JobOutcome::budget_exhausted);
@@ -370,14 +379,14 @@ TEST(ServiceSessionMisuse, EveryOperationAfterCloseIsRefused) {
   SolverService service({.num_workers = 1});
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
-  ASSERT_TRUE(service.session_push(*sid));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
   EXPECT_TRUE(service.close_session(*sid));
 
   EXPECT_FALSE(ask(service, *sid).has_value());
-  EXPECT_FALSE(service.session_add_clause(*sid, lits({3})));
-  EXPECT_FALSE(service.session_push(*sid));
-  EXPECT_FALSE(service.session_pop(*sid));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::clause(lits({3}))));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::push()));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::pop()));
   EXPECT_FALSE(service.close_session(*sid));  // double close
   EXPECT_EQ(service.open_sessions(), 0u);
   // The service itself is unharmed: a fresh session works.
@@ -394,7 +403,7 @@ TEST(ServiceSessionMisuse, InvalidSessionIdNamesNoSession) {
   const auto use_and_close = [&service] {
     const auto sid = service.open_session({});
     ASSERT_TRUE(sid.has_value());
-    ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
+    ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
     const std::optional<JobResult> result = ask(service, *sid);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(result->status, SolveStatus::satisfiable);
@@ -402,9 +411,11 @@ TEST(ServiceSessionMisuse, InvalidSessionIdNamesNoSession) {
   };
   for (int i = 0; i < 17; ++i) use_and_close();  // ids 1..17
 
-  EXPECT_FALSE(service.session_add_clause(invalid_session, lits({3})));
-  EXPECT_FALSE(service.session_push(invalid_session).has_value());
-  EXPECT_FALSE(service.session_pop(invalid_session));
+  EXPECT_FALSE(
+      service.session_apply(invalid_session, icnf::Op::clause(lits({3}))));
+  EXPECT_FALSE(
+      service.session_apply(invalid_session, icnf::Op::push()).has_value());
+  EXPECT_FALSE(service.session_apply(invalid_session, icnf::Op::pop()));
   EXPECT_FALSE(ask(service, invalid_session).has_value());
   EXPECT_FALSE(service.close_session(invalid_session));
 
@@ -430,18 +441,18 @@ TEST(ServiceSessionMisuse, InterleavedPopsBeyondStackDepth) {
   SolverService service({.num_workers = 1});
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
   // Drive the group stack up and down, overshooting the bottom twice;
   // each overshoot is refused and leaves the stack where it was.
-  ASSERT_TRUE(service.session_push(*sid));
-  ASSERT_TRUE(service.session_push(*sid));
-  ASSERT_TRUE(service.session_pop(*sid));
-  ASSERT_TRUE(service.session_pop(*sid));
-  EXPECT_FALSE(service.session_pop(*sid));
-  ASSERT_TRUE(service.session_push(*sid));
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
-  ASSERT_TRUE(service.session_pop(*sid));
-  EXPECT_FALSE(service.session_pop(*sid));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::pop()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({-1}))));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::pop()));
   // The session still answers correctly: only the base clause remains.
   const std::optional<JobResult> result = ask(service, *sid, lits({-2}));
   ASSERT_TRUE(result.has_value());
@@ -453,9 +464,9 @@ TEST(ServiceSessionMisuse, PopAfterAssumptionSolvesDoesNotLeakAssumptions) {
   SolverService service({.num_workers = 1});
   const auto sid = service.open_session({});
   ASSERT_TRUE(sid.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
-  ASSERT_TRUE(service.session_push(*sid));
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({-1}))));
 
   // UNSAT under assumptions, with the failed subset reported.
   JobResult result;
@@ -465,7 +476,7 @@ TEST(ServiceSessionMisuse, PopAfterAssumptionSolvesDoesNotLeakAssumptions) {
 
   // Popping right after an assumption solve must retire only the group:
   // the assumptions from the previous query leave no residue.
-  ASSERT_TRUE(service.session_pop(*sid));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
   ASSERT_TRUE(service.session_query(*sid, lits({-2}), {}, result));
   EXPECT_EQ(result.status, SolveStatus::satisfiable);
   EXPECT_TRUE(result.failed_assumptions.empty());
@@ -508,8 +519,11 @@ TEST(ServiceSessionStress, ConcurrentSessionsWithEscalation) {
         return;
       }
       Rng rng(static_cast<std::uint64_t>(s) + 91);
-      std::vector<std::vector<Lit>> active;
-      std::vector<std::size_t> marks;
+      icnf::ActiveFormula active;  // what the session's engine sees
+      const auto apply = [&](const icnf::Op& op) {
+        if (!service.session_apply(*sid, op)) ++divergences;
+        (void)icnf::apply(active, op);
+      };
       const int num_vars = 12;
       for (int op = 0; op < 30; ++op) {
         const std::uint64_t pick = rng.below(10);
@@ -520,15 +534,11 @@ TEST(ServiceSessionStress, ConcurrentSessionsWithEscalation) {
             clause.push_back(
                 Lit(static_cast<Var>(rng.below(num_vars)), rng.coin()));
           }
-          active.push_back(clause);
-          if (!service.session_add_clause(*sid, clause)) ++divergences;
+          apply(icnf::Op::clause(clause));
         } else if (pick < 6) {
-          marks.push_back(active.size());
-          if (!service.session_push(*sid)) ++divergences;
-        } else if (pick < 7 && !marks.empty()) {
-          active.resize(marks.back());
-          marks.pop_back();
-          if (!service.session_pop(*sid)) ++divergences;
+          apply(icnf::Op::push());
+        } else if (pick < 7 && !active.live().empty()) {
+          apply(icnf::Op::pop());
         } else {
           std::vector<Lit> assumptions;
           for (std::uint64_t i = rng.below(2); i > 0; --i) {
@@ -542,7 +552,7 @@ TEST(ServiceSessionStress, ConcurrentSessionsWithEscalation) {
           }
           if (result.status == SolveStatus::unknown) continue;
           Solver scratch;
-          for (const auto& clause : active) (void)scratch.add_clause(clause);
+          scratch.load(active.formula(num_vars));
           if (scratch.solve_with_assumptions(assumptions) != result.status) {
             ++divergences;
           }
@@ -574,7 +584,7 @@ TEST(ServiceSessionStress, ContendedOperationsOnOneSessionNeverOverlap) {
     for (int i = 0; i < kAdds;) {
       const Lit clause[] = {Lit::positive(first_var + 2 * i),
                             Lit::negative(first_var + 2 * i + 1)};
-      if (service.session_add_clause(*sid, clause)) {
+      if (service.session_apply(*sid, icnf::Op::clause(clause))) {
         added.fetch_add(1);
         ++i;
       } else {
@@ -606,10 +616,12 @@ TEST(ServiceSessionStress, ContendedOperationsOnOneSessionNeverOverlap) {
   std::thread late_adder([&] {
     const Lit clause[] = {Lit::positive(0)};
     while (!closed.load()) {
-      if (service.session_add_clause(*sid, clause)) added.fetch_add(1);
+      if (service.session_apply(*sid, icnf::Op::clause(clause))) {
+        added.fetch_add(1);
+      }
     }
     for (int i = 0; i < 100; ++i) {
-      if (service.session_add_clause(*sid, clause)) ++after_close;
+      if (service.session_apply(*sid, icnf::Op::clause(clause))) ++after_close;
     }
   });
   while (!service.close_session(*sid)) std::this_thread::yield();
@@ -633,7 +645,7 @@ TEST(ServiceSessionStress, ShutdownCancelsPendingSessionSolves) {
     ASSERT_TRUE(sid.has_value());
     const Cnf hole = gen::pigeonhole(8);
     for (const auto& clause : hole.clauses()) {
-      ASSERT_TRUE(service->session_add_clause(*sid, clause));
+      ASSERT_TRUE(service->session_apply(*sid, icnf::Op::clause(clause)));
     }
     sessions.push_back(*sid);
   }

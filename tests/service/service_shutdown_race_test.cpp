@@ -46,7 +46,9 @@ TEST(ServiceShutdownRace, DrainShutdownRacesSessionClose) {
         const Cnf cnf = gen::random_ksat(
             16, 65, 3, static_cast<std::uint64_t>(round * 10 + d));
         for (std::size_t i = 0; i < cnf.num_clauses(); ++i) {
-          if (!solving.session_add_clause(*sid, cnf.clause(i))) break;
+          if (!solving.session_apply(*sid, icnf::Op::clause(cnf.clause(i)))) {
+            break;
+          }
         }
         JobResult result;
         for (int q = 0; q < 3; ++q) {
@@ -97,7 +99,9 @@ TEST(ServiceShutdownRace, MidSliceCancelRacesCancelPendingShutdown) {
         if (!sid.has_value()) return;
         const Cnf hard = gen::pigeonhole(8 + d);
         for (std::size_t i = 0; i < hard.num_clauses(); ++i) {
-          if (!solving.session_add_clause(*sid, hard.clause(i))) break;
+          if (!solving.session_apply(*sid, icnf::Op::clause(hard.clause(i)))) {
+            break;
+          }
         }
         JobResult result;
         for (int q = 0; q < 2; ++q) {

@@ -143,13 +143,13 @@ TEST(ServiceTelemetry, ControlRingCarriesJobAndSessionLifecycle) {
 
   const auto sid = service.open_session({.name = "inc"});
   ASSERT_TRUE(sid.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
-  ASSERT_TRUE(service.session_push(*sid));
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({-1})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({-1}))));
   ASSERT_TRUE(ask(service, *sid).has_value());
   service.wait(a);
   service.wait(b);
-  ASSERT_TRUE(service.session_pop(*sid));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
   EXPECT_TRUE(service.close_session(*sid));
   service.shutdown();
 
@@ -196,17 +196,20 @@ TEST(ServiceTelemetry, SessionClauseAdditionsAreCounted) {
   request.proof.check = true;
   const auto sid = service.open_session(request);
   ASSERT_TRUE(sid.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({1, 2})));
-  const std::optional<GroupId> group = service.session_push(*sid);
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({1, 2}))));
+  const std::optional<GroupId> group =
+      service.session_apply(*sid, icnf::Op::push());
   ASSERT_TRUE(group.has_value());
-  ASSERT_TRUE(service.session_add_clause(*sid, lits({-1, 3})));
-  ASSERT_TRUE(service.session_add_clause_to(*sid, *group, lits({-2, 3})));
+  ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(lits({-1, 3}))));
+  ASSERT_TRUE(
+      service.session_apply(*sid, icnf::Op::clause_to(*group, lits({-2, 3}))));
   // Refused additions (a group that is not live, a closed session) add
   // nothing and count nothing.
-  EXPECT_FALSE(service.session_add_clause_to(*sid, *group + 100, lits({4})));
+  EXPECT_FALSE(service.session_apply(
+      *sid, icnf::Op::clause_to(*group + 100, lits({4}))));
   EXPECT_EQ(service.stats().session_clauses_added, 3u);
   EXPECT_TRUE(service.close_session(*sid));
-  EXPECT_FALSE(service.session_add_clause(*sid, lits({5})));
+  EXPECT_FALSE(service.session_apply(*sid, icnf::Op::clause(lits({5}))));
 
   const MetricsSnapshot snap = service.metrics_snapshot();
   EXPECT_EQ(snap.counters.at("service.session_clauses_added"), 3u);
@@ -272,13 +275,13 @@ TEST(ServiceTelemetry, SnapshotAndDrainRaceRunningSolves) {
   ASSERT_TRUE(sid.has_value());
   Rng rng(7);
   for (int round = 0; round < 4; ++round) {
-    ASSERT_TRUE(service.session_push(*sid));
+    ASSERT_TRUE(service.session_apply(*sid, icnf::Op::push()));
     const Cnf cnf = gen::random_ksat(30, 120, 3, rng.next_u64());
     for (const auto& clause : cnf.clauses()) {
-      ASSERT_TRUE(service.session_add_clause(*sid, clause));
+      ASSERT_TRUE(service.session_apply(*sid, icnf::Op::clause(clause)));
     }
     ASSERT_TRUE(ask(service, *sid).has_value());
-    ASSERT_TRUE(service.session_pop(*sid));
+    ASSERT_TRUE(service.session_apply(*sid, icnf::Op::pop()));
   }
 
   // Plain sliced jobs to keep both workers busy.

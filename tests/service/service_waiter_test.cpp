@@ -43,7 +43,7 @@ JobRequest request_for(Cnf cnf) {
 
 void add_formula(SolverService& service, SessionId id, const Cnf& cnf) {
   for (const auto clause : cnf.clauses()) {
-    ASSERT_TRUE(service.session_add_clause(id, clause));
+    ASSERT_TRUE(service.session_apply(id, icnf::Op::clause(clause)));
   }
 }
 
@@ -181,9 +181,10 @@ TEST(ServiceSessionWaiter, WaiterRunSliceLandsInSliceLatencyAndPhases) {
   bool seen = false;
   for (int i = 0; i < kSolves && !seen; ++i) {
     // Each solve retracts its group, so every slice searches again.
-    const GroupId group = *service.session_push(session);
+    const GroupId group = *service.session_apply(session, icnf::Op::push());
     for (const auto clause : formula.clauses()) {
-      ASSERT_TRUE(service.session_add_clause_to(session, group, clause));
+      ASSERT_TRUE(
+          service.session_apply(session, icnf::Op::clause_to(group, clause)));
     }
     const MetricsSnapshot before = service.metrics_snapshot();
     const std::optional<JobResult> result = ask(service, session);
@@ -191,7 +192,7 @@ TEST(ServiceSessionWaiter, WaiterRunSliceLandsInSliceLatencyAndPhases) {
     ASSERT_TRUE(result.has_value());
     ASSERT_EQ(result->status, SolveStatus::unsatisfiable);
     ASSERT_EQ(result->slices, 1u);
-    ASSERT_TRUE(service.session_pop(session, group));
+    ASSERT_TRUE(service.session_apply(session, icnf::Op::pop(group)));
     if (after.counters.at("service.waiter_slices") ==
         before.counters.at("service.waiter_slices")) {
       continue;  // the worker won the race for this one
@@ -314,13 +315,14 @@ TEST(ServiceSessionWaiter, MultiCallerStressNeverExceedsTheSlots) {
       }
       const Cnf formula = gen::pigeonhole(6);
       for (int round = 0; round < kRounds; ++round) {
-        const auto group = service.session_push(*session);
+        const auto group = service.session_apply(*session, icnf::Op::push());
         if (!group.has_value()) {
           ++wrong;
           return;
         }
         for (const auto clause : formula.clauses()) {
-          if (!service.session_add_clause_to(*session, *group, clause)) {
+          if (!service.session_apply(*session,
+                                     icnf::Op::clause_to(*group, clause))) {
             ++wrong;
           }
         }
@@ -330,7 +332,8 @@ TEST(ServiceSessionWaiter, MultiCallerStressNeverExceedsTheSlots) {
           return;
         }
         if (result.status != SolveStatus::unsatisfiable ||
-            !result.proof_valid || !service.session_pop(*session, *group)) {
+            !result.proof_valid ||
+            !service.session_apply(*session, icnf::Op::pop(*group))) {
           ++wrong;
         }
       }
