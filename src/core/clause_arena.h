@@ -95,6 +95,7 @@ class ClauseArena {
   void reuse(ClauseArena& spent) { reuse_buffer(data_, spent.data_); }
 
   void reserve_words(std::size_t words) { data_.reserve(words); }
+  void swap(ClauseArena& other) noexcept { data_.swap(other.data_); }
 
  private:
   std::vector<std::uint32_t> data_;

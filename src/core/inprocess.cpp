@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "cnf/simplify.h"
 #include "core/solver.h"
 #include "telemetry/trace.h"
 
@@ -74,17 +75,8 @@ bool Inprocessor::assert_unit(Lit l) {
 
 bool Inprocessor::install_derived(const std::vector<Lit>& lits, bool learned,
                                   std::uint32_t glue) {
-  // Normalize: sort by code, merge duplicates, drop tautologies.
   derived_scratch_ = lits;
-  std::sort(derived_scratch_.begin(), derived_scratch_.end(), lit_code_less);
-  derived_scratch_.erase(
-      std::unique(derived_scratch_.begin(), derived_scratch_.end()),
-      derived_scratch_.end());
-  for (std::size_t i = 1; i < derived_scratch_.size(); ++i) {
-    if (derived_scratch_[i].var() == derived_scratch_[i - 1].var()) {
-      return true;  // tautology: nothing to install
-    }
-  }
+  if (!normalize_clause(derived_scratch_)) return true;  // tautology
   // Root reduction; the reduced form is what gets logged and stored (RUP
   // given the units the checker can propagate itself).
   std::size_t kept = 0;

@@ -113,16 +113,16 @@ bool Solver::apply_pressure_ladder() {
     reason_[l.var()] = no_clause;
     bin_reason_other_[l.var()] = undef_lit;
   }
-  std::vector<char> keep(learned_stack_.size(), 0);
+  gc_keep_.assign(learned_stack_.size(), 0);
   for (std::size_t i = 0; i < learned_stack_.size(); ++i) {
     if (clause_is_satisfied(learned_stack_[i])) continue;  // migrate asserts
     const Clause c = arena_.deref(learned_stack_[i]);
-    keep[i] = (c.glue() != 0 && c.glue() <= kGlueCore) ||
-                      i + 1 == learned_stack_.size()
-                  ? 1
-                  : 0;
+    gc_keep_[i] = (c.glue() != 0 && c.glue() <= kGlueCore) ||
+                          i + 1 == learned_stack_.size()
+                      ? 1
+                      : 0;
   }
-  garbage_collect(keep);
+  garbage_collect(gc_keep_);
   // An emergency reduction that leaves pressure at critical freed nothing
   // that matters: the limit is held down by the base formula or by charge
   // other tenants own. After a streak of those the limit is unattainable —
@@ -194,11 +194,11 @@ void Solver::reduce_db() {
     bin_reason_other_[l.var()] = undef_lit;
   }
 
-  std::vector<char> keep(learned_stack_.size(), 0);
+  gc_keep_.assign(learned_stack_.size(), 0);
   for (std::size_t i = 0; i < learned_stack_.size(); ++i) {
-    keep[i] = keep_learned(i, learned_stack_.size()) ? 1 : 0;
+    gc_keep_[i] = keep_learned(i, learned_stack_.size()) ? 1 : 0;
   }
-  garbage_collect(keep);
+  garbage_collect(gc_keep_);
 
   if (opts_.reduction_policy == ReductionPolicy::berkmin) {
     old_threshold_ += kThresholdIncrement;
@@ -236,10 +236,14 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
   const std::int64_t gc_start_ns =
       telemetry_ != nullptr ? telemetry_->now_ns() : 0;
   const std::size_t arena_words_before = arena_.size_words();
-  ClauseArena new_arena;
+  // The clauses move into the spare arena, which then swaps with arena_;
+  // the old arena is the next collection's spare. Every buffer here is a
+  // member, so a collection allocates only when the database outgrew it.
+  ClauseArena& new_arena = gc_arena_;
+  new_arena.clear();
   new_arena.reserve_words(arena_.size_words());
-  std::vector<Lit> stripped;
-  std::vector<Lit> before;
+  std::vector<Lit>& stripped = gc_stripped_;
+  std::vector<Lit>& before = callback_scratch_;
 
   // Emits the DRAT trace of strengthening: the shortened clause is RUP
   // (its removed literals are all false under root units), after which the
@@ -278,8 +282,8 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
     return fresh;
   };
 
-  std::vector<ClauseRef> new_originals;
-  new_originals.reserve(originals_.size());
+  std::vector<ClauseRef>& new_originals = gc_refs_;
+  new_originals.clear();
   for (std::size_t i = 0; i < originals_.size(); ++i) {
     const ClauseRef ref = originals_[i];
     if (keep_originals != nullptr && !(*keep_originals)[i]) {
@@ -292,20 +296,23 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
     if (clause_is_satisfied(ref)) continue;  // satisfied by retained facts
     new_originals.push_back(migrate(ref, /*learned=*/false));
   }
+  originals_.swap(new_originals);
 
-  std::vector<ClauseRef> new_learned;
-  new_learned.reserve(learned_stack_.size());
+  // The learned stack is rewritten in place: entry i moves to kept <= i.
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < learned_stack_.size(); ++i) {
     if (!keep_learned[i]) {
       notify_deleted(learned_stack_[i]);
       continue;
     }
-    new_learned.push_back(migrate(learned_stack_[i], /*learned=*/true));
+    learned_stack_[kept++] = migrate(learned_stack_[i], /*learned=*/true);
   }
+  learned_stack_.resize(kept);
 
-  arena_ = std::move(new_arena);
-  originals_ = std::move(new_originals);
-  learned_stack_ = std::move(new_learned);
+  arena_.swap(new_arena);
+  // Under a memory budget no spare is kept: the budget charges arena_
+  // alone, so the old arena is freed.
+  if (budget_ != nullptr) gc_arena_ = ClauseArena();
   satisfied_cache_.assign(learned_stack_.size(), undef_lit);
 
   // Rebuild watches and occurrence lists from scratch. Counting the
@@ -313,10 +320,10 @@ void Solver::garbage_collect(const std::vector<char>& keep_learned,
   // with zero relocations and zero slack. The surviving originals are a
   // subset of the listed ones, so every occurrence list refills within its
   // span.
-  std::vector<std::uint32_t> watch_counts(
-      2 * static_cast<std::size_t>(num_internal_vars()), 0);
-  std::vector<std::uint32_t> bin_counts(
-      2 * static_cast<std::size_t>(num_internal_vars()), 0);
+  std::vector<std::uint32_t>& watch_counts = gc_watch_counts_;
+  std::vector<std::uint32_t>& bin_counts = gc_bin_counts_;
+  watch_counts.assign(2 * static_cast<std::size_t>(num_internal_vars()), 0);
+  bin_counts.assign(2 * static_cast<std::size_t>(num_internal_vars()), 0);
   for (const ClauseRef ref : originals_) {
     count_watches(arena_.deref(ref), watch_counts, bin_counts);
   }

@@ -26,6 +26,7 @@ void Solver::set_memory_budget(util::MemoryBudget* budget) {
   }
   budget_ = budget;
   budget_charged_bytes_ = 0;
+  if (budget_ != nullptr) gc_arena_ = ClauseArena();  // see garbage_collect
   sync_budget_charge();
 }
 
@@ -257,17 +258,17 @@ bool Solver::pop_group(GroupId id) {
     reason_[l.var()] = no_clause;
     bin_reason_other_[l.var()] = undef_lit;
   }
-  std::vector<char> keep(learned_stack_.size(), 1);
+  gc_keep_.assign(learned_stack_.size(), 1);
   std::uint64_t dropped = 0;
   for (std::size_t i = 0; i < learned_stack_.size(); ++i) {
     if (clause_is_satisfied(learned_stack_[i])) {
-      keep[i] = 0;
+      gc_keep_[i] = 0;
       ++dropped;
     }
   }
   stats_.pop_dropped_learned += dropped;
   stats_.pop_retained_learned += learned_stack_.size() - dropped;
-  garbage_collect(keep);
+  garbage_collect(gc_keep_);
 
   // After the collection no stored clause mentions s (every clause that
   // did was satisfied by it and dropped; ~s never occurs anywhere), so
@@ -341,7 +342,14 @@ bool Solver::add_root_clause(std::span<const Lit> lits, bool learned,
       add_scratch_.push_back(l);
     }
   } else {
-    for (const Lit l : lits) add_scratch_.push_back(external_to_internal(l));
+    // The variables the clause names first, in numbering order, then the
+    // translation, which no longer needs to create any.
+    Var top = no_var;
+    for (const Lit l : lits) top = std::max(top, l.var());
+    while (top >= num_vars()) new_var();
+    for (const Lit l : lits) {
+      add_scratch_.push_back(Lit(ext2int_[l.var()], l.is_negative()));
+    }
     if (forced_selector_ != undef_lit) {
       add_scratch_.push_back(forced_selector_);
     } else if (!group_selectors_.empty()) {

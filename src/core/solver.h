@@ -590,6 +590,17 @@ class Solver final : public SatEngine {
   // add_root_clause scratch: the translated/selector-tagged input, then
   // normalized and root-reduced in place.
   std::vector<Lit> add_scratch_;
+  // garbage_collect's buffers, kept between collections: the spare arena
+  // the clauses move into (the old arena becomes the next spare, except
+  // under a memory budget), the originals' new references, a clause's
+  // kept literals, the watcher counts, and the keep mask its callers in
+  // this solver fill.
+  ClauseArena gc_arena_;
+  std::vector<ClauseRef> gc_refs_;
+  std::vector<Lit> gc_stripped_;
+  std::vector<std::uint32_t> gc_watch_counts_;
+  std::vector<std::uint32_t> gc_bin_counts_;
+  std::vector<char> gc_keep_;
 
   // Resource governor state (see set_memory_budget). charged_bytes_ is
   // what this solver currently holds against the budget;

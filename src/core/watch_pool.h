@@ -11,9 +11,12 @@
 // clauses of three or more literals and FlatWatchLists<BinWatch> for the
 // specialized binary lists.
 //
-// Growth: when a span is full its contents are relocated to fresh slots at
-// the end of the pool with doubled capacity; the vacated slots become
-// garbage tracked by wasted(). Geometric growth bounds total garbage by
+// Growth: when a span is full its capacity doubles. A span that already
+// ends the pool grows in place (nothing moves, nothing is wasted); any
+// other is relocated to fresh slots at the end of the pool, and the
+// vacated slots become garbage tracked by wasted(). Pushes to the newest
+// literals, as a stream of clause adds makes, often grow in place.
+// Geometric growth bounds total garbage by
 // the live size. compact() (called at restart boundaries), rebuild()
 // (called by garbage collection, which knows the exact watcher counts up
 // front) and reserve() (called by Solver::load, which counts a formula's
@@ -137,8 +140,14 @@ class FlatWatchLists {
   // re-attaching). Subsequent pushes fill the spans with zero relocations
   // and zero waste.
   void rebuild(const std::vector<std::uint32_t>& counts) {
-    clear();
-    reserve(counts);
+    assert(counts.size() == spans_.size());
+    std::uint32_t offset = 0;
+    for (std::size_t code = 0; code < spans_.size(); ++code) {
+      spans_[code] = {offset, 0, counts[code]};
+      offset += counts[code];
+    }
+    pool_.assign(offset, Entry{});  // in the buffer the pool already has
+    wasted_ = 0;
   }
 
   // The capacity push() growth gives a list that reaches `len` entries.
@@ -172,13 +181,16 @@ class FlatWatchLists {
  private:
   void grow(Span& s) {
     const std::uint32_t new_cap = s.cap == 0 ? 4 : 2 * s.cap;
-    const std::uint32_t new_off = static_cast<std::uint32_t>(pool_.size());
-    pool_.resize(pool_.size() + new_cap);
-    for (std::uint32_t i = 0; i < s.len; ++i) {
-      pool_[new_off + i] = pool_[s.offset + i];
+    const auto end = static_cast<std::uint32_t>(pool_.size());
+    const bool at_tail = s.offset + s.cap == end;
+    pool_.resize(end + new_cap - (at_tail ? s.cap : 0));
+    if (!at_tail) {
+      for (std::uint32_t i = 0; i < s.len; ++i) {
+        pool_[end + i] = pool_[s.offset + i];
+      }
+      wasted_ += s.cap;
+      s.offset = end;
     }
-    wasted_ += s.cap;
-    s.offset = new_off;
     s.cap = new_cap;
   }
 

@@ -64,6 +64,7 @@ SessionBackend::SessionBackend(service::SolverService& service,
 }
 
 SessionBackend::~SessionBackend() {
+  claim_.release();
   if (session_ != service::invalid_session) {
     (void)service_.close_session(session_);
   }
@@ -78,7 +79,8 @@ Var SessionBackend::new_vars(int n) {
 }
 
 std::optional<GroupId> SessionBackend::apply(const icnf::Op& op) {
-  const std::optional<GroupId> group = service_.session_apply(session_, op);
+  if (!claim_) claim_ = service_.claim_session(session_);
+  const std::optional<GroupId> group = claim_.apply(op);
   if (!group.has_value()) {
     error_ = std::string("SessionBackend: refused ") + icnf::to_string(op.kind);
   }
@@ -88,6 +90,7 @@ std::optional<GroupId> SessionBackend::apply(const icnf::Op& op) {
 SolveStatus SessionBackend::solve(std::span<const Lit> assumptions,
                                   const Budget& budget) {
   error_.clear();
+  claim_.release();
   if (budget.max_decisions != 0 || budget.max_propagations != 0) {
     // JobLimits counts only conflicts and seconds; answering past a budget
     // the session cannot enforce would overrun it silently.

@@ -139,7 +139,12 @@ class SolverBackend final : public EngineBackend {
 
 // ---- service session --------------------------------------------------
 
-// Owns one incremental session inside a SolverService; each solve() is a
+// Owns one incremental session inside a SolverService. Its clause and
+// group operations run under one SolverService::SessionClaim, taken by the
+// first operation after a solve() and held until the next solve() or the
+// backend's end, so a frame of adds pays for one claim and each add for
+// none. While the backend holds it, any other caller's operation on the
+// session is refused as busy. Each solve() ends the claim and is a
 // SolverService::session_query, which (when the job is the scheduler's
 // pick and a slice slot is free) runs the job's slices on the calling
 // thread, so an uncontended query wakes no worker.
@@ -181,10 +186,12 @@ class SessionBackend final : public EngineBackend {
   const service::JobResult& last_result() const { return result_; }
 
  private:
-  // SolverService::session_apply; a refusal sets last_error().
+  // The op under the backend's claim, claiming the session first when
+  // the claim has ended; a refusal sets last_error().
   std::optional<GroupId> apply(const icnf::Op& op);
   service::SolverService& service_;
   service::SessionId session_ = service::invalid_session;
+  service::SolverService::SessionClaim claim_;
   int threads_ = 1;
   Var next_var_ = 0;
   service::JobResult result_;

@@ -43,10 +43,9 @@ DratChecker::DratChecker(const Cnf& cnf) : record_antecedents_(true) {
   clauses_.reserve(cnf.num_clauses());
   lit_pool_.reserve(cnf.num_literals());
   for (std::size_t i = 0; i < cnf.num_clauses(); ++i) {
-    const auto clause = cnf.clause(i);
-    clause_scratch_.assign(clause.begin(), clause.end());
     // A tautology can never matter.
-    if (normalize_clause(clause_scratch_)) settle(store({}, false, i));
+    const auto offset = static_cast<std::uint32_t>(lit_pool_.size());
+    if (append_normalized(cnf.clause(i))) settle(store(offset, {}, false, i));
   }
   num_original_clauses_ = clauses_.size();
   propagate();
@@ -74,15 +73,25 @@ void DratChecker::ensure_var(Var v) {
   lit_mark_.resize(2 * needed, 0);
 }
 
-std::uint32_t DratChecker::store(std::span<const GroupId> groups,
+bool DratChecker::append_normalized(std::span<const Lit> lits) {
+  const std::size_t offset = lit_pool_.size();
+  for (const Lit l : lits) lit_pool_.push_back(l);
+  const std::size_t kept =
+      normalize_clause(std::span<Lit>(lit_pool_).subspan(offset));
+  lit_pool_.resize(offset + (kept == tautology ? 0 : kept));
+  return kept != tautology;
+}
+
+std::uint32_t DratChecker::store(std::uint32_t offset,
+                                 std::span<const GroupId> groups,
                                  bool from_proof, std::size_t source) {
-  ensure_scratch_vars();
+  // Normalized literals are sorted by code, so the last has the largest
+  // variable.
+  if (offset < lit_pool_.size()) ensure_var(lit_pool_.back().var());
   const auto id = static_cast<std::uint32_t>(clauses_.size());
   StoredClause& c = clauses_.emplace_back();
-  c.offset = static_cast<std::uint32_t>(lit_pool_.size());
-  c.size = static_cast<std::uint32_t>(clause_scratch_.size());
-  lit_pool_.insert(lit_pool_.end(), clause_scratch_.begin(),
-                   clause_scratch_.end());
+  c.offset = offset;
+  c.size = static_cast<std::uint32_t>(lit_pool_.size() - offset);
   c.num_groups = static_cast<std::uint32_t>(groups.size());
   if (groups.size() == 1) {
     c.group = groups.front();
@@ -397,10 +406,12 @@ bool DratChecker::check_rup(std::span<const Lit> clause) {
 }
 
 void DratChecker::add_original(std::span<const Lit> lits, GroupId group) {
-  clause_scratch_.assign(lits.begin(), lits.end());
-  if (!normalize_clause(clause_scratch_)) return;  // tautology: never matters
+  // Normalized where it is stored, at the end of the pool.
+  const auto offset = static_cast<std::uint32_t>(lit_pool_.size());
+  if (!append_normalized(lits)) return;  // tautology: never matters
   const std::span<const GroupId> groups(&group, group == no_group ? 0 : 1);
-  const std::uint32_t id = store(groups, /*from_proof=*/false, clauses_.size());
+  const std::uint32_t id =
+      store(offset, groups, /*from_proof=*/false, clauses_.size());
   if (!clauses_[id].propagating()) return;  // parked: settled on revival
   const std::size_t assigned = trail_.size();
   settle(id);
@@ -669,7 +680,11 @@ void DratChecker::consume_step(const ProofStep& step, std::size_t index) {
   // An empty addition is RUP only when the database is already refuted.
   if (clause_scratch_.empty()) return;
 
-  const std::uint32_t id = store(group_scratch_, /*from_proof=*/true, index);
+  const auto offset = static_cast<std::uint32_t>(lit_pool_.size());
+  lit_pool_.insert(lit_pool_.end(), clause_scratch_.begin(),
+                   clause_scratch_.end());
+  const std::uint32_t id =
+      store(offset, group_scratch_, /*from_proof=*/true, index);
   settle(id);
   propagate();
 }

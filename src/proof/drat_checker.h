@@ -256,10 +256,13 @@ class DratChecker {
   GroupState& group_state(GroupId group);
   // ensure_var for the normalized clause in clause_scratch_.
   void ensure_scratch_vars();
-  // Stores the normalized clause in clause_scratch_, resting on `groups`
-  // (sorted), and registers it with its groups.
-  std::uint32_t store(std::span<const GroupId> groups, bool from_proof,
-                      std::size_t source);
+  // Appends `lits` to the pool and normalizes them there; false, with the
+  // pool as it was, for a tautology.
+  bool append_normalized(std::span<const Lit> lits);
+  // Stores the normalized clause lit_pool_[offset, end), resting on
+  // `groups` (sorted), and registers it with its groups.
+  std::uint32_t store(std::uint32_t offset, std::span<const GroupId> groups,
+                      bool from_proof, std::size_t source);
   // Releases a clause's literals and groups to the pools' garbage.
   void release(StoredClause& c);
   // Compacts each pool whose garbage outgrows both its live size and the

@@ -238,40 +238,47 @@ std::optional<SessionId> SolverService::open_session(SessionRequest request) {
   return id;
 }
 
-// Claims the session in one critical section (counting an add whose group
-// is live) and applies the op outside the lock, through the session's
-// certifier, on a raw pointer: close_session refuses a busy session, so it
-// cannot go away meanwhile. An atomic store releases the session; only a
-// push or pop takes the lock again, to emit its control-ring event first.
+SolverService::SessionClaim SolverService::claim_session(SessionId id) {
+  std::lock_guard<std::mutex> lk(lock_);
+  Session* session = claim_session_locked(id);
+  if (session == nullptr) return {};
+  return SessionClaim(*this, *session);
+}
+
 std::optional<GroupId> SolverService::session_apply(SessionId id,
                                                    const icnf::Op& op) {
+  return claim_session(id).apply(op);
+}
+
+// The claim makes the engine this holder's alone, so the op runs through
+// the session's certifier on a raw pointer: close_session refuses a busy
+// session, so it cannot go away meanwhile.
+std::optional<GroupId> SolverService::SessionClaim::apply(const icnf::Op& op) {
   using Kind = icnf::Op::Kind;
-  Session* session = nullptr;
-  {
-    std::lock_guard<std::mutex> lk(lock_);
-    session = claim_session_locked(id);
-    if (session == nullptr) return std::nullopt;
-    // The claim makes the engine this caller's alone until released. An
-    // add counts unless its named group is dead (a refusal).
-    const SatEngine& engine = *session->engine;
-    if (op.kind == Kind::add_clause ||
-        (op.kind == Kind::add_clause_to &&
-         engine.group_is_live(op.group == innermost_group
-                                  ? engine.innermost_group()
-                                  : op.group))) {
-      ++stats_.session_clauses_added;
-    }
+  if (session_ == nullptr) return std::nullopt;
+  const std::optional<GroupId> group = icnf::apply(session_->certifier, op);
+  if (!group.has_value()) return group;
+  if (op.kind == Kind::add_clause || op.kind == Kind::add_clause_to) {
+    // An add counts unless its named group is dead (a refusal). Only the
+    // holder writes the counter, so no read-modify-write is needed.
+    std::atomic<std::uint64_t>& added = session_->clauses_added;
+    added.store(added.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
+  } else if (op.kind == Kind::push || op.kind == Kind::pop) {
+    std::lock_guard<std::mutex> lk(service_->lock_);
+    service_->emit_control_locked(op.kind == Kind::push
+                                      ? telemetry::EventKind::session_push
+                                      : telemetry::EventKind::session_pop,
+                                  session_->id,
+                                  session_->engine->num_groups());
   }
-  const std::optional<GroupId> group = icnf::apply(session->certifier, op);
-  if (group.has_value() && (op.kind == Kind::push || op.kind == Kind::pop)) {
-    std::lock_guard<std::mutex> lk(lock_);
-    emit_control_locked(op.kind == Kind::push
-                            ? telemetry::EventKind::session_push
-                            : telemetry::EventKind::session_pop,
-                        session->id, session->engine->num_groups());
-  }
-  release_session(*session);
   return group;
+}
+
+void SolverService::SessionClaim::release() {
+  if (session_ == nullptr) return;
+  release_session(*session_);
+  session_ = nullptr;
 }
 
 SolverService::Session* SolverService::claim_session_locked(SessionId id) {
@@ -335,6 +342,8 @@ bool SolverService::close_session(SessionId id) {
   if (it == sessions_.end()) return false;
   // Claims are taken under the lock, so an idle session stays idle.
   if (it->second->busy.load(std::memory_order_acquire)) return false;
+  stats_.session_clauses_added +=
+      it->second->clauses_added.load(std::memory_order_relaxed);
   keep_spare_locked(*it->second);
   sessions_.erase(it);
   if (sessions_gauge_ != nullptr) {
@@ -491,7 +500,12 @@ void SolverService::set_completion_callback(CompletionCallback callback) {
 
 ServiceStats SolverService::stats() const {
   std::lock_guard<std::mutex> lk(lock_);
-  return stats_;
+  ServiceStats stats = stats_;
+  for (const auto& [id, session] : sessions_) {
+    stats.session_clauses_added +=
+        session->clauses_added.load(std::memory_order_relaxed);
+  }
+  return stats;
 }
 
 void SolverService::enqueue_ready_locked(Job& job) {

@@ -166,6 +166,8 @@ inline constexpr ServiceCounter kServiceCounters[] = {
 };
 
 class SolverService {
+  struct Session;
+
  public:
   explicit SolverService(ServiceOptions options = {});
   ~SolverService();  // shutdown(Shutdown::cancel_pending)
@@ -192,17 +194,66 @@ class SolverService {
   // same slice slots. A query runs in the session's one reusable record,
   // never in the job table: state(), wait() and cancel() do not know it.
   //
-  // Discipline: a session is driven by one logical owner. Operations, a
-  // second query and close are rejected (false / nullopt) while a query
-  // or another operation is in flight, and everything is rejected after
-  // close_session. All methods are thread-safe with respect to the service
-  // itself and to other sessions.
+  // Discipline: a session is driven by one logical owner, who claims it
+  // for each operation. Operations, a query and close are rejected (false
+  // / nullopt) while a query or a claim is in flight, and everything is
+  // rejected after close_session. All methods are thread-safe with respect
+  // to the service itself and to other sessions.
   std::optional<SessionId> open_session(SessionRequest request);
-  // icnf::apply(certifier, op) on the session: its returns and refusals
-  // (group handles are the engine's GroupIds, from 0), and nullopt for a
-  // closed or busy session and for every solve op (session_query asks).
-  // Parking a group parks its clauses, and whatever rests on them, in the
-  // session's checker too.
+
+  // The claim contract. A claim is taken under the service lock; while it
+  // is held the session is the holder's alone, and every other
+  // session_apply, session_query, close_session and claim_session on it is
+  // refused as busy. apply() runs ops on the claimed session with no lock,
+  // no session lookup and no atomic read-modify-write, so a run of clause
+  // adds pays for one claim rather than one per clause. The claim ends when
+  // it is released, destroyed or assigned over (one release store; only a
+  // push or pop takes the lock again, for its control-ring event). It must
+  // end before its holder asks a query or closes the session, and before
+  // the service is destroyed. A claim is used by one thread at a time.
+  class SessionClaim {
+   public:
+    SessionClaim() = default;
+    SessionClaim(SessionClaim&& other) noexcept
+        : service_(other.service_), session_(other.session_) {
+      other.session_ = nullptr;
+    }
+    SessionClaim& operator=(SessionClaim&& other) noexcept {
+      if (this != &other) {
+        release();
+        service_ = other.service_;
+        session_ = other.session_;
+        other.session_ = nullptr;
+      }
+      return *this;
+    }
+    ~SessionClaim() { release(); }
+
+    // Whether a session is held (claim_session refuses a closed, busy or
+    // unknown one).
+    explicit operator bool() const { return session_ != nullptr; }
+    // icnf::apply(certifier, op) on the session: its returns and refusals
+    // (group handles are the engine's GroupIds, from 0), and nullopt for
+    // every solve op (session_query asks) and without a session. Parking
+    // a group parks its clauses, and whatever rests on them, in the
+    // session's checker too.
+    std::optional<GroupId> apply(const icnf::Op& op);
+    // Ends the claim (a no-op without one).
+    void release();
+
+   private:
+    friend class SolverService;
+    SessionClaim(SolverService& service, Session& session)
+        : service_(&service), session_(&session) {}
+
+    SolverService* service_ = nullptr;
+    Session* session_ = nullptr;
+  };
+  // Claims the open, idle session `id`; an empty claim when it is closed,
+  // busy or unknown.
+  SessionClaim claim_session(SessionId id);
+  // One op under a claim of its own: claim_session(id).apply(op), so
+  // nullopt for a closed or busy session too.
   std::optional<GroupId> session_apply(SessionId id, const icnf::Op& op);
   // Asks the session one query and blocks until it is answered. The query
   // is scheduled like a job (a job id, slices, preemption); its slices run
@@ -269,8 +320,6 @@ class SolverService {
   telemetry::MetricsSnapshot metrics_snapshot() const;
 
  private:
-  struct Session;
-
   // The record of a query: a one-shot job, owned by jobs_ until collected,
   // or a session's, owned by the session and reused for each query.
   struct Job {
@@ -332,11 +381,15 @@ class SolverService {
     SessionRequest request;
     std::unique_ptr<SatEngine> engine;
     proof::LiveCertifier certifier;
-    // A query or a mutation is in progress: whoever set it is the only one
-    // to reach the engine and the query record. Claimed under lock_
-    // (claim_session_locked); a mutation releases it without the lock, a
+    // A query or a SessionClaim is in progress: whoever set it is the only
+    // one to reach the engine and the query record. Claimed under lock_
+    // (claim_session_locked); a claim releases it without the lock, a
     // query once its caller has collected the answer.
     std::atomic<bool> busy{false};
+    // Clauses added through claims (ServiceStats::session_clauses_added),
+    // written only by the claim holder; stats() sums it over the open
+    // sessions and close_session folds it into stats_.
+    std::atomic<std::uint64_t> clauses_added{0};
     // Non-empty when the session was opened with a feature combo the
     // service cannot serve yet (proof logging + threads > 1) or its engine
     // died mid-solve: mutations still maintain the session, but every
@@ -364,7 +417,8 @@ class SolverService {
   // Claims the open, idle session `id` by marking it busy: its entry in
   // sessions_, or null when it is busy or unknown. Must hold lock_.
   Session* claim_session_locked(SessionId id);
-  // Ends a claim; the next claimer sees everything the holder did.
+  // Ends a claim or a query; the next claimer sees everything the holder
+  // did.
   static void release_session(Session& session) {
     session.busy.store(false, std::memory_order_release);
   }

@@ -172,6 +172,82 @@ TEST(ServiceSession, BusyDisciplineRejectsOverlap) {
   EXPECT_TRUE(service.close_session(*sid));
 }
 
+// A claim holds the session across a run of adds: while the owner streams
+// clauses under one claim, every session_apply, session_query,
+// close_session and claim_session another thread makes on the session is
+// refused as busy and disturbs nothing. Once the claim ends, the session
+// answers and closes as usual, and every streamed add is counted.
+TEST(ServiceSessionClaim, OtherCallersAreRefusedWhileTheOwnerStreamsAdds) {
+  SolverService service({.num_workers = 1});
+  SessionRequest request;
+  request.proof.log = true;
+  request.proof.check = true;
+  const auto sid = service.open_session(request);
+  ASSERT_TRUE(sid.has_value());
+  std::atomic<bool> claimed{false};
+  std::atomic<bool> probed{false};
+  std::atomic<int> refused_adds{0};
+  std::uint64_t streamed = 0;
+  std::thread owner([&] {
+    SolverService::SessionClaim claim = service.claim_session(*sid);
+    claimed.store(claim ? true : false);
+    if (!claim) return;
+    for (int i = 0; !probed.load() || i < 2000; ++i) {
+      const Lit clause[] = {Lit::positive(2 * i), Lit::negative(2 * i + 1)};
+      if (claim.apply(icnf::Op::clause(clause)).has_value()) {
+        ++streamed;
+      } else {
+        ++refused_adds;
+      }
+    }
+  });
+  while (!claimed.load()) std::this_thread::yield();
+  for (int i = 0; i < 200; ++i) {
+    const Lit unit[] = {Lit::positive(0)};
+    EXPECT_FALSE(service.session_apply(*sid, icnf::Op::clause(unit)));
+    EXPECT_FALSE(service.session_apply(*sid, icnf::Op::push()));
+    EXPECT_FALSE(ask(service, *sid).has_value());
+    EXPECT_FALSE(service.close_session(*sid));
+    EXPECT_FALSE(service.claim_session(*sid));
+  }
+  probed.store(true);
+  owner.join();
+  EXPECT_EQ(refused_adds.load(), 0);
+  EXPECT_GE(streamed, 2000u);
+  EXPECT_EQ(service.stats().session_clauses_added, streamed);
+  const std::optional<JobResult> answer = ask(service, *sid);
+  ASSERT_TRUE(answer.has_value());
+  EXPECT_EQ(answer->status, SolveStatus::satisfiable);
+  EXPECT_TRUE(service.close_session(*sid));
+  EXPECT_EQ(service.stats().session_clauses_added, streamed);
+}
+
+// SessionBackend takes its claim with its first operation after a solve
+// and keeps it until the next solve: in between, the session is busy to
+// everyone else.
+TEST(ServiceSessionClaim, SessionBackendHoldsItsClaimUntilItSolves) {
+  SolverService service({.num_workers = 1});
+  engines::SessionBackend backend(service, {});
+  ASSERT_TRUE(backend.alive());
+  EXPECT_TRUE(backend.add_binary(Lit::positive(0), Lit::positive(1)));
+  EXPECT_EQ(backend.solve({}, Budget::unlimited()), SolveStatus::satisfiable);
+  const SessionId id = backend.last_result().session;
+  // Solved: the claim has ended.
+  EXPECT_TRUE(service.session_apply(id, icnf::Op::clause(lits({1, 2}))));
+
+  EXPECT_TRUE(backend.add_unit(Lit::negative(0)));
+  EXPECT_FALSE(service.session_apply(id, icnf::Op::clause(lits({3}))));
+  EXPECT_FALSE(service.close_session(id));
+  const GroupId group = backend.push();
+  ASSERT_NE(group, no_group);
+  EXPECT_TRUE(backend.add_clause_to(group, lits({-2})));
+  EXPECT_FALSE(ask(service, id).has_value());
+  EXPECT_EQ(backend.solve({}, Budget::unlimited()),
+            SolveStatus::unsatisfiable);
+  EXPECT_TRUE(ask(service, id).has_value());
+  EXPECT_EQ(service.stats().session_clauses_added, 4u);
+}
+
 TEST(ServiceSession, PopWithoutGroupRejected) {
   SolverService service(ServiceOptions{});
   const auto sid = service.open_session({});

@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -220,7 +221,13 @@ TEST(ServiceSessionWaiter, WaiterRunSliceLandsInSliceLatencyAndPhases) {
 // which takes the queued job and empties the run queue; every later
 // release must still wake the other worker so that it can exit, or
 // shutdown() never joins it. Repeated, since a caller holds a slot only
-// when it reaches wait() before the worker woken for its job.
+// when it reaches wait() before the worker woken for its job. The main
+// thread never asks state() of a caller's job, which the caller's wait()
+// may collect at any moment: a latch says the callers are about to wait,
+// and the completion callback says afterwards which thread ran each job
+// and in what order the jobs finished. A round held the slots when both
+// callers ran their own jobs and the queued job was not the first to
+// finish.
 TEST(ServiceSessionWaiter, DrainShutdownWhileWaitersHoldEverySlot) {
   constexpr int kSlots = 2;
   constexpr int kRounds = 10;
@@ -232,32 +239,30 @@ TEST(ServiceSessionWaiter, DrainShutdownWhileWaitersHoldEverySlot) {
     SolverService service(options);
     std::mutex mutex;
     std::map<JobId, std::thread::id> finished_on;
+    std::vector<JobId> finish_order;
     service.set_completion_callback([&](const JobResult& result) {
       std::lock_guard<std::mutex> lock(mutex);
       finished_on[result.id] = std::this_thread::get_id();
+      finish_order.push_back(result.id);
     });
-    std::atomic<JobId> owned[kSlots] = {};
+    JobId owned[kSlots] = {};
     std::thread::id owner_ids[kSlots];
     JobResult answers[kSlots];
+    std::latch waiting(kSlots);
     std::vector<std::thread> owners;
     for (int c = 0; c < kSlots; ++c) {
       owners.emplace_back([&, c] {
         owner_ids[c] = std::this_thread::get_id();
         const JobId id = *service.submit(request_for(gen::pigeonhole(7)));
         owned[c] = id;
+        waiting.count_down();
         answers[c] = service.wait(id);
       });
     }
-    bool all_running = true;
-    for (std::atomic<JobId>& id : owned) {
-      while (id.load() == invalid_job) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      while (service.state(id) == JobState::queued) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      all_running = all_running && service.state(id) == JobState::running;
-    }
+    waiting.wait();
+    // Give the callers time to take both slots; the callback data below,
+    // not this pause, decides whether they did.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
     const JobId queued = *service.submit(request_for(gen::pigeonhole(4)));
     const bool behind = service.state(queued) == JobState::queued;
     service.shutdown(SolverService::Shutdown::drain);  // must return
@@ -266,8 +271,12 @@ TEST(ServiceSessionWaiter, DrainShutdownWhileWaitersHoldEverySlot) {
     const JobResult last = service.wait(queued);
     EXPECT_EQ(last.outcome, JobOutcome::completed);
     EXPECT_EQ(last.status, SolveStatus::unsatisfiable);
-    bool held = all_running && behind;
+    bool held = behind;
     std::lock_guard<std::mutex> lock(mutex);
+    ASSERT_EQ(finish_order.size(), static_cast<std::size_t>(kSlots + 1));
+    // Queued behind two running callers, the job could start only once a
+    // caller's slice freed a slot, so it cannot finish first.
+    held = held && finish_order.front() != queued;
     for (int c = 0; c < kSlots; ++c) {
       EXPECT_EQ(answers[c].outcome, JobOutcome::completed);
       EXPECT_EQ(answers[c].status, SolveStatus::unsatisfiable);

@@ -6,6 +6,7 @@
 #include "core/solver.h"
 #include "core/watch_pool.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace berkmin {
 namespace {
@@ -16,18 +17,21 @@ using testing::make_cnf;
 TEST(FlatWatchLists, GrowthTracksWasteAndCompactReclaimsIt) {
   FlatWatchLists<Watcher> lists;
   lists.resize_literals(4);
-  // 5 pushes on one span: capacities 4 then 8, abandoning the first slots.
+  // 5 pushes on one span: capacities 4 then 8. Another span was laid out
+  // after it meanwhile, so the growth relocates and abandons the first
+  // slots.
   for (std::uint32_t i = 0; i < 5; ++i) {
+    if (i == 4) lists.push(2, Watcher{9, Lit::positive(0)});
     lists.push(1, Watcher{i, Lit::positive(0)});
   }
   EXPECT_EQ(lists.size(1), 5u);
   EXPECT_EQ(lists.wasted(), 4u);
-  EXPECT_EQ(lists.live(), 5u);
+  EXPECT_EQ(lists.live(), 6u);
   EXPECT_GT(lists.pool_slots(), lists.live());
 
   lists.compact();
   EXPECT_EQ(lists.wasted(), 0u);
-  EXPECT_EQ(lists.pool_slots(), 5u);
+  EXPECT_EQ(lists.pool_slots(), 6u);
   for (std::uint32_t i = 0; i < 5; ++i) {
     EXPECT_EQ(lists.data(1)[i].cref, i);
   }
@@ -80,6 +84,86 @@ TEST(FlatWatchLists, RebuildLaysOutExactCountsIncludingEmptySpans) {
   EXPECT_EQ(lists.wasted(), 0u);
   EXPECT_EQ(lists.live(), 3u);
   EXPECT_EQ(lists.data(4)[0].cref, 9u);
+}
+
+TEST(FlatWatchLists, GrowthAtThePoolTailMovesAndWastesNothing) {
+  FlatWatchLists<Watcher> lists;
+  lists.resize_literals(4);
+  // The only span ends the pool at every growth: 4, 8, ..., 128 slots.
+  for (std::uint32_t i = 0; i < 100; ++i) lists.push(3, Watcher{i, undef_lit});
+  EXPECT_EQ(lists.wasted(), 0u);
+  EXPECT_EQ(lists.offset(3), 0u);
+  EXPECT_EQ(lists.pool_slots(), 128u);
+  for (std::uint32_t i = 0; i < 100; ++i) EXPECT_EQ(lists.data(3)[i].cref, i);
+
+  // A span laid out behind it makes its next growth a relocation again.
+  lists.push(0, Watcher{500, undef_lit});
+  for (std::uint32_t i = 100; i < 129; ++i) lists.push(3, Watcher{i, undef_lit});
+  EXPECT_EQ(lists.wasted(), 128u);
+  for (std::uint32_t i = 0; i < 129; ++i) EXPECT_EQ(lists.data(3)[i].cref, i);
+  EXPECT_EQ(lists.data(0)[0].cref, 500u);
+}
+
+// Random pushes over a few literals, against a list-of-vectors model: the
+// lists keep their contents and order, every pool slot is either in a
+// span's capacity or counted by wasted(), and compact() and reserve() lay
+// the pool out exactly as they do for the same lists filled literal by
+// literal.
+TEST(FlatWatchLists, GrowthKeepsContentsWasteAndLayouts) {
+  constexpr std::size_t codes = 6;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    FlatWatchLists<Watcher> lists;
+    lists.resize_literals(codes);
+    std::vector<std::vector<ClauseRef>> model(codes);
+    for (ClauseRef i = 0; i < 400; ++i) {
+      // Bias toward the last literal touched, so tail growth happens often.
+      const std::size_t code =
+          rng.chance(0.6) && i > 0 ? static_cast<std::size_t>(i % codes)
+                                   : static_cast<std::size_t>(rng.below(codes));
+      lists.push(code, Watcher{i, undef_lit});
+      model[code].push_back(i);
+    }
+    std::size_t capacity = 0;
+    for (std::size_t code = 0; code < codes; ++code) {
+      ASSERT_EQ(lists.size(code), model[code].size());
+      for (std::size_t k = 0; k < model[code].size(); ++k) {
+        EXPECT_EQ(lists.data(code)[k].cref, model[code][k]);
+      }
+      capacity += lists.span(code).cap;
+    }
+    EXPECT_EQ(capacity + lists.wasted(), lists.pool_slots());
+
+    FlatWatchLists<Watcher> in_order;
+    in_order.resize_literals(codes);
+    for (std::size_t code = 0; code < codes; ++code) {
+      for (const ClauseRef ref : model[code]) {
+        in_order.push(code, Watcher{ref, undef_lit});
+      }
+    }
+    const auto same_layout = [&](const FlatWatchLists<Watcher>& a,
+                                 const FlatWatchLists<Watcher>& b) {
+      ASSERT_EQ(a.pool_slots(), b.pool_slots());
+      EXPECT_EQ(a.wasted(), b.wasted());
+      for (std::size_t code = 0; code < codes; ++code) {
+        EXPECT_EQ(a.span(code).offset, b.span(code).offset);
+        EXPECT_EQ(a.span(code).len, b.span(code).len);
+        EXPECT_EQ(a.span(code).cap, b.span(code).cap);
+        for (std::uint32_t k = 0; k < a.size(code); ++k) {
+          EXPECT_EQ(a.data(code)[k].cref, b.data(code)[k].cref);
+        }
+      }
+    };
+    FlatWatchLists<Watcher> reserved = lists;
+    FlatWatchLists<Watcher> reserved_in_order = in_order;
+    const std::vector<std::uint32_t> extra = {3, 0, 1, 7, 0, 2};
+    reserved.reserve(extra);
+    reserved_in_order.reserve(extra);
+    same_layout(reserved, reserved_in_order);
+    lists.compact();
+    in_order.compact();
+    same_layout(lists, in_order);
+  }
 }
 
 TEST(FlatWatchLists, TruncateKeepsPrefix) {
