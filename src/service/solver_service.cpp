@@ -321,18 +321,12 @@ bool SolverService::session_query(SessionId id,
   ++stats_.session_solves;
   // The session stays claimed until the answer is collected, so no other
   // query can reuse the record before then.
-  const auto collect = [&] {
-    result = std::move(answer);
-    answer = JobResult{};
-    release_session(*session);
-  };
-  try {
-    run_until_finished(lk, query);
-  } catch (...) {  // a throwing completion callback, after the answer
-    collect();
-    throw;
-  }
-  collect();
+  Finished finished = run_until_finished(lk, query);
+  result = std::move(answer);
+  answer = JobResult{};
+  release_session(*session);
+  lk.unlock();
+  deliver(std::move(finished));
   return true;
 }
 
@@ -388,7 +382,7 @@ SolverService::Finished SolverService::cancel_locked(Job& job) {
     return {};
   }
   ready_.erase(std::find(ready_.begin(), ready_.end(), &job));
-  return finish_locked(job, JobOutcome::cancelled);
+  return finish_locked(job, JobOutcome::cancelled, now_seconds());
 }
 
 void SolverService::shutdown(Shutdown mode) {
@@ -433,21 +427,26 @@ JobResult SolverService::wait(JobId id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) throw std::out_of_range("unknown job id");
   const std::shared_ptr<Job> job = it->second;
-  run_until_finished(lk, *job);
+  Finished finished = run_until_finished(lk, *job);
   // Collected once: the first caller back takes the result, and any other
-  // finds the id gone.
+  // finds the id gone. A caller whose slice finished the job collects it in
+  // that slice's settle hold, before its callback runs.
   if (jobs_.erase(id) == 0) throw std::out_of_range("job already collected");
-  return std::move(job->result);
+  JobResult result = std::move(job->result);
+  lk.unlock();
+  deliver(std::move(finished));
+  return result;
 }
 
-void SolverService::run_until_finished(std::unique_lock<std::mutex>& lk,
-                                       Job& job) {
+SolverService::Finished SolverService::run_until_finished(
+    std::unique_lock<std::mutex>& lk, Job& job) {
   // The caller runs its job's slices itself while the job is the
   // scheduler's pick and it holds a slot: one freed for it, or the one its
   // previous slice ran in, kept while the preempted job is picked again.
   // Otherwise it parks until a slot frees or a job finishes; parking while
   // a slot is free and another job is the pick, it wakes a worker for that
   // job, which may have been admitted without one.
+  Finished finished;
   int slot = -1;
   while (!job.finished()) {
     if (slot >= 0 || !free_slots_.empty()) {
@@ -457,16 +456,7 @@ void SolverService::run_until_finished(std::unique_lock<std::mutex>& lk,
           slot = free_slots_.back();
           free_slots_.pop_back();
         }
-        dispatch_locked(job);
-        lk.unlock();
-        try {
-          run_slice(job, slot_sink(slot), true);
-        } catch (...) {  // a throwing completion callback
-          lk.lock();
-          release_slot_locked(slot);
-          throw;
-        }
-        lk.lock();
+        finished = slice_step(lk, job, slot, true);
         continue;
       }
       if (slot >= 0) {
@@ -479,6 +469,7 @@ void SolverService::run_until_finished(std::unique_lock<std::mutex>& lk,
     done_cv_.wait(lk);
   }
   if (slot >= 0) release_slot_locked(slot);
+  return finished;
 }
 
 std::vector<JobResult> SolverService::wait_all() {
@@ -586,30 +577,24 @@ void SolverService::worker_loop() {
     Job& job = *pick_ready_locked();
     const int slot = free_slots_.back();
     free_slots_.pop_back();
-    dispatch_locked(job);
-    lk.unlock();
-    run_slice(job, slot_sink(slot), false);
-    lk.lock();
+    Finished finished = slice_step(lk, job, slot, false);
+    // Delivered before the slot frees: a waiter taking it cannot report first.
+    if (job.finished()) {
+      lk.unlock();
+      deliver(std::move(finished));
+      lk.lock();
+    }
     release_slot_locked(slot);
   }
 }
 
-bool SolverService::finish_if_preempted_terminal(Job& job) {
-  Finished notify;
-  bool terminal = false;
-  {
-    std::unique_lock<std::mutex> lk(lock_);
-    if (job.cancel_requested) {
-      notify = finish_locked(job, JobOutcome::cancelled);
-      terminal = true;
-    } else if (job.deadline_point > 0.0 &&
-               now_seconds() >= job.deadline_point) {
-      notify = finish_locked(job, JobOutcome::deadline_expired);
-      terminal = true;
-    }
-  }
-  if (terminal) deliver(std::move(notify));
-  return terminal;
+SolverService::Finished SolverService::slice_step(
+    std::unique_lock<std::mutex>& lk, Job& job, int slot, bool on_waiter) {
+  dispatch_locked(job);
+  lk.unlock();
+  SliceRun run = run_slice(job, slot_sink(slot));
+  lk.lock();
+  return settle_locked(job, run, on_waiter);
 }
 
 std::optional<Budget> SolverService::slice_budget(const Job& job) const {
@@ -644,39 +629,35 @@ std::optional<Budget> SolverService::slice_budget(const Job& job) const {
   return budget;
 }
 
-void SolverService::run_slice(Job& job, telemetry::SolverTelemetry* sink,
-                              bool on_waiter) {
-  const JobLimits& limits = job.request.limits;
+SolverService::SliceRun SolverService::run_slice(
+    Job& job, telemetry::SolverTelemetry* sink) {
+  using End = SliceRun::End;
   const JobProofOptions& proof_opts = job.request.proof;
   Session* session = job.session;
+  SliceRun run;
 
-  // Pre-flight: cancellation or an already-expired deadline ends the job
-  // without spending a slice on it.
-  if (finish_if_preempted_terminal(job)) return;
-
-  // A session opened with an unsupported feature combo (or poisoned by a
-  // dead slice) answers every solve with a structured error instead of an
-  // uncertified result.
+  // Pre-flight: a deadline already past at dispatch ends the job without
+  // spending a slice on it. A session opened with an unsupported feature
+  // combo (or poisoned by a dead slice) answers every query with a
+  // structured error instead of an uncertified result.
+  if (job.deadline_point > 0.0 && job.slice_start >= job.deadline_point) {
+    run.end = End::stopped;
+    return run;
+  }
   if (session != nullptr && !session->unsupported.empty()) {
-    Finished notify;
-    {
-      std::unique_lock<std::mutex> lk(lock_);
-      job.result.error = session->unsupported;
-      notify = finish_locked(job, JobOutcome::unsupported);
-    }
-    deliver(std::move(notify));
-    return;
+    run.end = End::unsupported;
+    return run;
   }
 
   // A job's first slice builds and loads the engine outside the lock
   // (loading can dwarf a slice); the engine pointer is published under
   // the lock so cancel() can reach it.
   if (session == nullptr && job.engine == nullptr) {
-    std::string error;
     std::unique_ptr<SatEngine> engine;
     std::unique_ptr<proof::MemoryProofWriter> proof_writer;
     try {
-      engine = portfolio::make_engine(job.request.options, limits.threads,
+      engine = portfolio::make_engine(job.request.options,
+                                      job.request.limits.threads,
                                       engine_resources(opts_));
       if (proof_opts.wanted()) {
         proof_writer = std::make_unique<proof::MemoryProofWriter>();
@@ -684,29 +665,17 @@ void SolverService::run_slice(Job& job, telemetry::SolverTelemetry* sink,
       }
       engine->load(job.request.cnf);
     } catch (const std::exception& ex) {
-      error = ex.what();
+      run.end = End::build_failed;
+      run.error = ex.what();
+      return run;
     }
-
-    Finished notify;
-    bool terminal = false;
-    {
-      std::unique_lock<std::mutex> lk(lock_);
-      if (!error.empty()) {
-        job.result.error = error;
-        notify = finish_locked(job, JobOutcome::error);
-        terminal = true;
-      } else if (job.cancel_requested) {
-        notify = finish_locked(job, JobOutcome::cancelled);
-        terminal = true;
-      } else {
-        job.engine = std::move(engine);
-        job.proof_writer = std::move(proof_writer);
-      }
+    std::lock_guard<std::mutex> lk(lock_);
+    if (job.cancel_requested) {
+      run.end = End::stopped;
+      return run;
     }
-    if (terminal) {
-      deliver(std::move(notify));
-      return;
-    }
+    job.engine = std::move(engine);
+    job.proof_writer = std::move(proof_writer);
   }
   SatEngine& engine = *job.active_engine();
 
@@ -714,9 +683,6 @@ void SolverService::run_slice(Job& job, telemetry::SolverTelemetry* sink,
   // and stops the solve mid-slice; the sticky flag means even a request
   // that lands before solve() starts is honored.
   WallTimer slice_timer;
-  SolveStatus status = SolveStatus::unknown;
-  SliceStats slice;  // stays zero when the slice never solves
-  std::string slice_error;
   try {
     BERKMIN_FAULT_STALL(util::FaultSite::worker_stall);
     if (BERKMIN_FAULT_POINT(util::FaultSite::slice_death)) {
@@ -729,159 +695,149 @@ void SolverService::run_slice(Job& job, telemetry::SolverTelemetry* sink,
       // The sink is this slot's; detach before the job can migrate to
       // another slot after a preemption.
       engine.set_telemetry(sink);
-      status = engine.solve_with_assumptions(job.assumptions, *budget);
+      run.status = engine.solve_with_assumptions(job.assumptions, *budget);
       engine.set_telemetry(nullptr);
       // Copied: finishing the job releases its engine.
-      slice = engine.last_slice();
+      run.slice = engine.last_slice();
     }
   } catch (const std::exception& ex) {
-    slice_error = ex.what();
+    run.end = End::died;
+    run.error = ex.what();
   }
-  const double slice_seconds = slice_timer.seconds();
+  run.seconds = slice_timer.seconds();
+  if (run.end == End::died) return run;
 
+  // Certification runs outside the lock (a check can dwarf a slice). A
+  // session's live checker verifies the trace steps logged since its last
+  // call, then the answer itself (¬core RUP over the live database); the
+  // answer carries that verdict only, never the session's cumulative trace.
+  // A job's trace is taken whole, and is deliverable only when complete —
+  // UNSAT of the formula itself ends with the empty clause; an
+  // assumption-failure answer does not (its certificate is the
+  // failed-assumption core instead) — and is checked against the formula.
+  JobResult& result = job.result;
+  if (run.status == SolveStatus::unsatisfiable && proof_opts.wanted()) {
+    if (session != nullptr) {
+      if (session->certifier.checking()) {
+        session->certifier.set_telemetry(sink);
+        result.proof_valid = session->certifier.answer_certified();
+        session->certifier.set_telemetry(nullptr);
+        result.proof_checked = true;
+      }
+    } else {
+      proof::Proof trace = job.proof_writer->take_proof();
+      if (trace.ends_with_empty()) {
+        if (proof_opts.verify()) {
+          proof::DratChecker checker(job.request.cnf);
+          checker.set_telemetry(sink);
+          const proof::CheckResult check = checker.check(trace);
+          result.proof_checked = true;
+          result.proof_valid = check.valid;
+          if (check.valid && proof_opts.core) {
+            result.unsat_core = checker.core();
+          }
+        }
+        result.proof = std::move(trace);
+      }
+    }
+  }
+  note_slice(sink, job.id, run.seconds, run.slice.conflicts);
+  return run;
+}
+
+SolverService::Finished SolverService::settle_locked(Job& job, SliceRun& run,
+                                                     bool on_waiter) {
+  using End = SliceRun::End;
+  Session* session = job.session;
+  JobResult& result = job.result;
+  if (run.end == End::solved || run.end == End::died) {
+    ++stats_.slices;
+    if (on_waiter) ++stats_.waiter_slices;
+    stats_.solve_seconds += run.seconds;
+    stats_.conflicts += run.slice.conflicts;
+    ++result.slices;
+    result.solve_seconds += run.seconds;
+    result.conflicts += run.slice.conflicts;
+    result.decisions += run.slice.decisions;
+    result.propagations += run.slice.propagations;
+    result.learned_clauses += run.slice.learned_clauses;
+  }
+  // The one clock read, taken only when a decision needs it.
+  std::optional<double> clock;
+  const auto now = [&] { return clock ? *clock : *(clock = now_seconds()); };
+  const auto finish = [&](JobOutcome outcome) {
+    return finish_locked(job, outcome, now());
+  };
+
+  if (run.end == End::build_failed) {
+    result.error = std::move(run.error);
+    return finish(JobOutcome::error);
+  }
+  if (run.end == End::unsupported) {
+    result.error = session->unsupported;
+    return finish(JobOutcome::unsupported);
+  }
   // A slice that died leaves the engine mid-search — unrecoverable. A job
   // is not: it discards the engine and retries from the formula a bounded
   // number of times, then fails with a structured error. A session cannot
   // retry (rebuilding its engine would silently drop the pushed groups and
   // learned state): the query fails and the session is poisoned, so later
-  // solves answer unsupported with the same reason. Either way the thread
+  // queries answer unsupported with the same reason. Either way the thread
   // running the slice survives and the queue keeps draining.
-  if (!slice_error.empty()) {
-    Finished notify;
-    {
-      std::unique_lock<std::mutex> lk(lock_);
-      count_slice_locked(job, slice_seconds, on_waiter);
-      ++stats_.slice_deaths;
-      if (session != nullptr) {
-        session->unsupported = "session engine died mid-solve: " +
-                               slice_error + "; close and reopen the session";
-        job.result.error = session->unsupported;
-        notify = finish_locked(job, JobOutcome::error);
-      } else {
-        job.engine.reset();
-        job.proof_writer.reset();
-        if (job.cancel_requested) {
-          notify = finish_locked(job, JobOutcome::cancelled);
-        } else if (job.fault_retries < opts_.max_slice_retries) {
-          // Re-queue for a rebuild. The consumed slice count feeds the
-          // schedule key, so retries back off behind fresh work naturally.
-          ++job.fault_retries;
-          ++stats_.slice_retries;
-          job.job_state = JobState::preempted;
-          ++job.result.preemptions;
-          ++stats_.preemptions;
-          emit_control_locked(telemetry::EventKind::job_preempted, job.id,
-                              job.result.slices);
-          enqueue_ready_locked(job);
-        } else {
-          job.result.error = "slice died: " + slice_error +
-                              " (gave up after " +
-                              std::to_string(job.fault_retries) + " retries)";
-          notify = finish_locked(job, JobOutcome::error);
-        }
-      }
-    }
-    deliver(std::move(notify));
-    return;
-  }
-
-  // Proof harvest and certification run outside the lock (a check can
-  // dwarf a slice). A session's live checker verifies the trace steps
-  // logged since its last call, then the answer itself (¬core RUP over
-  // the live database); the answer carries that verdict only, never the
-  // session's cumulative trace. A job's trace is taken whole, and is
-  // deliverable only when complete — UNSAT of the formula itself ends
-  // with the empty clause; an assumption-failure answer does not (its
-  // certificate is the failed-assumption core instead) — and is checked
-  // against the formula.
-  proof::Proof trace;
-  bool has_proof = false;  // the answer carries proof artifacts
-  bool proof_checked = false;
-  bool proof_valid = false;
-  std::vector<std::size_t> unsat_core;
-  if (status == SolveStatus::unsatisfiable && proof_opts.wanted()) {
+  if (run.end == End::died) {
+    ++stats_.slice_deaths;
     if (session != nullptr) {
-      has_proof = true;
-      if (session->certifier.checking()) {
-        session->certifier.set_telemetry(sink);
-        proof_valid = session->certifier.answer_certified();
-        session->certifier.set_telemetry(nullptr);
-        proof_checked = true;
-      }
-    } else {
-      trace = job.proof_writer->take_proof();
-      has_proof = trace.ends_with_empty();
-      if (has_proof && proof_opts.verify()) {
-        proof::DratChecker checker(job.request.cnf);
-        checker.set_telemetry(sink);
-        const proof::CheckResult check = checker.check(trace);
-        proof_checked = true;
-        proof_valid = check.valid;
-        if (check.valid && proof_opts.core) unsat_core = checker.core();
-      } else if (!has_proof) {
-        trace = proof::Proof{};
-      }
+      session->unsupported = "session engine died mid-solve: " + run.error +
+                             "; close and reopen the session";
+      result.error = session->unsupported;
+      return finish(JobOutcome::error);
+    }
+    job.engine.reset();
+    job.proof_writer.reset();
+    if (job.cancel_requested) return finish(JobOutcome::cancelled);
+    if (job.fault_retries >= opts_.max_slice_retries) {
+      result.error = "slice died: " + run.error + " (gave up after " +
+                     std::to_string(job.fault_retries) + " retries)";
+      return finish(JobOutcome::error);
+    }
+    // Re-queued for a rebuild. The consumed slice count feeds the schedule
+    // key, so retries back off behind fresh work naturally.
+    ++job.fault_retries;
+    ++stats_.slice_retries;
+  } else {
+    if (run.status != SolveStatus::unknown) {
+      result.status = run.status;
+      return finish(JobOutcome::completed);
+    }
+    if (job.cancel_requested) return finish(JobOutcome::cancelled);
+    if (run.end == End::stopped ||
+        (job.deadline_point > 0.0 && now() >= job.deadline_point)) {
+      return finish(JobOutcome::deadline_expired);
+    }
+    const std::uint64_t max_conflicts = job.request.limits.max_conflicts;
+    if (max_conflicts != 0 && result.conflicts >= max_conflicts) {
+      return finish(JobOutcome::budget_exhausted);
+    }
+    // The slice's budget expired with the query still open: back into the
+    // run queue with all engine state intact. A slice whose watchdog limit
+    // ran out ended on the resumable wall-clock stop, or before it solved.
+    if (opts_.watchdog_seconds > 0.0 &&
+        now() >= job.slice_start + opts_.watchdog_seconds) {
+      ++stats_.watchdog_fires;
     }
   }
-
-  note_slice(sink, job.id, slice_seconds, slice.conflicts);
-  Finished notify;
-  {
-    std::unique_lock<std::mutex> lk(lock_);
-    count_slice_locked(job, slice_seconds, on_waiter);
-    job.result.conflicts += slice.conflicts;
-    job.result.decisions += slice.decisions;
-    job.result.propagations += slice.propagations;
-    job.result.learned_clauses += slice.learned_clauses;
-    stats_.conflicts += slice.conflicts;
-
-    if (status != SolveStatus::unknown) {
-      job.result.status = status;
-      if (has_proof) {
-        job.result.proof = std::move(trace);
-        job.result.proof_checked = proof_checked;
-        job.result.proof_valid = proof_valid;
-        job.result.unsat_core = std::move(unsat_core);
-      }
-      notify = finish_locked(job, JobOutcome::completed);
-    } else if (job.cancel_requested) {
-      notify = finish_locked(job, JobOutcome::cancelled);
-    } else if (job.deadline_point > 0.0 &&
-               now_seconds() >= job.deadline_point) {
-      notify = finish_locked(job, JobOutcome::deadline_expired);
-    } else if (limits.max_conflicts != 0 &&
-               job.result.conflicts >= limits.max_conflicts) {
-      notify = finish_locked(job, JobOutcome::budget_exhausted);
-    } else {
-      // Budget slice expired with the query still open: back into the run
-      // queue with all engine state intact. A slice whose watchdog limit ran
-      // out ended on the resumable wall-clock stop, or before it solved.
-      if (opts_.watchdog_seconds > 0.0 &&
-          now_seconds() >= job.slice_start + opts_.watchdog_seconds) {
-        ++stats_.watchdog_fires;
-      }
-      job.job_state = JobState::preempted;
-      ++job.result.preemptions;
-      ++stats_.preemptions;
-      emit_control_locked(telemetry::EventKind::job_preempted, job.id,
-                          job.result.slices);
-      enqueue_ready_locked(job);
-    }
-  }
-  deliver(std::move(notify));
-}
-
-void SolverService::count_slice_locked(Job& job, double slice_seconds,
-                                       bool on_waiter) {
-  ++stats_.slices;
-  if (on_waiter) ++stats_.waiter_slices;
-  stats_.solve_seconds += slice_seconds;
-  ++job.result.slices;
-  job.result.solve_seconds += slice_seconds;
+  job.job_state = JobState::preempted;
+  ++result.preemptions;
+  ++stats_.preemptions;
+  emit_control_locked(telemetry::EventKind::job_preempted, job.id,
+                      result.slices);
+  enqueue_ready_locked(job);
+  return {};
 }
 
 SolverService::Finished SolverService::finish_locked(Job& job,
-                                                    JobOutcome outcome) {
+                                                    JobOutcome outcome,
+                                                    double now) {
   job.result.outcome = outcome;
   // Session jobs answer through the session's persistent engine.
   SatEngine* engine = job.active_engine();
@@ -901,7 +857,6 @@ SolverService::Finished SolverService::finish_locked(Job& job,
   }
   // Clamped at zero: injected clock skew can make an earlier read of the
   // service clock land past a later one.
-  const double now = now_seconds();
   job.result.wall_seconds = std::max(0.0, now - job.submit_time);
   job.result.queue_seconds = std::max(
       0.0, (job.first_slice_time >= 0.0 ? job.first_slice_time : now) -

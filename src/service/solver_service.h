@@ -15,6 +15,16 @@
 // slice itself, so a synchronous query costs no thread hand-off.
 // Either way at most num_workers slices run at once, in schedule order.
 //
+// Slice protocol: two holds of the service lock per slice. Dispatch takes
+// the pick off the run queue; the slice builds, solves and certifies with
+// no lock; settle, in the one re-lock its thread takes anyway, makes every
+// decision (finish, preempt, retry, poison), frees or reuses the slot and,
+// for a waiting caller, collects the answer. An uncontended session query
+// thus locks twice. Completion callbacks run outside the lock, on the
+// thread that finished the job, before its wait()/session_query() returns;
+// a worker frees its slot only after the callback, so that the callbacks
+// of one slot come in the order its jobs finished.
+//
 // Lifecycle: queued → running ⇄ preempted → done/cancelled. Individual
 // jobs can be cancelled mid-slice (the slice stops at the solver's next
 // search step); shutdown either drains the queue or cancels every
@@ -304,9 +314,12 @@ class SolverService {
 
   // Invoked each time a job reaches a terminal state (including
   // cancellations of jobs that never ran), on the thread that finished it:
-  // a worker, a caller whose wait() ran the job's last slice, or a caller of
-  // cancel() or shutdown(). Set it before the first submit; the callback
-  // must not call back into the service.
+  // a worker, a caller whose wait() or session_query() ran the job's last
+  // slice, or a caller of cancel() or shutdown(). It runs outside the lock;
+  // on a caller, after the answer was collected and the session and slot
+  // released, so what it throws reaches that caller, whose wait() result is
+  // then lost. Set it before the first submit; the callback must not call
+  // back into the service.
   using CompletionCallback = std::function<void(const JobResult&)>;
   void set_completion_callback(CompletionCallback callback);
 
@@ -422,11 +435,24 @@ class SolverService {
   static void release_session(Session& session) {
     session.busy.store(false, std::memory_order_release);
   }
+  // What a finished job hands to deliver(), which runs outside the lock:
+  // the completion callback with its payload (built only when a callback
+  // is installed), and the job's formula and engine, freed there.
+  struct Finished {
+    CompletionCallback callback;
+    JobResult result;
+    Cnf cnf;
+    std::vector<Lit> assumptions;
+    std::unique_ptr<SatEngine> engine;
+    std::unique_ptr<proof::MemoryProofWriter> proof_writer;
+  };
   // What wait() and session_query() block in: runs the record's slices on
-  // the calling thread while it is the scheduler's pick and a slot is free,
-  // else parks, until the record is terminal. Takes and returns `lk`
-  // locked.
-  void run_until_finished(std::unique_lock<std::mutex>& lk, Job& job);
+  // the calling thread (slice_step) while it is the scheduler's pick and a
+  // slot is free, else parks, until the record is terminal. Takes and
+  // returns `lk` locked with the slot already free, so the caller collects
+  // the answer in the hold that settled it; returns what to deliver after
+  // unlocking when this caller's slice finished the job.
+  Finished run_until_finished(std::unique_lock<std::mutex>& lk, Job& job);
   // The storage of a closed one-thread session: its engine and checker,
   // which the next one-thread session is built in (make_engine's spare,
   // DratChecker::reset). A run of sessions then keeps one session's memory
@@ -439,13 +465,9 @@ class SolverService {
   // Keeps a closing one-thread session's storage in spare_ when the slot
   // is free. Must hold lock_.
   void keep_spare_locked(Session& session);
-  // Slice protocol helpers: the pre-flight (finish a cancelled or
-  // already-past-deadline job without spending a slice on it — returns
-  // true when the job went terminal) and the slice budget (service-wide
-  // slice size clamped by what remains of the job's conflict budget,
-  // deadline and watchdog limit; nullopt when nothing remains of the
-  // watchdog limit). Called without the lock held.
-  bool finish_if_preempted_terminal(Job& job);
+  // The slice budget: the service-wide slice size clamped by what remains
+  // of the job's conflict budget, deadline and watchdog limit; nullopt when
+  // nothing remains of the watchdog limit. Called without the lock held.
   std::optional<Budget> slice_budget(const Job& job) const;
   // The scheduler's pick: the queued record with the best (lowest)
   // schedule key, or null when none is queued. The pick stays queued until
@@ -455,39 +477,58 @@ class SolverService {
   // Queues a job. A requeued job needs no wake-up: its slice still holds a
   // slot, and releasing or reusing it follows.
   void enqueue_ready_locked(Job& job);
-  // The one dispatch path of workers and waiters: takes the pick off the
-  // run queue, marks it running and records its dispatch (tick, slice
-  // start, first-slice wait, job_dispatch event). The caller holds a slot.
+  // The first hold of a slice: takes the pick off the run queue, marks it
+  // running and records its dispatch (tick, slice start — the clock read
+  // the slice's pre-flight and watchdog limit use — first-slice wait,
+  // job_dispatch event). The caller holds a slot.
   void dispatch_locked(Job& job);
   // Returns a slot and wakes whoever may now run a queued job in it.
   void release_slot_locked(int slot);
   // The slot's telemetry sink; nullptr without a hub.
   telemetry::SolverTelemetry* slot_sink(int slot);
-  // One slice of one job: build and load its engine if needed (session
-  // jobs run on the session's), solve under the slice budget, certify an
-  // UNSAT answer, then classify the outcome. `sink` is the telemetry sink
-  // of the slot it runs in (nullptr without a hub); `on_waiter` is true
-  // when the job's waiting caller runs it. Called without the lock held.
-  // Once the record is finished the runner touches it no more: its owner
-  // may collect, reuse or free it at once.
-  void run_slice(Job& job, telemetry::SolverTelemetry* sink, bool on_waiter);
-  // Adds one slice that ran (solved or died) to the job's and the service's
-  // totals. Must hold lock_.
-  void count_slice_locked(Job& job, double slice_seconds, bool on_waiter);
-  // What a finished job hands to deliver(), which runs outside the lock:
-  // the completion callback with its payload (built only when a callback
-  // is installed), and the job's formula and engine, freed there.
-  struct Finished {
-    CompletionCallback callback;
-    JobResult result;
-    Cnf cnf;
-    std::vector<Lit> assumptions;
-    std::unique_ptr<SatEngine> engine;
-    std::unique_ptr<proof::MemoryProofWriter> proof_writer;
+  // What one slice did, as run_slice reports it to settle_locked.
+  struct SliceRun {
+    enum class End : std::uint8_t {
+      solved,        // ran; `status` unknown when a budget or stop ended it
+      stopped,       // not run: deadline past at dispatch, or cancelled
+      died,          // threw `error`; its engine is lost
+      unsupported,   // the session answers Session::unsupported
+      build_failed,  // the job's engine failed to build or load (`error`)
+    };
+    End end = End::solved;
+    SolveStatus status = SolveStatus::unknown;
+    SliceStats slice;  // stays zero when the slice never solved
+    double seconds = 0.0;
+    std::string error;
   };
+  // The slice of a dispatched record, with no lock held: pre-flight (a
+  // deadline past at dispatch, an unsupported session), build and load a
+  // job's engine on its first slice, solve under the slice budget and
+  // certify an UNSAT answer into the record's result, which its runner
+  // owns until settle. It locks only to publish a job's first engine, so
+  // cancel() can stop it; any other cancel is caught by the engine's sticky
+  // stop and by settle. `sink` is its slot's (nullptr without a hub).
+  SliceRun run_slice(Job& job, telemetry::SolverTelemetry* sink);
+  // The second hold of a slice: counts it (`on_waiter` when the job's
+  // waiting caller ran it) and makes the one decision that follows —
+  // finish, preempt back into the run queue, retry a dead job slice, or
+  // poison a dead session. Reads the service clock at most once, and only
+  // to finish the job or to check its deadline or the watchdog limit.
+  // Returns what to deliver when the job finished. Once the record is
+  // finished the runner touches it no more: its owner may collect, reuse
+  // or free it as soon as the lock is released. Must hold lock_.
+  Finished settle_locked(Job& job, SliceRun& run, bool on_waiter);
+  // The one slice step of workers and waiters: dispatches the pick into
+  // `slot`, runs its slice with `lk` released and settles it in the
+  // re-lock. Takes and returns `lk` locked; the caller releases or reuses
+  // the slot in that same hold, or, a worker whose job finished, after the
+  // callback.
+  Finished slice_step(std::unique_lock<std::mutex>& lk, Job& job, int slot,
+                      bool on_waiter);
   // Moves a job to a terminal state, fills the remaining result fields and
-  // wakes waiters. Must hold lock_.
-  Finished finish_locked(Job& job, JobOutcome outcome);
+  // wakes waiters. `now` is the service clock read that stamps it. Must
+  // hold lock_.
+  Finished finish_locked(Job& job, JobOutcome outcome, double now);
   // Cancels an unfinished record: a running one stops at its engine's next
   // search step and its runner finishes it (nothing to deliver), a queued
   // one leaves the run queue and finishes here. Must hold lock_.

@@ -5,8 +5,9 @@
 // slot cap (a held slot keeps a waiter parked; no more than num_workers
 // slices ever overlap, traced under a multi-caller stress with more
 // session threads than slots), schedule order against a better-keyed job,
-// the telemetry of a waiter-run slice, and a draining shutdown while
-// waiters hold every slot. Run under TSan via the "service" label and the
+// the telemetry of a waiter-run slice, a draining shutdown while waiters
+// hold every slot, and a completion callback that throws on the caller.
+// Run under TSan via the "service" label and the
 // ServiceSession* filter.
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -377,6 +379,61 @@ TEST(ServiceSessionWaiter, MultiCallerStressNeverExceedsTheSlots) {
   }
   EXPECT_GE(peak, 1);
   EXPECT_LE(peak, kSlots);
+}
+
+// A completion callback that throws where a caller ran the last slice:
+// the exception reaches that caller, whose answer was collected once
+// before the callback ran, and the session and the only slot are free
+// again, so the service keeps answering.
+TEST(ServiceSessionWaiter, ThrowingCallbackOnTheCallerLeavesNothingHeld) {
+  SolverService service(ServiceOptions{.num_workers = 1});
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> throws_left{0};
+  service.set_completion_callback([&](const JobResult&) {
+    if (std::this_thread::get_id() == caller && throws_left.load() > 0) {
+      --throws_left;
+      throw std::runtime_error("callback failed");
+    }
+  });
+  const SessionId session = *service.open_session({});
+  add_formula(service, session, gen::pigeonhole(3));
+
+  // An idle service runs a session query on its caller.
+  throws_left = 1;
+  JobResult answer;
+  EXPECT_THROW((void)service.session_query(session, {}, {}, answer),
+               std::runtime_error);
+  EXPECT_EQ(throws_left.load(), 0);
+  EXPECT_EQ(answer.session, session);
+  EXPECT_EQ(answer.outcome, JobOutcome::completed);
+  EXPECT_EQ(answer.status, SolveStatus::unsatisfiable);
+  const std::optional<JobResult> next = ask(service, session);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->status, SolveStatus::unsatisfiable);
+  EXPECT_GT(next->id, answer.id);
+
+  // A submitted job wakes the worker, which may win the race for it; its
+  // callback does not throw, and the caller tries again.
+  bool thrown = false;
+  for (int attempt = 0; attempt < 100 && !thrown; ++attempt) {
+    throws_left = 1;
+    const JobId id = *service.submit(request_for(gen::pigeonhole(3)));
+    try {
+      EXPECT_EQ(service.wait(id).status, SolveStatus::unsatisfiable);
+    } catch (const std::runtime_error&) {
+      thrown = true;
+      EXPECT_THROW((void)service.wait(id), std::out_of_range);
+      EXPECT_THROW((void)service.state(id), std::out_of_range);
+    }
+  }
+  throws_left = 0;
+  EXPECT_TRUE(thrown);
+  const JobId fresh = *service.submit(request_for(gen::pigeonhole(3)));
+  EXPECT_EQ(service.wait(fresh).outcome, JobOutcome::completed);
+  EXPECT_TRUE(service.wait_all().empty());
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.finished(), stats.submitted);
+  EXPECT_TRUE(service.close_session(session));
 }
 
 }  // namespace
